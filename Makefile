@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check fuzzfarm-smoke aptc-smoke bench bench-json bench-served bench-cluster bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 clean
+.PHONY: check vet build test race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check fuzzfarm-smoke aptc-smoke bench-build bench bench-json bench-served bench-cluster bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 clean
 
-check: vet build race bench lintsmoke serve-smoke cluster-smoke race-cluster obs-check fuzzfarm-smoke aptc-smoke
+check: vet build bench-build race bench lintsmoke serve-smoke cluster-smoke race-cluster obs-check fuzzfarm-smoke aptc-smoke
 
 vet:
 	$(GO) vet ./...
@@ -103,6 +103,12 @@ aptc-smoke:
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# The end-to-end benchmark (perfbench/) is a nested module, so the root's
+# vet and build never reach it.  Vet and build it against this tree's
+# packages, offline, so an API change it depends on fails here first.
+bench-build:
+	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) build -o /dev/null .
 
 # Engine-vs-sequential benchmark report (ns/op, cache hit rates, speedup at
 # 1/4/8 workers) written to BENCH_engine.json; the acceptance thresholds

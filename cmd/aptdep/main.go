@@ -207,7 +207,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if artifact != nil {
 		// The sequential path reaches the artifact through a preseeded
 		// shared cache handed to the prover as its language cache.
-		cache := automata.NewSharedCache(0, 0, 0)
+		cache := automata.NewSharedCache(0, 0, 0).SetTelemetry(tel)
 		cache.Preseed(artifact)
 		popts.DFACache = cache
 	}

@@ -172,6 +172,12 @@ func TestBatchModeStats(t *testing.T) {
 	if !strings.Contains(stderr.String(), "engine.memo_hits") && !strings.Contains(stderr.String(), "counters:") {
 		t.Errorf("stderr missing engine counters:\n%s", stderr.String())
 	}
+	// The engine's shared DFA cache feeds the -stats summary lines.
+	for _, want := range []string{"DFA language-cache hit rate", "DFA compiles:"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
+		}
+	}
 }
 
 // TestBatchModeLoop: 'loop L' expands to the loop-carried self-dependence

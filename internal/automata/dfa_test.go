@@ -223,7 +223,7 @@ func asErr(err error, target *ErrStateLimit) bool {
 }
 
 func TestCacheReuses(t *testing.T) {
-	c := NewCache(0)
+	c := NewSharedCache(0, 1, 0)
 	a := NewAlphabet("x", "y")
 	e := pathexpr.MustParse("x.y*")
 	d1, err := c.DFA(e, a)

@@ -9,36 +9,40 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DFACache is the compilation-cache interface the prover draws DFAs (and
-// the language decisions built on them) from.  Two implementations exist:
-// Cache, the single-owner cache each prover builds by default, and
-// SharedCache, the sharded concurrency-safe cache the batched query engine
-// hands to every worker prover so subset constructions are paid once per
-// (expression, alphabet) across the whole batch.
-type DFACache interface {
-	DFA(e pathexpr.Expr, a *Alphabet) (*DFA, error)
-	Includes(sub, sup pathexpr.Expr, a *Alphabet) (bool, error)
-	Disjoint(x, y pathexpr.Expr, a *Alphabet) (bool, error)
-	Equivalent(x, y pathexpr.Expr, a *Alphabet) (bool, error)
-	Stats() CacheStats
+// CacheStats counts a SharedCache's work.
+type CacheStats struct {
+	// Lookups is the number of DFA requests.
+	Lookups int
+	// Hits is the number of requests served from the cache.
+	Hits int
+	// Compiles is the number of subset constructions performed.
+	Compiles int
+	// LimitFailures counts compilations and product constructions aborted
+	// by the state limit.
+	LimitFailures int
 }
 
-var (
-	_ DFACache = (*Cache)(nil)
-	_ DFACache = (*SharedCache)(nil)
-)
+// dfaKey identifies one compiled DFA: an interned alphabet identity plus an
+// interned expression identity.  A fixed-size comparable struct, so a
+// lookup builds its key without allocating or re-rendering the expression.
+type dfaKey struct {
+	alpha uint64
+	expr  uint64
+}
 
 // DefaultSharedShards is the shard count used when NewSharedCache is given
 // a non-positive one.  Sixteen shards keep lock contention negligible for
 // pool widths far beyond anything the engine spawns.
 const DefaultSharedShards = 16
 
-// SharedCache is a concurrency-safe DFA cache: a fixed array of
-// mutex-guarded shards keyed, like Cache, by (alphabet, expression).
+// SharedCache is the DFA cache: compiled DFAs memoized by (alphabet,
+// expression) in a fixed array of mutex-guarded shards, plus a memo of the
+// boolean language decisions built on them.  It is safe for concurrent use;
+// a single-owner cache (a prover's private one) is simply one shard.
 // Compiled DFAs are immutable, so a value read under one shard's lock is
 // safe to use forever after; two goroutines racing to compile the same
-// expression both succeed and the second insert overwrites the first with
-// an equivalent automaton (duplicate work, never wrong answers).
+// expression both succeed and the loser adopts the winner's automaton
+// (duplicate work, never wrong answers).
 //
 // An optional per-shard entry cap bounds memory: a shard at its cap is
 // emptied wholesale before the next insert (epoch eviction — no LRU
@@ -53,13 +57,9 @@ type SharedCache struct {
 	lookups      atomic.Int64
 	hits         atomic.Int64
 	compiles     atomic.Int64
-	statesBuilt  atomic.Int64
-	statesMin    atomic.Int64
 	limitFails   atomic.Int64
 	dfaEvictions atomic.Int64
 	opsEvictions atomic.Int64
-	decisions    atomic.Int64
-	decisionHits atomic.Int64
 
 	tel           *telemetry.Set
 	cLookups      *telemetry.Counter
@@ -127,14 +127,29 @@ func (c *SharedCache) SetTelemetry(tel *telemetry.Set) *SharedCache {
 	return c
 }
 
+// SkipMinimize makes the cache keep DFAs as subset construction built them,
+// without Hopcroft minimization (the prover's minimization ablation).  Call
+// it before the first lookup.  Returns the cache for chaining.
+func (c *SharedCache) SkipMinimize() *SharedCache {
+	c.noMinimize = true
+	return c
+}
+
 // shardAt routes a mixed 64-bit key hash to its shard.
 func (c *SharedCache) shardAt(h uint64) *sharedShard {
 	return &c.shards[h%uint64(len(c.shards))]
 }
 
-// DFA returns the compiled, minimized DFA for e over alphabet a, compiling
-// at most once per key in the steady state.
+// DFA returns the compiled DFA for e over alphabet a (minimized unless
+// SkipMinimize was called), compiling at most once per key in the steady
+// state.
 func (c *SharedCache) DFA(e pathexpr.Expr, a *Alphabet) (*DFA, error) {
+	return c.dfa(e, a, nil)
+}
+
+// dfa is DFA that also adds one to *compiles (when non-nil) if this call
+// ran the subset construction itself.
+func (c *SharedCache) dfa(e pathexpr.Expr, a *Alphabet, compiles *int) (*DFA, error) {
 	c.lookups.Add(1)
 	c.cLookups.Add(1)
 	n := pathexpr.Intern(e)
@@ -165,14 +180,15 @@ func (c *SharedCache) DFA(e pathexpr.Expr, a *Alphabet) (*DFA, error) {
 		d = d.Minimize()
 	}
 	c.compiles.Add(1)
-	c.statesBuilt.Add(int64(built))
-	c.statesMin.Add(int64(d.NumStates()))
 	c.cCompiles.Add(1)
+	if compiles != nil {
+		*compiles++
+	}
 	if timed {
 		dur := time.Since(t0)
 		c.compileTimeNS.Observe(dur.Nanoseconds())
 		c.compileWin.Observe(dur.Nanoseconds())
-		c.tel.Emit("automata.shared_compile",
+		c.tel.Emit("automata.compile",
 			telemetry.String("expr", n.String()),
 			telemetry.Int("states", built),
 			telemetry.Int("min_states", d.NumStates()),
@@ -201,25 +217,17 @@ func (c *SharedCache) DFA(e pathexpr.Expr, a *Alphabet) (*DFA, error) {
 // concurrently with lookups; the counters are individually atomic.
 func (c *SharedCache) Stats() CacheStats {
 	return CacheStats{
-		Lookups:         int(c.lookups.Load()),
-		Hits:            int(c.hits.Load()),
-		Compiles:        int(c.compiles.Load()),
-		StatesBuilt:     int(c.statesBuilt.Load()),
-		StatesMinimized: int(c.statesMin.Load()),
-		LimitFailures:   int(c.limitFails.Load()),
+		Lookups:       int(c.lookups.Load()),
+		Hits:          int(c.hits.Load()),
+		Compiles:      int(c.compiles.Load()),
+		LimitFailures: int(c.limitFails.Load()),
 	}
 }
 
-// Evictions returns the total number of entries dropped by epoch eviction,
-// summed over the DFA map and the decision memo.
-func (c *SharedCache) Evictions() int64 {
-	return c.dfaEvictions.Load() + c.opsEvictions.Load()
-}
-
-// DFAEvictions returns the evictions charged to the DFA map alone.
+// DFAEvictions returns the evictions charged to the DFA map.
 func (c *SharedCache) DFAEvictions() int64 { return c.dfaEvictions.Load() }
 
-// OpsEvictions returns the evictions charged to the decision memo alone.
+// OpsEvictions returns the evictions charged to the decision memo.
 func (c *SharedCache) OpsEvictions() int64 { return c.opsEvictions.Load() }
 
 // Len reports the number of cached DFAs across all shards.
@@ -246,23 +254,21 @@ func (c *SharedCache) OpsLen() int {
 	return n
 }
 
-// HitRate returns hits/lookups, or 0 when no lookups happened.
-func (c *SharedCache) HitRate() float64 {
-	l := c.lookups.Load()
-	if l == 0 {
-		return 0
-	}
-	return float64(c.hits.Load()) / float64(l)
-}
+// Decision operations: the op byte of an opsKey.
+const (
+	opIncludes   = 'i'
+	opDisjoint   = 'd'
+	opEquivalent = 'e'
+)
 
 // decide answers a binary language decision through the per-shard decision
-// memo.  Compiled DFAs are deterministic, so the boolean answer for an
-// (op, alphabet, x, y) key never changes; product constructions (complement,
+// memo, adding the DFA compiles it ran to *compiles (when non-nil).
+// Compiled DFAs are deterministic, so the boolean answer for an (op,
+// alphabet, x, y) key never changes; product constructions (complement,
 // intersection, emptiness) dominate the prover's direct checks once the DFAs
 // themselves are cached, and the same decisions recur across the goals of a
 // batch.
-func (c *SharedCache) decide(op byte, x, y pathexpr.Expr, a *Alphabet, eval func(dx, dy *DFA) (bool, error)) (bool, error) {
-	c.decisions.Add(1)
+func (c *SharedCache) decide(op byte, x, y pathexpr.Expr, a *Alphabet, compiles *int) (bool, error) {
 	c.cDecisions.Add(1)
 	key := opsKey{op: op, alpha: a.ID(), x: pathexpr.InternID(x), y: pathexpr.InternID(y)}
 	h := pathexpr.Mix64(pathexpr.Mix64(pathexpr.Mix64(pathexpr.Mix64(pathexpr.MixInit, uint64(key.op)), key.alpha), key.x), key.y)
@@ -271,19 +277,28 @@ func (c *SharedCache) decide(op byte, x, y pathexpr.Expr, a *Alphabet, eval func
 	v, ok := sh.ops[key]
 	sh.mu.RUnlock()
 	if ok {
-		c.decisionHits.Add(1)
 		c.cDecisionHits.Add(1)
 		return v, nil
 	}
-	dx, err := c.DFA(x, a)
+	dx, err := c.dfa(x, a, compiles)
 	if err != nil {
 		return false, err
 	}
-	dy, err := c.DFA(y, a)
+	dy, err := c.dfa(y, a, compiles)
 	if err != nil {
 		return false, err
 	}
-	v, err = eval(dx, dy)
+	switch op {
+	case opIncludes:
+		v, err = dx.IncludesLimit(dy, c.limit)
+	case opDisjoint:
+		var prod *DFA
+		if prod, err = dx.IntersectLimit(dy, c.limit); err == nil {
+			v = prod.IsEmpty()
+		}
+	case opEquivalent:
+		v, err = dx.EquivalentLimit(dy, c.limit)
+	}
 	if err != nil {
 		// A blown product budget is not memoized: the answer is "don't
 		// know", not false, and a retry under a larger budget must be free
@@ -311,32 +326,46 @@ func (c *SharedCache) decide(op byte, x, y pathexpr.Expr, a *Alphabet, eval func
 // Includes reports L(sub) ⊆ L(sup) over alphabet a, under the cache's
 // product-state budget.
 func (c *SharedCache) Includes(sub, sup pathexpr.Expr, a *Alphabet) (bool, error) {
-	return c.decide('i', sub, sup, a, func(ds, dp *DFA) (bool, error) {
-		return ds.IncludesLimit(dp, c.limit)
-	})
+	return c.decide(opIncludes, sub, sup, a, nil)
 }
 
 // Disjoint reports L(x) ∩ L(y) = ∅ over alphabet a, under the cache's
 // product-state budget.
 func (c *SharedCache) Disjoint(x, y pathexpr.Expr, a *Alphabet) (bool, error) {
-	return c.decide('d', x, y, a, func(dx, dy *DFA) (bool, error) {
-		prod, err := dx.IntersectLimit(dy, c.limit)
-		if err != nil {
-			return false, err
-		}
-		return prod.IsEmpty(), nil
-	})
+	return c.decide(opDisjoint, x, y, a, nil)
 }
 
 // Equivalent reports L(x) = L(y) over alphabet a, under the cache's
 // product-state budget.
 func (c *SharedCache) Equivalent(x, y pathexpr.Expr, a *Alphabet) (bool, error) {
-	return c.decide('e', x, y, a, func(dx, dy *DFA) (bool, error) {
-		return dx.EquivalentLimit(dy, c.limit)
-	})
+	return c.decide(opEquivalent, x, y, a, nil)
 }
 
-// DecisionStats returns the decision-memo lookup/hit counts.
-func (c *SharedCache) DecisionStats() (lookups, hits int64) {
-	return c.decisions.Load(), c.decisionHits.Load()
+// Account is one caller's handle on a SharedCache: its lookups go through
+// the cache, and Compiles counts the subset constructions those lookups ran
+// themselves.  A prover sharing its cache with concurrent workers uses one
+// per search, so the compiles it reports are its own and not theirs.
+type Account struct {
+	c *SharedCache
+	// Compiles is the number of DFAs this account's lookups compiled.
+	Compiles int
+}
+
+// Account returns a fresh handle on c with a zero compile count.
+func (c *SharedCache) Account() Account { return Account{c: c} }
+
+// DFA is SharedCache.DFA, charging a compile to the account.
+func (ac *Account) DFA(e pathexpr.Expr, a *Alphabet) (*DFA, error) {
+	return ac.c.dfa(e, a, &ac.Compiles)
+}
+
+// Includes is SharedCache.Includes, charging its compiles to the account.
+func (ac *Account) Includes(sub, sup pathexpr.Expr, a *Alphabet) (bool, error) {
+	return ac.c.decide(opIncludes, sub, sup, a, &ac.Compiles)
+}
+
+// Equivalent is SharedCache.Equivalent, charging its compiles to the
+// account.
+func (ac *Account) Equivalent(x, y pathexpr.Expr, a *Alphabet) (bool, error) {
+	return ac.c.decide(opEquivalent, x, y, a, &ac.Compiles)
 }

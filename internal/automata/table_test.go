@@ -122,8 +122,9 @@ func TestStateBudgetDegradesThroughCaches(t *testing.T) {
 		t.Error("Disjoint((a^5)*, (a^7)*) = true; both accept ε")
 	}
 
-	// The private per-prover cache wraps the same budgeted product.
-	priv := NewCache(16)
+	// A prover's private cache is the one-shard case of the same type and
+	// wraps the same budgeted product.
+	priv := NewSharedCache(16, 1, 0)
 	if v, err := priv.Disjoint(x, y, alpha); err == nil {
 		t.Fatalf("tight-budget private-cache Disjoint returned (%v, nil); want an error", v)
 	}

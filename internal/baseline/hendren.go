@@ -20,17 +20,18 @@ import (
 type HendrenNicolau struct {
 	axioms    *axiom.Set
 	prov      *prover.Prover
-	dfas      *automata.Cache
+	dfas      *automata.SharedCache
 	certified map[string]bool
 }
 
 // NewHendrenNicolau builds the baseline over the same structural knowledge
 // APT receives.
 func NewHendrenNicolau(axioms *axiom.Set) *HendrenNicolau {
+	dfas := automata.NewSharedCache(0, 1, 0)
 	return &HendrenNicolau{
 		axioms:    axioms,
-		prov:      prover.New(axioms, prover.Options{}),
-		dfas:      automata.NewCache(0),
+		prov:      prover.New(axioms, prover.Options{DFACache: dfas}),
+		dfas:      dfas,
 		certified: make(map[string]bool),
 	}
 }

@@ -24,17 +24,18 @@ type KLimited struct {
 	K      int
 	axioms *axiom.Set
 	prov   *prover.Prover
-	dfas   *automata.Cache
+	dfas   *automata.SharedCache
 }
 
 // NewKLimited builds the baseline with the given k (a typical published
 // value is 1 or 2; the paper's discussion uses an unspecified small k).
 func NewKLimited(k int, axioms *axiom.Set) *KLimited {
+	dfas := automata.NewSharedCache(0, 1, 0)
 	return &KLimited{
 		K:      k,
 		axioms: axioms,
-		prov:   prover.New(axioms, prover.Options{}),
-		dfas:   automata.NewCache(0),
+		prov:   prover.New(axioms, prover.Options{DFACache: dfas}),
+		dfas:   dfas,
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 type LarusHilfinger struct {
 	axioms *axiom.Set
 	prov   *prover.Prover
-	dfas   *automata.Cache
+	dfas   *automata.SharedCache
 	groups [][]string
 	// certified memoizes tree certification per field-set key.
 	certified map[string]bool
@@ -24,10 +24,11 @@ type LarusHilfinger struct {
 // NewLarusHilfinger builds the baseline over the same structural knowledge
 // APT receives.
 func NewLarusHilfinger(axioms *axiom.Set) *LarusHilfinger {
+	dfas := automata.NewSharedCache(0, 1, 0)
 	return &LarusHilfinger{
 		axioms:    axioms,
-		prov:      prover.New(axioms, prover.Options{}),
-		dfas:      automata.NewCache(0),
+		prov:      prover.New(axioms, prover.Options{DFACache: dfas}),
+		dfas:      dfas,
 		groups:    FieldGroups(axioms),
 		certified: make(map[string]bool),
 	}

@@ -93,11 +93,11 @@ func (t *TelemetryFlags) Close(stderr io.Writer, phases *telemetry.Phases) error
 			fmt.Fprintf(stderr, "prover cache hit rate: %.1f%% (%d of %d goals)\n",
 				100*r, snap.Counters["prover.cache_hits"], snap.Counters["prover.goals"])
 		}
-		if r, ok := snap.Ratio("automata.cache_hits", "automata.lookups"); ok {
+		if r, ok := snap.Ratio("automata.shared_hits", "automata.shared_lookups"); ok {
 			fmt.Fprintf(stderr, "DFA language-cache hit rate: %.1f%% (%d of %d lookups)\n",
-				100*r, snap.Counters["automata.cache_hits"], snap.Counters["automata.lookups"])
+				100*r, snap.Counters["automata.shared_hits"], snap.Counters["automata.shared_lookups"])
 		}
-		if c, ok := snap.Counters["automata.compiles"]; ok {
+		if c, ok := snap.Counters["automata.shared_compiles"]; ok {
 			fmt.Fprintf(stderr, "DFA compiles: %d\n", c)
 		}
 		snap.WriteText(stderr)

@@ -220,7 +220,7 @@ func (c *Context) Tester(res *analysis.Result) *core.Tester {
 	}
 	popts := prover.Options{Telemetry: c.Telemetry}
 	if c.Preload != nil {
-		cache := automata.NewSharedCache(0, 0, 0)
+		cache := automata.NewSharedCache(0, 0, 0).SetTelemetry(c.Telemetry)
 		cache.Preseed(c.Preload)
 		popts.DFACache = cache
 	}

@@ -60,7 +60,7 @@ func CheckSet(set *axiom.Set) []Diagnostic {
 	}
 
 	alpha := automata.NewAlphabet(set.Fields()...)
-	cache := automata.NewCache(0)
+	cache := automata.NewSharedCache(0, 1, 0)
 	seen := make(map[string]string, set.Len())
 	empty := make(map[int][2]bool, set.Len()) // axiom index -> per-side emptiness
 	for i, a := range set.Axioms {
@@ -107,7 +107,7 @@ func CheckSet(set *axiom.Set) []Diagnostic {
 			disj.Axioms = append(disj.Axioms, a)
 		}
 	}
-	prv := prover.New(disj, prover.Options{})
+	prv := prover.New(disj, prover.Options{DFACache: cache})
 	for i, a := range set.Axioms {
 		if a.Form != axiom.SameSrcEqual || empty[i][0] || empty[i][1] {
 			continue

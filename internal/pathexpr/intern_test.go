@@ -110,7 +110,7 @@ func FuzzIntern(f *testing.F) {
 	for i, sa := range internCorpus {
 		f.Add(sa, internCorpus[(i+1)%len(internCorpus)])
 	}
-	cache := automata.NewCache(0)
+	cache := automata.NewSharedCache(0, 1, 0)
 	f.Fuzz(func(t *testing.T, sa, sb string) {
 		a, errA := pathexpr.Parse(sa)
 		b, errB := pathexpr.Parse(sb)

@@ -29,6 +29,7 @@ func (p *Prover) CheckProof(pf *Proof) error {
 		run: &run{
 			p:     p,
 			alpha: automata.NewAlphabet(fields...),
+			dfas:  p.dfas.Account(),
 		},
 		verified: make(map[proofKey]bool),
 	}

@@ -31,11 +31,11 @@ type Options struct {
 	// (ablation).
 	DisableMinimize bool
 	// DFACache, when non-nil, replaces the prover's private language cache —
-	// the batched query engine passes an automata.SharedCache here so every
-	// worker prover draws from (and feeds) one compilation cache.  The
-	// provider owns the cache's telemetry wiring; DisableMinimize and
-	// DFAStateLimit are then ignored.
-	DFACache automata.DFACache
+	// the batched query engine passes one cache here so every worker prover
+	// draws from (and feeds) one compilation cache.  The provider owns the
+	// cache's telemetry wiring; DisableMinimize and DFAStateLimit are then
+	// ignored.
+	DFACache *automata.SharedCache
 	// Interrupt, when non-nil, is polled periodically during proof search;
 	// returning true aborts the query with Exhausted — which callers map to
 	// Maybe, never to an unsound No.  The engine uses this for context
@@ -90,7 +90,7 @@ type proofKey struct {
 type Prover struct {
 	axioms *axiom.Set
 	opts   Options
-	dfas   automata.DFACache
+	dfas   *automata.SharedCache
 	// cache memoizes definitive goal outcomes keyed by goal+lemma
 	// fingerprint, retaining the proof tree of proved goals so that cached
 	// steps remain machine-checkable.  Valid for the lifetime of the prover
@@ -145,14 +145,11 @@ func New(axioms *axiom.Set, opts Options) *Prover {
 	opts = opts.withDefaults()
 	dfas := opts.DFACache
 	if dfas == nil {
-		var private *automata.Cache
+		// A private cache has one owner, hence one shard.
+		dfas = automata.NewSharedCache(opts.DFAStateLimit, 1, 0).SetTelemetry(opts.Telemetry)
 		if opts.DisableMinimize {
-			private = automata.NewCacheNoMinimize(opts.DFAStateLimit)
-		} else {
-			private = automata.NewCache(opts.DFAStateLimit)
+			dfas.SkipMinimize()
 		}
-		private.SetTelemetry(opts.Telemetry)
-		dfas = private
 	}
 	p := &Prover{
 		axioms: axioms,
@@ -187,6 +184,7 @@ func (p *Prover) Prove(form Form, x, y pathexpr.Expr) *Proof {
 	r := &run{
 		p:       p,
 		alpha:   automata.NewAlphabet(append(p.axioms.Fields(), pathexpr.Fields(x, y)...)...),
+		dfas:    p.dfas.Account(),
 		traceOn: p.tel.TraceEnabled(),
 	}
 	timed := r.traceOn || p.m.queryTimeNS != nil
@@ -198,13 +196,12 @@ func (p *Prover) Prove(form Form, x, y pathexpr.Expr) *Proof {
 	if p.opts.Trace != nil {
 		qspan = p.opts.Trace.StartSpan("prover.prove", p.opts.TraceParent)
 	}
-	compiles0 := p.dfas.Stats().Compiles
 	proof := &Proof{Theorem: g.String()}
 	proved, st, err := r.prove(g, nil, 0)
 	proof.Stats = r.stats
 	proof.Stats.StepsUsed = r.stats.ProveCalls
 	proof.Stats.PeakDepth = r.peakDepth
-	proof.Stats.DFACompiles = p.dfas.Stats().Compiles - compiles0
+	proof.Stats.DFACompiles = r.dfas.Compiles
 	switch {
 	case err != nil:
 		proof.Result = Exhausted
@@ -267,6 +264,9 @@ func (p *Prover) DefinitelyAliased(x, y pathexpr.Expr) bool {
 type run struct {
 	p     *Prover
 	alpha *automata.Alphabet
+	// dfas draws from the prover's cache and counts the compiles this
+	// search ran, apart from those of other searches sharing the cache.
+	dfas  automata.Account
 	stats Stats
 	// incomplete records that some branch of the current subtree was
 	// truncated by the depth limit; failures in incomplete subtrees are not
@@ -467,7 +467,7 @@ func (r *run) direct(form Form, x, y []pathexpr.Expr, lems []lemma, goalSize int
 func (r *run) sameAs(x, y, re1, re2 pathexpr.Expr) (bool, error) {
 	r.stats.DirectChecks++
 	eq := func(a, b pathexpr.Expr) (bool, error) {
-		ok, err := r.p.dfas.Equivalent(a, b, r.alpha)
+		ok, err := r.dfas.Equivalent(a, b, r.alpha)
 		if err != nil {
 			return false, errBudget
 		}
@@ -500,12 +500,12 @@ func (r *run) sameAs(x, y, re1, re2 pathexpr.Expr) (bool, error) {
 // disjointness facts are symmetric in their two sides.
 func (r *run) coveredBy(x, y, re1, re2 pathexpr.Expr) (bool, error) {
 	r.stats.DirectChecks++
-	ok1, err := r.p.dfas.Includes(x, re1, r.alpha)
+	ok1, err := r.dfas.Includes(x, re1, r.alpha)
 	if err != nil {
 		return false, errBudget
 	}
 	if ok1 {
-		ok2, err := r.p.dfas.Includes(y, re2, r.alpha)
+		ok2, err := r.dfas.Includes(y, re2, r.alpha)
 		if err != nil {
 			return false, errBudget
 		}
@@ -513,12 +513,12 @@ func (r *run) coveredBy(x, y, re1, re2 pathexpr.Expr) (bool, error) {
 			return true, nil
 		}
 	}
-	ok1, err = r.p.dfas.Includes(x, re2, r.alpha)
+	ok1, err = r.dfas.Includes(x, re2, r.alpha)
 	if err != nil {
 		return false, errBudget
 	}
 	if ok1 {
-		ok2, err := r.p.dfas.Includes(y, re1, r.alpha)
+		ok2, err := r.dfas.Includes(y, re1, r.alpha)
 		if err != nil {
 			return false, errBudget
 		}
@@ -666,7 +666,7 @@ func (r *run) asWord(comps []pathexpr.Expr) ([]string, bool, error) {
 	if w, ok := pathexpr.Word(e); ok {
 		return w, true, nil
 	}
-	d, err := r.p.dfas.DFA(e, r.alpha)
+	d, err := r.dfas.DFA(e, r.alpha)
 	if err != nil {
 		return nil, false, errBudget
 	}

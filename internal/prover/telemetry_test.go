@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/automata"
 	"repro/internal/axiom"
 	"repro/internal/pathexpr"
 	"repro/internal/telemetry"
@@ -40,6 +41,72 @@ func TestStatsRichFields(t *testing.T) {
 	}
 }
 
+// TestDFACompilesChargedToOwnSearch: a proof's DFACompiles counts the
+// compiles its own search ran, not those other users of a shared cache ran
+// meanwhile.  The interrupt hook stands in for a concurrent worker: every
+// poll compiles an unrelated expression into the same cache.
+func TestDFACompilesChargedToOwnSearch(t *testing.T) {
+	x := pathexpr.MustParse("(L|R).(L|R).(L|R).N*")
+	y := pathexpr.MustParse("(L|R).(L|R).(L|R).N+")
+	alone := New(axiom.LeafLinkedBinaryTree(), Options{}).ProveDisjoint(x, y)
+
+	cache := automata.NewSharedCache(0, 1, 0)
+	other := automata.NewAlphabet("hook")
+	polls := 0
+	interrupt := func() bool {
+		polls++
+		word := strings.TrimSuffix(strings.Repeat("hook.", polls), ".")
+		if _, err := cache.DFA(pathexpr.MustParse(word), other); err != nil {
+			t.Fatalf("hook compile: %v", err)
+		}
+		return false
+	}
+	shared := New(axiom.LeafLinkedBinaryTree(), Options{DFACache: cache, Interrupt: interrupt}).ProveDisjoint(x, y)
+	if polls == 0 {
+		t.Fatalf("interrupt hook never polled in %d goals; the test needs a longer search", shared.Stats.ProveCalls)
+	}
+	if shared.Result != alone.Result {
+		t.Fatalf("result %v with the hook, %v without", shared.Result, alone.Result)
+	}
+	if shared.Stats.DFACompiles != alone.Stats.DFACompiles {
+		t.Errorf("DFACompiles = %d with %d hook compiles in the cache, want the search's own %d",
+			shared.Stats.DFACompiles, polls, alone.Stats.DFACompiles)
+	}
+	if total := cache.Stats().Compiles; total != alone.Stats.DFACompiles+polls {
+		t.Errorf("cache compiled %d DFAs, want %d (search) + %d (hook)", total, alone.Stats.DFACompiles, polls)
+	}
+}
+
+// TestDisableMinimize: the minimization ablation still proves Theorem T,
+// and its cache keeps DFAs as subset construction built them — a known
+// non-minimal one stays larger than in a minimizing prover's cache.
+func TestDisableMinimize(t *testing.T) {
+	raw := New(axiom.SparseMatrixCore(), Options{DisableMinimize: true})
+	if pf := raw.Prove(SameSrc, pathexpr.MustParse("ncolE+"), pathexpr.MustParse("nrowE+.ncolE+")); pf.Result != Proved {
+		t.Fatalf("Theorem T without minimization: %v", pf.Result)
+	}
+	minimized := New(axiom.SparseMatrixCore(), Options{})
+	// Subset construction gives L.N and R.N separate, equivalent states
+	// after the first letter.
+	e := pathexpr.MustParse("L.N|R.N")
+	alpha := automata.NewAlphabet("L", "R", "N")
+	dRaw, err := raw.dfas.DFA(e, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dMin, err := minimized.dfas.DFA(e, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dRaw.NumStates() <= dMin.NumStates() {
+		t.Errorf("DisableMinimize cache holds %d states, minimizing cache %d; want more without minimization",
+			dRaw.NumStates(), dMin.NumStates())
+	}
+	if !dRaw.Equivalent(dMin) {
+		t.Error("unminimized and minimized DFAs accept different languages")
+	}
+}
+
 // TestProverTelemetry: metrics aggregate across queries and the JSONL trace
 // carries the per-query span plus rule events.
 func TestProverTelemetry(t *testing.T) {
@@ -61,7 +128,7 @@ func TestProverTelemetry(t *testing.T) {
 	if snap.Counters["prover.queries"] != 2 {
 		t.Errorf("prover.queries = %d, want 2", snap.Counters["prover.queries"])
 	}
-	for _, c := range []string{"prover.goals", "prover.direct_checks", "automata.compiles", "automata.lookups"} {
+	for _, c := range []string{"prover.goals", "prover.direct_checks", "automata.shared_compiles", "automata.shared_lookups"} {
 		if snap.Counters[c] == 0 {
 			t.Errorf("counter %s = 0", c)
 		}
