@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check fuzzfarm-smoke aptc-smoke bench-build bench bench-json bench-served bench-cluster bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 clean
+.PHONY: check vet build test race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check fuzzfarm-smoke aptc-smoke bench-build bench bench-json bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 clean
 
 check: vet build bench-build race bench lintsmoke serve-smoke cluster-smoke race-cluster obs-check fuzzfarm-smoke aptc-smoke
 
@@ -48,9 +48,9 @@ race-cluster:
 
 # Cluster smoke: two backend daemons plus a router daemon in one process,
 # a batch routed end to end, one SIGTERM draining all three with exit 0 —
-# plus the tiny three-phase cluster bench validating its report schema.
+# plus the scenario farm's verdict parity through a live router.
 cluster-smoke:
-	$(GO) test -run 'TestClusterSmokeAndDrain|TestClusterBenchSmoke' -v ./cmd/aptserved
+	$(GO) test -run 'TestClusterSmokeAndDrain' -v ./cmd/aptserved
 	$(GO) test -run 'TestFarmServeParityThroughRouter' ./internal/scenario
 
 # Soundness oracle for the path-sensitivity layer: every guard-upgraded
@@ -63,10 +63,9 @@ race-guards:
 
 # End-to-end daemon smoke: boot aptserved on a loopback port, round-trip
 # /healthz + /v1/batch + both metrics endpoints, SIGQUIT-dump the flight
-# recorder, then SIGTERM-drain it — plus the loadgen -self path that writes
-# the bench report.
+# recorder, then SIGTERM-drain it.
 serve-smoke:
-	$(GO) test -run 'TestServerSmokeAndDrain|TestLoadgenSelf' -v ./cmd/aptserved
+	$(GO) test -run 'TestServerSmokeAndDrain' -v ./cmd/aptserved
 
 # Observability gate: the Prometheus exposition golden + validator, the
 # traceparent/span-tree tests, a 50-iteration race soak of the lock-free
@@ -115,30 +114,6 @@ bench-build:
 # (≥2× at 8 workers, >50% shared-cache hit rate) are asserted by the test.
 bench-json:
 	BENCH_ENGINE_JSON=$(CURDIR)/BENCH_engine.json $(GO) test -run TestWriteBenchEngineJSON -v ./internal/engine
-
-# Serving latency/hit-rate report: 8 concurrent loadgen clients drive an
-# in-process aptserved over the §3.3 tree program; p50/p99 plus the
-# cold-vs-warm split land in BENCH_served.json.  The server boots from an
-# aptc artifact compiled for the same workload, so the cold-start penalty
-# (cold_p50_us vs warm_p50_us) measures the preloaded boot path.
-bench-served:
-	@printf 'between S T\nbetween S I\n' > $(CURDIR)/.served.queries
-	$(GO) run ./cmd/aptc -program testdata/section33.c -fn subr \
-		-queries $(CURDIR)/.served.queries -o $(CURDIR)/.served.aptc -verify
-	$(GO) run ./cmd/aptserved -loadgen -self -preload $(CURDIR)/.served.aptc \
-		-program testdata/section33.c -fn subr \
-		-queries-file $(CURDIR)/.served.queries \
-		-clients 8 -requests 64 -out $(CURDIR)/BENCH_served.json
-	@rm -f $(CURDIR)/.served.queries $(CURDIR)/.served.aptc
-
-# Cluster scaling report: ring-size x per-backend-capacity distinct
-# axiom-set shards driven through a single backend (LRU thrash, cold
-# rebuilds), the full 4-backend ring (every shard engine-warm), and the
-# warm ring with hedged retries; queries/sec, latency quantiles, hedge
-# outcomes, and the warm-capacity scaling factor land in BENCH_cluster.json.
-bench-cluster:
-	$(GO) run ./cmd/aptserved -loadgen -cluster -cluster-requests 480 \
-		-out $(CURDIR)/BENCH_cluster.json
 
 # DFA backend report: the flat-table backend vs the frozen map/string
 # backend over the same expression suite, written to BENCH_dfa.json.  The

@@ -250,7 +250,7 @@ func replaySnapshot(programFile, queryFile, fn string, workers int) (*automata.A
 }
 
 // queryLines returns the query file's effective lines (comments and blanks
-// stripped) — the same lines a loadgen client sends verbatim as
+// stripped) — the same lines a /v1/batch client sends verbatim as
 // BatchRequest.Queries.
 func queryLines(src string) []string {
 	var out []string
@@ -266,7 +266,7 @@ func queryLines(src string) []string {
 }
 
 // parseQueryFile expands a query file against the analysis result.  Same
-// grammar as aptdep -batch and the aptserved loadgen: blank lines and '#'
+// grammar as aptdep -batch and aptserved's /v1/batch: blank lines and '#'
 // comments skipped, each line "between S T", "cross S T", or "loop U".
 func parseQueryFile(src string, res *analysis.Result) ([]core.Query, error) {
 	var out []core.Query

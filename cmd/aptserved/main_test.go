@@ -205,85 +205,6 @@ func TestServerSmokeAndDrain(t *testing.T) {
 	}
 }
 
-func TestQuantileUSNearestRank(t *testing.T) {
-	var ds []time.Duration
-	for v := 1; v <= 100; v++ {
-		ds = append(ds, time.Duration(v)*time.Microsecond)
-	}
-	// Nearest rank over 1..100us: p50 is the 50th sample, p95 the 95th,
-	// p99 the 99th — not an interpolated or floor()ed neighbor.
-	for _, tc := range []struct {
-		q    float64
-		want int64
-	}{{0.50, 50}, {0.95, 95}, {0.99, 99}, {1.0, 100}} {
-		if got := quantileUS(ds, tc.q); got != tc.want {
-			t.Errorf("quantileUS(1..100, %v) = %d, want %d", tc.q, got, tc.want)
-		}
-	}
-	if got := quantileUS(ds[:1], 0.99); got != 1 {
-		t.Errorf("single-sample p99 = %d, want 1", got)
-	}
-	if got := quantileUS(nil, 0.5); got != 0 {
-		t.Errorf("empty p50 = %d, want 0", got)
-	}
-}
-
-// TestLoadgenSelfWritesBenchReport runs the -loadgen -self mode end to end
-// and validates the BENCH_served.json it writes.
-func TestLoadgenSelfWritesBenchReport(t *testing.T) {
-	dir := t.TempDir()
-	queries := filepath.Join(dir, "queries.txt")
-	if err := os.WriteFile(queries, []byte("# warmup\nbetween S T\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outFile := filepath.Join(dir, "bench.json")
-
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-loadgen", "-self",
-		"-program", "../../testdata/section33.c", "-fn", "subr",
-		"-queries-file", queries,
-		"-clients", "8", "-requests", "24",
-		"-out", outFile,
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("loadgen exited %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-
-	data, err := os.ReadFile(outFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep BenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bench report: %v", err)
-	}
-	if rep.Clients != 8 || rep.Requests != 24 {
-		t.Errorf("clients/requests = %d/%d, want 8/24", rep.Clients, rep.Requests)
-	}
-	if rep.OK+rep.Shed != 24 || rep.Errors != 0 {
-		t.Errorf("ok=%d shed=%d errors=%d, want ok+shed=24 and no errors", rep.OK, rep.Shed, rep.Errors)
-	}
-	if rep.ColdRequests < 1 {
-		t.Error("no request reported a cold engine")
-	}
-	if rep.P50US <= 0 || rep.P95US < rep.P50US || rep.P99US < rep.P95US || rep.MaxUS < rep.P99US {
-		t.Errorf("latency summary disordered: p50=%d p95=%d p99=%d max=%d",
-			rep.P50US, rep.P95US, rep.P99US, rep.MaxUS)
-	}
-	if rep.QueriesPerRequest < 1 {
-		t.Errorf("queries_per_request = %d", rep.QueriesPerRequest)
-	}
-	// 24 identical requests over one axiom set: the proof memo must be
-	// doing essentially all the work by the end.
-	if rep.MemoHitRate <= 0 {
-		t.Errorf("memo_hit_rate = %v, want > 0 after a warm run", rep.MemoHitRate)
-	}
-	if rep.DFALen <= 0 {
-		t.Errorf("dfa_len = %d, want a populated cache", rep.DFALen)
-	}
-}
-
 // TestClusterSmokeAndDrain boots two backend daemons and a router daemon
 // in-process — three run() instances in one process, exactly as three
 // aptserved invocations would run on one host — sends a batch through the
@@ -397,61 +318,13 @@ func TestClusterSmokeAndDrain(t *testing.T) {
 	}
 }
 
-// TestClusterBenchSmoke runs the three-phase cluster benchmark end to end
-// at a tiny scale and validates the BENCH_cluster.json it writes.
-func TestClusterBenchSmoke(t *testing.T) {
-	outFile := filepath.Join(t.TempDir(), "bench.json")
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-loadgen", "-cluster",
-		"-cluster-backends", "2", "-cluster-engines", "1", "-cluster-requests", "8",
-		"-clients", "4", "-out", outFile,
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("cluster bench exited %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	data, err := os.ReadFile(outFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep BenchClusterReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bench report: %v", err)
-	}
-	if rep.Shards != 2 || rep.EnginesPerBackend != 1 {
-		t.Errorf("shards=%d engines=%d, want 2 shards at 1 engine each", rep.Shards, rep.EnginesPerBackend)
-	}
-	for _, ph := range []ClusterPhase{rep.Single, rep.Cluster, rep.ClusterHedged} {
-		if ph.OK != 8 || ph.Errors != 0 {
-			t.Errorf("phase %s: ok=%d errors=%d, want 8/0", ph.Name, ph.OK, ph.Errors)
-		}
-		if ph.QPS <= 0 || ph.P50US <= 0 || ph.P99US < ph.P50US {
-			t.Errorf("phase %s: implausible summary qps=%v p50=%d p99=%d", ph.Name, ph.QPS, ph.P50US, ph.P99US)
-		}
-	}
-	if rep.Cluster.Backends != 2 || rep.ClusterHedged.HedgeDelayUS <= 0 {
-		t.Errorf("cluster backends=%d hedge_delay_us=%d", rep.Cluster.Backends, rep.ClusterHedged.HedgeDelayUS)
-	}
-	// The undersized single backend must report cold rebuilds; the warmed
-	// ring must not.
-	if rep.Single.ColdRequests == 0 {
-		t.Error("single phase reported no cold requests; the LRU thrash never happened")
-	}
-	if rep.Cluster.ColdRequests != 0 {
-		t.Errorf("cluster phase reported %d cold requests after warmup", rep.Cluster.ColdRequests)
-	}
-	if rep.Scaling <= 0 {
-		t.Errorf("scaling = %v", rep.Scaling)
-	}
-}
-
 func TestUsageErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
 		t.Errorf("unknown flag exited %d, want 2", code)
 	}
 	if code := run([]string{"-loadgen"}, &stdout, &stderr); code != 2 {
-		t.Errorf("-loadgen without -program exited %d, want 2", code)
+		t.Errorf("-loadgen (undefined flag) exited %d, want 2", code)
 	}
 	if code := run([]string{"stray"}, &stdout, &stderr); code != 2 {
 		t.Errorf("stray argument exited %d, want 2", code)
@@ -459,10 +332,18 @@ func TestUsageErrors(t *testing.T) {
 	if code := run([]string{"-router"}, &stdout, &stderr); code != 2 {
 		t.Errorf("-router without -backends exited %d, want 2", code)
 	}
-	if code := run([]string{"-router", "-loadgen", "-backends", "x"}, &stdout, &stderr); code != 2 {
-		t.Errorf("-router -loadgen exited %d, want 2", code)
+	// Mode-specific flags the chosen mode would ignore are refused.
+	if code := run([]string{"-backends", "a,b"}, &stdout, &stderr); code != 2 {
+		t.Errorf("-backends without -router exited %d, want 2", code)
 	}
-	if code := run([]string{"-loadgen", "-cluster", "-cluster-backends", "1"}, &stdout, &stderr); code != 2 {
-		t.Errorf("-cluster with one backend exited %d, want 2", code)
+	if code := run([]string{"-hedge", "25ms"}, &stdout, &stderr); code != 2 {
+		t.Errorf("-hedge without -router exited %d, want 2", code)
+	}
+	stderr.Reset()
+	if code := run([]string{"-router", "-backends", "x", "-preload", "f.aptc"}, &stdout, &stderr); code != 2 {
+		t.Errorf("-router -preload exited %d, want 2", code)
+	}
+	if strings.Contains(stderr.String(), "preload f.aptc") {
+		t.Errorf("-router -preload touched the artifact before refusing:\n%s", stderr.String())
 	}
 }

@@ -38,7 +38,7 @@ type Statz struct {
 }
 
 // StatzSnapshot assembles the /statz body (exported for the cluster soaks
-// and the loadgen client).
+// and aptserved's SIGQUIT dump and drain summary).
 func (rt *Router) StatzSnapshot() Statz {
 	accepted, completed, shed, refused := rt.adm.Counts()
 	z := Statz{

@@ -185,6 +185,23 @@ func TestRouterByteIdenticalVerdicts(t *testing.T) {
 	if z.Accepted != z.Completed || z.Accepted != int64(len(order)) {
 		t.Errorf("accepted=%d completed=%d, want both %d", z.Accepted, z.Completed, len(order))
 	}
+
+	// Warmth check: the ring holds every window's engine, so a repeat of
+	// any window lands on the owner that built it and is served warm.
+	for _, g := range order {
+		req := wire.BatchRequest{AxiomSet: g.set.Source(), AxiomSetName: g.set.StructName, Raw: g.raws}
+		resp, body := postBatch(t, rts.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("window %s repeat: status %d: %s", g.set.StructName, resp.StatusCode, body)
+		}
+		var br wire.BatchResponse
+		if err := json.Unmarshal(body, &br); err != nil {
+			t.Fatalf("window %s repeat: %v", g.set.StructName, err)
+		}
+		if br.Stats.ColdEngine {
+			t.Errorf("window %s repeat through the router built a cold engine", g.set.StructName)
+		}
+	}
 }
 
 // TestRouterPropagatesRetryAfter: a backend's 429 is the shard owner's

@@ -634,7 +634,7 @@ type Statz struct {
 }
 
 // StatzSnapshot assembles the /statz body (exported for the soak tests and
-// the loadgen client).
+// aptserved's drain summary).
 func (s *Server) StatzSnapshot() Statz {
 	accepted, completed, shed, refused := s.adm.Counts()
 	z := Statz{

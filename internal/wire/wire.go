@@ -2,11 +2,11 @@
 // request/response vocabulary of POST /v1/batch plus the small helpers both
 // sides of the wire share (JSON writers, millisecond clamping, traceparent
 // echo).  Everything that talks the protocol — the serving execution stack
-// (internal/serve), the cluster router (internal/route), the loadgen client,
-// and the scenario farm's cross-checker — depends on this package and on
-// nothing above it; wire itself depends only on stdlib and telemetry, never
-// on analysis or engines, so clients embed it without dragging the prover
-// in.
+// (internal/serve), the cluster router (internal/route), the repository
+// benchmark's client, and the scenario farm's cross-checker — depends on
+// this package and on nothing above it; wire itself depends only on stdlib
+// and telemetry, never on analysis or engines, so clients embed it without
+// dragging the prover in.
 //
 // Two request shapes share the endpoint:
 //
