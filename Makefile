@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check fuzzfarm-smoke aptc-smoke bench-build bench bench-json bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 clean
+.PHONY: check vet build test determinism race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check fuzzfarm-smoke aptc-smoke bench-build bench bench-json bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 clean
 
-check: vet build bench-build race bench lintsmoke serve-smoke cluster-smoke race-cluster obs-check fuzzfarm-smoke aptc-smoke
+check: vet build bench-build race bench lintsmoke serve-smoke cluster-smoke race-cluster obs-check fuzzfarm-smoke aptc-smoke determinism
 
 vet:
 	$(GO) vet ./...
@@ -20,6 +20,23 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Schedule independence: verdicts and cache contents must not depend on
+# goroutine scheduling.  Run the engine-vs-sequential differential, the
+# artifact preload round trip (whose preloaded engine must compile no DFA),
+# and the swap-symmetry tests at several GOMAXPROCS values, then compile one
+# replay artifact at one and at four workers, five times over, and demand
+# byte-identical files.
+determinism:
+	$(GO) test -cpu 1,2,8 -count 20 -run 'TestDifferentialAgainstSequential|TestPreloadedEngineMatchesCold|Swap' \
+		./internal/engine ./internal/scenario
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	$(GO) build -o $$tmp/aptc ./cmd/aptc && \
+	$$tmp/aptc -program testdata/determinism/walk.c -queries testdata/determinism/walk.q -workers 1 -o $$tmp/w1.aptc > /dev/null && \
+	for i in 1 2 3 4 5; do \
+		$$tmp/aptc -program testdata/determinism/walk.c -queries testdata/determinism/walk.q -workers 4 -o $$tmp/w4.aptc > /dev/null && \
+		cmp $$tmp/w1.aptc $$tmp/w4.aptc || exit 1; \
+	done; echo "determinism: OK"
 
 # Focused race coverage for the batched query engine and everything it
 # leans on (worker pool, shared DFA cache).

@@ -269,14 +269,22 @@ func runBatch(cfg batchConfig, stdout, stderr io.Writer) int {
 		return fatalf("%v", err)
 	}
 
-	eng := engine.New(cfg.res.Axioms, engine.Options{
+	opts := engine.Options{
 		Workers:      cfg.workers,
 		QueryTimeout: cfg.timeout,
 		Prover:       prover.Options{Telemetry: cfg.tel},
 		VerifyProofs: cfg.verify,
 		Telemetry:    cfg.tel,
-		Preload:      cfg.preload,
-	})
+	}
+	if cfg.preload != nil {
+		// The engine borrows caches preseeded from the artifact: its DFAs
+		// and decisions, and its proof-memo goals.
+		opts.DFACache = automata.NewSharedCache(0, 0, 0).SetTelemetry(cfg.tel)
+		opts.DFACache.Preseed(cfg.preload)
+		opts.Memo = core.NewMemo(0, 0, cfg.tel)
+		opts.Memo.Preseed(cfg.preload)
+	}
+	eng := engine.New(cfg.res.Axioms, opts)
 	exit := 0
 	cfg.phases.Run("deptest", func() error {
 		for i, out := range eng.Batch(context.Background(), queries) {
@@ -291,12 +299,12 @@ func runBatch(cfg batchConfig, stdout, stderr io.Writer) int {
 		}
 		return nil
 	})
-	st := eng.Stats()
+	st, memo, dfa := eng.Stats(), eng.Memo().Stats(), eng.DFACache().Stats()
 	if cfg.tel.Enabled() {
 		fmt.Fprintf(stderr, "aptdep: batch: %d queries, %d workers; proof memo %d/%d hits (%.0f%%), shared DFA cache %d/%d hits, %d timeouts\n",
 			st.Queries, eng.Workers(),
-			st.Memo.Hits, st.Memo.Lookups, 100*st.Memo.HitRate(),
-			st.DFA.Hits, st.DFA.Lookups, st.Timeouts)
+			memo.Hits, memo.Lookups, 100*memo.HitRate(),
+			dfa.Hits, dfa.Lookups, st.Timeouts)
 	}
 	if err := cfg.tf.Close(stderr, cfg.phases); err != nil {
 		return fatalf("%v", err)

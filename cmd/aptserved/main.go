@@ -9,11 +9,12 @@
 //
 // Endpoints: POST /v1/batch, GET /healthz, GET /metrics (Prometheus text
 // exposition), GET /metrics.json (telemetry snapshot), GET /statz
-// (admission + per-engine cache state), GET /debug/flightrecorder (the K
-// slowest + recent degraded request traces).  A full admission queue sheds
-// load with 429 + Retry-After; SIGTERM/SIGINT drains in-flight batches
-// before exiting; SIGQUIT dumps the flight recorder to stderr without
-// stopping.  -access-log writes one JSONL line per request.
+// (admission, the engine pool's cache state, per-engine counters),
+// GET /debug/flightrecorder (the K slowest + recent degraded request
+// traces).  A full admission queue sheds load with 429 + Retry-After;
+// SIGTERM/SIGINT drains in-flight batches before exiting; SIGQUIT dumps the
+// flight recorder to stderr without stopping.  -access-log writes one JSONL
+// line per request.
 //
 // Router mode turns the same binary into the cluster's routing tier: a
 // consistent-hash router that shards /v1/batch traffic across backends by

@@ -223,10 +223,10 @@ func runCertify(workers int, tel *telemetry.Set, stdout, stderr io.Writer) error
 	fmt.Fprintf(stdout, "certify: %d loop-carried queries answered No on %d workers — the kernel's loops are DOALL-legal\n",
 		len(outs), eng.Workers())
 	if tel.Enabled() {
-		st := eng.Stats()
+		memo, dfa := eng.Memo().Stats(), eng.DFACache().Stats()
 		fmt.Fprintf(stderr, "certify: proof memo %d/%d hits (%.0f%%), shared DFA cache %d/%d hits\n",
-			st.Memo.Hits, st.Memo.Lookups, 100*st.Memo.HitRate(),
-			st.DFA.Hits, st.DFA.Lookups)
+			memo.Hits, memo.Lookups, 100*memo.HitRate(),
+			dfa.Hits, dfa.Lookups)
 	}
 	return nil
 }

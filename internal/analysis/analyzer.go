@@ -39,6 +39,7 @@ func Analyze(prog *lang.Program, fnName string, opts Options) (*Result, error) {
 		record:    true,
 		ver:       guard.NewVersioner(),
 		addrTaken: collectAddrTaken(fn.Body),
+		dfas:      automata.NewSharedCache(0, 1, 0),
 	}
 	a.collectAxioms()
 
@@ -123,6 +124,9 @@ type analyzer struct {
 	ver       *guard.Versioner
 	guards    []guard.Ref
 	addrTaken map[string]bool
+	// dfas caches the DFAs and inclusion decisions behind the post-loop
+	// widening checks of this walk (one owner, hence one shard).
+	dfas *automata.SharedCache
 }
 
 // collectAddrTaken returns the variables whose address is taken anywhere in
@@ -592,19 +596,12 @@ func (a *analyzer) prescanLoopBody(lc *loopCtx, body *lang.Block) {
 	})
 }
 
-// includes decides language inclusion L(sub) ⊆ L(sup); any failure (e.g.
-// state blowup) is treated as "not included", which only loses precision.
+// includes decides language inclusion L(sub) ⊆ L(sup) through the
+// analyzer's DFA cache; any failure (e.g. state blowup) is treated as "not
+// included", which only loses precision.
 func (a *analyzer) includes(sub, sup pathexpr.Expr) bool {
-	alpha := automata.AlphabetOf(sub, sup)
-	ds, err := automata.Compile(sub, alpha)
-	if err != nil {
-		return false
-	}
-	dp, err := automata.Compile(sup, alpha)
-	if err != nil {
-		return false
-	}
-	return ds.Includes(dp)
+	ok, err := a.dfas.Includes(sub, sup, automata.AlphabetOf(sub, sup))
+	return err == nil && ok
 }
 
 type hvKey struct{ h, v string }

@@ -232,6 +232,26 @@ func (a *Artifact) PreparedExpr(i int) (pathexpr.Expr, bool) {
 	return n.Expr(), true
 }
 
+// ExprInterner returns a function that maps a canonical expression string
+// to its index in the artifact's expression table, appending it on first
+// sight.  Writers appending sections to one artifact share its table this
+// way.
+func (a *Artifact) ExprInterner() func(string) int {
+	idx := make(map[string]int, len(a.Exprs))
+	for i, s := range a.Exprs {
+		idx[s] = i
+	}
+	return func(s string) int {
+		if i, ok := idx[s]; ok {
+			return i
+		}
+		i := len(a.Exprs)
+		idx[s] = i
+		a.Exprs = append(a.Exprs, s)
+		return i
+	}
+}
+
 // Close unmaps an mmap-backed artifact.  No-op for artifacts decoded into
 // heap memory.
 func (a *Artifact) Close() error {
@@ -335,16 +355,7 @@ func (c *SharedCache) Snapshot() *Artifact {
 		art.Alphabets = append(art.Alphabets, syms)
 		return i
 	}
-	exprIdx := make(map[string]int)
-	internExpr := func(s string) int {
-		if i, ok := exprIdx[s]; ok {
-			return i
-		}
-		i := len(art.Exprs)
-		exprIdx[s] = i
-		art.Exprs = append(art.Exprs, s)
-		return i
-	}
+	internExpr := art.ExprInterner()
 	for _, e := range dents {
 		art.DFAs = append(art.DFAs, ArtifactDFA{
 			Alpha:  internAlpha(e.alphaKey),

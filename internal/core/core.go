@@ -161,17 +161,6 @@ type Outcome struct {
 	GuardUpgraded bool
 }
 
-// ProofMemo shares prover verdicts across queries — and, when its
-// implementation is concurrency-safe, across testers.  Prove either returns
-// a memoized proof for the goal (keyed however the implementation likes;
-// the engine canonicalizes symmetric goals so ⟨h.P, h.Q⟩ and ⟨h.Q, h.P⟩
-// share an entry) or calls compute and remembers its result.  axiomID is
-// the axiom.Set identity (see axiom.Set.ID) of the window the goal is
-// judged under: proofs are never valid across different axiom sets.
-type ProofMemo interface {
-	Prove(axiomID uint64, form prover.Form, x, y pathexpr.Expr, compute func() *prover.Proof) *prover.Proof
-}
-
 // Tester runs dependence queries against a fixed default axiom set, reusing
 // provers (and their caches) across queries.  A query carrying its own
 // Axioms (e.g. a §3.4 validity window that dropped some axioms) is answered
@@ -181,7 +170,7 @@ type Tester struct {
 	axioms *axiom.Set
 	axID   uint64
 	opts   prover.Options
-	memo   ProofMemo
+	memo   *Memo
 	// provers caches per-window provers by axiom-set identity.
 	provers map[uint64]*prover.Prover
 	// VerifyProofs re-validates every prover-backed No with the independent
@@ -205,9 +194,9 @@ func NewTester(axioms *axiom.Set, opts prover.Options) *Tester {
 }
 
 // SetProofMemo routes the tester's theorem-proving calls through a
-// cross-query proof memo (nil, the default, disables sharing).  Returns the
-// tester for chaining.
-func (t *Tester) SetProofMemo(m ProofMemo) *Tester {
+// cross-query proof memo shared with other testers (nil, the default,
+// disables sharing).  Returns the tester for chaining.
+func (t *Tester) SetProofMemo(m *Memo) *Tester {
 	t.memo = m
 	return t
 }
@@ -271,9 +260,7 @@ func (t *Tester) depTest(q Query) Outcome {
 		if t.memo == nil {
 			return prv.Prove(form, x, y)
 		}
-		return t.memo.Prove(axID, form, x, y, func() *prover.Proof {
-			return prv.Prove(form, x, y)
-		})
+		return t.memo.Prove(prv, axID, form, x, y)
 	}
 
 	if kind == NoAccessConflict {

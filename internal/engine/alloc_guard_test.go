@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/automata"
+	"repro/internal/core"
 	"repro/internal/prover"
 )
 
@@ -35,17 +36,18 @@ func TestWarmHitAllocationBudget(t *testing.T) {
 		t.Errorf("warm SharedCache ops-memo hit allocates %.1f per call, want 0", got)
 	}
 
-	m := NewMemo(0, 0, nil)
-	proved := func() *prover.Proof { return &prover.Proof{Result: prover.Proved} }
-	m.Prove(1, prover.SameSrc, x, y, proved)
+	m := core.NewMemo(0, 0, nil)
+	axioms := WorkloadWindows()[0]
+	prv := prover.New(axioms, prover.Options{})
+	m.Prove(prv, axioms.ID(), prover.SameSrc, x, y)
 	if got := testing.AllocsPerRun(200, func() {
-		m.Prove(1, prover.SameSrc, x, y, proved)
+		m.Prove(prv, axioms.ID(), prover.SameSrc, x, y)
 	}); got > 0 {
 		t.Errorf("warm proof-memo hit allocates %.1f per call, want 0", got)
 	}
 
 	if got := testing.AllocsPerRun(200, func() {
-		CanonicalGoalKey(prover.SameSrc, x, y)
+		core.CanonicalGoalKey(prover.SameSrc, x, y)
 	}); got > 0 {
 		t.Errorf("warm CanonicalGoalKey allocates %.1f per call, want 0", got)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/axiom"
+	"repro/internal/core"
 	"repro/internal/pathexpr"
 	"repro/internal/prover"
 )
@@ -55,7 +56,7 @@ func TestSnapshotArtifactGoalRoundTrip(t *testing.T) {
 	}
 	defer back.Close()
 
-	warm := New(WorkloadWindows()[0], Options{Workers: 4, VerifyProofs: true, Preload: back})
+	warm := New(WorkloadWindows()[0], preloaded(Options{Workers: 4, VerifyProofs: true}, back))
 	got := warm.Batch(context.Background(), queries)
 	for i := range got {
 		if got[i].Result != want[i].Result || got[i].Kind != want[i].Kind || got[i].Reason != want[i].Reason {
@@ -65,9 +66,19 @@ func TestSnapshotArtifactGoalRoundTrip(t *testing.T) {
 				want[i].Result, want[i].Kind, want[i].Reason)
 		}
 	}
-	if st := warm.Stats(); st.Memo.Hits == 0 {
+	if st := warm.Memo().Stats(); st.Hits == 0 {
 		t.Error("preloaded engine had no memo hits; the goal verdicts were not consulted")
 	}
+}
+
+// preloaded returns opts borrowing a DFA cache and a proof memo preseeded
+// from art — what a preloaded engine runs on.
+func preloaded(opts Options, art *automata.Artifact) Options {
+	opts.DFACache = automata.NewSharedCache(0, 0, 0)
+	opts.DFACache.Preseed(art)
+	opts.Memo = core.NewMemo(0, 0, nil)
+	opts.Memo.Preseed(art)
+	return opts
 }
 
 // TestArtifactAxiomSetRoundTrip checks that a persisted axiom set
@@ -131,21 +142,14 @@ func TestMemoPreseedFingerprintScoping(t *testing.T) {
 		Theorem: "scoping probe",
 	})
 
-	m := NewMemo(0, 0, nil)
+	m := core.NewMemo(0, 0, nil)
 	if n := m.Preseed(art); n != 1 {
 		t.Fatalf("Preseed inserted %d goals, want 1", n)
 	}
-	ran := false
-	compute := func() *prover.Proof {
-		ran = true
-		return &prover.Proof{Result: prover.NotProved}
+	if p := m.Prove(prover.New(setA, prover.Options{}), setA.ID(), prover.SameSrc, x, y); p.Theorem != "scoping probe" {
+		t.Errorf("lookup under the recorded set searched (theorem %q); want the preseeded verdict", p.Theorem)
 	}
-	if p := m.Prove(setA.ID(), prover.SameSrc, x, y, compute); ran || p.Theorem != "scoping probe" {
-		t.Errorf("lookup under the recorded set searched (ran=%v, theorem=%q); want the preseeded verdict", ran, p.Theorem)
-	}
-	ran = false
-	m.Prove(setB.ID(), prover.SameSrc, x, y, compute)
-	if !ran {
+	if p := m.Prove(prover.New(setB, prover.Options{}), setB.ID(), prover.SameSrc, x, y); p.Theorem == "scoping probe" {
 		t.Error("lookup under a different axiom set was served from a verdict scoped to another fingerprint")
 	}
 }
@@ -168,7 +172,7 @@ func TestMemoPreseedSkipsMalformedGoals(t *testing.T) {
 		{Sig: 0, Form: uint8(prover.SameSrc), Result: 1, X: 0, Y: 1,
 			Steps: []automata.ArtifactStep{{X: 0, Y: 1}}},
 	}
-	m := NewMemo(0, 0, nil)
+	m := core.NewMemo(0, 0, nil)
 	if n := m.Preseed(art); n != 0 {
 		t.Errorf("Preseed inserted %d malformed goals, want 0", n)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/automata"
+	"repro/internal/core"
 	"repro/internal/pathexpr"
 	"repro/internal/prover"
 )
@@ -55,13 +56,14 @@ func BenchmarkSharedCacheOpsHit(b *testing.B) {
 
 func BenchmarkProofMemoHit(b *testing.B) {
 	x, y, _ := benchInternExprs()
-	m := NewMemo(0, 0, nil)
-	proved := func() *prover.Proof { return &prover.Proof{Result: prover.Proved} }
-	m.Prove(1, prover.SameSrc, x, y, proved)
+	m := core.NewMemo(0, 0, nil)
+	axioms := WorkloadWindows()[0]
+	prv, ax := prover.New(axioms, prover.Options{}), axioms.ID()
+	m.Prove(prv, ax, prover.SameSrc, x, y)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Prove(1, prover.SameSrc, x, y, proved)
+		m.Prove(prv, ax, prover.SameSrc, x, y)
 	}
 }
 
@@ -72,7 +74,7 @@ func BenchmarkCanonicalGoalKey(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CanonicalGoalKey(prover.SameSrc, x, y)
+		core.CanonicalGoalKey(prover.SameSrc, x, y)
 	}
 }
 

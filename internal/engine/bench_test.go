@@ -88,16 +88,16 @@ func TestWriteBenchEngineJSON(t *testing.T) {
 		// same cold-start shape the timing measured.
 		eng := New(WorkloadWindows()[0], Options{Workers: workers})
 		eng.Batch(context.Background(), queries)
-		st := eng.Stats()
+		dfa := eng.DFACache().Stats()
 		dfaRate := 0.0
-		if st.DFA.Lookups > 0 {
-			dfaRate = float64(st.DFA.Hits) / float64(st.DFA.Lookups)
+		if dfa.Lookups > 0 {
+			dfaRate = float64(dfa.Hits) / float64(dfa.Lookups)
 		}
 		report.Engine = append(report.Engine, benchEngineRow{
 			Workers:     workers,
 			NsOp:        r.NsPerOp(),
 			Speedup:     float64(report.SequentialNsOp) / float64(r.NsPerOp()),
-			MemoHitRate: st.Memo.HitRate(),
+			MemoHitRate: eng.Memo().Stats().HitRate(),
 			DFAHitRate:  dfaRate,
 		})
 	}

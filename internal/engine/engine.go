@@ -1,3 +1,22 @@
+// Package engine is the concurrency-safe batched dependence-query engine:
+// it answers many core.Query instances over one axiom set by fanning them
+// across parallel.Pool workers, each owning a sequential core.Tester whose
+// expensive layers — the DFA compilation cache and the theorem-prover
+// verdicts — are shared across the whole batch through an
+// automata.SharedCache and a core.Memo.  Both are pure functions of their
+// keys (a DFA of expression and alphabet, a proof of axiom set and goal),
+// so an engine may borrow them from a longer-lived owner: exec.Pool lends
+// one bounded pair to every engine it builds, and that warm state survives
+// engine eviction.
+//
+// The clients this serves (the parallelization-legality lint pass, aptdep
+// -batch sweeps, sparsebench's legality certification) issue hundreds of
+// closely related queries: the same goal re-asked under several §3.4 axiom
+// windows, and symmetric pairs — a loop pass asks both ⟨a,b⟩ and ⟨b,a⟩.
+// The memo's canonical goal keys (core.GoalKey) and DFAs shared across
+// windows convert that redundancy into cache hits while keeping verdicts
+// identical to the sequential tester's (enforced by the differential
+// harness in differential_test.go).
 package engine
 
 import (
@@ -33,26 +52,18 @@ type Options struct {
 	// default, disables them).  Also passed to the worker provers unless
 	// Prover.Telemetry is already set.
 	Telemetry *telemetry.Set
-	// DFAShards and DFAShardCap size the shared DFA cache (defaults:
-	// automata.DefaultSharedShards, unbounded shards).
-	DFAShards   int
-	DFAShardCap int
-	// MemoShards and MemoShardCap size the cross-query proof memo
-	// (defaults: DefaultMemoShards, unbounded shards).  Long-lived
-	// processes should set both caps — an unbounded memo is fine for a
-	// one-shot batch and a leak for a server.
-	MemoShards   int
-	MemoShardCap int
-	// Preload, when non-nil, preseeds the shared DFA cache and the proof
-	// memo from a compiled automata artifact (see cmd/aptc), so the engine
-	// boots with the artifact's working set already warm instead of paying
-	// cold subset constructions and proof searches on first queries.  Goal
-	// verdicts are scoped to their axiom-set fingerprint and never consulted
-	// under a different set.
-	Preload *automata.Artifact
+	// DFACache and Memo are the compiled-DFA cache and the cross-query
+	// proof memo the engine's workers share.  A long-lived process
+	// (exec.Pool) builds one bounded pair and lends it to every engine, so
+	// the warm state outlives any one engine; the lender owns their bounds,
+	// preseeding, and telemetry.  Nil selects a private unbounded cache —
+	// right for a one-shot batch, a leak for a server.
+	DFACache *automata.SharedCache
+	Memo     *core.Memo
 }
 
-// Stats is a point-in-time snapshot of the engine's shared state.
+// Stats is a point-in-time snapshot of the engine's own counters (the
+// caches it borrows report their own; see DFACache and Memo).
 type Stats struct {
 	// Batches and Queries count Batch calls and the queries they carried.
 	Batches int64
@@ -66,10 +77,6 @@ type Stats struct {
 	Timeouts        int64
 	DeadlineExpired int64
 	Canceled        int64
-	// Memo is the cross-query proof memo's counters.
-	Memo MemoStats
-	// DFA is the shared compilation cache's counters.
-	DFA automata.CacheStats
 }
 
 // Engine answers batches of dependence queries concurrently while keeping
@@ -81,7 +88,7 @@ type Engine struct {
 	opts   Options
 	pool   *parallel.Pool
 	dfas   *automata.SharedCache
-	memo   *Memo
+	memo   *core.Memo
 
 	batches   atomic.Int64
 	queries   atomic.Int64
@@ -108,12 +115,13 @@ func New(axioms *axiom.Set, opts Options) *Engine {
 	if opts.Prover.Telemetry == nil {
 		opts.Prover.Telemetry = tel
 	}
-	dfas := automata.NewSharedCache(opts.Prover.DFAStateLimit, opts.DFAShards, opts.DFAShardCap)
-	dfas.SetTelemetry(tel)
-	memo := NewMemo(opts.MemoShards, opts.MemoShardCap, tel)
-	if opts.Preload != nil {
-		dfas.Preseed(opts.Preload)
-		memo.Preseed(opts.Preload)
+	dfas := opts.DFACache
+	if dfas == nil {
+		dfas = automata.NewSharedCache(opts.Prover.DFAStateLimit, 0, 0).SetTelemetry(tel)
+	}
+	memo := opts.Memo
+	if memo == nil {
+		memo = core.NewMemo(0, 0, tel)
 	}
 	return &Engine{
 		axioms:     axioms,
@@ -135,9 +143,9 @@ func (e *Engine) Axioms() *axiom.Set { return e.axioms }
 // Workers returns the engine's pool width.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
-// Stats snapshots the engine's counters and shared-cache state.  (The
-// engine keeps its own atomics because telemetry instruments are nil, hence
-// unreadable, when telemetry is disabled.)
+// Stats snapshots the engine's counters.  (The engine keeps its own
+// atomics because telemetry instruments are nil, hence unreadable, when
+// telemetry is disabled.)
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Batches:         e.batches.Load(),
@@ -145,15 +153,13 @@ func (e *Engine) Stats() Stats {
 		Timeouts:        e.timeouts.Load(),
 		DeadlineExpired: e.deadlines.Load(),
 		Canceled:        e.canceled.Load(),
-		Memo:            e.memo.Stats(),
-		DFA:             e.dfas.Stats(),
 	}
 }
 
-// Memo exposes the cross-query proof memo (for stats reporting).
-func (e *Engine) Memo() *Memo { return e.memo }
+// Memo exposes the proof memo the engine uses, borrowed or private.
+func (e *Engine) Memo() *core.Memo { return e.memo }
 
-// DFACache exposes the shared compilation cache (for stats reporting).
+// DFACache exposes the DFA cache the engine uses, borrowed or private.
 func (e *Engine) DFACache() *automata.SharedCache { return e.dfas }
 
 // interruptGuard is one worker's prover interrupt hook: it trips on batch

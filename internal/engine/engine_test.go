@@ -123,7 +123,7 @@ func TestCanonicalSwapSharesMemo(t *testing.T) {
 	if results[0].Kind != core.Flow || results[1].Kind != core.Anti {
 		t.Errorf("kinds = %v/%v, want flow/anti (swap exchanges reader and writer)", results[0].Kind, results[1].Kind)
 	}
-	st := eng.Stats().Memo
+	st := eng.Memo().Stats()
 	if st.Lookups != 2 || st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("memo stats = %+v, want exactly one search shared by the swapped pair", st)
 	}
@@ -137,13 +137,12 @@ func TestMemoAndDFACacheSharedAcrossBatch(t *testing.T) {
 	if st.Batches != 1 || st.Queries != int64(len(queries)) {
 		t.Errorf("batch counters = %d/%d, want 1/%d", st.Batches, st.Queries, len(queries))
 	}
-	if st.Memo.Hits == 0 {
+	if memo := eng.Memo().Stats(); memo.Hits == 0 {
 		t.Error("memo recorded no hits on a workload built around swapped and repeated goals")
-	}
-	if rate := st.Memo.HitRate(); rate <= 0.5 {
+	} else if rate := memo.HitRate(); rate <= 0.5 {
 		t.Errorf("memo hit rate = %.2f, want > 0.5 on the shared workload", rate)
 	}
-	if st.DFA.Hits == 0 {
+	if eng.DFACache().Stats().Hits == 0 {
 		t.Error("shared DFA cache recorded no hits across the axiom windows")
 	}
 }

@@ -1,21 +1,23 @@
 package engine
 
 import (
-	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/pathexpr"
 	"repro/internal/prover"
 )
 
-// FuzzCanonicalGoal checks the memo key's two contracts on arbitrary
+// FuzzCanonicalGoal checks the memo key's contracts on arbitrary
 // expression pairs:
 //
-//   - equivalence: goals the prover treats as one theorem — the same pair
-//     with its sides swapped, under either quantifier form — share a key;
-//   - separation: two keys are equal only when the normalized side
-//     multisets and the form agree, so inequivalent goals never collide
-//     (the separator byte cannot occur inside a rendered expression).
+//   - swap invariance: the same pair with its sides swapped is one theorem
+//     and shares a key;
+//   - form separation: the same sides under the other quantifier are a
+//     different theorem and a different key;
+//   - no collisions: a key names exactly the two normalized sides, in
+//     rendering order, so two keys are equal only when the normalized goals
+//     are.
 func FuzzCanonicalGoal(f *testing.F) {
 	seeds := [][4]string{
 		{"L", "R", "L", "R"},
@@ -40,6 +42,14 @@ func FuzzCanonicalGoal(f *testing.F) {
 			}
 			return e, true
 		}
+		// sides returns the normalized renderings of a pair, in key order.
+		sides := func(x, y pathexpr.Expr) (string, string) {
+			sx, sy := pathexpr.Simplify(x).String(), pathexpr.Simplify(y).String()
+			if sy < sx {
+				sx, sy = sy, sx
+			}
+			return sx, sy
+		}
 		x, ok := parse(a)
 		if !ok {
 			t.Skip()
@@ -52,33 +62,23 @@ func FuzzCanonicalGoal(f *testing.F) {
 		if !sameSrc {
 			form = prover.DiffSrc
 		}
-		key := CanonicalGoal(form, x, y)
+		key := core.CanonicalGoalKey(form, x, y)
 
-		// Swap invariance: ⟨x,y⟩ and ⟨y,x⟩ are one theorem.
-		if swapped := CanonicalGoal(form, y, x); swapped != key {
-			t.Errorf("key differs under swap: %q vs %q", key, swapped)
+		if swapped := core.CanonicalGoalKey(form, y, x); swapped != key {
+			t.Errorf("key differs under swap: %+v vs %+v", key, swapped)
 		}
-		// Form separation: the same sides under the other quantifier are a
-		// different theorem.
 		other := prover.DiffSrc
 		if form == prover.DiffSrc {
 			other = prover.SameSrc
 		}
-		if CanonicalGoal(other, x, y) == key {
-			t.Errorf("key %q does not separate SameSrc from DiffSrc", key)
+		if core.CanonicalGoalKey(other, x, y) == key {
+			t.Errorf("key %+v does not separate SameSrc from DiffSrc", key)
 		}
-		// Round trip: the key decodes to exactly the two normalized sides,
-		// so equal keys imply equal normalized goals (no collisions).
-		parts := strings.Split(key, canonSep)
-		if len(parts) != 3 {
-			t.Fatalf("key %q has %d parts, want 3 (an expression rendered the separator byte)", key, len(parts))
-		}
-		sx, sy := pathexpr.Simplify(x).String(), pathexpr.Simplify(y).String()
-		if sy < sx {
-			sx, sy = sy, sx
-		}
-		if parts[1] != sx || parts[2] != sy {
-			t.Errorf("key %q decoded to (%q,%q), want (%q,%q)", key, parts[1], parts[2], sx, sy)
+		// The key decodes to exactly the two normalized sides, in rendering
+		// order, so equal keys imply equal normalized goals.
+		sx, sy := sides(x, y)
+		if ka, kb := pathexpr.LookupID(key.A).String(), pathexpr.LookupID(key.B).String(); ka != sx || kb != sy {
+			t.Errorf("key %+v decoded to (%q,%q), want (%q,%q)", key, ka, kb, sx, sy)
 		}
 
 		// Cross-pair separation: when a second parseable pair yields the
@@ -91,13 +91,9 @@ func FuzzCanonicalGoal(f *testing.F) {
 		if !ok {
 			return
 		}
-		if CanonicalGoal(form, u, v) == key {
-			su, sv := pathexpr.Simplify(u).String(), pathexpr.Simplify(v).String()
-			if sv < su {
-				su, sv = sv, su
-			}
-			if su != sx || sv != sy {
-				t.Errorf("collision: (%q,%q) and (%q,%q) share key %q", a, b, c, d, key)
+		if core.CanonicalGoalKey(form, u, v) == key {
+			if su, sv := sides(u, v); su != sx || sv != sy {
+				t.Errorf("collision: (%q,%q) and (%q,%q) share key %+v", a, b, c, d, key)
 			}
 		}
 	})

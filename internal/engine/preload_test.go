@@ -39,7 +39,7 @@ func TestPreloadedEngineMatchesCold(t *testing.T) {
 				t.Fatal("snapshot holds no DFAs; the differential would be vacuous")
 			}
 
-			warm := New(WorkloadWindows()[0], Options{Workers: 4, Preload: art})
+			warm := New(WorkloadWindows()[0], preloaded(Options{Workers: 4}, art))
 			got := warm.Batch(context.Background(), queries)
 			if len(got) != len(want) {
 				t.Fatalf("got %d results for %d queries", len(got), len(queries))
@@ -52,8 +52,8 @@ func TestPreloadedEngineMatchesCold(t *testing.T) {
 						want[i].Result, want[i].Kind, want[i].Reason)
 				}
 			}
-			if st := warm.Stats(); st.DFA.Compiles != 0 {
-				t.Errorf("preloaded engine compiled %d DFAs; the artifact should cover the whole working set", st.DFA.Compiles)
+			if st := warm.DFACache().Stats(); st.Compiles != 0 {
+				t.Errorf("preloaded engine compiled %d DFAs; the artifact should cover the whole working set", st.Compiles)
 			}
 		})
 	}

@@ -112,7 +112,7 @@ func (s workloadSpec) query(w *axiom.Set) core.Query {
 // swapQuery exchanges the two accesses, the orientation a symmetric client
 // (judging both ⟨a,b⟩ and ⟨b,a⟩) produces.  The dependence kind flips
 // between Flow and Anti but the disjointness goals are the same theorems,
-// which is exactly what CanonicalGoal deduplicates.
+// which is exactly what core.GoalKey deduplicates.
 func swapQuery(q core.Query) core.Query {
 	q.S, q.T = q.T, q.S
 	return q

@@ -1,8 +1,9 @@
 // Package exec is the execution tier of the query plane: the bounded pool
-// of warm per-axiom-set engines, the raw-query builder that turns wire
-// queries into core ones, and the warm-state snapshot/preload operations
-// the cluster's ring-change handoff rides on.  It knows nothing about HTTP
-// or admission — internal/serve composes it under both.
+// of warm per-axiom-set engines over one pool-owned DFA cache and proof
+// memo, the raw-query builder that turns wire queries into core ones, and
+// the warm-state snapshot/preload operations the cluster's ring-change
+// handoff rides on.  It knows nothing about HTTP or admission —
+// internal/serve composes it under both.
 package exec
 
 import (
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/axiom"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/prover"
 	"repro/internal/telemetry"
@@ -27,25 +29,31 @@ type PoolConfig struct {
 	// MaxEngines bounds the resident engine population (LRU beyond; ≤0
 	// means unbounded).
 	MaxEngines int
-	// DFAShardCap and MemoShardCap bound the shared caches' shards.
+	// DFAShardCap and MemoShardCap bound the shards of the pool's DFA
+	// cache and proof memo.
 	DFAShardCap  int
 	MemoShardCap int
 	// VerifyProofs re-checks every prover-backed No independently.
 	VerifyProofs bool
-	// Preload, when non-nil, preseeds every engine the pool builds with a
-	// compiled automata artifact.
+	// Preload, when non-nil, preseeds the pool's caches with a compiled
+	// automata artifact and builds an engine for each axiom set it carries.
 	Preload *automata.Artifact
 }
 
-// Pool keeps one warm engine.Engine — and therefore one shared DFA cache
-// and one proof memo — per axiom-set fingerprint, reclaiming the least-
-// recently-used engine when the population exceeds its cap.  Eviction only
-// unlinks the engine from the pool: an in-flight batch still running on it
-// finishes normally and the garbage collector reclaims the caches
-// afterwards, so no request ever observes a half-dead engine.
+// Pool keeps one warm engine.Engine per axiom-set fingerprint, reclaiming
+// the least-recently-used engine when the population exceeds its cap.  The
+// costly state is not the engines': the pool owns one DFA cache and one
+// proof memo, bounded by the config's shard caps, and every engine borrows
+// them.  DFAs are keyed by alphabet and proofs by axiom-set identity, so
+// sharing is exact across sets, and an evicted engine's warm state stays
+// for the next engine that needs it.  Eviction only unlinks the engine
+// from the pool: an in-flight batch still running on it finishes normally,
+// so no request ever observes a half-dead engine.
 type Pool struct {
-	cfg PoolConfig
-	tel *telemetry.Set
+	cfg  PoolConfig
+	tel  *telemetry.Set
+	dfas *automata.SharedCache
+	memo *core.Memo
 
 	mu      sync.Mutex
 	seq     int64
@@ -62,44 +70,40 @@ type poolEntry struct {
 	fp      uint64 // axiom.Set.Fingerprint64(), the cross-process identity
 	key     string // axiom.Set.Key() fingerprint, kept for /statz ordering
 	name    string // human-readable axiom-set name
-	set     *axiom.Set
 	eng     *engine.Engine
 	lastUse int64 // pool sequence number of the most recent get
 	uses    int64
 }
 
-// NewPool builds an empty pool.
+// NewPool builds a pool, preseeded from cfg.Preload when set.
 func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	return &Pool{
+	p := &Pool{
 		cfg:     cfg,
 		tel:     tel,
+		dfas:    automata.NewSharedCache(0, 0, cfg.DFAShardCap).SetTelemetry(tel),
+		memo:    core.NewMemo(0, cfg.MemoShardCap, tel),
 		entries: make(map[uint64]*poolEntry),
 		cCold:   tel.Counter("serve.engine_cold"),
 		cWarm:   tel.Counter("serve.engine_warm"),
 	}
+	if cfg.Preload != nil {
+		p.PreloadArtifact(cfg.Preload)
+	}
+	return p
 }
+
+// DFACache returns the DFA cache every engine of the pool borrows.
+func (p *Pool) DFACache() *automata.SharedCache { return p.dfas }
+
+// Memo returns the proof memo every engine of the pool borrows.
+func (p *Pool) Memo() *core.Memo { return p.memo }
 
 // Get returns the warm engine for the axiom set, building one on a cold
 // miss.  cold reports whether this call built it.
 func (p *Pool) Get(ax *axiom.Set) (eng *engine.Engine, cold bool) {
-	return p.get(ax, p.cfg.Preload)
-}
-
-// GetPreloaded is Get with an explicit artifact for the cold-build preseed
-// (the warm-handoff path: a router ships the old owner's snapshot to the
-// backend gaining the shard).  A warm hit ignores the artifact — the
-// resident engine is at least as warm as any snapshot of it.
-func (p *Pool) GetPreloaded(ax *axiom.Set, art *automata.Artifact) (eng *engine.Engine, cold bool) {
-	if art == nil {
-		art = p.cfg.Preload
-	}
-	return p.get(ax, art)
-}
-
-func (p *Pool) get(ax *axiom.Set, preload *automata.Artifact) (*engine.Engine, bool) {
 	id := ax.ID()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -115,16 +119,14 @@ func (p *Pool) get(ax *axiom.Set, preload *automata.Artifact) (*engine.Engine, b
 		fp:   ax.Fingerprint64(),
 		key:  ax.Key(),
 		name: ax.StructName,
-		set:  ax,
 		eng: engine.New(ax, engine.Options{
 			Workers:      p.cfg.Workers,
 			QueryTimeout: p.cfg.QueryTimeout,
 			Prover:       prover.Options{Telemetry: p.tel},
 			VerifyProofs: p.cfg.VerifyProofs,
 			Telemetry:    p.tel,
-			DFAShardCap:  p.cfg.DFAShardCap,
-			MemoShardCap: p.cfg.MemoShardCap,
-			Preload:      preload,
+			DFACache:     p.dfas,
+			Memo:         p.memo,
 		}),
 		lastUse: p.seq,
 		uses:    1,
@@ -147,40 +149,37 @@ func (p *Pool) get(ax *axiom.Set, preload *automata.Artifact) (*engine.Engine, b
 	return e.eng, true
 }
 
-// Find returns the resident engine whose axiom set has the given cross-
-// process fingerprint, without touching its LRU position (a snapshot
-// request must not keep an otherwise idle engine alive).
-func (p *Pool) Find(fp uint64) (*engine.Engine, *axiom.Set, bool) {
+// SnapshotArtifact renders the pool's warm state — compiled DFAs,
+// decision tables, and memoized proof goals, each goal scoped to its
+// axiom-set fingerprint — plus the fingerprinted engine's axiom set as a
+// portable artifact, or nil when no such engine is resident.  The lookup
+// leaves the engine's LRU position alone (a snapshot request must not keep
+// an otherwise idle engine alive).
+func (p *Pool) SnapshotArtifact(fp uint64) *automata.Artifact {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	var eng *engine.Engine
 	for _, e := range p.entries {
 		if e.fp == fp {
-			return e.eng, e.set, true
+			eng = e.eng
+			break
 		}
 	}
-	return nil, nil, false
-}
-
-// SnapshotArtifact renders the fingerprinted engine's warm state — compiled
-// DFAs, decision tables, memoized proof goals, and the axiom set itself —
-// as a portable artifact, or nil when no such engine is resident.
-func (p *Pool) SnapshotArtifact(fp uint64) *automata.Artifact {
-	eng, set, ok := p.Find(fp)
-	if !ok {
+	p.mu.Unlock()
+	if eng == nil {
 		return nil
 	}
-	art := eng.SnapshotArtifact()
-	engine.AppendAxiomSet(art, set)
-	return art
+	return eng.SnapshotArtifact()
 }
 
-// PreloadArtifact builds (or warms) an engine for every axiom set the
-// artifact carries, preseeding cold builds from the artifact.  It returns
-// the number of engines built cold.
+// PreloadArtifact preseeds the pool's caches from the artifact and builds
+// (or warms) an engine for every axiom set it carries.  It returns the
+// number of engines built cold.
 func (p *Pool) PreloadArtifact(art *automata.Artifact) int {
+	p.dfas.Preseed(art)
+	p.memo.Preseed(art)
 	built := 0
 	for _, set := range engine.ArtifactAxiomSets(art) {
-		if _, cold := p.GetPreloaded(set, art); cold {
+		if _, cold := p.Get(set); cold {
 			built++
 		}
 	}
@@ -193,7 +192,6 @@ func (p *Pool) PreloadArtifact(art *automata.Artifact) int {
 type View struct {
 	Key  string
 	Name string
-	FP   uint64
 	Eng  *engine.Engine
 	Uses int64
 }
@@ -204,7 +202,7 @@ func (p *Pool) Snapshot() []View {
 	p.mu.Lock()
 	out := make([]View, 0, len(p.entries))
 	for _, e := range p.entries {
-		out = append(out, View{Key: e.key, Name: e.name, FP: e.fp, Eng: e.eng, Uses: e.uses})
+		out = append(out, View{Key: e.key, Name: e.name, Eng: e.eng, Uses: e.uses})
 	}
 	p.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -225,14 +223,3 @@ func (p *Pool) Len() int {
 
 // Evicted reports how many engines the LRU has reclaimed.
 func (p *Pool) Evicted() int64 { return p.evicted.Load() }
-
-// Fingerprints returns the resident axiom-set fingerprints (unordered).
-func (p *Pool) Fingerprints() []uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]uint64, 0, len(p.entries))
-	for _, e := range p.entries {
-		out = append(out, e.fp)
-	}
-	return out
-}

@@ -234,7 +234,7 @@ func (inc *IncrementalDriver) Run(file string, prog *lang.Program) ([]Diagnostic
 	ctx := &Context{
 		File: file, Prog: prog,
 		Telemetry: inc.Driver.tel, Workers: inc.Driver.workers,
-		Caches: inc.Caches, Preload: inc.Driver.preload, fps: fps,
+		Caches: inc.Caches, DFACache: inc.Driver.dfaCache(), fps: fps,
 	}
 	var reused []Diagnostic
 	if prev == nil {

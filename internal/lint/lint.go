@@ -124,11 +124,13 @@ type Context struct {
 	// edited source is sound, and it carries the engines' proof memos and
 	// compiled DFAs from run to run.
 	Caches *Caches
-	// Preload, when non-nil, preseeds every tester and engine DFA cache
-	// built by this context from a compiled automata artifact (aptc), so
-	// the first query of each axiom set skips cold compilation.  Purely an
-	// optimization: verdicts are identical with or without it.
-	Preload *automata.Artifact
+	// DFACache, when non-nil, is the DFA cache every tester and engine
+	// built by this context borrows; the driver preseeds one per run from
+	// its compiled automata artifact (aptc), so the first query of each
+	// axiom set skips cold compilation.  Nil gives each tester and engine a
+	// private cache.  Purely an optimization: verdicts are identical either
+	// way.
+	DFACache *automata.SharedCache
 
 	pass     string
 	diags    []Diagnostic
@@ -218,13 +220,7 @@ func (c *Context) Tester(res *analysis.Result) *core.Tester {
 	if t, ok := c.testers[key]; ok {
 		return t
 	}
-	popts := prover.Options{Telemetry: c.Telemetry}
-	if c.Preload != nil {
-		cache := automata.NewSharedCache(0, 0, 0).SetTelemetry(c.Telemetry)
-		cache.Preseed(c.Preload)
-		popts.DFACache = cache
-	}
-	t := core.NewTester(res.Axioms, popts)
+	t := core.NewTester(res.Axioms, prover.Options{Telemetry: c.Telemetry, DFACache: c.DFACache})
 	c.testers[key] = t
 	if c.Caches != nil {
 		c.Caches.Testers[key] = t
@@ -254,7 +250,7 @@ func (c *Context) Engine(res *analysis.Result) *engine.Engine {
 		Workers:   c.Workers,
 		Prover:    prover.Options{Telemetry: c.Telemetry},
 		Telemetry: c.Telemetry,
-		Preload:   c.Preload,
+		DFACache:  c.DFACache,
 	})
 	c.engines[key] = e
 	if c.Caches != nil {
@@ -292,16 +288,27 @@ func (d *Driver) SetWorkers(n int) *Driver {
 }
 
 // SetPreload attaches a compiled automata artifact (aptc) that preseeds the
-// DFA caches of every tester and engine the driver's contexts build.
-// Returns the driver for chaining.
+// DFA cache each run's testers and engines share.  Returns the driver for
+// chaining.
 func (d *Driver) SetPreload(art *automata.Artifact) *Driver {
 	d.preload = art
 	return d
 }
 
+// dfaCache returns a fresh DFA cache preseeded from the driver's artifact,
+// or nil when none is attached.
+func (d *Driver) dfaCache() *automata.SharedCache {
+	if d.preload == nil {
+		return nil
+	}
+	c := automata.NewSharedCache(0, 0, 0).SetTelemetry(d.tel)
+	c.Preseed(d.preload)
+	return c
+}
+
 // Run lints one parsed unit and returns its diagnostics sorted by position.
 func (d *Driver) Run(file string, prog *lang.Program) ([]Diagnostic, error) {
-	ctx := &Context{File: file, Prog: prog, Telemetry: d.tel, Workers: d.workers, Preload: d.preload}
+	ctx := &Context{File: file, Prog: prog, Telemetry: d.tel, Workers: d.workers, DFACache: d.dfaCache()}
 	return d.RunContext(ctx)
 }
 

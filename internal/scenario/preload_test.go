@@ -68,7 +68,9 @@ func TestRegressionCorpusPreloadIdentity(t *testing.T) {
 			}
 			defer art.Close()
 
-			warm := engine.New(fam.Axioms, engine.Options{QueryTimeout: 2 * time.Second, Preload: art})
+			dfas := automata.NewSharedCache(0, 0, 0)
+			dfas.Preseed(art)
+			warm := engine.New(fam.Axioms, engine.Options{QueryTimeout: 2 * time.Second, DFACache: dfas})
 			got := warm.Batch(context.Background(), qs)
 			for i := range got {
 				if got[i].Result != want[i].Result || got[i].Kind != want[i].Kind || got[i].Reason != want[i].Reason {

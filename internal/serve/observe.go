@@ -67,9 +67,9 @@ func (s *Server) logAccess(sw *statusWriter, r *http.Request, dur time.Duration)
 }
 
 // flightMeta is the request context a FlightRecord carries beyond its span
-// tree: what ran, where, and the request's cache-hit deltas (best-effort
-// under concurrency — the engine counters are shared, so a neighbor's hits
-// can leak into the delta).
+// tree: what ran, where, and the request's cache-hit deltas on the engine
+// pool's caches (best-effort under concurrency — the caches are shared, so
+// a neighbor's hits can leak into the delta).
 type flightMeta struct {
 	Status      int    `json:"status"`
 	AxiomSet    string `json:"axiom_set,omitempty"`
@@ -192,8 +192,6 @@ func (s *Server) writePromServer(w io.Writer) {
 	for _, m := range []setMetric{
 		{"apt_engine_set_uses_total", "Requests served by the axiom set's engine.", func(z EngineStatz) int64 { return z.Uses }},
 		{"apt_engine_set_queries_total", "Queries answered by the axiom set's engine.", func(z EngineStatz) int64 { return z.Queries }},
-		{"apt_engine_set_memo_hits_total", "Proof-memo hits on the axiom set's engine.", func(z EngineStatz) int64 { return z.MemoHits }},
-		{"apt_engine_set_dfa_hits_total", "Shared-DFA-cache hits on the axiom set's engine.", func(z EngineStatz) int64 { return int64(z.DFAHits) }},
 	} {
 		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n", m.name, m.help, m.name)
 		for i, v := range views {

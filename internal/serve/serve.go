@@ -1,10 +1,10 @@
 // Package serve is the long-lived dependence-query service behind cmd/
 // aptserved.  One process keeps the expensive analysis state — compiled
-// DFAs in an automata.SharedCache, prover verdicts in an engine.Memo —
-// warm across every request, which is the amortization the paper's §5
-// evaluation argues makes APT practical at compile-server scale: the first
-// request over an axiom set pays the subset constructions, every later one
-// rides the caches.
+// DFAs in an automata.SharedCache, prover verdicts in a core.Memo, one of
+// each for the whole engine pool — warm across every request, which is the
+// amortization the paper's §5 evaluation argues makes APT practical at
+// compile-server scale: the first request over an axiom set pays the
+// subset constructions, every later one rides the caches.
 //
 // Since the layering refactor the package is a thin composition of the
 // query plane's tiers rather than their home:
@@ -13,8 +13,9 @@
 //     shared with clients and the cluster router;
 //   - internal/admit — the two-channel slots/queue/429 admission machinery
 //     and the drain lifecycle;
-//   - internal/exec — the bounded pool of warm per-axiom-set engines, the
-//     raw-query builder, and warm-state snapshot/preload.
+//   - internal/exec — the bounded pool of warm per-axiom-set engines and
+//     the DFA cache and proof memo they share, the raw-query builder, and
+//     warm-state snapshot/preload.
 //
 // What remains here is the composition itself: HTTP endpoint wiring, the
 // program-mode analysis pipeline, tracing/flight-recorder/access-log
@@ -31,9 +32,10 @@
 //     propagates into the engine's interrupt guard, so a slow proof search
 //     degrades that query to Maybe instead of wedging a worker;
 //   - per-axiom-set engines with LRU reclamation: unfamiliar axiom sets
-//     get their own warm engine, and the population is bounded;
-//   - bounded caches: the per-shard caps on the DFA cache, the decision
-//     memo, and the proof memo keep a long-lived process's memory flat;
+//     get their own engine, and the population is bounded; the caches they
+//     borrow are the pool's, so an evicted engine's warm state survives;
+//   - bounded caches: the per-shard caps on the pool's DFA cache, decision
+//     memo, and proof memo keep a long-lived process's memory flat;
 //   - graceful drain: SIGTERM stops admissions while every in-flight batch
 //     finishes and is answered;
 //   - panic isolation: a worker panic (re-raised by parallel.Pool as
@@ -95,8 +97,8 @@ type Config struct {
 	QueueDepth    int
 	// MaxEngines bounds the per-axiom-set engine population (LRU beyond).
 	MaxEngines int
-	// DFAShardCap and MemoShardCap bound the shared caches' shards (see
-	// automata.SharedCache and engine.Memo).
+	// DFAShardCap and MemoShardCap bound the shards of the engine pool's
+	// DFA cache and proof memo (see automata.SharedCache and core.Memo).
 	DFAShardCap  int
 	MemoShardCap int
 	// MaxQueries bounds the expanded query count of one request;
@@ -117,9 +119,10 @@ type Config struct {
 	// AccessLog, when non-nil, receives one JSONL "http_access" line per
 	// HTTP request (method, path, status, bytes, latency, traceparent).
 	AccessLog *telemetry.TraceWriter
-	// Preload, when non-nil, preseeds every engine the pool builds with a
-	// compiled automata artifact (see cmd/aptc), so even a cold engine's
-	// first batch rides warm DFA tables and memoized decisions.
+	// Preload, when non-nil, preseeds the engine pool's caches with a
+	// compiled automata artifact (see cmd/aptc) and builds an engine for
+	// each axiom set it carries, so even a cold engine's first batch rides
+	// warm DFA tables, memoized decisions, and proof goals.
 	Preload *automata.Artifact
 }
 
@@ -252,14 +255,12 @@ func newServer(cfg Config) *Server {
 	s.mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
 	s.mux.HandleFunc("/debug/flightrecorder", s.handleFlightRecorder)
 	s.mux.HandleFunc("/statz", s.handleStatz)
-	// Boot-time engine prewarm: the artifact carries the full axiom sets it
-	// was compiled under, so the engines requests will ask for can be built
-	// now — artifact-preseeded DFA cache and proof memo included — instead
-	// of on the first request per set.  With this, a -preload server's first
-	// request is already engine-warm (Stats.ColdEngine false), which is the
-	// artifact's whole point: warm-equivalent behavior from boot.
+	// Boot-time prewarm: the pool has already preseeded its caches from the
+	// artifact and built an engine for every axiom set it carries, so a
+	// -preload server's first request is engine-warm (Stats.ColdEngine
+	// false), which is the artifact's whole point: warm-equivalent behavior
+	// from boot.  Replaying the recorded workloads pays the rest.
 	if cfg.Preload != nil {
-		s.pool.PreloadArtifact(cfg.Preload)
 		s.replayWarm(cfg.Preload.Replays)
 		// Boot prewarm allocates heavily (engine construction, first parses);
 		// collect now so the first real request inherits a quiet heap instead
@@ -513,11 +514,11 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.
 	bsp := rt.StartSpan("serve.batch", parent)
 	bctx = telemetry.WithTraceScope(bctx, rt, bsp.ID())
 
-	st0 := eng.Stats()
+	memo0, dfa0 := s.pool.Memo().Stats(), s.pool.DFACache().Stats()
 	start := time.Now()
 	outs := eng.BatchTimeout(bctx, queries, perQuery)
 	elapsed := time.Since(start)
-	st := eng.Stats()
+	st, memo, dfa := eng.Stats(), s.pool.Memo().Stats(), s.pool.DFACache().Stats()
 	bsp.End(
 		telemetry.String("axiom_set", ax.StructName),
 		telemetry.Bool("cold_engine", cold),
@@ -548,27 +549,27 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.
 		ServiceUS:       time.Since(svc0).Microseconds(),
 		ColdEngine:      cold,
 		AxiomSet:        ax.StructName,
-		MemoHits:        st.Memo.Hits,
-		MemoLookups:     st.Memo.Lookups,
-		DFAHits:         int64(st.DFA.Hits),
-		DFALookups:      int64(st.DFA.Lookups),
+		MemoHits:        memo.Hits,
+		MemoLookups:     memo.Lookups,
+		DFAHits:         int64(dfa.Hits),
+		DFALookups:      int64(dfa.Lookups),
 		Timeouts:        st.Timeouts,
 		TraceID:         rt.TraceIDString(),
 		DegradedQueries: rt.DegradedTotal(),
 		DeadlineExpired: deg[telemetry.DegradeRequestDeadline],
 	}
 	// The flight-recorder metadata wants this request's cache economics,
-	// not the engine's lifetime totals, so report the deltas (best-effort:
-	// concurrent requests on the same engine blur them).
+	// not the pool's lifetime totals, so report the deltas (best-effort:
+	// concurrent requests blur them).
 	meta := &flightMeta{
 		AxiomSet:    ax.StructName,
 		Queries:     len(outs),
 		ColdEngine:  cold,
 		ElapsedUS:   elapsed.Microseconds(),
-		MemoHits:    st.Memo.Hits - st0.Memo.Hits,
-		MemoLookups: st.Memo.Lookups - st0.Memo.Lookups,
-		DFAHits:     int64(st.DFA.Hits - st0.DFA.Hits),
-		DFALookups:  int64(st.DFA.Lookups - st0.DFA.Lookups),
+		MemoHits:    memo.Hits - memo0.Hits,
+		MemoLookups: memo.Lookups - memo0.Lookups,
+		DFAHits:     int64(dfa.Hits - dfa0.Hits),
+		DFALookups:  int64(dfa.Lookups - dfa0.Lookups),
 	}
 	return resp, meta, http.StatusOK, nil
 }
@@ -592,25 +593,10 @@ type EngineStatz struct {
 	Timeouts        int64 `json:"timeouts"`
 	DeadlineExpired int64 `json:"deadline_expired"`
 	Canceled        int64 `json:"canceled"`
-
-	MemoLookups   int64   `json:"memo_lookups"`
-	MemoHits      int64   `json:"memo_hits"`
-	MemoHitRate   float64 `json:"memo_hit_rate"`
-	MemoEntries   int     `json:"memo_entries"`
-	MemoEvictions int64   `json:"memo_evictions"`
-
-	DFALookups   int     `json:"dfa_lookups"`
-	DFAHits      int     `json:"dfa_hits"`
-	DFAHitRate   float64 `json:"dfa_hit_rate"`
-	DFACompiles  int     `json:"dfa_compiles"`
-	DFALen       int     `json:"dfa_len"`
-	OpsLen       int     `json:"ops_len"`
-	DFAEvictions int64   `json:"dfa_evictions"`
-	OpsEvictions int64   `json:"ops_evictions"`
 }
 
-// Statz is the /statz body: server-level admission and lifecycle counters
-// plus every warm engine's cache state.
+// Statz is the /statz body: server-level admission and lifecycle counters,
+// the engine pool's shared caches, and every resident engine's counters.
 type Statz struct {
 	UptimeMS        int64 `json:"uptime_ms"`
 	Draining        bool  `json:"draining"`
@@ -629,14 +615,33 @@ type Statz struct {
 	// expressions.  The interner underlies every cache key in the stack and
 	// is never evicted (node IDs must stay stable), so this is the one
 	// monotone number to watch for expression-churn growth.
-	InternedExprs int           `json:"interned_exprs"`
-	Engines       []EngineStatz `json:"engines"`
+	InternedExprs int `json:"interned_exprs"`
+
+	// The engine pool's proof memo and DFA cache, shared by every engine.
+	MemoLookups   int64   `json:"memo_lookups"`
+	MemoHits      int64   `json:"memo_hits"`
+	MemoHitRate   float64 `json:"memo_hit_rate"`
+	MemoEntries   int     `json:"memo_entries"`
+	MemoEvictions int64   `json:"memo_evictions"`
+
+	DFALookups   int     `json:"dfa_lookups"`
+	DFAHits      int     `json:"dfa_hits"`
+	DFAHitRate   float64 `json:"dfa_hit_rate"`
+	DFACompiles  int     `json:"dfa_compiles"`
+	DFALen       int     `json:"dfa_len"`
+	OpsLen       int     `json:"ops_len"`
+	DFAEvictions int64   `json:"dfa_evictions"`
+	OpsEvictions int64   `json:"ops_evictions"`
+
+	Engines []EngineStatz `json:"engines"`
 }
 
 // StatzSnapshot assembles the /statz body (exported for the soak tests and
 // aptserved's drain summary).
 func (s *Server) StatzSnapshot() Statz {
 	accepted, completed, shed, refused := s.adm.Counts()
+	memo, dfas := s.pool.Memo(), s.pool.DFACache()
+	ms, ds := memo.Stats(), dfas.Stats()
 	z := Statz{
 		UptimeMS:         time.Since(s.start).Milliseconds(),
 		Draining:         s.Draining(),
@@ -650,6 +655,23 @@ func (s *Server) StatzSnapshot() Statz {
 		EnginesResident:  s.pool.len(),
 		EnginesEvicted:   s.pool.Evicted(),
 		InternedExprs:    pathexpr.InternedExprs(),
+
+		MemoLookups:   ms.Lookups,
+		MemoHits:      ms.Hits,
+		MemoHitRate:   ms.HitRate(),
+		MemoEntries:   ms.Entries,
+		MemoEvictions: ms.Evictions,
+
+		DFALookups:   ds.Lookups,
+		DFAHits:      ds.Hits,
+		DFACompiles:  ds.Compiles,
+		DFALen:       dfas.Len(),
+		OpsLen:       dfas.OpsLen(),
+		DFAEvictions: dfas.DFAEvictions(),
+		OpsEvictions: dfas.OpsEvictions(),
+	}
+	if ds.Lookups > 0 {
+		z.DFAHitRate = float64(ds.Hits) / float64(ds.Lookups)
 	}
 	for _, e := range s.pool.snapshot() {
 		z.Engines = append(z.Engines, engineStatz(e))
@@ -659,8 +681,7 @@ func (s *Server) StatzSnapshot() Statz {
 
 func engineStatz(v exec.View) EngineStatz {
 	st := v.Eng.Stats()
-	dfas := v.Eng.DFACache()
-	out := EngineStatz{
+	return EngineStatz{
 		AxiomSet:        v.Name,
 		Uses:            v.Uses,
 		Batches:         st.Batches,
@@ -668,25 +689,7 @@ func engineStatz(v exec.View) EngineStatz {
 		Timeouts:        st.Timeouts,
 		DeadlineExpired: st.DeadlineExpired,
 		Canceled:        st.Canceled,
-
-		MemoLookups:   st.Memo.Lookups,
-		MemoHits:      st.Memo.Hits,
-		MemoHitRate:   st.Memo.HitRate(),
-		MemoEntries:   st.Memo.Entries,
-		MemoEvictions: st.Memo.Evictions,
-
-		DFALookups:   st.DFA.Lookups,
-		DFAHits:      st.DFA.Hits,
-		DFACompiles:  st.DFA.Compiles,
-		DFALen:       dfas.Len(),
-		OpsLen:       dfas.OpsLen(),
-		DFAEvictions: dfas.DFAEvictions(),
-		OpsEvictions: dfas.OpsEvictions(),
 	}
-	if st.DFA.Lookups > 0 {
-		out.DFAHitRate = float64(st.DFA.Hits) / float64(st.DFA.Lookups)
-	}
-	return out
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {

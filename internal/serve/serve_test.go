@@ -361,8 +361,8 @@ func TestMetricsAndStatzEndpoints(t *testing.T) {
 	if z.Accepted != 1 || z.EnginesResident != 1 || len(z.Engines) != 1 {
 		t.Errorf("statz = %+v, want one accepted request on one engine", z)
 	}
-	if z.Engines[0].Queries == 0 || z.Engines[0].DFALen == 0 {
-		t.Errorf("engine statz = %+v, want populated caches", z.Engines[0])
+	if z.Engines[0].Queries == 0 || z.DFALen == 0 {
+		t.Errorf("statz = %+v, want a populated engine and pool caches", z)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/automata"
-	"repro/internal/engine"
+	"repro/internal/core"
 )
 
 // makeListProgram renders a Figure 1-style list-update loop whose link
@@ -179,17 +179,15 @@ func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 	// The whole point of the per-shard caps: a long-lived server's caches
 	// must stay bounded no matter how much traffic has passed through.
 	bound := automata.DefaultSharedShards * (shardCap + 1)
-	memoBound := engine.DefaultMemoShards * (shardCap + 1)
-	for _, e := range mid.Engines {
-		if e.DFALen > bound {
-			t.Errorf("engine %s: DFALen = %d exceeds %d", e.AxiomSet, e.DFALen, bound)
-		}
-		if e.OpsLen > bound {
-			t.Errorf("engine %s: OpsLen = %d exceeds %d", e.AxiomSet, e.OpsLen, bound)
-		}
-		if e.MemoEntries > memoBound {
-			t.Errorf("engine %s: MemoEntries = %d exceeds %d", e.AxiomSet, e.MemoEntries, memoBound)
-		}
+	memoBound := core.DefaultMemoShards * (shardCap + 1)
+	if mid.DFALen > bound {
+		t.Errorf("pool DFALen = %d exceeds %d", mid.DFALen, bound)
+	}
+	if mid.OpsLen > bound {
+		t.Errorf("pool OpsLen = %d exceeds %d", mid.OpsLen, bound)
+	}
+	if mid.MemoEntries > memoBound {
+		t.Errorf("pool MemoEntries = %d exceeds %d", mid.MemoEntries, memoBound)
 	}
 
 	// Final wave: overlap fresh requests with a drain.  Every request must

@@ -119,8 +119,9 @@ type BatchStats struct {
 	// sighting of its axiom set since startup or since LRU reclamation).
 	ColdEngine bool   `json:"cold_engine"`
 	AxiomSet   string `json:"axiom_set"`
-	// Engine-cumulative counters (across all requests sharing the axiom
-	// set), for observing warm-up without scraping /statz.
+	// Cumulative counters of the engine pool's shared proof memo and DFA
+	// cache (across all requests and axiom sets), for observing warm-up
+	// without scraping /statz.
 	MemoHits    int64 `json:"memo_hits"`
 	MemoLookups int64 `json:"memo_lookups"`
 	DFAHits     int64 `json:"dfa_hits"`
