@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test determinism race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check fuzzfarm-smoke aptc-smoke bench-build bench bench-json bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 clean
+.PHONY: check vet build test determinism race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check fuzzfarm-smoke aptc-smoke bench-build bench-pairs bench bench-json bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 clean
 
 check: vet build bench-build race bench lintsmoke serve-smoke cluster-smoke race-cluster obs-check fuzzfarm-smoke aptc-smoke determinism
 
@@ -94,7 +94,7 @@ obs-check:
 		./internal/telemetry ./internal/serve
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestWindowHistogram' ./internal/telemetry
 	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget' \
-		./internal/telemetry ./internal/engine
+		./internal/telemetry ./internal/engine ./internal/prover
 	$(GO) test -race -run 'TestDegradedCountersSplitByReason' ./internal/engine
 
 # Fixed-seed differential fuzzing smoke: generate scenario programs over all
@@ -119,6 +119,19 @@ aptc-smoke:
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# Interleaved base/change pairs of the repository benchmark: BASE's committed
+# files against the working tree, PAIRS runs each at RUN_SECONDS, alternating
+# which side runs first; prints each side's quartiles per end-to-end metric
+# and whether the nine-in-ten gain rule holds.  For a gain claim:
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=compile-cold PAIRS=10 RUN_SECONDS=10
+BASE ?= HEAD
+WORKLOAD ?= compile-cold
+PAIRS ?= 10
+RUN_SECONDS ?= 10
+SEED ?= 1
+bench-pairs:
+	bash scripts/benchpairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS) $(SEED)
 
 # The end-to-end benchmark (perfbench/) is a nested module, so the root's
 # vet and build never reach it.  Vet and build it against this tree's

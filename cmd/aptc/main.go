@@ -173,13 +173,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 func librarySnapshot(set *axiom.Set) *automata.Artifact {
 	cache := automata.NewSharedCache(0, 0, 0)
 	alpha := automata.NewAlphabet(set.Fields()...)
-	seen := map[uint64]bool{}
-	var exprs []pathexpr.Expr
+	seen := map[*pathexpr.Node]bool{}
+	var exprs []*pathexpr.Node
 	add := func(e pathexpr.Expr) {
-		id := pathexpr.InternID(e)
-		if !seen[id] {
-			seen[id] = true
-			exprs = append(exprs, e)
+		n := pathexpr.Intern(e)
+		if !seen[n] {
+			seen[n] = true
+			exprs = append(exprs, n)
 		}
 	}
 	add(pathexpr.Eps)

@@ -54,7 +54,8 @@ func TestLibraryModeRoundTrip(t *testing.T) {
 	}
 	// ε ⊆ ε over the library alphabet is among the precomputed pairs.
 	alpha := automata.NewAlphabet(art.Alphabets[0]...)
-	if ok, err := cache.Includes(pathexpr.Eps, pathexpr.Eps, alpha); err != nil || !ok {
+	eps := pathexpr.Intern(pathexpr.Eps)
+	if ok, err := cache.Includes(eps, eps, alpha); err != nil || !ok {
 		t.Errorf("Includes(ε, ε) = %v, %v on the preseeded cache", ok, err)
 	}
 	if st := cache.Stats(); st.Compiles != 0 {

@@ -600,7 +600,7 @@ func (a *analyzer) prescanLoopBody(lc *loopCtx, body *lang.Block) {
 // analyzer's DFA cache; any failure (e.g. state blowup) is treated as "not
 // included", which only loses precision.
 func (a *analyzer) includes(sub, sup pathexpr.Expr) bool {
-	ok, err := a.dfas.Includes(sub, sup, automata.AlphabetOf(sub, sup))
+	ok, err := a.dfas.Includes(pathexpr.Intern(sub), pathexpr.Intern(sup), automata.AlphabetOf(sub, sup))
 	return err == nil && ok
 }
 

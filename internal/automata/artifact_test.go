@@ -21,16 +21,16 @@ func artifactCache(t *testing.T) (*SharedCache, map[string]bool) {
 	exprs := sharedTestExprs()
 	answers := map[string]bool{}
 	for _, e := range exprs {
-		if _, err := c.DFA(e, alpha); err != nil {
+		if _, err := c.DFA(pathexpr.Intern(e), alpha); err != nil {
 			t.Fatalf("DFA(%v): %v", e, err)
 		}
 	}
 	for _, x := range exprs {
 		for _, y := range exprs {
 			for op, f := range map[string]func() (bool, error){
-				"i": func() (bool, error) { return c.Includes(x, y, alpha) },
-				"d": func() (bool, error) { return c.Disjoint(x, y, alpha) },
-				"e": func() (bool, error) { return c.Equivalent(x, y, alpha) },
+				"i": func() (bool, error) { return c.Includes(pathexpr.Intern(x), pathexpr.Intern(y), alpha) },
+				"d": func() (bool, error) { return c.Disjoint(pathexpr.Intern(x), pathexpr.Intern(y), alpha) },
+				"e": func() (bool, error) { return c.Equivalent(pathexpr.Intern(x), pathexpr.Intern(y), alpha) },
 			} {
 				v, err := f()
 				if err != nil {
@@ -113,9 +113,9 @@ func TestArtifactRoundTrip(t *testing.T) {
 	for _, x := range sharedTestExprs() {
 		for _, y := range sharedTestExprs() {
 			for op, f := range map[string]func() (bool, error){
-				"i": func() (bool, error) { return warm.Includes(x, y, alpha) },
-				"d": func() (bool, error) { return warm.Disjoint(x, y, alpha) },
-				"e": func() (bool, error) { return warm.Equivalent(x, y, alpha) },
+				"i": func() (bool, error) { return warm.Includes(pathexpr.Intern(x), pathexpr.Intern(y), alpha) },
+				"d": func() (bool, error) { return warm.Disjoint(pathexpr.Intern(x), pathexpr.Intern(y), alpha) },
+				"e": func() (bool, error) { return warm.Equivalent(pathexpr.Intern(x), pathexpr.Intern(y), alpha) },
 			} {
 				v, err := f()
 				if err != nil {
@@ -237,7 +237,7 @@ func TestPreseedSkipsUnknownExprs(t *testing.T) {
 	}
 	// The surviving entries answer; the skipped expression just compiles cold.
 	alpha := NewAlphabet("a")
-	if ok, err := c.Equivalent(pathexpr.MustParse("a"), pathexpr.MustParse("a"), alpha); err != nil || !ok {
+	if ok, err := c.Equivalent(node("a"), node("a"), alpha); err != nil || !ok {
 		t.Errorf("Equivalent(a, a) = %v, %v after preseed", ok, err)
 	}
 }
@@ -248,10 +248,10 @@ func TestPreseedSkipsUnknownExprs(t *testing.T) {
 func TestPreseedEmptyLanguage(t *testing.T) {
 	alpha := NewAlphabet("a")
 	c := NewSharedCache(0, 0, 0)
-	if _, err := c.DFA(pathexpr.Empty{}, alpha); err != nil {
+	if _, err := c.DFA(pathexpr.Intern(pathexpr.Empty{}), alpha); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Disjoint(pathexpr.Empty{}, pathexpr.MustParse("a"), alpha); err != nil {
+	if _, err := c.Disjoint(pathexpr.Intern(pathexpr.Empty{}), node("a"), alpha); err != nil {
 		t.Fatal(err)
 	}
 	art := c.Snapshot()
@@ -261,7 +261,7 @@ func TestPreseedEmptyLanguage(t *testing.T) {
 		t.Fatalf("Preseed inserted %d/%d DFAs, %d/%d ops; ∅ entries were dropped",
 			dfas, len(art.DFAs), ops, len(art.Ops))
 	}
-	if ok, err := warm.Disjoint(pathexpr.Empty{}, pathexpr.MustParse("a"), alpha); err != nil || !ok {
+	if ok, err := warm.Disjoint(pathexpr.Intern(pathexpr.Empty{}), node("a"), alpha); err != nil || !ok {
 		t.Errorf("Disjoint(∅, a) = %v, %v after preseed", ok, err)
 	}
 	if st := warm.Stats(); st.Compiles != 0 {

@@ -3,6 +3,7 @@ package automata
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/pathexpr"
 )
@@ -22,6 +23,18 @@ type DFA struct {
 	// trans[s*k+c] is the successor of state s on symbol c.
 	trans  []int32
 	accept []bool
+
+	// card memoizes Cardinality.  The DFA is frozen, so its language class
+	// is a constant, computed on first use — the prover's prefix check
+	// (case C) asks for it on every attempt, across every search sharing
+	// the automaton.
+	card atomic.Pointer[cardinality]
+}
+
+// cardinality is a memoized Cardinality answer.
+type cardinality struct {
+	class Cardinality
+	word  []string
 }
 
 // ErrStateLimit is returned by Compile — and by the budgeted product
@@ -320,8 +333,22 @@ func (c Cardinality) String() string {
 }
 
 // Cardinality returns the language-size class and, when the class is
-// CardOne, the unique word.
+// CardOne, the unique word.  The result is memoized on the DFA and safe to
+// ask for concurrently (racing first calls compute the same answer and
+// either store wins); the returned word is shared and must not be
+// modified.
 func (d *DFA) Cardinality() (Cardinality, []string) {
+	c := d.card.Load()
+	if c == nil {
+		c = new(cardinality)
+		c.class, c.word = d.computeCardinality()
+		d.card.Store(c)
+	}
+	return c.class, c.word
+}
+
+// computeCardinality computes Cardinality's answer.
+func (d *DFA) computeCardinality() (Cardinality, []string) {
 	k := d.alphabet.Size()
 	useful := d.usefulStates()
 	if !useful[0] {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -164,6 +165,27 @@ func TestCardinality(t *testing.T) {
 	}
 }
 
+// TestCardinalityConcurrent: DFAs are shared across provers, and the first
+// Cardinality calls on one may race; every caller must get the answer a
+// private compile gives.
+func TestCardinalityConcurrent(t *testing.T) {
+	for _, src := range []string{"a.b.a", "a|b", "a*"} {
+		shared := compile(t, src, "a", "b")
+		wantCard, wantWord := compile(t, src, "a", "b").Cardinality()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if card, word := shared.Cardinality(); card != wantCard || !reflect.DeepEqual(word, wantWord) {
+					t.Errorf("Cardinality(%q) = %v %v, want %v %v", src, card, word, wantCard, wantWord)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 func TestMaxWordLen(t *testing.T) {
 	if got := compile(t, "a.b.c").MaxWordLen(); got != 3 {
 		t.Errorf("MaxWordLen(abc) = %d", got)
@@ -226,11 +248,11 @@ func TestCacheReuses(t *testing.T) {
 	c := NewSharedCache(0, 1, 0)
 	a := NewAlphabet("x", "y")
 	e := pathexpr.MustParse("x.y*")
-	d1, err := c.DFA(e, a)
+	d1, err := c.DFA(pathexpr.Intern(e), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := c.DFA(pathexpr.MustParse("x.y*"), a)
+	d2, err := c.DFA(node("x.y*"), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,15 +262,15 @@ func TestCacheReuses(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("cache has %d entries, want 1", c.Len())
 	}
-	ok, err := c.Includes(pathexpr.MustParse("x"), pathexpr.MustParse("x.y*"), a)
+	ok, err := c.Includes(node("x"), node("x.y*"), a)
 	if err != nil || !ok {
 		t.Errorf("Includes: %v %v", ok, err)
 	}
-	ok, err = c.Disjoint(pathexpr.MustParse("x"), pathexpr.MustParse("y"), a)
+	ok, err = c.Disjoint(node("x"), node("y"), a)
 	if err != nil || !ok {
 		t.Errorf("Disjoint: %v %v", ok, err)
 	}
-	ok, err = c.Equivalent(pathexpr.MustParse("x.y*"), pathexpr.MustParse("x|x.y+"), a)
+	ok, err = c.Equivalent(node("x.y*"), node("x|x.y+"), a)
 	if err != nil || !ok {
 		t.Errorf("Equivalent: %v %v", ok, err)
 	}

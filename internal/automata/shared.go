@@ -140,19 +140,19 @@ func (c *SharedCache) shardAt(h uint64) *sharedShard {
 	return &c.shards[h%uint64(len(c.shards))]
 }
 
-// DFA returns the compiled DFA for e over alphabet a (minimized unless
-// SkipMinimize was called), compiling at most once per key in the steady
-// state.
-func (c *SharedCache) DFA(e pathexpr.Expr, a *Alphabet) (*DFA, error) {
-	return c.dfa(e, a, nil)
+// DFA returns the compiled DFA for the interned expression n over alphabet
+// a (minimized unless SkipMinimize was called), compiling at most once per
+// key in the steady state.  Callers holding a bare expression intern it at
+// their call site (pathexpr.Intern); the cache itself never re-hashes one.
+func (c *SharedCache) DFA(n *pathexpr.Node, a *Alphabet) (*DFA, error) {
+	return c.dfa(n, a, nil)
 }
 
 // dfa is DFA that also adds one to *compiles (when non-nil) if this call
 // ran the subset construction itself.
-func (c *SharedCache) dfa(e pathexpr.Expr, a *Alphabet, compiles *int) (*DFA, error) {
+func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, compiles *int) (*DFA, error) {
 	c.lookups.Add(1)
 	c.cLookups.Add(1)
-	n := pathexpr.Intern(e)
 	key := dfaKey{alpha: a.ID(), expr: n.ID()}
 	sh := c.shardAt(pathexpr.Mix64(pathexpr.Mix64(pathexpr.MixInit, key.alpha), key.expr))
 	sh.mu.RLock()
@@ -169,7 +169,7 @@ func (c *SharedCache) dfa(e pathexpr.Expr, a *Alphabet, compiles *int) (*DFA, er
 	if timed {
 		t0 = time.Now()
 	}
-	d, err := CompileLimit(e, a, c.limit)
+	d, err := CompileLimit(n.Expr(), a, c.limit)
 	if err != nil {
 		c.limitFails.Add(1)
 		c.cLimitFails.Add(1)
@@ -262,15 +262,17 @@ const (
 )
 
 // decide answers a binary language decision through the per-shard decision
-// memo, adding the DFA compiles it ran to *compiles (when non-nil).
+// memo, adding the DFA compiles it ran to *compiles (when non-nil).  The key
+// is the operands' interned IDs, so a warm decision hashes four integers
+// and probes one map: no expression is walked, rendered, or interned.
 // Compiled DFAs are deterministic, so the boolean answer for an (op,
 // alphabet, x, y) key never changes; product constructions (complement,
 // intersection, emptiness) dominate the prover's direct checks once the DFAs
 // themselves are cached, and the same decisions recur across the goals of a
 // batch.
-func (c *SharedCache) decide(op byte, x, y pathexpr.Expr, a *Alphabet, compiles *int) (bool, error) {
+func (c *SharedCache) decide(op byte, x, y *pathexpr.Node, a *Alphabet, compiles *int) (bool, error) {
 	c.cDecisions.Add(1)
-	key := opsKey{op: op, alpha: a.ID(), x: pathexpr.InternID(x), y: pathexpr.InternID(y)}
+	key := opsKey{op: op, alpha: a.ID(), x: x.ID(), y: y.ID()}
 	h := pathexpr.Mix64(pathexpr.Mix64(pathexpr.Mix64(pathexpr.Mix64(pathexpr.MixInit, uint64(key.op)), key.alpha), key.x), key.y)
 	sh := c.shardAt(h)
 	sh.mu.RLock()
@@ -325,19 +327,19 @@ func (c *SharedCache) decide(op byte, x, y pathexpr.Expr, a *Alphabet, compiles 
 
 // Includes reports L(sub) ⊆ L(sup) over alphabet a, under the cache's
 // product-state budget.
-func (c *SharedCache) Includes(sub, sup pathexpr.Expr, a *Alphabet) (bool, error) {
+func (c *SharedCache) Includes(sub, sup *pathexpr.Node, a *Alphabet) (bool, error) {
 	return c.decide(opIncludes, sub, sup, a, nil)
 }
 
 // Disjoint reports L(x) ∩ L(y) = ∅ over alphabet a, under the cache's
 // product-state budget.
-func (c *SharedCache) Disjoint(x, y pathexpr.Expr, a *Alphabet) (bool, error) {
+func (c *SharedCache) Disjoint(x, y *pathexpr.Node, a *Alphabet) (bool, error) {
 	return c.decide(opDisjoint, x, y, a, nil)
 }
 
 // Equivalent reports L(x) = L(y) over alphabet a, under the cache's
 // product-state budget.
-func (c *SharedCache) Equivalent(x, y pathexpr.Expr, a *Alphabet) (bool, error) {
+func (c *SharedCache) Equivalent(x, y *pathexpr.Node, a *Alphabet) (bool, error) {
 	return c.decide(opEquivalent, x, y, a, nil)
 }
 
@@ -355,17 +357,17 @@ type Account struct {
 func (c *SharedCache) Account() Account { return Account{c: c} }
 
 // DFA is SharedCache.DFA, charging a compile to the account.
-func (ac *Account) DFA(e pathexpr.Expr, a *Alphabet) (*DFA, error) {
-	return ac.c.dfa(e, a, &ac.Compiles)
+func (ac *Account) DFA(n *pathexpr.Node, a *Alphabet) (*DFA, error) {
+	return ac.c.dfa(n, a, &ac.Compiles)
 }
 
 // Includes is SharedCache.Includes, charging its compiles to the account.
-func (ac *Account) Includes(sub, sup pathexpr.Expr, a *Alphabet) (bool, error) {
+func (ac *Account) Includes(sub, sup *pathexpr.Node, a *Alphabet) (bool, error) {
 	return ac.c.decide(opIncludes, sub, sup, a, &ac.Compiles)
 }
 
 // Equivalent is SharedCache.Equivalent, charging its compiles to the
 // account.
-func (ac *Account) Equivalent(x, y pathexpr.Expr, a *Alphabet) (bool, error) {
+func (ac *Account) Equivalent(x, y *pathexpr.Node, a *Alphabet) (bool, error) {
 	return ac.c.decide(opEquivalent, x, y, a, &ac.Compiles)
 }

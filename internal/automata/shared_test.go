@@ -32,9 +32,9 @@ func TestSharedCacheMatchesUncachedDFA(t *testing.T) {
 				cached func() (bool, error)
 				want   bool
 			}{
-				{"Includes", func() (bool, error) { return c.Includes(x, y, alpha) }, dx.Includes(dy)},
-				{"Disjoint", func() (bool, error) { return c.Disjoint(x, y, alpha) }, dx.Intersect(dy).IsEmpty()},
-				{"Equivalent", func() (bool, error) { return c.Equivalent(x, y, alpha) }, dx.Equivalent(dy)},
+				{"Includes", func() (bool, error) { return c.Includes(pathexpr.Intern(x), pathexpr.Intern(y), alpha) }, dx.Includes(dy)},
+				{"Disjoint", func() (bool, error) { return c.Disjoint(pathexpr.Intern(x), pathexpr.Intern(y), alpha) }, dx.Intersect(dy).IsEmpty()},
+				{"Equivalent", func() (bool, error) { return c.Equivalent(pathexpr.Intern(x), pathexpr.Intern(y), alpha) }, dx.Equivalent(dy)},
 			} {
 				for pass := 0; pass < 2; pass++ {
 					got, err := tc.cached()
@@ -64,14 +64,14 @@ func TestSharedCacheConcurrentLookups(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
 				for _, e := range exprs {
-					d, err := c.DFA(e, alpha)
+					d, err := c.DFA(pathexpr.Intern(e), alpha)
 					if err != nil || d == nil {
 						errs <- fmt.Errorf("DFA(%v): %v", e, err)
 						return
 					}
 				}
 			}
-			ok, err := c.Disjoint(pathexpr.MustParse("L"), pathexpr.MustParse("R"), alpha)
+			ok, err := c.Disjoint(node("L"), node("R"), alpha)
 			if err != nil || !ok {
 				errs <- fmt.Errorf("Disjoint(L,R) = %v, %v", ok, err)
 			}
@@ -106,7 +106,7 @@ func TestSharedCacheEpochEviction(t *testing.T) {
 	c := NewSharedCache(0, 1, 4) // one shard, four entries
 	exprs := sharedTestExprs()
 	for _, e := range exprs {
-		if _, err := c.DFA(e, alpha); err != nil {
+		if _, err := c.DFA(pathexpr.Intern(e), alpha); err != nil {
 			t.Fatalf("DFA(%v): %v", e, err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestSharedCacheEpochEviction(t *testing.T) {
 		t.Errorf("Len() = %d, want <= the per-shard cap of 4", got)
 	}
 	// Evicted entries must simply recompile, not fail.
-	if ok, err := c.Disjoint(pathexpr.MustParse("L"), pathexpr.MustParse("R"), alpha); err != nil || !ok {
+	if ok, err := c.Disjoint(node("L"), node("R"), alpha); err != nil || !ok {
 		t.Errorf("Disjoint(L,R) after eviction = %v, %v", ok, err)
 	}
 }
@@ -128,7 +128,7 @@ func TestSharedCacheStateLimit(t *testing.T) {
 	alpha := NewAlphabet("L", "R", "N")
 	c := NewSharedCache(1, 0, 0)
 	big := pathexpr.MustParse("(L|R).(L|R).(L|R).(L|R)")
-	if _, err := c.DFA(big, alpha); err == nil {
+	if _, err := c.DFA(pathexpr.Intern(big), alpha); err == nil {
 		t.Fatal("want a state-limit error from a 1-state limit")
 	}
 	if st := c.Stats(); st.LimitFailures == 0 {
@@ -151,13 +151,13 @@ func TestSharedCacheOpsMemoBounded(t *testing.T) {
 	exprs := sharedTestExprs()
 	for _, x := range exprs {
 		for _, y := range exprs {
-			if _, err := c.Includes(x, y, alpha); err != nil {
+			if _, err := c.Includes(pathexpr.Intern(x), pathexpr.Intern(y), alpha); err != nil {
 				t.Fatalf("Includes(%v, %v): %v", x, y, err)
 			}
-			if _, err := c.Disjoint(x, y, alpha); err != nil {
+			if _, err := c.Disjoint(pathexpr.Intern(x), pathexpr.Intern(y), alpha); err != nil {
 				t.Fatalf("Disjoint(%v, %v): %v", x, y, err)
 			}
-			if _, err := c.Equivalent(x, y, alpha); err != nil {
+			if _, err := c.Equivalent(pathexpr.Intern(x), pathexpr.Intern(y), alpha); err != nil {
 				t.Fatalf("Equivalent(%v, %v): %v", x, y, err)
 			}
 		}
@@ -175,14 +175,14 @@ func TestSharedCacheOpsMemoBounded(t *testing.T) {
 		t.Error("DFAEvictions() = 0 after compiling every expression into a 4-entry shard")
 	}
 	// Evicted decisions recompute to the same answers.
-	if ok, err := c.Disjoint(pathexpr.MustParse("L"), pathexpr.MustParse("R"), alpha); err != nil || !ok {
+	if ok, err := c.Disjoint(node("L"), node("R"), alpha); err != nil || !ok {
 		t.Errorf("Disjoint(L,R) after ops eviction = %v, %v", ok, err)
 	}
 	// An unbounded cache (cap 0) never evicts, whatever its size.
 	u := NewSharedCache(0, 1, 0)
 	for _, x := range exprs {
 		for _, y := range exprs {
-			if _, err := u.Includes(x, y, alpha); err != nil {
+			if _, err := u.Includes(pathexpr.Intern(x), pathexpr.Intern(y), alpha); err != nil {
 				t.Fatalf("Includes(%v, %v): %v", x, y, err)
 			}
 		}
@@ -191,3 +191,6 @@ func TestSharedCacheOpsMemoBounded(t *testing.T) {
 		t.Errorf("unbounded cache evicted %d entries", n)
 	}
 }
+
+// node parses and interns src, the form every cache lookup takes.
+func node(src string) *pathexpr.Node { return pathexpr.Intern(pathexpr.MustParse(src)) }

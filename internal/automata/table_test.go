@@ -99,7 +99,7 @@ func TestIntersectStateBudget(t *testing.T) {
 // under a roomier cache succeeds.
 func TestStateBudgetDegradesThroughCaches(t *testing.T) {
 	alpha := NewAlphabet("a")
-	x, y := modExpr(t, 5), modExpr(t, 7)
+	x, y := pathexpr.Intern(modExpr(t, 5)), pathexpr.Intern(modExpr(t, 7))
 
 	tight := NewSharedCache(16, 0, 0)
 	if v, err := tight.Disjoint(x, y, alpha); err == nil {

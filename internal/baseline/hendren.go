@@ -74,11 +74,11 @@ func (h *HendrenNicolau) DepTest(q core.Query) core.Result {
 	}
 
 	alpha := alphabetFor(h.axioms, x, y)
-	dx, err := h.dfas.DFA(x, alpha)
+	dx, err := h.dfas.DFA(pathexpr.Intern(x), alpha)
 	if err != nil {
 		return core.Maybe
 	}
-	dy, err := h.dfas.DFA(y, alpha)
+	dy, err := h.dfas.DFA(pathexpr.Intern(y), alpha)
 	if err != nil {
 		return core.Maybe
 	}

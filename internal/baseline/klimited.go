@@ -60,11 +60,11 @@ func (k *KLimited) DepTest(q core.Query) core.Result {
 
 	x, y := pathexpr.Simplify(q.S.Path), pathexpr.Simplify(q.T.Path)
 	alpha := alphabetFor(k.axioms, x, y)
-	dx, err := k.dfas.DFA(x, alpha)
+	dx, err := k.dfas.DFA(pathexpr.Intern(x), alpha)
 	if err != nil {
 		return core.Maybe
 	}
-	dy, err := k.dfas.DFA(y, alpha)
+	dy, err := k.dfas.DFA(pathexpr.Intern(y), alpha)
 	if err != nil {
 		return core.Maybe
 	}

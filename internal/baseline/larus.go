@@ -75,11 +75,11 @@ func (l *LarusHilfinger) DepTest(q core.Query) core.Result {
 	}
 
 	alpha := alphabetFor(l.axioms, x, y)
-	dx, err := l.dfas.DFA(x, alpha)
+	dx, err := l.dfas.DFA(pathexpr.Intern(x), alpha)
 	if err != nil {
 		return core.Maybe
 	}
-	dy, err := l.dfas.DFA(y, alpha)
+	dy, err := l.dfas.DFA(pathexpr.Intern(y), alpha)
 	if err != nil {
 		return core.Maybe
 	}

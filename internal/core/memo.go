@@ -33,19 +33,20 @@ type GoalKey struct {
 
 // CanonicalGoalKey returns the canonical identity of the goal ⟨form, x, y⟩.
 func CanonicalGoalKey(form prover.Form, x, y pathexpr.Expr) GoalKey {
-	k, _ := orient(form, x, y)
+	k, _, _ := orient(form, x, y)
 	return k
 }
 
-// orient returns the goal's key and whether ⟨x, y⟩ is the reverse of its
-// canonical orientation.
-func orient(form prover.Form, x, y pathexpr.Expr) (GoalKey, bool) {
-	a := pathexpr.Intern(x).Simplified()
-	b := pathexpr.Intern(y).Simplified()
+// orient returns the goal's key and its interned operands in canonical
+// orientation — the nodes the prover searches from, so the operands are
+// interned once per memo lookup.
+func orient(form prover.Form, x, y pathexpr.Expr) (key GoalKey, xn, yn *pathexpr.Node) {
+	xn, yn = pathexpr.Intern(x), pathexpr.Intern(y)
+	a, b := xn.Simplified(), yn.Simplified()
 	if b.String() < a.String() {
-		return GoalKey{Form: form, A: b.ID(), B: a.ID()}, true
+		return GoalKey{Form: form, A: b.ID(), B: a.ID()}, yn, xn
 	}
-	return GoalKey{Form: form, A: a.ID(), B: b.ID()}, false
+	return GoalKey{Form: form, A: a.ID(), B: b.ID()}, xn, yn
 }
 
 // DefaultMemoShards is the shard count used when NewMemo is given a
@@ -161,10 +162,7 @@ func (m *Memo) shardFor(key memoKey) *memoShard {
 // result.
 func (m *Memo) Prove(prv *prover.Prover, axiomID uint64, form prover.Form, x, y pathexpr.Expr) *prover.Proof {
 	m.lookups.Add(1)
-	goal, swap := orient(form, x, y)
-	if swap {
-		x, y = y, x
-	}
+	goal, xn, yn := orient(form, x, y)
 	key := memoKey{ax: axiomID, goal: goal}
 	sh := m.shardFor(key)
 
@@ -183,7 +181,7 @@ func (m *Memo) Prove(prv *prover.Prover, axiomID uint64, form prover.Form, x, y 
 		// deadline.  Search privately rather than inheriting the artifact.
 		m.misses.Add(1)
 		m.cMisses.Add(1)
-		return prv.Prove(form, x, y)
+		return prv.ProveNodes(form, xn, yn)
 	}
 	e := &memoEntry{done: make(chan struct{})}
 	if m.perShard > 0 && len(sh.m) >= m.perShard {
@@ -219,7 +217,7 @@ func (m *Memo) Prove(prv *prover.Prover, axiomID uint64, form prover.Form, x, y 
 		}
 		close(e.done)
 	}()
-	e.proof = prv.Prove(form, x, y)
+	e.proof = prv.ProveNodes(form, xn, yn)
 	return e.proof
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/core"
+	"repro/internal/pathexpr"
 	"repro/internal/prover"
 )
 
@@ -16,24 +17,42 @@ import (
 // allocations of its own (`make race` runs the whole tree with -race).
 func TestWarmHitAllocationBudget(t *testing.T) {
 	x, y, a := benchInternExprs()
+	xn, yn := pathexpr.Intern(x), pathexpr.Intern(y)
 
 	c := automata.NewSharedCache(0, 0, 0)
-	if _, err := c.Disjoint(x, y, a); err != nil {
+	if _, err := c.Disjoint(xn, yn, a); err != nil {
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(200, func() {
-		if _, err := c.DFA(x, a); err != nil {
+		if _, err := c.DFA(xn, a); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 0 {
 		t.Errorf("warm SharedCache.DFA hit allocates %.1f per call, want 0", got)
 	}
 	if got := testing.AllocsPerRun(200, func() {
-		if _, err := c.Disjoint(x, y, a); err != nil {
+		if _, err := c.Disjoint(xn, yn, a); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 0 {
 		t.Errorf("warm SharedCache ops-memo hit allocates %.1f per call, want 0", got)
+	}
+
+	// The prover's decision path: a per-search account over the shared
+	// cache, deciding a memoized node pair.
+	ac := c.Account()
+	if _, err := ac.Includes(xn, yn, a); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := ac.Includes(xn, yn, a); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 0 {
+		t.Errorf("warm Account.Includes hit allocates %.1f per call, want 0", got)
+	}
+	if ac.Compiles != 0 {
+		t.Errorf("account charged %d compiles over DFAs the cache already held", ac.Compiles)
 	}
 
 	m := core.NewMemo(0, 0, nil)

@@ -26,14 +26,15 @@ func benchInternExprs() (x, y pathexpr.Expr, a *automata.Alphabet) {
 
 func BenchmarkSharedCacheDFAHit(b *testing.B) {
 	x, _, a := benchInternExprs()
+	xn := pathexpr.Intern(x)
 	c := automata.NewSharedCache(0, 0, 0)
-	if _, err := c.DFA(x, a); err != nil {
+	if _, err := c.DFA(xn, a); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DFA(x, a); err != nil {
+		if _, err := c.DFA(xn, a); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,14 +42,15 @@ func BenchmarkSharedCacheDFAHit(b *testing.B) {
 
 func BenchmarkSharedCacheOpsHit(b *testing.B) {
 	x, y, a := benchInternExprs()
+	xn, yn := pathexpr.Intern(x), pathexpr.Intern(y)
 	c := automata.NewSharedCache(0, 0, 0)
-	if _, err := c.Disjoint(x, y, a); err != nil {
+	if _, err := c.Disjoint(xn, yn, a); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Disjoint(x, y, a); err != nil {
+		if _, err := c.Disjoint(xn, yn, a); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/axiom"
+	"repro/internal/pathexpr"
 	"repro/internal/prover"
 )
 
@@ -70,8 +71,8 @@ func CheckSet(set *axiom.Set) []Diagnostic {
 		} else {
 			seen[fp] = a.Name
 		}
-		d1, err1 := cache.DFA(a.RE1, alpha)
-		d2, err2 := cache.DFA(a.RE2, alpha)
+		d1, err1 := cache.DFA(pathexpr.Intern(a.RE1), alpha)
+		d2, err2 := cache.DFA(pathexpr.Intern(a.RE2), alpha)
 		if err1 != nil || err2 != nil {
 			report(Warning, "axiom %s: path expression too large to compile; consistency not checked", a.Name)
 			continue

@@ -33,7 +33,7 @@ func (p *Prover) CheckProof(pf *Proof) error {
 		},
 		verified: make(map[proofKey]bool),
 	}
-	return c.check(pf.Root, nil)
+	return c.check(pf.Root, hyps{})
 }
 
 func collectFields(st *Step) []string {
@@ -60,12 +60,12 @@ func (c *checker) fail(st *Step, format string, args ...any) error {
 	return fmt.Errorf("checkproof: %s at %s: %s", st.Rule, st.GoalString(), fmt.Sprintf(format, args...))
 }
 
-func (c *checker) check(st *Step, lems []lemma) error {
+func (c *checker) check(st *Step, lems hyps) error {
 	if st == nil {
 		return fmt.Errorf("checkproof: missing derivation")
 	}
 	g := stepGoal(st)
-	key := proofKey{goal: g.key(), lems: lemmaKey(lems)}
+	key := proofKey{goal: g.key(), lems: lems.key}
 	if c.verified[key] {
 		return nil
 	}
@@ -89,7 +89,7 @@ func (c *checker) check(st *Step, lems []lemma) error {
 		}
 
 	case RuleAxiom:
-		name, err := c.run.direct(g.form, cx, cy, lems, g.size())
+		name, err := c.run.direct(g.form, g.xn, g.yn, lems.list, g.size())
 		if err != nil {
 			return c.fail(st, "inclusion test failed: %v", err)
 		}
@@ -102,29 +102,32 @@ func (c *checker) check(st *Step, lems []lemma) error {
 		if i < 0 || j < 0 || i > len(cx) || j > len(cy) || i+j < 1 {
 			return c.fail(st, "invalid suffix split (%d, %d)", i, j)
 		}
-		sp, sq := cx[len(cx)-i:], cy[len(cy)-j:]
+		spc, sqc := cx[len(cx)-i:], cy[len(cy)-j:]
 		pp, pq := cx[:len(cx)-i], cy[:len(cy)-j]
+		kx, ky := newCuts(cx, g.xn), newCuts(cy, g.yn)
+		sp, sq := kx.suffix(i), ky.suffix(j)
+		size := sliceSize(spc) + sliceSize(sqc)
 		switch st.Rule {
 		case RuleSuffixAB:
-			if name, err := c.run.direct(SameSrc, sp, sq, lems, sliceSize(sp)+sliceSize(sq)); err != nil || name == "" {
-				return c.fail(st, "T1 not derivable for suffixes (%s | %s)", exprOrEps(sp), exprOrEps(sq))
+			if name, err := c.run.direct(SameSrc, sp, sq, lems.list, size); err != nil || name == "" {
+				return c.fail(st, "T1 not derivable for suffixes (%s | %s)", exprOrEps(spc), exprOrEps(sqc))
 			}
-			if name, err := c.run.direct(DiffSrc, sp, sq, lems, sliceSize(sp)+sliceSize(sq)); err != nil || name == "" {
-				return c.fail(st, "T2 not derivable for suffixes (%s | %s)", exprOrEps(sp), exprOrEps(sq))
+			if name, err := c.run.direct(DiffSrc, sp, sq, lems.list, size); err != nil || name == "" {
+				return c.fail(st, "T2 not derivable for suffixes (%s | %s)", exprOrEps(spc), exprOrEps(sqc))
 			}
 		case RuleCaseC:
 			if g.form != SameSrc {
 				return c.fail(st, "case C requires a same-anchor goal")
 			}
-			if name, err := c.run.direct(SameSrc, sp, sq, lems, sliceSize(sp)+sliceSize(sq)); err != nil || name == "" {
+			if name, err := c.run.direct(SameSrc, sp, sq, lems.list, size); err != nil || name == "" {
 				return c.fail(st, "T1 not derivable")
 			}
-			eq, err := c.run.prefixesEqual(pp, pq)
+			eq, err := c.run.prefixesEqual(kx, ky, len(pp), len(pq))
 			if err != nil || !eq {
 				return c.fail(st, "prefixes %s and %s not provably equal", exprOrEps(pp), exprOrEps(pq))
 			}
 		case RuleCaseD:
-			if name, err := c.run.direct(DiffSrc, sp, sq, lems, sliceSize(sp)+sliceSize(sq)); err != nil || name == "" {
+			if name, err := c.run.direct(DiffSrc, sp, sq, lems.list, size); err != nil || name == "" {
 				return c.fail(st, "T2 not derivable")
 			}
 			if len(st.Children) != 1 {
@@ -228,7 +231,7 @@ func (c *checker) check(st *Step, lems []lemma) error {
 // checkInduction re-derives the paper's Kleene induction schema from the
 // goal shape and validates the subproofs, admitting the induction
 // hypothesis only in the step case and only under its size guard.
-func (c *checker) checkInduction(st *Step, g goal, lems []lemma, key proofKey) error {
+func (c *checker) checkInduction(st *Step, g goal, lems hyps, key proofKey) error {
 	cx, cy := g.x, g.y
 	xp, xok := trailingPlus(cx)
 	yp, yok := trailingPlus(cy)
@@ -250,11 +253,11 @@ func (c *checker) checkInduction(st *Step, g goal, lems []lemma, key proofKey) e
 			}
 		}
 		stepX, stepY := appendComp(cx, a), appendComp(cy, b)
-		ih := lemma{form: g.form, re1: expr(cx), re2: expr(cy), maxSize: sliceSize(stepX) + sliceSize(stepY)}
+		ih := lemma{form: g.form, re1: g.xn, re2: g.yn, maxSize: sliceSize(stepX) + sliceSize(stepY)}
 		if err := c.expectGoal(st.Children[3], newGoal(g.form, stepX, stepY)); err != nil {
 			return err
 		}
-		if err := c.check(st.Children[3], append(append([]lemma{}, lems...), ih)); err != nil {
+		if err := c.check(st.Children[3], lems.with(ih)); err != nil {
 			return err
 		}
 		c.verified[key] = true
@@ -268,13 +271,13 @@ func (c *checker) checkInduction(st *Step, g goal, lems []lemma, key proofKey) e
 			base = newGoal(g.form, appendComp(u, a), cy)
 			stepX := appendComp(cx, a)
 			stepGoalWant = newGoal(g.form, stepX, cy)
-			ih = lemma{form: g.form, re1: expr(cx), re2: expr(cy), maxSize: sliceSize(stepX) + sliceSize(cy)}
+			ih = lemma{form: g.form, re1: g.xn, re2: g.yn, maxSize: sliceSize(stepX) + sliceSize(cy)}
 		} else {
 			v, b := cy[:len(cy)-1], yp.Inner
 			base = newGoal(g.form, cx, appendComp(v, b))
 			stepY := appendComp(cy, b)
 			stepGoalWant = newGoal(g.form, cx, stepY)
-			ih = lemma{form: g.form, re1: expr(cx), re2: expr(cy), maxSize: sliceSize(cx) + sliceSize(stepY)}
+			ih = lemma{form: g.form, re1: g.xn, re2: g.yn, maxSize: sliceSize(cx) + sliceSize(stepY)}
 		}
 		if err := c.expectGoal(st.Children[0], base); err != nil {
 			return err
@@ -285,7 +288,7 @@ func (c *checker) checkInduction(st *Step, g goal, lems []lemma, key proofKey) e
 		if err := c.expectGoal(st.Children[1], stepGoalWant); err != nil {
 			return err
 		}
-		if err := c.check(st.Children[1], append(append([]lemma{}, lems...), ih)); err != nil {
+		if err := c.check(st.Children[1], lems.with(ih)); err != nil {
 			return err
 		}
 		c.verified[key] = true
@@ -307,7 +310,7 @@ func (c *checker) expectGoal(child *Step, want goal) error {
 }
 
 // finish validates a delegated child and marks the parent verified.
-func (c *checker) finish(parentKey proofKey, child *Step, lems []lemma) error {
+func (c *checker) finish(parentKey proofKey, child *Step, lems hyps) error {
 	if err := c.check(child, lems); err != nil {
 		return err
 	}

@@ -43,15 +43,38 @@ func (f Form) String() string {
 }
 
 // goal is a normalized disjointness obligation over component sequences.
+// Each side carries the interned node of its concatenation (xn, yn): the
+// proof cache, the language-decision memo and the DFA cache all key on node
+// IDs, so a side is interned once, when its goal is built, and never
+// reassembled or re-hashed after that.
 type goal struct {
-	form Form
-	x, y []pathexpr.Expr
+	form   Form
+	x, y   []pathexpr.Expr
+	xn, yn *pathexpr.Node
 }
 
-// newGoal normalizes the component sequences: each component is simplified,
-// ε components are dropped, and nested concatenations are spliced.
+// newGoal normalizes the component sequences — each component is
+// simplified, ε components are dropped, and nested concatenations are
+// spliced — and interns both sides.
 func newGoal(form Form, x, y []pathexpr.Expr) goal {
-	return goal{form: form, x: normalize(x), y: normalize(y)}
+	x, y = normalize(x), normalize(y)
+	return goal{form: form, x: x, y: y, xn: intern(x), yn: intern(y)}
+}
+
+// rootGoal is the goal of a top-level query over already-simplified
+// interned sides (see Prover.ProveNodes).  The sides' components are
+// normalized as newGoal would; the carried nodes are the arguments
+// themselves, which the interner's identity invariant makes equal to
+// interning the normalized components (TestGoalNodesMatchComponents pins
+// this).
+func rootGoal(form Form, x, y *pathexpr.Node) goal {
+	return goal{
+		form: form,
+		x:    normalize(pathexpr.Components(x.Expr())),
+		y:    normalize(pathexpr.Components(y.Expr())),
+		xn:   x,
+		yn:   y,
+	}
 }
 
 func normalize(comps []pathexpr.Expr) []pathexpr.Expr {
@@ -75,17 +98,35 @@ func expr(comps []pathexpr.Expr) pathexpr.Expr {
 	return pathexpr.FromComponents(comps)
 }
 
+// intern returns the interned node of a component sequence's
+// concatenation.
+func intern(comps []pathexpr.Expr) *pathexpr.Node {
+	return pathexpr.Intern(expr(comps))
+}
+
+// epsNode is the interned ε: the empty suffix or prefix of a side.
+var epsNode = pathexpr.Intern(pathexpr.Eps)
+
+// wordOf returns the word a normalized component sequence spells when
+// every component is a single field — pathexpr.Word of its concatenation,
+// without reassembling it.
+func wordOf(comps []pathexpr.Expr) ([]string, bool) {
+	for _, c := range comps {
+		if _, ok := c.(pathexpr.Field); !ok {
+			return nil, false
+		}
+	}
+	w := make([]string, len(comps))
+	for i, c := range comps {
+		w[i] = c.(pathexpr.Field).Name
+	}
+	return w, true
+}
+
 // size is the structural measure of a goal used to guard induction
 // hypotheses: the total pathexpr.Size of both sides.
 func (g goal) size() int {
-	n := 0
-	for _, c := range g.x {
-		n += c.Size()
-	}
-	for _, c := range g.y {
-		n += c.Size()
-	}
-	return n
+	return sliceSize(g.x) + sliceSize(g.y)
 }
 
 func (g goal) String() string {
@@ -97,23 +138,65 @@ func (g goal) String() string {
 }
 
 // goalKey is the canonical cache identity of a goal: its form plus the
-// interned IDs of the reassembled sides.  Interned IDs biject with the
-// canonical renderings the old string key concatenated, so the cache's
-// equality classes — and therefore its hit pattern, and therefore the proof
-// trees it reproduces — are unchanged; only the per-lookup rendering and
-// concatenation are gone.
+// interned IDs of its sides.  Interned IDs biject with the canonical
+// renderings the old string key concatenated, so the cache's equality
+// classes — and therefore its hit pattern, and therefore the proof trees it
+// reproduces — are unchanged.
 type goalKey struct {
 	form Form
 	x, y uint64
 }
 
-// key returns the canonical cache key of the goal.
+// key returns the canonical cache key of the goal: two loads from the
+// carried nodes, no reassembly, no interning.
 func (g goal) key() goalKey {
-	return goalKey{
-		form: g.form,
-		x:    pathexpr.InternID(expr(g.x)),
-		y:    pathexpr.InternID(expr(g.y)),
+	return goalKey{form: g.form, x: g.xn.ID(), y: g.yn.ID()}
+}
+
+// cuts holds the interned suffixes and prefixes of one goal side for the
+// suffix-split search and the rules after it.  Each is interned on first
+// use and at most once per goal; the empty cut is ε and the full cut is the
+// side's own node.
+type cuts struct {
+	comps []pathexpr.Expr
+	whole *pathexpr.Node
+	suf   []*pathexpr.Node // suf[i]: the last i components
+	pre   []*pathexpr.Node // pre[k]: the first k components
+}
+
+func newCuts(comps []pathexpr.Expr, whole *pathexpr.Node) *cuts {
+	n := len(comps)
+	nodes := make([]*pathexpr.Node, 2*(n+1))
+	return &cuts{comps: comps, whole: whole, suf: nodes[:n+1], pre: nodes[n+1:]}
+}
+
+// suffix returns the node of the last i components.
+func (c *cuts) suffix(i int) *pathexpr.Node {
+	n := len(c.comps)
+	switch i {
+	case 0:
+		return epsNode
+	case n:
+		return c.whole
 	}
+	if c.suf[i] == nil {
+		c.suf[i] = intern(c.comps[n-i:])
+	}
+	return c.suf[i]
+}
+
+// prefix returns the node of the first k components.
+func (c *cuts) prefix(k int) *pathexpr.Node {
+	switch k {
+	case 0:
+		return epsNode
+	case len(c.comps):
+		return c.whole
+	}
+	if c.pre[k] == nil {
+		c.pre[k] = intern(c.comps[:k])
+	}
+	return c.pre[k]
 }
 
 // lemma is an induction hypothesis: a disjointness fact assumed during the
@@ -122,10 +205,9 @@ func (g goal) key() goalKey {
 // is the well-founded guard that keeps the induction from discharging
 // itself.
 type lemma struct {
-	form    Form
-	re1     pathexpr.Expr
-	re2     pathexpr.Expr
-	maxSize int
+	form     Form
+	re1, re2 *pathexpr.Node
+	maxSize  int
 }
 
 func (l lemma) String() string {
@@ -141,6 +223,21 @@ func (l lemma) String() string {
 	b.WriteString(l.re2.String())
 	b.WriteString("]")
 	return b.String()
+}
+
+// hyps is the list of induction hypotheses in scope together with its
+// cache fingerprint (lemmaKey).  The fingerprint is computed once, when an
+// induction pushes a hypothesis, so building a proof-cache key under
+// hypotheses costs no more than building one without.
+type hyps struct {
+	list []lemma
+	key  string
+}
+
+// with returns h extended by l, leaving h itself untouched.
+func (h hyps) with(l lemma) hyps {
+	list := append(append(make([]lemma, 0, len(h.list)+1), h.list...), l)
+	return hyps{list: list, key: lemmaKey(list)}
 }
 
 // lemmaFP is one lemma's cache identity: its form and the interned IDs of
@@ -162,7 +259,7 @@ func lemmaKey(lems []lemma) string {
 	}
 	fps := make([]lemmaFP, len(lems))
 	for i, l := range lems {
-		fps[i] = lemmaFP{form: l.form, re1: pathexpr.InternID(l.re1), re2: pathexpr.InternID(l.re2)}
+		fps[i] = lemmaFP{form: l.form, re1: l.re1.ID(), re2: l.re2.ID()}
 	}
 	sort.Slice(fps, func(i, j int) bool {
 		a, b := fps[i], fps[j]

@@ -2,6 +2,7 @@ package prover
 
 import (
 	"errors"
+	"strings"
 	"time"
 
 	"repro/internal/automata"
@@ -67,6 +68,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// testGoalHook, when non-nil, sees every goal the search enters (with nil
+// cuts) and, after its rules ran, the cuts they interned.  Tests use it to
+// pin the carried nodes to the components they stand for.
+var testGoalHook func(g goal, cx, cy *cuts)
+
 // errBudget aborts a search that exceeded its resource budget.
 var errBudget = errors.New("prover: resource budget exhausted")
 
@@ -91,6 +97,10 @@ type Prover struct {
 	axioms *axiom.Set
 	opts   Options
 	dfas   *automata.SharedCache
+	// disjoint holds the disjointness axioms of each goal form (indexed by
+	// Form) with their sides interned, built by the first search (see
+	// disjointAxioms).
+	disjoint *[2][]disjointAxiom
 	// cache memoizes definitive goal outcomes keyed by goal+lemma
 	// fingerprint, retaining the proof tree of proved goals so that cached
 	// steps remain machine-checkable.  Valid for the lifetime of the prover
@@ -103,6 +113,12 @@ type Prover struct {
 	// (all nil, hence no-op, when Options.Telemetry is nil).
 	tel *telemetry.Set
 	m   proverMetrics
+}
+
+// disjointAxiom is a disjointness axiom with interned sides.
+type disjointAxiom struct {
+	name     string
+	re1, re2 *pathexpr.Node
 }
 
 // proverMetrics are the prover's pre-resolved registry instruments.
@@ -169,6 +185,29 @@ func New(axioms *axiom.Set, opts Options) *Prover {
 	return p
 }
 
+// disjointAxioms returns the disjointness axioms that discharge goals of
+// the given form, their sides interned once per prover — on the first
+// search, so a prover whose queries the proof memo answers never pays for
+// it.  Direct application tries every one on every suffix split.
+func (p *Prover) disjointAxioms(form Form) []disjointAxiom {
+	if p.disjoint == nil {
+		var d [2][]disjointAxiom
+		for _, a := range p.axioms.Axioms {
+			f := SameSrc
+			switch a.Form {
+			case axiom.SameSrcDisjoint:
+			case axiom.DiffSrcDisjoint:
+				f = DiffSrc
+			default:
+				continue
+			}
+			d[f] = append(d[f], disjointAxiom{name: a.Name, re1: pathexpr.Intern(a.RE1), re2: pathexpr.Intern(a.RE2)})
+		}
+		p.disjoint = &d
+	}
+	return p.disjoint[form]
+}
+
 // Axioms returns the prover's axiom set.
 func (p *Prover) Axioms() *axiom.Set { return p.axioms }
 
@@ -180,10 +219,18 @@ func (p *Prover) ProveDisjoint(x, y pathexpr.Expr) *Proof {
 
 // Prove attempts to prove the disjointness theorem of the given form.
 func (p *Prover) Prove(form Form, x, y pathexpr.Expr) *Proof {
-	g := newGoal(form, pathexpr.Components(pathexpr.Simplify(x)), pathexpr.Components(pathexpr.Simplify(y)))
+	return p.ProveNodes(form, pathexpr.Intern(x), pathexpr.Intern(y))
+}
+
+// ProveNodes is Prove over interned operands, for callers that hold them
+// already (the cross-query proof memo interns both to key the goal): the
+// search starts from their cached simplified forms and interns nothing it
+// was handed.
+func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
+	g := rootGoal(form, x.Simplified(), y.Simplified())
 	r := &run{
 		p:       p,
-		alpha:   automata.NewAlphabet(append(p.axioms.Fields(), pathexpr.Fields(x, y)...)...),
+		alpha:   automata.NewAlphabet(append(p.axioms.Fields(), pathexpr.Fields(x.Expr(), y.Expr())...)...),
 		dfas:    p.dfas.Account(),
 		traceOn: p.tel.TraceEnabled(),
 	}
@@ -197,7 +244,7 @@ func (p *Prover) Prove(form Form, x, y pathexpr.Expr) *Proof {
 		qspan = p.opts.Trace.StartSpan("prover.prove", p.opts.TraceParent)
 	}
 	proof := &Proof{Theorem: g.String()}
-	proved, st, err := r.prove(g, nil, 0)
+	proved, st, err := r.prove(g, hyps{}, 0)
 	proof.Stats = r.stats
 	proof.Stats.StepsUsed = r.stats.ProveCalls
 	proof.Stats.PeakDepth = r.peakDepth
@@ -291,7 +338,10 @@ func (r *run) event(name string, g goal, depth int, extra ...telemetry.Attr) {
 // prove is the paper's proveDisj: it returns whether a proof of g was found.
 // err is non-nil only when the step or DFA budget ran out, aborting the
 // whole query.
-func (r *run) prove(g goal, lems []lemma, depth int) (bool, *Step, error) {
+func (r *run) prove(g goal, lems hyps, depth int) (bool, *Step, error) {
+	if testGoalHook != nil {
+		testGoalHook(g, nil, nil)
+	}
 	r.stats.ProveCalls++
 	if r.stats.ProveCalls > r.p.opts.MaxSteps {
 		return false, nil, errBudget
@@ -317,8 +367,8 @@ func (r *run) prove(g goal, lems []lemma, depth int) (bool, *Step, error) {
 		return false, nil, nil // same vertex: definitely aliased
 	}
 	if g.form == SameSrc {
-		if w1, ok1 := pathexpr.Word(expr(g.x)); ok1 {
-			if w2, ok2 := pathexpr.Word(expr(g.y)); ok2 && r.p.wordsCongruent(w1, w2) {
+		if w1, ok1 := wordOf(g.x); ok1 {
+			if w2, ok2 := wordOf(g.y); ok2 && r.p.wordsCongruent(w1, w2) {
 				return false, nil, nil // definite alias: unprovable
 			}
 		}
@@ -331,12 +381,11 @@ func (r *run) prove(g goal, lems []lemma, depth int) (bool, *Step, error) {
 		return true, vac, nil
 	}
 
-	// Proof cache.  The key is built only when the cache is on: rendering it
-	// was once the dominant per-goal cost, and even the ID-based form does
-	// real work (reassembling the sides for interning).
+	// Proof cache.  The key is the goal's carried side IDs plus the
+	// hypothesis fingerprint computed when the hypotheses were pushed.
 	var key proofKey
 	if !r.p.opts.DisableProofCache {
-		key = proofKey{goal: g.key(), lems: lemmaKey(lems)}
+		key = proofKey{goal: g.key(), lems: lems.key}
 		if entry, ok := r.p.cache[key]; ok {
 			r.stats.CacheHits++
 			if r.traceOn {
@@ -366,9 +415,9 @@ func (r *run) prove(g goal, lems []lemma, depth int) (bool, *Step, error) {
 	return proved, st, nil
 }
 
-func (r *run) proveUncached(g goal, lems []lemma, depth int) (bool, *Step, error) {
+func (r *run) proveUncached(g goal, lems hyps, depth int) (bool, *Step, error) {
 	// Direct application of a single axiom or induction hypothesis.
-	if name, err := r.direct(g.form, g.x, g.y, lems, g.size()); err != nil {
+	if name, err := r.direct(g.form, g.xn, g.yn, lems.list, g.size()); err != nil {
 		return false, nil, err
 	} else if name != "" {
 		if r.traceOn {
@@ -380,13 +429,17 @@ func (r *run) proveUncached(g goal, lems []lemma, depth int) (bool, *Step, error
 	}
 
 	// Suffix-split search: the core of proveDisj (steps A–F, Figure 5).
-	if ok, st, err := r.splitSearch(g, lems, depth); err != nil || ok {
+	cx, cy := newCuts(g.x, g.xn), newCuts(g.y, g.yn)
+	if testGoalHook != nil {
+		defer testGoalHook(g, cx, cy)
+	}
+	if ok, st, err := r.splitSearch(g, cx, cy, lems, depth); err != nil || ok {
 		return ok, st, err
 	}
 
 	// Kleene processing (step E): trailing star unfolds into the ε and ⁺
 	// cases; trailing plus triggers the paper's induction schema.
-	if ok, st, err := r.starUnfold(g, lems, depth); err != nil || ok {
+	if ok, st, err := r.starUnfold(g, cx, cy, lems, depth); err != nil || ok {
 		return ok, st, err
 	}
 	if ok, st, err := r.plusInduction(g, lems, depth); err != nil || ok {
@@ -424,19 +477,14 @@ func (r *run) vacuous(g goal) (*Step, error) {
 // sides include the goal's sides as regular languages (paper: "direct
 // application of a single axiom").  It returns the name of the applied fact,
 // or "" when none applies.  goalSize guards lemma applicability.
-func (r *run) direct(form Form, x, y []pathexpr.Expr, lems []lemma, goalSize int) (string, error) {
-	ex, ey := expr(x), expr(y)
-	wantForm := axiom.SameSrcDisjoint
-	if form == DiffSrc {
-		wantForm = axiom.DiffSrcDisjoint
-	}
-	for _, a := range r.p.axioms.ByForm(wantForm) {
-		ok, err := r.coveredBy(ex, ey, a.RE1, a.RE2)
+func (r *run) direct(form Form, x, y *pathexpr.Node, lems []lemma, goalSize int) (string, error) {
+	for _, a := range r.p.disjointAxioms(form) {
+		ok, err := r.coveredBy(x, y, a.re1, a.re2)
 		if err != nil {
 			return "", err
 		}
 		if ok {
-			return a.Name, nil
+			return a.name, nil
 		}
 	}
 	for _, l := range lems {
@@ -451,7 +499,7 @@ func (r *run) direct(form Form, x, y []pathexpr.Expr, lems []lemma, goalSize int
 		// off the inductive step goal.  Mere language inclusion would let a
 		// rewritten form of the step goal discharge itself (unsound; caught
 		// by the soundness property tests).
-		ok, err := r.sameAs(ex, ey, l.re1, l.re2)
+		ok, err := r.sameAs(x, y, l.re1, l.re2)
 		if err != nil {
 			return "", err
 		}
@@ -464,9 +512,9 @@ func (r *run) direct(form Form, x, y []pathexpr.Expr, lems []lemma, goalSize int
 
 // sameAs reports whether (x ≡ re1 ∧ y ≡ re2) or (x ≡ re2 ∧ y ≡ re1) as
 // regular languages.
-func (r *run) sameAs(x, y, re1, re2 pathexpr.Expr) (bool, error) {
+func (r *run) sameAs(x, y, re1, re2 *pathexpr.Node) (bool, error) {
 	r.stats.DirectChecks++
-	eq := func(a, b pathexpr.Expr) (bool, error) {
+	eq := func(a, b *pathexpr.Node) (bool, error) {
 		ok, err := r.dfas.Equivalent(a, b, r.alpha)
 		if err != nil {
 			return false, errBudget
@@ -498,7 +546,7 @@ func (r *run) sameAs(x, y, re1, re2 pathexpr.Expr) (bool, error) {
 
 // coveredBy reports whether (x ⊆ re1 ∧ y ⊆ re2) or (x ⊆ re2 ∧ y ⊆ re1):
 // disjointness facts are symmetric in their two sides.
-func (r *run) coveredBy(x, y, re1, re2 pathexpr.Expr) (bool, error) {
+func (r *run) coveredBy(x, y, re1, re2 *pathexpr.Node) (bool, error) {
 	r.stats.DirectChecks++
 	ok1, err := r.dfas.Includes(x, re1, r.alpha)
 	if err != nil {
@@ -536,7 +584,10 @@ func (r *run) coveredBy(x, y, re1, re2 pathexpr.Expr) (bool, error) {
 //	A∧B:  suffixes provably disjoint from both same and distinct sources
 //	C:    T1 and the prefixes provably denote the same vertex
 //	D:    T2 and the prefixes provably denote disjoint vertex sets
-func (r *run) splitSearch(g goal, lems []lemma, depth int) (bool, *Step, error) {
+//
+// cx and cy are the goal's cuts: every suffix and prefix the search tries
+// is interned once per goal, not once per split and axiom.
+func (r *run) splitSearch(g goal, cx, cy *cuts, lems hyps, depth int) (bool, *Step, error) {
 	n, m := len(g.x), len(g.y)
 	total := n + m
 	sizes := make([]int, 0, total)
@@ -554,14 +605,14 @@ func (r *run) splitSearch(g goal, lems []lemma, depth int) (bool, *Step, error) 
 			if j > m {
 				continue
 			}
-			sp, sq := g.x[n-i:], g.y[m-j:]
-			pp, pq := g.x[:n-i], g.y[:m-j]
+			sp, sq := cx.suffix(i), cy.suffix(j)
+			size := sliceSize(g.x[n-i:]) + sliceSize(g.y[m-j:])
 
-			t1, err := r.direct(SameSrc, sp, sq, lems, sliceSize(sp)+sliceSize(sq))
+			t1, err := r.direct(SameSrc, sp, sq, lems.list, size)
 			if err != nil {
 				return false, nil, err
 			}
-			t2, err := r.direct(DiffSrc, sp, sq, lems, sliceSize(sp)+sliceSize(sq))
+			t2, err := r.direct(DiffSrc, sp, sq, lems.list, size)
 			if err != nil {
 				return false, nil, err
 			}
@@ -582,7 +633,7 @@ func (r *run) splitSearch(g goal, lems []lemma, depth int) (bool, *Step, error) 
 			// paths from the SAME handle denote one vertex; from distinct
 			// handles h <> k they denote distinct vertices.
 			if t1 != "" && g.form == SameSrc {
-				eq, err := r.prefixesEqual(pp, pq)
+				eq, err := r.prefixesEqual(cx, cy, n-i, m-j)
 				if err != nil {
 					return false, nil, err
 				}
@@ -603,10 +654,11 @@ func (r *run) splitSearch(g goal, lems []lemma, depth int) (bool, *Step, error) 
 			if t2 != "" {
 				// Case D recurses with the goal's own quantifier form: for a
 				// DiffSrc goal the prefixes hang off distinct anchors.
-				if g.form == SameSrc && len(pp) == 0 && len(pq) == 0 {
+				if g.form == SameSrc && i == n && j == m {
 					continue // prefixes denote the same vertex: case D impossible
 				}
-				sub := newGoal(g.form, pp, pq)
+				// The prefixes of a normalized goal are normalized already.
+				sub := goal{form: g.form, x: g.x[: n-i : n-i], y: g.y[: m-j : m-j], xn: cx.prefix(n - i), yn: cy.prefix(m - j)}
 				proved, st, err := r.prove(sub, lems, depth+1)
 				if err != nil {
 					return false, nil, err
@@ -646,27 +698,30 @@ func exprOrEps(comps []pathexpr.Expr) string {
 	return expr(comps).String()
 }
 
-// prefixesEqual reports whether the two prefixes provably denote the same
-// single vertex: both reduce to single words (syntactically or as singleton
-// languages) that are congruent under the word-equality axioms.
-func (r *run) prefixesEqual(pp, pq []pathexpr.Expr) (bool, error) {
-	w1, ok, err := r.asWord(pp)
+// prefixesEqual reports whether the prefixes of lengths k and l provably
+// denote the same single vertex: both reduce to single words
+// (syntactically or as singleton languages) that are congruent under the
+// word-equality axioms.
+func (r *run) prefixesEqual(cx, cy *cuts, k, l int) (bool, error) {
+	w1, ok, err := r.asWord(cx.comps[:k], cx.prefix(k))
 	if err != nil || !ok {
 		return false, err
 	}
-	w2, ok, err := r.asWord(pq)
+	w2, ok, err := r.asWord(cy.comps[:l], cy.prefix(l))
 	if err != nil || !ok {
 		return false, err
 	}
 	return r.p.wordsCongruent(w1, w2), nil
 }
 
-func (r *run) asWord(comps []pathexpr.Expr) ([]string, bool, error) {
-	e := expr(comps)
-	if w, ok := pathexpr.Word(e); ok {
+// asWord returns the single word the prefix comps (interned as n) denotes,
+// if it denotes exactly one: syntactically, or else by its DFA's language
+// cardinality.
+func (r *run) asWord(comps []pathexpr.Expr, n *pathexpr.Node) ([]string, bool, error) {
+	if w, ok := wordOf(comps); ok {
 		return w, true, nil
 	}
-	d, err := r.dfas.DFA(e, r.alpha)
+	d, err := r.dfas.DFA(n, r.alpha)
 	if err != nil {
 		return nil, false, errBudget
 	}
@@ -681,25 +736,27 @@ func (r *run) asWord(comps []pathexpr.Expr) ([]string, bool, error) {
 // its ε and one-or-more cases: L(U·a*) = L(U) ∪ L(U·a⁺).  Both resulting
 // goals must be proved.  Combined with plusInduction this realizes the
 // paper's 3-case (single star) and 7-case (double star) schemata.
-func (r *run) starUnfold(g goal, lems []lemma, depth int) (bool, *Step, error) {
-	unfold := func(side []pathexpr.Expr) ([]pathexpr.Expr, []pathexpr.Expr, bool) {
-		if len(side) == 0 {
-			return nil, nil, false
+func (r *run) starUnfold(g goal, cx, cy *cuts, lems hyps, depth int) (bool, *Step, error) {
+	// unfold returns the ε case — the side's prefix u, normalized already,
+	// and its node — and the ⁺ case's components.
+	unfold := func(side *cuts) ([]pathexpr.Expr, *pathexpr.Node, []pathexpr.Expr, bool) {
+		k := len(side.comps) - 1
+		if k < 0 {
+			return nil, nil, nil, false
 		}
-		st, ok := side[len(side)-1].(pathexpr.Star)
+		st, ok := side.comps[k].(pathexpr.Star)
 		if !ok {
-			return nil, nil, false
+			return nil, nil, nil, false
 		}
-		u := side[:len(side)-1]
-		withEps := append([]pathexpr.Expr{}, u...)
+		u := side.comps[:k:k]
 		withPlus := append(append([]pathexpr.Expr{}, u...), pathexpr.Rep1(st.Inner))
-		return withEps, withPlus, true
+		return u, side.prefix(k), withPlus, true
 	}
-	if eps, plus, ok := unfold(g.x); ok {
+	if u, un, plus, ok := unfold(cx); ok {
 		if r.traceOn {
 			r.event("prover.star_unfold", g, depth, telemetry.String("side", "left"))
 		}
-		g1 := newGoal(g.form, eps, g.y)
+		g1 := goal{form: g.form, x: u, y: g.y, xn: un, yn: g.yn}
 		g2 := newGoal(g.form, plus, g.y)
 		p1, s1, err := r.prove(g1, lems, depth+1)
 		if err != nil || !p1 {
@@ -715,11 +772,11 @@ func (r *run) starUnfold(g goal, lems []lemma, depth int) (bool, *Step, error) {
 		st.Children = []*Step{s1, s2}
 		return true, st, nil
 	}
-	if eps, plus, ok := unfold(g.y); ok {
+	if u, un, plus, ok := unfold(cy); ok {
 		if r.traceOn {
 			r.event("prover.star_unfold", g, depth, telemetry.String("side", "right"))
 		}
-		g1 := newGoal(g.form, g.x, eps)
+		g1 := goal{form: g.form, x: g.x, y: u, xn: g.xn, yn: un}
 		g2 := newGoal(g.form, g.x, plus)
 		p1, s1, err := r.prove(g1, lems, depth+1)
 		if err != nil || !p1 {
@@ -742,7 +799,7 @@ func (r *run) starUnfold(g goal, lems []lemma, depth int) (bool, *Step, error) {
 // inductive step: assume the claim for U·a⁺ and prove it for U·a⁺·a, with
 // the hypothesis admitted only on strictly smaller goals.  For two trailing
 // pluses the paper's four sub-cases 4.1–4.4 apply.
-func (r *run) plusInduction(g goal, lems []lemma, depth int) (bool, *Step, error) {
+func (r *run) plusInduction(g goal, lems hyps, depth int) (bool, *Step, error) {
 	xp, xok := trailingPlus(g.x)
 	yp, yok := trailingPlus(g.y)
 	switch {
@@ -769,8 +826,8 @@ func (r *run) plusInduction(g goal, lems []lemma, depth int) (bool, *Step, error
 		// 4.4: assume (a⁺, b⁺), prove (a⁺a, b⁺b).
 		stepX := appendComp(g.x, a)
 		stepY := appendComp(g.y, b)
-		ih := lemma{form: g.form, re1: expr(g.x), re2: expr(g.y), maxSize: sliceSize(stepX) + sliceSize(stepY)}
-		ok, st, err := r.prove(newGoal(g.form, stepX, stepY), append(append([]lemma{}, lems...), ih), depth+1)
+		ih := lemma{form: g.form, re1: g.xn, re2: g.yn, maxSize: sliceSize(stepX) + sliceSize(stepY)}
+		ok, st, err := r.prove(newGoal(g.form, stepX, stepY), lems.with(ih), depth+1)
 		if err != nil || !ok {
 			return false, nil, err
 		}
@@ -791,8 +848,8 @@ func (r *run) plusInduction(g goal, lems []lemma, depth int) (bool, *Step, error
 			return false, nil, err
 		}
 		stepX := appendComp(g.x, a)
-		ih := lemma{form: g.form, re1: expr(g.x), re2: expr(g.y), maxSize: sliceSize(stepX) + sliceSize(g.y)}
-		ok, s2, err := r.prove(newGoal(g.form, stepX, g.y), append(append([]lemma{}, lems...), ih), depth+1)
+		ih := lemma{form: g.form, re1: g.xn, re2: g.yn, maxSize: sliceSize(stepX) + sliceSize(g.y)}
+		ok, s2, err := r.prove(newGoal(g.form, stepX, g.y), lems.with(ih), depth+1)
 		if err != nil || !ok {
 			return false, nil, err
 		}
@@ -813,8 +870,8 @@ func (r *run) plusInduction(g goal, lems []lemma, depth int) (bool, *Step, error
 			return false, nil, err
 		}
 		stepY := appendComp(g.y, b)
-		ih := lemma{form: g.form, re1: expr(g.x), re2: expr(g.y), maxSize: sliceSize(g.x) + sliceSize(stepY)}
-		ok, s2, err := r.prove(newGoal(g.form, g.x, stepY), append(append([]lemma{}, lems...), ih), depth+1)
+		ih := lemma{form: g.form, re1: g.xn, re2: g.yn, maxSize: sliceSize(g.x) + sliceSize(stepY)}
+		ok, s2, err := r.prove(newGoal(g.form, g.x, stepY), lems.with(ih), depth+1)
 		if err != nil || !ok {
 			return false, nil, err
 		}
@@ -844,7 +901,7 @@ func appendComp(side []pathexpr.Expr, c pathexpr.Expr) []pathexpr.Expr {
 // one goal per alternative, and all must be proved (paper: "both
 // alternatives must result in a successful proof").  The rightmost
 // alternative component is split first, mirroring suffix-directed search.
-func (r *run) altSplit(g goal, lems []lemma, depth int) (bool, *Step, error) {
+func (r *run) altSplit(g goal, lems hyps, depth int) (bool, *Step, error) {
 	trySide := func(side []pathexpr.Expr, isX bool) (bool, *Step, error) {
 		for i := len(side) - 1; i >= 0; i-- {
 			alt, ok := side[i].(pathexpr.Alt)
@@ -961,10 +1018,13 @@ func wordsEqual(a, b []string) bool {
 	return true
 }
 
+// wordKey is w's identity in the congruence search's seen set: the fields
+// each terminated by NUL, built in one pass.
 func wordKey(w []string) string {
-	out := ""
+	var b strings.Builder
 	for _, s := range w {
-		out += s + "\x00"
+		b.WriteString(s)
+		b.WriteByte(0)
 	}
-	return out
+	return b.String()
 }

@@ -286,3 +286,23 @@ func TestFormString(t *testing.T) {
 		}
 	}
 }
+
+// TestWordKey: a word's key is its fields each terminated by NUL, so words
+// whose concatenations coincide ("ab" vs "a"."b") still get distinct keys.
+func TestWordKey(t *testing.T) {
+	for _, tc := range []struct {
+		w    []string
+		want string
+	}{
+		{nil, ""},
+		{[]string{"next"}, "next\x00"},
+		{[]string{"L", "L", "N"}, "L\x00L\x00N\x00"},
+	} {
+		if got := wordKey(tc.w); got != tc.want {
+			t.Errorf("wordKey(%q) = %q, want %q", tc.w, got, tc.want)
+		}
+	}
+	if wordKey([]string{"ab"}) == wordKey([]string{"a", "b"}) {
+		t.Error("wordKey conflates [ab] with [a b]")
+	}
+}

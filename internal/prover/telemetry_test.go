@@ -56,7 +56,7 @@ func TestDFACompilesChargedToOwnSearch(t *testing.T) {
 	interrupt := func() bool {
 		polls++
 		word := strings.TrimSuffix(strings.Repeat("hook.", polls), ".")
-		if _, err := cache.DFA(pathexpr.MustParse(word), other); err != nil {
+		if _, err := cache.DFA(pathexpr.Intern(pathexpr.MustParse(word)), other); err != nil {
 			t.Fatalf("hook compile: %v", err)
 		}
 		return false
@@ -88,7 +88,7 @@ func TestDisableMinimize(t *testing.T) {
 	minimized := New(axiom.SparseMatrixCore(), Options{})
 	// Subset construction gives L.N and R.N separate, equivalent states
 	// after the first letter.
-	e := pathexpr.MustParse("L.N|R.N")
+	e := pathexpr.Intern(pathexpr.MustParse("L.N|R.N"))
 	alpha := automata.NewAlphabet("L", "R", "N")
 	dRaw, err := raw.dfas.DFA(e, alpha)
 	if err != nil {
