@@ -86,16 +86,17 @@ serve-smoke:
 
 # Observability gate: the Prometheus exposition golden + validator, the
 # traceparent/span-tree tests, a 50-iteration race soak of the lock-free
-# flight recorder and sliding-window histogram, and the zero-allocation
+# flight recorder and sliding-window histogram, the zero-allocation
 # guards for disabled tracing (which -race would skew, hence the separate
-# non-race invocation).
+# non-race invocation), and the count-once test: every instance counter
+# counts with telemetry off and feeds the registry exactly once.
 obs-check:
 	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestTraceparent|TestRequestTrace|TestMetricsPrometheus|TestAccessLog' \
 		./internal/telemetry ./internal/serve
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestWindowHistogram' ./internal/telemetry
 	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget' \
 		./internal/telemetry ./internal/engine ./internal/prover
-	$(GO) test -race -run 'TestDegradedCountersSplitByReason' ./internal/engine
+	$(GO) test -race -run 'TestDegradedCountersSplitByReason|TestCountOnce' ./internal/engine
 
 # Fixed-seed differential fuzzing smoke: generate scenario programs over all
 # five structure families, cross-check every verdict against the concrete and

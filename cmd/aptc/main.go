@@ -1,6 +1,6 @@
 // Command aptc is the offline automata compiler: it builds the DFA and
 // decision-memo working set a serving process would otherwise compile on
-// its first queries, and writes it as a versioned, checksummed, mmap-able
+// its first queries, and writes it as a versioned, checksummed
 // artifact (see internal/automata's artifact format).  aptserved, aptlint,
 // and aptdep load the artifact with -preload and boot warm.
 //
@@ -38,7 +38,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/automata"
 	"repro/internal/axiom"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lang"
 	"repro/internal/pathexpr"
@@ -156,7 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "aptc: verify: %v\n", err)
 			return 1
 		}
-		defer back.Close()
 		if !artifactsEqual(art, back) {
 			fmt.Fprintf(stderr, "aptc: verify: round-tripped artifact differs from snapshot\n")
 			return 1
@@ -229,7 +227,9 @@ func replaySnapshot(programFile, queryFile, fn string, workers int) (*automata.A
 	if err != nil {
 		return nil, err
 	}
-	qs, err := parseQueryFile(string(qsrc), res)
+	qs, _, err := res.ExpandQueryLines(strings.Split(string(qsrc), "\n"), func(n int) string {
+		return fmt.Sprintf("query file line %d", n+1)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -265,44 +265,7 @@ func queryLines(src string) []string {
 	return out
 }
 
-// parseQueryFile expands a query file against the analysis result.  Same
-// grammar as aptdep -batch and aptserved's /v1/batch: blank lines and '#'
-// comments skipped, each line "between S T", "cross S T", or "loop U".
-func parseQueryFile(src string, res *analysis.Result) ([]core.Query, error) {
-	var out []core.Query
-	for n, line := range strings.Split(src, "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		var (
-			qs  []core.Query
-			err error
-		)
-		switch {
-		case fields[0] == "between" && len(fields) == 3:
-			qs, err = res.QueriesBetween(fields[1], fields[2])
-		case fields[0] == "cross" && len(fields) == 3:
-			qs, err = res.LoopCarriedBetween(fields[1], fields[2])
-		case fields[0] == "loop" && len(fields) == 2:
-			qs, err = res.LoopCarriedQueries(fields[1])
-		default:
-			return nil, fmt.Errorf("query file line %d: want 'between S T', 'cross S T', or 'loop U', got %q",
-				n+1, strings.TrimSpace(line))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("query file line %d: %w", n+1, err)
-		}
-		out = append(out, qs...)
-	}
-	return out, nil
-}
-
-// artifactsEqual compares two decoded artifacts structurally (the mmap
-// backing of the loaded one is irrelevant to equality).
+// artifactsEqual compares two decoded artifacts structurally.
 func artifactsEqual(a, b *automata.Artifact) bool {
 	return reflect.DeepEqual(a.Alphabets, b.Alphabets) &&
 		reflect.DeepEqual(a.Exprs, b.Exprs) &&

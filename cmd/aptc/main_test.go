@@ -43,7 +43,6 @@ func TestLibraryModeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer art.Close()
 	if len(art.DFAs) == 0 || len(art.Ops) == 0 {
 		t.Fatalf("artifact empty: %d DFAs, %d ops", len(art.DFAs), len(art.Ops))
 	}
@@ -87,7 +86,6 @@ func TestReplayModeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer art.Close()
 	if len(art.DFAs) == 0 {
 		t.Error("replay artifact holds no DFAs")
 	}

@@ -263,7 +263,9 @@ func runBatch(cfg batchConfig, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
-		queries, err = parseBatchFile(string(src), cfg.res)
+		queries, _, err = cfg.res.ExpandQueryLines(strings.Split(string(src), "\n"), func(n int) string {
+			return fmt.Sprintf("batch file:%d", n+1)
+		})
 		return err
 	}); err != nil {
 		return fatalf("%v", err)
@@ -311,42 +313,6 @@ func runBatch(cfg batchConfig, stdout, stderr io.Writer) int {
 	}
 	*cfg.tf = cliutil.TelemetryFlags{} // deferred Close becomes a no-op
 	return exit
-}
-
-// parseBatchFile expands a batch query file against the analysis result.
-// Blank lines and '#' comments are skipped; each remaining line is
-// "between S T", "cross S T", or "loop U".
-func parseBatchFile(src string, res *analysis.Result) ([]core.Query, error) {
-	var out []core.Query
-	for n, line := range strings.Split(src, "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		var (
-			qs  []core.Query
-			err error
-		)
-		switch {
-		case fields[0] == "between" && len(fields) == 3:
-			qs, err = res.QueriesBetween(fields[1], fields[2])
-		case fields[0] == "cross" && len(fields) == 3:
-			qs, err = res.LoopCarriedBetween(fields[1], fields[2])
-		case fields[0] == "loop" && len(fields) == 2:
-			qs, err = res.LoopCarriedQueries(fields[1])
-		default:
-			return nil, fmt.Errorf("%s:%d: want 'between S T', 'cross S T', or 'loop U', got %q",
-				"batch file", n+1, strings.TrimSpace(line))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("batch file:%d: %w", n+1, err)
-		}
-		out = append(out, qs...)
-	}
-	return out, nil
 }
 
 func indent(s string) string {

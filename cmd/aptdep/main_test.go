@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -337,7 +338,7 @@ func buildReplayArtifact(t *testing.T, file, fn, queryLine string) *automata.Art
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := parseBatchFile(queryLine, res)
+	qs, _, err := res.ExpandQueryLines(strings.Split(queryLine, "\n"), strconv.Itoa)
 	if err != nil {
 		t.Fatal(err)
 	}

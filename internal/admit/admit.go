@@ -51,11 +51,13 @@ type Controller struct {
 	// rate even on an uninstrumented process.
 	completions *telemetry.WindowHistogram
 
-	accepted  atomic.Int64
-	completed atomic.Int64
-	shed      atomic.Int64
-	refused   atomic.Int64 // rejected because draining
-	gauge     atomic.Int64 // requests admitted and not yet completed
+	// The lifecycle counts; Feed links accepted and shed to the owning
+	// server's registry counters.
+	accepted  telemetry.Counter
+	completed telemetry.Counter
+	shed      telemetry.Counter
+	refused   telemetry.Counter // rejected because draining
+	gauge     atomic.Int64      // requests admitted and not yet completed
 }
 
 // New builds a Controller with maxConcurrent run slots and a queue of
@@ -66,6 +68,15 @@ func New(maxConcurrent, queueDepth int) *Controller {
 		run:         make(chan struct{}, maxConcurrent),
 		completions: telemetry.NewWindowHistogram(),
 	}
+}
+
+// Feed makes the accepted and shed counts also add to the given registry
+// counters (nil feeds nothing) — the owning server's requests and shed
+// counters.  Call it before serving.  Returns the controller for chaining.
+func (c *Controller) Feed(accepted, shed *telemetry.Counter) *Controller {
+	c.accepted.Feed(accepted)
+	c.shed.Feed(shed)
+	return c
 }
 
 // TryAcquire claims an admission token without blocking; false means the
@@ -187,12 +198,8 @@ func (c *Controller) Gauge() *atomic.Int64 { return &c.gauge }
 // Completions exposes the completion window feeding RetryAfterSeconds.
 func (c *Controller) Completions() *telemetry.WindowHistogram { return c.completions }
 
-// NoteShed counts an externally decided shed (a router propagating a
-// backend's 429 sheds without TryAcquire having failed locally).
-func (c *Controller) NoteShed() { c.shed.Add(1) }
-
 // Counts returns the lifecycle counters: accepted, completed, shed,
 // refused-while-draining.
 func (c *Controller) Counts() (accepted, completed, shed, refused int64) {
-	return c.accepted.Load(), c.completed.Load(), c.shed.Load(), c.refused.Load()
+	return c.accepted.Value(), c.completed.Value(), c.shed.Value(), c.refused.Value()
 }

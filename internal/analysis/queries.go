@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -270,4 +271,58 @@ func (r *Result) LoopCarriedPair(s, t Access) []core.Query {
 		})
 	}
 	return out
+}
+
+// ErrQueryMode reports a query mode other than "between", "cross", or
+// "loop".
+var ErrQueryMode = errors.New("unknown query mode")
+
+// QueriesFor builds the queries of one query-line mode: "between"
+// (QueriesBetween of a and b), "cross" (LoopCarriedBetween of a and b), or
+// "loop" (LoopCarriedQueries of a; b is ignored).
+func (r *Result) QueriesFor(mode, a, b string) ([]core.Query, error) {
+	switch mode {
+	case "between":
+		return r.QueriesBetween(a, b)
+	case "cross":
+		return r.LoopCarriedBetween(a, b)
+	case "loop":
+		return r.LoopCarriedQueries(a)
+	}
+	return nil, fmt.Errorf("%w %q", ErrQueryMode, mode)
+}
+
+// ExpandQueryLines expands query lines — the grammar of aptdep -batch
+// files, aptc -queries files, and /v1/batch's queries — against r.  Each
+// line is "between S T", "cross S T", or "loop U"; '#' starts a comment and
+// blank lines are skipped.  origins[i] is the index in lines of the line
+// queries[i] came from.  Errors name the offending line as where(index).
+func (r *Result) ExpandQueryLines(lines []string, where func(int) string) (queries []core.Query, origins []int, err error) {
+	for n, line := range lines {
+		if i := strings.IndexByte(line, '#'); i >= 0 {
+			line = line[:i]
+		}
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		var b string
+		switch {
+		case (fields[0] == "between" || fields[0] == "cross") && len(fields) == 3:
+			b = fields[2]
+		case fields[0] == "loop" && len(fields) == 2:
+		default:
+			return nil, nil, fmt.Errorf("%s: want 'between S T', 'cross S T', or 'loop U', got %q",
+				where(n), strings.TrimSpace(line))
+		}
+		qs, err := r.QueriesFor(fields[0], fields[1], b)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", where(n), err)
+		}
+		queries = append(queries, qs...)
+		for range qs {
+			origins = append(origins, n)
+		}
+	}
+	return queries, origins, nil
 }

@@ -9,8 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"syscall"
-	"unsafe"
 
 	"repro/internal/pathexpr"
 )
@@ -18,9 +16,9 @@ import (
 // This file implements persisted automata artifacts: the on-disk form of a
 // SharedCache working set.  An offline aptc run compiles an axiom library's
 // DFAs and boolean language decisions once and serializes them; a serving
-// process mmaps the artifact read-only and preseeds its SharedCache, so the
-// first query after boot hits warm tables instead of paying subset
-// construction and minimization.
+// process loads the artifact and preseeds its SharedCache, so the first
+// query after boot hits warm tables instead of paying subset construction
+// and minimization.
 //
 // Layout (all integers little-endian):
 //
@@ -55,10 +53,6 @@ import (
 //	               program len u32 + bytes, fn len u32 + bytes,
 //	               query count u32, per query len u32 + bytes
 //
-// Transition tables are 4-byte aligned in the file, and mmap places file
-// offset 0 on a page boundary, so LoadArtifact can alias each table
-// directly over the mapping (little-endian hosts) with zero copies.
-//
 // Interned expression and alphabet IDs are process-local, so the artifact
 // never stores them: it stores canonical expression strings and symbol
 // lists, which Preseed re-parses and re-interns in the loading process.
@@ -73,7 +67,8 @@ var artifactMagic = [4]byte{'A', 'P', 'T', 'C'}
 
 // ArtifactDFA is one compiled automaton in an artifact: indices into the
 // artifact's alphabet and expression tables plus the dense tables
-// themselves.  Trans may alias read-only mmap memory; treat it as frozen.
+// themselves.  Snapshot and Preseed share Trans with live DFAs; treat it as
+// frozen.
 type ArtifactDFA struct {
 	Alpha  int
 	Expr   int
@@ -149,9 +144,7 @@ type ArtifactGoal struct {
 	Steps   []ArtifactStep
 }
 
-// Artifact is a decoded automata artifact.  Loaded instances may be backed
-// by an mmap; Close releases the mapping, after which every DFA handed out
-// by Preseed is invalid — close only at process shutdown, or never.
+// Artifact is a decoded automata artifact, held in heap memory.
 type Artifact struct {
 	Alphabets [][]string
 	Exprs     []string
@@ -169,8 +162,6 @@ type Artifact struct {
 	// Replays are the replay-mode workloads the artifact was compiled from,
 	// for boot-time self-warming of the serving request path.
 	Replays []ArtifactReplay
-
-	mapping []byte // non-nil when trans tables alias an mmap
 
 	prepOnce sync.Once
 	prepped  *artifactPrep
@@ -250,28 +241,6 @@ func (a *Artifact) ExprInterner() func(string) int {
 		a.Exprs = append(a.Exprs, s)
 		return i
 	}
-}
-
-// Close unmaps an mmap-backed artifact.  No-op for artifacts decoded into
-// heap memory.
-func (a *Artifact) Close() error {
-	if a.mapping == nil {
-		return nil
-	}
-	m := a.mapping
-	a.mapping = nil
-	return syscall.Munmap(m)
-}
-
-// Mapped reports whether the artifact's tables alias an mmap.
-func (a *Artifact) Mapped() bool { return a.mapping != nil }
-
-// hostLittleEndian reports the byte order of this process.  Aliasing i32
-// tables straight off the file is only sound when host order matches the
-// little-endian file order; otherwise LoadArtifact falls back to copying.
-func hostLittleEndian() bool {
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 1
 }
 
 // Snapshot captures the cache's current working set — every compiled DFA
@@ -608,10 +577,8 @@ func (r *artifactReader) count(what string) int {
 	return n
 }
 
-// decodeArtifact parses a payload.  When alias is true (mmap path on a
-// little-endian host) transition tables alias buf; otherwise they are
-// copied out of it.
-func decodeArtifact(buf []byte, alias bool) (*Artifact, error) {
+// decodeArtifact parses a payload, copying every table out of buf.
+func decodeArtifact(buf []byte) (*Artifact, error) {
 	r := &artifactReader{buf: buf}
 	art := &Artifact{}
 	nAlpha := r.count("alphabet")
@@ -657,13 +624,9 @@ func decodeArtifact(buf []byte, alias bool) (*Artifact, error) {
 		}
 		var trans []int32
 		if states*k > 0 {
-			if alias && uintptr(unsafe.Pointer(&transRaw[0]))%4 == 0 {
-				trans = unsafe.Slice((*int32)(unsafe.Pointer(&transRaw[0])), states*k)
-			} else {
-				trans = make([]int32, states*k)
-				for t := range trans {
-					trans[t] = int32(binary.LittleEndian.Uint32(transRaw[t*4:]))
-				}
+			trans = make([]int32, states*k)
+			for t := range trans {
+				trans[t] = int32(binary.LittleEndian.Uint32(transRaw[t*4:]))
 			}
 		}
 		for _, t := range trans {
@@ -850,11 +813,12 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeArtifact(payload, false)
+	return decodeArtifact(payload)
 }
 
-// ReadArtifact reads and decodes an artifact file into heap memory.
-func ReadArtifact(path string) (*Artifact, error) {
+// LoadArtifact reads and decodes an artifact file, and re-interns its
+// symbol tables for Preseed.
+func LoadArtifact(path string) (*Artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -863,47 +827,6 @@ func ReadArtifact(path string) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	art.prep()
-	return art, nil
-}
-
-// LoadArtifact maps the artifact file read-only and decodes it, aliasing
-// transition tables directly over the mapping when the host is
-// little-endian (zero table copies).  On any mmap failure, or on a
-// big-endian host, it falls back to ReadArtifact.  The returned artifact
-// owns the mapping; see Artifact.Close.
-func LoadArtifact(path string) (*Artifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := int(st.Size())
-	if size < 24 {
-		return nil, fmt.Errorf("artifact: file too short for header (%d bytes)", size)
-	}
-	if !hostLittleEndian() {
-		return ReadArtifact(path)
-	}
-	data, err := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		return ReadArtifact(path)
-	}
-	payload, err := checkHeader(data)
-	if err != nil {
-		syscall.Munmap(data)
-		return nil, err
-	}
-	art, err := decodeArtifact(payload, true)
-	if err != nil {
-		syscall.Munmap(data)
-		return nil, err
-	}
-	art.mapping = data
 	art.prep()
 	return art, nil
 }

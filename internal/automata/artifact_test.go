@@ -55,7 +55,7 @@ func artifactEqual(a, b *Artifact) bool {
 }
 
 // TestArtifactRoundTrip: Snapshot → serialize → decode must be structurally
-// identical, through both the in-memory decoder and the mmap loader, and a
+// identical, through both the in-memory decoder and the file loader, and a
 // cache preseeded from the loaded artifact must answer every decision
 // identically with zero compilations.
 func TestArtifactRoundTrip(t *testing.T) {
@@ -96,12 +96,8 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadArtifact: %v", err)
 	}
-	defer loaded.Close()
 	if !artifactEqual(art, loaded) {
 		t.Fatal("LoadArtifact(Save(art)) differs from art")
-	}
-	if hostLittleEndian() && !loaded.Mapped() {
-		t.Error("LoadArtifact did not mmap on a little-endian host")
 	}
 
 	warm := NewSharedCache(0, 0, 0)
@@ -196,7 +192,7 @@ func TestArtifactRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("load-corrupt-file", func(t *testing.T) {
-		// The mmap loader must reject and unmap, returning a nil artifact
+		// The file loader must reject it, returning a nil artifact
 		// the CLIs turn into a cold-compile fallback.
 		bad := append([]byte(nil), img...)
 		bad[len(bad)-1] ^= 0x01

@@ -16,8 +16,8 @@ import (
 // k = alphabet.Size()), the representation the decision path walks and the
 // artifact format persists verbatim.  A DFA is frozen once built: no method
 // mutates trans or accept after construction, which is what makes it safe
-// to alias trans onto read-only mmap-backed artifact memory (see
-// LoadArtifact) and to share one *DFA across every prover in a process.
+// to share trans with a loaded artifact (see Preseed) and to share one *DFA
+// across every prover in a process.
 type DFA struct {
 	alphabet *Alphabet
 	// trans[s*k+c] is the successor of state s on symbol c.
@@ -117,9 +117,9 @@ func (d *DFA) Accepts(word []string) bool {
 // alphabet.  The receiver must be total, which Compile guarantees.
 //
 // The transition table is copied, not aliased: the receiver's table may be
-// mmap-backed read-only artifact memory with its own lifetime (Artifact.
-// Close unmaps it), and two automata silently sharing a backing slice is a
-// correctness hazard the moment any caller stops treating DFAs as frozen.
+// shared with a loaded artifact, and two automata silently sharing a
+// backing slice is a correctness hazard the moment any caller stops
+// treating DFAs as frozen.
 // An aliasing regression is caught by TestComplementDoesNotAliasTables.
 func (d *DFA) Complement() *DFA {
 	acc := make([]bool, len(d.accept))

@@ -2,7 +2,6 @@ package automata
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/pathexpr"
@@ -54,19 +53,16 @@ type SharedCache struct {
 	noMinimize bool
 	shards     []sharedShard
 
-	lookups      atomic.Int64
-	hits         atomic.Int64
-	compiles     atomic.Int64
-	limitFails   atomic.Int64
-	dfaEvictions atomic.Int64
-	opsEvictions atomic.Int64
+	// The cache's own counts; SetTelemetry feeds them into the registry.
+	// Both eviction counters feed the one automata.shared_evictions.
+	lookups      telemetry.Counter
+	hits         telemetry.Counter
+	compiles     telemetry.Counter
+	limitFails   telemetry.Counter
+	dfaEvictions telemetry.Counter
+	opsEvictions telemetry.Counter
 
 	tel           *telemetry.Set
-	cLookups      *telemetry.Counter
-	cHits         *telemetry.Counter
-	cCompiles     *telemetry.Counter
-	cLimitFails   *telemetry.Counter
-	cEvictions    *telemetry.Counter
 	cDecisions    *telemetry.Counter
 	cDecisionHits *telemetry.Counter
 	compileTimeNS *telemetry.Histogram
@@ -112,14 +108,17 @@ func NewSharedCache(limit, shards, perShardCap int) *SharedCache {
 }
 
 // SetTelemetry wires the cache's counters and compile events into tel
-// (nil disables, the default).  Returns the cache for chaining.
+// (nil disables, the default).  Call it before the first lookup.  Returns
+// the cache for chaining.
 func (c *SharedCache) SetTelemetry(tel *telemetry.Set) *SharedCache {
 	c.tel = tel
-	c.cLookups = tel.Counter("automata.shared_lookups")
-	c.cHits = tel.Counter("automata.shared_hits")
-	c.cCompiles = tel.Counter("automata.shared_compiles")
-	c.cLimitFails = tel.Counter("automata.shared_state_limit_failures")
-	c.cEvictions = tel.Counter("automata.shared_evictions")
+	c.lookups.Feed(tel.Counter("automata.shared_lookups"))
+	c.hits.Feed(tel.Counter("automata.shared_hits"))
+	c.compiles.Feed(tel.Counter("automata.shared_compiles"))
+	c.limitFails.Feed(tel.Counter("automata.shared_state_limit_failures"))
+	evictions := tel.Counter("automata.shared_evictions")
+	c.dfaEvictions.Feed(evictions)
+	c.opsEvictions.Feed(evictions)
 	c.cDecisions = tel.Counter("automata.shared_decision_lookups")
 	c.cDecisionHits = tel.Counter("automata.shared_decision_hits")
 	c.compileTimeNS = tel.Histogram("automata.shared_compile_ns")
@@ -152,7 +151,6 @@ func (c *SharedCache) DFA(n *pathexpr.Node, a *Alphabet) (*DFA, error) {
 // ran the subset construction itself.
 func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, compiles *int) (*DFA, error) {
 	c.lookups.Add(1)
-	c.cLookups.Add(1)
 	key := dfaKey{alpha: a.ID(), expr: n.ID()}
 	sh := c.shardAt(pathexpr.Mix64(pathexpr.Mix64(pathexpr.MixInit, key.alpha), key.expr))
 	sh.mu.RLock()
@@ -160,7 +158,6 @@ func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, compiles *int) (*DFA, e
 	sh.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
-		c.cHits.Add(1)
 		return d, nil
 	}
 
@@ -172,7 +169,6 @@ func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, compiles *int) (*DFA, e
 	d, err := CompileLimit(n.Expr(), a, c.limit)
 	if err != nil {
 		c.limitFails.Add(1)
-		c.cLimitFails.Add(1)
 		return nil, err
 	}
 	built := d.NumStates()
@@ -180,7 +176,6 @@ func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, compiles *int) (*DFA, e
 		d = d.Minimize()
 	}
 	c.compiles.Add(1)
-	c.cCompiles.Add(1)
 	if compiles != nil {
 		*compiles++
 	}
@@ -206,7 +201,6 @@ func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, compiles *int) (*DFA, e
 		dropped := len(sh.dfas)
 		sh.dfas = make(map[dfaKey]*DFA, c.perShard)
 		c.dfaEvictions.Add(int64(dropped))
-		c.cEvictions.Add(int64(dropped))
 	}
 	sh.dfas[key] = d
 	sh.mu.Unlock()
@@ -217,18 +211,18 @@ func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, compiles *int) (*DFA, e
 // concurrently with lookups; the counters are individually atomic.
 func (c *SharedCache) Stats() CacheStats {
 	return CacheStats{
-		Lookups:       int(c.lookups.Load()),
-		Hits:          int(c.hits.Load()),
-		Compiles:      int(c.compiles.Load()),
-		LimitFailures: int(c.limitFails.Load()),
+		Lookups:       int(c.lookups.Value()),
+		Hits:          int(c.hits.Value()),
+		Compiles:      int(c.compiles.Value()),
+		LimitFailures: int(c.limitFails.Value()),
 	}
 }
 
 // DFAEvictions returns the evictions charged to the DFA map.
-func (c *SharedCache) DFAEvictions() int64 { return c.dfaEvictions.Load() }
+func (c *SharedCache) DFAEvictions() int64 { return c.dfaEvictions.Value() }
 
 // OpsEvictions returns the evictions charged to the decision memo.
-func (c *SharedCache) OpsEvictions() int64 { return c.opsEvictions.Load() }
+func (c *SharedCache) OpsEvictions() int64 { return c.opsEvictions.Value() }
 
 // Len reports the number of cached DFAs across all shards.
 func (c *SharedCache) Len() int {
@@ -306,7 +300,6 @@ func (c *SharedCache) decide(op byte, x, y *pathexpr.Node, a *Alphabet, compiles
 		// know", not false, and a retry under a larger budget must be free
 		// to succeed.
 		c.limitFails.Add(1)
-		c.cLimitFails.Add(1)
 		return false, err
 	}
 	sh.mu.Lock()
@@ -318,7 +311,6 @@ func (c *SharedCache) decide(op byte, x, y *pathexpr.Node, a *Alphabet, compiles
 		dropped := len(sh.ops)
 		sh.ops = make(map[opsKey]bool, c.perShard)
 		c.opsEvictions.Add(int64(dropped))
-		c.cEvictions.Add(int64(dropped))
 	}
 	sh.ops[key] = v
 	sh.mu.Unlock()

@@ -224,10 +224,10 @@ func (s *Set) Fingerprint64() uint64 {
 	return s.memo.fp
 }
 
-// Fingerprint64ForKey hashes a canonical fingerprint string (a Key
+// fingerprint64ForKey hashes a canonical fingerprint string (a Key
 // rendering, possibly produced by another process) the same way
 // Set.Fingerprint64 does.
-func Fingerprint64ForKey(key string) uint64 {
+func fingerprint64ForKey(key string) uint64 {
 	return strhash.FNV64a(key)
 }
 
@@ -247,7 +247,7 @@ func (s *Set) refreshMemoLocked() {
 	id := internKeyLocked(key)
 	setIDs.mu.Unlock()
 	s.memo.ok, s.memo.n, s.memo.key, s.memo.id = true, len(s.Axioms), key, id
-	s.memo.fp = Fingerprint64ForKey(key)
+	s.memo.fp = fingerprint64ForKey(key)
 }
 
 // WithoutFields returns a new set containing only axioms that mention none

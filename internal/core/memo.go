@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/pathexpr"
 	"repro/internal/prover"
@@ -118,14 +117,12 @@ type Memo struct {
 	shards   []memoShard
 	perShard int // completed-entry cap per shard; 0 = unbounded
 
-	lookups   atomic.Int64
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-
-	cHits      *telemetry.Counter
-	cMisses    *telemetry.Counter
-	cEvictions *telemetry.Counter
+	// The memo's own counts; hits, misses and evictions also feed the
+	// registry.
+	lookups   telemetry.Counter
+	hits      telemetry.Counter
+	misses    telemetry.Counter
+	evictions telemetry.Counter
 }
 
 // NewMemo returns a memo with the given shard count (DefaultMemoShards if
@@ -137,13 +134,10 @@ func NewMemo(shards, perShardCap int, tel *telemetry.Set) *Memo {
 	}
 	// The registry names say "engine": the memo serves the batched engine,
 	// and the repository benchmark and /metrics consumers read them.
-	m := &Memo{
-		shards:     make([]memoShard, shards),
-		perShard:   perShardCap,
-		cHits:      tel.Counter("engine.memo_hits"),
-		cMisses:    tel.Counter("engine.memo_misses"),
-		cEvictions: tel.Counter("engine.memo_evictions"),
-	}
+	m := &Memo{shards: make([]memoShard, shards), perShard: perShardCap}
+	m.hits.Feed(tel.Counter("engine.memo_hits"))
+	m.misses.Feed(tel.Counter("engine.memo_misses"))
+	m.evictions.Feed(tel.Counter("engine.memo_evictions"))
 	for i := range m.shards {
 		m.shards[i].m = make(map[memoKey]*memoEntry)
 	}
@@ -172,7 +166,6 @@ func (m *Memo) Prove(prv *prover.Prover, axiomID uint64, form prover.Form, x, y 
 		<-e.done
 		if p := e.proof; p != nil && p.Result != prover.Exhausted {
 			m.hits.Add(1)
-			m.cHits.Add(1)
 			return p
 		}
 		// The searching worker either died before publishing (panic unwound
@@ -180,7 +173,6 @@ func (m *Memo) Prove(prv *prover.Prover, axiomID uint64, form prover.Form, x, y 
 		// nothing about the axioms, and this waiter may have a longer
 		// deadline.  Search privately rather than inheriting the artifact.
 		m.misses.Add(1)
-		m.cMisses.Add(1)
 		return prv.ProveNodes(form, xn, yn)
 	}
 	e := &memoEntry{done: make(chan struct{})}
@@ -198,12 +190,10 @@ func (m *Memo) Prove(prv *prover.Prover, axiomID uint64, form prover.Form, x, y 
 			}
 		}
 		m.evictions.Add(dropped)
-		m.cEvictions.Add(dropped)
 	}
 	sh.m[key] = e
 	sh.mu.Unlock()
 	m.misses.Add(1)
-	m.cMisses.Add(1)
 
 	defer func() {
 		if e.proof == nil || e.proof.Result == prover.Exhausted {
@@ -230,10 +220,10 @@ func (m *Memo) Stats() MemoStats {
 		m.shards[i].mu.Unlock()
 	}
 	return MemoStats{
-		Lookups:   m.lookups.Load(),
-		Hits:      m.hits.Load(),
-		Misses:    m.misses.Load(),
-		Evictions: m.evictions.Load(),
+		Lookups:   m.lookups.Value(),
+		Hits:      m.hits.Value(),
+		Misses:    m.misses.Value(),
+		Evictions: m.evictions.Value(),
 		Entries:   n,
 	}
 }

@@ -54,7 +54,6 @@ func TestSnapshotArtifactGoalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadArtifact: %v", err)
 	}
-	defer back.Close()
 
 	warm := New(WorkloadWindows()[0], preloaded(Options{Workers: 4, VerifyProofs: true}, back))
 	got := warm.Batch(context.Background(), queries)
@@ -95,9 +94,9 @@ func TestArtifactAxiomSetRoundTrip(t *testing.T) {
 	if err := art.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	back, err := automata.ReadArtifact(path)
+	back, err := automata.LoadArtifact(path)
 	if err != nil {
-		t.Fatalf("ReadArtifact: %v", err)
+		t.Fatalf("LoadArtifact: %v", err)
 	}
 	sets := ArtifactAxiomSets(back)
 	if len(sets) != 1 {

@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/automata"
@@ -90,17 +89,13 @@ type Engine struct {
 	dfas   *automata.SharedCache
 	memo   *core.Memo
 
-	batches   atomic.Int64
-	queries   atomic.Int64
-	timeouts  atomic.Int64
-	deadlines atomic.Int64
-	canceled  atomic.Int64
-
-	cBatches   *telemetry.Counter
-	cQueries   *telemetry.Counter
-	cTimeouts  *telemetry.Counter
-	cDeadlines *telemetry.Counter
-	cCanceled  *telemetry.Counter
+	// The engine's own counts, each feeding the registry counter of the
+	// same quantity (shared by every engine on one telemetry set).
+	batches   telemetry.Counter
+	queries   telemetry.Counter
+	timeouts  telemetry.Counter
+	deadlines telemetry.Counter
+	canceled  telemetry.Counter
 }
 
 // New builds an engine over the default axiom set.  Queries carrying their
@@ -123,18 +118,19 @@ func New(axioms *axiom.Set, opts Options) *Engine {
 	if memo == nil {
 		memo = core.NewMemo(0, 0, tel)
 	}
-	return &Engine{
-		axioms:     axioms,
-		opts:       opts,
-		pool:       parallel.NewPool(opts.Workers).SetTelemetry(tel),
-		dfas:       dfas,
-		memo:       memo,
-		cBatches:   tel.Counter("engine.batches"),
-		cQueries:   tel.Counter("engine.queries"),
-		cTimeouts:  tel.Counter("engine.degraded.query_timeout"),
-		cDeadlines: tel.Counter("engine.degraded.request_deadline"),
-		cCanceled:  tel.Counter("engine.degraded.canceled"),
+	e := &Engine{
+		axioms: axioms,
+		opts:   opts,
+		pool:   parallel.NewPool(opts.Workers).SetTelemetry(tel),
+		dfas:   dfas,
+		memo:   memo,
 	}
+	e.batches.Feed(tel.Counter("engine.batches"))
+	e.queries.Feed(tel.Counter("engine.queries"))
+	e.timeouts.Feed(tel.Counter("engine.degraded.query_timeout"))
+	e.deadlines.Feed(tel.Counter("engine.degraded.request_deadline"))
+	e.canceled.Feed(tel.Counter("engine.degraded.canceled"))
+	return e
 }
 
 // Axioms returns the engine's default axiom set.
@@ -143,16 +139,15 @@ func (e *Engine) Axioms() *axiom.Set { return e.axioms }
 // Workers returns the engine's pool width.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
-// Stats snapshots the engine's counters.  (The engine keeps its own
-// atomics because telemetry instruments are nil, hence unreadable, when
-// telemetry is disabled.)
+// Stats snapshots the engine's own counters: this instance's counts, not
+// the registry's sum over every engine sharing its telemetry set.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Batches:         e.batches.Load(),
-		Queries:         e.queries.Load(),
-		Timeouts:        e.timeouts.Load(),
-		DeadlineExpired: e.deadlines.Load(),
-		Canceled:        e.canceled.Load(),
+		Batches:         e.batches.Value(),
+		Queries:         e.queries.Value(),
+		Timeouts:        e.timeouts.Value(),
+		DeadlineExpired: e.deadlines.Value(),
+		Canceled:        e.canceled.Value(),
 	}
 }
 
@@ -231,8 +226,6 @@ func (e *Engine) BatchTimeout(ctx context.Context, queries []core.Query, perQuer
 	}
 	e.batches.Add(1)
 	e.queries.Add(int64(len(queries)))
-	e.cBatches.Add(1)
-	e.cQueries.Add(int64(len(queries)))
 	results := make([]core.Outcome, len(queries))
 	rt, parent := telemetry.TraceScope(ctx)
 	e.pool.ForEachChunk(len(queries), func(lo, hi int) {
@@ -263,13 +256,10 @@ func (e *Engine) degrade(ctx context.Context, reason telemetry.DegradeReason) {
 	switch reason {
 	case telemetry.DegradeQueryTimeout:
 		e.timeouts.Add(1)
-		e.cTimeouts.Add(1)
 	case telemetry.DegradeRequestDeadline:
 		e.deadlines.Add(1)
-		e.cDeadlines.Add(1)
 	case telemetry.DegradeCanceled:
 		e.canceled.Add(1)
-		e.cCanceled.Add(1)
 	}
 	if rt, _ := telemetry.TraceScope(ctx); rt != nil {
 		rt.NoteDegraded(reason)

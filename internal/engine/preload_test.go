@@ -11,7 +11,7 @@ import (
 
 // TestPreloadedEngineMatchesCold is the artifact round-trip differential:
 // a cold engine answers the full seeded workload; its DFA-cache snapshot is
-// saved, loaded back through the mmap path, and preseeded into a second
+// saved, loaded back from disk, and preseeded into a second
 // engine, which must produce byte-identical verdicts — and do so without
 // compiling a single DFA, proving the artifact really covers the working
 // set rather than being quietly recompiled around.
@@ -34,7 +34,6 @@ func TestPreloadedEngineMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("LoadArtifact: %v", err)
 			}
-			defer art.Close()
 			if len(art.DFAs) == 0 {
 				t.Fatal("snapshot holds no DFAs; the differential would be vacuous")
 			}

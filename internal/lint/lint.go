@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/automata"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lang"
 	"repro/internal/prover"
@@ -98,7 +97,7 @@ type Pass interface {
 
 // Context carries the unit under analysis and memoizes the expensive
 // artifacts passes share: per-function memory-reference analyses and the
-// dependence testers built on their axiom sets.
+// batched query engines built on their axiom sets.
 type Context struct {
 	// File is the display name of the unit (used only in diagnostics
 	// rendering; the driver never touches the filesystem).
@@ -118,17 +117,15 @@ type Context struct {
 	// the unit.  Passes consult them through SkipFunc and SkipStruct.
 	OnlyFuncs   map[string]bool
 	OnlyStructs map[string]bool
-	// Caches, when non-nil, holds dependence testers and batched engines
-	// that outlive this run.  Both are keyed by axiom-set ID — pure
-	// functions of axiom content — so reusing them across re-parses of
-	// edited source is sound, and it carries the engines' proof memos and
-	// compiled DFAs from run to run.
+	// Caches, when non-nil, holds batched engines that outlive this run.
+	// They are keyed by axiom-set ID — a pure function of axiom content —
+	// so reusing them across re-parses of edited source is sound, and it
+	// carries the engines' proof memos and compiled DFAs from run to run.
 	Caches *Caches
-	// DFACache, when non-nil, is the DFA cache every tester and engine
-	// built by this context borrows; the driver preseeds one per run from
-	// its compiled automata artifact (aptc), so the first query of each
-	// axiom set skips cold compilation.  Nil gives each tester and engine a
-	// private cache.  Purely an optimization: verdicts are identical either
+	// DFACache, when non-nil, is the DFA cache every engine built by this
+	// context borrows; the driver preseeds one per run from its compiled
+	// automata artifact (aptc), so the first query of each axiom set skips
+	// cold compilation.  Nil gives each engine a private cache.  Purely an optimization: verdicts are identical either
 	// way.
 	DFACache *automata.SharedCache
 
@@ -136,7 +133,6 @@ type Context struct {
 	diags    []Diagnostic
 	analyses map[string]*analysis.Result
 	anErrs   map[string]error
-	testers  map[uint64]*core.Tester
 	engines  map[uint64]*engine.Engine
 	fps      *unitFingerprints
 }
@@ -153,22 +149,18 @@ func (c *Context) SkipStruct(name string) bool {
 }
 
 // Caches holds the cross-run artifacts of the incremental driver: the
-// dependence testers and batched query engines, keyed by axiom-set ID.
+// batched query engines, keyed by axiom-set ID.
 // Every verdict they produce depends only on axiom content, never on
 // source positions, so a cache hit after a re-parse is exact.  Analysis
 // results are deliberately NOT cached across runs: they embed source
 // positions, which shift under edits that leave the fingerprint unchanged.
 type Caches struct {
-	Testers map[uint64]*core.Tester
 	Engines map[uint64]*engine.Engine
 }
 
 // NewCaches returns an empty cross-run cache set.
 func NewCaches() *Caches {
-	return &Caches{
-		Testers: map[uint64]*core.Tester{},
-		Engines: map[uint64]*engine.Engine{},
-	}
+	return &Caches{Engines: map[uint64]*engine.Engine{}}
 }
 
 // Report files a diagnostic.  An empty Category is filled with the running
@@ -202,30 +194,6 @@ func (c *Context) Analysis(fn string) (*analysis.Result, error) {
 	})
 	c.analyses[fn], c.anErrs[fn] = res, err
 	return res, err
-}
-
-// Tester returns a memoized dependence tester for the analysis result's
-// axiom set (provers and their caches are shared across queries and passes,
-// and across runs when a cross-run cache is attached).
-func (c *Context) Tester(res *analysis.Result) *core.Tester {
-	key := res.Axioms.ID()
-	if c.Caches != nil {
-		if t, ok := c.Caches.Testers[key]; ok {
-			return t
-		}
-	}
-	if c.testers == nil {
-		c.testers = make(map[uint64]*core.Tester)
-	}
-	if t, ok := c.testers[key]; ok {
-		return t
-	}
-	t := core.NewTester(res.Axioms, prover.Options{Telemetry: c.Telemetry, DFACache: c.DFACache})
-	c.testers[key] = t
-	if c.Caches != nil {
-		c.Caches.Testers[key] = t
-	}
-	return t
 }
 
 // Engine returns a memoized batched query engine for the analysis result's
@@ -288,8 +256,7 @@ func (d *Driver) SetWorkers(n int) *Driver {
 }
 
 // SetPreload attaches a compiled automata artifact (aptc) that preseeds the
-// DFA cache each run's testers and engines share.  Returns the driver for
-// chaining.
+// DFA cache each run's engines share.  Returns the driver for chaining.
 func (d *Driver) SetPreload(art *automata.Artifact) *Driver {
 	d.preload = art
 	return d

@@ -119,10 +119,8 @@ type Router struct {
 	handoffs    atomic.Int64 // successful warm handoffs (≤ ringMoves)
 	panics      atomic.Int64
 
-	cRequests *telemetry.Counter
-	cShed     *telemetry.Counter
-	cHedges   *telemetry.Counter
-	hRequest  *telemetry.Histogram
+	cHedges  *telemetry.Counter
+	hRequest *telemetry.Histogram
 }
 
 // NormalizeAddr turns "host:port" into "http://host:port" (full URLs pass
@@ -148,7 +146,10 @@ func New(cfg Config) *Router {
 	rt := &Router{
 		cfg: cfg,
 		tel: tel,
-		adm: admit.New(cfg.MaxConcurrent, cfg.QueueDepth),
+		// The admission controller's accepted and shed counts feed the
+		// registry's route.requests and route.shed.
+		adm: admit.New(cfg.MaxConcurrent, cfg.QueueDepth).
+			Feed(tel.Counter("route.requests"), tel.Counter("route.shed")),
 		mux: http.NewServeMux(),
 		client: &http.Client{
 			// No overall client timeout: the batch deadline belongs to the
@@ -156,15 +157,13 @@ func New(cfg Config) *Router {
 			// from the request context.
 			Transport: &http.Transport{MaxIdleConnsPerHost: cfg.MaxConcurrent},
 		},
-		access:    cfg.AccessLog,
-		start:     time.Now(),
-		backends:  make(map[string]*backend),
-		seenFPs:   make(map[uint64]struct{}),
-		fpCache:   make(map[uint64]uint64),
-		cRequests: tel.Counter("route.requests"),
-		cShed:     tel.Counter("route.shed"),
-		cHedges:   tel.Counter("route.hedges"),
-		hRequest:  tel.Histogram("route.request_ns"),
+		access:   cfg.AccessLog,
+		start:    time.Now(),
+		backends: make(map[string]*backend),
+		seenFPs:  make(map[uint64]struct{}),
+		fpCache:  make(map[uint64]uint64),
+		cHedges:  tel.Counter("route.hedges"),
+		hRequest: tel.Histogram("route.request_ns"),
 	}
 	var addrs []string
 	for _, a := range cfg.Backends {
@@ -312,15 +311,20 @@ func (rt *Router) probeLoop() {
 			return
 		case <-tick.C:
 		}
-		rt.mu.Lock()
-		members := make([]*backend, 0, len(rt.backends))
-		for _, b := range rt.backends {
-			members = append(members, b)
-		}
-		rt.mu.Unlock()
-		for _, b := range members {
-			b.up.Store(rt.probe(b.addr))
-		}
+		rt.probeAll()
+	}
+}
+
+// probeAll runs one synchronous probe pass over every known backend.
+func (rt *Router) probeAll() {
+	rt.mu.Lock()
+	members := make([]*backend, 0, len(rt.backends))
+	for _, b := range rt.backends {
+		members = append(members, b)
+	}
+	rt.mu.Unlock()
+	for _, b := range members {
+		b.up.Store(rt.probe(b.addr))
 	}
 }
 
@@ -339,20 +343,6 @@ func (rt *Router) probe(addr string) bool {
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
-}
-
-// ProbeNow runs one synchronous probe pass (exported for tests and the
-// cluster smoke, which must not wait out the ticker).
-func (rt *Router) ProbeNow() {
-	rt.mu.Lock()
-	members := make([]*backend, 0, len(rt.backends))
-	for _, b := range rt.backends {
-		members = append(members, b)
-	}
-	rt.mu.Unlock()
-	for _, b := range members {
-		b.up.Store(rt.probe(b.addr))
-	}
 }
 
 // fingerprint computes the request's axiom-set fingerprint — the ring
@@ -420,7 +410,6 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	if !rt.adm.TryAcquire() {
-		rt.cShed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(rt.adm.RetryAfterSeconds()))
 		wire.WriteJSONError(w, http.StatusTooManyRequests, "router admission queue full; retry")
 		return
@@ -434,7 +423,6 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.adm.Finish()
 		rt.hRequest.Observe(time.Since(start).Nanoseconds())
 	}()
-	rt.cRequests.Add(1)
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 	if err != nil {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lang"
 )
@@ -111,15 +111,8 @@ func Replay(d *Divergence) (*Divergence, error) {
 	if err != nil {
 		return nil, fmt.Errorf("artifact program does not analyze: %w", err)
 	}
-	var qs []core.Query
-	switch d.Query.Mode {
-	case "between":
-		qs, err = res.QueriesBetween(d.Query.A, d.Query.B)
-	case "cross":
-		qs, err = res.LoopCarriedBetween(d.Query.A, d.Query.B)
-	case "loop":
-		qs, err = res.LoopCarriedQueries(d.Query.A)
-	default:
+	qs, err := res.QueriesFor(d.Query.Mode, d.Query.A, d.Query.B)
+	if errors.Is(err, analysis.ErrQueryMode) {
 		return nil, fmt.Errorf("artifact query mode %q unknown", d.Query.Mode)
 	}
 	if err != nil {

@@ -280,18 +280,7 @@ func (f *Farm) checkProgram(ctx context.Context, fam *Family, sp *progSpec, g *h
 		spans   [][2]int // query index range per kept line
 	)
 	for _, q := range lines {
-		var (
-			qs  []core.Query
-			err error
-		)
-		switch q.Mode {
-		case "between":
-			qs, err = res.QueriesBetween(q.A, q.B)
-		case "cross":
-			qs, err = res.LoopCarriedBetween(q.A, q.B)
-		default:
-			qs, err = res.LoopCarriedQueries(q.A)
-		}
+		qs, err := res.QueriesFor(q.Mode, q.A, q.B)
 		if err != nil || len(qs) == 0 {
 			f.report.SkippedLines++
 			continue

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/lang"
 )
@@ -110,15 +109,7 @@ func (f *Farm) reproduces(fam *Family, sp *progSpec, q QueryLine, g *heap.Graph,
 	if err != nil {
 		return false
 	}
-	var qs []core.Query
-	switch q.Mode {
-	case "between":
-		qs, err = res.QueriesBetween(q.A, q.B)
-	case "cross":
-		qs, err = res.LoopCarriedBetween(q.A, q.B)
-	default:
-		qs, err = res.LoopCarriedQueries(q.A)
-	}
+	qs, err := res.QueriesFor(q.Mode, q.A, q.B)
 	if err != nil || len(qs) == 0 {
 		return false
 	}

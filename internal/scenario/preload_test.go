@@ -66,7 +66,6 @@ func TestRegressionCorpusPreloadIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("LoadArtifact: %v", err)
 			}
-			defer art.Close()
 
 			dfas := automata.NewSharedCache(0, 0, 0)
 			dfas.Preseed(art)

@@ -14,7 +14,7 @@ import (
 // This file is the server's observability surface: the statusWriter that
 // feeds the structured access log, the flight-recorder hookup, and the
 // Prometheus rendering of the server-level and per-axiom-set state that
-// lives outside the telemetry registry (admission atomics, pool contents,
+// lives outside the telemetry registry (admission counts, pool contents,
 // split degraded counters).
 
 // statusWriter records the status code and body size a handler produced,
@@ -155,7 +155,7 @@ func (s *Server) writePromServer(w io.Writer) {
 	counter("apt_server_completed_total", "Requests answered.", completed)
 	counter("apt_server_shed_total", "Requests shed with 429 by admission control.", shed)
 	counter("apt_server_refused_draining_total", "Requests refused because the server was draining.", refused)
-	counter("apt_server_panics_total", "Handler panics isolated into 500s.", s.panics.Load())
+	counter("apt_server_panics_total", "Handler panics isolated into 500s.", s.panics.Value())
 	counter("apt_server_degraded_requests_total", "Requests with at least one query degraded toward Maybe.", s.degradedReqs.Load())
 	counter("apt_server_engines_evicted_total", "Warm engines reclaimed by the pool LRU.", s.pool.Evicted())
 	gauge("apt_server_inflight", "Requests admitted and not yet completed.", s.gauge.Load())

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/axiom"
 )
@@ -178,5 +179,41 @@ func TestSnapshotPreloadHandoff(t *testing.T) {
 		if r.Result != "No" {
 			t.Errorf("results[%d] = %q (%s), want No", i, r.Result, r.Reason)
 		}
+	}
+}
+
+// TestBatchStatsTimeoutsPerRequest: stats.timeouts counts the request's own
+// timed-out queries, like its neighbours degraded_queries and
+// deadline_expired — not the axiom set's engine's lifetime count, which
+// would repeat an earlier request's timeout on every later request.
+func TestBatchStatsTimeoutsPerRequest(t *testing.T) {
+	srv := New(Config{Workers: 1, QueryTimeout: time.Nanosecond})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// The heavy pair's proof search runs well past the prover's interrupt
+	// poll stride, so the 1ns per-query timeout is observed mid-search.
+	heavy := rawTreeRequest()
+	heavy.Raw = []RawQuery{{
+		SHandle: "h", SPath: "(L|R).(L|R).(L|R).N*", SField: "val", SWrite: true,
+		THandle: "h", TPath: "(L|R).(L|R).(L|R).N+", TField: "val",
+	}}
+	_, br := postBatch(t, ts.URL, heavy)
+	if len(br.Results) != 1 || br.Results[0].Result != "Maybe" {
+		t.Fatalf("timed-out request answered %+v, want one Maybe", br.Results)
+	}
+	if br.Stats.Timeouts != 1 {
+		t.Errorf("timed-out request: stats.timeouts = %d, want 1", br.Stats.Timeouts)
+	}
+
+	// Same axiom set, so the same engine, with a generous timeout.
+	clean := rawTreeRequest()
+	clean.TimeoutMS = 10_000
+	_, br2 := postBatch(t, ts.URL, clean)
+	if br2.Stats.ColdEngine {
+		t.Fatal("clean request built a new engine; the test needs the timed-out request's engine")
+	}
+	if br2.Stats.Timeouts != 0 {
+		t.Errorf("clean request after a timed-out one: stats.timeouts = %d, want 0", br2.Stats.Timeouts)
 	}
 }

@@ -204,12 +204,9 @@ type Server struct {
 	access *telemetry.TraceWriter
 
 	start        time.Time
-	panics       atomic.Int64
-	degradedReqs atomic.Int64 // requests with ≥1 degraded query
+	panics       telemetry.Counter // feeds serve.panics
+	degradedReqs atomic.Int64      // requests with ≥1 degraded query
 
-	cRequests  *telemetry.Counter
-	cShed      *telemetry.Counter
-	cPanics    *telemetry.Counter
 	hRequestNS *telemetry.Histogram
 	hQueueNS   *telemetry.Histogram
 	wRequestNS *telemetry.WindowHistogram
@@ -226,7 +223,10 @@ func New(cfg Config) *Server {
 func newServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	tel := cfg.Telemetry
-	adm := admit.New(cfg.MaxConcurrent, cfg.QueueDepth)
+	// The admission controller counts accepted and shed requests; the
+	// registry's serve.requests and serve.shed are fed from those counts.
+	adm := admit.New(cfg.MaxConcurrent, cfg.QueueDepth).
+		Feed(tel.Counter("serve.requests"), tel.Counter("serve.shed"))
 	s := &Server{
 		cfg:         cfg,
 		tel:         tel,
@@ -240,13 +240,11 @@ func newServer(cfg Config) *Server {
 		flight:      telemetry.NewFlightRecorder(cfg.FlightK, cfg.FlightRing),
 		access:      cfg.AccessLog,
 		start:       time.Now(),
-		cRequests:   tel.Counter("serve.requests"),
-		cShed:       tel.Counter("serve.shed"),
-		cPanics:     tel.Counter("serve.panics"),
 		hRequestNS:  tel.Histogram("serve.request_ns"),
 		hQueueNS:    tel.Histogram("serve.queue_wait_ns"),
 		wRequestNS:  tel.Window("serve.request_ns"),
 	}
+	s.panics.Feed(tel.Counter("serve.panics"))
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
 	s.mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("/v1/preload", s.handlePreload)
@@ -322,7 +320,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.panics.Add(1)
-			s.cPanics.Add(1)
 			msg := "internal error"
 			if wp, ok := rec.(*parallel.WorkerPanic); ok {
 				msg = fmt.Sprintf("worker panic: %v", wp.Value)
@@ -369,7 +366,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// are already in the building — shed immediately rather than letting
 	// the queue (and every client's latency) grow without bound.
 	if !s.adm.TryAcquire() {
-		s.cShed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		writeJSONError(w, http.StatusTooManyRequests, "admission queue full; retry")
 		return
@@ -379,7 +375,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
-	s.cRequests.Add(1)
 	startWait := time.Now()
 	var meta *flightMeta
 	defer func() {
@@ -449,7 +444,9 @@ func (s *Server) answer(ctx context.Context, req *BatchRequest, rt *telemetry.Re
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("analyze: %v", err)
 	}
-	queries, origins, err := expandQueryLines(req.Queries, res)
+	queries, origins, err := res.ExpandQueryLines(req.Queries, func(n int) string {
+		return fmt.Sprintf("queries[%d]", n)
+	})
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, err
 	}
@@ -518,7 +515,7 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.
 	start := time.Now()
 	outs := eng.BatchTimeout(bctx, queries, perQuery)
 	elapsed := time.Since(start)
-	st, memo, dfa := eng.Stats(), s.pool.Memo().Stats(), s.pool.DFACache().Stats()
+	memo, dfa := s.pool.Memo().Stats(), s.pool.DFACache().Stats()
 	bsp.End(
 		telemetry.String("axiom_set", ax.StructName),
 		telemetry.Bool("cold_engine", cold),
@@ -553,7 +550,7 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.
 		MemoLookups:     memo.Lookups,
 		DFAHits:         int64(dfa.Hits),
 		DFALookups:      int64(dfa.Lookups),
-		Timeouts:        st.Timeouts,
+		Timeouts:        deg[telemetry.DegradeQueryTimeout],
 		TraceID:         rt.TraceIDString(),
 		DegradedQueries: rt.DegradedTotal(),
 		DeadlineExpired: deg[telemetry.DegradeRequestDeadline],
@@ -650,7 +647,7 @@ func (s *Server) StatzSnapshot() Statz {
 		Inflight:         s.gauge.Load(),
 		Shed:             shed,
 		RefusedDraining:  refused,
-		Panics:           s.panics.Load(),
+		Panics:           s.panics.Value(),
 		DegradedRequests: s.degradedReqs.Load(),
 		EnginesResident:  s.pool.len(),
 		EnginesEvicted:   s.pool.Evicted(),

@@ -27,14 +27,30 @@ import (
 
 // Counter is a monotonically increasing atomic counter.  A nil *Counter is a
 // valid no-op instrument.
-type Counter struct{ v atomic.Int64 }
+//
+// A component that must read its own counts whether or not telemetry is on
+// (a cache's Stats, a server's /statz) owns a Counter per quantity and
+// links it to the registry's counter of the same name with Feed: one Add
+// then books both, so each quantity is counted once and the registry sums
+// every instance fed into it.
+type Counter struct {
+	v      atomic.Int64
+	parent *Counter
+}
 
-// Add increments the counter by n.
+// Add increments the counter by n, and the counter it feeds (if any).
 func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
+	for ; c != nil; c = c.parent {
+		c.v.Add(n)
 	}
-	c.v.Add(n)
+}
+
+// Feed makes every later Add on c also add to parent; a nil parent (a
+// disabled registry's counter) feeds nothing.  Call it once, before c is
+// shared.  Returns c for chaining.
+func (c *Counter) Feed(parent *Counter) *Counter {
+	c.parent = parent
+	return c
 }
 
 // Inc increments the counter by one.

@@ -126,7 +126,10 @@ type BatchStats struct {
 	MemoLookups int64 `json:"memo_lookups"`
 	DFAHits     int64 `json:"dfa_hits"`
 	DFALookups  int64 `json:"dfa_lookups"`
-	Timeouts    int64 `json:"timeouts"`
+	// Timeouts counts this request's queries degraded toward Maybe because
+	// the per-query timeout expired (not the engine's lifetime count, which
+	// /statz reports per axiom set).
+	Timeouts int64 `json:"timeouts"`
 	// TraceID identifies this request's trace (the same id the traceparent
 	// response header carries).
 	TraceID string `json:"trace_id,omitempty"`
