@@ -88,15 +88,17 @@ serve-smoke:
 # traceparent/span-tree tests, a 50-iteration race soak of the lock-free
 # flight recorder and sliding-window histogram, the zero-allocation
 # guards for disabled tracing (which -race would skew, hence the separate
-# non-race invocation), and the count-once test: every instance counter
-# counts with telemetry off and feeds the registry exactly once.
+# non-race invocation), the count-once test (every instance counter
+# counts with telemetry off and feeds the registry exactly once), and the
+# one-span-model test (a streaming and a retaining trace of one batch hold
+# the same spans with the same parents).
 obs-check:
-	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestTraceparent|TestRequestTrace|TestMetricsPrometheus|TestAccessLog' \
+	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestTraceparent|TestRequestTrace|TestStreamingTrace|TestMetricsPrometheus|TestAccessLog' \
 		./internal/telemetry ./internal/serve
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestWindowHistogram' ./internal/telemetry
 	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget' \
 		./internal/telemetry ./internal/engine ./internal/prover
-	$(GO) test -race -run 'TestDegradedCountersSplitByReason|TestCountOnce' ./internal/engine
+	$(GO) test -race -run 'TestDegradedCountersSplitByReason|TestCountOnce|TestOneSpanModel' ./internal/engine
 
 # Fixed-seed differential fuzzing smoke: generate scenario programs over all
 # five structure families, cross-check every verdict against the concrete and

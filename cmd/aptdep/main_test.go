@@ -59,6 +59,8 @@ func TestTraceJSONSchema(t *testing.T) {
 		t.Fatalf("only %d trace lines", len(lines))
 	}
 	events := map[string]int{}
+	spans := map[string]string{} // span_id → ev
+	var children [][2]string     // (ev, parent_id) of every parented line
 	lastSeq := int64(0)
 	for _, ln := range lines {
 		var m map[string]any
@@ -77,21 +79,47 @@ func TestTraceJSONSchema(t *testing.T) {
 		lastSeq = seq
 		ev := m["ev"].(string)
 		events[ev]++
-		if ev == "prover.query" {
-			for _, k := range []string{"dur_us", "theorem", "result", "steps", "peak_depth", "dfa_compiles", "cache_hits"} {
+		// A span line carries its span_id and duration; an event line
+		// carries neither.
+		id, isSpan := m["span_id"].(string)
+		if _, timed := m["dur_us"]; isSpan && !timed {
+			t.Errorf("span line lacks dur_us: %s", ln)
+		}
+		if isSpan {
+			spans[id] = ev
+		}
+		if parent, ok := m["parent_id"].(string); ok {
+			children = append(children, [2]string{ev, parent})
+		}
+		if ev == "prover.prove" {
+			for _, k := range []string{"span_id", "dur_us", "theorem", "result", "steps", "budget", "peak_depth", "dfa_compiles", "cache_hits"} {
 				if _, ok := m[k]; !ok {
-					t.Errorf("prover.query missing %q: %s", k, ln)
+					t.Errorf("prover.prove missing %q: %s", k, ln)
 				}
 			}
 			if m["result"] != "proved" {
-				t.Errorf("prover.query result = %v, want proved", m["result"])
+				t.Errorf("prover.prove result = %v, want proved", m["result"])
 			}
 		}
 	}
-	for _, ev := range []string{"pipeline.phase", "analysis.analyze", "prover.query",
+	for _, ev := range []string{"pipeline.phase", "analysis.analyze", "prover.prove",
 		"prover.suffix_split", "automata.compile", "core.deptest"} {
 		if events[ev] == 0 {
 			t.Errorf("no %s events in trace", ev)
+		}
+	}
+	if events["prover.query"] != 0 {
+		t.Errorf("%d prover.query lines; the proof is reported once, as prover.prove", events["prover.query"])
+	}
+	// Every parent_id names a span of the same trace, and the rule events
+	// sit under their proof's span.
+	for _, c := range children {
+		parent, ok := spans[c[1]]
+		if !ok {
+			t.Errorf("%s parented under %s, which is no span in the trace", c[0], c[1])
+		}
+		if strings.HasPrefix(c[0], "prover.") && parent != "prover.prove" {
+			t.Errorf("%s parented under %s, want prover.prove", c[0], parent)
 		}
 	}
 

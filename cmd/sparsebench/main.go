@@ -7,7 +7,7 @@
 //	sparsebench -sweep                 size/pattern sweep of the 7-PE column
 //	sparsebench -detail                per-phase work breakdown
 //	sparsebench -live 4 -stats         also factor on 4 real workers, with metrics
-//	sparsebench -live 4 -http :6060    serve pprof + expvar while (and after) running
+//	sparsebench -live 4 -http :6060    serve pprof + /metrics.json while (and after) running
 //	sparsebench -certify 4 -stats      first prove the kernel's loops DOALL-legal
 //	                                   through the batched dependence engine
 package main
@@ -32,6 +32,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -44,7 +45,7 @@ func main() {
 	detail := flag.Bool("detail", false, "print the per-phase work breakdown")
 	live := flag.Int("live", 0, "also run the full factorization live on this many goroutine workers")
 	certify := flag.Int("certify", 0, "first certify the sparse kernel's loops DOALL-legal through the batched dependence engine on this many `workers` (0 = skip)")
-	httpAddr := flag.String("http", "", "serve net/http/pprof and expvar (/debug/vars) on this `address`, keeping the process alive after the run")
+	httpAddr := flag.String("http", "", "serve net/http/pprof and the metrics snapshot (/metrics.json) on this `address`, keeping the process alive after the run")
 	var tf cliutil.TelemetryFlags
 	tf.Register(flag.CommandLine)
 	flag.Parse()
@@ -58,13 +59,16 @@ func main() {
 		os.Exit(2)
 	}
 	if *httpAddr != "" {
-		tf.Registry().PublishExpvar("sparsebench")
+		reg := tf.Registry()
+		http.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
+			wire.WriteJSON(w, http.StatusOK, reg.Snapshot())
+		})
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "sparsebench: http:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "serving /debug/pprof and /debug/vars on %s\n", *httpAddr)
+		fmt.Fprintf(os.Stderr, "serving /debug/pprof and /metrics.json on %s\n", *httpAddr)
 	}
 
 	if *sweep {

@@ -19,15 +19,16 @@ func Analyze(prog *lang.Program, fnName string, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("analysis: function %q not found", fnName)
 	}
 	tel := opts.Telemetry
-	sp := tel.Begin("analysis.analyze")
-	ssp := tel.Begin("analysis.summarize")
+	sp := tel.Trace().StartSpan("analysis.analyze", telemetry.SpanID{})
+	ssp := tel.Trace().StartSpan("analysis.summarize", sp.ID())
 	summaries := Summarize(prog)
 	ssp.End(telemetry.Int("funcs", len(summaries)))
 	a := &analyzer{
 		prog:      prog,
 		fn:        fn,
 		opts:      opts,
-		tel:       tel,
+		trace:     tel.Trace(),
+		span:      sp.ID(),
 		varTypes:  make(map[string]string),
 		counters:  make(map[string]int),
 		summaries: summaries,
@@ -109,7 +110,6 @@ type analyzer struct {
 	prog      *lang.Program
 	fn        *lang.FuncDecl
 	opts      Options
-	tel       *telemetry.Set
 	res       *Result
 	varTypes  map[string]string
 	counters  map[string]int
@@ -127,6 +127,10 @@ type analyzer struct {
 	// dfas caches the DFAs and inclusion decisions behind the post-loop
 	// widening checks of this walk (one owner, hence one shard).
 	dfas *automata.SharedCache
+	// trace receives the analysis.widen events, parented under span (the
+	// function's analysis.analyze span).
+	trace *telemetry.RequestTrace
+	span  telemetry.SpanID
 }
 
 // collectAddrTaken returns the variables whose address is taken anywhere in
@@ -503,8 +507,8 @@ func (a *analyzer) walkWhile(st *state, w *lang.WhileStmt) *state {
 		lc.iterDeltas[ih] = d
 		fix.set(ih, v, pathexpr.Eps)
 	}
-	if a.tel.TraceEnabled() {
-		a.tel.Emit("analysis.widen",
+	if a.trace.Streaming() {
+		a.trace.Event("analysis.widen", a.span,
 			telemetry.Int("loop", lc.id),
 			telemetry.String("label", w.Label()),
 			telemetry.Int("widened_vars", len(deltas)),

@@ -62,7 +62,7 @@ type SharedCache struct {
 	dfaEvictions telemetry.Counter
 	opsEvictions telemetry.Counter
 
-	tel           *telemetry.Set
+	trace         *telemetry.RequestTrace
 	cDecisions    *telemetry.Counter
 	cDecisionHits *telemetry.Counter
 	compileTimeNS *telemetry.Histogram
@@ -111,7 +111,7 @@ func NewSharedCache(limit, shards, perShardCap int) *SharedCache {
 // (nil disables, the default).  Call it before the first lookup.  Returns
 // the cache for chaining.
 func (c *SharedCache) SetTelemetry(tel *telemetry.Set) *SharedCache {
-	c.tel = tel
+	c.trace = tel.Trace()
 	c.lookups.Feed(tel.Counter("automata.shared_lookups"))
 	c.hits.Feed(tel.Counter("automata.shared_hits"))
 	c.compiles.Feed(tel.Counter("automata.shared_compiles"))
@@ -161,7 +161,7 @@ func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, compiles *int) (*DFA, e
 		return d, nil
 	}
 
-	timed := c.compileTimeNS != nil || c.tel.TraceEnabled()
+	timed := c.compileTimeNS != nil || c.trace.Streaming()
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
@@ -183,7 +183,7 @@ func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, compiles *int) (*DFA, e
 		dur := time.Since(t0)
 		c.compileTimeNS.Observe(dur.Nanoseconds())
 		c.compileWin.Observe(dur.Nanoseconds())
-		c.tel.Emit("automata.compile",
+		c.trace.Event("automata.compile", telemetry.SpanID{},
 			telemetry.String("expr", n.String()),
 			telemetry.Int("states", built),
 			telemetry.Int("min_states", d.NumStates()),

@@ -15,8 +15,9 @@ import (
 // request.
 //
 // Lifecycle: Register the flags, Open after parsing to get the *telemetry.Set
-// to thread through the pipeline, and Close at exit to flush the trace file
-// and print the -stats summary.
+// to thread through the pipeline — its trace streams every span and event
+// to the -trace-json file — and Close at exit to flush the trace file and
+// print the -stats summary.
 type TelemetryFlags struct {
 	Stats     bool
 	TracePath string
@@ -59,7 +60,7 @@ func (t *TelemetryFlags) Open() (*telemetry.Set, error) {
 		t.f = f
 		t.tw = telemetry.NewTraceWriter(f)
 	}
-	return telemetry.New(t.reg, t.tw), nil
+	return telemetry.New(t.reg, telemetry.NewStreamingTrace(t.tw)), nil
 }
 
 // Registry returns the metrics registry (nil when disabled).

@@ -236,7 +236,7 @@ func (t *Tester) DepTest(q Query) Outcome {
 	if !tel.Enabled() {
 		return t.depTest(q)
 	}
-	sp := tel.Begin("core.deptest")
+	sp := tel.Trace().StartSpan("core.deptest", telemetry.SpanID{})
 	out := t.depTest(q)
 	tel.Counter("core.deptests").Add(1)
 	tel.Counter("core.answer_" + out.Result.String()).Add(1)

@@ -21,8 +21,9 @@ import (
 func degradedHarness(t *testing.T, ctx context.Context, queries []core.Query, perQuery time.Duration) (Stats, map[string]int64, [telemetry.NumDegradeReasons]int64) {
 	t.Helper()
 	tel := telemetry.New(telemetry.NewRegistry(), nil)
-	rt := telemetry.NewRequestTrace(telemetry.NewTraceContext())
-	ctx = telemetry.WithTraceScope(ctx, rt, rt.Context().SpanID)
+	tc := telemetry.NewTraceContext()
+	rt := telemetry.NewRequestTrace(tc)
+	ctx = telemetry.WithTraceScope(ctx, rt, tc.SpanID)
 	eng := New(WorkloadWindows()[0], Options{Workers: 2, Telemetry: tel})
 	for i, out := range eng.BatchTimeout(ctx, queries, perQuery) {
 		if out.Result != core.Maybe {

@@ -48,7 +48,8 @@ type Options struct {
 	// proof checker, as on the sequential Tester.
 	VerifyProofs bool
 	// Telemetry receives the engine's batch/memo/cache counters (nil, the
-	// default, disables them).  Also passed to the worker provers unless
+	// default, disables them) and, for a batch whose context carries no
+	// trace scope, its spans.  Also passed to the worker provers unless
 	// Prover.Telemetry is already set.
 	Telemetry *telemetry.Set
 	// DFACache and Memo are the compiled-DFA cache and the cross-query
@@ -227,7 +228,14 @@ func (e *Engine) BatchTimeout(ctx context.Context, queries []core.Query, perQuer
 	e.batches.Add(1)
 	e.queries.Add(int64(len(queries)))
 	results := make([]core.Outcome, len(queries))
+	// Spans go to the batch context's trace scope (a served request's
+	// retaining trace) or, without one, to the engine's telemetry trace (a
+	// CLI's -trace-json stream); either way each chunk is one engine.worker
+	// span with its proofs under it.
 	rt, parent := telemetry.TraceScope(ctx)
+	if rt == nil {
+		rt = e.opts.Telemetry.Trace()
+	}
 	e.pool.ForEachChunk(len(queries), func(lo, hi int) {
 		ws := rt.StartSpan("engine.worker", parent)
 		guard := &interruptGuard{ctx: ctx}

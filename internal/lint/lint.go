@@ -286,7 +286,7 @@ func (d *Driver) Run(file string, prog *lang.Program) ([]Diagnostic, error) {
 func (d *Driver) RunContext(ctx *Context) ([]Diagnostic, error) {
 	file, prog := ctx.File, ctx.Prog
 	for _, p := range d.passes {
-		sp := d.tel.Begin("lint.pass")
+		sp := d.tel.Trace().StartSpan("lint.pass", telemetry.SpanID{})
 		before := len(ctx.diags)
 		ctx.pass = p.Name()
 		err := p.Run(ctx)

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"os"
@@ -12,15 +13,21 @@ import (
 // WatchOptions configures a watch session.
 type WatchOptions struct {
 	// Interval is the polling period (modification time + size; the
-	// portable change signal — no platform watcher dependencies).
+	// portable change signal — no platform watcher dependencies).  A
+	// change is acted on once the attributes hold still for one poll, so
+	// a poll that lands between a rewrite's truncate and its write never
+	// lints the half-written file.
 	Interval time.Duration
 	// Cycles bounds the session: after this many polls the session
 	// returns (0 means watch forever).  Tests use small cycle counts.
 	Cycles int
-	// Out receives the diagnostics; every cycle that re-analyzes anything
-	// re-emits the full result set for all watched files, so consumers
-	// always see a complete, current picture.  The first emission is
-	// byte-identical to a plain (non-watch) run over the same files.
+	// Out receives the diagnostics; every cycle in which some file's bytes
+	// changed re-emits the full result set for all watched files, so
+	// consumers always see a complete, current picture.  A file whose
+	// modification time or size changed but whose bytes did not (a
+	// rewrite with identical content) is neither re-analyzed nor
+	// re-emitted.  The first emission is byte-identical to a plain
+	// (non-watch) run over the same files.
 	Out io.Writer
 	// Status receives one human-readable line per event (stderr in the
 	// CLI); nil discards them.
@@ -32,11 +39,16 @@ type WatchOptions struct {
 	StorePath string
 }
 
-// watchedFile is the per-file polling state.
+// watchedFile is the per-file polling state: the (mtime, size) seen at the
+// last poll, the cheap change signal, whether it changed since the last
+// lint, and the hash of the bytes last linted, the real one (zero before
+// the first lint; no file's bytes hash to it).
 type watchedFile struct {
 	name    string
 	modTime time.Time
 	size    int64
+	pending bool
+	sum     [sha256.Size]byte
 	result  FileResult
 }
 
@@ -59,14 +71,22 @@ func Watch(files []string, inc *IncrementalDriver, opts WatchOptions) (bool, err
 		watched[i] = &watchedFile{name: f}
 	}
 
-	lintOne := func(w *watchedFile) RunStats {
+	// lintOne lints w unless its bytes are those it last linted, and
+	// reports whether it did.  A poll may stat the file mid-rewrite and
+	// still read the finished bytes; comparing bytes, not attributes, keeps
+	// the next poll from linting (and emitting) them a second time.
+	lintOne := func(w *watchedFile) bool {
 		start := time.Now()
-		var stats RunStats
 		src, err := os.ReadFile(w.name)
 		if err != nil {
 			status("%s: %v", w.name, err)
-			return stats
+			return false
 		}
+		sum := sha256.Sum256(src)
+		if sum == w.sum {
+			return false
+		}
+		w.sum = sum
 		prog, err := lang.Parse(string(src))
 		if err != nil {
 			if pos, ok := lang.ErrPos(err); ok {
@@ -76,18 +96,18 @@ func Watch(files []string, inc *IncrementalDriver, opts WatchOptions) (bool, err
 			} else {
 				status("%s: %v", w.name, err)
 			}
-			return stats
+			return true
 		}
 		diags, stats, err := inc.Run(w.name, prog)
 		if err != nil {
 			status("%s: %v", w.name, err)
-			return stats
+			return true
 		}
 		w.result = FileResult{File: w.name, Diags: diags}
 		status("%s: re-analyzed %d declaration(s), reused %d, %d diagnostic(s) in %.1fms",
 			w.name, stats.Analyzed, stats.Reused, stats.Diags,
 			float64(time.Since(start).Microseconds())/1000)
-		return stats
+		return true
 	}
 
 	emit := func() (bool, error) {
@@ -135,12 +155,15 @@ func Watch(files []string, inc *IncrementalDriver, opts WatchOptions) (bool, err
 			if err != nil {
 				continue
 			}
-			if st.ModTime().Equal(w.modTime) && st.Size() == w.size {
+			if !st.ModTime().Equal(w.modTime) || st.Size() != w.size {
+				w.modTime, w.size = st.ModTime(), st.Size()
+				w.pending = true // lint once it settles
 				continue
 			}
-			w.modTime, w.size = st.ModTime(), st.Size()
-			lintOne(w)
-			changed = true
+			if w.pending {
+				w.pending = false
+				changed = lintOne(w) || changed
+			}
 		}
 		if changed {
 			if hadErrors, err = emit(); err != nil {

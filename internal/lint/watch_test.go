@@ -115,3 +115,75 @@ void quiet(struct N *a) {
 		t.Errorf("no incremental re-analysis recorded:\n%s", status.String())
 	}
 }
+
+// onWrite is a status writer that runs fn, once, when a status line
+// containing trigger is written — a synchronization point inside Watch.
+type onWrite struct {
+	bytes.Buffer
+	trigger string
+	fn      func()
+	fired   bool
+}
+
+func (w *onWrite) Write(p []byte) (int, error) {
+	if !w.fired && bytes.Contains(p, []byte(w.trigger)) {
+		w.fired = true
+		w.fn()
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestWatchSkipsUnchangedBytes: rewriting a watched file with identical
+// bytes and a new modification time is not an edit.  The rewrite happens
+// when Watch reports it is watching, so every poll after it sees the new
+// mtime; none may re-analyze or re-emit.
+func TestWatchSkipsUnchangedBytes(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "u.c")
+	src := []byte(`
+struct N {
+	struct N *nx;
+	int d;
+};
+
+void splice(struct N *a) {
+	struct N *t;
+	t = a->nx;
+	if (t != NULL) {
+		a->nx = NULL;
+		t->d = 1;
+	}
+}
+`)
+	if err := os.WriteFile(file, src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	status := &onWrite{trigger: "watching", fn: func() {
+		if err := os.WriteFile(file, src, 0o644); err != nil {
+			t.Error(err)
+		}
+		old := time.Unix(1_000_000_000, 0)
+		if err := os.Chtimes(file, old, old); err != nil {
+			t.Error(err)
+		}
+	}}
+	var out bytes.Buffer
+	inc := NewIncremental(NewDriver(nil))
+	if _, err := Watch([]string{file}, inc, WatchOptions{
+		Interval: time.Millisecond,
+		Cycles:   5,
+		Out:      &out,
+		Status:   status,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !status.fired {
+		t.Fatal("watch never reported it was watching")
+	}
+	if n := strings.Count(out.String(), "use of handle t after destructive update"); n != 1 {
+		t.Errorf("want only the initial emission, saw the warning %d time(s):\n%s", n, out.String())
+	}
+	_, after, _ := strings.Cut(status.String(), "watching")
+	if strings.Contains(after, "re-analyzed") {
+		t.Errorf("identical bytes re-analyzed:\n%s", status.String())
+	}
+}

@@ -42,16 +42,19 @@ type Options struct {
 	// Maybe, never to an unsound No.  The engine uses this for context
 	// cancellation and per-query timeouts.
 	Interrupt func() bool
-	// Trace, when non-nil, receives one request-scoped span per top-level
+	// Trace, when non-nil, receives one "prover.prove" span per top-level
 	// Prove call, parented under TraceParent — the engine sets both so a
 	// served request's span tree reaches all the way down to the proof
-	// searches (including the ones its interrupt hook cut short).  Nil (the
-	// default) costs one pointer check per query.
+	// searches (including the ones its interrupt hook cut short).  When
+	// nil, the proofs go to Telemetry's trace instead; with neither, the
+	// cost is one pointer check per query.  A streaming trace also receives
+	// the search's rule-application events, parented under the proof's
+	// span.
 	Trace       *telemetry.RequestTrace
 	TraceParent telemetry.SpanID
-	// Telemetry receives per-query spans, rule-application trace events, and
-	// aggregate search counters.  Nil (the default) disables instrumentation
-	// at ~zero cost on the hot path.
+	// Telemetry receives aggregate search counters and, unless Trace is
+	// set, the proof spans.  Nil (the default) disables instrumentation at
+	// ~zero cost on the hot path.
 	Telemetry *telemetry.Set
 }
 
@@ -109,10 +112,11 @@ type Prover struct {
 	// eqWordAxioms are the equality axioms whose both sides are single
 	// words, usable for congruence rewriting of prefixes.
 	eqWordRewrites [][2][]string
-	// tel and m hold the telemetry sink and its pre-resolved instruments
-	// (all nil, hence no-op, when Options.Telemetry is nil).
-	tel *telemetry.Set
-	m   proverMetrics
+	// trace receives the proof spans (Options.Trace, else the Telemetry
+	// set's); m holds the pre-resolved instruments (all nil, hence no-op,
+	// when Options.Telemetry is nil).
+	trace *telemetry.RequestTrace
+	m     proverMetrics
 }
 
 // disjointAxiom is a disjointness axiom with interned sides.
@@ -167,12 +171,16 @@ func New(axioms *axiom.Set, opts Options) *Prover {
 			dfas.SkipMinimize()
 		}
 	}
+	trace := opts.Trace
+	if trace == nil {
+		trace = opts.Telemetry.Trace()
+	}
 	p := &Prover{
 		axioms: axioms,
 		opts:   opts,
 		dfas:   dfas,
 		cache:  make(map[proofKey]cacheEntry),
-		tel:    opts.Telemetry,
+		trace:  trace,
 		m:      newProverMetrics(opts.Telemetry),
 	}
 	for _, a := range axioms.ByForm(axiom.SameSrcEqual) {
@@ -228,20 +236,17 @@ func (p *Prover) Prove(form Form, x, y pathexpr.Expr) *Proof {
 // was handed.
 func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 	g := rootGoal(form, x.Simplified(), y.Simplified())
-	r := &run{
-		p:       p,
-		alpha:   automata.NewAlphabet(append(p.axioms.Fields(), pathexpr.Fields(x.Expr(), y.Expr())...)...),
-		dfas:    p.dfas.Account(),
-		traceOn: p.tel.TraceEnabled(),
-	}
-	timed := r.traceOn || p.m.queryTimeNS != nil
+	timed := p.trace != nil || p.m.queryTimeNS != nil
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
-	var qspan telemetry.ActiveSpan
-	if p.opts.Trace != nil {
-		qspan = p.opts.Trace.StartSpan("prover.prove", p.opts.TraceParent)
+	span := p.trace.StartSpanAt("prover.prove", p.opts.TraceParent, t0)
+	r := &run{
+		p:     p,
+		alpha: automata.NewAlphabet(append(p.axioms.Fields(), pathexpr.Fields(x.Expr(), y.Expr())...)...),
+		dfas:  p.dfas.Account(),
+		span:  span.ID(),
 	}
 	proof := &Proof{Theorem: g.String()}
 	proved, st, err := r.prove(g, hyps{}, 0)
@@ -268,28 +273,20 @@ func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 	}
 	p.m.peakDepth.Observe(int64(r.peakDepth))
 	p.m.querySteps.Observe(int64(r.stats.ProveCalls))
-	if p.opts.Trace != nil {
-		qspan.End(
+	if timed {
+		ns := time.Since(t0).Nanoseconds()
+		p.m.queryTimeNS.Observe(ns)
+		p.m.queryWin.Observe(ns)
+	}
+	if p.trace != nil {
+		span.End(
 			telemetry.String("theorem", proof.Theorem),
 			telemetry.String("result", proof.Result.String()),
 			telemetry.Int("steps", proof.Stats.StepsUsed),
+			telemetry.Int("budget", p.opts.MaxSteps),
+			telemetry.Int("peak_depth", proof.Stats.PeakDepth),
+			telemetry.Int("cache_hits", proof.Stats.CacheHits),
 			telemetry.Int("dfa_compiles", proof.Stats.DFACompiles))
-	}
-	if timed {
-		dur := time.Since(t0)
-		p.m.queryTimeNS.Observe(dur.Nanoseconds())
-		p.m.queryWin.Observe(dur.Nanoseconds())
-		if r.traceOn {
-			p.tel.Emit("prover.query",
-				telemetry.DurUS("dur_us", dur),
-				telemetry.String("theorem", proof.Theorem),
-				telemetry.String("result", proof.Result.String()),
-				telemetry.Int("steps", proof.Stats.StepsUsed),
-				telemetry.Int("budget", p.opts.MaxSteps),
-				telemetry.Int("peak_depth", proof.Stats.PeakDepth),
-				telemetry.Int("cache_hits", proof.Stats.CacheHits),
-				telemetry.Int("dfa_compiles", proof.Stats.DFACompiles))
-		}
 	}
 	return proof
 }
@@ -319,20 +316,21 @@ type run struct {
 	// truncated by the depth limit; failures in incomplete subtrees are not
 	// definitive and must not be cached.
 	incomplete bool
-	// traceOn caches p.tel.TraceEnabled() so hot paths skip building event
-	// attributes (goal rendering) when tracing is off.
-	traceOn bool
+	// span is the proof's span, the parent of its rule events.
+	span telemetry.SpanID
 	// peakDepth is the deepest goal nesting reached this query.
 	peakDepth int
 }
 
-// event emits a rule-application trace event for goal g at depth.
+// event emits a rule-application trace event for goal g at depth, under
+// the proof's span.  Callers guard it with Streaming(): rendering the goal
+// is the expensive part, and only a streaming trace keeps events.
 func (r *run) event(name string, g goal, depth int, extra ...telemetry.Attr) {
 	attrs := append([]telemetry.Attr{
 		telemetry.String("goal", g.String()),
 		telemetry.Int("depth", depth),
 	}, extra...)
-	r.p.tel.Emit(name, attrs...)
+	r.p.trace.Event(name, r.span, attrs...)
 }
 
 // prove is the paper's proveDisj: it returns whether a proof of g was found.
@@ -388,7 +386,7 @@ func (r *run) prove(g goal, lems hyps, depth int) (bool, *Step, error) {
 		key = proofKey{goal: g.key(), lems: lems.key}
 		if entry, ok := r.p.cache[key]; ok {
 			r.stats.CacheHits++
-			if r.traceOn {
+			if r.p.trace.Streaming() {
 				r.event("prover.cache_hit", g, depth, telemetry.Bool("proved", entry.proved))
 			}
 			if entry.proved {
@@ -420,7 +418,7 @@ func (r *run) proveUncached(g goal, lems hyps, depth int) (bool, *Step, error) {
 	if name, err := r.direct(g.form, g.xn, g.yn, lems.list, g.size()); err != nil {
 		return false, nil, err
 	} else if name != "" {
-		if r.traceOn {
+		if r.p.trace.Streaming() {
 			r.event("prover.axiom", g, depth, telemetry.String("by", name))
 		}
 		st := step(g, RuleAxiom)
@@ -618,7 +616,7 @@ func (r *run) splitSearch(g goal, cx, cy *cuts, lems hyps, depth int) (bool, *St
 			}
 			if t1 != "" && t2 != "" {
 				r.p.m.suffixSplits.Add(1)
-				if r.traceOn {
+				if r.p.trace.Streaming() {
 					r.event("prover.suffix_split", g, depth,
 						telemetry.String("case", "A∧B"),
 						telemetry.Int("i", i), telemetry.Int("j", j),
@@ -639,7 +637,7 @@ func (r *run) splitSearch(g goal, cx, cy *cuts, lems hyps, depth int) (bool, *St
 				}
 				if eq {
 					r.p.m.suffixSplits.Add(1)
-					if r.traceOn {
+					if r.p.trace.Streaming() {
 						r.event("prover.suffix_split", g, depth,
 							telemetry.String("case", "C"),
 							telemetry.Int("i", i), telemetry.Int("j", j),
@@ -665,7 +663,7 @@ func (r *run) splitSearch(g goal, cx, cy *cuts, lems hyps, depth int) (bool, *St
 				}
 				if proved {
 					r.p.m.suffixSplits.Add(1)
-					if r.traceOn {
+					if r.p.trace.Streaming() {
 						r.event("prover.suffix_split", g, depth,
 							telemetry.String("case", "D"),
 							telemetry.Int("i", i), telemetry.Int("j", j),
@@ -753,7 +751,7 @@ func (r *run) starUnfold(g goal, cx, cy *cuts, lems hyps, depth int) (bool, *Ste
 		return u, side.prefix(k), withPlus, true
 	}
 	if u, un, plus, ok := unfold(cx); ok {
-		if r.traceOn {
+		if r.p.trace.Streaming() {
 			r.event("prover.star_unfold", g, depth, telemetry.String("side", "left"))
 		}
 		g1 := goal{form: g.form, x: u, y: g.y, xn: un, yn: g.yn}
@@ -773,7 +771,7 @@ func (r *run) starUnfold(g goal, cx, cy *cuts, lems hyps, depth int) (bool, *Ste
 		return true, st, nil
 	}
 	if u, un, plus, ok := unfold(cy); ok {
-		if r.traceOn {
+		if r.p.trace.Streaming() {
 			r.event("prover.star_unfold", g, depth, telemetry.String("side", "right"))
 		}
 		g1 := goal{form: g.form, x: g.x, y: u, xn: g.xn, yn: un}
@@ -805,7 +803,7 @@ func (r *run) plusInduction(g goal, lems hyps, depth int) (bool, *Step, error) {
 	switch {
 	case xok && yok:
 		r.stats.Inductions++
-		if r.traceOn {
+		if r.p.trace.Streaming() {
 			r.event("prover.plus_induction", g, depth, telemetry.String("schema", "double"))
 		}
 		u, a := g.x[:len(g.x)-1], xp.Inner
@@ -838,7 +836,7 @@ func (r *run) plusInduction(g goal, lems hyps, depth int) (bool, *Step, error) {
 
 	case xok:
 		r.stats.Inductions++
-		if r.traceOn {
+		if r.p.trace.Streaming() {
 			r.event("prover.plus_induction", g, depth, telemetry.String("schema", "left"))
 		}
 		u, a := g.x[:len(g.x)-1], xp.Inner
@@ -860,7 +858,7 @@ func (r *run) plusInduction(g goal, lems hyps, depth int) (bool, *Step, error) {
 
 	case yok:
 		r.stats.Inductions++
-		if r.traceOn {
+		if r.p.trace.Streaming() {
 			r.event("prover.plus_induction", g, depth, telemetry.String("schema", "right"))
 		}
 		v, b := g.y[:len(g.y)-1], yp.Inner
@@ -926,7 +924,7 @@ func (r *run) altSplit(g goal, lems hyps, depth int) (bool, *Step, error) {
 				kids = append(kids, st)
 			}
 			r.p.m.altSplits.Add(1)
-			if r.traceOn {
+			if r.p.trace.Streaming() {
 				r.event("prover.alt_split", g, depth,
 					telemetry.Bool("left", isX), telemetry.Int("alts", len(alt.Alts)))
 			}

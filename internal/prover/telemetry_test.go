@@ -108,11 +108,12 @@ func TestDisableMinimize(t *testing.T) {
 }
 
 // TestProverTelemetry: metrics aggregate across queries and the JSONL trace
-// carries the per-query span plus rule events.
+// carries one prover.prove span per proof, with every rule event parented
+// under its proof's span.
 func TestProverTelemetry(t *testing.T) {
 	var buf bytes.Buffer
 	reg := telemetry.NewRegistry()
-	tel := telemetry.New(reg, telemetry.NewTraceWriter(&buf))
+	tel := telemetry.New(reg, telemetry.NewStreamingTrace(telemetry.NewTraceWriter(&buf)))
 	p := New(axiom.LeafLinkedBinaryTree(), Options{Telemetry: tel})
 
 	if p.ProveDisjoint(pathexpr.MustParse("L.L.N"), pathexpr.MustParse("L.R.N")).Result != Proved {
@@ -141,22 +142,41 @@ func TestProverTelemetry(t *testing.T) {
 	}
 
 	events := map[string]int{}
+	proofs := map[string]bool{}
+	var ruleParents []string
 	for _, ln := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var m map[string]any
 		if err := json.Unmarshal([]byte(ln), &m); err != nil {
 			t.Fatalf("trace line not JSON: %v\n%s", err, ln)
 		}
-		events[m["ev"].(string)]++
-		if m["ev"] == "prover.query" {
-			for _, k := range []string{"dur_us", "theorem", "result", "steps", "peak_depth", "dfa_compiles"} {
+		ev := m["ev"].(string)
+		events[ev]++
+		switch {
+		case ev == "prover.prove":
+			for _, k := range []string{"span_id", "dur_us", "theorem", "result", "steps", "budget", "peak_depth", "cache_hits", "dfa_compiles"} {
 				if _, ok := m[k]; !ok {
-					t.Errorf("prover.query span missing %q: %v", k, m)
+					t.Errorf("prover.prove span missing %q: %v", k, m)
 				}
 			}
+			if _, ok := m["parent_id"]; ok {
+				t.Errorf("standalone prover.prove span has a parent: %v", m)
+			}
+			proofs[m["span_id"].(string)] = true
+		case strings.HasPrefix(ev, "prover."):
+			parent, _ := m["parent_id"].(string)
+			ruleParents = append(ruleParents, parent)
 		}
 	}
-	if events["prover.query"] != 2 {
-		t.Errorf("prover.query spans = %d, want 2", events["prover.query"])
+	if events["prover.prove"] != 2 {
+		t.Errorf("prover.prove spans = %d, want 2", events["prover.prove"])
+	}
+	if events["prover.query"] != 0 {
+		t.Errorf("prover.query lines = %d, want none (one span per proof)", events["prover.query"])
+	}
+	for _, parent := range ruleParents {
+		if !proofs[parent] {
+			t.Errorf("rule event parented under %q, not a prover.prove span", parent)
+		}
 	}
 	if events["prover.suffix_split"] == 0 {
 		t.Error("no prover.suffix_split events")

@@ -9,9 +9,12 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/wire"
 )
 
-// serveClient talks to a live aptserved endpoint's POST /v1/batch.
+// serveClient talks to a live aptserved endpoint's POST /v1/batch in the
+// wire vocabulary, exactly like an external client.
 type serveClient struct {
 	base   string
 	client *http.Client
@@ -24,27 +27,10 @@ func newServeClient(base string) *serveClient {
 	}
 }
 
-// serveBatchRequest mirrors serve.BatchRequest (declared locally so the
-// farm depends only on the wire format, exactly like an external client).
-type serveBatchRequest struct {
-	Program string   `json:"program"`
-	Fn      string   `json:"fn,omitempty"`
-	Queries []string `json:"queries"`
-}
-
-type serveQueryResult struct {
-	Line   int    `json:"line"`
-	Result string `json:"result"`
-}
-
-type serveBatchResponse struct {
-	Results []serveQueryResult `json:"results"`
-}
-
 // batchVerdicts submits the program and query lines, returning one folded
 // verdict per line ("no" only when every expanded query answered no).
 func (c *serveClient) batchVerdicts(ctx context.Context, program, fn string, lines []string) ([]string, error) {
-	body, err := json.Marshal(serveBatchRequest{Program: program, Fn: fn, Queries: lines})
+	body, err := json.Marshal(wire.BatchRequest{Program: program, Fn: fn, Queries: lines})
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +51,7 @@ func (c *serveClient) batchVerdicts(ctx context.Context, program, fn string, lin
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("serve: %s: %s", resp.Status, strings.TrimSpace(string(payload)))
 	}
-	var br serveBatchResponse
+	var br wire.BatchResponse
 	if err := json.Unmarshal(payload, &br); err != nil {
 		return nil, fmt.Errorf("serve: bad response: %w", err)
 	}

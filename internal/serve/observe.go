@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/pathexpr"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // This file is the server's observability surface: the statusWriter that
@@ -131,11 +132,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.tel.Metrics().Snapshot())
+	wire.WriteJSON(w, http.StatusOK, s.tel.Metrics().Snapshot())
 }
 
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.FlightSnapshot())
+	wire.WriteJSON(w, http.StatusOK, s.FlightSnapshot())
 }
 
 // writePromServer renders the state that lives outside the registry:
@@ -160,7 +161,7 @@ func (s *Server) writePromServer(w io.Writer) {
 	counter("apt_server_engines_evicted_total", "Warm engines reclaimed by the pool LRU.", s.pool.Evicted())
 	gauge("apt_server_inflight", "Requests admitted and not yet completed.", s.gauge.Load())
 	gauge("apt_server_uptime_seconds", "Seconds since the server started.", int64(time.Since(s.start).Seconds()))
-	gauge("apt_server_engines_resident", "Warm engines resident in the pool.", int64(s.pool.len()))
+	gauge("apt_server_engines_resident", "Warm engines resident in the pool.", int64(s.pool.Len()))
 	gauge("apt_interned_exprs", "Distinct interned path expressions (never evicted).", int64(pathexpr.InternedExprs()))
 
 	fl := s.flight.Snapshot()
@@ -171,7 +172,7 @@ func (s *Server) writePromServer(w io.Writer) {
 	// across resident engines (an evicted engine takes its counts with it;
 	// the registry's engine.degraded.* counters are the process-lifetime
 	// view).
-	views := s.pool.snapshot()
+	views := s.pool.Snapshot()
 	statz := make([]EngineStatz, len(views))
 	var byReason [telemetry.NumDegradeReasons]int64
 	for i, v := range views {

@@ -51,7 +51,7 @@ func TestPreloadBootPrewarm(t *testing.T) {
 	}
 
 	srv := New(Config{Workers: 1, Preload: art})
-	if n := srv.pool.len(); n != 1 {
+	if n := srv.pool.Len(); n != 1 {
 		t.Fatalf("boot prewarm left %d resident engines, want 1", n)
 	}
 	ts := httptest.NewServer(srv)

@@ -58,7 +58,6 @@ import (
 	"repro/internal/automata"
 	"repro/internal/axiom"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/lang"
 	"repro/internal/parallel"
@@ -173,14 +172,6 @@ func (c Config) poolConfig() exec.PoolConfig {
 	}
 }
 
-// enginePool adapts exec.Pool to the package-local names the server (and
-// its white-box tests) grew up with.
-type enginePool struct{ *exec.Pool }
-
-func (p enginePool) get(ax *axiom.Set) (*engine.Engine, bool) { return p.Get(ax) }
-func (p enginePool) len() int                                 { return p.Len() }
-func (p enginePool) snapshot() []exec.View                    { return p.Snapshot() }
-
 // Server answers dependence-query batches over warm per-axiom-set engines.
 // It implements http.Handler; cmd/aptserved wires it into an http.Server
 // and the signal lifecycle.
@@ -188,7 +179,7 @@ type Server struct {
 	cfg  Config
 	tel  *telemetry.Set
 	adm  *admit.Controller
-	pool enginePool
+	pool *exec.Pool
 	mux  *http.ServeMux
 
 	// White-box views into the admission controller — the same channel,
@@ -231,7 +222,7 @@ func newServer(cfg Config) *Server {
 		cfg:         cfg,
 		tel:         tel,
 		adm:         adm,
-		pool:        enginePool{exec.NewPool(cfg.poolConfig(), tel)},
+		pool:        exec.NewPool(cfg.poolConfig(), tel),
 		mux:         http.NewServeMux(),
 		slots:       adm.Slots(),
 		run:         adm.Run(),
@@ -326,7 +317,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 			// Best effort: if the handler already wrote a partial body this
 			// write fails silently, which is all HTTP offers.
-			writeJSONError(sw, http.StatusInternalServerError, msg)
+			wire.WriteJSONError(sw, http.StatusInternalServerError, msg)
 		}
 		s.logAccess(sw, r, time.Since(start))
 	}()
@@ -340,14 +331,10 @@ func (s *Server) Drain(ctx context.Context) error { return s.adm.Drain(ctx) }
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool { return s.adm.Draining() }
 
-// retryAfterSeconds is the admission controller's backlog-over-drain-rate
-// estimate; see admit.Controller.RetryAfterSeconds.
-func (s *Server) retryAfterSeconds() int { return s.adm.RetryAfterSeconds() }
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSONError(w, http.StatusMethodNotAllowed, "POST only")
+		wire.WriteJSONError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	// Join the caller's trace (W3C traceparent) or mint a fresh one, and
@@ -366,13 +353,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// are already in the building — shed immediately rather than letting
 	// the queue (and every client's latency) grow without bound.
 	if !s.adm.TryAcquire() {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeJSONError(w, http.StatusTooManyRequests, "admission queue full; retry")
+		w.Header().Set("Retry-After", strconv.Itoa(s.adm.RetryAfterSeconds()))
+		wire.WriteJSONError(w, http.StatusTooManyRequests, "admission queue full; retry")
 		return
 	}
 	defer s.adm.Release()
 	if !s.adm.Begin() {
-		writeJSONError(w, http.StatusServiceUnavailable, "server draining")
+		wire.WriteJSONError(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
 	startWait := time.Now()
@@ -390,7 +377,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// only the client hanging up aborts the wait.
 	qsp := rt.StartSpan("serve.admission", root.ID())
 	if !s.adm.AcquireRun(r.Context()) {
-		writeJSONError(w, http.StatusServiceUnavailable, "client canceled while queued")
+		wire.WriteJSONError(w, http.StatusServiceUnavailable, "client canceled while queued")
 		return
 	}
 	defer s.adm.ReleaseRun()
@@ -400,16 +387,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err := dec.Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		wire.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	resp, m, code, err := s.answer(r.Context(), &req, rt, root.ID())
 	meta = m
 	if err != nil {
-		writeJSONError(w, code, err.Error())
+		wire.WriteJSONError(w, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // answer runs one decoded batch request; it returns the flight-recorder
@@ -500,11 +487,11 @@ func (s *Server) answerRaw(ctx context.Context, req *BatchRequest, rt *telemetry
 func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID,
 	ax *axiom.Set, queries []core.Query, echo func(int) (int, string), svc0 time.Time) (*BatchResponse, *flightMeta, int, error) {
 
-	eng, cold := s.pool.get(ax)
-	deadline := clampMS(req.DeadlineMS, s.cfg.MaxDeadline)
+	eng, cold := s.pool.Get(ax)
+	deadline := wire.ClampMS(req.DeadlineMS, s.cfg.MaxDeadline)
 	perQuery := s.cfg.QueryTimeout
 	if req.TimeoutMS > 0 {
-		perQuery = clampMS(req.TimeoutMS, s.cfg.MaxDeadline)
+		perQuery = wire.ClampMS(req.TimeoutMS, s.cfg.MaxDeadline)
 	}
 	bctx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
@@ -649,7 +636,7 @@ func (s *Server) StatzSnapshot() Statz {
 		RefusedDraining:  refused,
 		Panics:           s.panics.Value(),
 		DegradedRequests: s.degradedReqs.Load(),
-		EnginesResident:  s.pool.len(),
+		EnginesResident:  s.pool.Len(),
 		EnginesEvicted:   s.pool.Evicted(),
 		InternedExprs:    pathexpr.InternedExprs(),
 
@@ -670,7 +657,7 @@ func (s *Server) StatzSnapshot() Statz {
 	if ds.Lookups > 0 {
 		z.DFAHitRate = float64(ds.Hits) / float64(ds.Lookups)
 	}
-	for _, e := range s.pool.snapshot() {
+	for _, e := range s.pool.Snapshot() {
 		z.Engines = append(z.Engines, engineStatz(e))
 	}
 	return z
@@ -690,18 +677,8 @@ func engineStatz(v exec.View) EngineStatz {
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.StatzSnapshot())
+	wire.WriteJSON(w, http.StatusOK, s.StatzSnapshot())
 }
-
-// The JSON/clamp helpers live in the wire layer now; these bindings keep
-// the package-local call sites (and the handlers' shape) unchanged.
-func writeJSON(w http.ResponseWriter, code int, v any) { wire.WriteJSON(w, code, v) }
-
-func writeJSONError(w http.ResponseWriter, code int, msg string) {
-	wire.WriteJSONError(w, code, msg)
-}
-
-func clampMS(ms int64, max time.Duration) time.Duration { return wire.ClampMS(ms, max) }
 
 func defaultConcurrency() int {
 	n := runtime.GOMAXPROCS(0)

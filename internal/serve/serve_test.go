@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
@@ -428,7 +429,7 @@ func TestRequestScaleDeadline(t *testing.T) {
 // draining server tells them to come back sooner, and the floor (1s) and
 // ceiling (60s) clamp the extremes.
 func TestRetryAfterScalesWithBacklog(t *testing.T) {
-	mk := func(depth, backlog, completions int) *Server {
+	mk := func(depth, backlog, completions int) *admit.Controller {
 		srv := New(Config{MaxConcurrent: 1, QueueDepth: depth})
 		for i := 0; i < backlog; i++ {
 			srv.slots <- struct{}{}
@@ -436,27 +437,27 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 		for i := 0; i < completions; i++ {
 			srv.completions.Observe(1)
 		}
-		return srv
+		return srv.adm
 	}
 
 	// No backlog, or no completions to extrapolate a rate from: the floor.
-	if got := mk(10, 0, 50).retryAfterSeconds(); got != 1 {
+	if got := mk(10, 0, 50).RetryAfterSeconds(); got != 1 {
 		t.Errorf("empty backlog: Retry-After = %d, want the 1s floor", got)
 	}
-	if got := mk(10, 5, 0).retryAfterSeconds(); got != 1 {
+	if got := mk(10, 5, 0).RetryAfterSeconds(); got != 1 {
 		t.Errorf("no recent completions: Retry-After = %d, want the 1s floor", got)
 	}
 
 	// 20 completions in the 10s window = 2/s; a backlog of 10 should drain
 	// in ~5s.
-	if got := mk(20, 10, 20).retryAfterSeconds(); got != 5 {
+	if got := mk(20, 10, 20).RetryAfterSeconds(); got != 5 {
 		t.Errorf("backlog 10 at 2/s: Retry-After = %d, want 5", got)
 	}
 
 	// Scaling in backlog at a fixed rate: strictly monotone until the clamp.
 	prev := 0
 	for _, backlog := range []int{2, 8, 20, 40} {
-		got := mk(50, backlog, 20).retryAfterSeconds()
+		got := mk(50, backlog, 20).RetryAfterSeconds()
 		if got <= prev {
 			t.Errorf("backlog %d: Retry-After = %d, want > %d (must grow with backlog)", backlog, got, prev)
 		}
@@ -464,15 +465,15 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 	}
 
 	// Scaling in drain rate at a fixed backlog: more completions, sooner retry.
-	slow := mk(50, 40, 10).retryAfterSeconds()
-	fast := mk(50, 40, 100).retryAfterSeconds()
+	slow := mk(50, 40, 10).RetryAfterSeconds()
+	fast := mk(50, 40, 100).RetryAfterSeconds()
 	if fast >= slow {
 		t.Errorf("faster drain must shorten the hint: %ds at 10 completions vs %ds at 100", slow, fast)
 	}
 
 	// A glacial drain rate clamps at the 60s ceiling rather than announcing
 	// a multi-minute outage.
-	if got := mk(200, 200, 1).retryAfterSeconds(); got != 60 {
+	if got := mk(200, 200, 1).RetryAfterSeconds(); got != 60 {
 		t.Errorf("glacial drain: Retry-After = %d, want the 60s ceiling", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"repro/internal/automata"
+	"repro/internal/wire"
 )
 
 // Warm-handoff endpoints.  A cluster router reacting to a ring change asks
@@ -23,17 +24,17 @@ import (
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeJSONError(w, http.StatusMethodNotAllowed, "GET only")
+		wire.WriteJSONError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	fp, err := strconv.ParseUint(r.URL.Query().Get("fp"), 16, 64)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("fp: want a hex fingerprint: %v", err))
+		wire.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("fp: want a hex fingerprint: %v", err))
 		return
 	}
 	art := s.pool.SnapshotArtifact(fp)
 	if art == nil {
-		writeJSONError(w, http.StatusNotFound, fmt.Sprintf("no resident engine for fingerprint %016x", fp))
+		wire.WriteJSONError(w, http.StatusNotFound, fmt.Sprintf("no resident engine for fingerprint %016x", fp))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -56,21 +57,21 @@ type PreloadReport struct {
 func (s *Server) handlePreload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSONError(w, http.StatusMethodNotAllowed, "POST only")
+		wire.WriteJSONError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	// Artifacts outgrow batch bodies (they carry DFA tables); allow 64× the
 	// batch body cap rather than adding another knob.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64*s.cfg.MaxBodyBytes))
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
+		wire.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
 		return
 	}
 	art, err := automata.DecodeArtifact(body)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("artifact: %v", err))
+		wire.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("artifact: %v", err))
 		return
 	}
 	built := s.pool.PreloadArtifact(art)
-	writeJSON(w, http.StatusOK, PreloadReport{Built: built, Resident: s.pool.len()})
+	wire.WriteJSON(w, http.StatusOK, PreloadReport{Built: built, Resident: s.pool.Len()})
 }

@@ -245,7 +245,7 @@ func (m *Matrix) FactorParallel(pool *parallel.Pool, full bool) (*LU, error) {
 		tel.Histogram("sparse.phase_adjust_ns").Observe(adjustNS)
 		tel.Histogram("sparse.phase_fillin_ns").Observe(fillinNS)
 		tel.Histogram("sparse.phase_elim_ns").Observe(elimNS)
-		tel.Emit("sparse.factor_parallel",
+		tel.Trace().Event("sparse.factor_parallel", telemetry.SpanID{},
 			telemetry.Int("n", n),
 			telemetry.Int("nnz", w.NNZ()),
 			telemetry.Int("fills", lu.Trace.Fills),

@@ -108,7 +108,7 @@ func TestFactorParallelTelemetry(t *testing.T) {
 
 	var buf bytes.Buffer
 	reg := telemetry.NewRegistry()
-	pool := parallel.NewPool(4).SetTelemetry(telemetry.New(reg, telemetry.NewTraceWriter(&buf)))
+	pool := parallel.NewPool(4).SetTelemetry(telemetry.New(reg, telemetry.NewStreamingTrace(telemetry.NewTraceWriter(&buf))))
 	par, err := m.FactorParallel(pool, true)
 	if err != nil {
 		t.Fatal(err)

@@ -6,17 +6,18 @@ import (
 	"time"
 )
 
-// Set bundles a metrics Registry with an optional TraceWriter — the single
-// handle threaded through prover.Options, analysis.Options, parallel.Pool,
-// and the CLIs.  A nil *Set is the disabled default: every method no-ops
-// and every instrument it hands out is nil (itself a no-op).
+// Set bundles a metrics Registry with an optional span recorder — the
+// single handle threaded through prover.Options, analysis.Options,
+// parallel.Pool, and the CLIs.  A nil *Set is the disabled default: every
+// method no-ops and every instrument it hands out is nil (itself a no-op).
 type Set struct {
 	metrics *Registry
-	trace   *TraceWriter
+	trace   *RequestTrace
 }
 
-// New bundles reg and tr; either may be nil to disable that half.
-func New(reg *Registry, tr *TraceWriter) *Set {
+// New bundles reg and tr; either may be nil to disable that half.  The
+// CLIs pass a streaming trace (-trace-json).
+func New(reg *Registry, tr *RequestTrace) *Set {
 	return &Set{metrics: reg, trace: tr}
 }
 
@@ -33,18 +34,13 @@ func (s *Set) Metrics() *Registry {
 	return s.metrics
 }
 
-// Trace returns the trace writer (nil when disabled).
-func (s *Set) Trace() *TraceWriter {
+// Trace returns the span recorder (nil when disabled).
+func (s *Set) Trace() *RequestTrace {
 	if s == nil {
 		return nil
 	}
 	return s.trace
 }
-
-// TraceEnabled reports whether trace events will be written.  Hot paths
-// guard expensive attribute construction (goal rendering, time stamps)
-// behind this.
-func (s *Set) TraceEnabled() bool { return s != nil && s.trace != nil }
 
 // Counter resolves a named counter (nil when metrics are disabled).
 func (s *Set) Counter(name string) *Counter { return s.Metrics().Counter(name) }
@@ -59,22 +55,6 @@ func (s *Set) Histogram(name string) *Histogram { return s.Metrics().Histogram(n
 // disabled).
 func (s *Set) Window(name string) *WindowHistogram { return s.Metrics().Window(name) }
 
-// Emit writes one trace event (no-op when tracing is disabled).
-func (s *Set) Emit(event string, attrs ...Attr) {
-	if s == nil || s.trace == nil {
-		return
-	}
-	s.trace.Emit(event, attrs...)
-}
-
-// Begin opens a span (the zero no-op Span when tracing is disabled).
-func (s *Set) Begin(event string) Span {
-	if s == nil {
-		return Span{}
-	}
-	return s.trace.Begin(event)
-}
-
 // PhaseTiming is one completed pipeline phase.
 type PhaseTiming struct {
 	Name string
@@ -82,8 +62,8 @@ type PhaseTiming struct {
 }
 
 // Phases times named sequential pipeline phases (parse, analyze, query, …),
-// recording each as a trace event and a *_ns histogram, and keeps the
-// ordered wall-clock list for the -stats summary.  Works with a nil Set
+// recording each as a "pipeline.phase" span and a *_ns histogram, and
+// keeps the ordered wall-clock list for the -stats summary.  Works with a nil Set
 // (timings are still collected locally).  Not safe for concurrent use.
 type Phases struct {
 	tel *Set
@@ -96,11 +76,12 @@ func NewPhases(tel *Set) *Phases { return &Phases{tel: tel} }
 // Run times f as the named phase, propagating its error.
 func (p *Phases) Run(name string, f func() error) error {
 	start := time.Now()
+	sp := p.tel.Trace().StartSpanAt("pipeline.phase", SpanID{}, start)
 	err := f()
 	d := time.Since(start)
 	p.rec = append(p.rec, PhaseTiming{Name: name, Dur: d})
 	p.tel.Histogram("pipeline." + name + "_ns").Observe(d.Nanoseconds())
-	p.tel.Emit("pipeline.phase", String("phase", name), DurUS("dur_us", d), Bool("ok", err == nil))
+	sp.End(String("phase", name), Bool("ok", err == nil))
 	return err
 }
 

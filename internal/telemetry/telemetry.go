@@ -1,13 +1,14 @@
 // Package telemetry is the repository's zero-dependency observability core:
 // atomic counters, maxima, and log₂-bucketed histograms collected in a
-// Registry, plus a span-style structured event trace emitted as JSONL
+// Registry, plus one span recorder, RequestTrace (tracecontext.go), that
+// either retains a request's span tree or streams spans as JSONL
 // (trace.go).  Every layer of the system — the theorem prover, the automata
 // cache, the analysis pipeline, and the parallel sparse kernels — reports
 // through it, and the CLIs surface the result via -stats and -trace-json.
 //
 // The package is built around a "nil is off" discipline: a nil *Set, nil
-// *Registry, nil *Counter, nil *Histogram, nil *Max, and nil *TraceWriter
-// are all valid, disabled instruments whose methods no-op.  Hot paths hold
+// *Registry, nil *Counter, nil *Histogram, nil *Max, nil *RequestTrace and
+// nil *TraceWriter are all valid, disabled instruments whose methods no-op.  Hot paths hold
 // pre-resolved instrument pointers and call them unconditionally; when
 // telemetry is disabled those calls are a nil check and a return, with zero
 // allocations (asserted by TestTelemetryDisabledAllocs and

@@ -88,18 +88,16 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	set.Counter("x").Add(1)
 	set.Max("x").Observe(1)
 	set.Histogram("x").Observe(1)
-	set.Emit("ev", Int("a", 1))
-	set.Begin("ev").End()
-	if set.Enabled() || set.TraceEnabled() {
+	set.Trace().Event("ev", SpanID{}, Int("a", 1))
+	set.Trace().StartSpan("ev", SpanID{}).End()
+	if set.Enabled() || set.Trace().Streaming() {
 		t.Error("nil set reports enabled")
 	}
 	if reg.Counter("x") != nil || reg.Max("x") != nil || reg.Histogram("x") != nil {
 		t.Error("nil registry returned live instruments")
 	}
-	reg.PublishExpvar("never")
 	tw.Emit("ev")
-	tw.Begin("ev").End()
-	if tw.Enabled() || tw.Err() != nil {
+	if NewStreamingTrace(tw) != nil || tw.Err() != nil {
 		t.Error("nil trace writer misbehaves")
 	}
 	snap := reg.Snapshot()
@@ -121,7 +119,7 @@ func TestTraceWriterJSONL(t *testing.T) {
 		Bool("yes", true),
 		Bool("no", false),
 	)
-	sp := tw.Begin("span")
+	sp := NewStreamingTrace(tw).StartSpan("span", SpanID{})
 	time.Sleep(time.Millisecond)
 	sp.End(String("k", "v"))
 
@@ -158,8 +156,11 @@ func TestTraceWriterJSONL(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[2]), &span); err != nil {
 		t.Fatal(err)
 	}
-	if span["ev"] != "span" || span["k"] != "v" {
+	if span["ev"] != "span" || span["k"] != "v" || span["span_id"] != sp.ID().String() {
 		t.Errorf("span event wrong: %v", span)
+	}
+	if _, ok := span["parent_id"]; ok {
+		t.Errorf("root span carries parent_id: %v", span)
 	}
 	if dur, ok := span["dur_us"].(float64); !ok || dur < 500 {
 		t.Errorf("span dur_us = %v, want ≥ 500µs", span["dur_us"])
@@ -209,7 +210,7 @@ func TestSnapshotWriteTextAndRatio(t *testing.T) {
 func TestPhases(t *testing.T) {
 	var buf bytes.Buffer
 	reg := NewRegistry()
-	tel := New(reg, NewTraceWriter(&buf))
+	tel := New(reg, NewStreamingTrace(NewTraceWriter(&buf)))
 	ph := NewPhases(tel)
 	if err := ph.Run("parse", func() error { return nil }); err != nil {
 		t.Fatal(err)
@@ -240,14 +241,15 @@ func TestPhases(t *testing.T) {
 }
 
 // disabledHotPath is the exact call pattern instrumented hot paths use when
-// telemetry is off: pre-resolved nil instruments plus a TraceEnabled guard.
+// telemetry is off: pre-resolved nil instruments plus a Streaming guard.
 func disabledHotPath(tel *Set, c *Counter, m *Max, h *Histogram) {
 	c.Add(1)
 	m.Observe(42)
 	h.Observe(1234)
-	tel.Emit("event")
-	if tel.TraceEnabled() {
-		tel.Emit("expensive", String("goal", "never built"))
+	rt := tel.Trace()
+	rt.Event("event", SpanID{})
+	if rt.Streaming() {
+		rt.Event("expensive", SpanID{}, String("goal", "never built"))
 	}
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/hex"
 	"io"
 	"math"
 	"strconv"
@@ -52,11 +53,13 @@ func Bool(k string, v bool) Attr {
 // DurUS builds an integer attribute holding d in microseconds.
 func DurUS(k string, d time.Duration) Attr { return Int64(k, d.Microseconds()) }
 
-// TraceWriter emits structured events as JSON Lines: one object per line
-// with monotonic "ts_us" (microseconds since the writer was created), a
-// strictly increasing "seq", the event name "ev", and the event's
-// attributes as top-level keys.  Spans add "dur_us".  Safe for concurrent
-// use; a nil *TraceWriter is a valid, disabled writer.
+// TraceWriter encodes events as JSON Lines: one object per line with
+// monotonic "ts_us" (microseconds since the writer was created), a strictly
+// increasing "seq", the event name "ev", and the event's attributes as
+// top-level keys.  It is the line encoder behind a streaming RequestTrace
+// (which adds "span_id", "parent_id" and "dur_us") and the servers' access
+// logs.  Safe for concurrent use; a nil *TraceWriter is a valid, disabled
+// writer.
 type TraceWriter struct {
 	mu    sync.Mutex
 	w     io.Writer
@@ -71,9 +74,6 @@ func NewTraceWriter(w io.Writer) *TraceWriter {
 	return &TraceWriter{w: w, start: time.Now(), buf: make([]byte, 0, 256)}
 }
 
-// Enabled reports whether events will actually be written.
-func (t *TraceWriter) Enabled() bool { return t != nil }
-
 // Err returns the first write error encountered, if any.
 func (t *TraceWriter) Err() error {
 	if t == nil {
@@ -86,6 +86,12 @@ func (t *TraceWriter) Err() error {
 
 // Emit writes one event line.
 func (t *TraceWriter) Emit(event string, attrs ...Attr) {
+	t.line(event, SpanID{}, SpanID{}, -1, attrs)
+}
+
+// line writes one line: "span_id" when id is non-zero, "parent_id" when
+// parent is, and "dur_us" when durUS is non-negative precede the attributes.
+func (t *TraceWriter) line(event string, id, parent SpanID, durUS int64, attrs []Attr) {
 	if t == nil {
 		return
 	}
@@ -99,6 +105,20 @@ func (t *TraceWriter) Emit(event string, attrs ...Attr) {
 	b = strconv.AppendInt(b, t.seq, 10)
 	b = append(b, `,"ev":`...)
 	b = strconv.AppendQuote(b, event)
+	if !id.IsZero() {
+		b = append(b, `,"span_id":"`...)
+		b = hex.AppendEncode(b, id[:])
+		b = append(b, '"')
+	}
+	if !parent.IsZero() {
+		b = append(b, `,"parent_id":"`...)
+		b = hex.AppendEncode(b, parent[:])
+		b = append(b, '"')
+	}
+	if durUS >= 0 {
+		b = append(b, `,"dur_us":`...)
+		b = strconv.AppendInt(b, durUS, 10)
+	}
 	for _, a := range attrs {
 		b = append(b, ',')
 		b = strconv.AppendQuote(b, a.Key)
@@ -127,32 +147,4 @@ func (t *TraceWriter) Emit(event string, attrs ...Attr) {
 		t.err = err
 	}
 	t.buf = b[:0]
-}
-
-// Begin opens a span: a timed region reported as a single event carrying
-// "dur_us" when End is called.  The zero Span (and any span from a nil
-// writer) is a valid no-op.
-func (t *TraceWriter) Begin(event string) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, event: event, start: time.Now()}
-}
-
-// Span is an in-flight timed region.  Spans are values; copying is fine.
-type Span struct {
-	t     *TraceWriter
-	event string
-	start time.Time
-}
-
-// End emits the span's event with its duration and the given attributes.
-func (s Span) End(attrs ...Attr) {
-	if s.t == nil {
-		return
-	}
-	all := make([]Attr, 0, len(attrs)+1)
-	all = append(all, DurUS("dur_us", time.Since(s.start)))
-	all = append(all, attrs...)
-	s.t.Emit(s.event, all...)
 }

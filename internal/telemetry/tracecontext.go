@@ -8,13 +8,14 @@ import (
 	"time"
 )
 
-// This file is the request-scoped half of the telemetry layer: W3C Trace
-// Context (traceparent) propagation and a per-request span-tree collector.
-// The process-lifetime Registry answers "how is the server doing"; a
-// RequestTrace answers "what happened to *this* request" — the span tree it
-// collects is what the flight recorder retains for slow and degraded
-// requests, and the trace IDs it carries are what lets a future router
-// tier's spans and its backends' spans correlate into one tree.
+// This file is the span half of the telemetry layer: W3C Trace Context
+// (traceparent) propagation and the one span recorder, RequestTrace.  The
+// process-lifetime Registry answers "how is the server doing"; a
+// RequestTrace answers "what happened to *this* run".  A retaining trace
+// keeps a request's span tree for the flight recorder; a streaming trace
+// writes each ended span and each per-step Event as a JSONL line (the
+// CLIs' -trace-json) and keeps nothing.  Events exist only on the stream,
+// so a retained tree holds spans alone.
 //
 // The "nil is off" discipline holds throughout: a nil *RequestTrace hands
 // out no-op spans, NoteDegraded no-ops, and TraceScope on a context that
@@ -167,13 +168,14 @@ type SpanRecord struct {
 	Attrs map[string]any `json:"attrs,omitempty"`
 }
 
-// RequestTrace collects one request's span tree and its degradation
-// profile.  It is safe for concurrent use (engine workers and the prover
-// finish spans in parallel); a nil *RequestTrace is a valid, disabled
-// collector.
+// RequestTrace records spans, and a request's degradation profile.  It is
+// safe for concurrent use (engine workers and the prover finish spans in
+// parallel); a nil *RequestTrace is a valid, disabled recorder.
 type RequestTrace struct {
 	tc    TraceContext
 	start time.Time
+	// out is a streaming trace's line encoder; nil for a retaining trace.
+	out *TraceWriter
 
 	mu      sync.Mutex
 	spans   []SpanRecord
@@ -183,19 +185,31 @@ type RequestTrace struct {
 	degraded [NumDegradeReasons]int64
 }
 
-// NewRequestTrace starts collecting under the given trace context (the
-// client's traceparent, or a freshly minted context for headerless
+// NewRequestTrace starts a retaining trace under the given trace context
+// (the client's traceparent, or a freshly minted context for headerless
 // requests).
 func NewRequestTrace(tc TraceContext) *RequestTrace {
 	return &RequestTrace{tc: tc, start: time.Now()}
 }
 
-// Context returns the trace context the request runs under.
-func (rt *RequestTrace) Context() TraceContext {
-	if rt == nil {
-		return TraceContext{}
+// NewStreamingTrace returns a trace writing through w (nil when w is nil).
+func NewStreamingTrace(w *TraceWriter) *RequestTrace {
+	if w == nil {
+		return nil
 	}
-	return rt.tc
+	return &RequestTrace{out: w}
+}
+
+// Streaming reports whether Event records anything.  Hot paths guard
+// expensive attribute construction (goal rendering) behind it.
+func (rt *RequestTrace) Streaming() bool { return rt != nil && rt.out != nil }
+
+// Event streams one per-step line (a rule application, a DFA compile)
+// parented under parent; a no-op unless Streaming.
+func (rt *RequestTrace) Event(name string, parent SpanID, attrs ...Attr) {
+	if rt.Streaming() {
+		rt.out.line(name, SpanID{}, parent, -1, attrs)
+	}
 }
 
 // TraceIDString returns the hex trace id ("" when disabled).
@@ -208,12 +222,21 @@ func (rt *RequestTrace) TraceIDString() string {
 
 // StartSpan opens a span parented under parent (use the incoming
 // TraceContext.SpanID for the root).  The returned ActiveSpan is a value;
-// it must be End()ed to appear in the tree.
+// it must be End()ed to appear in the trace.
 func (rt *RequestTrace) StartSpan(name string, parent SpanID) ActiveSpan {
 	if rt == nil {
 		return ActiveSpan{}
 	}
-	return ActiveSpan{rt: rt, name: name, id: newSpanID(), parent: parent, start: time.Now()}
+	return rt.StartSpanAt(name, parent, time.Now())
+}
+
+// StartSpanAt is StartSpan for a region that began at start, for callers
+// that read the clock anyway (to feed a latency histogram).
+func (rt *RequestTrace) StartSpanAt(name string, parent SpanID, start time.Time) ActiveSpan {
+	if rt == nil {
+		return ActiveSpan{}
+	}
+	return ActiveSpan{rt: rt, name: name, id: newSpanID(), parent: parent, start: start}
 }
 
 // NoteDegraded records one query degraded toward Maybe for the given
@@ -291,16 +314,22 @@ type ActiveSpan struct {
 // ID returns the span's id, to parent child spans under it.
 func (s ActiveSpan) ID() SpanID { return s.id }
 
-// End completes the span, recording it with its duration and attributes.
+// End completes the span with its duration and attributes: recorded in
+// the tree, or written as a line on a streaming trace.
 func (s ActiveSpan) End(attrs ...Attr) {
 	if s.rt == nil {
+		return
+	}
+	dur := time.Since(s.start).Microseconds()
+	if s.rt.out != nil {
+		s.rt.out.line(s.name, s.id, s.parent, dur, attrs)
 		return
 	}
 	rec := SpanRecord{
 		Name:    s.name,
 		ID:      s.id.String(),
 		StartUS: s.start.Sub(s.rt.start).Microseconds(),
-		DurUS:   time.Since(s.start).Microseconds(),
+		DurUS:   dur,
 	}
 	if !s.parent.IsZero() {
 		rec.Parent = s.parent.String()

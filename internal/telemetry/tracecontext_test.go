@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -100,6 +102,67 @@ func TestRequestTraceSpanCap(t *testing.T) {
 	}
 	if got := rt.DroppedSpans(); got != 10 {
 		t.Errorf("dropped = %d, want 10", got)
+	}
+}
+
+// TestStreamingTrace pins the two kinds of one recorder: a streaming trace
+// writes each ended span (span_id, parent_id, dur_us) and each Event as a
+// line and keeps nothing, with no cap; a retaining trace drops Events.
+func TestStreamingTrace(t *testing.T) {
+	var buf bytes.Buffer
+	rt := NewStreamingTrace(NewTraceWriter(&buf))
+	if !rt.Streaming() {
+		t.Fatal("streaming trace reports not streaming")
+	}
+	root := rt.StartSpan("root", SpanID{})
+	child := rt.StartSpan("child", root.ID())
+	rt.Event("step", child.ID(), Int("n", 1))
+	child.End(String("k", "v"))
+	root.End()
+	for i := 0; i < maxRequestSpans+10; i++ {
+		rt.StartSpan("s", SpanID{}).End()
+	}
+	if len(rt.Spans()) != 0 || rt.DroppedSpans() != 0 {
+		t.Errorf("streaming trace retained %d spans, dropped %d", len(rt.Spans()), rt.DroppedSpans())
+	}
+
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 3+maxRequestSpans+10 {
+		t.Fatalf("got %d lines, want %d", len(lines), 3+maxRequestSpans+10)
+	}
+	var got [3]map[string]any
+	for i := range got {
+		if err := json.Unmarshal([]byte(lines[i]), &got[i]); err != nil {
+			t.Fatalf("line %d not JSON: %v", i, err)
+		}
+	}
+	ev, ch, rs := got[0], got[1], got[2]
+	if ev["ev"] != "step" || ev["parent_id"] != child.ID().String() || ev["n"] != float64(1) {
+		t.Errorf("event line = %v", ev)
+	}
+	if _, ok := ev["span_id"]; ok {
+		t.Errorf("event line carries a span_id: %v", ev)
+	}
+	if _, ok := ev["dur_us"]; ok {
+		t.Errorf("event line carries dur_us: %v", ev)
+	}
+	if ch["ev"] != "child" || ch["span_id"] != child.ID().String() || ch["parent_id"] != root.ID().String() || ch["k"] != "v" {
+		t.Errorf("child span line = %v", ch)
+	}
+	if _, ok := ch["dur_us"]; !ok {
+		t.Errorf("span line lacks dur_us: %v", ch)
+	}
+	if _, ok := rs["parent_id"]; ok || rs["span_id"] != root.ID().String() {
+		t.Errorf("root span line = %v", rs)
+	}
+
+	ret := NewRequestTrace(NewTraceContext())
+	if ret.Streaming() {
+		t.Error("retaining trace reports streaming")
+	}
+	ret.Event("step", SpanID{}, Int("n", 1))
+	if len(ret.Spans()) != 0 {
+		t.Errorf("retaining trace recorded an event: %v", ret.Spans())
 	}
 }
 
