@@ -51,9 +51,11 @@ race-pool:
 
 # Soak the long-lived query server under the race detector: 8 concurrent
 # clients, mixed deadlines, more axiom sets than the engine pool keeps,
-# then a drain overlapping a fresh request wave.
+# then a drain overlapping a fresh request wave; and scrapes of both
+# metrics endpoints racing cold engine builds and evictions (the registry's
+# gauge functions must run outside its lock).
 race-serve:
-	$(GO) test -race -count=3 -run 'TestSoak|TestDrain|TestAdmission' ./internal/serve
+	$(GO) test -race -count=3 -run 'TestSoak|TestDrain|TestAdmission|TestScrapeDuringColdBuilds' ./internal/serve
 
 # Soak the routing tier's trickiest interleavings under the race detector:
 # hedge accounting (no double-counted completions, losers canceled), ring
@@ -85,7 +87,7 @@ serve-smoke:
 	$(GO) test -run 'TestServerSmokeAndDrain' -v ./cmd/aptserved
 
 # Observability gate: the Prometheus exposition golden + validator, the
-# traceparent/span-tree tests, a 50-iteration race soak of the lock-free
+# counters-never-go-backwards scrape test, the traceparent/span-tree tests, a 50-iteration race soak of the lock-free
 # flight recorder and sliding-window histogram, the zero-allocation
 # guards for disabled tracing (which -race would skew, hence the separate
 # non-race invocation), the count-once test (every instance counter
@@ -93,7 +95,7 @@ serve-smoke:
 # one-span-model test (a streaming and a retaining trace of one batch hold
 # the same spans with the same parents).
 obs-check:
-	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestTraceparent|TestRequestTrace|TestStreamingTrace|TestMetricsPrometheus|TestAccessLog' \
+	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestGaugeFunc|TestTraceparent|TestRequestTrace|TestStreamingTrace|TestMetricsPrometheus|TestMetricsCountersNeverGoBackwards|TestAccessLog' \
 		./internal/telemetry ./internal/serve
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestWindowHistogram' ./internal/telemetry
 	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget' \

@@ -7,9 +7,9 @@
 //
 //	aptserved -addr :8080 -workers 4
 //
-// Endpoints: POST /v1/batch, GET /healthz, GET /metrics (Prometheus text
-// exposition), GET /metrics.json (telemetry snapshot), GET /statz
-// (admission, the engine pool's cache state, per-engine counters),
+// Endpoints: POST /v1/batch, GET /healthz, GET /metrics (the telemetry
+// registry as Prometheus text exposition), GET /metrics.json (the same
+// registry as a JSON snapshot), GET /statz (the resident-engine table),
 // GET /debug/flightrecorder (the K slowest + recent degraded request
 // traces).  A full admission queue sheds load with 429 + Retry-After;
 // SIGTERM/SIGINT drains in-flight batches before exiting; SIGQUIT dumps the
@@ -134,12 +134,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runDaemon(daemon{
 			handler:  rt,
 			drain:    rt.Drain,
-			dumpName: "router statz",
-			dump:     func() any { return rt.StatzSnapshot() },
-			counts: func() (int64, int64, int64, int64) {
-				z := rt.StatzSnapshot()
-				return z.Accepted, z.Completed, z.Shed, z.RefusedDraining
-			},
+			dumpName: "router metrics",
+			dump:     func() any { return tel.Metrics().Snapshot() },
+			metrics:  tel.Metrics(),
+			prefix:   "route",
 		}, *addr, *portFile, fmt.Sprintf("routing on %%s across %d backends", len(addrs)), stdout, stderr)
 	}
 
@@ -176,10 +174,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		drain:    srv.Drain,
 		dumpName: "flight recorder",
 		dump:     func() any { return srv.FlightSnapshot() },
-		counts: func() (int64, int64, int64, int64) {
-			st := srv.StatzSnapshot()
-			return st.Accepted, st.Completed, st.Shed, st.RefusedDraining
-		},
+		metrics:  tel.Metrics(),
+		prefix:   "serve",
 	}, *addr, *portFile, "listening on %s", stdout, stderr)
 }
 
@@ -190,7 +186,10 @@ type daemon struct {
 	drain    func(context.Context) error
 	dumpName string     // names the SIGQUIT dump in its stderr header
 	dump     func() any // the SIGQUIT payload, JSON-encoded to stderr
-	counts   func() (accepted, completed, shed, refused int64)
+	// metrics is the registry the tier reports into, its lifecycle counts
+	// under prefix (prefix.requests, .completed, .shed, .refused_draining).
+	metrics *telemetry.Registry
+	prefix  string
 }
 
 // runDaemon listens on addr, announces itself with banner (a format taking
@@ -250,9 +249,9 @@ func runDaemon(d daemon, addr, portFile, banner string, stdout, stderr io.Writer
 	if err := hs.Shutdown(drainCtx); err != nil && drainErr == nil {
 		drainErr = err
 	}
-	accepted, completed, shed, refused := d.counts()
+	c := d.metrics.Snapshot().Counters
 	fmt.Fprintf(stdout, "aptserved: drained: %d accepted, %d completed, %d shed, %d refused during drain\n",
-		accepted, completed, shed, refused)
+		c[d.prefix+".requests"], c[d.prefix+".completed"], c[d.prefix+".shed"], c[d.prefix+".refused_draining"])
 	if drainErr != nil {
 		fmt.Fprintf(stderr, "aptserved: drain: %v\n", drainErr)
 		return 1

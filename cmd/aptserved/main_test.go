@@ -283,20 +283,21 @@ func TestClusterSmokeAndDrain(t *testing.T) {
 		t.Errorf("X-Apt-Backend = %q, want one of %v", via, backendBases)
 	}
 
-	// SIGQUIT: the router dumps its statz, the backends their flight
-	// recorders — all without stopping service.
+	// SIGQUIT: the router dumps its registry snapshot, the backends their
+	// flight recorders — all without stopping service.
 	if err := syscall.Kill(os.Getpid(), syscall.SIGQUIT); err != nil {
 		t.Fatal(err)
 	}
 	dumpDeadline := time.Now().Add(10 * time.Second)
-	for !strings.Contains(router.stderr.String(), "router statz dump") {
+	for !strings.Contains(router.stderr.String(), "router metrics dump") {
 		if time.Now().After(dumpDeadline) {
-			t.Fatalf("no router statz dump after SIGQUIT (stderr: %s)", router.stderr.String())
+			t.Fatalf("no router metrics dump after SIGQUIT (stderr: %s)", router.stderr.String())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if dump := router.stderr.String(); !strings.Contains(dump, `"backends"`) {
-		t.Errorf("router statz dump lacks backends:\n%s", dump)
+	if dump := router.stderr.String(); !strings.Contains(dump, `route.backend_forwarded{backend=`) ||
+		!strings.Contains(dump, `route.backend_up{backend=`) {
+		t.Errorf("router metrics dump lacks the per-backend series:\n%s", dump)
 	}
 
 	// One SIGTERM reaches all three instances; each must drain and exit 0.

@@ -51,8 +51,7 @@ type Controller struct {
 	// rate even on an uninstrumented process.
 	completions *telemetry.WindowHistogram
 
-	// The lifecycle counts; Feed links accepted and shed to the owning
-	// server's registry counters.
+	// The lifecycle counts; Feed links them to the owner's registry.
 	accepted  telemetry.Counter
 	completed telemetry.Counter
 	shed      telemetry.Counter
@@ -70,12 +69,17 @@ func New(maxConcurrent, queueDepth int) *Controller {
 	}
 }
 
-// Feed makes the accepted and shed counts also add to the given registry
-// counters (nil feeds nothing) — the owning server's requests and shed
-// counters.  Call it before serving.  Returns the controller for chaining.
-func (c *Controller) Feed(accepted, shed *telemetry.Counter) *Controller {
-	c.accepted.Feed(accepted)
-	c.shed.Feed(shed)
+// Feed links the lifecycle counts to tel's registry under the owner's
+// prefix — prefix.requests (accepted), .completed, .shed and
+// .refused_draining — and registers the in-flight gauge prefix.inflight.
+// A nil tel feeds nothing.  Call it before serving.  Returns the controller
+// for chaining.
+func (c *Controller) Feed(tel *telemetry.Set, prefix string) *Controller {
+	c.accepted.Feed(tel.Counter(prefix + ".requests"))
+	c.completed.Feed(tel.Counter(prefix + ".completed"))
+	c.shed.Feed(tel.Counter(prefix + ".shed"))
+	c.refused.Feed(tel.Counter(prefix + ".refused_draining"))
+	tel.GaugeFunc(prefix+".inflight", c.gauge.Load)
 	return c
 }
 

@@ -19,7 +19,8 @@ import (
 // when several instances share one.
 
 // countedInstances is one engine with the cache and memo it borrows, plus
-// an admission controller fed into serve.requests / serve.shed.
+// an admission controller fed into serve.requests, .completed, .shed and
+// .refused_draining.
 type countedInstances struct {
 	eng  *Engine
 	dfas *automata.SharedCache
@@ -37,14 +38,14 @@ func newCounted(tel *telemetry.Set) *countedInstances {
 		eng:  New(WorkloadWindows()[0], Options{Workers: 1, Telemetry: tel, DFACache: dfas, Memo: memo}),
 		dfas: dfas,
 		memo: memo,
-		adm:  admit.New(1, 0).Feed(tel.Counter("serve.requests"), tel.Counter("serve.shed")),
+		adm:  admit.New(1, 0).Feed(tel, "serve"),
 	}
 }
 
 // drive moves every counter: a seeded workload (lookups, hits, compiles,
 // state-limit failures, memo hits and misses, evictions), a timed-out, a canceled, and a
 // deadline-expired batch (the three degraded reasons), and one admitted
-// plus one shed request.
+// and completed, one shed, and one refused-while-draining request.
 func (c *countedInstances) drive(t *testing.T, seed int64) {
 	t.Helper()
 	c.eng.Batch(context.Background(), Workload(seed, 60))
@@ -64,12 +65,19 @@ func (c *countedInstances) drive(t *testing.T, seed int64) {
 	}
 	c.adm.Finish()
 	c.adm.Release()
+	if err := c.adm.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !c.adm.TryAcquire() || c.adm.Begin() {
+		t.Fatal("a draining controller admitted a request")
+	}
+	c.adm.Release()
 }
 
 // counts reads the instances' own values under their registry names.
 func (c *countedInstances) counts() map[string]int64 {
 	st, ms, cs := c.eng.Stats(), c.memo.Stats(), c.dfas.Stats()
-	accepted, _, shed, _ := c.adm.Counts()
+	accepted, completed, shed, refused := c.adm.Counts()
 	return map[string]int64{
 		"engine.batches":                       st.Batches,
 		"engine.queries":                       st.Queries,
@@ -85,7 +93,9 @@ func (c *countedInstances) counts() map[string]int64 {
 		"automata.shared_state_limit_failures": int64(cs.LimitFailures),
 		"automata.shared_evictions":            c.dfas.DFAEvictions() + c.dfas.OpsEvictions(),
 		"serve.requests":                       accepted,
+		"serve.completed":                      completed,
 		"serve.shed":                           shed,
+		"serve.refused_draining":               refused,
 	}
 }
 

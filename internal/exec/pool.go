@@ -9,7 +9,6 @@ package exec
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/automata"
@@ -59,7 +58,7 @@ type Pool struct {
 	seq     int64
 	entries map[uint64]*poolEntry
 
-	evicted atomic.Int64
+	evicted telemetry.Counter // feeds serve.engines_evicted
 	cCold   *telemetry.Counter
 	cWarm   *telemetry.Counter
 }
@@ -75,7 +74,9 @@ type poolEntry struct {
 	uses    int64
 }
 
-// NewPool builds a pool, preseeded from cfg.Preload when set.
+// NewPool builds a pool, preseeded from cfg.Preload when set.  Its
+// eviction count and the read-at-scrape gauges of its population and cache
+// sizes report under tel's serve.* names.
 func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -89,6 +90,11 @@ func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 		cCold:   tel.Counter("serve.engine_cold"),
 		cWarm:   tel.Counter("serve.engine_warm"),
 	}
+	p.evicted.Feed(tel.Counter("serve.engines_evicted"))
+	tel.GaugeFunc("serve.engines_resident", func() int64 { return int64(p.Len()) })
+	tel.GaugeFunc("serve.dfa_entries", func() int64 { return int64(p.dfas.Len()) })
+	tel.GaugeFunc("serve.decision_entries", func() int64 { return int64(p.dfas.OpsLen()) })
+	tel.GaugeFunc("serve.memo_entries", func() int64 { return int64(p.memo.Stats().Entries) })
 	if cfg.Preload != nil {
 		p.PreloadArtifact(cfg.Preload)
 	}
@@ -197,7 +203,7 @@ type View struct {
 }
 
 // Snapshot returns the resident entries sorted by name then key, for the
-// /statz report.
+// /statz engine table.
 func (p *Pool) Snapshot() []View {
 	p.mu.Lock()
 	out := make([]View, 0, len(p.entries))
@@ -220,6 +226,3 @@ func (p *Pool) Len() int {
 	defer p.mu.Unlock()
 	return len(p.entries)
 }
-
-// Evicted reports how many engines the LRU has reclaimed.
-func (p *Pool) Evicted() int64 { return p.evicted.Load() }

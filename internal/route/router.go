@@ -86,7 +86,7 @@ func (c Config) withDefaults() Config {
 type backend struct {
 	addr      string // normalized base URL, e.g. "http://127.0.0.1:8080"
 	up        atomic.Bool
-	forwarded atomic.Int64
+	forwarded telemetry.Counter // feeds route.backend_forwarded{backend=addr}
 }
 
 // Router shards /v1/batch traffic across aptserved backends by axiom-set
@@ -100,7 +100,6 @@ type Router struct {
 	mux    *http.ServeMux
 	client *http.Client
 	access *telemetry.TraceWriter
-	start  time.Time
 
 	mu       sync.Mutex
 	ring     *Ring
@@ -112,12 +111,13 @@ type Router struct {
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
 
-	hedgeWon    atomic.Int64
-	hedgeLost   atomic.Int64
-	hedgeSpared atomic.Int64
-	ringMoves   atomic.Int64
-	handoffs    atomic.Int64 // successful warm handoffs (≤ ringMoves)
-	panics      atomic.Int64
+	// Each feeds the route.* registry counter named alongside.
+	hedgeWon    telemetry.Counter // route.hedge{outcome="won"}
+	hedgeLost   telemetry.Counter // route.hedge{outcome="lost"}
+	hedgeSpared telemetry.Counter // route.hedge{outcome="spared"}
+	ringMoves   telemetry.Counter // route.ring_moves
+	handoffs    telemetry.Counter // route.ring_warm_handoffs: successful warm handoffs (≤ ringMoves)
+	panics      telemetry.Counter // route.panics
 
 	cHedges  *telemetry.Counter
 	hRequest *telemetry.Histogram
@@ -146,10 +146,10 @@ func New(cfg Config) *Router {
 	rt := &Router{
 		cfg: cfg,
 		tel: tel,
-		// The admission controller's accepted and shed counts feed the
-		// registry's route.requests and route.shed.
-		adm: admit.New(cfg.MaxConcurrent, cfg.QueueDepth).
-			Feed(tel.Counter("route.requests"), tel.Counter("route.shed")),
+		// The admission controller's lifecycle counts and in-flight gauge
+		// report as route.requests, .completed, .shed, .refused_draining
+		// and .inflight.
+		adm: admit.New(cfg.MaxConcurrent, cfg.QueueDepth).Feed(tel, "route"),
 		mux: http.NewServeMux(),
 		client: &http.Client{
 			// No overall client timeout: the batch deadline belongs to the
@@ -158,22 +158,25 @@ func New(cfg Config) *Router {
 			Transport: &http.Transport{MaxIdleConnsPerHost: cfg.MaxConcurrent},
 		},
 		access:   cfg.AccessLog,
-		start:    time.Now(),
 		backends: make(map[string]*backend),
 		seenFPs:  make(map[uint64]struct{}),
 		fpCache:  make(map[uint64]uint64),
 		cHedges:  tel.Counter("route.hedges"),
 		hRequest: tel.Histogram("route.request_ns"),
 	}
+	rt.hedgeWon.Feed(tel.Counter(telemetry.Labeled("route.hedge", "outcome", "won")))
+	rt.hedgeLost.Feed(tel.Counter(telemetry.Labeled("route.hedge", "outcome", "lost")))
+	rt.hedgeSpared.Feed(tel.Counter(telemetry.Labeled("route.hedge", "outcome", "spared")))
+	rt.ringMoves.Feed(tel.Counter("route.ring_moves"))
+	rt.handoffs.Feed(tel.Counter("route.ring_warm_handoffs"))
+	rt.panics.Feed(tel.Counter("route.panics"))
+	start := time.Now()
+	tel.GaugeFunc("route.uptime_seconds", func() int64 { return int64(time.Since(start).Seconds()) })
 	var addrs []string
 	for _, a := range cfg.Backends {
 		if n := NormalizeAddr(a); n != "" {
 			addrs = append(addrs, n)
-			if _, ok := rt.backends[n]; !ok {
-				b := &backend{addr: n}
-				b.up.Store(true) // optimistic until the first probe says otherwise
-				rt.backends[n] = b
-			}
+			rt.addBackend(n)
 		}
 	}
 	rt.ring = NewRing(addrs)
@@ -181,11 +184,30 @@ func New(cfg Config) *Router {
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("/metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("/metrics.json", rt.handleMetricsJSON)
-	rt.mux.HandleFunc("/statz", rt.handleStatz)
 	rt.probeCtx, rt.probeCancel = context.WithCancel(context.Background())
 	rt.probeDone = make(chan struct{})
 	go rt.probeLoop()
 	return rt
+}
+
+// addBackend registers a member not seen before — optimistically up until
+// the first probe says otherwise — with its per-backend series
+// route.backend_forwarded and route.backend_up.  Members are never removed,
+// so their series survive ring changes.  Callers after New hold rt.mu.
+func (rt *Router) addBackend(addr string) {
+	if _, ok := rt.backends[addr]; ok {
+		return
+	}
+	b := &backend{addr: addr}
+	b.up.Store(true)
+	b.forwarded.Feed(rt.tel.Counter(telemetry.Labeled("route.backend_forwarded", "backend", addr)))
+	rt.tel.GaugeFunc(telemetry.Labeled("route.backend_up", "backend", addr), func() int64 {
+		if b.up.Load() {
+			return 1
+		}
+		return 0
+	})
+	rt.backends[addr] = b
 }
 
 // ServeHTTP dispatches with the same panic isolation the backend server
@@ -241,11 +263,7 @@ func (rt *Router) SetBackends(addrs []string) {
 	old := rt.ring
 	rt.ring = next
 	for _, a := range next.Addrs() {
-		if _, ok := rt.backends[a]; !ok {
-			b := &backend{addr: a}
-			b.up.Store(true)
-			rt.backends[a] = b
-		}
+		rt.addBackend(a)
 	}
 	fps := make([]uint64, 0, len(rt.seenFPs))
 	for fp := range rt.seenFPs {
@@ -400,6 +418,17 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
+}
+
+// handleMetrics serves the telemetry registry as Prometheus text
+// exposition; /metrics.json serves the same registry as a JSON snapshot.
+func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	rt.tel.Metrics().WritePrometheus(w) //nolint:errcheck // client hangup
+}
+
+func (rt *Router) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
+	wire.WriteJSON(w, http.StatusOK, rt.tel.Metrics().Snapshot())
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {

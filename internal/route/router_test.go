@@ -30,8 +30,13 @@ func newBackendTS(t *testing.T) *httptest.Server {
 	return ts
 }
 
+// newRouter builds a router reporting into a registry of its own (unless
+// the config brings one), drained when the test ends.
 func newRouter(t *testing.T, cfg Config) *Router {
 	t.Helper()
+	if cfg.Telemetry == nil {
+		cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
+	}
 	rt := New(cfg)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -39,6 +44,22 @@ func newRouter(t *testing.T, cfg Config) *Router {
 		rt.Drain(ctx) //nolint:errcheck
 	})
 	return rt
+}
+
+// counters snapshots the router registry's counters, the one place its
+// counts are read from.
+func counters(rt *Router) map[string]int64 { return rt.tel.Metrics().Snapshot().Counters }
+
+// lifecycle reads the router's admission counts.
+func lifecycle(rt *Router) (accepted, completed, shed, refused int64) {
+	c := counters(rt)
+	return c["route.requests"], c["route.completed"], c["route.shed"], c["route.refused_draining"]
+}
+
+// hedges reads the router's three hedge outcomes.
+func hedges(rt *Router) (won, lost, spared int64) {
+	c := counters(rt)
+	return c[`route.hedge{outcome="won"}`], c[`route.hedge{outcome="lost"}`], c[`route.hedge{outcome="spared"}`]
 }
 
 func postBatch(t *testing.T, url string, req wire.BatchRequest) (*http.Response, []byte) {
@@ -176,14 +197,14 @@ func TestRouterByteIdenticalVerdicts(t *testing.T) {
 
 	// Placement check: forwarded counts must equal the ring's ownership —
 	// every batch went to its owner, no failover, no strays.
-	z := rt.StatzSnapshot()
-	for _, b := range z.Backends {
-		if b.Forwarded != expected[b.Addr] {
-			t.Errorf("backend %s forwarded %d batches, ring owes it %d", b.Addr, b.Forwarded, expected[b.Addr])
+	c := counters(rt)
+	for _, addr := range addrs {
+		if got := c[telemetry.Labeled("route.backend_forwarded", "backend", addr)]; got != expected[addr] {
+			t.Errorf("backend %s forwarded %d batches, ring owes it %d", addr, got, expected[addr])
 		}
 	}
-	if z.Accepted != z.Completed || z.Accepted != int64(len(order)) {
-		t.Errorf("accepted=%d completed=%d, want both %d", z.Accepted, z.Completed, len(order))
+	if accepted, completed, _, _ := lifecycle(rt); accepted != completed || accepted != int64(len(order)) {
+		t.Errorf("accepted=%d completed=%d, want both %d", accepted, completed, len(order))
 	}
 
 	// Warmth check: the ring holds every window's engine, so a repeat of
@@ -341,12 +362,11 @@ func TestHedgeWins(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Error("losing attempt was never canceled")
 	}
-	z := rt.StatzSnapshot()
-	if z.HedgesWon != 1 || z.HedgesLost != 0 || z.HedgesSpared != 0 {
-		t.Errorf("hedge outcomes won=%d lost=%d spared=%d, want exactly one won", z.HedgesWon, z.HedgesLost, z.HedgesSpared)
+	if won, lost, spared := hedges(rt); won != 1 || lost != 0 || spared != 0 {
+		t.Errorf("hedge outcomes won=%d lost=%d spared=%d, want exactly one won", won, lost, spared)
 	}
-	if z.Accepted != 1 || z.Completed != 1 {
-		t.Errorf("accepted=%d completed=%d, want 1/1 — a hedge must not double-count the completion", z.Accepted, z.Completed)
+	if accepted, completed, _, _ := lifecycle(rt); accepted != 1 || completed != 1 {
+		t.Errorf("accepted=%d completed=%d, want 1/1 — a hedge must not double-count the completion", accepted, completed)
 	}
 }
 
@@ -377,12 +397,11 @@ func TestHedgeLoses(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "owner") {
 		t.Fatalf("status=%d body=%s, want the owner's 200", resp.StatusCode, body)
 	}
-	z := rt.StatzSnapshot()
-	if z.HedgesWon != 0 || z.HedgesLost != 1 || z.HedgesSpared != 0 {
-		t.Errorf("hedge outcomes won=%d lost=%d spared=%d, want exactly one lost", z.HedgesWon, z.HedgesLost, z.HedgesSpared)
+	if won, lost, spared := hedges(rt); won != 0 || lost != 1 || spared != 0 {
+		t.Errorf("hedge outcomes won=%d lost=%d spared=%d, want exactly one lost", won, lost, spared)
 	}
-	if z.Accepted != 1 || z.Completed != 1 {
-		t.Errorf("accepted=%d completed=%d, want 1/1", z.Accepted, z.Completed)
+	if accepted, completed, _, _ := lifecycle(rt); accepted != 1 || completed != 1 {
+		t.Errorf("accepted=%d completed=%d, want 1/1", accepted, completed)
 	}
 }
 
@@ -413,9 +432,8 @@ func TestHedgeSpared(t *testing.T) {
 		t.Error("hedge backend saw a request despite the owner answering in time")
 	default:
 	}
-	z := rt.StatzSnapshot()
-	if z.HedgesWon != 0 || z.HedgesLost != 0 || z.HedgesSpared != 1 {
-		t.Errorf("hedge outcomes won=%d lost=%d spared=%d, want exactly one spared", z.HedgesWon, z.HedgesLost, z.HedgesSpared)
+	if won, lost, spared := hedges(rt); won != 0 || lost != 0 || spared != 1 {
+		t.Errorf("hedge outcomes won=%d lost=%d spared=%d, want exactly one spared", won, lost, spared)
 	}
 }
 
@@ -445,12 +463,11 @@ func TestHedgeVersusDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "hedge") {
 		t.Fatalf("status=%d body=%s, want exactly the hedge's 200 verdict", resp.StatusCode, body)
 	}
-	z := rt.StatzSnapshot()
-	if z.Accepted != 1 || z.Completed != 1 {
-		t.Errorf("accepted=%d completed=%d, want 1/1 — one request, one verdict", z.Accepted, z.Completed)
+	if accepted, completed, _, _ := lifecycle(rt); accepted != 1 || completed != 1 {
+		t.Errorf("accepted=%d completed=%d, want 1/1 — one request, one verdict", accepted, completed)
 	}
-	if z.HedgesWon != 1 {
-		t.Errorf("hedges won = %d, want 1 (the hedge delivered while the owner drained)", z.HedgesWon)
+	if won, _, _ := hedges(rt); won != 1 {
+		t.Errorf("hedges won = %d, want 1 (the hedge delivered while the owner drained)", won)
 	}
 }
 
@@ -476,9 +493,8 @@ func TestAllBackendsDraining(t *testing.T) {
 	if !strings.Contains(string(body), "shutting down") {
 		t.Errorf("body = %s, want the backend's drain error", body)
 	}
-	z := rt.StatzSnapshot()
-	if z.Accepted != 1 || z.Completed != 1 {
-		t.Errorf("accepted=%d completed=%d, want 1/1", z.Accepted, z.Completed)
+	if accepted, completed, _, _ := lifecycle(rt); accepted != 1 || completed != 1 {
+		t.Errorf("accepted=%d completed=%d, want 1/1", accepted, completed)
 	}
 }
 
@@ -509,11 +525,8 @@ func TestFailoverOnDownBackend(t *testing.T) {
 	if got := resp.Header.Get("X-Apt-Backend"); got != live.URL {
 		t.Errorf("X-Apt-Backend = %q, want the live backend %q", got, live.URL)
 	}
-	z := rt.StatzSnapshot()
-	for _, b := range z.Backends {
-		if b.Addr == deadURL && b.Up {
-			t.Error("dead backend still marked up after a failed forward")
-		}
+	if up := rt.tel.Metrics().Snapshot().Gauges[telemetry.Labeled("route.backend_up", "backend", deadURL)]; up != 0 {
+		t.Error("dead backend still marked up after a failed forward")
 	}
 }
 
@@ -551,12 +564,12 @@ func TestWarmHandoffOnRingChange(t *testing.T) {
 
 	// Ring change: the owner joins; the tree shard moves to it warm.
 	rt.SetBackends([]string{losing, gaining})
-	z := rt.StatzSnapshot()
-	if z.RingMoves < 1 {
-		t.Fatalf("ring moves = %d, want ≥1 — the tree shard's owner changed", z.RingMoves)
+	c := counters(rt)
+	if moves := c["route.ring_moves"]; moves < 1 {
+		t.Fatalf("ring moves = %d, want ≥1 — the tree shard's owner changed", moves)
 	}
-	if z.WarmHandoffs != 1 {
-		t.Fatalf("warm handoffs = %d, want exactly 1", z.WarmHandoffs)
+	if handoffs := c["route.ring_warm_handoffs"]; handoffs != 1 {
+		t.Fatalf("warm handoffs = %d, want exactly 1", handoffs)
 	}
 
 	// The moved shard's first request on the gaining backend rides the
@@ -633,25 +646,26 @@ func TestRingChangeUnderLoad(t *testing.T) {
 		t.Error(err)
 	}
 
-	z := rt.StatzSnapshot()
 	total := int64(workers * perWorker)
-	if z.Accepted != total || z.Completed != total {
-		t.Errorf("accepted=%d completed=%d, want both %d — no request may be lost across ring changes", z.Accepted, z.Completed, total)
+	accepted, completed, shed, refused := lifecycle(rt)
+	if accepted != total || completed != total {
+		t.Errorf("accepted=%d completed=%d, want both %d — no request may be lost across ring changes", accepted, completed, total)
 	}
-	if z.Inflight != 0 {
-		t.Errorf("inflight = %d after the burst, want 0", z.Inflight)
+	if inflight := rt.tel.Metrics().Snapshot().Gauges["route.inflight"]; inflight != 0 {
+		t.Errorf("inflight = %d after the burst, want 0", inflight)
 	}
-	if z.Shed != 0 || z.RefusedDraining != 0 {
-		t.Errorf("shed=%d refused=%d, want 0/0", z.Shed, z.RefusedDraining)
+	if shed != 0 || refused != 0 {
+		t.Errorf("shed=%d refused=%d, want 0/0", shed, refused)
 	}
 }
 
-// TestRouterMetrics: the /metrics exposition parses under the registry's
-// own validator and carries the cluster families the ISSUE names.
+// TestRouterMetrics: the /metrics exposition is the router's registry
+// rendered — it parses under the strict validator and carries the cluster
+// families under the one apt_route_ naming rule, the hand-written router
+// series gone.  /statz is not served.
 func TestRouterMetrics(t *testing.T) {
 	backend := newBackendTS(t)
-	tel := telemetry.New(telemetry.NewRegistry(), nil)
-	rt := newRouter(t, Config{Backends: []string{backend.URL}, Telemetry: tel})
+	rt := newRouter(t, Config{Backends: []string{backend.URL}})
 	rts := httptest.NewServer(rt)
 	defer rts.Close()
 
@@ -672,18 +686,34 @@ func TestRouterMetrics(t *testing.T) {
 		t.Fatalf("metrics do not validate: %v\n%s", err, body)
 	}
 	for _, want := range []string{
-		"apt_backend_up{backend=",
-		"apt_backend_forwarded_total{backend=",
-		`apt_hedge_total{outcome="won"}`,
-		`apt_hedge_total{outcome="lost"}`,
-		`apt_hedge_total{outcome="spared"}`,
-		"apt_ring_moves_total",
-		"apt_ring_warm_handoffs_total",
-		"apt_router_accepted_total",
-		"apt_router_inflight",
+		fmt.Sprintf("apt_route_backend_up{backend=%q} 1\n", backend.URL),
+		fmt.Sprintf("apt_route_backend_forwarded_total{backend=%q} 1\n", backend.URL),
+		`apt_route_hedge_total{outcome="won"} 0`,
+		`apt_route_hedge_total{outcome="lost"} 0`,
+		`apt_route_hedge_total{outcome="spared"} 0`,
+		"apt_route_ring_moves_total 0\n",
+		"apt_route_ring_warm_handoffs_total 0\n",
+		"apt_route_requests_total 1\n",
+		"apt_route_completed_total 1\n",
+		"apt_route_panics_total 0\n",
+		"apt_route_inflight 0\n",
+		"apt_route_uptime_seconds ",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	for _, gone := range []string{"apt_router_", "apt_backend_", "apt_hedge_total", "apt_ring_"} {
+		if strings.Contains(string(body), gone) {
+			t.Errorf("metrics still carry %q", gone)
+		}
+	}
+	statz, err := http.Get(rts.URL + "/statz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	statz.Body.Close()
+	if statz.StatusCode != http.StatusNotFound {
+		t.Errorf("router /statz = %d, want 404", statz.StatusCode)
 	}
 }

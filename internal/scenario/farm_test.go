@@ -12,6 +12,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/route"
 	"repro/internal/serve"
+	"repro/internal/telemetry"
 )
 
 // The fixed-seed smoke farm: every family, a few dozen programs, zero
@@ -140,7 +141,8 @@ func TestFarmServeParityThroughRouter(t *testing.T) {
 	defer b1.Close()
 	b2 := httptest.NewServer(serve.New(serve.Config{}))
 	defer b2.Close()
-	rt := route.New(route.Config{Backends: []string{b1.URL, b2.URL}})
+	tel := telemetry.New(telemetry.NewRegistry(), nil)
+	rt := route.New(route.Config{Backends: []string{b1.URL, b2.URL}, Telemetry: tel})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -163,16 +165,17 @@ func TestFarmServeParityThroughRouter(t *testing.T) {
 	if rep.DivergencesByKind[KindServeMismatch] != 0 || rep.Softenings != 0 {
 		t.Errorf("router cross-check degraded verdicts: %+v", rep)
 	}
-	z := rt.StatzSnapshot()
-	if z.Accepted == 0 || z.Accepted != z.Completed {
-		t.Errorf("router accepted=%d completed=%d; farm traffic did not flow through it", z.Accepted, z.Completed)
+	c := tel.Metrics().Snapshot().Counters
+	accepted := c["route.requests"]
+	if accepted == 0 || accepted != c["route.completed"] {
+		t.Errorf("router accepted=%d completed=%d; farm traffic did not flow through it", accepted, c["route.completed"])
 	}
 	var forwarded int64
-	for _, b := range z.Backends {
-		forwarded += b.Forwarded
+	for _, b := range []string{b1.URL, b2.URL} {
+		forwarded += c[telemetry.Labeled("route.backend_forwarded", "backend", b)]
 	}
-	if forwarded < z.Accepted {
-		t.Errorf("backends forwarded %d < accepted %d", forwarded, z.Accepted)
+	if forwarded < accepted {
+		t.Errorf("backends forwarded %d < accepted %d", forwarded, accepted)
 	}
 }
 

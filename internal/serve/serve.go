@@ -50,7 +50,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/admit"
@@ -106,8 +105,8 @@ type Config struct {
 	MaxBodyBytes int64
 	// VerifyProofs re-checks every prover-backed No independently.
 	VerifyProofs bool
-	// Telemetry receives every layer's counters and feeds /metrics (nil
-	// disables; /metrics then serves only the server-level families).
+	// Telemetry receives every layer's counters and gauges and is what
+	// /metrics and /metrics.json render (nil disables both).
 	Telemetry *telemetry.Set
 	// FlightK and FlightRing size the flight recorder: the K slowest
 	// requests plus a ring of the last FlightRing degraded requests, served
@@ -182,21 +181,11 @@ type Server struct {
 	pool *exec.Pool
 	mux  *http.ServeMux
 
-	// White-box views into the admission controller — the same channel,
-	// gauge, and completion-window objects adm owns, not copies.  The
-	// package's tests jam the queue and seed the Retry-After estimator
-	// through them.
-	slots       chan struct{} // admission tokens: run slots + bounded queue
-	run         chan struct{} // run slots
-	gauge       *atomic.Int64 // requests admitted and not yet completed
-	completions *telemetry.WindowHistogram
-
 	flight *telemetry.FlightRecorder
 	access *telemetry.TraceWriter
 
-	start        time.Time
 	panics       telemetry.Counter // feeds serve.panics
-	degradedReqs atomic.Int64      // requests with ≥1 degraded query
+	degradedReqs telemetry.Counter // feeds serve.degraded_requests: requests with ≥1 degraded query
 
 	hRequestNS *telemetry.Histogram
 	hQueueNS   *telemetry.Histogram
@@ -214,28 +203,30 @@ func New(cfg Config) *Server {
 func newServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	tel := cfg.Telemetry
-	// The admission controller counts accepted and shed requests; the
-	// registry's serve.requests and serve.shed are fed from those counts.
-	adm := admit.New(cfg.MaxConcurrent, cfg.QueueDepth).
-		Feed(tel.Counter("serve.requests"), tel.Counter("serve.shed"))
 	s := &Server{
-		cfg:         cfg,
-		tel:         tel,
-		adm:         adm,
-		pool:        exec.NewPool(cfg.poolConfig(), tel),
-		mux:         http.NewServeMux(),
-		slots:       adm.Slots(),
-		run:         adm.Run(),
-		gauge:       adm.Gauge(),
-		completions: adm.Completions(),
-		flight:      telemetry.NewFlightRecorder(cfg.FlightK, cfg.FlightRing),
-		access:      cfg.AccessLog,
-		start:       time.Now(),
-		hRequestNS:  tel.Histogram("serve.request_ns"),
-		hQueueNS:    tel.Histogram("serve.queue_wait_ns"),
-		wRequestNS:  tel.Window("serve.request_ns"),
+		cfg: cfg,
+		tel: tel,
+		// The admission controller's lifecycle counts and in-flight gauge
+		// report as serve.requests, .completed, .shed, .refused_draining
+		// and .inflight.
+		adm:  admit.New(cfg.MaxConcurrent, cfg.QueueDepth).Feed(tel, "serve"),
+		pool: exec.NewPool(cfg.poolConfig(), tel),
+		mux:  http.NewServeMux(),
+		flight: telemetry.NewFlightRecorder(cfg.FlightK, cfg.FlightRing).
+			Feed(tel.Counter("serve.flight_slow_recorded"), tel.Counter("serve.flight_degraded_recorded")),
+		access:     cfg.AccessLog,
+		hRequestNS: tel.Histogram("serve.request_ns"),
+		hQueueNS:   tel.Histogram("serve.queue_wait_ns"),
+		wRequestNS: tel.Window("serve.request_ns"),
 	}
 	s.panics.Feed(tel.Counter("serve.panics"))
+	s.degradedReqs.Feed(tel.Counter("serve.degraded_requests"))
+	start := time.Now()
+	tel.GaugeFunc("serve.uptime_seconds", func() int64 { return int64(time.Since(start).Seconds()) })
+	// The interner underlies every cache key in the stack and is never
+	// evicted (node IDs must stay stable), so this is the one monotone
+	// size to watch for expression-churn growth.
+	tel.GaugeFunc("serve.interned_exprs", func() int64 { return int64(pathexpr.InternedExprs()) })
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
 	s.mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("/v1/preload", s.handlePreload)
@@ -271,8 +262,8 @@ func newServer(cfg Config) *Server {
 // settles the allocator, and a ~tenth of a second of it at boot is what
 // makes the first client request perform like a steady-state one.  Errors
 // are ignored (a malformed recorded workload degrades warmth, nothing
-// else); the warmup requests show up in the request counters and /statz
-// like any request.
+// else); the warmup requests show up in the request counters like any
+// request.
 func (s *Server) replayWarm(replays []automata.ArtifactReplay) {
 	const (
 		budget    = 120 * time.Millisecond
@@ -579,105 +570,29 @@ type EngineStatz struct {
 	Canceled        int64 `json:"canceled"`
 }
 
-// Statz is the /statz body: server-level admission and lifecycle counters,
-// the engine pool's shared caches, and every resident engine's counters.
+// Statz is the /statz body: the resident-engine table, the one report the
+// registry deliberately does not hold.  It is bounded by MaxEngines, where
+// per-axiom-set series would grow with every axiom set a raw-mode client
+// sends; every process-level number is a registry instrument instead.
 type Statz struct {
-	UptimeMS        int64 `json:"uptime_ms"`
-	Draining        bool  `json:"draining"`
-	Accepted        int64 `json:"accepted"`
-	Completed       int64 `json:"completed"`
-	Inflight        int64 `json:"inflight"`
-	Shed            int64 `json:"shed"`
-	RefusedDraining int64 `json:"refused_draining"`
-	Panics          int64 `json:"panics"`
-	// DegradedRequests counts requests with at least one query degraded
-	// toward Maybe (each such request is also in the flight recorder).
-	DegradedRequests int64 `json:"degraded_requests"`
-	EnginesResident  int   `json:"engines_resident"`
-	EnginesEvicted   int64 `json:"engines_evicted"`
-	// InternedExprs is the process-wide count of distinct interned path
-	// expressions.  The interner underlies every cache key in the stack and
-	// is never evicted (node IDs must stay stable), so this is the one
-	// monotone number to watch for expression-churn growth.
-	InternedExprs int `json:"interned_exprs"`
-
-	// The engine pool's proof memo and DFA cache, shared by every engine.
-	MemoLookups   int64   `json:"memo_lookups"`
-	MemoHits      int64   `json:"memo_hits"`
-	MemoHitRate   float64 `json:"memo_hit_rate"`
-	MemoEntries   int     `json:"memo_entries"`
-	MemoEvictions int64   `json:"memo_evictions"`
-
-	DFALookups   int     `json:"dfa_lookups"`
-	DFAHits      int     `json:"dfa_hits"`
-	DFAHitRate   float64 `json:"dfa_hit_rate"`
-	DFACompiles  int     `json:"dfa_compiles"`
-	DFALen       int     `json:"dfa_len"`
-	OpsLen       int     `json:"ops_len"`
-	DFAEvictions int64   `json:"dfa_evictions"`
-	OpsEvictions int64   `json:"ops_evictions"`
-
 	Engines []EngineStatz `json:"engines"`
 }
 
-// StatzSnapshot assembles the /statz body (exported for the soak tests and
-// aptserved's drain summary).
-func (s *Server) StatzSnapshot() Statz {
-	accepted, completed, shed, refused := s.adm.Counts()
-	memo, dfas := s.pool.Memo(), s.pool.DFACache()
-	ms, ds := memo.Stats(), dfas.Stats()
-	z := Statz{
-		UptimeMS:         time.Since(s.start).Milliseconds(),
-		Draining:         s.Draining(),
-		Accepted:         accepted,
-		Completed:        completed,
-		Inflight:         s.gauge.Load(),
-		Shed:             shed,
-		RefusedDraining:  refused,
-		Panics:           s.panics.Value(),
-		DegradedRequests: s.degradedReqs.Load(),
-		EnginesResident:  s.pool.Len(),
-		EnginesEvicted:   s.pool.Evicted(),
-		InternedExprs:    pathexpr.InternedExprs(),
-
-		MemoLookups:   ms.Lookups,
-		MemoHits:      ms.Hits,
-		MemoHitRate:   ms.HitRate(),
-		MemoEntries:   ms.Entries,
-		MemoEvictions: ms.Evictions,
-
-		DFALookups:   ds.Lookups,
-		DFAHits:      ds.Hits,
-		DFACompiles:  ds.Compiles,
-		DFALen:       dfas.Len(),
-		OpsLen:       dfas.OpsLen(),
-		DFAEvictions: dfas.DFAEvictions(),
-		OpsEvictions: dfas.OpsEvictions(),
-	}
-	if ds.Lookups > 0 {
-		z.DFAHitRate = float64(ds.Hits) / float64(ds.Lookups)
-	}
-	for _, e := range s.pool.Snapshot() {
-		z.Engines = append(z.Engines, engineStatz(e))
-	}
-	return z
-}
-
-func engineStatz(v exec.View) EngineStatz {
-	st := v.Eng.Stats()
-	return EngineStatz{
-		AxiomSet:        v.Name,
-		Uses:            v.Uses,
-		Batches:         st.Batches,
-		Queries:         st.Queries,
-		Timeouts:        st.Timeouts,
-		DeadlineExpired: st.DeadlineExpired,
-		Canceled:        st.Canceled,
-	}
-}
-
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	wire.WriteJSON(w, http.StatusOK, s.StatzSnapshot())
+	var z Statz
+	for _, v := range s.pool.Snapshot() {
+		st := v.Eng.Stats()
+		z.Engines = append(z.Engines, EngineStatz{
+			AxiomSet:        v.Name,
+			Uses:            v.Uses,
+			Batches:         st.Batches,
+			Queries:         st.Queries,
+			Timeouts:        st.Timeouts,
+			DeadlineExpired: st.DeadlineExpired,
+			Canceled:        st.Canceled,
+		})
+	}
+	wire.WriteJSON(w, http.StatusOK, z)
 }
 
 func defaultConcurrency() int {

@@ -39,6 +39,16 @@ func listProgram(t *testing.T) string {
 	return string(src)
 }
 
+// newMetered builds a server reporting into a registry of its own, the
+// one place its counts and gauges are read from.
+func newMetered(cfg Config) *Server {
+	cfg.Telemetry = telemetry.New(telemetry.NewRegistry(), nil)
+	return New(cfg)
+}
+
+// metrics snapshots the server's registry.
+func metrics(srv *Server) telemetry.Snapshot { return srv.tel.Metrics().Snapshot() }
+
 func postBatch(t *testing.T, url string, req BatchRequest) (*http.Response, *BatchResponse) {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -149,12 +159,12 @@ func TestBatchRejectsBadRequests(t *testing.T) {
 // the next request is shed with 429 + Retry-After instead of queueing;
 // when the jam clears, the queued requests are all answered.
 func TestAdmissionShedding(t *testing.T) {
-	srv := New(Config{MaxConcurrent: 1, QueueDepth: 1})
+	srv := newMetered(Config{MaxConcurrent: 1, QueueDepth: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	// Occupy the only run slot so admitted requests park in the queue.
-	srv.run <- struct{}{}
+	srv.adm.Run() <- struct{}{}
 
 	req := BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}
 	body, _ := json.Marshal(req)
@@ -176,7 +186,7 @@ func TestAdmissionShedding(t *testing.T) {
 	}
 	// Wait until both requests hold admission tokens (slots cap = 2).
 	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.slots) < 2 {
+	for len(srv.adm.Slots()) < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("requests never filled the admission queue")
 		}
@@ -196,12 +206,12 @@ func TestAdmissionShedding(t *testing.T) {
 	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
 		t.Errorf("Retry-After = %q, want an integer ≥ 1 second", ra)
 	}
-	if srv.StatzSnapshot().Shed != 1 {
-		t.Errorf("Shed = %d, want 1", srv.StatzSnapshot().Shed)
+	if shed := metrics(srv).Counters["serve.shed"]; shed != 1 {
+		t.Errorf("serve.shed = %d, want 1", shed)
 	}
 
 	// Unjam: both queued requests must complete normally.
-	<-srv.run
+	<-srv.adm.Run()
 	for i := 0; i < 2; i++ {
 		r := <-results
 		if r.err != nil || r.code != http.StatusOK {
@@ -213,11 +223,11 @@ func TestAdmissionShedding(t *testing.T) {
 // TestDrainFinishesInflight: requests admitted before the drain are
 // answered; requests arriving during it get 503, and healthz flips.
 func TestDrainFinishesInflight(t *testing.T) {
-	srv := New(Config{MaxConcurrent: 1, QueueDepth: 4})
+	srv := newMetered(Config{MaxConcurrent: 1, QueueDepth: 4})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	srv.run <- struct{}{} // park admitted requests in the queue
+	srv.adm.Run() <- struct{}{} // park admitted requests in the queue
 
 	req := BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}
 	body, _ := json.Marshal(req)
@@ -235,9 +245,9 @@ func TestDrainFinishesInflight(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.gauge.Load() < parked {
+	for srv.adm.Gauge().Load() < parked {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests admitted", srv.gauge.Load(), parked)
+			t.Fatalf("only %d of %d requests admitted", srv.adm.Gauge().Load(), parked)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -271,7 +281,7 @@ func TestDrainFinishesInflight(t *testing.T) {
 	}
 
 	// ...but every parked request completes, and the drain observes that.
-	<-srv.run
+	<-srv.adm.Run()
 	for i := 0; i < parked; i++ {
 		if code := <-codes; code != http.StatusOK {
 			t.Errorf("parked request answered %d, want 200 (in-flight work must not be dropped)", code)
@@ -280,16 +290,18 @@ func TestDrainFinishesInflight(t *testing.T) {
 	if err := <-drained; err != nil {
 		t.Errorf("Drain: %v", err)
 	}
-	st := srv.StatzSnapshot()
-	if st.Accepted != st.Completed || st.Inflight != 0 {
-		t.Errorf("after drain: accepted=%d completed=%d inflight=%d", st.Accepted, st.Completed, st.Inflight)
+	m := metrics(srv)
+	accepted, completed, inflight := m.Counters["serve.requests"], m.Counters["serve.completed"], m.Gauges["serve.inflight"]
+	if accepted != completed || inflight != 0 || m.Counters["serve.refused_draining"] != 1 {
+		t.Errorf("after drain: accepted=%d completed=%d inflight=%d refused=%d, want accepted==completed, 0 in flight, 1 refused",
+			accepted, completed, inflight, m.Counters["serve.refused_draining"])
 	}
 }
 
 // TestPanicBecomes500: a worker panic surfacing through the handler is one
 // failed request, not a dead server.
 func TestPanicBecomes500(t *testing.T) {
-	srv := New(Config{})
+	srv := newMetered(Config{})
 	srv.mux.HandleFunc("/boom", func(w http.ResponseWriter, r *http.Request) {
 		panic(&parallel.WorkerPanic{Value: "kaboom", Stack: []byte("stack")})
 	})
@@ -309,8 +321,8 @@ func TestPanicBecomes500(t *testing.T) {
 	if !strings.Contains(e.Error, "kaboom") {
 		t.Errorf("error = %q, want the worker panic value", e.Error)
 	}
-	if srv.StatzSnapshot().Panics != 1 {
-		t.Errorf("Panics = %d, want 1", srv.StatzSnapshot().Panics)
+	if panics := metrics(srv).Counters["serve.panics"]; panics != 1 {
+		t.Errorf("serve.panics = %d, want 1", panics)
 	}
 
 	// The server still serves.
@@ -337,40 +349,44 @@ func TestMetricsAndStatzEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap struct {
-		Counters map[string]int64 `json:"counters"`
-	}
+	var snap telemetry.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatalf("metrics.json decode: %v", err)
 	}
 	resp.Body.Close()
-	for _, want := range []string{"serve.requests", "engine.queries", "automata.shared_lookups"} {
+	for _, want := range []string{"serve.requests", "serve.completed", "engine.queries", "automata.shared_lookups"} {
 		if snap.Counters[want] == 0 {
 			t.Errorf("metrics counter %q = 0, want > 0 (have %d counters)", want, len(snap.Counters))
 		}
 	}
+	for _, want := range []string{"serve.engines_resident", "serve.dfa_entries", "serve.memo_entries", "serve.interned_exprs"} {
+		if snap.Gauges[want] == 0 {
+			t.Errorf("metrics gauge %q = 0, want > 0 (have %v)", want, snap.Gauges)
+		}
+	}
 
+	// /statz is the resident-engine table and nothing else.
 	resp, err = http.Get(ts.URL + "/statz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var z Statz
+	var z map[string][]EngineStatz
 	if err := json.NewDecoder(resp.Body).Decode(&z); err != nil {
 		t.Fatalf("statz decode: %v", err)
 	}
 	resp.Body.Close()
-	if z.Accepted != 1 || z.EnginesResident != 1 || len(z.Engines) != 1 {
-		t.Errorf("statz = %+v, want one accepted request on one engine", z)
+	if len(z) != 1 || len(z["engines"]) != 1 {
+		t.Fatalf("statz = %+v, want exactly one engine table of one engine", z)
 	}
-	if z.Engines[0].Queries == 0 || z.DFALen == 0 {
-		t.Errorf("statz = %+v, want a populated engine and pool caches", z)
+	if e := z["engines"][0]; e.Uses != 1 || e.Queries == 0 {
+		t.Errorf("statz engine = %+v, want one use and its queries", e)
 	}
 }
 
 // TestEngineLRUReclamation: the per-axiom-set engine population respects
 // MaxEngines, evicting the least recently used.
 func TestEngineLRUReclamation(t *testing.T) {
-	srv := New(Config{MaxEngines: 1})
+	srv := newMetered(Config{MaxEngines: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -383,9 +399,9 @@ func TestEngineLRUReclamation(t *testing.T) {
 	if _, br := postBatch(t, ts.URL, list); !br.Stats.ColdEngine {
 		t.Error("first list request should be cold")
 	}
-	st := srv.StatzSnapshot()
-	if st.EnginesResident != 1 || st.EnginesEvicted != 1 {
-		t.Errorf("resident=%d evicted=%d, want 1/1", st.EnginesResident, st.EnginesEvicted)
+	m := metrics(srv)
+	if resident, evicted := m.Gauges["serve.engines_resident"], m.Counters["serve.engines_evicted"]; resident != 1 || evicted != 1 {
+		t.Errorf("resident=%d evicted=%d, want 1/1", resident, evicted)
 	}
 	// The tree engine was reclaimed; using it again is a (correct) cold
 	// rebuild.
@@ -432,10 +448,10 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 	mk := func(depth, backlog, completions int) *admit.Controller {
 		srv := New(Config{MaxConcurrent: 1, QueueDepth: depth})
 		for i := 0; i < backlog; i++ {
-			srv.slots <- struct{}{}
+			srv.adm.Slots() <- struct{}{}
 		}
 		for i := 0; i < completions; i++ {
-			srv.completions.Observe(1)
+			srv.adm.Completions().Observe(1)
 		}
 		return srv.adm
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -48,8 +49,8 @@ U:		q->f = fun();
 // keep resident, then a final wave overlaps a drain.  It asserts the
 // long-lived-process invariants: every response is answered (200/429/503,
 // never a hang, drop, or 500), cache and memo sizes stay under the
-// per-shard caps, accepted == completed after the drain, and the admission
-// counters are monotone.
+// per-shard caps, accepted == completed after the drain, and every counter
+// is monotone.
 func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 	const (
 		clients    = 8
@@ -61,7 +62,7 @@ func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 		requests = 6
 	}
 
-	srv := New(Config{
+	srv := newMetered(Config{
 		Workers:       2,
 		MaxConcurrent: 4,
 		QueueDepth:    2 * clients,
@@ -160,34 +161,34 @@ func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mid := srv.StatzSnapshot()
-	if mid.Accepted != int64(answered) {
-		t.Errorf("accepted = %d, want %d answered requests", mid.Accepted, answered)
+	mid := metrics(srv)
+	if got := mid.Counters["serve.requests"]; got != int64(answered) {
+		t.Errorf("accepted = %d, want %d answered requests", got, answered)
 	}
-	if mid.Shed != int64(shed) {
-		t.Errorf("shed = %d, want %d", mid.Shed, shed)
+	if got := mid.Counters["serve.shed"]; got != int64(shed) {
+		t.Errorf("shed = %d, want %d", got, shed)
 	}
-	if mid.Panics != 0 {
-		t.Errorf("panics = %d", mid.Panics)
+	if got := mid.Counters["serve.panics"]; got != 0 {
+		t.Errorf("panics = %d", got)
 	}
-	if mid.EnginesResident > maxEngines {
-		t.Errorf("engines resident = %d, cap %d", mid.EnginesResident, maxEngines)
+	if got := mid.Gauges["serve.engines_resident"]; got > maxEngines {
+		t.Errorf("engines resident = %d, cap %d", got, maxEngines)
 	}
-	if len(workloads) > maxEngines && mid.EnginesEvicted == 0 {
+	if len(workloads) > maxEngines && mid.Counters["serve.engines_evicted"] == 0 {
 		t.Error("no engine was ever LRU-reclaimed despite axiom sets > MaxEngines")
 	}
 	// The whole point of the per-shard caps: a long-lived server's caches
 	// must stay bounded no matter how much traffic has passed through.
-	bound := automata.DefaultSharedShards * (shardCap + 1)
-	memoBound := core.DefaultMemoShards * (shardCap + 1)
-	if mid.DFALen > bound {
-		t.Errorf("pool DFALen = %d exceeds %d", mid.DFALen, bound)
+	bound := int64(automata.DefaultSharedShards * (shardCap + 1))
+	memoBound := int64(core.DefaultMemoShards * (shardCap + 1))
+	if got := mid.Gauges["serve.dfa_entries"]; got > bound {
+		t.Errorf("pool DFA entries = %d exceed %d", got, bound)
 	}
-	if mid.OpsLen > bound {
-		t.Errorf("pool OpsLen = %d exceeds %d", mid.OpsLen, bound)
+	if got := mid.Gauges["serve.decision_entries"]; got > bound {
+		t.Errorf("pool decision entries = %d exceed %d", got, bound)
 	}
-	if mid.MemoEntries > memoBound {
-		t.Errorf("pool MemoEntries = %d exceeds %d", mid.MemoEntries, memoBound)
+	if got := mid.Gauges["serve.memo_entries"]; got > memoBound {
+		t.Errorf("pool memo entries = %d exceed %d", got, memoBound)
 	}
 
 	// Final wave: overlap fresh requests with a drain.  Every request must
@@ -223,19 +224,21 @@ func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 		}
 	}
 
-	fin := srv.StatzSnapshot()
-	if !fin.Draining {
-		t.Error("statz does not report draining")
+	fin := metrics(srv)
+	if !srv.Draining() {
+		t.Error("server does not report draining")
 	}
-	if fin.Accepted != fin.Completed {
-		t.Errorf("after drain: accepted %d != completed %d (in-flight work dropped)", fin.Accepted, fin.Completed)
+	if a, c := fin.Counters["serve.requests"], fin.Counters["serve.completed"]; a != c {
+		t.Errorf("after drain: accepted %d != completed %d (in-flight work dropped)", a, c)
 	}
-	if fin.Inflight != 0 {
-		t.Errorf("after drain: inflight = %d", fin.Inflight)
+	if got := fin.Gauges["serve.inflight"]; got != 0 {
+		t.Errorf("after drain: inflight = %d", got)
 	}
 	// Monotonicity: the drain never rolls a counter back.
-	if fin.Accepted < mid.Accepted || fin.Completed < mid.Completed || fin.Shed < mid.Shed {
-		t.Errorf("counters regressed: mid %+v fin %+v", mid, fin)
+	for name, v := range mid.Counters {
+		if fin.Counters[name] < v {
+			t.Errorf("counter %s regressed: %d mid-soak, %d after the drain", name, v, fin.Counters[name])
+		}
 	}
 
 	// Flight-recorder invariants under concurrency: the ring outsizes the
@@ -244,9 +247,12 @@ func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 	// every retained record carries a span tree and a degradation profile
 	// consistent with its bucket.
 	snap := srv.FlightSnapshot()
-	if snap.DegradedRecorded != fin.DegradedRequests {
+	if degraded := fin.Counters["serve.degraded_requests"]; snap.DegradedRecorded != degraded {
 		t.Errorf("flight recorder holds %d degraded requests, server counted %d",
-			snap.DegradedRecorded, fin.DegradedRequests)
+			snap.DegradedRecorded, degraded)
+	}
+	if got := fin.Counters["serve.flight_degraded_recorded"]; got != snap.DegradedRecorded {
+		t.Errorf("serve.flight_degraded_recorded = %d, recorder says %d", got, snap.DegradedRecorded)
 	}
 	if int64(len(snap.Degraded)) != snap.DegradedRecorded {
 		t.Errorf("degraded ring returned %d records, recorded %d (ring must not have wrapped)",
@@ -270,5 +276,91 @@ func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 		if rec.TraceID == "" {
 			t.Errorf("degraded[%d] has no trace id", i)
 		}
+	}
+}
+
+// rawSetRequest is a raw-mode request over the i-th of a family of
+// distinct two-field axiom sets, so each i builds its own engine.
+func rawSetRequest(i int) BatchRequest {
+	return BatchRequest{
+		AxiomSet: fmt.Sprintf("A1: forall p, p.L%[1]d <> p.R%[1]d\nA2: forall p <> q, p.L%[1]d|R%[1]d <> q.L%[1]d|R%[1]d\n", i),
+		Raw: []RawQuery{{SHandle: "h", SPath: fmt.Sprintf("L%d", i), SField: "val", SWrite: true,
+			THandle: "h", TPath: fmt.Sprintf("R%d", i), TField: "val"}},
+	}
+}
+
+// TestScrapeDuringColdBuilds: /metrics and /metrics.json are scraped
+// continuously while raw requests over more axiom sets than the pool keeps
+// build and evict engines.  A gauge reading the pool under the registry's
+// lock would deadlock here — the pool holds its own lock while a new engine
+// resolves its instruments in the registry — so the test pins that gauge
+// functions run outside it; under -race it also checks the reads are safe.
+func TestScrapeDuringColdBuilds(t *testing.T) {
+	srv := newMetered(Config{Workers: 2, MaxEngines: 2})
+	// Closed on success only: Close waits for in-flight requests, which a
+	// deadlock never finishes.
+	ts := httptest.NewServer(srv)
+
+	done := make(chan struct{})
+	stop := make(chan struct{})
+	var scrapers sync.WaitGroup
+	for _, path := range []string{"/metrics", "/metrics.json"} {
+		scrapers.Add(1)
+		go func(path string) {
+			defer scrapers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body) //nolint:errcheck
+				resp.Body.Close()
+			}
+		}(path)
+	}
+	go func() {
+		defer close(done)
+		const sets = 12
+		var clients sync.WaitGroup
+		for c := 0; c < 3; c++ {
+			clients.Add(1)
+			go func(c int) {
+				defer clients.Done()
+				for i := 0; i < sets; i++ {
+					body, _ := json.Marshal(rawSetRequest((c + i) % sets))
+					resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body) //nolint:errcheck
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("raw set %d: status %d", (c+i)%sets, resp.StatusCode)
+					}
+				}
+			}(c)
+		}
+		clients.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("requests stalled while /metrics was scraped: a gauge deadlocked against engine construction")
+	}
+	close(stop)
+	scrapers.Wait()
+	ts.Close()
+
+	m := metrics(srv)
+	if m.Counters["serve.engines_evicted"] == 0 || m.Gauges["serve.engines_resident"] > 2 {
+		t.Errorf("evicted=%d resident=%d, want evictions and at most 2 resident",
+			m.Counters["serve.engines_evicted"], m.Gauges["serve.engines_resident"])
 	}
 }

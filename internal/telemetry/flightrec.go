@@ -72,8 +72,8 @@ type FlightRecorder struct {
 	mask    uint64
 	cursor  atomic.Uint64
 	ring    []atomic.Pointer[FlightRecord]
-	slowRec atomic.Int64
-	degRec  atomic.Int64
+	slowRec Counter // requests ever retained in the K-slowest set
+	degRec  Counter // degraded requests ever retained in the ring
 }
 
 // NewFlightRecorder keeps the k slowest requests and the last ring
@@ -95,6 +95,15 @@ func NewFlightRecorder(k, ring int) *FlightRecorder {
 		mask: uint64(size - 1),
 		ring: make([]atomic.Pointer[FlightRecord], size),
 	}
+}
+
+// Feed makes the recorder's two recorded totals also add to the given
+// registry counters (nil feeds nothing).  Call it before recording.
+// Returns f for chaining.
+func (f *FlightRecorder) Feed(slow, degraded *Counter) *FlightRecorder {
+	f.slowRec.Feed(slow)
+	f.degRec.Feed(degraded)
+	return f
 }
 
 // K returns the slowest-request retention count (0 for a nil recorder).
@@ -176,8 +185,8 @@ func (f *FlightRecorder) Snapshot() FlightSnapshot {
 	s := FlightSnapshot{
 		K:                f.k,
 		RingSize:         len(f.ring),
-		SlowRecorded:     f.slowRec.Load(),
-		DegradedRecorded: f.degRec.Load(),
+		SlowRecorded:     f.slowRec.Value(),
+		DegradedRecorded: f.degRec.Value(),
 	}
 	f.mu.Lock()
 	s.Slowest = make([]*FlightRecord, 0, len(f.slow))

@@ -17,15 +17,19 @@ import (
 //
 //   - Counter   → counter   apt_<name>_total
 //   - Max       → gauge     apt_<name>
+//   - GaugeFunc → gauge     apt_<name>
 //   - Histogram → histogram apt_<name> with cumulative log₂ buckets
 //     (le = 2^i − 1, the exact upper bound of bucket i), _sum and _count
 //   - WindowHistogram → summary apt_<name>_window with exact sample
 //     quantiles (0.5 / 0.95 / 0.99) over the trailing DefaultWindow,
 //     like a client_golang sliding-window summary
 //
-// Dots and any other characters outside [a-zA-Z0-9_:] become '_'.  Output
-// is sorted by metric name, so successive scrapes of an unchanged registry
-// are byte-identical (the exposition golden test relies on this).
+// Dots and any other characters outside [a-zA-Z0-9_:] become '_'.  A
+// counter or gauge name built by Labeled keeps its label set verbatim: only
+// the base is sanitized and prefixed, and every name sharing a base is one
+// family under one HELP/TYPE pair.  Output is sorted by family and then by
+// label set, so successive scrapes of an unchanged registry are
+// byte-identical (the exposition golden test relies on this).
 
 // PromName sanitizes a registry instrument name into a Prometheus metric
 // name component (no prefix added).
@@ -69,22 +73,36 @@ func PromEscapeLabel(v string) string {
 	return b.String()
 }
 
+// Labeled returns the instrument name base{key="value"}, the value escaped
+// per the exposition format.  Only counters and gauges take labels.
+func Labeled(base, key, value string) string {
+	return base + "{" + key + `="` + PromEscapeLabel(value) + `"}`
+}
+
+// baseName strips an instrument name's label set, if any.
+func baseName(name string) string {
+	base, _, _ := strings.Cut(name, "{")
+	return base
+}
+
 // WritePrometheus renders every instrument in Prometheus text-exposition
 // format, metric names prefixed "apt_".  A nil registry writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	gauges := r.readGauges()
 	// Copy the instrument pointers under the lock, render outside it (the
 	// instruments themselves are atomic).
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
+	counters := make(map[string]int64, len(r.counters))
 	for n, c := range r.counters {
-		counters[n] = c
+		counters[n] = c.Value()
 	}
-	maxes := make(map[string]*Max, len(r.maxes))
+	maxes := make(map[string]bool, len(r.maxes))
 	for n, m := range r.maxes {
-		maxes[n] = m
+		gauges[n] = m.Value()
+		maxes[n] = true
 	}
 	hists := make(map[string]*Histogram, len(r.hists))
 	for n, h := range r.hists {
@@ -97,16 +115,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Unlock()
 
 	bw := bufio.NewWriter(w)
-	for _, n := range sortedKeys(counters) {
-		name := "apt_" + PromName(n) + "_total"
-		fmt.Fprintf(bw, "# HELP %s Cumulative counter %s.\n# TYPE %s counter\n", name, n, name)
-		fmt.Fprintf(bw, "%s %d\n", name, counters[n].Value())
-	}
-	for _, n := range sortedKeys(maxes) {
-		name := "apt_" + PromName(n)
-		fmt.Fprintf(bw, "# HELP %s Running maximum %s.\n# TYPE %s gauge\n", name, n, name)
-		fmt.Fprintf(bw, "%s %d\n", name, maxes[n].Value())
-	}
+	writePromScalars(bw, "counter", "_total", counters, func(base string) string {
+		return "Cumulative counter " + base + "."
+	})
+	writePromScalars(bw, "gauge", "", gauges, func(base string) string {
+		if maxes[base] {
+			return "Running maximum " + base + "."
+		}
+		return "Gauge " + base + "."
+	})
 	for _, n := range sortedKeys(hists) {
 		writePromHistogram(bw, "apt_"+PromName(n), n, hists[n])
 	}
@@ -114,6 +131,25 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		writePromWindow(bw, "apt_"+PromName(n)+"_window", n, windows[n])
 	}
 	return bw.Flush()
+}
+
+// writePromScalars renders single-valued series of one type, grouped into
+// families by base name: one HELP/TYPE pair per family, then its samples
+// in label-set order.
+func writePromScalars(w io.Writer, typ, suffix string, series map[string]int64, help func(base string) string) {
+	families := map[string][]string{} // family → its instrument names
+	for n := range series {
+		fam := "apt_" + PromName(baseName(n)) + suffix
+		families[fam] = append(families[fam], n)
+	}
+	for _, fam := range sortedKeys(families) {
+		names := families[fam]
+		sort.Strings(names)
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam, help(baseName(names[0])), fam, typ)
+		for _, n := range names {
+			fmt.Fprintf(w, "%s%s %d\n", fam, n[len(baseName(n)):], series[n])
+		}
+	}
 }
 
 func writePromHistogram(w io.Writer, name, orig string, h *Histogram) {
@@ -162,8 +198,10 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // ValidatePrometheus checks that data parses as Prometheus text-exposition
-// format: well-formed HELP/TYPE comments, metric and label syntax, float
-// values, TYPE declared before its samples, and — for histograms —
+// format: well-formed HELP/TYPE comments, at most one HELP and one TYPE per
+// family, metric and label syntax, float values, TYPE declared before its
+// samples, no sample repeated with the same name and label set, and — for
+// histograms —
 // monotone le bounds, non-decreasing cumulative bucket counts, a +Inf
 // bucket, and _sum/_count lines.  It exists so tests (and `make
 // obs-check`) can gate /metrics output without a Prometheus dependency.
@@ -180,6 +218,8 @@ func ValidatePrometheus(data []byte) error {
 		samples   int
 	}
 	families := map[string]*family{}
+	helps := map[string]bool{}
+	seen := map[string]bool{} // name plus canonical label set
 	base := func(name string) string {
 		for _, suf := range []string{"_bucket", "_sum", "_count"} {
 			if b, ok := strings.CutSuffix(name, suf); ok {
@@ -205,6 +245,12 @@ func ValidatePrometheus(data []byte) error {
 			if !validPromName(fields[2]) {
 				return fmt.Errorf("line %d: invalid metric name %q", lineNo, fields[2])
 			}
+			if fields[1] == "HELP" {
+				if helps[fields[2]] {
+					return fmt.Errorf("line %d: second HELP for %s", lineNo, fields[2])
+				}
+				helps[fields[2]] = true
+			}
 			if fields[1] == "TYPE" {
 				if len(fields) != 4 {
 					return fmt.Errorf("line %d: TYPE without a type", lineNo)
@@ -214,8 +260,8 @@ func ValidatePrometheus(data []byte) error {
 				default:
 					return fmt.Errorf("line %d: unknown type %q", lineNo, fields[3])
 				}
-				if f := families[fields[2]]; f != nil && f.samples > 0 {
-					return fmt.Errorf("line %d: TYPE for %s after its samples", lineNo, fields[2])
+				if families[fields[2]] != nil {
+					return fmt.Errorf("line %d: second TYPE for %s", lineNo, fields[2])
 				}
 				families[fields[2]] = &family{typ: fields[3], lastLE: math.Inf(-1)}
 			}
@@ -229,6 +275,14 @@ func ValidatePrometheus(data []byte) error {
 		if fam == nil {
 			return fmt.Errorf("line %d: sample %s has no preceding TYPE", lineNo, name)
 		}
+		key := name + "{"
+		for _, l := range sortedKeys(labels) {
+			key += l + "=" + strconv.Quote(labels[l]) + ","
+		}
+		if seen[key] {
+			return fmt.Errorf("line %d: repeated sample %s", lineNo, s)
+		}
+		seen[key] = true
 		fam.samples++
 		if fam.typ == "histogram" && strings.HasSuffix(name, "_bucket") {
 			le, ok := labels["le"]

@@ -19,7 +19,14 @@ func deterministicRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("engine.queries").Add(42)
 	r.Counter("serve.requests").Add(7)
+	// A labeled family next to an unlabeled one whose name extends its
+	// base: the two must render as separate families, each under one
+	// HELP/TYPE pair.
+	r.Counter(Labeled("route.hedge", "outcome", "won")).Add(2)
+	r.Counter(Labeled("route.hedge", "outcome", "lost")).Add(1)
+	r.Counter("route.hedges").Add(3)
 	r.Max("pool.width").Observe(8)
+	r.GaugeFunc("serve.inflight", func() int64 { return 5 })
 	h := r.Histogram("serve.request_ns")
 	for _, v := range []int64{0, 1, 5, 100, 1000, 1 << 20} {
 		h.Observe(v)
@@ -91,6 +98,9 @@ func TestPromNameSanitizes(t *testing.T) {
 	if got := PromEscapeLabel("a\"b\\c\nd"); got != `a\"b\\c\nd` {
 		t.Errorf("PromEscapeLabel = %q", got)
 	}
+	if got := Labeled("route.backend_up", "backend", `h"1`); got != `route.backend_up{backend="h\"1"}` {
+		t.Errorf("Labeled = %q", got)
+	}
 }
 
 func TestValidatePrometheusCatchesBreakage(t *testing.T) {
@@ -106,6 +116,10 @@ func TestValidatePrometheusCatchesBreakage(t *testing.T) {
 		"missing _sum":         "# TYPE apt_h histogram\napt_h_bucket{le=\"+Inf\"} 1\napt_h_count 1\n",
 		"count != +Inf":        "# TYPE apt_h histogram\napt_h_bucket{le=\"+Inf\"} 2\napt_h_sum 1\napt_h_count 3\n",
 		"TYPE after samples":   "# TYPE apt_x counter\napt_x 1\n# TYPE apt_x gauge\n",
+		"second TYPE":          "# TYPE apt_x counter\n# TYPE apt_x counter\napt_x 1\n",
+		"second HELP":          "# HELP apt_x One.\n# TYPE apt_x counter\napt_x 1\n# HELP apt_x Two.\n",
+		"repeated sample":      "# TYPE apt_x counter\napt_x 1\napt_x 2\n",
+		"repeated label set":   "# TYPE apt_x counter\napt_x{a=\"1\",b=\"2\"} 1\napt_x{b=\"2\",a=\"1\"} 1\n",
 	} {
 		if err := ValidatePrometheus([]byte(body)); err == nil {
 			t.Errorf("%s: validator accepted\n%s", name, body)
@@ -121,7 +135,38 @@ func TestSnapshotWriteTextIncludesWindows(t *testing.T) {
 	r := deterministicRegistry()
 	var buf bytes.Buffer
 	r.Snapshot().WriteText(&buf)
-	if !strings.Contains(buf.String(), "windows:") {
-		t.Errorf("WriteText lacks the windows section:\n%s", buf.String())
+	for _, want := range []string{"windows:", "gauges:"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("WriteText lacks the %s section:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestGaugeFunc: a gauge reads its owner at every snapshot, registering the
+// name again replaces the function, and the function runs outside the
+// registry's lock — it may itself resolve instruments.
+func TestGaugeFunc(t *testing.T) {
+	r := NewRegistry()
+	v := int64(1)
+	r.GaugeFunc("serve.inflight", func() int64 { return v })
+	v = 4
+	if got := r.Snapshot().Gauges["serve.inflight"]; got != 4 {
+		t.Errorf("gauge = %d, want the owner's current 4", got)
+	}
+	r.GaugeFunc("serve.inflight", func() int64 { return r.Counter("serve.requests").Value() + 10 })
+	if got := r.Snapshot().Gauges["serve.inflight"]; got != 10 {
+		t.Errorf("gauge = %d after re-registration, want the new function's 10", got)
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "apt_serve_inflight 10\n") {
+		t.Errorf("exposition lacks the gauge:\n%s", buf.String())
+	}
+	var nilReg *Registry
+	nilReg.GaugeFunc("x", func() int64 { return 1 }) // disabled: no-op
+	if g := nilReg.Snapshot().Gauges; len(g) != 0 {
+		t.Errorf("nil registry snapshot has gauges %v", g)
 	}
 }

@@ -48,6 +48,10 @@ func (s *Set) Counter(name string) *Counter { return s.Metrics().Counter(name) }
 // Max resolves a named maximum tracker (nil when metrics are disabled).
 func (s *Set) Max(name string) *Max { return s.Metrics().Max(name) }
 
+// GaugeFunc registers a read-at-scrape gauge (a no-op when metrics are
+// disabled).
+func (s *Set) GaugeFunc(name string, f func() int64) { s.Metrics().GaugeFunc(name, f) }
+
 // Histogram resolves a named histogram (nil when metrics are disabled).
 func (s *Set) Histogram(name string) *Histogram { return s.Metrics().Histogram(name) }
 

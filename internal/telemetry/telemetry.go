@@ -1,6 +1,6 @@
 // Package telemetry is the repository's zero-dependency observability core:
-// atomic counters, maxima, and log₂-bucketed histograms collected in a
-// Registry, plus one span recorder, RequestTrace (tracecontext.go), that
+// atomic counters, maxima, read-at-scrape gauges, and log₂-bucketed
+// histograms collected in a Registry, plus one span recorder, RequestTrace (tracecontext.go), that
 // either retains a request's span tree or streams spans as JSONL
 // (trace.go).  Every layer of the system — the theorem prover, the automata
 // cache, the analysis pipeline, and the parallel sparse kernels — reports
@@ -30,7 +30,7 @@ import (
 // valid no-op instrument.
 //
 // A component that must read its own counts whether or not telemetry is on
-// (a cache's Stats, a server's /statz) owns a Counter per quantity and
+// (a cache's Stats, an admission controller's Counts) owns a Counter per quantity and
 // links it to the registry's counter of the same name with Feed: one Add
 // then books both, so each quantity is counted once and the registry sums
 // every instance fed into it.
@@ -194,10 +194,15 @@ func (h *Histogram) quantile(count int64, q float64) int64 {
 // first use and live for the registry's lifetime, so hot paths resolve them
 // once and then update lock-free.  A nil *Registry hands out nil (disabled)
 // instruments.
+//
+// Counter and gauge names may carry one label set, built by Labeled:
+// "route.hedge{outcome=\"won\"}" is its own instrument, rendered as a
+// sample of the route.hedge family.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	maxes    map[string]*Max
+	gauges   map[string]func() int64
 	hists    map[string]*Histogram
 	windows  map[string]*WindowHistogram
 }
@@ -207,6 +212,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		maxes:    make(map[string]*Max),
+		gauges:   make(map[string]func() int64),
 		hists:    make(map[string]*Histogram),
 		windows:  make(map[string]*WindowHistogram),
 	}
@@ -240,6 +246,36 @@ func (r *Registry) Max(name string) *Max {
 		r.maxes[name] = m
 	}
 	return m
+}
+
+// GaugeFunc registers a read-at-scrape gauge: f is called whenever the
+// registry is snapshotted or rendered and reads its owner's live state, so
+// nothing is copied into the registry.  Registering a name again replaces
+// its function.  f always runs outside the registry's lock, so it may take
+// locks of its own — the engine pool's, say, which is held while a new
+// engine resolves its instruments here.
+func (r *Registry) GaugeFunc(name string, f func() int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.gauges[name] = f
+	r.mu.Unlock()
+}
+
+// readGauges calls every gauge function; the caller must not hold r.mu.
+func (r *Registry) readGauges() map[string]int64 {
+	r.mu.Lock()
+	fns := make(map[string]func() int64, len(r.gauges))
+	for n, f := range r.gauges {
+		fns[n] = f
+	}
+	r.mu.Unlock()
+	out := make(map[string]int64, len(fns))
+	for n, f := range fns {
+		out[n] = f()
+	}
+	return out
 }
 
 // Histogram returns the named histogram, creating it if needed.
@@ -279,6 +315,7 @@ func (r *Registry) Window(name string) *WindowHistogram {
 type Snapshot struct {
 	Counters map[string]int64         `json:"counters"`
 	Maxes    map[string]int64         `json:"maxes"`
+	Gauges   map[string]int64         `json:"gauges,omitempty"`
 	Hists    map[string]HistSummary   `json:"histograms"`
 	Windows  map[string]WindowSummary `json:"windows,omitempty"`
 }
@@ -293,6 +330,9 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	if r == nil {
 		return s
+	}
+	if gauges := r.readGauges(); len(gauges) > 0 {
+		s.Gauges = gauges
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -345,6 +385,12 @@ func (s Snapshot) WriteText(w io.Writer) {
 		fmt.Fprintln(w, "maxima:")
 		for _, n := range names(s.Maxes) {
 			fmt.Fprintf(w, "  %-44s %12d\n", n, s.Maxes[n])
+		}
+	}
+	if len(s.Gauges) > 0 {
+		fmt.Fprintln(w, "gauges:")
+		for _, n := range names(s.Gauges) {
+			fmt.Fprintf(w, "  %-44s %12d\n", n, s.Gauges[n])
 		}
 	}
 	if len(s.Hists) > 0 {

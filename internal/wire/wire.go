@@ -121,14 +121,15 @@ type BatchStats struct {
 	AxiomSet   string `json:"axiom_set"`
 	// Cumulative counters of the engine pool's shared proof memo and DFA
 	// cache (across all requests and axiom sets), for observing warm-up
-	// without scraping /statz.
+	// without scraping /metrics.
 	MemoHits    int64 `json:"memo_hits"`
 	MemoLookups int64 `json:"memo_lookups"`
 	DFAHits     int64 `json:"dfa_hits"`
 	DFALookups  int64 `json:"dfa_lookups"`
 	// Timeouts counts this request's queries degraded toward Maybe because
-	// the per-query timeout expired (not the engine's lifetime count, which
-	// /statz reports per axiom set).
+	// the per-query timeout expired (not the engines' lifetime count, which
+	// /metrics reports as apt_engine_degraded_query_timeout_total and
+	// /statz per resident engine).
 	Timeouts int64 `json:"timeouts"`
 	// TraceID identifies this request's trace (the same id the traceparent
 	// response header carries).
