@@ -76,9 +76,11 @@ cluster-smoke:
 # verdict claims two accesses lie on mutually exclusive paths; the oracle
 # enumerates every conforming concrete heap up to a bound and runs the
 # program under every boolean input, asserting no execution reaches both
-# accesses — plus adversarial variants that must NOT upgrade.
+# accesses — plus adversarial variants that must NOT upgrade.  Also
+# analyses sharing one (evicting) DFA cache from 8 goroutines, each of
+# which must match its private-cache result.
 race-guards:
-	$(GO) test -race -run 'TestGuardUpgradeOracle|TestOracleCorpus|TestEnumerateGraphs|TestEnumerateConforming|TestClone|TestForEachRun|TestSweepLabels|TestChecker' ./internal/lint ./internal/heap ./internal/heap/oracle
+	$(GO) test -race -run 'TestGuardUpgradeOracle|TestOracleCorpus|TestEnumerateGraphs|TestEnumerateConforming|TestClone|TestForEachRun|TestSweepLabels|TestChecker|TestAnalyzeSharedCacheMatchesPrivate' ./internal/lint ./internal/heap ./internal/heap/oracle ./internal/analysis
 
 # End-to-end daemon smoke: boot aptserved on a loopback port, round-trip
 # /healthz + /v1/batch + both metrics endpoints, SIGQUIT-dump the flight

@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/automata"
 	"repro/internal/axiom"
 	"repro/internal/guard"
 	"repro/internal/lang"
@@ -52,6 +53,13 @@ type Options struct {
 	// Telemetry receives per-function analysis spans, widening events, and
 	// aggregate counters.  Nil (the default) disables instrumentation.
 	Telemetry *telemetry.Set
+	// DFACache holds the DFAs and inclusion decisions behind the post-loop
+	// widening checks.  A caller that already keeps one (the server's engine
+	// pool, a lint run's preseeded cache) lends it here so later analyses
+	// start warm; inclusion is a pure function of the two paths and the
+	// alphabet, so borrowing never changes a result.  Nil gives the walk a
+	// private one-shard cache.
+	DFACache *automata.SharedCache
 }
 
 // Access records one memory reference var->Field observed by the analysis.
@@ -172,84 +180,96 @@ func (m *APM) String() string {
 	return b.String()
 }
 
-// state is the in-flight abstract state.
+// state is the in-flight abstract state: the access path matrix as one
+// dense row-major slice of interned paths.  Rows are handle IDs and columns
+// pointer-variable IDs, both numbered once per Analyze (see analyzer.handle
+// and analyzer.numberVars); cells[h*nv+v] is the path from handle h to v's
+// target, nil when absent.  Rows past the end of cells are empty, so a state grows
+// only when a handle created after it is set.  Every stored node is in
+// Simplify normal form, so two cells hold the same path exactly when they
+// hold the same pointer.
 type state struct {
-	// cells[handle][var] = path from handle to var's target.
-	cells map[string]map[string]pathexpr.Expr
+	cells []*pathexpr.Node
+	nv    int
 	// modEpoch counts structural modification sites executed so far.
 	modEpoch int
 }
 
-func newState() *state {
-	return &state{cells: make(map[string]map[string]pathexpr.Expr)}
+func newState(nv int) *state {
+	return &state{nv: nv}
+}
+
+// rows reports the number of handle rows the state holds storage for.
+func (s *state) rows() int {
+	if s.nv == 0 {
+		return 0
+	}
+	return len(s.cells) / s.nv
 }
 
 func (s *state) clone() *state {
-	c := &state{cells: make(map[string]map[string]pathexpr.Expr, len(s.cells)), modEpoch: s.modEpoch}
-	for h, row := range s.cells {
-		nr := make(map[string]pathexpr.Expr, len(row))
-		for v, p := range row {
-			nr[v] = p
-		}
-		c.cells[h] = nr
-	}
-	return c
+	c := *s
+	c.cells = append([]*pathexpr.Node(nil), s.cells...)
+	return &c
 }
 
-func (s *state) set(handle, v string, p pathexpr.Expr) {
-	row := s.cells[handle]
-	if row == nil {
-		row = make(map[string]pathexpr.Expr)
-		s.cells[handle] = row
+// get returns the cell for (handle, variable), nil when absent.
+func (s *state) get(h, v int) *pathexpr.Node {
+	if i := h*s.nv + v; i < len(s.cells) {
+		return s.cells[i]
 	}
-	row[v] = pathexpr.Simplify(p)
+	return nil
 }
 
-// dropVar removes every entry for v and garbage-collects empty handles.
-func (s *state) dropVar(v string) {
-	for h, row := range s.cells {
-		delete(row, v)
-		if len(row) == 0 {
-			delete(s.cells, h)
-		}
+// set stores n, which must already be in normal form (a cell of some
+// state, or a node from norm), at (handle, variable).
+func (s *state) set(h, v int, n *pathexpr.Node) {
+	i := h*s.nv + v
+	if i >= len(s.cells) {
+		s.cells = append(s.cells, make([]*pathexpr.Node, (h+1)*s.nv-len(s.cells))...)
 	}
+	s.cells[i] = n
 }
 
-// pathsOf returns a copy of v's handle→path map.
-func (s *state) pathsOf(v string) map[string]pathexpr.Expr {
-	out := make(map[string]pathexpr.Expr)
-	for h, row := range s.cells {
-		if p, ok := row[v]; ok {
-			out[h] = p
+// hasVar reports whether any handle anchors v.
+func (s *state) hasVar(v int) bool {
+	for i := v; i < len(s.cells); i += s.nv {
+		if s.cells[i] != nil {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
-func (s *state) snapshot() *APM {
-	return &APM{Cells: s.clone().cells}
+// dropVar empties v's column.
+func (s *state) dropVar(v int) {
+	for i := v; i < len(s.cells); i += s.nv {
+		s.cells[i] = nil
+	}
 }
+
+// norm interns e in Simplify normal form, the only form cells hold.
+func norm(e pathexpr.Expr) *pathexpr.Node {
+	return pathexpr.Intern(e).Simplified()
+}
+
+// epsNode is the interned ε path every fresh handle starts from.
+var epsNode = norm(pathexpr.Eps)
 
 // join merges two states at a control-flow merge: equal paths survive,
 // differing paths join by alternation, entries present on only one side are
 // dropped (their value on the other path is unknown).
 func join(a, b *state) *state {
-	out := newState()
-	for h, rowA := range a.cells {
-		rowB, ok := b.cells[h]
-		if !ok {
-			continue
-		}
-		for v, pa := range rowA {
-			pb, ok := rowB[v]
-			if !ok {
-				continue
-			}
-			if pathexpr.Equal(pa, pb) {
-				out.set(h, v, pa)
-			} else {
-				out.set(h, v, pathexpr.Or(pa, pb))
-			}
+	out := newState(a.nv)
+	out.cells = make([]*pathexpr.Node, min(len(a.cells), len(b.cells)))
+	for i := range out.cells {
+		pa, pb := a.cells[i], b.cells[i]
+		switch {
+		case pa == nil || pb == nil:
+		case pa == pb:
+			out.cells[i] = pa
+		default:
+			out.cells[i] = norm(pathexpr.Or(pa.Expr(), pb.Expr()))
 		}
 	}
 	out.modEpoch = maxInt(a.modEpoch, b.modEpoch)

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/automata"
 	"repro/internal/axiom"
@@ -23,6 +24,10 @@ func Analyze(prog *lang.Program, fnName string, opts Options) (*Result, error) {
 	ssp := tel.Trace().StartSpan("analysis.summarize", sp.ID())
 	summaries := Summarize(prog)
 	ssp.End(telemetry.Int("funcs", len(summaries)))
+	dfas := opts.DFACache
+	if dfas == nil {
+		dfas = automata.NewSharedCache(0, 1, 0)
+	}
 	a := &analyzer{
 		prog:      prog,
 		fn:        fn,
@@ -40,15 +45,17 @@ func Analyze(prog *lang.Program, fnName string, opts Options) (*Result, error) {
 		record:    true,
 		ver:       guard.NewVersioner(),
 		addrTaken: collectAddrTaken(fn.Body),
-		dfas:      automata.NewSharedCache(0, 1, 0),
+		dfas:      dfas.Account(),
+		handleID:  make(map[string]int),
 	}
 	a.collectAxioms()
+	a.numberVars()
 
-	st := newState()
+	st := newState(len(a.colName))
 	for _, p := range fn.Params {
 		if p.Type.IsPointerToStruct() {
 			a.varTypes[p.Name] = p.Type.Base
-			st.set(a.freshHandle(p.Name), p.Name, pathexpr.Eps)
+			st.set(a.freshHandle(p.Name), a.colID[p.Name], epsNode)
 		}
 	}
 	a.walkBlock(st, fn.Body)
@@ -63,15 +70,17 @@ func Analyze(prog *lang.Program, fnName string, opts Options) (*Result, error) {
 		telemetry.Int("mods", len(a.res.Mods)),
 		telemetry.Int("apms", len(a.res.APMs)),
 		telemetry.Int("loops", a.loopID),
-		telemetry.Int("axioms", a.res.Axioms.Len()))
+		telemetry.Int("axioms", a.res.Axioms.Len()),
+		telemetry.Int("widen_checks", a.widenChecks),
+		telemetry.Int("dfa_compiles", a.dfas.Compiles))
 	return a.res, nil
 }
 
 type loopCtx struct {
 	id int
-	// iterDeltas maps a synthetic iteration handle to the per-iteration
-	// increment of the variable it anchors.
-	iterDeltas map[string]pathexpr.Expr
+	// iterDeltas lists the loop's synthetic iteration handles with the
+	// per-iteration increment of the variable each anchors.
+	iterDeltas []iterDelta
 	// modFields accumulates pointer fields structurally modified in the
 	// loop body.
 	modFields map[string]bool
@@ -83,6 +92,12 @@ type loopCtx struct {
 	assignedVars  map[string]bool
 	writtenFields map[string]bool
 	unknownCalls  bool
+}
+
+// iterDelta is one synthetic iteration handle and its increment.
+type iterDelta struct {
+	h int
+	d pathexpr.Expr
 }
 
 // invariant reports whether a guard reference keeps one truth value across
@@ -124,9 +139,18 @@ type analyzer struct {
 	ver       *guard.Versioner
 	guards    []guard.Ref
 	addrTaken map[string]bool
-	// dfas caches the DFAs and inclusion decisions behind the post-loop
-	// widening checks of this walk (one owner, hence one shard).
-	dfas *automata.SharedCache
+	// dfas is this walk's account on the DFA cache behind the post-loop
+	// widening checks (Options.DFACache, or a private one-shard cache);
+	// widenChecks counts the inclusion checks it decided.
+	dfas        automata.Account
+	widenChecks int
+	// The matrix numbering: handle and pointer-variable names by ID, and
+	// the reverse maps.  Variables are numbered up front (numberVars),
+	// handles as the walk creates them.
+	handleName []string
+	handleID   map[string]int
+	colName    []string
+	colID      map[string]int
 	// trace receives the analysis.widen events, parented under span (the
 	// function's analysis.analyze span).
 	trace *telemetry.RequestTrace
@@ -176,7 +200,7 @@ func (a *analyzer) branchRefs(st *state, atoms []guard.Atom) []guard.Ref {
 		}
 		var eq *guard.Fact
 		if at.EqX != "" && a.isPointerVar(at.EqX) && a.isPointerVar(at.EqY) {
-			xp, yp := st.pathsOf(at.EqX), st.pathsOf(at.EqY)
+			xp, yp := a.paths(st, at.EqX), a.paths(st, at.EqY)
 			if h, ok := commonHandle(xp, yp); ok {
 				eq = &guard.Fact{X: at.EqX, Y: at.EqY, XPath: xp[h], YPath: yp[h], Handle: h}
 			}
@@ -241,12 +265,103 @@ func (a *analyzer) collectAxioms() {
 	a.res.Axioms = CollectAxioms(a.prog, a.fn.Name, a.opts.InferTypeAxioms)
 }
 
-func (a *analyzer) freshHandle(v string) string {
+// numberVars gives every pointer variable of the function — exactly the
+// names varTypes can come to hold — its matrix column.
+func (a *analyzer) numberVars() {
+	a.colID = make(map[string]int)
+	add := func(name string) {
+		if _, ok := a.colID[name]; !ok {
+			a.colID[name] = len(a.colName)
+			a.colName = append(a.colName, name)
+		}
+	}
+	for _, p := range a.fn.Params {
+		if p.Type.IsPointerToStruct() {
+			add(p.Name)
+		}
+	}
+	lang.WalkStmts(a.fn.Body, func(st lang.Stmt) {
+		if d, ok := st.(*lang.DeclStmt); ok {
+			for _, item := range d.Items {
+				if item.Type.IsPointerToStruct() {
+					add(item.Name)
+				}
+			}
+		}
+	})
+}
+
+// handle returns the row of the named handle, numbering it on first use.
+// Rows are keyed by name because two creations can build one name (p's
+// twelfth handle and p1's second are both _hp12), and one name is one
+// handle.
+func (a *analyzer) handle(name string) int {
+	if h, ok := a.handleID[name]; ok {
+		return h
+	}
+	h := len(a.handleName)
+	a.handleID[name] = h
+	a.handleName = append(a.handleName, name)
+	return h
+}
+
+func (a *analyzer) freshHandle(v string) int {
 	a.counters[v]++
 	if a.counters[v] == 1 {
-		return "_h" + v
+		return a.handle("_h" + v)
 	}
-	return fmt.Sprintf("_h%s%d", v, a.counters[v])
+	return a.handle("_h" + v + strconv.Itoa(a.counters[v]))
+}
+
+// paths materializes v's column as the exported handle→path map.
+func (a *analyzer) paths(st *state, v string) map[string]pathexpr.Expr {
+	out := make(map[string]pathexpr.Expr)
+	c, ok := a.colID[v]
+	if !ok {
+		return out
+	}
+	for h := 0; h < st.rows(); h++ {
+		if p := st.get(h, c); p != nil {
+			out[a.handleName[h]] = p.Expr()
+		}
+	}
+	return out
+}
+
+// snapshot materializes the state as an exported APM.
+func (a *analyzer) snapshot(st *state) *APM {
+	m := &APM{Cells: make(map[string]map[string]pathexpr.Expr)}
+	for h := 0; h < st.rows(); h++ {
+		var row map[string]pathexpr.Expr
+		for v := 0; v < st.nv; v++ {
+			if p := st.get(h, v); p != nil {
+				if row == nil {
+					row = make(map[string]pathexpr.Expr)
+					m.Cells[a.handleName[h]] = row
+				}
+				row[a.colName[v]] = p.Expr()
+			}
+		}
+	}
+	return m
+}
+
+// derive rebinds column x to column src, each path extended by suffix (nil
+// keeps it as is); rows where src is absent drop x.  src may be x itself:
+// every cell is read before it is written.
+func (a *analyzer) derive(st *state, x int, src string, suffix pathexpr.Expr) {
+	s, ok := a.colID[src]
+	if !ok {
+		st.dropVar(x)
+		return
+	}
+	for h := 0; h < st.rows(); h++ {
+		p := st.get(h, s)
+		if p != nil && suffix != nil {
+			p = norm(pathexpr.Cat(p.Expr(), suffix))
+		}
+		st.cells[h*st.nv+x] = p
+	}
 }
 
 func (a *analyzer) isPointerVar(v string) bool {
@@ -298,7 +413,7 @@ func (a *analyzer) walkStmt(st *state, s lang.Stmt) *state {
 	if lbl := s.Label(); lbl != "" && a.record {
 		// The paper: the APM at a point holds paths traversed up to, but not
 		// including, that point.
-		a.res.APMs[lbl] = st.snapshot()
+		a.res.APMs[lbl] = a.snapshot(st)
 	}
 	a.ordinal++
 
@@ -366,92 +481,70 @@ func (a *analyzer) walkAssign(st *state, s *lang.AssignStmt) *state {
 		return st
 
 	case *lang.Ident:
-		x := lhs.Name
-		a.ver.BumpVar(x)
+		name := lhs.Name
+		a.ver.BumpVar(name)
+		x, isPtr := a.colID[name], a.isPointerVar(name)
 		switch rhs := s.RHS.(type) {
 		case *lang.Ident:
-			if !a.isPointerVar(x) {
+			if !isPtr || rhs.Name == name {
 				return st
 			}
-			if rhs.Name == x {
-				return st
-			}
-			src := st.pathsOf(rhs.Name)
-			st.dropVar(x)
-			for h, p := range src {
-				st.set(h, x, p)
-			}
-			st.set(a.freshHandle(x), x, pathexpr.Eps)
+			a.derive(st, x, rhs.Name, nil)
+			st.set(a.freshHandle(name), x, epsNode)
 			return st
 
 		case *lang.FieldAccess:
-			if !a.isPointerVar(x) || !a.pointerField(rhs.Base, rhs.Field) {
+			if !isPtr || !a.pointerField(rhs.Base, rhs.Field) {
 				return st
 			}
 			f := pathexpr.F(rhs.Field)
-			if rhs.Base == x {
+			if rhs.Base == name {
 				// Self-relative assignment: extend existing paths, create no
 				// new handle (the induction-variable rule, §3.3).
-				cur := st.pathsOf(x)
-				if len(cur) == 0 {
-					st.set(a.freshHandle(x), x, pathexpr.Eps)
+				if !st.hasVar(x) {
+					st.set(a.freshHandle(name), x, epsNode)
 					return st
 				}
-				for h, p := range cur {
-					st.set(h, x, pathexpr.Cat(p, f))
-				}
+				a.derive(st, x, name, f)
 				return st
 			}
-			src := st.pathsOf(rhs.Base)
-			st.dropVar(x)
-			for h, p := range src {
-				st.set(h, x, pathexpr.Cat(p, f))
-			}
-			st.set(a.freshHandle(x), x, pathexpr.Eps)
+			a.derive(st, x, rhs.Base, f)
+			st.set(a.freshHandle(name), x, epsNode)
 			return st
 
 		case *lang.MallocExpr:
-			if !a.isPointerVar(x) {
+			if !isPtr {
 				return st
 			}
 			st.dropVar(x)
-			st.set(a.freshHandle(x), x, pathexpr.Eps)
-			return st
-
-		case *lang.NullLit:
-			st.dropVar(x)
-			return st
-
-		case *lang.NumLit:
-			if a.isPointerVar(x) {
-				st.dropVar(x)
-			}
+			st.set(a.freshHandle(name), x, epsNode)
 			return st
 
 		case *lang.CallExpr:
 			// Call effects were applied by applyCallsIn above; here only
 			// the returned value binds.  For a summarized accessor the
 			// return value is a known path from one of the arguments.
-			if a.isPointerVar(x) {
-				var derived map[string]pathexpr.Expr
-				if sum := a.summaries[rhs.Name]; sum != nil && sum.RetKnown && sum.RetParam < len(rhs.Args) {
-					if arg, ok := rhs.Args[sum.RetParam].(*lang.Ident); ok && a.isPointerVar(arg.Name) {
-						derived = make(map[string]pathexpr.Expr)
-						for h, p := range st.pathsOf(arg.Name) {
-							derived[h] = pathexpr.Cat(p, sum.RetPath)
-						}
-					}
-				}
-				st.dropVar(x)
-				for h, p := range derived {
-					st.set(h, x, p)
-				}
-				st.set(a.freshHandle(x), x, pathexpr.Eps)
+			if !isPtr {
+				return st
 			}
+			derived := false
+			if sum := a.summaries[rhs.Name]; sum != nil && sum.RetKnown && sum.RetParam < len(rhs.Args) {
+				if arg, ok := rhs.Args[sum.RetParam].(*lang.Ident); ok && a.isPointerVar(arg.Name) {
+					a.derive(st, x, arg.Name, sum.RetPath)
+					derived = true
+				}
+			}
+			if !derived {
+				st.dropVar(x)
+			}
+			st.set(a.freshHandle(name), x, epsNode)
 			return st
 
 		default:
-			if a.isPointerVar(x) {
+			// Null, a number, or any other value: the variable no longer
+			// points anywhere the matrix knows.  (Only pointer variables
+			// ever hold cells, so there is nothing to drop otherwise.)
+			if isPtr {
 				st.dropVar(x)
 			}
 			return st
@@ -477,25 +570,23 @@ func (a *analyzer) walkWhile(st *state, w *lang.WhileStmt) *state {
 	wid, deltas := widen(entry, after1)
 
 	// Per-variable iteration increment: consistent across handles or none.
-	varDelta := make(map[string]pathexpr.Expr)
-	varOK := make(map[string]bool)
-	for hv, d := range deltas {
-		v := hv.v
-		if prev, seen := varDelta[v]; seen {
-			if !pathexpr.Equal(prev, d) {
-				varOK[v] = false
+	varDelta := make([]*pathexpr.Node, entry.nv)
+	varOK := make([]bool, entry.nv)
+	for _, d := range deltas {
+		if prev := varDelta[d.v]; prev != nil {
+			if prev != d.node {
+				varOK[d.v] = false
 			}
 		} else {
-			varDelta[v] = d
-			varOK[v] = true
+			varDelta[d.v] = d.node
+			varOK[d.v] = true
 		}
 	}
 
 	a.loopID++
 	lc := &loopCtx{
-		id:         a.loopID,
-		iterDeltas: make(map[string]pathexpr.Expr),
-		modFields:  make(map[string]bool),
+		id:        a.loopID,
+		modFields: make(map[string]bool),
 	}
 	a.prescanLoopBody(lc, w.Body)
 	fix := wid.clone()
@@ -503,9 +594,9 @@ func (a *analyzer) walkWhile(st *state, w *lang.WhileStmt) *state {
 		if !varOK[v] {
 			continue
 		}
-		ih := fmt.Sprintf("_it%d_%s", lc.id, v)
-		lc.iterDeltas[ih] = d
-		fix.set(ih, v, pathexpr.Eps)
+		ih := a.handle("_it" + strconv.Itoa(lc.id) + "_" + a.colName[v])
+		lc.iterDeltas = append(lc.iterDeltas, iterDelta{h: ih, d: d.Expr()})
+		fix.set(ih, v, epsNode)
 	}
 	if a.trace.Streaming() {
 		a.trace.Event("analysis.widen", a.span,
@@ -549,17 +640,15 @@ func (a *analyzer) walkWhile(st *state, w *lang.WhileStmt) *state {
 	// Post-loop state: the widened entry where the body's effect stayed
 	// within the widened language; everything else is unknown after the
 	// loop.  Iteration handles are per-iteration and do not survive.
-	post := newState()
+	post := newState(wid.nv)
 	post.modEpoch = maxInt(entry.modEpoch, after2.modEpoch)
-	for h, row := range wid.cells {
-		for v, p := range row {
-			p2, ok := after2.cells[h][v]
-			if !ok {
-				continue
-			}
-			if pathexpr.Equal(p, p2) || a.includes(p2, p) {
-				post.set(h, v, p)
-			}
+	post.cells = make([]*pathexpr.Node, len(wid.cells))
+	for i, p := range wid.cells {
+		if p == nil || i >= len(after2.cells) {
+			continue
+		}
+		if p2 := after2.cells[i]; p2 != nil && (p == p2 || a.includes(p2, p)) {
+			post.cells[i] = p
 		}
 	}
 	return post
@@ -603,38 +692,37 @@ func (a *analyzer) prescanLoopBody(lc *loopCtx, body *lang.Block) {
 // includes decides language inclusion L(sub) ⊆ L(sup) through the
 // analyzer's DFA cache; any failure (e.g. state blowup) is treated as "not
 // included", which only loses precision.
-func (a *analyzer) includes(sub, sup pathexpr.Expr) bool {
-	ok, err := a.dfas.Includes(pathexpr.Intern(sub), pathexpr.Intern(sup), automata.AlphabetOf(sub, sup))
+func (a *analyzer) includes(sub, sup *pathexpr.Node) bool {
+	a.widenChecks++
+	ok, err := a.dfas.Includes(sub, sup, automata.AlphabetOf(sub.Expr(), sup.Expr()))
 	return err == nil && ok
 }
 
-type hvKey struct{ h, v string }
+// cellDelta is one widened cell's observed per-iteration increment; node
+// is its interned identity, so increments compare by pointer.
+type cellDelta struct {
+	v    int
+	node *pathexpr.Node
+}
 
 // widen compares the loop-entry state with the state after one iteration
 // and generalizes growing paths: p → p·δ becomes p·δ*.  It returns the
-// widened state and the observed increments.
-func widen(entry, after *state) (*state, map[hvKey]pathexpr.Expr) {
-	wid := newState()
+// widened state and the observed increments, in cell order.
+func widen(entry, after *state) (*state, []cellDelta) {
+	wid := newState(entry.nv)
 	wid.modEpoch = maxInt(entry.modEpoch, after.modEpoch)
-	deltas := make(map[hvKey]pathexpr.Expr)
-	for h, row := range entry.cells {
-		arow, ok := after.cells[h]
-		if !ok {
-			continue
-		}
-		for v, pe := range row {
-			p1, ok := arow[v]
-			if !ok {
-				continue
-			}
-			if pathexpr.Equal(pe, p1) {
-				wid.set(h, v, pe)
-				continue
-			}
-			if d, ok := componentSuffix(pe, p1); ok {
-				wid.set(h, v, pathexpr.Cat(pe, pathexpr.Rep(d)))
-				deltas[hvKey{h, v}] = d
-				continue
+	wid.cells = make([]*pathexpr.Node, min(len(entry.cells), len(after.cells)))
+	var deltas []cellDelta
+	for i := range wid.cells {
+		pe, p1 := entry.cells[i], after.cells[i]
+		switch {
+		case pe == nil || p1 == nil:
+		case pe == p1:
+			wid.cells[i] = pe
+		default:
+			if d, ok := componentSuffix(pe.Expr(), p1.Expr()); ok {
+				wid.cells[i] = norm(pathexpr.Cat(pe.Expr(), pathexpr.Rep(d)))
+				deltas = append(deltas, cellDelta{v: i % entry.nv, node: pathexpr.Intern(d)})
 			}
 			// Entry already closed (e.g. re-widening): keep if stable.
 			// Anything else is dropped as unknown.
@@ -669,14 +757,9 @@ func (a *analyzer) structuralMod(st *state, field, label string, pos lang.Pos) {
 	for _, lc := range a.loops {
 		lc.modFields[field] = true
 	}
-	for h, row := range st.cells {
-		for v, p := range row {
-			if mentionsField(p, field) {
-				delete(row, v)
-			}
-		}
-		if len(row) == 0 {
-			delete(st.cells, h)
+	for i, p := range st.cells {
+		if p != nil && mentionsField(p.Expr(), field) {
+			st.cells[i] = nil
 		}
 	}
 }
@@ -691,14 +774,9 @@ func (a *analyzer) invalidateAll(st *state, label string, pos lang.Pos) {
 	for _, lc := range a.loops {
 		lc.modFields["*"] = true
 	}
-	for h, row := range st.cells {
-		for v, p := range row {
-			if _, isEps := p.(pathexpr.Epsilon); !isEps {
-				delete(row, v)
-			}
-		}
-		if len(row) == 0 {
-			delete(st.cells, h)
+	for i, p := range st.cells {
+		if p != epsNode {
+			st.cells[i] = nil
 		}
 	}
 }
@@ -771,7 +849,7 @@ func (a *analyzer) recordAccess(st *state, label, v, field string, isWrite bool,
 		Field:    field,
 		Type:     a.varTypes[v],
 		IsWrite:  isWrite,
-		Paths:    st.pathsOf(v),
+		Paths:    a.paths(st, v),
 		ModEpoch: st.modEpoch,
 		Pos:      pos,
 	}
@@ -781,9 +859,9 @@ func (a *analyzer) recordAccess(st *state, label, v, field string, isWrite bool,
 		acc.IterDeltas = make(map[string]pathexpr.Expr)
 		modSet := map[string]bool{}
 		for _, lc := range a.loops {
-			for ih, d := range lc.iterDeltas {
-				if _, ok := acc.Paths[ih]; ok {
-					acc.IterDeltas[ih] = d
+			for _, it := range lc.iterDeltas {
+				if name := a.handleName[it.h]; acc.Paths[name] != nil {
+					acc.IterDeltas[name] = it.d
 				}
 			}
 			for f := range lc.modFields {

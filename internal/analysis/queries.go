@@ -194,7 +194,8 @@ func (r *Result) LoopCarriedSelf(a Access) []core.Query {
 		return nil
 	}
 	var out []core.Query
-	for ih, delta := range a.IterDeltas {
+	for _, ih := range sortedHandles(a.IterDeltas) {
+		delta := a.IterDeltas[ih]
 		axioms := r.Axioms
 		if !r.opts.AssumeLoopInvariants {
 			axioms = r.windowAxioms(0, 0, a.LoopModFields)
@@ -210,6 +211,17 @@ func (r *Result) LoopCarriedSelf(a Access) []core.Query {
 		out = append(out, q)
 	}
 	return out
+}
+
+// sortedHandles returns the handles of an iteration-delta map in name
+// order, so the queries built from it come out in one order on every run.
+func sortedHandles(m map[string]pathexpr.Expr) []string {
+	hs := make([]string, 0, len(m))
+	for h := range m {
+		hs = append(hs, h)
+	}
+	sort.Strings(hs)
+	return hs
 }
 
 // LoopCarriedBetween builds cross-iteration queries between two statements
@@ -239,7 +251,8 @@ func (r *Result) LoopCarriedPair(s, t Access) []core.Query {
 		return nil
 	}
 	var out []core.Query
-	for ih, delta := range s.IterDeltas {
+	for _, ih := range sortedHandles(s.IterDeltas) {
+		delta := s.IterDeltas[ih]
 		tPath, ok := t.Paths[ih]
 		if !ok {
 			continue

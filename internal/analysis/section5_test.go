@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -179,6 +181,39 @@ func TestSection5_InnerLoopHandles(t *testing.T) {
 		}
 		if !foundInner {
 			t.Errorf("access %v lacks the inner iteration anchor", a)
+		}
+	}
+}
+
+// TestNestedLoopQueryOrderIsStable expands the doubly nested §5 kernel's
+// loop and cross-iteration lines 100 times, each over a fresh analysis:
+// the write at S carries one iteration handle per loop level, and the
+// queries built from them must come out in one order every time.
+func TestNestedLoopQueryOrderIsStable(t *testing.T) {
+	prog := lang.MustParse(section5Src)
+	lines := []string{"loop S", "cross S S"}
+	render := func() string {
+		res, err := Analyze(prog, "scaleRows", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs, _, err := res.ExpandQueryLines(lines, func(n int) string { return lines[n] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, q := range qs {
+			fmt.Fprintf(&b, "%s | %s\n", q.S, q.T)
+		}
+		return b.String()
+	}
+	want := render()
+	if strings.Count(want, "\n") < 4 {
+		t.Fatalf("want at least two queries per line, got:\n%s", want)
+	}
+	for i := 0; i < 100; i++ {
+		if got := render(); got != want {
+			t.Fatalf("expansion %d differs:\n%s\nfirst:\n%s", i, got, want)
 		}
 	}
 }

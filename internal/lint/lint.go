@@ -123,10 +123,11 @@ type Context struct {
 	// carries the engines' proof memos and compiled DFAs from run to run.
 	Caches *Caches
 	// DFACache, when non-nil, is the DFA cache every engine built by this
-	// context borrows; the driver preseeds one per run from its compiled
-	// automata artifact (aptc), so the first query of each axiom set skips
-	// cold compilation.  Nil gives each engine a private cache.  Purely an optimization: verdicts are identical either
-	// way.
+	// context and every analysis it runs borrow; the driver preseeds one
+	// per run from its compiled automata artifact (aptc), so the first
+	// query of each axiom set skips cold compilation.  Nil gives each
+	// engine and analysis a private cache.  Purely an optimization:
+	// verdicts are identical either way.
 	DFACache *automata.SharedCache
 
 	pass     string
@@ -191,6 +192,7 @@ func (c *Context) Analysis(fn string) (*analysis.Result, error) {
 	res, err := analysis.Analyze(c.Prog, fn, analysis.Options{
 		InferTypeAxioms: true,
 		Telemetry:       c.Telemetry,
+		DFACache:        c.DFACache,
 	})
 	c.analyses[fn], c.anErrs[fn] = res, err
 	return res, err

@@ -414,10 +414,15 @@ func (s *Server) answer(ctx context.Context, req *BatchRequest, rt *telemetry.Re
 		}
 		fn = prog.Funcs[0].Name
 	}
+	// The analysis reports into this request's trace, so its span (with
+	// the widening checks it decided and the DFAs they compiled) sits in
+	// the request's tree, and it borrows the pool's DFA cache, so those
+	// checks are warm after the first request over a loop shape.
 	res, err := analysis.Analyze(prog, fn, analysis.Options{
 		InferTypeAxioms:      true,
 		AssumeLoopInvariants: req.AssumeInvariants,
-		Telemetry:            s.tel,
+		Telemetry:            telemetry.New(s.tel.Metrics(), rt),
+		DFACache:             s.pool.DFACache(),
 	})
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("analyze: %v", err)

@@ -425,3 +425,47 @@ func TestDegradedRequestCaptured(t *testing.T) {
 	}
 	t.Skip("deadline never expired in 25 cold attempts; machine too fast for a timing-based check")
 }
+
+// TestAnalysisSpanShowsWarmWidening: the analysis joins the request's span
+// tree, and because it borrows the pool's DFA cache, the second request
+// over one loop program decides the same widening checks without compiling
+// a DFA.
+func TestAnalysisSpanShowsWarmWidening(t *testing.T) {
+	srv := New(Config{Workers: 1, FlightK: 8})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	req := BatchRequest{Program: listProgram(t), Fn: "update", Queries: []string{"loop U"}}
+	traces := []string{
+		"00-0af7651916cd43dd8448eb211c803101-b7ad6b7169203331-01",
+		"00-0af7651916cd43dd8448eb211c803102-b7ad6b7169203331-01",
+	}
+	for _, tp := range traces {
+		if resp, _, _ := postBatchTraced(t, ts.URL, tp, req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+	}
+	attrs := func(traceparent string) map[string]any {
+		tc, _ := telemetry.ParseTraceparent(traceparent)
+		for _, rec := range srv.FlightSnapshot().Slowest {
+			if rec.TraceID != tc.TraceID.String() {
+				continue
+			}
+			for _, sp := range rec.Spans {
+				if sp.Name == "analysis.analyze" {
+					return sp.Attrs
+				}
+			}
+			t.Fatalf("trace %s has no analysis.analyze span", rec.TraceID)
+		}
+		t.Fatalf("no flight record for %s", traceparent)
+		return nil
+	}
+	cold, warm := attrs(traces[0]), attrs(traces[1])
+	if cold["widen_checks"] == int64(0) || cold["widen_checks"] != warm["widen_checks"] {
+		t.Errorf("widen_checks cold=%v warm=%v, want equal and nonzero", cold["widen_checks"], warm["widen_checks"])
+	}
+	if cold["dfa_compiles"] == int64(0) || warm["dfa_compiles"] != int64(0) {
+		t.Errorf("dfa_compiles cold=%v warm=%v, want nonzero then 0", cold["dfa_compiles"], warm["dfa_compiles"])
+	}
+}
