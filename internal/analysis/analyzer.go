@@ -20,7 +20,7 @@ func Analyze(prog *lang.Program, fnName string, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("analysis: function %q not found", fnName)
 	}
 	tel := opts.Telemetry
-	sp := tel.Trace().StartSpan("analysis.analyze", telemetry.SpanID{})
+	sp := tel.Trace().StartSpan("analysis.analyze", tel.Parent())
 	ssp := tel.Trace().StartSpan("analysis.summarize", sp.ID())
 	summaries := Summarize(prog)
 	ssp.End(telemetry.Int("funcs", len(summaries)))

@@ -112,12 +112,19 @@ type Access struct {
 	IsWrite bool
 }
 
+// String renders "read h.path->f" / "write h.path->f" by concatenation: a
+// served batch renders every result's two accesses, and fmt's reflection
+// was a measurable share of that.
 func (a Access) String() string {
-	op := "read"
+	op := "read "
 	if a.IsWrite {
-		op = "write"
+		op = "write "
 	}
-	return fmt.Sprintf("%s %s.%s->%s", op, a.Handle, a.Path, a.Field)
+	path := "%!s(<nil>)" // fmt's rendering of a nil path, kept byte-identical
+	if a.Path != nil {
+		path = a.Path.String()
+	}
+	return op + a.Handle + "." + path + "->" + a.Field
 }
 
 // Query is one dependence question: does T depend on S?

@@ -84,8 +84,8 @@ func RenderRawQuery(rq wire.RawQuery) string {
 			rel = "unknown"
 		}
 	}
-	return fmt.Sprintf("raw %s.%s->%s / %s.%s->%s (%s)",
-		rq.SHandle, orEps(rq.SPath), rq.SField, rq.THandle, orEps(rq.TPath), rq.TField, rel)
+	return "raw " + rq.SHandle + "." + orEps(rq.SPath) + "->" + rq.SField +
+		" / " + rq.THandle + "." + orEps(rq.TPath) + "->" + rq.TField + " (" + rel + ")"
 }
 
 func orEps(p string) string {

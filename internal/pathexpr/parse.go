@@ -102,6 +102,12 @@ func (p *parser) parseAlt() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A lone alternative is the common case (every raw-mode path); Or
+	// would return it unchanged after interning it for duplicate checks.
+	p.skipSpace()
+	if p.peek() != '|' {
+		return first, nil
+	}
 	alts := []Expr{first}
 	for {
 		p.skipSpace()
@@ -213,41 +219,36 @@ func (p *parser) splitIdent(ident string) (Expr, error) {
 	if ident == "eps" || ident == "epsilon" {
 		return Eps, nil
 	}
-	split, ok := splitFields(ident, p.fields)
+	parts, ok := splitFields(ident, p.fields, nil)
 	if !ok {
 		return nil, p.errorf("identifier %q is not a sequence of declared fields %v", ident, p.fields)
-	}
-	parts := make([]Expr, len(split))
-	for i, f := range split {
-		parts[i] = F(f)
 	}
 	return Cat(parts...), nil
 }
 
-func splitFields(s string, fields []string) ([]string, bool) {
+// splitFields appends to acc one field node per declared field name
+// spelling s, trying longer names first (so "ncolE" beats a hypothetical
+// single-letter "n") and backtracking to the next shorter prefix when the
+// rest does not decompose.  Declared names of equal length that both
+// prefix s are the same string, so one try per length suffices.  On
+// failure the returned slice is acc unchanged in length.
+func splitFields(s string, fields []string, acc []Expr) ([]Expr, bool) {
 	if s == "" {
-		return nil, true
+		return acc, true
 	}
-	// Try longer field names first so that e.g. "ncolE" is preferred over a
-	// hypothetical single-letter "n".
-	best := make([]string, 0, len(fields))
-	for _, f := range fields {
-		if f != "" && strings.HasPrefix(s, f) {
-			best = append(best, f)
-		}
-	}
-	// Longest match first, then backtrack.
-	for i := 0; i < len(best); i++ {
-		for j := i + 1; j < len(best); j++ {
-			if len(best[j]) > len(best[i]) {
-				best[i], best[j] = best[j], best[i]
+	for limit := len(s) + 1; ; {
+		best := ""
+		for _, f := range fields {
+			if f != "" && len(f) < limit && len(f) > len(best) && strings.HasPrefix(s, f) {
+				best = f
 			}
 		}
-	}
-	for _, f := range best {
-		if rest, ok := splitFields(s[len(f):], fields); ok {
-			return append([]string{f}, rest...), true
+		if best == "" {
+			return acc, false
 		}
+		if out, ok := splitFields(s[len(best):], fields, append(acc, F(best))); ok {
+			return out, true
+		}
+		limit = len(best)
 	}
-	return nil, false
 }

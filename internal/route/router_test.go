@@ -261,6 +261,58 @@ func TestRouterPropagatesRetryAfter(t *testing.T) {
 	}
 }
 
+// teeWriter copies a handler's body bytes aside as they are written.
+type teeWriter struct {
+	http.ResponseWriter
+	buf bytes.Buffer
+}
+
+func (w *teeWriter) Write(b []byte) (int, error) {
+	w.buf.Write(b)
+	return w.ResponseWriter.Write(b)
+}
+
+// TestRouterPassesBodiesThrough: the router relays a backend's /v1/batch
+// body byte for byte — program mode, raw mode and the error body alike —
+// so the wire schema a client sees does not depend on the routing tier.
+func TestRouterPassesBodiesThrough(t *testing.T) {
+	srv := serve.New(serve.Config{Workers: 1})
+	written := make(chan []byte, 1)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/batch" {
+			srv.ServeHTTP(w, r)
+			return
+		}
+		tw := &teeWriter{ResponseWriter: w}
+		srv.ServeHTTP(tw, r)
+		written <- tw.buf.Bytes()
+	}))
+	defer backend.Close()
+	rt := newRouter(t, Config{Backends: []string{backend.URL}})
+	rts := httptest.NewServer(rt)
+	defer rts.Close()
+
+	program := wire.BatchRequest{Fn: "f", Queries: []string{"between S T"}, Program: `
+struct L { struct L *next; int d; axioms { A1: forall p, p.next+ <> p.eps; } };
+void f(struct L *h) { struct L *p; p = h->next; S: p->d = 1; T: h->d = 2; }`}
+	for name, c := range map[string]struct {
+		req  wire.BatchRequest
+		code int
+	}{
+		"program": {program, http.StatusOK},
+		"raw":     {rawTreeReq(), http.StatusOK},
+		"error":   {wire.BatchRequest{Program: "int main(", Queries: []string{"between S T"}}, http.StatusBadRequest},
+	} {
+		resp, body := postBatch(t, rts.URL, c.req)
+		if resp.StatusCode != c.code {
+			t.Fatalf("%s: status = %d, want %d: %s", name, resp.StatusCode, c.code, body)
+		}
+		if sent := <-written; !bytes.Equal(body, sent) {
+			t.Errorf("%s: routed body differs from the backend's:\nrouted:  %s\nbackend: %s", name, body, sent)
+		}
+	}
+}
+
 // hedgePair is a two-backend harness: two scriptable fake backends plus a
 // request steered (by content hash) so backend a owns its shard and backend
 // b is the hedge target.  Handlers are fixed at construction, so there is

@@ -65,12 +65,14 @@ func (c *serveClient) batchVerdicts(ctx context.Context, program, fn string, lin
 			return nil, fmt.Errorf("serve: result line %d out of range", r.Line)
 		}
 		seen[r.Line] = true
-		// The daemon renders core.Result.String() — "No"/"Maybe"/"Yes".
-		switch strings.ToLower(r.Result) {
-		case "yes":
+		v, err := wire.ParseVerdict(r.Result)
+		if err != nil {
+			return nil, fmt.Errorf("serve: result for line %d: %w", r.Line, err)
+		}
+		switch v {
+		case wire.VerdictYes:
 			verdicts[r.Line] = "yes"
-		case "no":
-		default:
+		case wire.VerdictMaybe:
 			if verdicts[r.Line] != "yes" {
 				verdicts[r.Line] = "maybe"
 			}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/axiom"
+	"repro/internal/telemetry"
 )
 
 // rawTreeRequest builds a raw-mode request over the paper's leaf-linked
@@ -34,7 +35,7 @@ func rawTreeRequest() BatchRequest {
 // the same response shape program mode uses.  This is the wire mode routed
 // cluster traffic rides.
 func TestRawBatchMode(t *testing.T) {
-	srv := New(Config{Workers: 2})
+	srv := New(Config{Workers: 2, Telemetry: telemetry.New(telemetry.NewRegistry(), nil)})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -62,11 +63,12 @@ func TestRawBatchMode(t *testing.T) {
 
 	// Same set again: the engine (keyed by the set's content, not by how
 	// the request spelled it) must be warm.
+	hits0 := metrics(srv).Counters["engine.memo_hits"]
 	_, br2 := postBatch(t, ts.URL, rawTreeRequest())
 	if br2.Stats.ColdEngine {
 		t.Error("second raw request rebuilt the engine")
 	}
-	if br2.Stats.MemoHits == 0 {
+	if hits := metrics(srv).Counters["engine.memo_hits"] - hits0; hits == 0 {
 		t.Error("second raw request hit the proof memo 0 times")
 	}
 }

@@ -416,12 +416,13 @@ func (s *Server) answer(ctx context.Context, req *BatchRequest, rt *telemetry.Re
 	}
 	// The analysis reports into this request's trace, so its span (with
 	// the widening checks it decided and the DFAs they compiled) sits in
-	// the request's tree, and it borrows the pool's DFA cache, so those
-	// checks are warm after the first request over a loop shape.
+	// the request's tree under serve.analyze, and it borrows the pool's DFA
+	// cache, so those checks are warm after the first request over a loop
+	// shape.
 	res, err := analysis.Analyze(prog, fn, analysis.Options{
 		InferTypeAxioms:      true,
 		AssumeLoopInvariants: req.AssumeInvariants,
-		Telemetry:            telemetry.New(s.tel.Metrics(), rt),
+		Telemetry:            telemetry.New(s.tel.Metrics(), rt).Under(asp.ID()),
 		DFACache:             s.pool.DFACache(),
 	})
 	if err != nil {
@@ -529,18 +530,14 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.
 		ServiceUS:       time.Since(svc0).Microseconds(),
 		ColdEngine:      cold,
 		AxiomSet:        ax.StructName,
-		MemoHits:        memo.Hits,
-		MemoLookups:     memo.Lookups,
-		DFAHits:         int64(dfa.Hits),
-		DFALookups:      int64(dfa.Lookups),
 		Timeouts:        deg[telemetry.DegradeQueryTimeout],
 		TraceID:         rt.TraceIDString(),
 		DegradedQueries: rt.DegradedTotal(),
 		DeadlineExpired: deg[telemetry.DegradeRequestDeadline],
 	}
-	// The flight-recorder metadata wants this request's cache economics,
-	// not the pool's lifetime totals, so report the deltas (best-effort:
-	// concurrent requests blur them).
+	// The flight-recorder metadata carries this request's cache economics
+	// as deltas of the pool's counters (best-effort: concurrent requests
+	// blur them); the lifetime totals are the registry's.
 	meta := &flightMeta{
 		AxiomSet:    ax.StructName,
 		Queries:     len(outs),

@@ -427,9 +427,9 @@ func TestDegradedRequestCaptured(t *testing.T) {
 }
 
 // TestAnalysisSpanShowsWarmWidening: the analysis joins the request's span
-// tree, and because it borrows the pool's DFA cache, the second request
-// over one loop program decides the same widening checks without compiling
-// a DFA.
+// tree under serve.analyze, and because it borrows the pool's DFA cache,
+// the second request over one loop program decides the same widening
+// checks without compiling a DFA.
 func TestAnalysisSpanShowsWarmWidening(t *testing.T) {
 	srv := New(Config{Workers: 1, FlightK: 8})
 	ts := httptest.NewServer(srv)
@@ -451,12 +451,18 @@ func TestAnalysisSpanShowsWarmWidening(t *testing.T) {
 			if rec.TraceID != tc.TraceID.String() {
 				continue
 			}
+			byName := map[string]telemetry.SpanRecord{}
 			for _, sp := range rec.Spans {
-				if sp.Name == "analysis.analyze" {
-					return sp.Attrs
-				}
+				byName[sp.Name] = sp
 			}
-			t.Fatalf("trace %s has no analysis.analyze span", rec.TraceID)
+			sp, ok := byName["analysis.analyze"]
+			if !ok {
+				t.Fatalf("trace %s has no analysis.analyze span", rec.TraceID)
+			}
+			if parent, ok := byName["serve.analyze"]; !ok || sp.Parent != parent.ID {
+				t.Errorf("analysis.analyze parent = %q, want the serve.analyze span %q", sp.Parent, parent.ID)
+			}
+			return sp.Attrs
 		}
 		t.Fatalf("no flight record for %s", traceparent)
 		return nil

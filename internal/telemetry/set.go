@@ -13,6 +13,7 @@ import (
 type Set struct {
 	metrics *Registry
 	trace   *RequestTrace
+	parent  SpanID
 }
 
 // New bundles reg and tr; either may be nil to disable that half.  The
@@ -40,6 +41,26 @@ func (s *Set) Trace() *RequestTrace {
 		return nil
 	}
 	return s.trace
+}
+
+// Under returns a copy of s whose Parent is parent, so a layer that opens
+// its top span under Parent joins the caller's span tree.
+func (s *Set) Under(parent SpanID) *Set {
+	if s == nil {
+		return nil
+	}
+	c := *s
+	c.parent = parent
+	return &c
+}
+
+// Parent is the span a layer's top span parents under; zero (the default)
+// makes it a root.
+func (s *Set) Parent() SpanID {
+	if s == nil {
+		return SpanID{}
+	}
+	return s.parent
 }
 
 // Counter resolves a named counter (nil when metrics are disabled).

@@ -27,6 +27,7 @@ package wire
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"time"
 )
@@ -98,7 +99,8 @@ type QueryResult struct {
 	// S and T render the two accesses.
 	S string `json:"s"`
 	T string `json:"t"`
-	// Result is "no" / "maybe" / "yes"; Kind the dependence kind.
+	// Result is the verdict, "No", "Maybe" or "Yes" (see ParseVerdict);
+	// Kind the dependence kind.
 	Result string `json:"result"`
 	Kind   string `json:"kind"`
 	Reason string `json:"reason"`
@@ -119,13 +121,6 @@ type BatchStats struct {
 	// sighting of its axiom set since startup or since LRU reclamation).
 	ColdEngine bool   `json:"cold_engine"`
 	AxiomSet   string `json:"axiom_set"`
-	// Cumulative counters of the engine pool's shared proof memo and DFA
-	// cache (across all requests and axiom sets), for observing warm-up
-	// without scraping /metrics.
-	MemoHits    int64 `json:"memo_hits"`
-	MemoLookups int64 `json:"memo_lookups"`
-	DFAHits     int64 `json:"dfa_hits"`
-	DFALookups  int64 `json:"dfa_lookups"`
 	// Timeouts counts this request's queries degraded toward Maybe because
 	// the per-query timeout expired (not the engines' lifetime count, which
 	// /metrics reports as apt_engine_degraded_query_timeout_total and
@@ -150,17 +145,43 @@ type BatchResponse struct {
 	Stats     BatchStats `json:"stats"`
 }
 
+// Verdict is a dependence verdict as QueryResult.Result spells it.
+type Verdict uint8
+
+const (
+	VerdictNo Verdict = iota
+	VerdictMaybe
+	VerdictYes
+)
+
+// ParseVerdict maps a QueryResult.Result string to its verdict.  It accepts
+// exactly "No", "Maybe" and "Yes"; any other spelling, a lowercase one
+// included, is an error rather than a silent Maybe.
+func ParseVerdict(s string) (Verdict, error) {
+	switch s {
+	case "No":
+		return VerdictNo, nil
+	case "Maybe":
+		return VerdictMaybe, nil
+	case "Yes":
+		return VerdictYes, nil
+	}
+	return 0, fmt.Errorf("unknown verdict %q: want \"No\", \"Maybe\" or \"Yes\"", s)
+}
+
 // ErrorResponse is the JSON body of every non-200 answer.
 type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// WriteJSON writes v as an indented JSON body with the given status.
+// WriteJSON writes v as a compact JSON body with the given status.  HTML
+// escaping is off: every access rendering carries "->", which the escaper
+// would spell as the six bytes \u003e.  Pipe through jq to read it.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetEscapeHTML(false)
 	enc.Encode(v) //nolint:errcheck // the client hanging up is its problem
 }
 
