@@ -90,9 +90,10 @@ serve-smoke:
 
 # Observability gate: the Prometheus exposition golden + validator, the
 # counters-never-go-backwards scrape test, the traceparent/span-tree tests, a 50-iteration race soak of the lock-free
-# flight recorder and sliding-window histogram, the zero-allocation
-# guards for disabled tracing (which -race would skew, hence the separate
-# non-race invocation), the count-once test (every instance counter
+# flight recorder and sliding-window histogram, the allocation guards —
+# zero allocations for disabled tracing and warm hits, two for a cold
+# language decision — (which -race would skew, hence the separate non-race
+# invocation), the count-once test (every instance counter
 # counts with telemetry off and feeds the registry exactly once), and the
 # one-span-model test (a streaming and a retaining trace of one batch hold
 # the same spans with the same parents).
@@ -100,8 +101,8 @@ obs-check:
 	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestGaugeFunc|TestTraceparent|TestRequestTrace|TestStreamingTrace|TestMetricsPrometheus|TestMetricsCountersNeverGoBackwards|TestAccessLog' \
 		./internal/telemetry ./internal/serve
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestWindowHistogram' ./internal/telemetry
-	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget' \
-		./internal/telemetry ./internal/engine ./internal/prover
+	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestColdDecisionAllocations' \
+		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata
 	$(GO) test -race -run 'TestDegradedCountersSplitByReason|TestCountOnce|TestOneSpanModel' ./internal/engine
 
 # Fixed-seed differential fuzzing smoke: generate scenario programs over all

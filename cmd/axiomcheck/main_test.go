@@ -62,6 +62,31 @@ func TestInconsistentSetRefused(t *testing.T) {
 	}
 }
 
+// TestProductOverBudgetDoesNotPanic: both sides of the axiom compile
+// within the state budget but their product (lcm(127, 131) = 16,637
+// states) does not.  The static check must warn and go on, not panic.
+func TestProductOverBudgetDoesNotPanic(t *testing.T) {
+	side := func(n int) string {
+		return "p.(" + strings.TrimSuffix(strings.Repeat("next.", n), ".") + ")*"
+	}
+	axioms := filepath.Join(t.TempDir(), "big.axioms")
+	src := "A1: forall p, " + side(127) + " <> " + side(131) + "\n"
+	if err := os.WriteFile(axioms, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := runCheck(t, "-family", "list", "-axioms", axioms, "-trials", "2", "-size", "4")
+	if !strings.Contains(errOut, "too large to compile; consistency not checked") {
+		t.Fatalf("stderr lacks the over-budget warning (exit %d):\n%s%s", code, out, errOut)
+	}
+	if strings.Contains(out, "statically inconsistent") {
+		t.Errorf("an undecided product refused the set: %s", out)
+	}
+	// Both sides hold ε, so the model check itself finds the violation.
+	if code != 1 || !strings.Contains(out, "VIOLATED") {
+		t.Errorf("exit = %d, want 1 with a violation report\n%s", code, out)
+	}
+}
+
 // TestMaintain: listops.c's insertAfter preserves the list axioms;
 // makeCycle breaks acyclicity, so -maintain must exit 1.
 func TestMaintain(t *testing.T) {

@@ -284,7 +284,7 @@ func (c *SharedCache) Snapshot() *Artifact {
 			xs, ok2 := exprStr(key.x)
 			ys, ok3 := exprStr(key.y)
 			if ok1 && ok2 && ok3 {
-				oents = append(oents, opEnt{op: key.op, val: v, alphaKey: ak, x: xs, y: ys})
+				oents = append(oents, opEnt{op: byte(key.op), val: v, alphaKey: ak, x: xs, y: ys})
 			}
 		}
 		sh.mu.RUnlock()
@@ -858,9 +858,8 @@ func (c *SharedCache) Preseed(art *Artifact) (dfas, ops int) {
 		if exprIDs[ent.X] == 0 || exprIDs[ent.Y] == 0 {
 			continue
 		}
-		key := opsKey{op: ent.Op, alpha: a.ID(), x: exprIDs[ent.X], y: exprIDs[ent.Y]}
-		h := pathexpr.Mix64(pathexpr.Mix64(pathexpr.Mix64(pathexpr.Mix64(pathexpr.MixInit, uint64(key.op)), key.alpha), key.x), key.y)
-		sh := c.shardAt(h)
+		key := opsKey{op: uint64(ent.Op), alpha: a.ID(), x: exprIDs[ent.X], y: exprIDs[ent.Y]}
+		sh := c.shardAt(key.hash())
 		sh.mu.Lock()
 		if _, ok := sh.ops[key]; !ok {
 			sh.ops[key] = ent.Value

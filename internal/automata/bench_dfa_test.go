@@ -97,7 +97,9 @@ func legacyCompile(e pathexpr.Expr, a *Alphabet) *legacyDFA {
 		for sym := 0; sym < a.Size(); sym++ {
 			var next []int
 			for _, s := range sets[i] {
-				next = append(next, n.trans[s][sym]...)
+				if int(n.sym[s]) == sym {
+					next = append(next, int(n.to[s]))
+				}
 			}
 			d.trans[i][sym] = intern(legacyEpsClosure(n, next))
 		}

@@ -131,14 +131,38 @@ func (d *DFA) Complement() *DFA {
 	return &DFA{alphabet: d.alphabet, trans: trans, accept: acc}
 }
 
+// pairRule is a truth table over a product state's component acceptance:
+// rule[2*a+b] says whether the pair accepts when d's state accepts (a) and
+// o's state accepts (b).  The three language decisions are its three
+// instantiations.
+type pairRule [4]bool
+
+var (
+	ruleBoth = pairRule{3: true}          // a && b: intersection, disjointness
+	ruleDiff = pairRule{2: true}          // a && !b: the inclusion check's L(d) ∩ ¬L(o)
+	ruleXor  = pairRule{1: true, 2: true} // a != b: symmetric difference, equivalence
+)
+
+// at looks up the rule for one pair of component acceptances.
+func (r pairRule) at(a, b bool) bool {
+	i := 0
+	if a {
+		i = 2
+	}
+	if b {
+		i++
+	}
+	return r[i]
+}
+
 // product runs the budgeted product construction over d and o, accepting
-// product states (a, b) for which acceptPair(d.accept[a], o.accept[b]) is
-// true.  Intersection and difference (the inclusion check's L(d) ∩ ¬L(o))
-// are the two instantiations.  Exceeding limit returns ErrStateLimit: two
-// automata near the compile budget can otherwise intern up to limit² product
-// states, which is an OOM, not a proof.
-func (d *DFA) product(o *DFA, limit int, acceptPair func(a, b bool) bool) (*DFA, error) {
-	if d.alphabet.Key() != o.alphabet.Key() {
+// the product states (a, b) the rule accepts.  Exceeding limit returns
+// ErrStateLimit: two automata near the compile budget can otherwise intern up
+// to limit² product states, which is an OOM, not a proof.  Only callers that
+// need the automaton itself (a witness word) build it; the boolean decisions
+// explore the same product on the fly (productEmpty).
+func (d *DFA) product(o *DFA, limit int, rule pairRule) (*DFA, error) {
+	if d.alphabet.ID() != o.alphabet.ID() {
 		panic("automata: product over mismatched alphabets")
 	}
 	if limit <= 0 {
@@ -169,7 +193,7 @@ func (d *DFA) product(o *DFA, limit int, acceptPair func(a, b bool) bool) (*DFA,
 	for i := 0; i < len(order); i++ {
 		a := int32(order[i] >> 32)
 		b := int32(uint32(order[i]))
-		out.accept = append(out.accept, acceptPair(d.accept[a], o.accept[b]))
+		out.accept = append(out.accept, rule.at(d.accept[a], o.accept[b]))
 		base := len(out.trans)
 		out.trans = append(out.trans, make([]int32, k)...)
 		for c := 0; c < k; c++ {
@@ -183,18 +207,99 @@ func (d *DFA) product(o *DFA, limit int, acceptPair func(a, b bool) bool) (*DFA,
 	return out, nil
 }
 
+// pairSet is the visited set of productEmpty's search: a bitset over all
+// |d|·|o| pairs when that fits in 64·limit bits (so at most limit words),
+// a uint64-keyed set otherwise.  Either way its memory is O(limit).
+type pairSet struct {
+	bits  []uint64 // pair (a, b) is bit a*width+b
+	width int
+	keys  map[uint64]struct{} // non-nil selects the key set
+}
+
+func newPairSet(nd, no, limit int) pairSet {
+	if n := nd * no; n <= 64*limit {
+		return pairSet{bits: make([]uint64, (n+63)/64), width: no}
+	}
+	return pairSet{keys: make(map[uint64]struct{})}
+}
+
+// add marks (a, b) visited and reports whether it was new.
+func (s *pairSet) add(a, b int32) bool {
+	if s.keys != nil {
+		return s.addKey(a, b)
+	}
+	i := int(a)*s.width + int(b)
+	w, bit := i>>6, uint64(1)<<(i&63)
+	fresh := s.bits[w]&bit == 0
+	s.bits[w] |= bit
+	return fresh
+}
+
+func (s *pairSet) addKey(a, b int32) bool {
+	key := uint64(uint32(a))<<32 | uint64(uint32(b))
+	if _, ok := s.keys[key]; ok {
+		return false
+	}
+	s.keys[key] = struct{}{}
+	return true
+}
+
+// productEmpty reports whether no reachable state of the product d × o is
+// accepted by the rule, without building the product: a breadth-first
+// search over reachable state pairs with a visited set and an int32 pair
+// queue, and no transition table, no pair-to-ID map and no witness word.
+//
+// It has no early exit.  The search visits the whole reachable product and
+// counts distinct pairs against limit exactly as product interns them, so
+// the answer and the ErrStateLimit cases are product's followed by IsEmpty.
+func (d *DFA) productEmpty(o *DFA, limit int, rule pairRule) (bool, error) {
+	if d.alphabet.ID() != o.alphabet.ID() {
+		panic("automata: product over mismatched alphabets")
+	}
+	if limit <= 0 {
+		limit = DefaultStateLimit
+	}
+	k := d.alphabet.Size()
+	nd, no := len(d.accept), len(o.accept)
+	seen := newPairSet(nd, no, limit)
+	// The queue holds (a, b) pairs flattened; it is never dequeued, so its
+	// length is twice the number of pairs visited.  Its first capacity is
+	// capped: a large product whose reachable part is small should not
+	// allocate a limit-sized queue up front.
+	queue := make([]int32, 0, 2*min(nd*no, limit, 1024))
+	seen.add(0, 0)
+	queue = append(queue, 0, 0)
+	found := false
+	for i := 0; i < len(queue); i += 2 {
+		a, b := queue[i], queue[i+1]
+		found = found || rule.at(d.accept[a], o.accept[b])
+		for c := 0; c < k; c++ {
+			ta, tb := d.trans[int(a)*k+c], o.trans[int(b)*k+c]
+			if !seen.add(ta, tb) {
+				continue
+			}
+			if len(queue)/2 >= limit {
+				return false, ErrStateLimit{Limit: limit}
+			}
+			queue = append(queue, ta, tb)
+		}
+	}
+	return !found, nil
+}
+
 // IntersectLimit returns the product DFA recognizing L(d) ∩ L(o), or
 // ErrStateLimit when the product exceeds the given state budget (limit <= 0
 // selects DefaultStateLimit).  Both automata must share the alphabet (same
 // Key); otherwise it panics, since a silent mismatch would make prover
 // answers meaningless.
 func (d *DFA) IntersectLimit(o *DFA, limit int) (*DFA, error) {
-	return d.product(o, limit, func(a, b bool) bool { return a && b })
+	return d.product(o, limit, ruleBoth)
 }
 
 // Intersect is IntersectLimit at DefaultStateLimit, panicking when even the
-// default budget is exceeded.  Budget-aware callers (the caches, and through
-// them the prover) use IntersectLimit and degrade toward Maybe instead.
+// default budget is exceeded.  Budget-aware callers use IntersectLimit, or
+// SharedCache.Disjoint when they only need the bool, and degrade toward
+// Maybe instead.
 func (d *DFA) Intersect(o *DFA) *DFA {
 	out, err := d.IntersectLimit(o, DefaultStateLimit)
 	if err != nil {
@@ -267,14 +372,10 @@ func (d *DFA) shortestAccepted() []string {
 
 // IncludesLimit reports whether L(d) ⊆ L(o), deciding L(d) ∩ ¬L(o) = ∅ as
 // the paper prescribes, under the given product-state budget.  The
-// difference automaton is built directly by the product construction — no
-// materialized complement, no intermediate table copy.
+// difference product is explored on the fly (productEmpty): no materialized
+// complement and no product automaton.
 func (d *DFA) IncludesLimit(o *DFA, limit int) (bool, error) {
-	diff, err := d.product(o, limit, func(a, b bool) bool { return a && !b })
-	if err != nil {
-		return false, err
-	}
-	return diff.IsEmpty(), nil
+	return d.productEmpty(o, limit, ruleDiff)
 }
 
 // Includes is IncludesLimit at DefaultStateLimit, panicking on budget
@@ -288,13 +389,12 @@ func (d *DFA) Includes(o *DFA) bool {
 }
 
 // EquivalentLimit reports whether the two DFAs recognize the same language,
-// under the given product-state budget.
+// under the given product-state budget: one pass over the product looking
+// for a pair that only one side accepts.  The reachable pairs of d × o are
+// the transpose of those of o × d, so the budget is the one each inclusion
+// direction would spend.
 func (d *DFA) EquivalentLimit(o *DFA, limit int) (bool, error) {
-	ok, err := d.IncludesLimit(o, limit)
-	if err != nil || !ok {
-		return false, err
-	}
-	return o.IncludesLimit(d, limit)
+	return d.productEmpty(o, limit, ruleXor)
 }
 
 // Equivalent is EquivalentLimit at DefaultStateLimit, panicking on budget

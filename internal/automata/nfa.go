@@ -129,9 +129,10 @@ type nfa struct {
 	alphabet *Alphabet
 	// eps[s] lists ε-successors of state s.
 	eps [][]int
-	// trans[s][sym] lists sym-successors of state s.
-	trans []map[int][]int
-	start int
+	// A Thompson state has at most one labelled edge: sym[s] is its symbol
+	// (-1 when s has none) and to[s] its target.
+	sym, to []int32
+	start   int
 	// accept is the single accepting state of the Thompson construction.
 	accept int
 }
@@ -142,19 +143,13 @@ func newNFA(a *Alphabet) *nfa {
 
 func (n *nfa) newState() int {
 	n.eps = append(n.eps, nil)
-	n.trans = append(n.trans, nil)
+	n.sym = append(n.sym, -1)
+	n.to = append(n.to, -1)
 	return len(n.eps) - 1
 }
 
 func (n *nfa) addEps(from, to int) {
 	n.eps[from] = append(n.eps[from], to)
-}
-
-func (n *nfa) addTrans(from int, sym int, to int) {
-	if n.trans[from] == nil {
-		n.trans[from] = make(map[int][]int)
-	}
-	n.trans[from][sym] = append(n.trans[from][sym], to)
 }
 
 // buildNFA compiles e into a Thompson NFA fragment and returns (start,
@@ -173,7 +168,7 @@ func (n *nfa) build(e pathexpr.Expr) (start, accept int) {
 	case pathexpr.Field:
 		sym := n.alphabet.Index(v.Name)
 		if sym >= 0 {
-			n.addTrans(start, sym, accept)
+			n.sym[start], n.to[start] = int32(sym), int32(accept)
 		}
 	case pathexpr.Concat:
 		cur := start

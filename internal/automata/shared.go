@@ -72,19 +72,27 @@ type SharedCache struct {
 // opsKey identifies one memoized boolean language decision: the operation,
 // the interned alphabet identity, and the interned identities of both
 // expressions.  A fixed-size comparable struct, so a warm decision lookup
-// builds its key with no string concatenation and no allocation.
+// builds its key with no string concatenation and no allocation.  op is a
+// full word although it holds one byte: with no padding the key is 32 bytes
+// of plain memory, which the map hashes in one pass instead of field by
+// field.  The artifact still stores it as one byte.
 type opsKey struct {
-	op    byte
+	op    uint64
 	alpha uint64
 	x, y  uint64
+}
+
+// hash mixes the key for shard routing.
+func (k opsKey) hash() uint64 {
+	return pathexpr.Mix64(pathexpr.Mix64(pathexpr.Mix64(pathexpr.Mix64(pathexpr.MixInit, k.op), k.alpha), k.x), k.y)
 }
 
 type sharedShard struct {
 	mu   sync.RWMutex
 	dfas map[dfaKey]*DFA
 	// ops memoizes the boolean answers of Includes/Disjoint/Equivalent
-	// (keyed by op, alphabet, and both expressions) — the product
-	// constructions they run are pure functions of immutable DFAs.
+	// (keyed by op, alphabet, and both expressions) — the product searches
+	// they run are pure functions of immutable DFAs.
 	ops map[opsKey]bool
 }
 
@@ -248,7 +256,7 @@ func (c *SharedCache) OpsLen() int {
 	return n
 }
 
-// Decision operations: the op byte of an opsKey.
+// Decision operations: the op of an opsKey.
 const (
 	opIncludes   = 'i'
 	opDisjoint   = 'd'
@@ -260,15 +268,15 @@ const (
 // is the operands' interned IDs, so a warm decision hashes four integers
 // and probes one map: no expression is walked, rendered, or interned.
 // Compiled DFAs are deterministic, so the boolean answer for an (op,
-// alphabet, x, y) key never changes; product constructions (complement,
-// intersection, emptiness) dominate the prover's direct checks once the DFAs
-// themselves are cached, and the same decisions recur across the goals of a
-// batch.
-func (c *SharedCache) decide(op byte, x, y *pathexpr.Node, a *Alphabet, compiles *int) (bool, error) {
+// alphabet, x, y) key never changes; the product searches dominate the
+// prover's direct checks once the DFAs themselves are cached, and the same
+// decisions recur across the goals of a batch.  A miss explores the product
+// of the two cached DFAs on the fly (DFA.productEmpty), so a cold decision
+// allocates its visited set and pair queue and nothing else.
+func (c *SharedCache) decide(op uint64, x, y *pathexpr.Node, a *Alphabet, compiles *int) (bool, error) {
 	c.cDecisions.Add(1)
 	key := opsKey{op: op, alpha: a.ID(), x: x.ID(), y: y.ID()}
-	h := pathexpr.Mix64(pathexpr.Mix64(pathexpr.Mix64(pathexpr.Mix64(pathexpr.MixInit, uint64(key.op)), key.alpha), key.x), key.y)
-	sh := c.shardAt(h)
+	sh := c.shardAt(key.hash())
 	sh.mu.RLock()
 	v, ok := sh.ops[key]
 	sh.mu.RUnlock()
@@ -288,10 +296,7 @@ func (c *SharedCache) decide(op byte, x, y *pathexpr.Node, a *Alphabet, compiles
 	case opIncludes:
 		v, err = dx.IncludesLimit(dy, c.limit)
 	case opDisjoint:
-		var prod *DFA
-		if prod, err = dx.IntersectLimit(dy, c.limit); err == nil {
-			v = prod.IsEmpty()
-		}
+		v, err = dx.productEmpty(dy, c.limit, ruleBoth)
 	case opEquivalent:
 		v, err = dx.EquivalentLimit(dy, c.limit)
 	}

@@ -62,11 +62,13 @@ func compileTable(n *nfa, limit int) (*DFA, error) {
 	// Stamp-based ε-closure over a reusable visited buffer: no per-call map.
 	visited := make([]int, numNFA)
 	stamp := 0
-	var stack []int32
+	// out is the one closure buffer: every result is handed straight to
+	// si.intern, which copies a set the first time it sees it.
+	var stack, out []int32
 	closure := func(states []int32) []int32 {
 		stamp++
 		stack = stack[:0]
-		var out []int32
+		out = out[:0]
 		for _, s := range states {
 			if visited[s] != stamp {
 				visited[s] = stamp
@@ -112,10 +114,8 @@ func compileTable(n *nfa, limit int) (*DFA, error) {
 		for c := 0; c < k; c++ {
 			scratch = scratch[:0]
 			for _, s := range set {
-				if m := n.trans[s]; m != nil {
-					for _, t := range m[c] {
-						scratch = append(scratch, int32(t))
-					}
+				if n.sym[s] == int32(c) {
+					scratch = append(scratch, n.to[s])
 				}
 			}
 			id, err := si.intern(closure(scratch), limit)

@@ -3,8 +3,10 @@ package baseline
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/automata"
 	"repro/internal/axiom"
 	"repro/internal/core"
 	"repro/internal/pathexpr"
@@ -52,6 +54,43 @@ func TestTreeCertified(t *testing.T) {
 	ring := prover.New(axiom.CircularList("next"), prover.Options{})
 	if TreeCertified(ring, []string{"next"}) {
 		t.Error("a possibly-circular list must not certify")
+	}
+}
+
+// TestProductOverBudgetIsMaybe is the regression test for a panic in the
+// baselines: (L^127)* and (L^131)* each compile within the default state
+// budget, but their product has lcm(127, 131) = 16,637 states, past the
+// default 16,384.  A baseline must answer Maybe, as it does when a compile
+// blows the budget.
+func TestProductOverBudgetIsMaybe(t *testing.T) {
+	cycle := func(n int) string { return "(" + strings.TrimSuffix(strings.Repeat("L.", n), ".") + ")*" }
+	query := q("_hroot", cycle(127), cycle(131))
+	tree := axiom.BinaryTree("L", "R")
+	for _, tc := range []struct {
+		name string
+		test func(core.Query) core.Result
+	}{
+		{"LarusHilfinger", NewLarusHilfinger(tree).DepTest},
+		{"KLimited", NewKLimited(2, tree).DepTest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.test(query); got != core.Maybe {
+				t.Errorf("over-budget product answered %v, want Maybe", got)
+			}
+		})
+	}
+
+	// Hendren–Nicolau only intersects path-matrix paths (a word, then at
+	// most one trailing single-field closure), whose products grow
+	// linearly, so reaching the default budget takes ~8,000-state chains.
+	// A tighter cache shows the same thing cheaply: L^40 and R^40 compile
+	// in 42 states each, their product needs 82, and the answer must
+	// follow the cache's budget rather than a private default one.
+	hn := NewHendrenNicolau(tree)
+	hn.dfas = automata.NewSharedCache(64, 1, 0)
+	word := func(f string) string { return strings.TrimSuffix(strings.Repeat(f+".", 40), ".") }
+	if got := hn.DepTest(q("_hroot", word("L"), word("R"))); got != core.Maybe {
+		t.Errorf("HendrenNicolau: over-budget product answered %v, want Maybe", got)
 	}
 }
 

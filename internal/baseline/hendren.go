@@ -73,16 +73,11 @@ func (h *HendrenNicolau) DepTest(q core.Query) core.Result {
 		return core.Maybe // beyond the simple paths a path matrix stores
 	}
 
-	alpha := alphabetFor(h.axioms, x, y)
-	dx, err := h.dfas.DFA(pathexpr.Intern(x), alpha)
+	disjoint, err := h.dfas.Disjoint(pathexpr.Intern(x), pathexpr.Intern(y), alphabetFor(h.axioms, x, y))
 	if err != nil {
-		return core.Maybe
+		return core.Maybe // a compile or the product blew the state budget
 	}
-	dy, err := h.dfas.DFA(pathexpr.Intern(y), alpha)
-	if err != nil {
-		return core.Maybe
-	}
-	if dx.Intersect(dy).IsEmpty() {
+	if disjoint {
 		return core.No
 	}
 	if wx, okx := pathexpr.Word(x); okx {

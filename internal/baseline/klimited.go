@@ -59,18 +59,23 @@ func (k *KLimited) DepTest(q core.Query) core.Result {
 	}
 
 	x, y := pathexpr.Simplify(q.S.Path), pathexpr.Simplify(q.T.Path)
+	xn, yn := pathexpr.Intern(x), pathexpr.Intern(y)
 	alpha := alphabetFor(k.axioms, x, y)
-	dx, err := k.dfas.DFA(pathexpr.Intern(x), alpha)
+	dx, err := k.dfas.DFA(xn, alpha)
 	if err != nil {
 		return core.Maybe
 	}
-	dy, err := k.dfas.DFA(pathexpr.Intern(y), alpha)
+	dy, err := k.dfas.DFA(yn, alpha)
 	if err != nil {
 		return core.Maybe
+	}
+	disjoint, err := k.dfas.Disjoint(xn, yn, alpha)
+	if err != nil {
+		return core.Maybe // the product blew the state budget
 	}
 
 	// Exact same word ⇒ same concrete or summary node either way.
-	if !dx.Intersect(dy).IsEmpty() {
+	if !disjoint {
 		if wx, okx := pathexpr.Word(x); okx {
 			if wy, oky := pathexpr.Word(y); oky && wordEq(wx, wy) {
 				return core.Yes

@@ -74,17 +74,11 @@ func (l *LarusHilfinger) DepTest(q core.Query) core.Result {
 		}
 	}
 
-	alpha := alphabetFor(l.axioms, x, y)
-	dx, err := l.dfas.DFA(pathexpr.Intern(x), alpha)
+	disjoint, err := l.dfas.Disjoint(pathexpr.Intern(x), pathexpr.Intern(y), alphabetFor(l.axioms, x, y))
 	if err != nil {
-		return core.Maybe
+		return core.Maybe // a compile or the product blew the state budget
 	}
-	dy, err := l.dfas.DFA(pathexpr.Intern(y), alpha)
-	if err != nil {
-		return core.Maybe
-	}
-	inter := dx.Intersect(dy)
-	if inter.IsEmpty() {
+	if disjoint {
 		return core.No
 	}
 	// Identical singleton expressions denote one vertex: definite conflict.

@@ -48,6 +48,27 @@ func TestCheckSetSelfContradiction(t *testing.T) {
 	}
 }
 
+// TestCheckSetProductOverBudget is the regression test for a panic: both
+// sides of (a^127)* <> (a^131)* compile within the state budget, but their
+// product has lcm(127, 131) = 16,637 states.  CheckSet must report the same
+// Warning it gives for an over-budget compile, not panic.
+func TestCheckSetProductOverBudget(t *testing.T) {
+	set := axiom.MustParseSet("T", "A1: forall p, "+cyclePower("a", 127)+" <> "+cyclePower("a", 131))
+	diags := CheckSet(set)
+	d := findDiag(diags, "too large to compile")
+	if d == nil || d.Severity != Warning {
+		t.Fatalf("want an over-budget Warning, got %v", diags)
+	}
+	if findDiag(diags, "self-contradictory") != nil {
+		t.Errorf("an undecided product reported a contradiction: %v", diags)
+	}
+}
+
+// cyclePower renders p.(f.f.….f)* with n copies of f.
+func cyclePower(f string, n int) string {
+	return "p.(" + strings.TrimSuffix(strings.Repeat(f+".", n), ".") + ")*"
+}
+
 func TestCheckSetEqualityContradiction(t *testing.T) {
 	set := axiom.MustParseSet("T", `
 		A1: forall p, p.l <> p.r

@@ -87,7 +87,14 @@ func CheckSet(set *axiom.Set) []Diagnostic {
 			}
 		}
 		if a.Form == axiom.SameSrcDisjoint && !sides[0] && !sides[1] {
-			if w, ok := d1.Intersect(d2).Witness(); ok {
+			// The witness needs the product automaton itself, built under
+			// the same budget as the compiles.
+			both, err := d1.IntersectLimit(d2, automata.DefaultStateLimit)
+			if err != nil {
+				report(Warning, "axiom %s: path expression too large to compile; consistency not checked", a.Name)
+				continue
+			}
+			if w, ok := both.Witness(); ok {
 				report(Error,
 					"axiom %s is self-contradictory: both sides accept the path %q, so it asserts p.%s <> p.%s — a vertex distinct from itself",
 					a.Name, wordString(w), wordString(w), wordString(w))
