@@ -101,8 +101,8 @@ obs-check:
 	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestGaugeFunc|TestTraceparent|TestRequestTrace|TestStreamingTrace|TestMetricsPrometheus|TestMetricsCountersNeverGoBackwards|TestAccessLog' \
 		./internal/telemetry ./internal/serve
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestWindowHistogram' ./internal/telemetry
-	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestColdDecisionAllocations' \
-		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata
+	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestColdDecisionAllocations|TestFrontEndAllocations' \
+		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata ./internal/analysis
 	$(GO) test -race -run 'TestDegradedCountersSplitByReason|TestCountOnce|TestOneSpanModel' ./internal/engine
 
 # Fixed-seed differential fuzzing smoke: generate scenario programs over all

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -157,13 +156,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *apm {
-		var labels []string
-		for l := range res.APMs {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		for _, l := range labels {
-			fmt.Fprintf(stdout, "at %s:\n%s\n", l, res.APMs[l])
+		for _, l := range res.Labels() {
+			fmt.Fprintf(stdout, "at %s:\n%s\n", l, res.APM(l))
 		}
 		if *from == "" && *loop == "" {
 			return 0

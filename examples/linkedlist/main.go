@@ -52,8 +52,8 @@ func main() {
 	fmt.Println("accesses found at U:")
 	for _, a := range res.AccessesAt("U") {
 		fmt.Printf("  %s->%s (write=%v), paths:\n", a.Var, a.Field, a.IsWrite)
-		for h, p := range a.Paths {
-			fmt.Printf("    %s.%s\n", h, p)
+		for _, p := range a.Paths {
+			fmt.Printf("    %s.%s\n", p.Handle, p.Path)
 		}
 	}
 

@@ -23,6 +23,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -70,11 +71,12 @@ type Access struct {
 	Field   string
 	Type    string // struct type of *var
 	IsWrite bool
-	// Paths maps handle name to the access path of Var at this point.
-	Paths map[string]pathexpr.Expr
-	// IterDeltas maps a synthetic loop-iteration handle (present in Paths)
-	// to the loop's per-iteration increment for Var's anchor.
-	IterDeltas map[string]pathexpr.Expr
+	// Paths holds the access path of Var at this point from each handle
+	// that anchors it.
+	Paths HandlePaths
+	// IterDeltas holds, for each synthetic loop-iteration handle in Paths,
+	// the loop's per-iteration increment for Var's anchor.
+	IterDeltas HandlePaths
 	// ModEpoch is the number of structural modification sites executed
 	// before this access (in straight-line order).
 	ModEpoch int
@@ -93,6 +95,29 @@ type Access struct {
 	Pos       lang.Pos
 }
 
+// HandlePath is one handle's entry in a HandlePaths.
+type HandlePath struct {
+	Handle string
+	Path   pathexpr.Expr
+}
+
+// HandlePaths maps handle names to paths as a slice sorted by handle name,
+// one entry per handle.
+type HandlePaths []HandlePath
+
+// Get returns the path for handle h, if present.
+func (ps HandlePaths) Get(h string) (pathexpr.Expr, bool) {
+	for _, p := range ps {
+		if p.Handle >= h {
+			if p.Handle == h {
+				return p.Path, true
+			}
+			break
+		}
+	}
+	return nil, false
+}
+
 // ModSite is one structural modification: a store to a pointer field.
 type ModSite struct {
 	Epoch int
@@ -106,53 +131,79 @@ type Result struct {
 	Fn       *lang.FuncDecl
 	Accesses []Access
 	Mods     []ModSite
-	// APMs holds the access path matrix captured just before each labeled
-	// statement, keyed by label.
-	APMs map[string]*APM
 	// Axioms is the merged axiom set of every struct the function touches,
 	// plus inferred type-disjointness axioms when enabled.
 	Axioms *axiom.Set
 	opts   Options
+	// apms holds the access path matrix captured just before each labeled
+	// statement, keyed by label.
+	apms map[string]*APM
 }
 
-// APM is a snapshot of the access path matrix: rows are handles, columns are
-// pointer variables.
-type APM struct {
-	// Cells maps handle -> var -> path.
-	Cells map[string]map[string]pathexpr.Expr
-}
+// APM returns the access path matrix captured just before the statement
+// with the given label, nil when no statement carries it.
+func (r *Result) APM(label string) *APM { return r.apms[label] }
 
-// Lookup returns the path for (handle, variable), if present.
-func (m *APM) Lookup(handle, v string) (pathexpr.Expr, bool) {
-	row, ok := m.Cells[handle]
-	if !ok {
-		return nil, false
-	}
-	p, ok := row[v]
-	return p, ok
-}
-
-// Handles returns the sorted handle names.
-func (m *APM) Handles() []string {
-	out := make([]string, 0, len(m.Cells))
-	for h := range m.Cells {
-		out = append(out, h)
+// Labels returns the labels that have an APM, sorted.
+func (r *Result) Labels() []string {
+	out := make([]string, 0, len(r.apms))
+	for l := range r.apms {
+		out = append(out, l)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Vars returns the sorted variable names mentioned in any row.
-func (m *APM) Vars() []string {
-	set := map[string]bool{}
-	for _, row := range m.Cells {
-		for v := range row {
-			set[v] = true
+// APM is a snapshot of the access path matrix: rows are handles, columns
+// are pointer variables.  It keeps a copy of the walk's dense cells and
+// names their rows and columns.
+type APM struct {
+	st      state
+	handles []string
+	vars    []string
+}
+
+// Lookup returns the path for (handle, variable), if present.
+func (m *APM) Lookup(handle, v string) (pathexpr.Expr, bool) {
+	h, c := slices.Index(m.handles, handle), slices.Index(m.vars, v)
+	if h < 0 || c < 0 {
+		return nil, false
+	}
+	if p := m.st.get(h, c); p != nil {
+		return p.Expr(), true
+	}
+	return nil, false
+}
+
+// rowUsed reports whether handle h anchors any variable.
+func (m *APM) rowUsed(h int) bool {
+	for v := range m.vars {
+		if m.st.get(h, v) != nil {
+			return true
 		}
 	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
+	return false
+}
+
+// Handles returns the sorted names of the handles anchoring any variable.
+func (m *APM) Handles() []string {
+	var out []string
+	for h, name := range m.handles {
+		if m.rowUsed(h) {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Vars returns the sorted names of the variables any handle anchors.
+func (m *APM) Vars() []string {
+	var out []string
+	for v, name := range m.vars {
+		if m.st.hasVar(v) {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -171,7 +222,7 @@ func (m *APM) String() string {
 		b.WriteString(h)
 		for _, v := range vars {
 			b.WriteByte('\t')
-			if p, ok := m.Cells[h][v]; ok {
+			if p, ok := m.Lookup(h, v); ok {
 				b.WriteString(pathexpr.Compact(p))
 			}
 		}

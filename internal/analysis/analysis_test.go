@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,7 +53,7 @@ func analyzeSection33(t *testing.T, opts Options) *Result {
 // _hroot anchors root via L and p via LLN, while _hp anchors p via N.
 func TestSection33_APMAtS(t *testing.T) {
 	r := analyzeSection33(t, Options{})
-	apm := r.APMs["S"]
+	apm := r.APM("S")
 	if apm == nil {
 		t.Fatal("no APM at S")
 	}
@@ -68,13 +69,13 @@ func TestSection33_APMAtS(t *testing.T) {
 // handle _hp is destroyed (it anchors nothing) and _hp2 appears with ε.
 func TestSection33_APMAtI(t *testing.T) {
 	r := analyzeSection33(t, Options{})
-	apm := r.APMs["I"]
+	apm := r.APM("I")
 	if apm == nil {
 		t.Fatal("no APM at I")
 	}
 	assertCell(t, apm, "_hroot", "p", "L")
 	assertCell(t, apm, "_hp2", "p", "ε")
-	if _, ok := apm.Cells["_hp"]; ok {
+	if slices.Contains(apm.Handles(), "_hp") {
 		t.Error("_hp should have been destroyed once p was reassigned")
 	}
 	// The paper's printed table blanks root's cell; the value L remains
@@ -86,7 +87,7 @@ func TestSection33_APMAtI(t *testing.T) {
 // _hroot and via N from _hq.
 func TestSection33_APMAtT(t *testing.T) {
 	r := analyzeSection33(t, Options{})
-	apm := r.APMs["T"]
+	apm := r.APM("T")
 	if apm == nil {
 		t.Fatal("no APM at T")
 	}
@@ -182,8 +183,7 @@ U:		q->f = fun();
 		}
 	}
 	// The widened post-loop path of q survives the loop.
-	uPaths := accs[0].Paths
-	if got := uPaths["_hhead"].String(); got != "link*" {
+	if got, _ := accs[0].Paths.Get("_hhead"); got == nil || got.String() != "link*" {
 		t.Errorf("q path from _hhead inside loop = %s, want link*", got)
 	}
 }
@@ -240,7 +240,7 @@ X:	p->d = 1;
 	if err != nil {
 		t.Fatal(err)
 	}
-	apm := r.APMs["X"]
+	apm := r.APM("X")
 	p, ok := apm.Lookup("_ha", "p")
 	if !ok {
 		t.Fatalf("no merged path for p:\n%s", apm)
@@ -326,11 +326,11 @@ X:	p->f = 1;
 		t.Fatalf("accesses: %+v", accs)
 	}
 	// p's path a.link was invalidated; only its own ε anchor remains.
-	for h, p := range accs[0].Paths {
-		if h == "_hp" {
+	for _, p := range accs[0].Paths {
+		if p.Handle == "_hp" {
 			continue
 		}
-		t.Errorf("stale path %s.%s survived the modification", h, p)
+		t.Errorf("stale path %s.%s survived the modification", p.Handle, p.Path)
 	}
 }
 
@@ -516,7 +516,7 @@ X:	e->val = 1.0;
 
 func TestAPMString(t *testing.T) {
 	r := analyzeSection33(t, Options{})
-	out := r.APMs["S"].String()
+	out := r.APM("S").String()
 	for _, want := range []string{"_hroot", "_hp", "LLN"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("APM table missing %q:\n%s", want, out)

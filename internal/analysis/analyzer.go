@@ -2,8 +2,10 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/automata"
 	"repro/internal/axiom"
@@ -39,7 +41,7 @@ func Analyze(prog *lang.Program, fnName string, opts Options) (*Result, error) {
 		summaries: summaries,
 		res: &Result{
 			Fn:   fn,
-			APMs: make(map[string]*APM),
+			apms: make(map[string]*APM),
 			opts: opts,
 		},
 		record:    true,
@@ -68,7 +70,7 @@ func Analyze(prog *lang.Program, fnName string, opts Options) (*Result, error) {
 		telemetry.String("fn", fnName),
 		telemetry.Int("accesses", len(a.res.Accesses)),
 		telemetry.Int("mods", len(a.res.Mods)),
-		telemetry.Int("apms", len(a.res.APMs)),
+		telemetry.Int("apms", len(a.res.apms)),
 		telemetry.Int("loops", a.loopID),
 		telemetry.Int("axioms", a.res.Axioms.Len()),
 		telemetry.Int("widen_checks", a.widenChecks),
@@ -146,9 +148,11 @@ type analyzer struct {
 	widenChecks int
 	// The matrix numbering: handle and pointer-variable names by ID, and
 	// the reverse maps.  Variables are numbered up front (numberVars),
-	// handles as the walk creates them.
+	// handles as the walk creates them; byName lists the handle IDs in
+	// name order.
 	handleName []string
 	handleID   map[string]int
+	byName     []int
 	colName    []string
 	colID      map[string]int
 	// trace receives the analysis.widen events, parented under span (the
@@ -202,7 +206,9 @@ func (a *analyzer) branchRefs(st *state, atoms []guard.Atom) []guard.Ref {
 		if at.EqX != "" && a.isPointerVar(at.EqX) && a.isPointerVar(at.EqY) {
 			xp, yp := a.paths(st, at.EqX), a.paths(st, at.EqY)
 			if h, ok := commonHandle(xp, yp); ok {
-				eq = &guard.Fact{X: at.EqX, Y: at.EqY, XPath: xp[h], YPath: yp[h], Handle: h}
+				xh, _ := xp.Get(h)
+				yh, _ := yp.Get(h)
+				eq = &guard.Fact{X: at.EqX, Y: at.EqY, XPath: xh, YPath: yh, Handle: h}
 			}
 		}
 		p := guard.Intern(at.Canon, a.ver.Version(at.Vars, at.Fields), at.Vars, at.Fields, eq)
@@ -302,6 +308,10 @@ func (a *analyzer) handle(name string) int {
 	h := len(a.handleName)
 	a.handleID[name] = h
 	a.handleName = append(a.handleName, name)
+	i, _ := slices.BinarySearchFunc(a.byName, name, func(id int, name string) int {
+		return strings.Compare(a.handleName[id], name)
+	})
+	a.byName = slices.Insert(a.byName, i, h)
 	return h
 }
 
@@ -313,37 +323,39 @@ func (a *analyzer) freshHandle(v string) int {
 	return a.handle("_h" + v + strconv.Itoa(a.counters[v]))
 }
 
-// paths materializes v's column as the exported handle→path map.
-func (a *analyzer) paths(st *state, v string) map[string]pathexpr.Expr {
-	out := make(map[string]pathexpr.Expr)
+// paths materializes v's column as the exported handle-sorted paths.
+func (a *analyzer) paths(st *state, v string) HandlePaths {
 	c, ok := a.colID[v]
 	if !ok {
-		return out
+		return nil
 	}
+	n := 0
 	for h := 0; h < st.rows(); h++ {
+		if st.get(h, c) != nil {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make(HandlePaths, 0, n)
+	for _, h := range a.byName {
 		if p := st.get(h, c); p != nil {
-			out[a.handleName[h]] = p.Expr()
+			out = append(out, HandlePath{a.handleName[h], p.Expr()})
 		}
 	}
 	return out
 }
 
-// snapshot materializes the state as an exported APM.
+// snapshot copies the state's cells into an APM that names its rows and
+// columns.  Handle names are never rewritten, so the APM shares them.
 func (a *analyzer) snapshot(st *state) *APM {
-	m := &APM{Cells: make(map[string]map[string]pathexpr.Expr)}
-	for h := 0; h < st.rows(); h++ {
-		var row map[string]pathexpr.Expr
-		for v := 0; v < st.nv; v++ {
-			if p := st.get(h, v); p != nil {
-				if row == nil {
-					row = make(map[string]pathexpr.Expr)
-					m.Cells[a.handleName[h]] = row
-				}
-				row[a.colName[v]] = p.Expr()
-			}
-		}
+	n := len(a.handleName)
+	return &APM{
+		st:      state{cells: slices.Clone(st.cells), nv: st.nv},
+		handles: a.handleName[:n:n],
+		vars:    a.colName,
 	}
-	return m
 }
 
 // derive rebinds column x to column src, each path extended by suffix (nil
@@ -413,7 +425,7 @@ func (a *analyzer) walkStmt(st *state, s lang.Stmt) *state {
 	if lbl := s.Label(); lbl != "" && a.record {
 		// The paper: the APM at a point holds paths traversed up to, but not
 		// including, that point.
-		a.res.APMs[lbl] = a.snapshot(st)
+		a.res.apms[lbl] = a.snapshot(st)
 	}
 	a.ordinal++
 
@@ -856,23 +868,47 @@ func (a *analyzer) recordAccess(st *state, label, v, field string, isWrite bool,
 	acc.Guards = guard.Canon(a.guards)
 	acc.InvGuards = acc.Guards
 	if len(a.loops) > 0 {
-		acc.IterDeltas = make(map[string]pathexpr.Expr)
-		modSet := map[string]bool{}
+		acc.IterDeltas = a.iterDeltas(acc.Paths)
 		for _, lc := range a.loops {
-			for _, it := range lc.iterDeltas {
-				if name := a.handleName[it.h]; acc.Paths[name] != nil {
-					acc.IterDeltas[name] = it.d
-				}
-			}
 			for f := range lc.modFields {
-				modSet[f] = true
+				acc.LoopModFields = append(acc.LoopModFields, f)
 			}
 			acc.InvGuards = acc.InvGuards.Filter(lc.invariant)
 		}
-		for f := range modSet {
-			acc.LoopModFields = append(acc.LoopModFields, f)
-		}
-		sort.Strings(acc.LoopModFields)
+		slices.Sort(acc.LoopModFields)
+		acc.LoopModFields = slices.Compact(acc.LoopModFields)
 	}
 	a.res.Accesses = append(a.res.Accesses, acc)
+}
+
+// iterDeltas returns the increments of the enclosing loops' iteration
+// handles that anchor paths, in handle order.
+func (a *analyzer) iterDeltas(paths HandlePaths) HandlePaths {
+	delta := func(name string) (pathexpr.Expr, bool) {
+		h := a.handleID[name]
+		for _, lc := range a.loops {
+			for _, it := range lc.iterDeltas {
+				if it.h == h {
+					return it.d, true
+				}
+			}
+		}
+		return nil, false
+	}
+	n := 0
+	for _, p := range paths {
+		if _, ok := delta(p.Handle); ok {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make(HandlePaths, 0, n)
+	for _, p := range paths {
+		if d, ok := delta(p.Handle); ok {
+			out = append(out, HandlePath{p.Handle, d})
+		}
+	}
+	return out
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/automata"
 	"repro/internal/guard"
 	"repro/internal/lang"
-	"repro/internal/pathexpr"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/apm.golden")
@@ -50,13 +49,8 @@ var goldenConfigs = []struct {
 // renderResult writes everything the walk records for one function in a
 // form independent of map order and of process-global interning order.
 func renderResult(b *strings.Builder, r *Result) {
-	labels := make([]string, 0, len(r.APMs))
-	for l := range r.APMs {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		fmt.Fprintf(b, "-- APM %s\n%s", l, r.APMs[l].String())
+	for _, l := range r.Labels() {
+		fmt.Fprintf(b, "-- APM %s\n%s", l, r.APM(l).String())
 	}
 	for i, a := range r.Accesses {
 		rw := "read"
@@ -82,14 +76,9 @@ func renderResult(b *strings.Builder, r *Result) {
 	}
 }
 
-func writePathMap(b *strings.Builder, kind string, m map[string]pathexpr.Expr) {
-	hs := make([]string, 0, len(m))
-	for h := range m {
-		hs = append(hs, h)
-	}
-	sort.Strings(hs)
-	for _, h := range hs {
-		fmt.Fprintf(b, "   %s %s = %s\n", kind, h, m[h])
+func writePathMap(b *strings.Builder, kind string, ps HandlePaths) {
+	for _, p := range ps {
+		fmt.Fprintf(b, "   %s %s = %s\n", kind, p.Handle, p.Path)
 	}
 }
 

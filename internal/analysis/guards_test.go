@@ -54,13 +54,13 @@ func analyzeGuarded(t *testing.T, src, fn string) *Result {
 	return r
 }
 
-func singleAccess(t *testing.T, r *Result, label string) Access {
+func singleAccess(t *testing.T, r *Result, label string) *Access {
 	t.Helper()
 	accs := r.AccessesAt(label)
 	if len(accs) != 1 {
 		t.Fatalf("label %s: %d accesses, want 1", label, len(accs))
 	}
-	return accs[0]
+	return &accs[0]
 }
 
 func TestGuardsAttachWithSigns(t *testing.T) {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,11 +105,11 @@ X:	p->d = 1;
 	if err != nil {
 		t.Fatal(err)
 	}
-	apm := res.APMs["X"]
-	if _, ok := apm.Cells["_hp2"]; !ok {
+	apm := res.APM("X")
+	if !slices.Contains(apm.Handles(), "_hp2") {
 		t.Errorf("expected second handle _hp2:\n%s", apm)
 	}
-	if _, ok := apm.Cells["_hp"]; ok {
+	if slices.Contains(apm.Handles(), "_hp") {
 		t.Errorf("first handle should be dead:\n%s", apm)
 	}
 }

@@ -152,8 +152,8 @@ func TestCalleeMutationInvalidatesPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, acc := range res.AccessesAt("T") {
-		for h := range acc.Paths {
-			if h == "_hhead" {
+		for _, p := range acc.Paths {
+			if p.Handle == "_hhead" {
 				t.Errorf("head-relative path for x survived the callee's link store")
 			}
 		}

@@ -56,29 +56,42 @@ func (r *Result) windowAxioms(epochS, epochT int, extraFields []string) *axiom.S
 	return r.Axioms.WithoutFields(fields...)
 }
 
-// commonHandle picks a handle shared by both path maps.  Synthetic
+// hasAccessAt reports whether any access was recorded at label.
+func (r *Result) hasAccessAt(label string) bool {
+	for i := range r.Accesses {
+		if r.Accesses[i].Label == label {
+			return true
+		}
+	}
+	return false
+}
+
+// commonHandle picks a handle shared by both path sets.  Synthetic
 // iteration handles are preferred: for two accesses in the same iteration
 // they anchor the shortest (most precise) paths.  Straight-line code has no
-// iteration handles, so the choice is inert there.  Names sort for
-// determinism.  ok is false when the accesses share no anchor.
-func commonHandle(a, b map[string]pathexpr.Expr) (string, bool) {
-	var shared []string
-	for h := range a {
-		if _, ok := b[h]; ok {
-			shared = append(shared, h)
+// iteration handles, so the choice is inert there.  Among equals the first
+// name wins, for determinism.  ok is false when the accesses share no
+// anchor.
+func commonHandle(a, b HandlePaths) (string, bool) {
+	first := ""
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch ha, hb := a[i].Handle, b[j].Handle; {
+		case ha < hb:
+			i++
+		case ha > hb:
+			j++
+		default:
+			if strings.HasPrefix(ha, "_it") {
+				return ha, true
+			}
+			if first == "" {
+				first = ha
+			}
+			i++
+			j++
 		}
 	}
-	if len(shared) == 0 {
-		return "", false
-	}
-	sort.Slice(shared, func(i, j int) bool {
-		ii, ij := strings.HasPrefix(shared[i], "_it"), strings.HasPrefix(shared[j], "_it")
-		if ii != ij {
-			return ii
-		}
-		return shared[i] < shared[j]
-	})
-	return shared[0], true
+	return first, first != ""
 }
 
 // QueriesBetween builds the dependence queries from statement S to statement
@@ -86,30 +99,35 @@ func commonHandle(a, b map[string]pathexpr.Expr) (string, bool) {
 // with at least one write.  Both accesses must share a handle — the paper's
 // "scan the APMs for a handle common to both p and q".
 func (r *Result) QueriesBetween(labelS, labelT string) ([]core.Query, error) {
-	sAccs := r.AccessesAt(labelS)
-	tAccs := r.AccessesAt(labelT)
-	if len(sAccs) == 0 {
+	if !r.hasAccessAt(labelS) {
 		return nil, fmt.Errorf("analysis: no accesses at label %q", labelS)
 	}
-	if len(tAccs) == 0 {
+	if !r.hasAccessAt(labelT) {
 		return nil, fmt.Errorf("analysis: no accesses at label %q", labelT)
 	}
 	var out []core.Query
-	for _, s := range sAccs {
-		for _, t := range tAccs {
-			if !s.IsWrite && !t.IsWrite {
+	for i := range r.Accesses {
+		s := &r.Accesses[i]
+		if s.Label != labelS {
+			continue
+		}
+		for j := range r.Accesses {
+			t := &r.Accesses[j]
+			if t.Label != labelT || (!s.IsWrite && !t.IsWrite) {
 				continue
 			}
 			axioms := r.windowAxioms(s.ModEpoch, t.ModEpoch, nil)
 			if h, ok := commonHandle(s.Paths, t.Paths); ok {
+				sp, _ := s.Paths.Get(h)
+				tp, _ := t.Paths.Get(h)
 				out = append(out, core.Query{
 					Axioms: axioms,
 					S: core.Access{
-						Handle: h, Path: s.Paths[h], Field: s.Field,
+						Handle: h, Path: sp, Field: s.Field,
 						Type: s.Type, IsWrite: s.IsWrite,
 					},
 					T: core.Access{
-						Handle: h, Path: t.Paths[h], Field: t.Field,
+						Handle: h, Path: tp, Field: t.Field,
 						Type: t.Type, IsWrite: t.IsWrite,
 					},
 					// Straight-line S→T: both sides belong to one execution
@@ -133,11 +151,11 @@ func (r *Result) QueriesBetween(labelS, labelT string) ([]core.Query, error) {
 				Axioms:   axioms,
 				Relation: core.UnknownHandles,
 				S: core.Access{
-					Handle: hs, Path: s.Paths[hs], Field: s.Field,
+					Handle: hs.Handle, Path: hs.Path, Field: s.Field,
 					Type: s.Type, IsWrite: s.IsWrite,
 				},
 				T: core.Access{
-					Handle: ht, Path: t.Paths[ht], Field: t.Field,
+					Handle: ht.Handle, Path: ht.Path, Field: t.Field,
 					Type: t.Type, IsWrite: t.IsWrite,
 				},
 				SGuards: s.Guards,
@@ -151,17 +169,19 @@ func (r *Result) QueriesBetween(labelS, labelT string) ([]core.Query, error) {
 	return out, nil
 }
 
-// anyHandle picks the deterministic first handle of a path map, preferring
-// the longest path (most structural information).
-func anyHandle(paths map[string]pathexpr.Expr) (string, bool) {
-	best := ""
-	bestSize := -1
-	for h, p := range paths {
-		if s := p.Size(); s > bestSize || (s == bestSize && h < best) {
-			best, bestSize = h, s
+// anyHandle picks the entry with the longest path (most structural
+// information), the first name among equals.
+func anyHandle(paths HandlePaths) (HandlePath, bool) {
+	best, bestSize := -1, -1
+	for i, p := range paths {
+		if s := p.Path.Size(); s > bestSize {
+			best, bestSize = i, s
 		}
 	}
-	return best, best != ""
+	if best < 0 {
+		return HandlePath{}, false
+	}
+	return paths[best], true
 }
 
 // LoopCarriedQueries builds the loop-carried self-dependence queries for the
@@ -170,13 +190,14 @@ func anyHandle(paths map[string]pathexpr.Expr) (string, bool) {
 // and increment δ, iterations i < j access h.A and h.δ⁺A from the synthetic
 // iteration handle h (§5's formulation).
 func (r *Result) LoopCarriedQueries(label string) ([]core.Query, error) {
-	accs := r.AccessesAt(label)
-	if len(accs) == 0 {
+	if !r.hasAccessAt(label) {
 		return nil, fmt.Errorf("analysis: no accesses at label %q", label)
 	}
 	var out []core.Query
-	for _, a := range accs {
-		out = append(out, r.LoopCarriedSelf(a)...)
+	for i := range r.Accesses {
+		if a := &r.Accesses[i]; a.Label == label {
+			out = append(out, r.LoopCarriedSelf(a)...)
+		}
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("analysis: label %q has no written access inside an analyzable loop", label)
@@ -187,20 +208,20 @@ func (r *Result) LoopCarriedQueries(label string) ([]core.Query, error) {
 // LoopCarriedSelf builds the loop-carried self-dependence queries for one
 // recorded access: nil unless the access writes inside a loop with an
 // analyzable induction variable.
-func (r *Result) LoopCarriedSelf(a Access) []core.Query {
+func (r *Result) LoopCarriedSelf(a *Access) []core.Query {
 	if !a.IsWrite {
 		// A read conflicts across iterations only with writes; the
 		// write access produces those queries.
 		return nil
 	}
 	var out []core.Query
-	for _, ih := range sortedHandles(a.IterDeltas) {
-		delta := a.IterDeltas[ih]
+	for _, it := range a.IterDeltas {
 		axioms := r.Axioms
 		if !r.opts.AssumeLoopInvariants {
 			axioms = r.windowAxioms(0, 0, a.LoopModFields)
 		}
-		q := core.LoopCarried(axioms, ih, delta, a.Paths[ih], a.Field, a.IsWrite)
+		path, _ := a.Paths.Get(it.Handle)
+		q := core.LoopCarried(axioms, it.Handle, it.Path, path, a.Field, a.IsWrite)
 		q.S.Type, q.T.Type = a.Type, a.Type
 		// Both sides are the same access, so both carry its full guard
 		// set: a syntactic conflict can only arise from a set that
@@ -213,27 +234,20 @@ func (r *Result) LoopCarriedSelf(a Access) []core.Query {
 	return out
 }
 
-// sortedHandles returns the handles of an iteration-delta map in name
-// order, so the queries built from it come out in one order on every run.
-func sortedHandles(m map[string]pathexpr.Expr) []string {
-	hs := make([]string, 0, len(m))
-	for h := range m {
-		hs = append(hs, h)
-	}
-	sort.Strings(hs)
-	return hs
-}
-
 // LoopCarriedBetween builds cross-iteration queries between two statements
 // in the same loop: statement S at iteration i against statement T at a
 // later iteration j > i.
 func (r *Result) LoopCarriedBetween(labelS, labelT string) ([]core.Query, error) {
-	sAccs := r.AccessesAt(labelS)
-	tAccs := r.AccessesAt(labelT)
 	var out []core.Query
-	for _, s := range sAccs {
-		for _, t := range tAccs {
-			out = append(out, r.LoopCarriedPair(s, t)...)
+	for i := range r.Accesses {
+		s := &r.Accesses[i]
+		if s.Label != labelS {
+			continue
+		}
+		for j := range r.Accesses {
+			if t := &r.Accesses[j]; t.Label == labelT {
+				out = append(out, r.LoopCarriedPair(s, t)...)
+			}
 		}
 	}
 	if len(out) == 0 {
@@ -246,28 +260,29 @@ func (r *Result) LoopCarriedBetween(labelS, labelT string) ([]core.Query, error)
 // accesses of the same loop (s at iteration i, t at iteration j > i): one
 // per iteration handle the two accesses advance in lockstep.  Nil when
 // neither access writes or the accesses share no induction handle.
-func (r *Result) LoopCarriedPair(s, t Access) []core.Query {
+func (r *Result) LoopCarriedPair(s, t *Access) []core.Query {
 	if !s.IsWrite && !t.IsWrite {
 		return nil
 	}
 	var out []core.Query
-	for _, ih := range sortedHandles(s.IterDeltas) {
-		delta := s.IterDeltas[ih]
-		tPath, ok := t.Paths[ih]
+	for _, it := range s.IterDeltas {
+		ih, delta := it.Handle, it.Path
+		tPath, ok := t.Paths.Get(ih)
 		if !ok {
 			continue
 		}
-		if td, ok := t.IterDeltas[ih]; !ok || !pathexpr.Equal(td, delta) {
+		if td, ok := t.IterDeltas.Get(ih); !ok || !pathexpr.Equal(td, delta) {
 			continue
 		}
 		axioms := r.Axioms
 		if !r.opts.AssumeLoopInvariants {
 			axioms = r.windowAxioms(0, 0, append(append([]string{}, s.LoopModFields...), t.LoopModFields...))
 		}
+		sPath, _ := s.Paths.Get(ih)
 		out = append(out, core.Query{
 			Axioms: axioms,
 			S: core.Access{
-				Handle: ih, Path: s.Paths[ih], Field: s.Field,
+				Handle: ih, Path: sPath, Field: s.Field,
 				Type: s.Type, IsWrite: s.IsWrite,
 			},
 			T: core.Access{

@@ -171,10 +171,10 @@ func TestSection5_InnerLoopHandles(t *testing.T) {
 	accs := res.AccessesAt("S")
 	for _, a := range accs {
 		foundInner := false
-		for h, d := range a.IterDeltas {
-			if d.String() == "ncolE" {
+		for _, d := range a.IterDeltas {
+			if d.Path.String() == "ncolE" {
 				foundInner = true
-				if got := a.Paths[h].String(); got != "ε" {
+				if got, _ := a.Paths.Get(d.Handle); got == nil || got.String() != "ε" {
 					t.Errorf("inner-iteration path = %s, want ε", got)
 				}
 			}

@@ -12,8 +12,7 @@ package automata
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 
 	"repro/internal/pathexpr"
@@ -28,16 +27,16 @@ type Alphabet struct {
 	id      uint64
 }
 
-// alphaIDs interns alphabet keys to stable 64-bit IDs, so two Alphabet
-// values built from the same symbol set (distinct pointers, equal keys)
-// share an identity and the DFA caches can key on integers instead of
-// concatenating key strings per lookup.
+// alphaIDs interns alphabets by key, so two alphabets built from the same
+// symbol set are one *Alphabet with one stable 64-bit ID, and the DFA caches
+// can key on integers instead of concatenating key strings per lookup.
+// Alphabets are read-only once built, so one value serves every caller.
 var alphaIDs = struct {
-	mu   sync.Mutex
-	ids  map[string]uint64
-	keys map[uint64]string
-	next uint64
-}{ids: make(map[string]uint64), keys: make(map[uint64]string)}
+	mu    sync.Mutex
+	byKey map[string]*Alphabet
+	byID  map[uint64]*Alphabet
+	next  uint64
+}{byKey: make(map[string]*Alphabet), byID: make(map[uint64]*Alphabet)}
 
 // alphabetKeyByID reverses the alphabet-ID registry: given an ID handed out
 // by NewAlphabet, it returns the canonical space-joined symbol key.  The
@@ -45,39 +44,52 @@ var alphaIDs = struct {
 // back into serializable symbol lists.
 func alphabetKeyByID(id uint64) (string, bool) {
 	alphaIDs.mu.Lock()
-	key, ok := alphaIDs.keys[id]
+	a, ok := alphaIDs.byID[id]
 	alphaIDs.mu.Unlock()
-	return key, ok
+	if !ok {
+		return "", false
+	}
+	return a.key, true
 }
 
-// NewAlphabet builds an alphabet from the given field names, deduplicating
-// and sorting them.
+// NewAlphabet returns the alphabet of the given field names, deduplicated
+// and sorted.  An alphabet seen before is returned as is; a new one is
+// built, with its symbol index, on first sight.
 func NewAlphabet(fields ...string) *Alphabet {
-	seen := make(map[string]bool, len(fields))
-	var syms []string
-	for _, f := range fields {
-		if f == "" || seen[f] {
-			continue
-		}
-		seen[f] = true
-		syms = append(syms, f)
+	var symBuf [16]string
+	syms := append(symBuf[:0], fields...)
+	slices.Sort(syms)
+	syms = slices.Compact(syms)
+	if len(syms) > 0 && syms[0] == "" {
+		syms = syms[1:]
 	}
-	sort.Strings(syms)
-	idx := make(map[string]int, len(syms))
+	var keyBuf [128]byte
+	key := keyBuf[:0]
 	for i, s := range syms {
-		idx[s] = i
+		if i > 0 {
+			key = append(key, ' ')
+		}
+		key = append(key, s...)
 	}
-	key := strings.Join(syms, " ")
 	alphaIDs.mu.Lock()
-	id, ok := alphaIDs.ids[key]
-	if !ok {
-		alphaIDs.next++
-		id = alphaIDs.next
-		alphaIDs.ids[key] = id
-		alphaIDs.keys[id] = key
+	defer alphaIDs.mu.Unlock()
+	if a, ok := alphaIDs.byKey[string(key)]; ok {
+		return a
 	}
-	alphaIDs.mu.Unlock()
-	return &Alphabet{symbols: syms, index: idx, key: key, id: id}
+	a := &Alphabet{
+		symbols: make([]string, len(syms)),
+		index:   make(map[string]int, len(syms)),
+		key:     string(key),
+	}
+	for i, s := range syms {
+		a.symbols[i] = s
+		a.index[s] = i
+	}
+	alphaIDs.next++
+	a.id = alphaIDs.next
+	alphaIDs.byKey[a.key] = a
+	alphaIDs.byID[a.id] = a
+	return a
 }
 
 // AlphabetOf builds the alphabet of all fields mentioned in the expressions.

@@ -33,6 +33,7 @@ func FuzzParse(f *testing.F) {
 		`void f() { x = y @ z; }`,
 		"/* unterminated", `"dangling`,
 		`void f() { x->a->b = 1; }`,
+		"int f() { }\x00 int g() { }",
 		strings.Repeat("(", 64) + strings.Repeat(")", 64),
 	}
 	for _, s := range seeds {

@@ -2,239 +2,298 @@ package lang
 
 import (
 	"unicode"
+	"unicode/utf8"
 )
 
-// Lexer tokenizes mini-C source.
-type Lexer struct {
-	src  []rune
-	pos  int
-	line int
-	col  int
+// eof is what the lexer reads past the end of the source.  It is not a
+// rune any input can contain, so a NUL byte is an ordinary (unexpected)
+// character rather than a silent end of input.
+const eof rune = -1
+
+// lexer tokenizes mini-C source on demand: each next call scans one token
+// out of src, and token texts are substrings of src.  The contents of an
+// "axioms { ... }" block form a different sub-language ('.', '|', '<>',
+// postfix '+'/'*'), so the block body comes out as a single raw STRING
+// token between the braces, re-parsed by package axiom.
+type lexer struct {
+	src string
+	// pos is the byte offset of the next rune; line and col are its
+	// position, col counting runes.
+	pos, line, col int
+	// axioms is the raw-block state: afterAxioms once 'axioms' has been
+	// scanned (a '{' must follow), inAxioms once that '{' has (the body
+	// comes next, as one STRING token).
+	axioms int
+	// err is the first lex error.  From then on every token is EOF.
+	err *ParseError
 }
 
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer {
-	return &Lexer{src: []rune(src), line: 1, col: 1}
+// Raw-block states of lexer.axioms.
+const (
+	outsideAxioms = iota
+	afterAxioms
+	inAxioms
+)
+
+func newLexer(src string) *lexer {
+	return &lexer{src: src, line: 1, col: 1}
 }
 
-// Tokens lexes the whole input, ending with an EOF token.  The contents of
-// an "axioms { ... }" block form a different sub-language ('.', '|', '<>',
-// postfix '+'/'*'), so the block body is emitted as a single raw STRING
-// token between the braces and re-parsed by package axiom.
-func (l *Lexer) Tokens() ([]Token, error) {
-	var out []Token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
+// next scans the next token.  On a lex error it records the error and
+// returns EOF, as it does for every call after.
+func (l *lexer) next() Token {
+	if l.err != nil {
+		return Token{Kind: EOF, Pos: l.here()}
+	}
+	switch l.axioms {
+	case afterAxioms:
+		t := l.scan()
+		if l.err == nil && t.Kind != LBrace {
+			return l.fail(parseErrorf(t.Pos, "expected '{' after axioms"))
 		}
-		out = append(out, t)
-		if t.Kind == EOF {
-			return out, nil
-		}
-		if t.Kind == KwAxioms {
-			open, err := l.next()
-			if err != nil {
-				return nil, err
-			}
-			if open.Kind != LBrace {
-				return nil, parseErrorf(open.Pos, "expected '{' after axioms")
-			}
-			out = append(out, open)
-			raw, closing, err := l.rawUntilBrace()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, raw, closing)
-		}
+		l.axioms = inAxioms
+		return t
+	case inAxioms:
+		l.axioms = outsideAxioms
+		return l.rawUntilBrace()
+	}
+	t := l.scan()
+	if t.Kind == KwAxioms {
+		l.axioms = afterAxioms
+	}
+	return t
+}
+
+// drain scans to the end of the source, so that a lex error anywhere in it
+// is recorded.
+func (l *lexer) drain() {
+	for l.next().Kind != EOF {
 	}
 }
 
-// rawUntilBrace consumes source text up to the matching '}' and returns it
-// as a STRING token followed by the RBrace token.
-func (l *Lexer) rawUntilBrace() (Token, Token, error) {
+func (l *lexer) fail(err *ParseError) Token {
+	l.err = err
+	return Token{Kind: EOF, Pos: err.Pos}
+}
+
+// rawUntilBrace consumes source text up to the matching '}', which it
+// leaves for the next scan, and returns the text as a STRING token.
+func (l *lexer) rawUntilBrace() Token {
 	start := l.here()
 	off := l.pos
 	depth := 1
 	for {
 		switch l.at() {
-		case 0:
-			return Token{}, Token{}, parseErrorf(start, "unterminated axioms block")
+		case eof:
+			return l.fail(parseErrorf(start, "unterminated axioms block"))
 		case '{':
 			depth++
 		case '}':
 			depth--
 			if depth == 0 {
-				raw := Token{Kind: STRING, Text: string(l.src[off:l.pos]), Pos: start, Off: off}
-				closePos := l.here()
-				closeOff := l.pos
-				l.advance()
-				return raw, Token{Kind: RBrace, Text: "}", Pos: closePos, Off: closeOff}, nil
+				return Token{Kind: STRING, Text: runeText(l.src[off:l.pos]), Pos: start}
 			}
 		}
 		l.advance()
 	}
 }
 
-func (l *Lexer) at() rune {
+// runeText returns s as the token text.  Invalid UTF-8 reads as one
+// U+FFFD per bad byte, as it does everywhere else in the lexer.
+func runeText(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	return string([]rune(s))
+}
+
+// at returns the rune at the read position, eof past the end.
+func (l *lexer) at() rune {
 	if l.pos >= len(l.src) {
-		return 0
+		return eof
 	}
-	return l.src[l.pos]
+	if c := l.src[l.pos]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+	return r
 }
 
-func (l *Lexer) peek(k int) rune {
-	if l.pos+k >= len(l.src) {
-		return 0
+// peek1 returns the rune after the one at the read position, eof past the
+// end.  It is meaningful only when the rune at the read position is ASCII,
+// the only case where a two-rune token can start.
+func (l *lexer) peek1() rune {
+	if l.pos+1 >= len(l.src) {
+		return eof
 	}
-	return l.src[l.pos+k]
+	if c := l.src[l.pos+1]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos+1:])
+	return r
 }
 
-func (l *Lexer) advance() {
-	if l.pos < len(l.src) {
-		if l.src[l.pos] == '\n' {
-			l.line++
-			l.col = 1
-		} else {
-			l.col++
-		}
+// advance moves past one rune: one column, or to the next line after a
+// newline.
+func (l *lexer) advance() {
+	if l.pos >= len(l.src) {
+		return
+	}
+	c := l.src[l.pos]
+	switch {
+	case c == '\n':
+		l.line++
+		l.col = 1
 		l.pos++
+		return
+	case c < utf8.RuneSelf:
+		l.pos++
+	default:
+		_, n := utf8.DecodeRuneInString(l.src[l.pos:])
+		l.pos += n
 	}
+	l.col++
 }
 
-func (l *Lexer) skipSpaceAndComments() error {
+func (l *lexer) skipSpaceAndComments() {
 	for {
-		switch {
-		case unicode.IsSpace(l.at()):
+		switch c := l.at(); {
+		case c == eof:
+			return
+		case unicode.IsSpace(c):
 			l.advance()
-		case l.at() == '/' && l.peek(1) == '/':
-			for l.at() != '\n' && l.at() != 0 {
+		case c == '/' && l.peek1() == '/':
+			for c := l.at(); c != '\n' && c != eof; c = l.at() {
 				l.advance()
 			}
-		case l.at() == '/' && l.peek(1) == '*':
+		case c == '/' && l.peek1() == '*':
 			start := l.here()
 			l.advance()
 			l.advance()
-			for !(l.at() == '*' && l.peek(1) == '/') {
-				if l.at() == 0 {
-					return parseErrorf(start, "unterminated block comment")
+			for !(l.at() == '*' && l.peek1() == '/') {
+				if l.at() == eof {
+					l.fail(parseErrorf(start, "unterminated block comment"))
+					return
 				}
 				l.advance()
 			}
 			l.advance()
 			l.advance()
 		default:
-			return nil
+			return
 		}
 	}
 }
 
-func (l *Lexer) here() Pos { return Pos{Line: l.line, Col: l.col} }
+func (l *lexer) here() Pos { return Pos{Line: l.line, Col: l.col} }
 
-func (l *Lexer) next() (Token, error) {
-	if err := l.skipSpaceAndComments(); err != nil {
-		return Token{}, err
+// scan lexes one token of the mini-C language proper.
+func (l *lexer) scan() Token {
+	if l.skipSpaceAndComments(); l.err != nil {
+		return Token{Kind: EOF, Pos: l.err.Pos}
 	}
 	pos := l.here()
-	off := l.pos
+	start := l.pos
 	c := l.at()
 	switch {
-	case c == 0:
-		return Token{Kind: EOF, Pos: pos, Off: off}, nil
+	case c == eof:
+		return Token{Kind: EOF, Pos: pos}
 	case unicode.IsLetter(c) || c == '_':
-		start := l.pos
-		for unicode.IsLetter(l.at()) || unicode.IsDigit(l.at()) || l.at() == '_' {
+		for c := l.at(); unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_'; c = l.at() {
 			l.advance()
 		}
-		text := string(l.src[start:l.pos])
+		text := l.src[start:l.pos]
 		if k, ok := keywords[text]; ok {
-			return Token{Kind: k, Text: text, Pos: pos, Off: off}, nil
+			return Token{Kind: k, Text: text, Pos: pos}
 		}
-		return Token{Kind: IDENT, Text: text, Pos: pos, Off: off}, nil
+		return Token{Kind: IDENT, Text: text, Pos: pos}
 	case unicode.IsDigit(c):
-		start := l.pos
-		for unicode.IsDigit(l.at()) || l.at() == '.' {
+		for c := l.at(); unicode.IsDigit(c) || c == '.'; c = l.at() {
 			l.advance()
 		}
-		return Token{Kind: NUMBER, Text: string(l.src[start:l.pos]), Pos: pos, Off: off}, nil
+		return Token{Kind: NUMBER, Text: l.src[start:l.pos], Pos: pos}
 	case c == '"':
 		l.advance()
-		start := l.pos
+		body := l.pos
 		for l.at() != '"' {
-			if l.at() == 0 {
-				return Token{}, parseErrorf(pos, "unterminated string")
+			if l.at() == eof {
+				return l.fail(parseErrorf(pos, "unterminated string"))
 			}
 			l.advance()
 		}
-		text := string(l.src[start:l.pos])
+		text := runeText(l.src[body:l.pos])
 		l.advance()
-		return Token{Kind: STRING, Text: text, Pos: pos, Off: off}, nil
+		return Token{Kind: STRING, Text: text, Pos: pos}
 	}
 
-	two := func(k Kind, text string) (Token, error) {
-		l.advance()
-		l.advance()
-		return Token{Kind: k, Text: text, Pos: pos, Off: off}, nil
+	k, n := punct(c, l.peek1())
+	if n == 0 {
+		return l.fail(parseErrorf(pos, "unexpected character %q", string(c)))
 	}
-	one := func(k Kind) (Token, error) {
+	for i := 0; i < n; i++ {
 		l.advance()
-		return Token{Kind: k, Text: string(c), Pos: pos, Off: off}, nil
 	}
+	return Token{Kind: k, Text: l.src[start:l.pos], Pos: pos}
+}
+
+// punct returns the punctuation or operator token starting with c (then
+// next) and its length in runes, 0 if c starts none.
+func punct(c, next rune) (Kind, int) {
 	switch c {
 	case '{':
-		return one(LBrace)
+		return LBrace, 1
 	case '}':
-		return one(RBrace)
+		return RBrace, 1
 	case '(':
-		return one(LParen)
+		return LParen, 1
 	case ')':
-		return one(RParen)
+		return RParen, 1
 	case ';':
-		return one(Semi)
+		return Semi, 1
 	case ',':
-		return one(Comma)
+		return Comma, 1
 	case '*':
-		return one(Star)
+		return Star, 1
 	case ':':
-		return one(Colon)
+		return Colon, 1
 	case '+':
-		return one(Plus)
+		return Plus, 1
 	case '/':
-		return one(Slash)
+		return Slash, 1
 	case '-':
-		if l.peek(1) == '>' {
-			return two(Arrow, "->")
+		if next == '>' {
+			return Arrow, 2
 		}
-		return one(Minus)
+		return Minus, 1
 	case '=':
-		if l.peek(1) == '=' {
-			return two(EqEq, "==")
+		if next == '=' {
+			return EqEq, 2
 		}
-		return one(Assign)
+		return Assign, 1
 	case '<':
-		if l.peek(1) == '=' {
-			return two(Le, "<=")
+		if next == '=' {
+			return Le, 2
 		}
-		return one(Lt)
+		return Lt, 1
 	case '>':
-		if l.peek(1) == '=' {
-			return two(Ge, ">=")
+		if next == '=' {
+			return Ge, 2
 		}
-		return one(Gt)
+		return Gt, 1
 	case '!':
-		if l.peek(1) == '=' {
-			return two(NotEq, "!=")
+		if next == '=' {
+			return NotEq, 2
 		}
-		return one(Bang)
+		return Bang, 1
 	case '&':
-		if l.peek(1) == '&' {
-			return two(AmpAmp, "&&")
+		if next == '&' {
+			return AmpAmp, 2
 		}
-		return one(Amp)
+		return Amp, 1
 	case '|':
-		if l.peek(1) == '|' {
-			return two(PipePipe, "||")
+		if next == '|' {
+			return PipePipe, 2
 		}
 	}
-	return Token{}, parseErrorf(pos, "unexpected character %q", string(c))
+	return 0, 0
 }

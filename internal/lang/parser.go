@@ -8,12 +8,17 @@ import (
 
 // Parse parses a mini-C translation unit.
 func Parse(src string) (*Program, error) {
-	toks, err := NewLexer(src).Tokens()
+	p := newParser(src)
+	prog, err := p.program()
 	if err != nil {
-		return nil, err
+		// The first lex error in the file wins over any parse error, as if
+		// the whole file had been lexed first.
+		p.lex.drain()
 	}
-	p := &parser{src: []rune(src), toks: toks}
-	return p.program()
+	if p.lex.err != nil {
+		return nil, p.lex.err
+	}
+	return prog, err
 }
 
 // MustParse is Parse, panicking on error.  For tests and examples.
@@ -25,11 +30,23 @@ func MustParse(src string) *Program {
 	return prog
 }
 
+// parser is a recursive-descent parser that pulls tokens from the lexer
+// through a window of the current token and two lookahead tokens (enough
+// for "struct NAME {").
 type parser struct {
-	src   []rune
-	toks  []Token
-	pos   int
+	lex *lexer
+	// win is a ring: win[cur] is the current token, the next two follow.
+	win   [3]Token
+	cur   int
 	depth int
+}
+
+func newParser(src string) *parser {
+	p := &parser{lex: newLexer(src)}
+	for i := range p.win {
+		p.win[i] = p.lex.next()
+	}
+	return p
 }
 
 // enter guards recursive descent against stack exhaustion on pathological
@@ -44,20 +61,26 @@ func (p *parser) enter() error {
 
 func (p *parser) leave() { p.depth-- }
 
-func (p *parser) at() Token   { return p.toks[p.pos] }
-func (p *parser) peek() Token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+// at returns the current token, valid until the next advance.
+func (p *parser) at() *Token { return &p.win[p.cur] }
 
+// kind returns the current token's kind, and peek the kind k tokens ahead
+// (k ≤ 2).
+func (p *parser) kind() Kind      { return p.win[p.cur].Kind }
+func (p *parser) peek(k int) Kind { return p.win[(p.cur+k)%len(p.win)].Kind }
+
+// advance consumes the current token and returns it.  At the end of input
+// the current token stays EOF.
 func (p *parser) advance() Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
-	}
+	t := p.win[p.cur]
+	p.win[p.cur] = p.lex.next()
+	p.cur = (p.cur + 1) % len(p.win)
 	return t
 }
 
 func (p *parser) expect(k Kind) (Token, error) {
-	if p.at().Kind != k {
-		return Token{}, p.errorf("expected %v, found %v %q", k, p.at().Kind, p.at().Text)
+	if p.kind() != k {
+		return Token{}, p.errorf("expected %v, found %v %q", k, p.kind(), p.at().Text)
 	}
 	return p.advance(), nil
 }
@@ -66,17 +89,10 @@ func (p *parser) errorf(format string, args ...any) error {
 	return parseErrorf(p.at().Pos, format, args...)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (p *parser) program() (*Program, error) {
 	prog := &Program{}
-	for p.at().Kind != EOF {
-		if p.at().Kind == KwStruct && p.peek().Kind == IDENT && p.toks[min(p.pos+2, len(p.toks)-1)].Kind == LBrace {
+	for p.kind() != EOF {
+		if p.kind() == KwStruct && p.peek(1) == IDENT && p.peek(2) == LBrace {
 			s, err := p.structDecl()
 			if err != nil {
 				return nil, err
@@ -97,7 +113,7 @@ func (p *parser) program() (*Program, error) {
 // without pointer stars (stars belong to declarators).
 func (p *parser) baseTypeSpec() (Type, error) {
 	var t Type
-	switch p.at().Kind {
+	switch p.kind() {
 	case KwInt, KwFloat, KwDouble, KwVoid:
 		t.Base = p.advance().Text
 	case KwStruct:
@@ -109,7 +125,7 @@ func (p *parser) baseTypeSpec() (Type, error) {
 		t.Base = name.Text
 		t.IsStruct = true
 	default:
-		return t, p.errorf("expected a type, found %v %q", p.at().Kind, p.at().Text)
+		return t, p.errorf("expected a type, found %v %q", p.kind(), p.at().Text)
 	}
 	return t, nil
 }
@@ -128,7 +144,7 @@ func (p *parser) typeSpec() (Type, error) {
 // stars counts and consumes leading '*'.
 func (p *parser) stars() int {
 	n := 0
-	for p.at().Kind == Star {
+	for p.kind() == Star {
 		p.advance()
 		n++
 	}
@@ -149,8 +165,8 @@ func (p *parser) structDecl() (*StructDecl, error) {
 	}
 	decl := &StructDecl{Name: name.Text, Pos: pos}
 	var axiomText string
-	for p.at().Kind != RBrace {
-		if p.at().Kind == KwAxioms {
+	for p.kind() != RBrace {
+		if p.kind() == KwAxioms {
 			text, err := p.rawAxiomBlock()
 			if err != nil {
 				return nil, err
@@ -170,7 +186,7 @@ func (p *parser) structDecl() (*StructDecl, error) {
 				return nil, err
 			}
 			decl.Fields = append(decl.Fields, FieldDecl{Name: fname.Text, Type: ft, Pos: fname.Pos})
-			if p.at().Kind != Comma {
+			if p.kind() != Comma {
 				break
 			}
 			p.advance()
@@ -182,7 +198,7 @@ func (p *parser) structDecl() (*StructDecl, error) {
 	if _, err := p.expect(RBrace); err != nil {
 		return nil, err
 	}
-	if p.at().Kind == Semi {
+	if p.kind() == Semi {
 		p.advance()
 	}
 	if axiomText != "" {
@@ -230,10 +246,10 @@ func (p *parser) funcDecl() (*FuncDecl, error) {
 		return nil, err
 	}
 	fn := &FuncDecl{Name: name.Text, Result: result, Pos: pos}
-	if p.at().Kind == KwVoid && p.peek().Kind == RParen {
+	if p.kind() == KwVoid && p.peek(1) == RParen {
 		p.advance()
 	}
-	for p.at().Kind != RParen {
+	for p.kind() != RParen {
 		pt, err := p.typeSpec()
 		if err != nil {
 			return nil, err
@@ -243,7 +259,7 @@ func (p *parser) funcDecl() (*FuncDecl, error) {
 			return nil, err
 		}
 		fn.Params = append(fn.Params, Param{Name: pn.Text, Type: pt})
-		if p.at().Kind == Comma {
+		if p.kind() == Comma {
 			p.advance()
 		}
 	}
@@ -262,8 +278,8 @@ func (p *parser) block() (*Block, error) {
 		return nil, err
 	}
 	b := &Block{Pos: open.Pos}
-	for p.at().Kind != RBrace {
-		if p.at().Kind == EOF {
+	for p.kind() != RBrace {
+		if p.kind() == EOF {
 			return nil, p.errorf("unterminated block")
 		}
 		s, err := p.stmt()
@@ -284,14 +300,14 @@ func (p *parser) stmt() (Stmt, error) {
 	// Optional label: IDENT ':' not followed by something that makes it an
 	// expression (mini-C has no ternary, so IDENT ':' is always a label).
 	label := ""
-	if p.at().Kind == IDENT && p.peek().Kind == Colon {
+	if p.kind() == IDENT && p.peek(1) == Colon {
 		label = p.advance().Text
 		p.advance() // ':'
 	}
 	pos := p.at().Pos
 	base := stmtBase{Lbl: label, Pos: pos}
 
-	switch p.at().Kind {
+	switch p.kind() {
 	case KwInt, KwFloat, KwDouble, KwStruct:
 		bt, err := p.baseTypeSpec()
 		if err != nil {
@@ -306,7 +322,7 @@ func (p *parser) stmt() (Stmt, error) {
 				return nil, err
 			}
 			d.Items = append(d.Items, DeclItem{Name: n.Text, Type: t})
-			if p.at().Kind != Comma {
+			if p.kind() != Comma {
 				break
 			}
 			p.advance()
@@ -351,7 +367,7 @@ func (p *parser) stmt() (Stmt, error) {
 			return nil, err
 		}
 		ifs := &IfStmt{stmtBase: base, Cond: cond, Then: then}
-		if p.at().Kind == KwElse {
+		if p.kind() == KwElse {
 			p.advance()
 			els, err := p.stmtAsBlock()
 			if err != nil {
@@ -364,7 +380,7 @@ func (p *parser) stmt() (Stmt, error) {
 	case KwReturn:
 		p.advance()
 		r := &ReturnStmt{stmtBase: base}
-		if p.at().Kind != Semi {
+		if p.kind() != Semi {
 			v, err := p.expr()
 			if err != nil {
 				return nil, err
@@ -389,7 +405,7 @@ func (p *parser) stmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.at().Kind == Assign {
+	if p.kind() == Assign {
 		p.advance()
 		rhs, err := p.expr()
 		if err != nil {
@@ -412,7 +428,7 @@ func (p *parser) stmt() (Stmt, error) {
 }
 
 func (p *parser) stmtAsBlock() (*Block, error) {
-	if p.at().Kind == LBrace {
+	if p.kind() == LBrace {
 		return p.block()
 	}
 	s, err := p.stmt()
@@ -423,51 +439,45 @@ func (p *parser) stmtAsBlock() (*Block, error) {
 }
 
 // expr parses with precedence: || over && over comparisons over +,- over
-// *,/ over unary over primary.
-func (p *parser) expr() (Expr, error) { return p.orExpr() }
+// *,/ over unary over primary.  Every binary operator is left-associative.
+func (p *parser) expr() (Expr, error) { return p.binary(1) }
 
-func (p *parser) orExpr() (Expr, error) {
-	return p.binary(p.andExpr, PipePipe)
+// binaryPrec returns the binding strength of binary operator k, 0 when k
+// is not one.
+func binaryPrec(k Kind) int {
+	switch k {
+	case PipePipe:
+		return 1
+	case AmpAmp:
+		return 2
+	case EqEq, NotEq, Lt, Gt, Le, Ge:
+		return 3
+	case Plus, Minus:
+		return 4
+	case Star, Slash:
+		return 5
+	}
+	return 0
 }
 
-func (p *parser) andExpr() (Expr, error) {
-	return p.binary(p.cmpExpr, AmpAmp)
-}
-
-func (p *parser) cmpExpr() (Expr, error) {
-	return p.binary(p.addExpr, EqEq, NotEq, Lt, Gt, Le, Ge)
-}
-
-func (p *parser) addExpr() (Expr, error) {
-	return p.binary(p.mulExpr, Plus, Minus)
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	return p.binary(p.unaryExpr, Star, Slash)
-}
-
-func (p *parser) binary(sub func() (Expr, error), ops ...Kind) (Expr, error) {
-	left, err := sub()
+// binary parses a chain of unary operands joined by binary operators that
+// bind at least as tightly as minPrec (precedence climbing).
+func (p *parser) binary(minPrec int) (Expr, error) {
+	left, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		matched := false
-		for _, op := range ops {
-			if p.at().Kind == op {
-				opTok := p.advance()
-				right, err := sub()
-				if err != nil {
-					return nil, err
-				}
-				left = &BinaryExpr{exprBase: exprBase{Pos: opTok.Pos}, Op: opTok.Text, L: left, R: right}
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		prec := binaryPrec(p.kind())
+		if prec == 0 || prec < minPrec {
 			return left, nil
 		}
+		op := p.advance()
+		right, err := p.binary(prec + 1)
+		if err != nil {
+			return nil, err
+		}
+		left = &BinaryExpr{exprBase: exprBase{Pos: op.Pos}, Op: op.Text, L: left, R: right}
 	}
 }
 
@@ -476,7 +486,7 @@ func (p *parser) unaryExpr() (Expr, error) {
 		return nil, err
 	}
 	defer p.leave()
-	switch p.at().Kind {
+	switch p.kind() {
 	case Bang, Minus:
 		op := p.advance()
 		x, err := p.unaryExpr()
@@ -505,7 +515,7 @@ func (p *parser) unaryExpr() (Expr, error) {
 }
 
 func (p *parser) primary() (Expr, error) {
-	tok := p.at()
+	tok := *p.at()
 	switch tok.Kind {
 	case NUMBER:
 		p.advance()
@@ -524,7 +534,7 @@ func (p *parser) primary() (Expr, error) {
 			return nil, err
 		}
 		m := &MallocExpr{exprBase: exprBase{Pos: tok.Pos}}
-		if p.at().Kind == KwStruct {
+		if p.kind() == KwStruct {
 			p.advance()
 			n, err := p.expect(IDENT)
 			if err != nil {
@@ -535,7 +545,7 @@ func (p *parser) primary() (Expr, error) {
 			// Skip an arbitrary size expression.
 			depth := 1
 			for depth > 0 {
-				switch p.at().Kind {
+				switch p.kind() {
 				case LParen:
 					depth++
 				case RParen:
@@ -564,27 +574,27 @@ func (p *parser) primary() (Expr, error) {
 		return inner, nil
 	case IDENT:
 		p.advance()
-		switch p.at().Kind {
+		switch p.kind() {
 		case Arrow:
 			p.advance()
 			f, err := p.expect(IDENT)
 			if err != nil {
 				return nil, err
 			}
-			if p.at().Kind == Arrow {
+			if p.kind() == Arrow {
 				return nil, parseErrorf(tok.Pos, "chained dereference %s->%s->...: rewrite with a temporary (one field per statement)", tok.Text, f.Text)
 			}
 			return &FieldAccess{exprBase: exprBase{Pos: tok.Pos}, Base: tok.Text, Field: f.Text}, nil
 		case LParen:
 			p.advance()
 			call := &CallExpr{exprBase: exprBase{Pos: tok.Pos}, Name: tok.Text}
-			for p.at().Kind != RParen {
+			for p.kind() != RParen {
 				arg, err := p.expr()
 				if err != nil {
 					return nil, err
 				}
 				call.Args = append(call.Args, arg)
-				if p.at().Kind == Comma {
+				if p.kind() == Comma {
 					p.advance()
 				}
 			}

@@ -93,9 +93,6 @@ type Token struct {
 	Kind Kind
 	Text string
 	Pos  Pos
-	// Off is the rune offset of the token start in the source, used to
-	// re-scan raw spans (the axioms block has its own sub-language).
-	Off int
 }
 
 var keywords = map[string]Kind{

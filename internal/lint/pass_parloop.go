@@ -161,14 +161,14 @@ func judgeLoop(ctx *Context, res *analysis.Result, eng *engine.Engine, lp *loopI
 	type judged struct {
 		q   core.Query
 		out core.Outcome
-		a   analysis.Access
+		a   *analysis.Access
 	}
 	// A slot is one verdict in the deterministic order the old
 	// query-at-a-time loop produced: most slots are answered by the batch
 	// (batchIdx ≥ 0), a few are pre-judged during collection.
 	type slot struct {
 		q core.Query
-		a analysis.Access
+		a *analysis.Access
 		// invariantWrite marks the loop-invariant-write special case: the
 		// verdict is a certain output dependence regardless of the prover,
 		// so the outcome goes straight to the errors with its own reason.
@@ -184,15 +184,16 @@ func judgeLoop(ctx *Context, res *analysis.Result, eng *engine.Engine, lp *loopI
 		slots = append(slots, s)
 	}
 
-	for i, a := range accs {
+	for i := range accs {
+		a := &accs[i]
 		for _, q := range res.LoopCarriedSelf(a) {
 			add(slot{q: q, a: a})
 		}
-		for j, b := range accs {
+		for j := range accs {
 			if i == j {
 				continue
 			}
-			for _, q := range res.LoopCarriedPair(a, b) {
+			for _, q := range res.LoopCarriedPair(a, &accs[j]) {
 				add(slot{q: q, a: a})
 			}
 		}
@@ -205,8 +206,8 @@ func judgeLoop(ctx *Context, res *analysis.Result, eng *engine.Engine, lp *loopI
 		if a.IsWrite && len(a.IterDeltas) == 0 {
 			if h, ok := invariantHandle(a); ok && !lp.assigned[a.Var] {
 				q := core.Query{
-					S: core.Access{Handle: h, Path: a.Paths[h], Field: a.Field, Type: a.Type, IsWrite: true},
-					T: core.Access{Handle: h, Path: a.Paths[h], Field: a.Field, Type: a.Type, IsWrite: true},
+					S: core.Access{Handle: h.Handle, Path: h.Path, Field: a.Field, Type: a.Type, IsWrite: true},
+					T: core.Access{Handle: h.Handle, Path: h.Path, Field: a.Field, Type: a.Type, IsWrite: true},
 				}
 				add(slot{q: q, a: a, invariantWrite: true})
 			} else {
@@ -278,19 +279,15 @@ func judgeLoop(ctx *Context, res *analysis.Result, eng *engine.Engine, lp *loopI
 	}
 }
 
-// invariantHandle picks a deterministic non-iteration handle for a
+// invariantHandle picks the first-named non-iteration handle of a
 // loop-invariant access.
-func invariantHandle(a analysis.Access) (string, bool) {
-	best := ""
-	for h := range a.Paths {
-		if strings.HasPrefix(h, "_it") {
-			continue
-		}
-		if best == "" || h < best {
-			best = h
+func invariantHandle(a *analysis.Access) (analysis.HandlePath, bool) {
+	for _, p := range a.Paths {
+		if !strings.HasPrefix(p.Handle, "_it") {
+			return p, true
 		}
 	}
-	return best, best != ""
+	return analysis.HandlePath{}, false
 }
 
 // describeQuery renders a loop-carried query compactly for related notes.
@@ -302,7 +299,7 @@ func describeQuery(q core.Query) string {
 // tried, so the user can tell "not provable from these axioms" apart from
 // "budget too small" (§5's suffix splitting and Kleene induction live inside
 // these counts).
-func explainMaybe(q core.Query, out core.Outcome, a analysis.Access) string {
+func explainMaybe(q core.Query, out core.Outcome, a *analysis.Access) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s", describeQuery(q), out.Reason)
 	if pf := out.Proof; pf != nil {

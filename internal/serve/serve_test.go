@@ -494,3 +494,27 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 		t.Errorf("glacial drain: Retry-After = %d, want the 60s ceiling", got)
 	}
 }
+
+// TestBatchRejectsNULInProgram: a NUL byte in the program is a parse error
+// at its position, not an end of input that hides the rest of the program
+// from the analysis and answers for the part before it.
+func TestBatchRejectsNULInProgram(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+
+	prog := treeProgram(t)
+	lines := strings.Count(prog, "\n")
+	req := BatchRequest{
+		Program: prog + "\x00 int hidden(struct LLBinaryTree *p) { p->d = 1; }",
+		Fn:      "subr",
+		Queries: []string{"between S T"},
+	}
+	resp, br := postBatch(t, ts.URL, req)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d with %d results, want 400", resp.StatusCode, len(br.Results))
+	}
+	want := "program: " + strconv.Itoa(lines+1) + `:1: unexpected character "\x00"`
+	if got := br.Stats.AxiomSet; got != want {
+		t.Errorf("error = %q, want %q", got, want)
+	}
+}
