@@ -50,10 +50,10 @@ race-pool:
 	$(GO) test -race -count=50 ./internal/parallel
 
 # Soak the long-lived query server under the race detector: 8 concurrent
-# clients, mixed deadlines, more axiom sets than the engine pool keeps,
-# then a drain overlapping a fresh request wave; and scrapes of both
-# metrics endpoints racing cold engine builds and evictions (the registry's
-# gauge functions must run outside its lock).
+# clients, mixed deadlines, several axiom sets over capped caches, then a
+# drain overlapping a fresh request wave; and scrapes of both metrics
+# endpoints racing cold batches over many axiom sets (the registry's gauge
+# functions must run outside its lock).
 race-serve:
 	$(GO) test -race -count=3 -run 'TestSoak|TestDrain|TestAdmission|TestScrapeDuringColdBuilds' ./internal/serve
 

@@ -1,7 +1,7 @@
 // Command aptserved is the long-lived dependence-query daemon: it serves
-// POST /v1/batch (aptdep's -batch line format as JSON) over warm
-// per-axiom-set engines, so the DFA cache and proof memo survive across
-// requests instead of being rebuilt cold by every CLI invocation.
+// POST /v1/batch (aptdep's -batch line format as JSON) over one warm
+// engine, so the DFA cache and proof memo survive across requests instead
+// of being rebuilt cold by every CLI invocation.
 //
 // Server mode:
 //
@@ -9,17 +9,16 @@
 //
 // Endpoints: POST /v1/batch, GET /healthz, GET /metrics (the telemetry
 // registry as Prometheus text exposition), GET /metrics.json (the same
-// registry as a JSON snapshot), GET /statz (the resident-engine table),
-// GET /debug/flightrecorder (the K slowest + recent degraded request
-// traces).  A full admission queue sheds load with 429 + Retry-After;
-// SIGTERM/SIGINT drains in-flight batches before exiting; SIGQUIT dumps the
-// flight recorder to stderr without stopping.  -access-log writes one JSONL
-// line per request.
+// registry as a JSON snapshot), GET /debug/flightrecorder (the K slowest +
+// recent degraded request traces).  A full admission queue sheds load with
+// 429 + Retry-After; SIGTERM/SIGINT drains in-flight batches before
+// exiting; SIGQUIT dumps the flight recorder to stderr without stopping.
+// -access-log writes one JSONL line per request.
 //
 // Router mode turns the same binary into the cluster's routing tier: a
 // consistent-hash router that shards /v1/batch traffic across backends by
 // axiom-set fingerprint, with health probing, failover, optional hedged
-// retries, and warm engine handoff when the ring changes:
+// retries, and warm-state handoff when the ring changes:
 //
 //	aptserved -router -backends 127.0.0.1:8081,127.0.0.1:8082 -addr :8080
 //	aptserved -router -backends ... -hedge 25ms   # hedge tail requests
@@ -59,12 +58,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("aptserved", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen `address`")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "engine pool `width` per axiom set")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "engine pool `width`")
 	queryTimeout := fs.Duration("query-timeout", serve.DefaultQueryTimeout, "default per-query proof-search bound")
 	maxDeadline := fs.Duration("max-deadline", serve.DefaultMaxDeadline, "cap on any request's total deadline")
 	concurrency := fs.Int("concurrency", 0, "requests answered at once (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", serve.DefaultQueueDepth, "admitted requests that may wait before shedding with 429")
-	engines := fs.Int("engines", serve.DefaultMaxEngines, "warm per-axiom-set engines kept (LRU beyond)")
 	shardCap := fs.Int("shard-cap", serve.DefaultShardCap, "per-shard entry cap for the DFA cache, decision memo, and proof memo")
 	maxQueries := fs.Int("max-queries", serve.DefaultMaxQueries, "expanded-query limit per request")
 	verify := fs.Bool("verify", false, "independently re-check every prover-backed No")
@@ -72,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	accessLog := fs.String("access-log", "", "append one JSONL access-log line per request to `file` (\"-\" for stderr)")
 	flightK := fs.Int("flight-k", 0, "slowest requests the flight recorder retains (0 = default)")
 	flightRing := fs.Int("flight-ring", 0, "degraded requests the flight recorder's ring retains (0 = default)")
-	preload := fs.String("preload", "", "compiled automata artifact `file` (from aptc) preseeding every engine's DFA cache")
+	preload := fs.String("preload", "", "compiled automata artifact `file` (from aptc) preseeding the DFA cache and proof memo")
 
 	router := fs.Bool("router", false, "run as a consistent-hash cluster router over -backends instead of a single-node server")
 	backends := fs.String("backends", "", "router: comma-separated backend addresses (host:port or http://...)")
@@ -147,7 +145,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxDeadline:   *maxDeadline,
 		MaxConcurrent: *concurrency,
 		QueueDepth:    *queue,
-		MaxEngines:    *engines,
 		DFAShardCap:   *shardCap,
 		MemoShardCap:  *shardCap,
 		MaxQueries:    *maxQueries,

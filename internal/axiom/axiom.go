@@ -107,7 +107,8 @@ type Set struct {
 
 // setIDs interns set fingerprints to stable 64-bit IDs, so two Sets built
 // independently from the same axioms (distinct pointers, equal keys) share
-// an identity and the proof memo and engine pools can key on integers.
+// an identity and the proof memo and the testers' prover caches can key on
+// integers.
 var setIDs = struct {
 	mu   sync.Mutex
 	ids  map[string]uint64
@@ -199,9 +200,9 @@ func (s *Set) Key() string {
 }
 
 // ID returns the set's stable 64-bit identity: sets with equal Key share an
-// ID for the lifetime of the process.  The proof memo, the tester's
-// per-window prover cache, and the serving layer's engine pool key on it
-// instead of carrying the full fingerprint string per lookup.
+// ID for the lifetime of the process.  The proof memo and the tester's
+// per-window prover cache key on it instead of carrying the full
+// fingerprint string per lookup.
 func (s *Set) ID() uint64 {
 	s.memo.mu.Lock()
 	defer s.memo.mu.Unlock()
@@ -215,8 +216,8 @@ func (s *Set) ID() uint64 {
 // order — the fingerprint is a pure function of the axiom content, so two
 // processes that never exchanged state agree on it.  It is what may cross
 // the wire: the cluster router's consistent-hash ring places axiom sets on
-// backends by fingerprint, and the warm-handoff snapshot endpoints address
-// engines by it.  (Like Key, it is name- and declaration-order-blind.)
+// backends by fingerprint, and the warm-handoff snapshot endpoint addresses
+// warm state by it.  (Like Key, it is name- and declaration-order-blind.)
 func (s *Set) Fingerprint64() uint64 {
 	s.memo.mu.Lock()
 	defer s.memo.mu.Unlock()
@@ -224,10 +225,10 @@ func (s *Set) Fingerprint64() uint64 {
 	return s.memo.fp
 }
 
-// fingerprint64ForKey hashes a canonical fingerprint string (a Key
+// Fingerprint64ForKey hashes a canonical fingerprint string (a Key
 // rendering, possibly produced by another process) the same way
 // Set.Fingerprint64 does.
-func fingerprint64ForKey(key string) uint64 {
+func Fingerprint64ForKey(key string) uint64 {
 	return strhash.FNV64a(key)
 }
 
@@ -247,7 +248,7 @@ func (s *Set) refreshMemoLocked() {
 	id := internKeyLocked(key)
 	setIDs.mu.Unlock()
 	s.memo.ok, s.memo.n, s.memo.key, s.memo.id = true, len(s.Axioms), key, id
-	s.memo.fp = fingerprint64ForKey(key)
+	s.memo.fp = Fingerprint64ForKey(key)
 }
 
 // WithoutFields returns a new set containing only axioms that mention none

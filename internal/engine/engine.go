@@ -6,8 +6,7 @@
 // automata.SharedCache and a core.Memo.  Both are pure functions of their
 // keys (a DFA of expression and alphabet, a proof of axiom set and goal),
 // so an engine may borrow them from a longer-lived owner: exec.Pool lends
-// one bounded pair to every engine it builds, and that warm state survives
-// engine eviction.
+// one bounded pair to the process's one engine.
 //
 // The clients this serves (the parallelization-legality lint pass, aptdep
 // -batch sweeps, sparsebench's legality certification) issue hundreds of
@@ -54,10 +53,10 @@ type Options struct {
 	Telemetry *telemetry.Set
 	// DFACache and Memo are the compiled-DFA cache and the cross-query
 	// proof memo the engine's workers share.  A long-lived process
-	// (exec.Pool) builds one bounded pair and lends it to every engine, so
-	// the warm state outlives any one engine; the lender owns their bounds,
-	// preseeding, and telemetry.  Nil selects a private unbounded cache —
-	// right for a one-shot batch, a leak for a server.
+	// (exec.Pool) builds one bounded pair and lends it to its engine; the
+	// lender owns their bounds, preseeding, and telemetry.  Nil selects a
+	// private unbounded cache — right for a one-shot batch, a leak for a
+	// server.
 	DFACache *automata.SharedCache
 	Memo     *core.Memo
 }
@@ -102,7 +101,9 @@ type Engine struct {
 // New builds an engine over the default axiom set.  Queries carrying their
 // own Axioms (validity windows) are honored exactly as on the sequential
 // tester; the shared caches key by axiom-set fingerprint, so windows with
-// equal alphabets still share compiled DFAs.
+// equal alphabets still share compiled DFAs.  A nil default means every
+// query carries its own Axioms (exec.Pool's engine, which serves every
+// axiom set).
 func New(axioms *axiom.Set, opts Options) *Engine {
 	if opts.Workers < 1 {
 		opts.Workers = 1
@@ -133,9 +134,6 @@ func New(axioms *axiom.Set, opts Options) *Engine {
 	e.canceled.Feed(tel.Counter("engine.degraded.canceled"))
 	return e
 }
-
-// Axioms returns the engine's default axiom set.
-func (e *Engine) Axioms() *axiom.Set { return e.axioms }
 
 // Workers returns the engine's pool width.
 func (e *Engine) Workers() int { return e.opts.Workers }
@@ -246,7 +244,13 @@ func (e *Engine) BatchTimeout(ctx context.Context, queries []core.Query, perQuer
 			opts.Trace = rt
 			opts.TraceParent = ws.ID()
 		}
-		tester := core.NewTester(e.axioms, opts).SetProofMemo(e.memo)
+		// Without a default set, the chunk's first query supplies it; every
+		// query is still answered by the prover of its own set.
+		ax := e.axioms
+		if ax == nil {
+			ax = queries[lo].Axioms
+		}
+		tester := core.NewTester(ax, opts).SetProofMemo(e.memo)
 		tester.VerifyProofs = e.opts.VerifyProofs
 		for i := lo; i < hi; i++ {
 			results[i] = e.runOne(tester, guard, queries[i], perQuery)

@@ -9,7 +9,7 @@ import (
 // interner that maps every expression to a unique *Node, so that structural
 // equality — which every cache in the stack (the DFA compilation cache, the
 // language-decision memo, the cross-query proof memo, the prover's goal
-// cache, the serving layer's engine pool) previously decided by re-rendering
+// cache) previously decided by re-rendering
 // expressions to strings on each lookup — becomes pointer/ID equality, and
 // the canonical string is computed exactly once per distinct expression.
 //

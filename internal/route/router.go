@@ -246,10 +246,11 @@ func (rt *Router) currentRing() *Ring {
 
 // SetBackends replaces the ring membership and performs the warm handoff:
 // for every fingerprint this router has routed whose owner changes, it
-// snapshots the old owner's warm engine state and preloads it into the new
-// owner, so the moved shard's first request there is engine-warm instead of
-// cold.  Handoff is best-effort — an unreachable old owner just means the
-// gaining backend builds cold, which is the pre-handoff behavior.
+// snapshots the old owner's warm state and preloads it into the new owner,
+// so the moved shard's first request there rides memoized proofs instead
+// of searching cold.  Handoff is best-effort — an unreachable old owner, or
+// one holding no proof goal for the shard, just means the gaining backend
+// starts cold, which is the pre-handoff behavior.
 func (rt *Router) SetBackends(addrs []string) {
 	var normalized []string
 	for _, a := range addrs {
@@ -455,7 +456,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 	if err != nil {
-		wire.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
+		wire.WriteBodyError(w, "read body", err)
 		return
 	}
 	var req wire.BatchRequest

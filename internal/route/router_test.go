@@ -22,12 +22,30 @@ import (
 )
 
 // newBackendTS boots one real single-node server — the router composes the
-// very servers the rest of the suite tests.
+// very servers the rest of the suite tests — reporting into a registry of
+// its own, which its /metrics.json serves.
 func newBackendTS(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(serve.New(serve.Config{Workers: 2, MaxConcurrent: 8, QueueDepth: 64}))
+	ts := httptest.NewServer(serve.New(serve.Config{Workers: 2, MaxConcurrent: 8, QueueDepth: 64,
+		Telemetry: telemetry.New(telemetry.NewRegistry(), nil)}))
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// memoMisses reads the proof searches a backend has run (its
+// engine.memo_misses) from its /metrics.json.
+func memoMisses(t *testing.T, url string) int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics.json")
+	if err != nil {
+		t.Fatalf("GET /metrics.json: %v", err)
+	}
+	defer resp.Body.Close()
+	var snap telemetry.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("decode /metrics.json: %v", err)
+	}
+	return snap.Counters["engine.memo_misses"]
 }
 
 // newRouter builds a router reporting into a registry of its own (unless
@@ -207,21 +225,57 @@ func TestRouterByteIdenticalVerdicts(t *testing.T) {
 		t.Errorf("accepted=%d completed=%d, want both %d", accepted, completed, len(order))
 	}
 
-	// Warmth check: the ring holds every window's engine, so a repeat of
-	// any window lands on the owner that built it and is served warm.
+	// Warmth check: a repeat of any window lands on the owner that proved
+	// its goals, so no backend searches a proof again.
+	misses := func() (n int64) {
+		for _, addr := range addrs {
+			n += memoMisses(t, addr)
+		}
+		return n
+	}
+	misses0 := misses()
 	for _, g := range order {
 		req := wire.BatchRequest{AxiomSet: g.set.Source(), AxiomSetName: g.set.StructName, Raw: g.raws}
 		resp, body := postBatch(t, rts.URL, req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("window %s repeat: status %d: %s", g.set.StructName, resp.StatusCode, body)
 		}
-		var br wire.BatchResponse
-		if err := json.Unmarshal(body, &br); err != nil {
-			t.Fatalf("window %s repeat: %v", g.set.StructName, err)
+	}
+	if n := misses() - misses0; n != 0 {
+		t.Errorf("repeats through the router searched %d proofs, want 0", n)
+	}
+}
+
+// TestRouterBodyCapAnswers413: a body over the router's cap answers 413
+// naming the cap, without reaching a backend; a malformed body under the
+// cap stays a 400.
+func TestRouterBodyCapAnswers413(t *testing.T) {
+	backend := newBackendTS(t)
+	rt := newRouter(t, Config{Backends: []string{backend.URL}, MaxBodyBytes: 256})
+	rts := httptest.NewServer(rt)
+	defer rts.Close()
+
+	for _, tc := range []struct {
+		name, body string
+		want       int
+		msg        string
+	}{
+		{"over cap", `{"program":"` + strings.Repeat(" ", 512) + `"}`, http.StatusRequestEntityTooLarge, "limit of 256 bytes"},
+		{"malformed", "between S T", http.StatusBadRequest, "bad request body"},
+	} {
+		resp, err := http.Post(rts.URL+"/v1/batch", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if br.Stats.ColdEngine {
-			t.Errorf("window %s repeat through the router built a cold engine", g.set.StructName)
+		var e wire.ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || !strings.Contains(e.Error, tc.msg) {
+			t.Errorf("%s: %d %q, want %d mentioning %q", tc.name, resp.StatusCode, e.Error, tc.want, tc.msg)
 		}
+	}
+	if n := counters(rt)[telemetry.Labeled("route.backend_forwarded", "backend", backend.URL)]; n != 0 {
+		t.Errorf("rejected bodies forwarded %d batches", n)
 	}
 }
 
@@ -586,7 +640,7 @@ func TestFailoverOnDownBackend(t *testing.T) {
 // live servers we let the ring decide which one owns the tree shard under
 // the two-member ring, start the router with only the OTHER member, warm the
 // shard there, then add the owner.  The shard must move, the warm state must
-// ship, and the gaining backend's first request must run engine-warm.
+// ship, and the gaining backend's first request must search no proof.
 func TestWarmHandoffOnRingChange(t *testing.T) {
 	s1, s2 := newBackendTS(t), newBackendTS(t)
 	req := rawTreeReq()
@@ -601,17 +655,13 @@ func TestWarmHandoffOnRingChange(t *testing.T) {
 	rts := httptest.NewServer(rt)
 	defer rts.Close()
 
-	// Warm the shard on the losing member (cold build there).
+	// Warm the shard on the losing member (cold proof search there).
 	resp, body := postBatch(t, rts.URL, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warmup status = %d (body %s)", resp.StatusCode, body)
 	}
-	var br wire.BatchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatalf("warmup response: %v", err)
-	}
-	if !br.Stats.ColdEngine {
-		t.Fatal("warmup request should have built the engine cold")
+	if memoMisses(t, losing) == 0 {
+		t.Fatal("warmup request searched no proof; the handoff would ship nothing")
 	}
 
 	// Ring change: the owner joins; the tree shard moves to it warm.
@@ -625,7 +675,8 @@ func TestWarmHandoffOnRingChange(t *testing.T) {
 	}
 
 	// The moved shard's first request on the gaining backend rides the
-	// shipped artifact: warm engine, not a cold build.
+	// shipped proof goals: no proof search.
+	misses0 := memoMisses(t, gaining)
 	resp, body = postBatch(t, rts.URL, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-move status = %d (body %s)", resp.StatusCode, body)
@@ -633,11 +684,8 @@ func TestWarmHandoffOnRingChange(t *testing.T) {
 	if got := resp.Header.Get("X-Apt-Backend"); got != gaining {
 		t.Fatalf("post-move request went to %q, want the gaining owner %q", got, gaining)
 	}
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatalf("post-move response: %v", err)
-	}
-	if br.Stats.ColdEngine {
-		t.Error("gaining backend built cold despite the warm handoff")
+	if n := memoMisses(t, gaining) - misses0; n != 0 {
+		t.Errorf("gaining backend searched %d proofs despite the warm handoff", n)
 	}
 }
 

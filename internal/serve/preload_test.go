@@ -38,21 +38,22 @@ func replayArtifact(t *testing.T, source, fn string, queryLines []string) *autom
 }
 
 // TestPreloadBootPrewarm checks the whole boot-warm chain: the artifact's
-// persisted axiom set must reconstruct to the same pool identity the
-// request's own analysis produces, so a -preload server's very first
-// request finds its engine already resident (ColdEngine false) and answers
-// identically to an unpreloaded server.
+// goals are scoped to the same axiom-set fingerprint the request's own
+// analysis produces, so neither the boot replay nor a -preload server's
+// very first request searches a proof (0 memo misses), and the answers are
+// identical to an unpreloaded server's.
 func TestPreloadBootPrewarm(t *testing.T) {
 	source := treeProgram(t)
 	queryLines := []string{"between S T"}
 	art := replayArtifact(t, source, "subr", queryLines)
-	if len(art.AxiomSets) == 0 || len(art.Replays) == 0 {
-		t.Fatalf("artifact lacks axiom sets (%d) or replays (%d)", len(art.AxiomSets), len(art.Replays))
+	if len(art.Goals) == 0 || len(art.Replays) == 0 {
+		t.Fatalf("artifact lacks goals (%d) or replays (%d)", len(art.Goals), len(art.Replays))
 	}
 
-	srv := New(Config{Workers: 1, Preload: art})
-	if n := srv.pool.Len(); n != 1 {
-		t.Fatalf("boot prewarm left %d resident engines, want 1", n)
+	srv := newMetered(Config{Workers: 1, Preload: art})
+	misses0 := metrics(srv).Counters["engine.memo_misses"]
+	if misses0 != 0 {
+		t.Errorf("boot replay searched %d proofs; the preseeded goals did not take", misses0)
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -62,8 +63,8 @@ func TestPreloadBootPrewarm(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d (%s)", resp.StatusCode, br.Stats.AxiomSet)
 	}
-	if br.Stats.ColdEngine {
-		t.Error("first request against a preloaded server built its engine; boot prewarm did not take")
+	if misses := metrics(srv).Counters["engine.memo_misses"] - misses0; misses != 0 {
+		t.Errorf("first request against a preloaded server searched %d proofs, want 0", misses)
 	}
 
 	bare := New(Config{Workers: 1})

@@ -57,17 +57,11 @@ func TestRawBatchMode(t *testing.T) {
 	if br.Dependent {
 		t.Error("Dependent = true for provably independent pairs")
 	}
-	if !br.Stats.ColdEngine {
-		t.Error("first raw request should report a cold engine")
-	}
 
-	// Same set again: the engine (keyed by the set's content, not by how
-	// the request spelled it) must be warm.
+	// Same set again: the proof memo (keyed by the set's content, not by
+	// how the request spelled it) must serve it.
 	hits0 := metrics(srv).Counters["engine.memo_hits"]
-	_, br2 := postBatch(t, ts.URL, rawTreeRequest())
-	if br2.Stats.ColdEngine {
-		t.Error("second raw request rebuilt the engine")
-	}
+	postBatch(t, ts.URL, rawTreeRequest())
 	if hits := metrics(srv).Counters["engine.memo_hits"] - hits0; hits == 0 {
 		t.Error("second raw request hit the proof memo 0 times")
 	}
@@ -108,9 +102,9 @@ func TestRawBatchRejectsBadRequests(t *testing.T) {
 }
 
 // TestSnapshotPreloadHandoff is the warm-handoff round trip the router's
-// ring-change path performs: snapshot a warm engine off one server by
+// ring-change path performs: snapshot one server's warm state by
 // fingerprint, preload it into a second, and observe the second server
-// answer its first request over that set without a cold build.
+// answer its first request over that set without searching a proof.
 func TestSnapshotPreloadHandoff(t *testing.T) {
 	a := New(Config{Workers: 1})
 	tsA := httptest.NewServer(a)
@@ -148,7 +142,7 @@ func TestSnapshotPreloadHandoff(t *testing.T) {
 		}
 	}
 
-	b := New(Config{Workers: 1})
+	b := newMetered(Config{Workers: 1})
 	tsB := httptest.NewServer(b)
 	defer tsB.Close()
 
@@ -164,18 +158,19 @@ func TestSnapshotPreloadHandoff(t *testing.T) {
 	if pre.StatusCode != http.StatusOK {
 		t.Fatalf("preload: status = %d", pre.StatusCode)
 	}
-	if report.Built != 1 || report.Resident != 1 {
-		t.Errorf("preload report = %+v, want built 1 resident 1", report)
+	if report.Goals == 0 {
+		t.Errorf("preload report = %+v, want the shipped proof goals inserted", report)
 	}
 
 	// The handoff's whole point: B's first request over the set rides the
-	// shipped engine instead of building cold.
+	// shipped proof goals instead of searching cold.
+	misses0 := metrics(b).Counters["engine.memo_misses"]
 	resp, br := postBatch(t, tsB.URL, rawTreeRequest())
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-preload request: status = %d (%s)", resp.StatusCode, br.Stats.AxiomSet)
 	}
-	if br.Stats.ColdEngine {
-		t.Error("first request after preload still built the engine cold")
+	if misses := metrics(b).Counters["engine.memo_misses"] - misses0; misses != 0 {
+		t.Errorf("first request after preload searched %d proofs, want 0", misses)
 	}
 	for i, r := range br.Results {
 		if r.Result != "No" {
@@ -186,8 +181,8 @@ func TestSnapshotPreloadHandoff(t *testing.T) {
 
 // TestBatchStatsTimeoutsPerRequest: stats.timeouts counts the request's own
 // timed-out queries, like its neighbours degraded_queries and
-// deadline_expired — not the axiom set's engine's lifetime count, which
-// would repeat an earlier request's timeout on every later request.
+// deadline_expired — not the engine's lifetime count, which would repeat
+// an earlier request's timeout on every later request.
 func TestBatchStatsTimeoutsPerRequest(t *testing.T) {
 	srv := New(Config{Workers: 1, QueryTimeout: time.Nanosecond})
 	ts := httptest.NewServer(srv)
@@ -208,13 +203,10 @@ func TestBatchStatsTimeoutsPerRequest(t *testing.T) {
 		t.Errorf("timed-out request: stats.timeouts = %d, want 1", br.Stats.Timeouts)
 	}
 
-	// Same axiom set, so the same engine, with a generous timeout.
+	// Same axiom set, with a generous timeout.
 	clean := rawTreeRequest()
 	clean.TimeoutMS = 10_000
 	_, br2 := postBatch(t, ts.URL, clean)
-	if br2.Stats.ColdEngine {
-		t.Fatal("clean request built a new engine; the test needs the timed-out request's engine")
-	}
 	if br2.Stats.Timeouts != 0 {
 		t.Errorf("clean request after a timed-out one: stats.timeouts = %d, want 0", br2.Stats.Timeouts)
 	}

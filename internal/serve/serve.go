@@ -1,7 +1,7 @@
 // Package serve is the long-lived dependence-query service behind cmd/
 // aptserved.  One process keeps the expensive analysis state — compiled
 // DFAs in an automata.SharedCache, prover verdicts in a core.Memo, one of
-// each for the whole engine pool — warm across every request, which is the
+// each for the whole process — warm across every request, which is the
 // amortization the paper's §5 evaluation argues makes APT practical at
 // compile-server scale: the first request over an axiom set pays the
 // subset constructions, every later one rides the caches.
@@ -13,9 +13,9 @@
 //     shared with clients and the cluster router;
 //   - internal/admit — the two-channel slots/queue/429 admission machinery
 //     and the drain lifecycle;
-//   - internal/exec — the bounded pool of warm per-axiom-set engines and
-//     the DFA cache and proof memo they share, the raw-query builder, and
-//     warm-state snapshot/preload.
+//   - internal/exec — the process's one engine and the DFA cache and proof
+//     memo it borrows, the raw-query builder, and warm-state
+//     snapshot/preload.
 //
 // What remains here is the composition itself: HTTP endpoint wiring, the
 // program-mode analysis pipeline, tracing/flight-recorder/access-log
@@ -31,9 +31,6 @@
 //   - deadlines: every request runs under a server-capped deadline that
 //     propagates into the engine's interrupt guard, so a slow proof search
 //     degrades that query to Maybe instead of wedging a worker;
-//   - per-axiom-set engines with LRU reclamation: unfamiliar axiom sets
-//     get their own engine, and the population is bounded; the caches they
-//     borrow are the pool's, so an evicted engine's warm state survives;
 //   - bounded caches: the per-shard caps on the pool's DFA cache, decision
 //     memo, and proof memo keep a long-lived process's memory flat;
 //   - graceful drain: SIGTERM stops admissions while every in-flight batch
@@ -72,16 +69,15 @@ const (
 	DefaultQueryTimeout = 2 * time.Second
 	DefaultMaxDeadline  = 30 * time.Second
 	DefaultQueueDepth   = 64
-	DefaultMaxEngines   = 8
 	DefaultShardCap     = 512
 	DefaultMaxQueries   = 4096
 	DefaultMaxBodyBytes = 1 << 20
 )
 
 // Config sizes a Server.  The zero value selects the defaults above, one
-// run slot per GOMAXPROCS, and a single-worker engine pool per axiom set.
+// run slot per GOMAXPROCS, and a single-worker engine.
 type Config struct {
-	// Workers is each engine's pool width (minimum 1).
+	// Workers is the engine's pool width (minimum 1).
 	Workers int
 	// QueryTimeout is the default per-query proof-search bound; a request
 	// may lower or raise it up to MaxDeadline via timeout_ms.
@@ -93,10 +89,10 @@ type Config struct {
 	// run slot before the server sheds with 429.
 	MaxConcurrent int
 	QueueDepth    int
-	// MaxEngines bounds the per-axiom-set engine population (LRU beyond).
+	// Deprecated: ignored; set only by perfbench, removed by the benchmark PR that replaces raw-churn.
 	MaxEngines int
-	// DFAShardCap and MemoShardCap bound the shards of the engine pool's
-	// DFA cache and proof memo (see automata.SharedCache and core.Memo).
+	// DFAShardCap and MemoShardCap bound the shards of the process's DFA
+	// cache and proof memo (see automata.SharedCache and core.Memo).
 	DFAShardCap  int
 	MemoShardCap int
 	// MaxQueries bounds the expanded query count of one request;
@@ -117,10 +113,9 @@ type Config struct {
 	// AccessLog, when non-nil, receives one JSONL "http_access" line per
 	// HTTP request (method, path, status, bytes, latency, traceparent).
 	AccessLog *telemetry.TraceWriter
-	// Preload, when non-nil, preseeds the engine pool's caches with a
-	// compiled automata artifact (see cmd/aptc) and builds an engine for
-	// each axiom set it carries, so even a cold engine's first batch rides
-	// warm DFA tables, memoized decisions, and proof goals.
+	// Preload, when non-nil, preseeds the process's caches with a compiled
+	// automata artifact (see cmd/aptc), so even the first batch over an
+	// axiom set rides warm DFA tables, memoized decisions, and proof goals.
 	Preload *automata.Artifact
 }
 
@@ -139,9 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = DefaultQueueDepth
-	}
-	if c.MaxEngines <= 0 {
-		c.MaxEngines = DefaultMaxEngines
 	}
 	if c.DFAShardCap <= 0 {
 		c.DFAShardCap = DefaultShardCap
@@ -171,7 +163,7 @@ func (c Config) poolConfig() exec.PoolConfig {
 	}
 }
 
-// Server answers dependence-query batches over warm per-axiom-set engines.
+// Server answers dependence-query batches over one warm engine.
 // It implements http.Handler; cmd/aptserved wires it into an http.Server
 // and the signal lifecycle.
 type Server struct {
@@ -234,15 +226,13 @@ func newServer(cfg Config) *Server {
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
 	s.mux.HandleFunc("/debug/flightrecorder", s.handleFlightRecorder)
-	s.mux.HandleFunc("/statz", s.handleStatz)
 	// Boot-time prewarm: the pool has already preseeded its caches from the
-	// artifact and built an engine for every axiom set it carries, so a
-	// -preload server's first request is engine-warm (Stats.ColdEngine
-	// false), which is the artifact's whole point: warm-equivalent behavior
-	// from boot.  Replaying the recorded workloads pays the rest.
+	// artifact, so a -preload server's first request rides memoized proofs,
+	// which is the artifact's whole point: warm-equivalent behavior from
+	// boot.  Replaying the recorded workloads pays the rest.
 	if cfg.Preload != nil {
 		s.replayWarm(cfg.Preload.Replays)
-		// Boot prewarm allocates heavily (engine construction, first parses);
+		// Boot prewarm allocates heavily (first parses, first batches);
 		// collect now so the first real request inherits a quiet heap instead
 		// of boot's GC debt.
 		runtime.GC()
@@ -252,18 +242,18 @@ func newServer(cfg Config) *Server {
 
 // replayWarm drives the artifact's recorded replay workloads through the
 // server's own request path, round-robin, until a time budget is spent.
-// The engine prewarm above removes engine construction from the first
-// request, but a long tail of one-time costs remains — first parse of that
-// exact program text, first query expansion and its interning, the
-// prewarmed engine's first batch — and the only way to pay them all is to
-// serve the workload.  The budget is wall time rather than a pass count
-// because request latency keeps improving long after logical first-touch is
-// done: sustained busy CPU is what ramps a host's frequency governor and
-// settles the allocator, and a ~tenth of a second of it at boot is what
-// makes the first client request perform like a steady-state one.  Errors
-// are ignored (a malformed recorded workload degrades warmth, nothing
-// else); the warmup requests show up in the request counters like any
-// request.
+// The preseeded caches remove proof search and DFA construction from the
+// first request, but a long tail of one-time costs remains — first parse
+// of that exact program text, first query expansion and its interning, the
+// first batch over the preseeded entries — and the only way to pay them
+// all is to serve the workload.  The budget is wall time rather than a
+// pass count because request latency keeps improving long after logical
+// first-touch is done: sustained busy CPU is what ramps a host's frequency
+// governor and settles the allocator, and a ~tenth of a second of it at
+// boot is what makes the first client request perform like a steady-state
+// one.  Errors are ignored (a malformed recorded workload degrades warmth,
+// nothing else); the warmup requests show up in the request counters like
+// any request.
 func (s *Server) replayWarm(replays []automata.ArtifactReplay) {
 	const (
 		budget    = 120 * time.Millisecond
@@ -378,7 +368,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err := dec.Decode(&req); err != nil {
-		wire.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		wire.WriteBodyError(w, "bad request body", err)
 		return
 	}
 	resp, m, code, err := s.answer(r.Context(), &req, rt, root.ID())
@@ -477,14 +467,13 @@ func (s *Server) answerRaw(ctx context.Context, req *BatchRequest, rt *telemetry
 	return s.runBatch(ctx, req, rt, parent, ax, queries, echo, svc0)
 }
 
-// runBatch is the shared tail of both request modes: acquire the warm
-// engine, run the batch under the request deadline, and assemble the
-// response and flight metadata.  echo maps a result index to the line/echo
-// pair the response reports.
+// runBatch is the shared tail of both request modes: run the batch on the
+// pool's engine under the request deadline, and assemble the response and
+// flight metadata.  echo maps a result index to the line/echo pair the
+// response reports.
 func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID,
 	ax *axiom.Set, queries []core.Query, echo func(int) (int, string), svc0 time.Time) (*BatchResponse, *flightMeta, int, error) {
 
-	eng, cold := s.pool.Get(ax)
 	deadline := wire.ClampMS(req.DeadlineMS, s.cfg.MaxDeadline)
 	perQuery := s.cfg.QueryTimeout
 	if req.TimeoutMS > 0 {
@@ -497,12 +486,11 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.
 
 	memo0, dfa0 := s.pool.Memo().Stats(), s.pool.DFACache().Stats()
 	start := time.Now()
-	outs := eng.BatchTimeout(bctx, queries, perQuery)
+	outs := s.pool.Batch(bctx, queries, perQuery)
 	elapsed := time.Since(start)
 	memo, dfa := s.pool.Memo().Stats(), s.pool.DFACache().Stats()
 	bsp.End(
 		telemetry.String("axiom_set", ax.StructName),
-		telemetry.Bool("cold_engine", cold),
 		telemetry.Int("queries", len(outs)),
 	)
 
@@ -528,7 +516,6 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.
 		Queries:         len(outs),
 		ElapsedUS:       elapsed.Microseconds(),
 		ServiceUS:       time.Since(svc0).Microseconds(),
-		ColdEngine:      cold,
 		AxiomSet:        ax.StructName,
 		Timeouts:        deg[telemetry.DegradeQueryTimeout],
 		TraceID:         rt.TraceIDString(),
@@ -541,7 +528,6 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.
 	meta := &flightMeta{
 		AxiomSet:    ax.StructName,
 		Queries:     len(outs),
-		ColdEngine:  cold,
 		ElapsedUS:   elapsed.Microseconds(),
 		MemoHits:    memo.Hits - memo0.Hits,
 		MemoLookups: memo.Lookups - memo0.Lookups,
@@ -558,43 +544,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
-}
-
-// EngineStatz is one warm engine's /statz entry.
-type EngineStatz struct {
-	AxiomSet string `json:"axiom_set"`
-	Uses     int64  `json:"uses"`
-	Batches  int64  `json:"batches"`
-	Queries  int64  `json:"queries"`
-	// The degraded-query counters, split by reason like engine.Stats.
-	Timeouts        int64 `json:"timeouts"`
-	DeadlineExpired int64 `json:"deadline_expired"`
-	Canceled        int64 `json:"canceled"`
-}
-
-// Statz is the /statz body: the resident-engine table, the one report the
-// registry deliberately does not hold.  It is bounded by MaxEngines, where
-// per-axiom-set series would grow with every axiom set a raw-mode client
-// sends; every process-level number is a registry instrument instead.
-type Statz struct {
-	Engines []EngineStatz `json:"engines"`
-}
-
-func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	var z Statz
-	for _, v := range s.pool.Snapshot() {
-		st := v.Eng.Stats()
-		z.Engines = append(z.Engines, EngineStatz{
-			AxiomSet:        v.Name,
-			Uses:            v.Uses,
-			Batches:         st.Batches,
-			Queries:         st.Queries,
-			Timeouts:        st.Timeouts,
-			DeadlineExpired: st.DeadlineExpired,
-			Canceled:        st.Canceled,
-		})
-	}
-	wire.WriteJSON(w, http.StatusOK, z)
 }
 
 func defaultConcurrency() int {

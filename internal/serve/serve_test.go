@@ -96,19 +96,17 @@ func TestBatchRoundTripWarmsCaches(t *testing.T) {
 	if br.Dependent {
 		t.Error("Dependent = true for a provably independent pair")
 	}
-	if !br.Stats.ColdEngine {
-		t.Error("first request should report a cold engine")
-	}
 
-	// The same request again must ride the warm engine: no cold flag, and
-	// the proof memo serves the repeat.
-	hits0 := metrics(srv).Counters["engine.memo_hits"]
+	// The same request again must ride the warm caches: the proof memo
+	// serves the repeat without a single fresh search.
+	m0 := metrics(srv).Counters
 	_, br2 := postBatch(t, ts.URL, req)
-	if br2.Stats.ColdEngine {
-		t.Error("second request rebuilt the engine")
-	}
-	if hits := metrics(srv).Counters["engine.memo_hits"] - hits0; hits == 0 {
+	m := metrics(srv).Counters
+	if hits := m["engine.memo_hits"] - m0["engine.memo_hits"]; hits == 0 {
 		t.Error("second request hit the proof memo 0 times")
+	}
+	if misses := m["engine.memo_misses"] - m0["engine.memo_misses"]; misses != 0 {
+		t.Errorf("second request searched %d proofs, want 0", misses)
 	}
 	if br2.Stats.ElapsedUS > br.Stats.ElapsedUS*10 {
 		t.Errorf("warm request took %dus vs cold %dus", br2.Stats.ElapsedUS, br.Stats.ElapsedUS)
@@ -153,6 +151,38 @@ func TestBatchRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/batch = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestBodyCapAnswers413: a body over an endpoint's cap answers 413 naming
+// the cap, like the query-count cap on the same requests; a malformed body
+// under the cap stays a 400.
+func TestBodyCapAnswers413(t *testing.T) {
+	const cap = 256
+	ts := httptest.NewServer(New(Config{MaxBodyBytes: cap}))
+	defer ts.Close()
+
+	pad := `{"program":"` + strings.Repeat(" ", 64*cap) + `","queries":["between S T"]}`
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+		msg              string
+	}{
+		{"batch over cap", "/v1/batch", pad[:2*cap], http.StatusRequestEntityTooLarge, "limit of 256 bytes"},
+		{"batch malformed", "/v1/batch", "between S T", http.StatusBadRequest, "bad request body"},
+		{"preload over cap", "/v1/preload", pad, http.StatusRequestEntityTooLarge, "limit of 16384 bytes"},
+		{"preload malformed", "/v1/preload", "not an artifact", http.StatusBadRequest, "artifact"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/octet-stream", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || !strings.Contains(e.Error, tc.msg) {
+			t.Errorf("%s: %d %q, want %d mentioning %q", tc.name, resp.StatusCode, e.Error, tc.want, tc.msg)
+		}
 	}
 }
 
@@ -360,54 +390,20 @@ func TestMetricsAndStatzEndpoints(t *testing.T) {
 			t.Errorf("metrics counter %q = 0, want > 0 (have %d counters)", want, len(snap.Counters))
 		}
 	}
-	for _, want := range []string{"serve.engines_resident", "serve.dfa_entries", "serve.memo_entries", "serve.interned_exprs"} {
+	for _, want := range []string{"serve.dfa_entries", "serve.memo_entries", "serve.interned_exprs"} {
 		if snap.Gauges[want] == 0 {
 			t.Errorf("metrics gauge %q = 0, want > 0 (have %v)", want, snap.Gauges)
 		}
 	}
 
-	// /statz is the resident-engine table and nothing else.
+	// The registry is the only read surface: /statz is not served.
 	resp, err = http.Get(ts.URL + "/statz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var z map[string][]EngineStatz
-	if err := json.NewDecoder(resp.Body).Decode(&z); err != nil {
-		t.Fatalf("statz decode: %v", err)
-	}
 	resp.Body.Close()
-	if len(z) != 1 || len(z["engines"]) != 1 {
-		t.Fatalf("statz = %+v, want exactly one engine table of one engine", z)
-	}
-	if e := z["engines"][0]; e.Uses != 1 || e.Queries == 0 {
-		t.Errorf("statz engine = %+v, want one use and its queries", e)
-	}
-}
-
-// TestEngineLRUReclamation: the per-axiom-set engine population respects
-// MaxEngines, evicting the least recently used.
-func TestEngineLRUReclamation(t *testing.T) {
-	srv := newMetered(Config{MaxEngines: 1})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	tree := BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}
-	list := BatchRequest{Program: listProgram(t), Fn: "update", Queries: []string{"loop U"}}
-
-	if _, br := postBatch(t, ts.URL, tree); !br.Stats.ColdEngine {
-		t.Error("first tree request should be cold")
-	}
-	if _, br := postBatch(t, ts.URL, list); !br.Stats.ColdEngine {
-		t.Error("first list request should be cold")
-	}
-	m := metrics(srv)
-	if resident, evicted := m.Gauges["serve.engines_resident"], m.Counters["serve.engines_evicted"]; resident != 1 || evicted != 1 {
-		t.Errorf("resident=%d evicted=%d, want 1/1", resident, evicted)
-	}
-	// The tree engine was reclaimed; using it again is a (correct) cold
-	// rebuild.
-	if _, br := postBatch(t, ts.URL, tree); !br.Stats.ColdEngine {
-		t.Error("tree request after LRU reclamation should be cold again")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/statz = %d, want 404", resp.StatusCode)
 	}
 }
 

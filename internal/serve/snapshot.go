@@ -11,16 +11,16 @@ import (
 )
 
 // Warm-handoff endpoints.  A cluster router reacting to a ring change asks
-// the shard's old owner for a snapshot of its warm engine state and ships
-// it to the new owner, so the move costs one artifact transfer instead of a
-// cold rebuild plus a re-proved memo.  Both endpoints address engines by
-// the axiom set's cross-process fingerprint — the only identity two
-// processes share (see axiom.Set.Fingerprint64).
+// the shard's old owner for a snapshot of its warm state and ships it to
+// the new owner, so the move costs one artifact transfer instead of
+// re-proving the memo.  The snapshot is addressed by the axiom set's
+// cross-process fingerprint — the only identity two processes share (see
+// axiom.Set.Fingerprint64).
 
 // handleSnapshot answers GET /v1/snapshot?fp=<hex fingerprint> with the
-// fingerprinted engine's warm state as a binary aptc artifact (404 when no
-// such engine is resident — the caller then simply lets the gaining
-// backend build cold).
+// process's warm state as a binary aptc artifact (404 when the proof memo
+// holds no goal under the fingerprinted axiom set — the caller then simply
+// lets the gaining backend start cold).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -34,26 +34,24 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	art := s.pool.SnapshotArtifact(fp)
 	if art == nil {
-		wire.WriteJSONError(w, http.StatusNotFound, fmt.Sprintf("no resident engine for fingerprint %016x", fp))
+		wire.WriteJSONError(w, http.StatusNotFound, fmt.Sprintf("no proof goals for fingerprint %016x", fp))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	art.WriteTo(w) //nolint:errcheck // client hangup
 }
 
-// PreloadReport is the JSON body answering POST /v1/preload.
+// PreloadReport is the JSON body answering POST /v1/preload: what the
+// preload inserted into the DFA cache, the decision memo and the proof memo
+// (entries already present are left as they are and not counted).
 type PreloadReport struct {
-	// Built counts engines this preload constructed (axiom sets from the
-	// artifact that were not already resident).
-	Built int `json:"built"`
-	// Resident is the pool population after the preload.
-	Resident int `json:"resident"`
+	DFAs      int `json:"dfas"`
+	Decisions int `json:"decisions"`
+	Goals     int `json:"goals"`
 }
 
 // handlePreload answers POST /v1/preload (body: a binary aptc artifact) by
-// building — artifact-preseeded — an engine for every axiom set the
-// artifact carries.  Already-resident engines are left untouched: they are
-// at least as warm as any snapshot.
+// preseeding the process's caches with it.
 func (s *Server) handlePreload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -64,7 +62,7 @@ func (s *Server) handlePreload(w http.ResponseWriter, r *http.Request) {
 	// batch body cap rather than adding another knob.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64*s.cfg.MaxBodyBytes))
 	if err != nil {
-		wire.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
+		wire.WriteBodyError(w, "read body", err)
 		return
 	}
 	art, err := automata.DecodeArtifact(body)
@@ -72,6 +70,7 @@ func (s *Server) handlePreload(w http.ResponseWriter, r *http.Request) {
 		wire.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("artifact: %v", err))
 		return
 	}
-	built := s.pool.PreloadArtifact(art)
-	wire.WriteJSON(w, http.StatusOK, PreloadReport{Built: built, Resident: s.pool.Len()})
+	var rep PreloadReport
+	rep.DFAs, rep.Decisions, rep.Goals = s.pool.PreloadArtifact(art)
+	wire.WriteJSON(w, http.StatusOK, rep)
 }

@@ -45,17 +45,16 @@ U:		q->f = fun();
 
 // TestSoakConcurrentMixedDeadlines is the race-mode soak behind `make
 // race-serve`: at least 8 concurrent clients hammer one server with mixed
-// per-request deadlines across more axiom sets than the engine pool may
-// keep resident, then a final wave overlaps a drain.  It asserts the
+// per-request deadlines across several axiom sets, then a final wave
+// overlaps a drain.  It asserts the
 // long-lived-process invariants: every response is answered (200/429/503,
 // never a hang, drop, or 500), cache and memo sizes stay under the
 // per-shard caps, accepted == completed after the drain, and every counter
 // is monotone.
 func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 	const (
-		clients    = 8
-		maxEngines = 3
-		shardCap   = 4
+		clients  = 8
+		shardCap = 4
 	)
 	requests := 24
 	if testing.Short() {
@@ -66,7 +65,6 @@ func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 		Workers:       2,
 		MaxConcurrent: 4,
 		QueueDepth:    2 * clients,
-		MaxEngines:    maxEngines,
 		DFAShardCap:   shardCap,
 		MemoShardCap:  shardCap,
 		// A ring larger than the whole soak's request count, so "every
@@ -171,12 +169,6 @@ func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 	if got := mid.Counters["serve.panics"]; got != 0 {
 		t.Errorf("panics = %d", got)
 	}
-	if got := mid.Gauges["serve.engines_resident"]; got > maxEngines {
-		t.Errorf("engines resident = %d, cap %d", got, maxEngines)
-	}
-	if len(workloads) > maxEngines && mid.Counters["serve.engines_evicted"] == 0 {
-		t.Error("no engine was ever LRU-reclaimed despite axiom sets > MaxEngines")
-	}
 	// The whole point of the per-shard caps: a long-lived server's caches
 	// must stay bounded no matter how much traffic has passed through.
 	bound := int64(automata.DefaultSharedShards * (shardCap + 1))
@@ -280,7 +272,7 @@ func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 }
 
 // rawSetRequest is a raw-mode request over the i-th of a family of
-// distinct two-field axiom sets, so each i builds its own engine.
+// distinct two-field axiom sets, so each i searches its own proofs cold.
 func rawSetRequest(i int) BatchRequest {
 	return BatchRequest{
 		AxiomSet: fmt.Sprintf("A1: forall p, p.L%[1]d <> p.R%[1]d\nA2: forall p <> q, p.L%[1]d|R%[1]d <> q.L%[1]d|R%[1]d\n", i),
@@ -290,13 +282,13 @@ func rawSetRequest(i int) BatchRequest {
 }
 
 // TestScrapeDuringColdBuilds: /metrics and /metrics.json are scraped
-// continuously while raw requests over more axiom sets than the pool keeps
-// build and evict engines.  A gauge reading the pool under the registry's
-// lock would deadlock here — the pool holds its own lock while a new engine
-// resolves its instruments in the registry — so the test pins that gauge
-// functions run outside it; under -race it also checks the reads are safe.
+// continuously while raw requests over many distinct axiom sets fill the
+// caches cold.  A gauge reading the caches under the registry's lock could
+// deadlock against a cache holding its own lock while it resolves an
+// instrument in the registry, so the test pins that gauge functions run
+// outside it; under -race it also checks the reads are safe.
 func TestScrapeDuringColdBuilds(t *testing.T) {
-	srv := newMetered(Config{Workers: 2, MaxEngines: 2})
+	srv := newMetered(Config{Workers: 2})
 	// Closed on success only: Close waits for in-flight requests, which a
 	// deadlock never finishes.
 	ts := httptest.NewServer(srv)
@@ -352,15 +344,9 @@ func TestScrapeDuringColdBuilds(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatal("requests stalled while /metrics was scraped: a gauge deadlocked against engine construction")
+		t.Fatal("requests stalled while /metrics was scraped: a gauge deadlocked against a cold batch")
 	}
 	close(stop)
 	scrapers.Wait()
 	ts.Close()
-
-	m := metrics(srv)
-	if m.Counters["serve.engines_evicted"] == 0 || m.Gauges["serve.engines_resident"] > 2 {
-		t.Errorf("evicted=%d resident=%d, want evictions and at most 2 resident",
-			m.Counters["serve.engines_evicted"], m.Gauges["serve.engines_resident"])
-	}
 }

@@ -8,19 +8,19 @@ import (
 )
 
 // Process warmup: the first execution of the request pipeline in a fresh
-// process — HTTP dispatch, JSON decode, parse, analysis, engine build,
-// proof search, response encode — is several times slower than steady
-// state: lazily grown interner tables, first-touch heap pages, branch-cold
-// code.  Without this, that one-time cost lands on whichever request
-// arrives first and masquerades as engine cold-start in the cold/warm
-// latency split.  New drives a tiny synthetic request through a throwaway
-// server once per process, so boot time (not the first request) pays it.
+// process — HTTP dispatch, JSON decode, parse, analysis, proof search,
+// response encode — is several times slower than steady state: lazily
+// grown interner tables, first-touch heap pages, branch-cold code.
+// Without this, that one-time cost lands on whichever request arrives
+// first and masquerades as a cold cache in the cold/warm latency split.
+// New drives a tiny synthetic request through a throwaway server once per
+// process, so boot time (not the first request) pays it.
 //
 // The synthetic program's struct, fields, and axioms are deliberately
 // unlike any real workload: warmup must heat the code paths, never a real
-// axiom set's engine, DFA entries, or proof-memo namespace.  The throwaway
-// server keeps every per-instance side effect (engine pool residency,
-// flight-recorder entries, request counters) away from real servers.
+// axiom set's DFA entries or proof-memo namespace.  The throwaway server
+// keeps every per-instance side effect (cache entries, flight-recorder
+// entries, request counters) away from real servers.
 const warmupProgram = `
 struct ServeWarmup {
 	struct ServeWarmup *wa;
@@ -66,7 +66,7 @@ func warmProcess() {
 		if err != nil {
 			return
 		}
-		// Twice: the second pass exercises the warm-engine path (memo and
+		// Twice: the second pass exercises the warm path (memo and
 		// DFA-cache hits), which real warm requests take.
 		for i := 0; i < 2; i++ {
 			req, err := http.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))

@@ -252,8 +252,8 @@ func (r *Registry) Max(name string) *Max {
 // registry is snapshotted or rendered and reads its owner's live state, so
 // nothing is copied into the registry.  Registering a name again replaces
 // its function.  f always runs outside the registry's lock, so it may take
-// locks of its own — the engine pool's, say, which is held while a new
-// engine resolves its instruments here.
+// locks of its own — a cache's shard locks, say — without a scrape
+// deadlocking against an owner that resolves its instruments here.
 func (r *Registry) GaugeFunc(name string, f func() int64) {
 	if r == nil {
 		return

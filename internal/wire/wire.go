@@ -27,6 +27,7 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -106,25 +107,19 @@ type QueryResult struct {
 	Reason string `json:"reason"`
 }
 
-// BatchStats reports the request's cost and the warm-cache state it ran
-// against.
+// BatchStats reports the request's cost.
 type BatchStats struct {
 	Queries   int   `json:"queries"`
 	ElapsedUS int64 `json:"elapsed_us"`
 	// ServiceUS is the server-side service time for the whole request —
-	// parse, analysis, engine acquisition (including a cold build), and the
-	// batch run — excluding admission queueing.  Cold-vs-warm comparisons
-	// should use this rather than client-observed latency, which folds in
-	// queue wait and connection effects.
-	ServiceUS int64 `json:"service_us"`
-	// ColdEngine reports whether this request built the engine (first
-	// sighting of its axiom set since startup or since LRU reclamation).
-	ColdEngine bool   `json:"cold_engine"`
-	AxiomSet   string `json:"axiom_set"`
+	// parse, analysis, and the batch run — excluding admission queueing.
+	// Cold-vs-warm comparisons should use this rather than client-observed
+	// latency, which folds in queue wait and connection effects.
+	ServiceUS int64  `json:"service_us"`
+	AxiomSet  string `json:"axiom_set"`
 	// Timeouts counts this request's queries degraded toward Maybe because
-	// the per-query timeout expired (not the engines' lifetime count, which
-	// /metrics reports as apt_engine_degraded_query_timeout_total and
-	// /statz per resident engine).
+	// the per-query timeout expired (not the engine's lifetime count, which
+	// /metrics reports as apt_engine_degraded_query_timeout_total).
 	Timeouts int64 `json:"timeouts"`
 	// TraceID identifies this request's trace (the same id the traceparent
 	// response header carries).
@@ -188,6 +183,18 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 // WriteJSONError writes the protocol's error body.
 func WriteJSONError(w http.ResponseWriter, code int, msg string) {
 	WriteJSON(w, code, ErrorResponse{Error: msg})
+}
+
+// WriteBodyError answers a request whose body failed to read or decode:
+// 413 naming the cap when the body outgrew its http.MaxBytesReader, else
+// 400 with what failed.
+func WriteBodyError(w http.ResponseWriter, what string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		WriteJSONError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds the limit of %d bytes", tooBig.Limit))
+		return
+	}
+	WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("%s: %v", what, err))
 }
 
 // ClampMS converts a client-supplied millisecond budget to a duration in
