@@ -24,11 +24,12 @@ race:
 # Schedule independence: verdicts and cache contents must not depend on
 # goroutine scheduling.  Run the engine-vs-sequential differential, the
 # artifact preload round trip (whose preloaded engine must compile no DFA),
-# and the swap-symmetry tests at several GOMAXPROCS values, then compile one
+# the swap-symmetry tests and the missing-axiom-set test (whose set-less
+# queries may open any chunk) at several GOMAXPROCS values, then compile one
 # replay artifact at one and at four workers, five times over, and demand
 # byte-identical files.
 determinism:
-	$(GO) test -cpu 1,2,8 -count 20 -run 'TestDifferentialAgainstSequential|TestPreloadedEngineMatchesCold|Swap' \
+	$(GO) test -cpu 1,2,8 -count 20 -run 'TestDifferentialAgainstSequential|TestPreloadedEngineMatchesCold|Swap|TestNilAxiomsAnsweredMaybe' \
 		./internal/engine ./internal/scenario
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/aptc ./cmd/aptc && \

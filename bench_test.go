@@ -50,7 +50,8 @@ func BenchmarkSection33_DepTest(b *testing.B) {
 		T: core.Access{Handle: "_h", Path: pathexpr.MustParse("L.R.N"), Field: "d"},
 	}
 	for i := 0; i < b.N; i++ {
-		t := core.NewTester(axiom.LeafLinkedBinaryTree(), prover.Options{})
+		q.Axioms = axiom.LeafLinkedBinaryTree()
+		t := core.NewTester(q.Axioms, prover.Options{})
 		if t.DepTest(q).Result != core.No {
 			b.Fatal("answer lost")
 		}

@@ -146,8 +146,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fatalf("%v", err)
 	}
-	fmt.Fprintf(stdout, "aptc: wrote %s: %d DFAs, %d decisions, %d proof verdicts, %d axiom sets, %d alphabets, %d exprs, %d bytes\n",
-		*out, len(art.DFAs), len(art.Ops), len(art.Goals), len(art.AxiomSets), len(art.Alphabets), len(art.Exprs), st.Size())
+	fmt.Fprintf(stdout, "aptc: wrote %s: %d DFAs, %d decisions, %d proof verdicts, %d alphabets, %d exprs, %d bytes\n",
+		*out, len(art.DFAs), len(art.Ops), len(art.Goals), len(art.Alphabets), len(art.Exprs), st.Size())
 
 	if *verify {
 		back, err := automata.LoadArtifact(*out)
@@ -195,9 +195,7 @@ func librarySnapshot(set *axiom.Set) *automata.Artifact {
 			cache.Equivalent(x, y, alpha) //nolint:errcheck
 		}
 	}
-	art := cache.Snapshot()
-	engine.AppendAxiomSet(art, set)
-	return art
+	return cache.Snapshot()
 }
 
 // replaySnapshot analyzes the program, expands the query file, runs it
@@ -233,7 +231,7 @@ func replaySnapshot(programFile, queryFile, fn string, workers int) (*automata.A
 	if err != nil {
 		return nil, err
 	}
-	eng := engine.New(res.Axioms, engine.Options{
+	eng := engine.New(engine.Options{
 		Workers: workers,
 		Prover:  prover.Options{},
 	})
@@ -273,6 +271,5 @@ func artifactsEqual(a, b *automata.Artifact) bool {
 		reflect.DeepEqual(a.Ops, b.Ops) &&
 		reflect.DeepEqual(a.Sigs, b.Sigs) &&
 		reflect.DeepEqual(a.Goals, b.Goals) &&
-		reflect.DeepEqual(a.AxiomSets, b.AxiomSets) &&
 		reflect.DeepEqual(a.Replays, b.Replays)
 }

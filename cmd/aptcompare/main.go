@@ -59,8 +59,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, c := range corpus {
 		set := c.axioms()
 		q := core.Query{
-			S: core.Access{Handle: "_h", Path: pathexpr.MustParseAlphabet(c.p1, set.Fields()), Field: "d", IsWrite: true},
-			T: core.Access{Handle: "_h", Path: pathexpr.MustParseAlphabet(c.p2, set.Fields()), Field: "d", IsWrite: false},
+			Axioms: set,
+			S:      core.Access{Handle: "_h", Path: pathexpr.MustParseAlphabet(c.p1, set.Fields()), Field: "d", IsWrite: true},
+			T:      core.Access{Handle: "_h", Path: pathexpr.MustParseAlphabet(c.p2, set.Fields()), Field: "d", IsWrite: false},
 		}
 		apt := core.NewTester(set, prover.Options{}).DepTest(q).Result
 		lh := baseline.NewLarusHilfinger(set).DepTest(q)

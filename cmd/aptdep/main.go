@@ -280,7 +280,7 @@ func runBatch(cfg batchConfig, stdout, stderr io.Writer) int {
 		opts.Memo = core.NewMemo(0, 0, cfg.tel)
 		opts.Memo.Preseed(cfg.preload)
 	}
-	eng := engine.New(cfg.res.Axioms, opts)
+	eng := engine.New(opts)
 	exit := 0
 	cfg.phases.Run("deptest", func() error {
 		for i, out := range eng.Batch(context.Background(), queries) {

@@ -370,7 +370,7 @@ func buildReplayArtifact(t *testing.T, file, fn, queryLine string) *automata.Art
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(res.Axioms, engine.Options{})
+	eng := engine.New(engine.Options{})
 	eng.Batch(context.Background(), qs)
 	return eng.DFACache().Snapshot()
 }

@@ -192,7 +192,6 @@ func runCertify(workers int, tel *telemetry.Set, stdout, stderr io.Writer) error
 		return err
 	}
 	var queries []core.Query
-	var eng *engine.Engine
 	for _, fn := range []struct{ name, label string }{
 		{"scaleRows", "S"},
 		{"scaleCols", "T"},
@@ -206,17 +205,15 @@ func runCertify(workers int, tel *telemetry.Set, stdout, stderr io.Writer) error
 			return fmt.Errorf("%s: %w", fn.name, err)
 		}
 		for _, q := range qs {
-			queries = append(queries, q, core.Query{S: q.T, T: q.S})
-		}
-		if eng == nil {
-			eng = engine.New(res.Axioms, engine.Options{
-				Workers:   workers,
-				Prover:    prover.Options{Telemetry: tel},
-				Telemetry: tel,
-			})
+			queries = append(queries, q, q.Swapped())
 		}
 	}
 
+	eng := engine.New(engine.Options{
+		Workers:   workers,
+		Prover:    prover.Options{Telemetry: tel},
+		Telemetry: tel,
+	})
 	outs := eng.Batch(context.Background(), queries)
 	for i, out := range outs {
 		if out.Result != core.No {

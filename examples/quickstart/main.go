@@ -31,6 +31,7 @@ func main() {
 	//    the access paths the flow analysis collected (see cmd/aptdep for
 	//    the automatic version).
 	q := core.Query{
+		Axioms: tree,
 		S: core.Access{
 			Handle: "_hroot", Path: pathexpr.MustParse("L.L.N"),
 			Field: "d", IsWrite: true, Type: "LLBinaryTree",

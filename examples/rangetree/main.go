@@ -66,8 +66,9 @@ func main() {
 	tester := core.NewTester(axioms, prover.Options{})
 	run := func(name, p1, p2 string) {
 		q := core.Query{
-			S: core.Access{Handle: "_hroot", Path: pathexpr.MustParse(p1), Field: "v", IsWrite: true},
-			T: core.Access{Handle: "_hroot", Path: pathexpr.MustParse(p2), Field: "v", IsWrite: true},
+			Axioms: axioms,
+			S:      core.Access{Handle: "_hroot", Path: pathexpr.MustParse(p1), Field: "v", IsWrite: true},
+			T:      core.Access{Handle: "_hroot", Path: pathexpr.MustParse(p2), Field: "v", IsWrite: true},
 		}
 		fmt.Printf("  %-44s %v\n", name+":", tester.DepTest(q).Result)
 	}

@@ -45,10 +45,6 @@ import (
 //	                 xIdx u32, yIdx u32, suffixI i32, suffixJ i32,
 //	                 altIndex i32, kids u32,
 //	                 by/byT1/byT2/note: each len u32 + bytes
-//	  axiomsets: count u32, then per axiom set:
-//	               name len u32 + bytes, axiom count u32, then per axiom:
-//	                 form u8, pad u8 ×3, re1Idx u32, re2Idx u32,
-//	                 name len u32 + bytes
 //	  replays:   count u32, then per replay workload:
 //	               program len u32 + bytes, fn len u32 + bytes,
 //	               query count u32, per query len u32 + bytes
@@ -61,7 +57,7 @@ import (
 // any other version: the format carries raw transition tables, and reading
 // them under wrong layout assumptions would produce wrong verdicts, which
 // is the one failure mode this layer must never have.
-const ArtifactVersion = 1
+const ArtifactVersion = 2
 
 var artifactMagic = [4]byte{'A', 'P', 'T', 'C'}
 
@@ -97,24 +93,6 @@ type ArtifactStep struct {
 	AltIndex              int32
 	Kids                  int
 	By, ByT1, ByT2, Note  string
-}
-
-// ArtifactAxiom is one serialized aliasing axiom: RE1/RE2 index the
-// artifact's expression table; Form is the axiom.Form value.
-type ArtifactAxiom struct {
-	Name     string
-	Form     uint8
-	RE1, RE2 int
-}
-
-// ArtifactAxiomSet is one full axiom set, complete with names and
-// declaration order (the fingerprint alone is order- and name-blind, but
-// proof search and proof traces depend on both).  Serving processes use it
-// to pre-build pool engines at boot, eliminating the engine-cold first
-// request entirely.
-type ArtifactAxiomSet struct {
-	Name   string
-	Axioms []ArtifactAxiom
 }
 
 // ArtifactReplay is the workload a replay-mode artifact was compiled from:
@@ -155,10 +133,6 @@ type Artifact struct {
 	// memo's persisted definitive verdicts, each scoped to one fingerprint.
 	Sigs  []string
 	Goals []ArtifactGoal
-	// AxiomSets are the full axiom sets the artifact was compiled under,
-	// names and declaration order included; loaders reconstruct them to
-	// pre-build engines at boot.
-	AxiomSets []ArtifactAxiomSet
 	// Replays are the replay-mode workloads the artifact was compiled from,
 	// for boot-time self-warming of the serving request path.
 	Replays []ArtifactReplay
@@ -447,20 +421,6 @@ func (a *Artifact) payload() ([]byte, error) {
 			str(st.Note)
 		}
 	}
-	u32(len(a.AxiomSets))
-	for _, set := range a.AxiomSets {
-		str(set.Name)
-		u32(len(set.Axioms))
-		for _, ax := range set.Axioms {
-			if ax.RE1 < 0 || ax.RE1 >= len(a.Exprs) || ax.RE2 < 0 || ax.RE2 >= len(a.Exprs) {
-				return nil, fmt.Errorf("artifact: axiom entry references out-of-range expression index")
-			}
-			buf = append(buf, ax.Form, 0, 0, 0)
-			u32(ax.RE1)
-			u32(ax.RE2)
-			str(ax.Name)
-		}
-	}
 	u32(len(a.Replays))
 	for _, rp := range a.Replays {
 		str(rp.Program)
@@ -732,30 +692,6 @@ func decodeArtifact(buf []byte) (*Artifact, error) {
 			Sig: sig, Form: form, Result: result, X: x, Y: y,
 			Theorem: theorem, Steps: steps,
 		})
-	}
-	nSets := r.count("axiom set")
-	for i := 0; i < nSets && r.err == nil; i++ {
-		setName := r.str("axiom set name")
-		nAx := r.count("axiom")
-		set := ArtifactAxiomSet{Name: setName}
-		for j := 0; j < nAx && r.err == nil; j++ {
-			arec := r.bytes(4, "axiom record")
-			re1 := r.u32("axiom RE1 index")
-			re2 := r.u32("axiom RE2 index")
-			axName := r.str("axiom name")
-			if r.err != nil {
-				break
-			}
-			if re1 >= len(art.Exprs) || re2 >= len(art.Exprs) {
-				r.fail("axiom expression index")
-				break
-			}
-			set.Axioms = append(set.Axioms, ArtifactAxiom{Name: axName, Form: arec[0], RE1: re1, RE2: re2})
-		}
-		if r.err != nil {
-			break
-		}
-		art.AxiomSets = append(art.AxiomSets, set)
 	}
 	nReplays := r.count("replay workload")
 	for i := 0; i < nReplays && r.err == nil; i++ {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/pathexpr"
@@ -50,7 +51,6 @@ func artifactEqual(a, b *Artifact) bool {
 		reflect.DeepEqual(a.Ops, b.Ops) &&
 		reflect.DeepEqual(a.Sigs, b.Sigs) &&
 		reflect.DeepEqual(a.Goals, b.Goals) &&
-		reflect.DeepEqual(a.AxiomSets, b.AxiomSets) &&
 		reflect.DeepEqual(a.Replays, b.Replays)
 }
 
@@ -64,12 +64,8 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if len(art.DFAs) == 0 || len(art.Ops) == 0 {
 		t.Fatalf("empty snapshot: %d DFAs, %d ops", len(art.DFAs), len(art.Ops))
 	}
-	// The engine- and compiler-populated sections ride the same payload;
-	// synthetic entries give them round-trip coverage at this layer too.
-	art.AxiomSets = append(art.AxiomSets, ArtifactAxiomSet{
-		Name:   "Synthetic",
-		Axioms: []ArtifactAxiom{{Name: "A1", Form: 1, RE1: 0, RE2: 1}},
-	})
+	// The compiler-populated replay section rides the same payload; a
+	// synthetic entry gives it round-trip coverage at this layer too.
 	art.Replays = append(art.Replays, ArtifactReplay{
 		Program: "struct S { struct S *n; };",
 		Fn:      "f",
@@ -129,12 +125,37 @@ func TestArtifactRoundTrip(t *testing.T) {
 
 	// Snapshot of the preseeded cache reproduces the artifact exactly — the
 	// round trip is a fixed point.  (The cache only carries DFAs and
-	// decisions; the synthetic engine-level sections are grafted back before
+	// decisions; the synthetic replay section is grafted back before
 	// comparing.)
 	again := warm.Snapshot()
-	again.AxiomSets, again.Replays = art.AxiomSets, art.Replays
+	again.Replays = art.Replays
 	if !artifactEqual(art, again) {
 		t.Error("snapshot of the preseeded cache differs from the original artifact")
+	}
+}
+
+// TestArtifactRejectsVersion1 checks the format bump: a version-1 file —
+// whose payload carried an axiom-set table this build no longer reads —
+// fails to load with a version error rather than decoding under the new
+// layout.
+func TestArtifactRejectsVersion1(t *testing.T) {
+	c, _ := artifactCache(t)
+	var buf bytes.Buffer
+	if _, err := c.Snapshot().WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	img := buf.Bytes()
+	binary.LittleEndian.PutUint32(img[4:8], 1)
+	path := filepath.Join(t.TempDir(), "v1.aptc")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadArtifact(path)
+	if err == nil {
+		t.Fatal("loading a version-1 artifact succeeded")
+	}
+	if !strings.Contains(err.Error(), "format version 1") {
+		t.Errorf("loading a version-1 artifact failed with %q, want a format-version error", err)
 	}
 }
 

@@ -20,6 +20,14 @@ func q(handle, p1, p2 string) core.Query {
 	}
 }
 
+// aptQ is q carrying the APT tester's axiom set, which every query the
+// tester answers must name (the baselines ignore it).
+func aptQ(apt *core.Tester, handle, p1, p2 string) core.Query {
+	query := q(handle, p1, p2)
+	query.Axioms = apt.Axioms()
+	return query
+}
+
 func TestFieldGroups(t *testing.T) {
 	groups := FieldGroups(axiom.LeafLinkedBinaryTree())
 	var got [][]string
@@ -115,7 +123,7 @@ func TestLarusSection24(t *testing.T) {
 	}
 	// APT must beat LH88 on the widened query.
 	apt := core.NewTester(axiom.LeafLinkedBinaryTree(), prover.Options{})
-	if out := apt.DepTest(q("_hroot", "L.L.N", "L.R.N")); out.Result != core.No {
+	if out := apt.DepTest(aptQ(apt, "_hroot", "L.L.N", "L.R.N")); out.Result != core.No {
 		t.Errorf("APT on LLN vs LRN = %v, want No", out.Result)
 	}
 }
@@ -130,7 +138,7 @@ func TestLarusTheoremT(t *testing.T) {
 		t.Fatalf("LH88 on Theorem T = %v, want Maybe", got)
 	}
 	apt := core.NewTester(axiom.SparseMatrixCore(), prover.Options{})
-	if out := apt.DepTest(q("_hr", "ncolE+", "nrowE+ncolE+")); out.Result != core.No {
+	if out := apt.DepTest(aptQ(apt, "_hr", "ncolE+", "nrowE+ncolE+")); out.Result != core.No {
 		t.Fatalf("APT on Theorem T = %v, want No", out.Result)
 	}
 }
@@ -249,7 +257,7 @@ func TestComparisonCorpus(t *testing.T) {
 		apt := core.NewTester(r.axioms, prover.Options{})
 		lh := NewLarusHilfinger(r.axioms)
 		kl := NewKLimited(2, r.axioms)
-		query := q("_h", r.p1, r.p2)
+		query := aptQ(apt, "_h", r.p1, r.p2)
 		if got := apt.DepTest(query).Result; got != r.wantAPT {
 			t.Errorf("%s: APT = %v, want %v", r.name, got, r.wantAPT)
 		}

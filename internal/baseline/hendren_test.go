@@ -61,7 +61,7 @@ func TestHendrenNicolauExpressibility(t *testing.T) {
 	}
 	// ... while APT handles both.
 	apt := core.NewTester(axiom.BinaryTree("L", "R"), prover0())
-	if out := apt.DepTest(q("_h", "L.(L|R)", "R")); out.Result != core.No {
+	if out := apt.DepTest(aptQ(apt, "_h", "L.(L|R)", "R")); out.Result != core.No {
 		t.Errorf("APT on alternation = %v, want No", out.Result)
 	}
 }

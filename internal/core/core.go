@@ -129,6 +129,8 @@ func (a Access) String() string {
 
 // Query is one dependence question: does T depend on S?
 type Query struct {
+	// Axioms is the axiom set valid across the query's window (§3.4).
+	// Required: a query without one is answered Maybe.
 	Axioms *axiom.Set
 	S, T   Access
 	// Relation describes the two handles when they differ; ignored when the
@@ -147,6 +149,16 @@ type Query struct {
 	// stable across the two execution instances being compared (see
 	// analysis.Access.Guards vs InvGuards).
 	SGuards, TGuards guard.Set
+}
+
+// Swapped returns the query with its two accesses (and their guards)
+// exchanged: the orientation a symmetric client, judging both ⟨a,b⟩ and
+// ⟨b,a⟩, asks next.  The window, handle relation and field-overlap test
+// carry over.
+func (q Query) Swapped() Query {
+	q.S, q.T = q.T, q.S
+	q.SGuards, q.TGuards = q.TGuards, q.SGuards
+	return q
 }
 
 // Outcome reports the answer with its justification.
@@ -168,14 +180,12 @@ type Outcome struct {
 	GuardUpgraded bool
 }
 
-// Tester runs dependence queries against a fixed default axiom set, reusing
-// provers (and their caches) across queries.  A query carrying its own
-// Axioms (e.g. a §3.4 validity window that dropped some axioms) is answered
-// with a prover for that set.  Not safe for concurrent use.
+// Tester runs dependence queries, each under the axiom set it carries
+// (the §3.4 window valid across its two statements), reusing one prover
+// (and its caches) per set across queries.  A query without a set is
+// answered Maybe.  Not safe for concurrent use.
 type Tester struct {
-	prover *prover.Prover
 	axioms *axiom.Set
-	axID   uint64
 	opts   prover.Options
 	memo   *Memo
 	// provers caches per-window provers by axiom-set identity.
@@ -187,17 +197,11 @@ type Tester struct {
 	VerifyProofs bool
 }
 
-// NewTester builds a Tester for the axiom set.
+// NewTester builds a Tester.  The set only backs Prover and Axioms (proof
+// rendering, loop-carried query construction); queries are answered under
+// their own Axioms, never under it.  A nil set is valid.
 func NewTester(axioms *axiom.Set, opts prover.Options) *Tester {
-	p := prover.New(axioms, opts)
-	id := axioms.ID()
-	return &Tester{
-		prover:  p,
-		axioms:  axioms,
-		axID:    id,
-		opts:    opts,
-		provers: map[uint64]*prover.Prover{id: p},
-	}
+	return &Tester{axioms: axioms, opts: opts, provers: map[uint64]*prover.Prover{}}
 }
 
 // SetProofMemo routes the tester's theorem-proving calls through a
@@ -208,30 +212,35 @@ func (t *Tester) SetProofMemo(m *Memo) *Tester {
 	return t
 }
 
-// proverFor returns the prover for the query's axiom window together with
-// the window's identity (the proof-memo namespace).
-func (t *Tester) proverFor(q Query) (*prover.Prover, uint64) {
-	if q.Axioms == nil {
-		return t.prover, t.axID
-	}
-	id := q.Axioms.ID()
+// proverFor returns the prover for an axiom window together with the
+// window's identity (the proof-memo namespace).
+func (t *Tester) proverFor(axioms *axiom.Set) (*prover.Prover, uint64) {
+	id := axioms.ID()
 	if p, ok := t.provers[id]; ok {
 		return p, id
 	}
-	p := prover.New(q.Axioms, t.opts)
+	p := prover.New(axioms, t.opts)
 	t.provers[id] = p
 	return p, id
 }
 
-// Prover exposes the underlying theorem prover (for proof rendering and for
-// clients like the baselines that certify structure properties).
-func (t *Tester) Prover() *prover.Prover { return t.prover }
+// Prover exposes the theorem prover of the tester's own axiom set (for
+// proof rendering and for clients like the baselines that certify
+// structure properties); nil when the tester was built without one.
+func (t *Tester) Prover() *prover.Prover {
+	if t.axioms == nil {
+		return nil
+	}
+	p, _ := t.proverFor(t.axioms)
+	return p
+}
 
-// Axioms returns the tester's axiom set.
+// Axioms returns the tester's own axiom set.
 func (t *Tester) Axioms() *axiom.Set { return t.axioms }
 
 // DepTest answers a dependence query, following §4.1:
 //
+//  0. no axiom set on the query        → Maybe (nothing to prove under)
 //  1. different structure types        → No
 //  2. non-overlapping data fields      → No
 //  3. neither access writes            → No (read-read)
@@ -262,7 +271,12 @@ func (t *Tester) DepTest(q Query) Outcome {
 func (t *Tester) depTest(q Query) Outcome {
 	kind := Classify(q.S, q.T)
 	out := Outcome{Kind: kind}
-	prv, axID := t.proverFor(q)
+	if q.Axioms == nil {
+		out.Result = Maybe
+		out.Reason = "query carries no axiom set; dependence assumed"
+		return out
+	}
+	prv, axID := t.proverFor(q.Axioms)
 	prove := func(form prover.Form, x, y pathexpr.Expr) *prover.Proof {
 		if t.memo == nil {
 			return prv.Prove(form, x, y)

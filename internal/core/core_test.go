@@ -22,8 +22,9 @@ func access(handle, path, field string, write bool) Access {
 func TestSection33EndToEnd(t *testing.T) {
 	tr := llTester()
 	out := tr.DepTest(Query{
-		S: access("_hroot", "L.L.N", "d", true),
-		T: access("_hroot", "L.R.N", "d", false),
+		Axioms: tr.Axioms(),
+		S:      access("_hroot", "L.L.N", "d", true),
+		T:      access("_hroot", "L.R.N", "d", false),
 	})
 	if out.Result != No {
 		t.Fatalf("§3.3 query = %v (%s), want No", out.Result, out.Reason)
@@ -39,8 +40,9 @@ func TestSection33EndToEnd(t *testing.T) {
 func TestDefiniteYes(t *testing.T) {
 	tr := llTester()
 	out := tr.DepTest(Query{
-		S: access("_h", "L.L.N", "d", true),
-		T: access("_h", "L.L.N", "d", false),
+		Axioms: tr.Axioms(),
+		S:      access("_h", "L.L.N", "d", true),
+		T:      access("_h", "L.L.N", "d", false),
 	})
 	if out.Result != Yes {
 		t.Fatalf("identical singleton paths = %v, want Yes", out.Result)
@@ -50,8 +52,9 @@ func TestDefiniteYes(t *testing.T) {
 func TestMaybeOnConfluence(t *testing.T) {
 	tr := llTester()
 	out := tr.DepTest(Query{
-		S: access("_h", "L.L.N.N", "d", true),
-		T: access("_h", "L.R.N", "d", false),
+		Axioms: tr.Axioms(),
+		S:      access("_h", "L.L.N.N", "d", true),
+		T:      access("_h", "L.R.N", "d", false),
 	})
 	if out.Result != Maybe {
 		t.Fatalf("LLNN vs LRN = %v, want Maybe (they can collide)", out.Result)
@@ -67,7 +70,7 @@ func TestTypeCheckShortCircuits(t *testing.T) {
 	s.Type = "Tree"
 	u := access("_h", "L", "d", true)
 	u.Type = "List"
-	out := tr.DepTest(Query{S: s, T: u})
+	out := tr.DepTest(Query{Axioms: tr.Axioms(), S: s, T: u})
 	if out.Result != No || !strings.Contains(out.Reason, "types differ") {
 		t.Fatalf("different types = %v (%s), want No", out.Result, out.Reason)
 	}
@@ -79,8 +82,9 @@ func TestTypeCheckShortCircuits(t *testing.T) {
 func TestFieldOverlapCheck(t *testing.T) {
 	tr := llTester()
 	out := tr.DepTest(Query{
-		S: access("_h", "L", "d1", true),
-		T: access("_h", "L", "d2", true),
+		Axioms: tr.Axioms(),
+		S:      access("_h", "L", "d1", true),
+		T:      access("_h", "L", "d2", true),
 	})
 	if out.Result != No || !strings.Contains(out.Reason, "do not overlap") {
 		t.Fatalf("distinct fields = %v (%s), want No", out.Result, out.Reason)
@@ -88,6 +92,7 @@ func TestFieldOverlapCheck(t *testing.T) {
 
 	// A union-style overlap override forces the aliasing question.
 	out = tr.DepTest(Query{
+		Axioms:        tr.Axioms(),
 		S:             access("_h", "L", "d1", true),
 		T:             access("_h", "L", "d2", true),
 		FieldsOverlap: func(f, g string) bool { return true },
@@ -100,8 +105,9 @@ func TestFieldOverlapCheck(t *testing.T) {
 func TestReadReadIsNo(t *testing.T) {
 	tr := llTester()
 	out := tr.DepTest(Query{
-		S: access("_h", "L.L.N", "d", false),
-		T: access("_h", "L.L.N", "d", false),
+		Axioms: tr.Axioms(),
+		S:      access("_h", "L.L.N", "d", false),
+		T:      access("_h", "L.L.N", "d", false),
 	})
 	if out.Result != No || out.Kind != NoAccessConflict {
 		t.Fatalf("read-read = %v/%v, want No/none", out.Result, out.Kind)
@@ -120,8 +126,9 @@ func TestKindClassification(t *testing.T) {
 	}
 	for _, c := range cases {
 		out := tr.DepTest(Query{
-			S: access("_h", "L", "d", c.sw),
-			T: access("_h", "R", "d", c.tw),
+			Axioms: tr.Axioms(),
+			S:      access("_h", "L", "d", c.sw),
+			T:      access("_h", "R", "d", c.tw),
 		})
 		if out.Kind != c.want {
 			t.Errorf("writes (%v,%v): kind %v, want %v", c.sw, c.tw, out.Kind, c.want)
@@ -135,6 +142,7 @@ func TestKindClassification(t *testing.T) {
 func TestDistinctHandles(t *testing.T) {
 	tr := llTester()
 	q := Query{
+		Axioms:   tr.Axioms(),
 		S:        access("_hp", "N", "d", true),
 		T:        access("_hq", "N", "d", true),
 		Relation: DistinctHandles,
@@ -150,6 +158,7 @@ func TestUnknownHandlesNeedsBothProofs(t *testing.T) {
 	tr := llTester()
 	// L vs R: same-handle provable (A1), distinct-handle provable (A2) → No.
 	out := tr.DepTest(Query{
+		Axioms:   tr.Axioms(),
 		S:        access("_hp", "L", "d", true),
 		T:        access("_hq", "R", "d", true),
 		Relation: UnknownHandles,
@@ -163,6 +172,7 @@ func TestUnknownHandlesNeedsBothProofs(t *testing.T) {
 
 	// N vs N: distinct-handle provable (A3) but same-handle identical → Maybe.
 	out = tr.DepTest(Query{
+		Axioms:   tr.Axioms(),
 		S:        access("_hp", "N", "d", true),
 		T:        access("_hq", "N", "d", true),
 		Relation: UnknownHandles,
@@ -211,8 +221,9 @@ func TestTheoremTEndToEnd(t *testing.T) {
 func TestRingDefiniteYesThroughEquality(t *testing.T) {
 	tr := NewTester(axiom.RingOf("next", 3), prover.Options{})
 	out := tr.DepTest(Query{
-		S: access("_h", "next", "v", true),
-		T: access("_h", "next.next.next.next", "v", false),
+		Axioms: tr.Axioms(),
+		S:      access("_h", "next", "v", true),
+		T:      access("_h", "next.next.next.next", "v", false),
 	})
 	if out.Result != Yes {
 		t.Fatalf("next vs next⁴ in 3-ring = %v, want Yes", out.Result)
@@ -238,12 +249,13 @@ func TestVerifyProofsMode(t *testing.T) {
 	plain := llTester()
 	verified := llTester()
 	verified.VerifyProofs = true
+	ax := plain.Axioms()
 	queries := []Query{
-		{S: access("_h", "L.L.N", "d", true), T: access("_h", "L.R.N", "d", false)},
-		{S: access("_h", "L.L.N.N", "d", true), T: access("_h", "L.R.N", "d", false)},
-		{S: access("_h", "L", "d", true), T: access("_h", "R", "d", true)},
-		{S: access("_hp", "N", "d", true), T: access("_hq", "N", "d", true), Relation: UnknownHandles},
-		{S: access("_hp", "L", "d", true), T: access("_hq", "R", "d", true), Relation: UnknownHandles},
+		{Axioms: ax, S: access("_h", "L.L.N", "d", true), T: access("_h", "L.R.N", "d", false)},
+		{Axioms: ax, S: access("_h", "L.L.N.N", "d", true), T: access("_h", "L.R.N", "d", false)},
+		{Axioms: ax, S: access("_h", "L", "d", true), T: access("_h", "R", "d", true)},
+		{Axioms: ax, S: access("_hp", "N", "d", true), T: access("_hq", "N", "d", true), Relation: UnknownHandles},
+		{Axioms: ax, S: access("_hp", "L", "d", true), T: access("_hq", "R", "d", true), Relation: UnknownHandles},
 	}
 	for i, q := range queries {
 		a, b := plain.DepTest(q), verified.DepTest(q)

@@ -29,10 +29,11 @@ func TestPropertyMirrorConsistency(t *testing.T) {
 	fields := []string{"L", "R", "N"}
 	for i := 0; i < 200; i++ {
 		q := Query{
-			S: Access{Handle: "_h", Path: randWordPath(rng, fields, 4), Field: "d", IsWrite: true},
-			T: Access{Handle: "_h", Path: randWordPath(rng, fields, 4), Field: "d", IsWrite: true},
+			Axioms: tester.Axioms(),
+			S:      Access{Handle: "_h", Path: randWordPath(rng, fields, 4), Field: "d", IsWrite: true},
+			T:      Access{Handle: "_h", Path: randWordPath(rng, fields, 4), Field: "d", IsWrite: true},
 		}
-		mirror := Query{S: q.T, T: q.S}
+		mirror := q.Swapped()
 		a, b := tester.DepTest(q).Result, tester.DepTest(mirror).Result
 		if a != b {
 			t.Fatalf("mirror inconsistency on %v / %v: %v vs %v", q.S.Path, q.T.Path, a, b)
@@ -52,8 +53,9 @@ func TestPropertyYesImpliesConcreteCollision(t *testing.T) {
 		p1 := randWordPath(rng, fields, 3)
 		p2 := randWordPath(rng, fields, 3)
 		q := Query{
-			S: Access{Handle: "_h", Path: p1, Field: "d", IsWrite: true},
-			T: Access{Handle: "_h", Path: p2, Field: "d", IsWrite: true},
+			Axioms: tester.Axioms(),
+			S:      Access{Handle: "_h", Path: p1, Field: "d", IsWrite: true},
+			T:      Access{Handle: "_h", Path: p2, Field: "d", IsWrite: true},
 		}
 		if tester.DepTest(q).Result != Yes {
 			continue
@@ -86,8 +88,9 @@ func TestPropertyNoNeverContradictsYesScreen(t *testing.T) {
 		p1 := pathexpr.FromWord(w)
 		p2 := pathexpr.FromWord(append(append([]string{}, w...), "next", "next", "next", "next"))
 		q := Query{
-			S: Access{Handle: "_h", Path: p1, Field: "v", IsWrite: true},
-			T: Access{Handle: "_h", Path: p2, Field: "v", IsWrite: true},
+			Axioms: tester.Axioms(),
+			S:      Access{Handle: "_h", Path: p1, Field: "v", IsWrite: true},
+			T:      Access{Handle: "_h", Path: p2, Field: "v", IsWrite: true},
 		}
 		if got := tester.DepTest(q).Result; got != Yes {
 			t.Fatalf("next^%d vs next^%d in a 4-ring: %v, want Yes", k, k+4, got)
@@ -116,8 +119,9 @@ func TestPerWindowProverCaching(t *testing.T) {
 	full := axiom.SinglyLinkedList("link")
 	tester := NewTester(full, prover.Options{})
 	q := Query{
-		S: Access{Handle: "_h", Path: pathexpr.Eps, Field: "f", IsWrite: true},
-		T: Access{Handle: "_h", Path: pathexpr.MustParse("link+"), Field: "f", IsWrite: true},
+		Axioms: full,
+		S:      Access{Handle: "_h", Path: pathexpr.Eps, Field: "f", IsWrite: true},
+		T:      Access{Handle: "_h", Path: pathexpr.MustParse("link+"), Field: "f", IsWrite: true},
 	}
 	if out := tester.DepTest(q); out.Result != No {
 		t.Fatalf("full axioms = %v, want No", out.Result)

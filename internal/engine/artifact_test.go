@@ -14,14 +14,14 @@ import (
 
 // TestSnapshotArtifactGoalRoundTrip is the proof-memo persistence
 // differential: a cold engine answers the seeded workload, its full
-// snapshot (DFAs, decisions, goal verdicts, axiom set) is saved and loaded
+// snapshot (DFAs, decisions, goal verdicts) is saved and loaded
 // back, and a preloaded engine must answer byte-identically — with proof
 // verification on, so a restored Proved verdict whose derivation tree did
 // not survive the round trip would fail CheckProof, degrade to Maybe, and
 // break the differential.
 func TestSnapshotArtifactGoalRoundTrip(t *testing.T) {
 	queries := Workload(7, 0)
-	cold := New(WorkloadWindows()[0], Options{Workers: 4, VerifyProofs: true})
+	cold := New(Options{Workers: 4, VerifyProofs: true})
 	want := cold.Batch(context.Background(), queries)
 
 	art := cold.SnapshotArtifact()
@@ -42,9 +42,6 @@ func TestSnapshotArtifactGoalRoundTrip(t *testing.T) {
 	if proved == 0 {
 		t.Fatal("snapshot holds no proved goals; nothing would exercise tree reconstruction")
 	}
-	if len(art.AxiomSets) == 0 {
-		t.Fatal("snapshot did not record the engine's axiom set")
-	}
 
 	path := filepath.Join(t.TempDir(), "goals.aptc")
 	if err := art.Save(path); err != nil {
@@ -55,7 +52,7 @@ func TestSnapshotArtifactGoalRoundTrip(t *testing.T) {
 		t.Fatalf("LoadArtifact: %v", err)
 	}
 
-	warm := New(WorkloadWindows()[0], preloaded(Options{Workers: 4, VerifyProofs: true}, back))
+	warm := New(preloaded(Options{Workers: 4, VerifyProofs: true}, back))
 	got := warm.Batch(context.Background(), queries)
 	for i := range got {
 		if got[i].Result != want[i].Result || got[i].Kind != want[i].Kind || got[i].Reason != want[i].Reason {
@@ -80,42 +77,6 @@ func preloaded(opts Options, art *automata.Artifact) Options {
 	return opts
 }
 
-// TestArtifactAxiomSetRoundTrip checks that a persisted axiom set survives
-// the artifact's save/load round trip with full fidelity: struct name,
-// axiom names, forms, and expressions, in declaration order.
-func TestArtifactAxiomSetRoundTrip(t *testing.T) {
-	orig := axiom.LeafLinkedBinaryTree()
-	art := &automata.Artifact{}
-	AppendAxiomSet(art, orig)
-
-	path := filepath.Join(t.TempDir(), "set.aptc")
-	if err := art.Save(path); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	back, err := automata.LoadArtifact(path)
-	if err != nil {
-		t.Fatalf("LoadArtifact: %v", err)
-	}
-	if len(back.AxiomSets) != 1 {
-		t.Fatalf("loaded %d axiom sets, want 1", len(back.AxiomSets))
-	}
-	got := back.AxiomSets[0]
-	if got.Name != orig.StructName {
-		t.Errorf("struct name %q, want %q", got.Name, orig.StructName)
-	}
-	if len(got.Axioms) != orig.Len() {
-		t.Fatalf("loaded %d axioms, want %d", len(got.Axioms), orig.Len())
-	}
-	for i, a := range got.Axioms {
-		o := orig.Axioms[i]
-		if a.Name != o.Name || axiom.Form(a.Form) != o.Form ||
-			back.Exprs[a.RE1] != pathexpr.Intern(o.RE1).String() ||
-			back.Exprs[a.RE2] != pathexpr.Intern(o.RE2).String() {
-			t.Errorf("axiom %d: loaded %+v, want %v", i, a, o)
-		}
-	}
-}
-
 // TestMemoPreseedFingerprintScoping checks the soundness boundary of goal
 // persistence: a preseeded verdict is reachable under the identity of the
 // axiom set it was proved under and under no other.
@@ -125,7 +86,6 @@ func TestMemoPreseedFingerprintScoping(t *testing.T) {
 	x, y := setA.Axioms[0].RE1, setA.Axioms[0].RE2
 
 	art := &automata.Artifact{}
-	AppendAxiomSet(art, setA)
 	xi, yi := len(art.Exprs), len(art.Exprs)+1
 	art.Exprs = append(art.Exprs, pathexpr.Intern(x).String(), pathexpr.Intern(y).String())
 	art.Sigs = append(art.Sigs, setA.Key())

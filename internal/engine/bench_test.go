@@ -38,7 +38,7 @@ func BenchmarkEngineWorkload(b *testing.B) {
 			queries := Workload(benchSeed, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng := New(WorkloadWindows()[0], Options{Workers: workers})
+				eng := New(Options{Workers: workers})
 				eng.Batch(context.Background(), queries)
 			}
 		})
@@ -80,13 +80,13 @@ func TestWriteBenchEngineJSON(t *testing.T) {
 		workers := workers
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng := New(WorkloadWindows()[0], Options{Workers: workers})
+				eng := New(Options{Workers: workers})
 				eng.Batch(context.Background(), queries)
 			}
 		})
 		// Hit rates come from one untimed batch on a fresh engine — the
 		// same cold-start shape the timing measured.
-		eng := New(WorkloadWindows()[0], Options{Workers: workers})
+		eng := New(Options{Workers: workers})
 		eng.Batch(context.Background(), queries)
 		dfa := eng.DFACache().Stats()
 		dfaRate := 0.0

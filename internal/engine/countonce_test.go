@@ -35,7 +35,7 @@ func newCounted(tel *telemetry.Set) *countedInstances {
 	dfas := automata.NewSharedCache(8, 1, 8).SetTelemetry(tel)
 	memo := core.NewMemo(1, 8, tel)
 	return &countedInstances{
-		eng:  New(WorkloadWindows()[0], Options{Workers: 1, Telemetry: tel, DFACache: dfas, Memo: memo}),
+		eng:  New(Options{Workers: 1, Telemetry: tel, DFACache: dfas, Memo: memo}),
 		dfas: dfas,
 		memo: memo,
 		adm:  admit.New(1, 0).Feed(tel, "serve"),

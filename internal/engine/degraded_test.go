@@ -24,7 +24,7 @@ func degradedHarness(t *testing.T, ctx context.Context, queries []core.Query, pe
 	tc := telemetry.NewTraceContext()
 	rt := telemetry.NewRequestTrace(tc)
 	ctx = telemetry.WithTraceScope(ctx, rt, tc.SpanID)
-	eng := New(WorkloadWindows()[0], Options{Workers: 2, Telemetry: tel})
+	eng := New(Options{Workers: 2, Telemetry: tel})
 	for i, out := range eng.BatchTimeout(ctx, queries, perQuery) {
 		if out.Result != core.Maybe {
 			t.Errorf("results[%d] = %v, want Maybe", i, out.Result)

@@ -51,7 +51,7 @@ func TestDifferentialAgainstSequential(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{1, 4, 8} {
-				eng := New(WorkloadWindows()[0], Options{Workers: workers})
+				eng := New(Options{Workers: workers})
 				got := eng.Batch(context.Background(), queries)
 				if len(got) != len(want) {
 					t.Fatalf("workers=%d: got %d results for %d queries", workers, len(got), len(queries))
@@ -77,7 +77,7 @@ func TestDifferentialAgainstSequential(t *testing.T) {
 // found, never *what* it is.
 func TestBatchRepeatDeterministic(t *testing.T) {
 	queries := Workload(3, 0)
-	eng := New(WorkloadWindows()[0], Options{Workers: 4})
+	eng := New(Options{Workers: 4})
 	first := eng.Batch(context.Background(), queries)
 	for round := 0; round < 3; round++ {
 		again := eng.Batch(context.Background(), queries)
@@ -103,7 +103,7 @@ func TestVerifyProofsMatchesSequential(t *testing.T) {
 	for i, q := range queries {
 		want[i] = tester.DepTest(q)
 	}
-	eng := New(WorkloadWindows()[0], Options{Workers: 4, VerifyProofs: true})
+	eng := New(Options{Workers: 4, VerifyProofs: true})
 	got := eng.Batch(context.Background(), queries)
 	for i := range got {
 		if got[i].Result != want[i].Result || got[i].Kind != want[i].Kind {

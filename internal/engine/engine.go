@@ -1,9 +1,9 @@
 // Package engine is the concurrency-safe batched dependence-query engine:
-// it answers many core.Query instances over one axiom set by fanning them
-// across parallel.Pool workers, each owning a sequential core.Tester whose
-// expensive layers — the DFA compilation cache and the theorem-prover
-// verdicts — are shared across the whole batch through an
-// automata.SharedCache and a core.Memo.  Both are pure functions of their
+// it answers many core.Query instances, each under the axiom set it
+// carries, by fanning them across parallel.Pool workers, each owning a
+// sequential core.Tester whose expensive layers — the DFA compilation
+// cache and the theorem-prover verdicts — are shared across the whole
+// batch through an automata.SharedCache and a core.Memo.  Both are pure functions of their
 // keys (a DFA of expression and alphabet, a proof of axiom set and goal),
 // so an engine may borrow them from a longer-lived owner: exec.Pool lends
 // one bounded pair to the process's one engine.
@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/automata"
-	"repro/internal/axiom"
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/prover"
@@ -83,11 +82,10 @@ type Stats struct {
 // differential_test.go enforces the equivalence).  An Engine is safe for
 // concurrent use, though a single Batch already saturates its pool.
 type Engine struct {
-	axioms *axiom.Set
-	opts   Options
-	pool   *parallel.Pool
-	dfas   *automata.SharedCache
-	memo   *core.Memo
+	opts Options
+	pool *parallel.Pool
+	dfas *automata.SharedCache
+	memo *core.Memo
 
 	// The engine's own counts, each feeding the registry counter of the
 	// same quantity (shared by every engine on one telemetry set).
@@ -98,13 +96,11 @@ type Engine struct {
 	canceled  telemetry.Counter
 }
 
-// New builds an engine over the default axiom set.  Queries carrying their
-// own Axioms (validity windows) are honored exactly as on the sequential
-// tester; the shared caches key by axiom-set fingerprint, so windows with
-// equal alphabets still share compiled DFAs.  A nil default means every
-// query carries its own Axioms (exec.Pool's engine, which serves every
-// axiom set).
-func New(axioms *axiom.Set, opts Options) *Engine {
+// New builds an engine.  One engine serves every axiom set: each query is
+// answered under its own Axioms (its validity window) exactly as on the
+// sequential tester, the proof memo keys by axiom-set identity, and DFAs
+// key by alphabet, so windows with equal alphabets share compiled DFAs.
+func New(opts Options) *Engine {
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
@@ -121,11 +117,10 @@ func New(axioms *axiom.Set, opts Options) *Engine {
 		memo = core.NewMemo(0, 0, tel)
 	}
 	e := &Engine{
-		axioms: axioms,
-		opts:   opts,
-		pool:   parallel.NewPool(opts.Workers).SetTelemetry(tel),
-		dfas:   dfas,
-		memo:   memo,
+		opts: opts,
+		pool: parallel.NewPool(opts.Workers).SetTelemetry(tel),
+		dfas: dfas,
+		memo: memo,
 	}
 	e.batches.Feed(tel.Counter("engine.batches"))
 	e.queries.Feed(tel.Counter("engine.queries"))
@@ -244,13 +239,7 @@ func (e *Engine) BatchTimeout(ctx context.Context, queries []core.Query, perQuer
 			opts.Trace = rt
 			opts.TraceParent = ws.ID()
 		}
-		// Without a default set, the chunk's first query supplies it; every
-		// query is still answered by the prover of its own set.
-		ax := e.axioms
-		if ax == nil {
-			ax = queries[lo].Axioms
-		}
-		tester := core.NewTester(ax, opts).SetProofMemo(e.memo)
+		tester := core.NewTester(nil, opts).SetProofMemo(e.memo)
 		tester.VerifyProofs = e.opts.VerifyProofs
 		for i := lo; i < hi; i++ {
 			results[i] = e.runOne(tester, guard, queries[i], perQuery)
@@ -303,8 +292,9 @@ func (e *Engine) runOne(tester *core.Tester, guard *interruptGuard, q core.Query
 	out := tester.DepTest(q)
 	// A guard trip can only have weakened the answer toward Maybe (the
 	// prover maps interrupts to Exhausted); make the reason say why.  A
-	// verdict reached before the trip stands untouched.
-	if out.Result == core.Maybe {
+	// verdict reached before the trip stands untouched, and so does the
+	// Maybe of a query without an axiom set, which never searched.
+	if out.Result == core.Maybe && q.Axioms != nil {
 		switch {
 		case guard.canceled:
 			e.degrade(guard.ctx, telemetry.DegradeCanceled)

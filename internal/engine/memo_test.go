@@ -76,7 +76,7 @@ func TestMemoExhaustedNotRetainedAcrossTesters(t *testing.T) {
 
 	// Provably independent, but only after a search deeper than the
 	// impatient tester's two-step budget.
-	q := core.Query{S: access("L.R", "val", true), T: access("L.L+", "val", true)}
+	q := core.Query{Axioms: axioms, S: access("L.R", "val", true), T: access("L.L+", "val", true)}
 
 	impatient := core.NewTester(axioms, prover.Options{MaxSteps: 2}).SetProofMemo(memo)
 	if out := impatient.DepTest(q); out.Result != core.Maybe {

@@ -23,7 +23,7 @@ func TestPreloadedEngineMatchesCold(t *testing.T) {
 			if len(queries) < 200 {
 				t.Fatalf("workload too small: %d queries", len(queries))
 			}
-			cold := New(WorkloadWindows()[0], Options{Workers: 4})
+			cold := New(Options{Workers: 4})
 			want := cold.Batch(context.Background(), queries)
 
 			path := filepath.Join(t.TempDir(), "workload.aptc")
@@ -38,7 +38,7 @@ func TestPreloadedEngineMatchesCold(t *testing.T) {
 				t.Fatal("snapshot holds no DFAs; the differential would be vacuous")
 			}
 
-			warm := New(WorkloadWindows()[0], preloaded(Options{Workers: 4}, art))
+			warm := New(preloaded(Options{Workers: 4}, art))
 			got := warm.Batch(context.Background(), queries)
 			if len(got) != len(want) {
 				t.Fatalf("got %d results for %d queries", len(got), len(queries))

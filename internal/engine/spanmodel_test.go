@@ -24,7 +24,7 @@ type spanEdge struct{ name, parent string }
 func TestOneSpanModel(t *testing.T) {
 	queries := Workload(3, 24)
 	run := func(rt *telemetry.RequestTrace) {
-		eng := New(WorkloadWindows()[0], Options{Workers: 1})
+		eng := New(Options{Workers: 1})
 		batch := rt.StartSpan("test.batch", telemetry.SpanID{})
 		eng.Batch(telemetry.WithTraceScope(context.Background(), rt, batch.ID()), queries)
 		batch.End()

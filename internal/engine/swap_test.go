@@ -16,7 +16,7 @@ func TestTesterSwapSymmetric(t *testing.T) {
 	fwd := core.NewTester(WorkloadWindows()[0], prover.Options{})
 	rev := core.NewTester(WorkloadWindows()[0], prover.Options{})
 	for i, q := range queries {
-		a, b := fwd.DepTest(q), rev.DepTest(swapQuery(q))
+		a, b := fwd.DepTest(q), rev.DepTest(q.Swapped())
 		if a.Result != b.Result {
 			t.Errorf("query %d (%s): %v forward but %v swapped", i, describe(q), a.Result, b.Result)
 		}

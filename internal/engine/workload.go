@@ -75,15 +75,16 @@ func WorkloadWindows() []*axiom.Set {
 // Workload generates the deterministic pseudo-random query workload for
 // the engine's differential tests and benchmarks: every base access pair ×
 // every validity window, issued once in its original orientation and twice
-// swapped (S and T exchanged, as symmetric loop passes do), then shuffled
-// by the seed.  If n is positive the workload is truncated to n queries.
+// swapped (S and T exchanged, as symmetric loop passes do: the kind flips
+// between Flow and Anti, but the disjointness goals are the same theorems,
+// which core.GoalKey deduplicates), then shuffled by the seed.  If n is positive the workload is truncated to n queries.
 func Workload(seed int64, n int) []core.Query {
 	windows := WorkloadWindows()
 	var queries []core.Query
 	for _, w := range windows {
 		for _, spec := range workloadSpecs {
 			q := spec.query(w)
-			queries = append(queries, q, swapQuery(q), swapQuery(q))
+			queries = append(queries, q, q.Swapped(), q.Swapped())
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -107,13 +108,4 @@ func (s workloadSpec) query(w *axiom.Set) core.Query {
 		T:        core.Access{Handle: ht, Path: pathexpr.MustParse(s.y), Field: s.ft, IsWrite: s.wt},
 		Relation: s.relation,
 	}
-}
-
-// swapQuery exchanges the two accesses, the orientation a symmetric client
-// (judging both ⟨a,b⟩ and ⟨b,a⟩) produces.  The dependence kind flips
-// between Flow and Anti but the disjointness goals are the same theorems,
-// which is exactly what core.GoalKey deduplicates.
-func swapQuery(q core.Query) core.Query {
-	q.S, q.T = q.T, q.S
-	return q
 }

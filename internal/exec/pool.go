@@ -56,7 +56,7 @@ func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 		dfas: automata.NewSharedCache(0, 0, cfg.DFAShardCap).SetTelemetry(tel),
 		memo: core.NewMemo(0, cfg.MemoShardCap, tel),
 	}
-	p.eng = engine.New(nil, engine.Options{
+	p.eng = engine.New(engine.Options{
 		Workers:      cfg.Workers,
 		QueryTimeout: cfg.QueryTimeout,
 		Prover:       prover.Options{Telemetry: tel},

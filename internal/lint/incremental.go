@@ -208,8 +208,8 @@ type RunStats struct {
 
 // IncrementalDriver runs a Driver incrementally: per-declaration
 // fingerprints decide what to re-analyze, a Store carries fingerprints and
-// diagnostics between runs, and shared Caches carry proof memos and
-// compiled DFAs between runs.
+// diagnostics between runs, and shared Caches carry the engine's proof
+// memo and compiled DFAs between runs.
 type IncrementalDriver struct {
 	Driver *Driver
 	Store  *Store
@@ -230,11 +230,14 @@ func (inc *IncrementalDriver) Run(file string, prog *lang.Program) ([]Diagnostic
 	fps := fingerprints(prog)
 	prev := inc.Store.Files[file]
 
+	if inc.Caches.DFACache == nil {
+		inc.Caches.DFACache = inc.Driver.dfaCache()
+	}
 	var stats RunStats
 	ctx := &Context{
 		File: file, Prog: prog,
 		Telemetry: inc.Driver.tel, Workers: inc.Driver.workers,
-		Caches: inc.Caches, DFACache: inc.Driver.dfaCache(), fps: fps,
+		Caches: inc.Caches, DFACache: inc.Caches.DFACache, fps: fps,
 	}
 	var reused []Diagnostic
 	if prev == nil {

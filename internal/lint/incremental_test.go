@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/automata"
 	"repro/internal/lang"
+	"repro/internal/pathexpr"
+	"repro/internal/telemetry"
 )
 
 // incrSrc is a unit with an interprocedural chain (top calls mid calls
@@ -165,6 +168,69 @@ func TestIncrementalEditCycle(t *testing.T) {
 		if stats.Analyzed > e.maxAnalyzed {
 			t.Errorf("%s: re-analyzed %d declarations, want at most %d", e.name, stats.Analyzed, e.maxAnalyzed)
 		}
+	}
+}
+
+// TestIncrementalReusesCachesAcrossRuns: with a preload artifact, the
+// first incremental run preseeds one DFA cache and builds one engine over
+// it; a re-run after an edit borrows both — no second preseed, and the
+// DFAs run 1 compiled answer run 2 as hits.
+func TestIncrementalReusesCachesAcrossRuns(t *testing.T) {
+	seed := automata.NewSharedCache(0, 0, 0)
+	if _, err := seed.DFA(pathexpr.Intern(pathexpr.MustParse("next+")), automata.NewAlphabet("next")); err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New(telemetry.NewRegistry(), nil)
+	inc := NewIncremental(NewDriver(tel).SetPreload(seed.Snapshot()))
+	// DFA and decision hits, all on the one cache the runs share.
+	hits := func() int64 {
+		c := tel.Metrics().Snapshot().Counters
+		return c["automata.shared_hits"] + c["automata.shared_decision_hits"]
+	}
+
+	if _, _, err := inc.Run("u.c", parse(t, incrSrc)); err != nil {
+		t.Fatal(err)
+	}
+	dfas, eng := inc.Caches.DFACache, inc.Caches.Engine
+	if dfas == nil || eng == nil {
+		t.Fatalf("run 1 left DFA cache %p and engine %p; want both built", dfas, eng)
+	}
+	if eng.DFACache() != dfas {
+		t.Fatal("run 1's engine does not borrow the preseeded DFA cache")
+	}
+	before, hits1 := dfas.Stats(), hits()
+	if before.Compiles == 0 {
+		t.Fatal("run 1 compiled no DFA; the reuse check would be vacuous")
+	}
+
+	edited := strings.Replace(incrSrc, "c->v = 1;", "c->v = 3;", 1) // dirties leaf, mid, top
+	got, stats, err := inc.Run("u.c", parse(t, edited))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Analyzed == 0 {
+		t.Fatal("the edit re-analyzed nothing")
+	}
+	if inc.Caches.DFACache != dfas {
+		t.Error("run 2 replaced the DFA cache: the artifact was preseeded again")
+	}
+	if inc.Caches.Engine != eng {
+		t.Error("run 2 built a second engine")
+	}
+	after := dfas.Stats()
+	if after.Compiles != before.Compiles {
+		t.Errorf("run 2 compiled %d DFAs that run 1 had already compiled", after.Compiles-before.Compiles)
+	}
+	if hits() <= hits1 {
+		t.Error("run 2 took no hits on the DFAs run 1 compiled")
+	}
+
+	cold, err := NewDriver(nil).Run("u.c", parse(t, edited))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, cold) {
+		t.Errorf("re-run over reused caches diverges from a cold run:\ngot  %v\nwant %v", got, cold)
 	}
 }
 

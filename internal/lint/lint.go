@@ -97,7 +97,7 @@ type Pass interface {
 
 // Context carries the unit under analysis and memoizes the expensive
 // artifacts passes share: per-function memory-reference analyses and the
-// batched query engines built on their axiom sets.
+// one batched query engine that answers every function's queries.
 type Context struct {
 	// File is the display name of the unit (used only in diagnostics
 	// rendering; the driver never touches the filesystem).
@@ -117,24 +117,24 @@ type Context struct {
 	// the unit.  Passes consult them through SkipFunc and SkipStruct.
 	OnlyFuncs   map[string]bool
 	OnlyStructs map[string]bool
-	// Caches, when non-nil, holds batched engines that outlive this run.
-	// They are keyed by axiom-set ID — a pure function of axiom content —
-	// so reusing them across re-parses of edited source is sound, and it
-	// carries the engines' proof memos and compiled DFAs from run to run.
+	// Caches, when non-nil, holds the engine that outlives this run.  Its
+	// proof memo keys verdicts by axiom-set identity — a pure function of
+	// axiom content — so reusing it across re-parses of edited source is
+	// sound, and it carries proofs and compiled DFAs from run to run.
 	Caches *Caches
-	// DFACache, when non-nil, is the DFA cache every engine built by this
-	// context and every analysis it runs borrow; the driver preseeds one
-	// per run from its compiled automata artifact (aptc), so the first
-	// query of each axiom set skips cold compilation.  Nil gives each
-	// engine and analysis a private cache.  Purely an optimization:
-	// verdicts are identical either way.
+	// DFACache, when non-nil, is the DFA cache the context's engine and
+	// every analysis it runs borrow; the driver preseeds it from its
+	// compiled automata artifact (aptc), so the first query of each axiom
+	// set skips cold compilation.  Nil gives the engine and each analysis
+	// a private cache.  Purely an optimization: verdicts are identical
+	// either way.
 	DFACache *automata.SharedCache
 
 	pass     string
 	diags    []Diagnostic
 	analyses map[string]*analysis.Result
 	anErrs   map[string]error
-	engines  map[uint64]*engine.Engine
+	engine   *engine.Engine
 	fps      *unitFingerprints
 }
 
@@ -149,20 +149,22 @@ func (c *Context) SkipStruct(name string) bool {
 	return c.OnlyStructs != nil && !c.OnlyStructs[name]
 }
 
-// Caches holds the cross-run artifacts of the incremental driver: the
-// batched query engines, keyed by axiom-set ID.
-// Every verdict they produce depends only on axiom content, never on
-// source positions, so a cache hit after a re-parse is exact.  Analysis
+// Caches holds the cross-run state of the incremental driver: one batched
+// query engine and the DFA cache it and every run's analyses borrow.
+// Every verdict the engine produces depends only on axiom content, never
+// on source positions, so a cache hit after a re-parse is exact.  Analysis
 // results are deliberately NOT cached across runs: they embed source
 // positions, which shift under edits that leave the fingerprint unchanged.
 type Caches struct {
-	Engines map[uint64]*engine.Engine
+	// Engine is built by the first run that needs one.
+	Engine *engine.Engine
+	// DFACache is preseeded once, by the first run, from the driver's
+	// artifact; nil when the driver has none.
+	DFACache *automata.SharedCache
 }
 
 // NewCaches returns an empty cross-run cache set.
-func NewCaches() *Caches {
-	return &Caches{Engines: map[uint64]*engine.Engine{}}
-}
+func NewCaches() *Caches { return &Caches{} }
 
 // Report files a diagnostic.  An empty Category is filled with the running
 // pass's name.
@@ -198,35 +200,29 @@ func (c *Context) Analysis(fn string) (*analysis.Result, error) {
 	return res, err
 }
 
-// Engine returns a memoized batched query engine for the analysis result's
-// axiom set.  Passes that generate whole query sets (parallelization
-// legality judges every loop-carried pair) answer them through one Batch
-// call, sharing compiled DFAs and canonicalized prover verdicts across the
-// queries — and across loops and functions with the same axioms.
-func (c *Context) Engine(res *analysis.Result) *engine.Engine {
-	key := res.Axioms.ID()
-	if c.Caches != nil {
-		if e, ok := c.Caches.Engines[key]; ok {
-			return e
+// Engine returns the context's batched query engine, building it on first
+// use (or reusing the incremental driver's cross-run one).  Passes that
+// generate whole query sets (parallelization legality judges every
+// loop-carried pair) answer them through one Batch call, sharing compiled
+// DFAs and canonicalized prover verdicts across the queries — and across
+// loops and functions.  Each query carries its own axiom set, so one
+// engine serves every function of the unit.
+func (c *Context) Engine() *engine.Engine {
+	if c.engine == nil && c.Caches != nil {
+		c.engine = c.Caches.Engine
+	}
+	if c.engine == nil {
+		c.engine = engine.New(engine.Options{
+			Workers:   c.Workers,
+			Prover:    prover.Options{Telemetry: c.Telemetry},
+			Telemetry: c.Telemetry,
+			DFACache:  c.DFACache,
+		})
+		if c.Caches != nil {
+			c.Caches.Engine = c.engine
 		}
 	}
-	if c.engines == nil {
-		c.engines = make(map[uint64]*engine.Engine)
-	}
-	if e, ok := c.engines[key]; ok {
-		return e
-	}
-	e := engine.New(res.Axioms, engine.Options{
-		Workers:   c.Workers,
-		Prover:    prover.Options{Telemetry: c.Telemetry},
-		Telemetry: c.Telemetry,
-		DFACache:  c.DFACache,
-	})
-	c.engines[key] = e
-	if c.Caches != nil {
-		c.Caches.Engines[key] = e
-	}
-	return e
+	return c.engine
 }
 
 // Driver runs a fixed pass list over translation units.

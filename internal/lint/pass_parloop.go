@@ -43,7 +43,7 @@ func (parLegality) Run(ctx *Context) error {
 		if len(loops) == 0 {
 			continue
 		}
-		eng := ctx.Engine(res)
+		eng := ctx.Engine()
 		byLoop := attributeAccesses(res.Accesses, loops)
 		for _, lp := range loops {
 			judgeLoop(ctx, res, eng, lp, byLoop[lp.stmt])
@@ -206,8 +206,9 @@ func judgeLoop(ctx *Context, res *analysis.Result, eng *engine.Engine, lp *loopI
 		if a.IsWrite && len(a.IterDeltas) == 0 {
 			if h, ok := invariantHandle(a); ok && !lp.assigned[a.Var] {
 				q := core.Query{
-					S: core.Access{Handle: h.Handle, Path: h.Path, Field: a.Field, Type: a.Type, IsWrite: true},
-					T: core.Access{Handle: h.Handle, Path: h.Path, Field: a.Field, Type: a.Type, IsWrite: true},
+					Axioms: res.Axioms,
+					S:      core.Access{Handle: h.Handle, Path: h.Path, Field: a.Field, Type: a.Type, IsWrite: true},
+					T:      core.Access{Handle: h.Handle, Path: h.Path, Field: a.Field, Type: a.Type, IsWrite: true},
 				}
 				add(slot{q: q, a: a, invariantWrite: true})
 			} else {

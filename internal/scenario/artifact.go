@@ -120,7 +120,7 @@ func Replay(d *Divergence) (*Divergence, error) {
 		// left to contradict.
 		return nil, nil
 	}
-	eng := engine.New(fam.Axioms, engine.Options{QueryTimeout: 2 * time.Second})
+	eng := engine.New(engine.Options{QueryTimeout: 2 * time.Second})
 	if lineVerdict(eng.Batch(context.Background(), qs)) != "no" {
 		return nil, nil
 	}

@@ -138,12 +138,13 @@ type Divergence struct {
 
 // Farm is one configured run.
 type Farm struct {
-	cfg     Config
-	rng     *rand.Rand
-	report  *Report
-	engines map[string]*engine.Engine
-	divs    []*Divergence
-	serve   *serveClient
+	cfg    Config
+	rng    *rand.Rand
+	report *Report
+	// eng answers every family's queries, each under its own axiom set.
+	eng   *engine.Engine
+	divs  []*Divergence
+	serve *serveClient
 }
 
 // NewFarm validates the configuration.
@@ -163,7 +164,10 @@ func NewFarm(cfg Config) (*Farm, error) {
 			FamilyPrograms:    map[string]int{},
 			DivergencesByKind: map[string]int{},
 		},
-		engines: map[string]*engine.Engine{},
+		eng: engine.New(engine.Options{
+			Workers:      cfg.Workers,
+			QueryTimeout: cfg.QueryTimeout,
+		}),
 	}
 	if cfg.ServeURL != "" {
 		f.serve = newServeClient(cfg.ServeURL)
@@ -191,19 +195,6 @@ func (f *Farm) logf(format string, args ...any) {
 	if f.cfg.Logf != nil {
 		f.cfg.Logf(format, args...)
 	}
-}
-
-// engineFor returns the family's engine, building it on first use.
-func (f *Farm) engineFor(fam *Family) *engine.Engine {
-	if e, ok := f.engines[fam.Name]; ok {
-		return e
-	}
-	e := engine.New(fam.Axioms, engine.Options{
-		Workers:      f.cfg.Workers,
-		QueryTimeout: f.cfg.QueryTimeout,
-	})
-	f.engines[fam.Name] = e
-	return e
 }
 
 // Run generates and checks cfg.Programs scenario programs, returning the
@@ -295,7 +286,7 @@ func (f *Farm) checkProgram(ctx context.Context, fam *Family, sp *progSpec, g *h
 		return nil
 	}
 
-	outs := f.engineFor(fam).Batch(ctx, queries)
+	outs := f.eng.Batch(ctx, queries)
 	verdicts := make([]string, len(kept))
 	for i, span := range spans {
 		verdicts[i] = lineVerdict(outs[span[0]:span[1]])

@@ -114,7 +114,7 @@ func (f *Farm) reproduces(fam *Family, sp *progSpec, q QueryLine, g *heap.Graph,
 		return false
 	}
 	if !f.cfg.ForceNo {
-		outs := f.engineFor(fam).Batch(context.Background(), qs)
+		outs := f.eng.Batch(context.Background(), qs)
 		if lineVerdict(outs) != "no" {
 			return false
 		}

@@ -33,7 +33,6 @@ func TestRegressionCorpusPreloadIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fam := FamilyByName(d.Family)
 			prog, err := lang.Parse(d.Program)
 			if err != nil {
 				t.Fatal(err)
@@ -55,7 +54,7 @@ func TestRegressionCorpusPreloadIdentity(t *testing.T) {
 				t.Skipf("artifact no longer expands to queries (err=%v)", err)
 			}
 
-			cold := engine.New(fam.Axioms, engine.Options{QueryTimeout: 2 * time.Second})
+			cold := engine.New(engine.Options{QueryTimeout: 2 * time.Second})
 			want := cold.Batch(context.Background(), qs)
 
 			aptc := filepath.Join(t.TempDir(), "corpus.aptc")
@@ -69,7 +68,7 @@ func TestRegressionCorpusPreloadIdentity(t *testing.T) {
 
 			dfas := automata.NewSharedCache(0, 0, 0)
 			dfas.Preseed(art)
-			warm := engine.New(fam.Axioms, engine.Options{QueryTimeout: 2 * time.Second, DFACache: dfas})
+			warm := engine.New(engine.Options{QueryTimeout: 2 * time.Second, DFACache: dfas})
 			got := warm.Batch(context.Background(), qs)
 			for i := range got {
 				if got[i].Result != want[i].Result || got[i].Kind != want[i].Kind || got[i].Reason != want[i].Reason {

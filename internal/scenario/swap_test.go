@@ -45,10 +45,7 @@ func TestFarmTesterSwapSymmetric(t *testing.T) {
 				continue
 			}
 			for _, q := range qs {
-				s := q
-				s.S, s.T = q.T, q.S
-				s.SGuards, s.TGuards = q.TGuards, q.SGuards
-				if a, b := fwd.DepTest(q), rev.DepTest(s); a.Result != b.Result {
+				if a, b := fwd.DepTest(q), rev.DepTest(q.Swapped()); a.Result != b.Result {
 					t.Errorf("family %s, %q: %v forward but %v swapped (S %v, T %v)",
 						fam.Name, line.Text, a.Result, b.Result, q.S, q.T)
 				}

@@ -28,7 +28,7 @@ func replayArtifact(t *testing.T, source, fn string, queryLines []string) *autom
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(res.Axioms, engine.Options{Workers: 1})
+	eng := engine.New(engine.Options{Workers: 1})
 	eng.Batch(context.Background(), queries)
 	art := eng.SnapshotArtifact()
 	art.Replays = append(art.Replays, automata.ArtifactReplay{
