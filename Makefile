@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test determinism race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check fuzzfarm-smoke aptc-smoke bench-build bench-pairs bench bench-json bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 clean
+.PHONY: check vet build test determinism race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check fuzzfarm-smoke aptc-smoke bench-build bench-pairs bench bench-json bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 loc clean
 
 check: vet build bench-build race bench lintsmoke serve-smoke cluster-smoke race-cluster obs-check fuzzfarm-smoke aptc-smoke determinism
 
@@ -203,6 +203,14 @@ allocs:
 
 figure7:
 	$(GO) run ./cmd/sparsebench
+
+# Go line counts as ROADMAP and CHANGES.md quote them: every *.go file in
+# the tree, perfbench included, split into non-test and test files.  Build
+# outputs (.bench_build/) are not the tree.
+LOC_FIND = find . -name '*.go' -not -path './.git/*' -not -path './.bench_build/*'
+loc:
+	@$(LOC_FIND) -not -name '*_test.go' -print0 | xargs -0 cat | wc -l | awk '{print "non-test Go lines:", $$1}'
+	@$(LOC_FIND) -name '*_test.go' -print0 | xargs -0 cat | wc -l | awk '{print "test Go lines:", $$1}'
 
 clean:
 	$(GO) clean ./...

@@ -18,7 +18,16 @@
 // they invalidate access paths that traverse the stored field, and
 // dependence queries spanning a modification use the intersection of the
 // axiom sets valid before and after — implemented as dropping every axiom
-// that constrains a modified field.
+// that constrains a modified field.  A call or a store through a pointer
+// (*x = …) may write any variable whose address was taken, so it gives
+// every address-taken struct pointer a fresh handle.
+//
+// The same walk carries handle safety beside the matrix: per pointer
+// variable, a nullness lattice and the pointer fields its value was reached
+// through.  A destructive update of one of those fields leaves the handle
+// stale.  Every hazardous dereference — a handle that is NULL, possibly
+// NULL, uninitialized, or stale — is recorded as a Hazard, which lint's
+// handle-safety pass renders as diagnostics.
 package analysis
 
 import (
@@ -93,6 +102,82 @@ type Access struct {
 	// of a query come from different iterations (see LoopCarriedPair).
 	InvGuards guard.Set
 	Pos       lang.Pos
+	// Loop is the innermost loop enclosing the access, nil outside loops.
+	Loop *Loop
+}
+
+// Loop is one while loop of the function.
+type Loop struct {
+	Stmt *lang.WhileStmt
+	// Written holds every variable an iteration may assign: those the
+	// body assigns by name and, when the body or the condition calls a
+	// function or the body stores through a pointer, every address-taken
+	// struct pointer of the function.  Read-only.
+	Written map[string]bool
+	// writtenFields holds the fields an iteration may store to, directly
+	// or in a summarized callee; unknownCalls reports a call whose writes
+	// are unknown.  With Written they decide which guards are
+	// loop-invariant.
+	writtenFields map[string]bool
+	unknownCalls  bool
+}
+
+// HazardKind classifies a hazardous dereference.
+type HazardKind uint8
+
+// Hazard kinds: the handle's nullness at the dereference, or a destructive
+// update on its access path.
+const (
+	DerefUninit      HazardKind = iota // never initialized
+	DerefMaybeUninit                   // initialized on some paths only
+	DerefNil                           // definitely NULL
+	DerefMaybeNil                      // possibly NULL
+	DerefStale                         // a field it was reached through was rewritten
+)
+
+// Hazard is one hazardous dereference of a pointer variable.  Each is
+// recorded once: the walk then assumes the handle usable, so one bad value
+// is reported at its first dereference only.
+type Hazard struct {
+	Pos  lang.Pos
+	Var  string
+	Kind HazardKind
+	// Stale is the update behind a DerefStale hazard, nil otherwise.
+	Stale *StaleUse
+	// origin is where a suspect value came from, for OriginNote.
+	origin origin
+}
+
+// StaleUse is a dereference after a destructive update: Field was
+// rewritten at Site under SiteGuards, and the dereference runs under
+// Guards.  Both sets are loop-invariant subsets (the InvGuards rule), so a
+// contradiction between them means no execution performs both, in any
+// iterations.
+type StaleUse struct {
+	Field      string
+	Site       lang.Pos
+	SiteGuards guard.Set
+	Guards     guard.Set
+}
+
+// OriginNote locates where a suspect value came from ("p declared here",
+// "assigned NULL here", "loaded from field next here").  ok is false when
+// the source is unknown, and for DerefStale.
+func (h Hazard) OriginNote() (pos lang.Pos, note string, ok bool) {
+	if h.origin.pos.Line == 0 {
+		return lang.Pos{}, "", false
+	}
+	switch h.Kind {
+	case DerefUninit, DerefMaybeUninit:
+		note = h.origin.name + " declared here"
+	case DerefNil:
+		note = "assigned NULL here"
+	case DerefMaybeNil:
+		note = "loaded from field " + h.origin.name + " here"
+	default:
+		return lang.Pos{}, "", false
+	}
+	return h.origin.pos, note, true
 }
 
 // HandlePath is one handle's entry in a HandlePaths.
@@ -124,6 +209,8 @@ type ModSite struct {
 	Field string
 	Label string
 	Pos   lang.Pos
+	// Loop is the innermost loop enclosing the site, nil outside loops.
+	Loop *Loop
 }
 
 // Result is the analysis outcome for one function.
@@ -131,6 +218,11 @@ type Result struct {
 	Fn       *lang.FuncDecl
 	Accesses []Access
 	Mods     []ModSite
+	// Loops lists the function's while loops in source order, outer before
+	// inner.
+	Loops []*Loop
+	// Hazards lists the hazardous dereferences in walk order.
+	Hazards []Hazard
 	// Axioms is the merged axiom set of every struct the function touches,
 	// plus inferred type-disjointness axioms when enabled.
 	Axioms *axiom.Set
@@ -244,6 +336,13 @@ type state struct {
 	nv    int
 	// modEpoch counts structural modification sites executed so far.
 	modEpoch int
+	// facts is handle safety's column: one entry per pointer variable, in
+	// the matrix's column numbering.  dead marks a path that a return or a
+	// while (1) ended, or one only the matrix walks: the statements after
+	// it still shape the matrix, the column neither reads nor records
+	// anything there (and may be nil).
+	facts []handleFact
+	dead  bool
 }
 
 func newState(nv int) *state {
@@ -261,6 +360,17 @@ func (s *state) rows() int {
 func (s *state) clone() *state {
 	c := *s
 	c.cells = append([]*pathexpr.Node(nil), s.cells...)
+	if !s.dead {
+		c.facts = slices.Clone(s.facts)
+	}
+	return &c
+}
+
+// matrixOnly clones the matrix alone, for a walk whose column is unused.
+func (s *state) matrixOnly() *state {
+	c := *s
+	c.cells = append([]*pathexpr.Node(nil), s.cells...)
+	c.facts, c.dead = nil, true
 	return &c
 }
 
@@ -309,7 +419,8 @@ var epsNode = norm(pathexpr.Eps)
 
 // join merges two states at a control-flow merge: equal paths survive,
 // differing paths join by alternation, entries present on only one side are
-// dropped (their value on the other path is unknown).
+// dropped (their value on the other path is unknown).  Handle safety's
+// column is merged in the inputs' storage, so neither is used afterwards.
 func join(a, b *state) *state {
 	out := newState(a.nv)
 	out.cells = make([]*pathexpr.Node, min(len(a.cells), len(b.cells)))
@@ -324,6 +435,7 @@ func join(a, b *state) *state {
 		}
 	}
 	out.modEpoch = maxInt(a.modEpoch, b.modEpoch)
+	out.joinFacts(a, b)
 	return out
 }
 

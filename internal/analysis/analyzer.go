@@ -46,15 +46,20 @@ func Analyze(prog *lang.Program, fnName string, opts Options) (*Result, error) {
 		},
 		record:    true,
 		ver:       guard.NewVersioner(),
-		addrTaken: collectAddrTaken(fn.Body),
+		addrTaken: lang.AddrTaken(fn.Body),
 		dfas:      dfas.Account(),
 		handleID:  make(map[string]int),
 	}
 	a.collectAxioms()
 	a.numberVars()
+	a.numberFields()
 
 	st := newState(len(a.colName))
+	st.facts = make([]handleFact, st.nv)
 	for _, p := range fn.Params {
+		if c := a.column(p.Name); c >= 0 && p.Type.Ptr > 0 {
+			st.facts[c] = handleFact{null: nullValid}
+		}
 		if p.Type.IsPointerToStruct() {
 			a.varTypes[p.Name] = p.Type.Base
 			st.set(a.freshHandle(p.Name), a.colID[p.Name], epsNode)
@@ -79,21 +84,14 @@ func Analyze(prog *lang.Program, fnName string, opts Options) (*Result, error) {
 }
 
 type loopCtx struct {
-	id int
+	id   int
+	loop *Loop
 	// iterDeltas lists the loop's synthetic iteration handles with the
 	// per-iteration increment of the variable each anchors.
 	iterDeltas []iterDelta
 	// modFields accumulates pointer fields structurally modified in the
 	// loop body.
 	modFields map[string]bool
-	// assignedVars and writtenFields are the syntactic prescan of the loop
-	// body: variables assigned and struct fields stored to anywhere inside
-	// it (including through summarized calls).  A guard predicate reading
-	// any of them may change truth value between iterations, so it is not
-	// loop-invariant.  unknownCalls taints every field-reading guard.
-	assignedVars  map[string]bool
-	writtenFields map[string]bool
-	unknownCalls  bool
 }
 
 // iterDelta is one synthetic iteration handle and its increment.
@@ -106,17 +104,18 @@ type iterDelta struct {
 // all iterations of this loop: nothing the condition reads is assigned or
 // stored to in the loop body.
 func (lc *loopCtx) invariant(r guard.Ref) bool {
+	lp := lc.loop
 	for _, v := range r.P.Vars() {
-		if lc.assignedVars[v] {
+		if lp.Written[v] {
 			return false
 		}
 	}
 	flds := r.P.Fields()
-	if len(flds) > 0 && lc.unknownCalls {
+	if len(flds) > 0 && lp.unknownCalls {
 		return false
 	}
 	for _, f := range flds {
-		if lc.writtenFields[f] {
+		if lp.writtenFields[f] {
 			return false
 		}
 	}
@@ -137,10 +136,12 @@ type analyzer struct {
 	loops     []*loopCtx
 	// ver versions guard predicates for this walk; guards is the stack of
 	// dominating branch references at the current program point; addrTaken
-	// vars may be written through pointers, so they are never guarded.
+	// vars may be written through pointers, so they are never guarded, and
+	// escaped lists the address-taken struct pointers, sorted.
 	ver       *guard.Versioner
 	guards    []guard.Ref
 	addrTaken map[string]bool
+	escaped   []string
 	// dfas is this walk's account on the DFA cache behind the post-loop
 	// widening checks (Options.DFACache, or a private one-shard cache);
 	// widenChecks counts the inclusion checks it decided.
@@ -155,43 +156,16 @@ type analyzer struct {
 	byName     []int
 	colName    []string
 	colID      map[string]int
+	// ptrFields numbers the program's pointer fields for handle safety's
+	// via sets; origins and updates hold what handleFact.origin and .stale
+	// number (SiteGuards set, Guards not).
+	ptrFields []string
+	origins   []origin
+	updates   []StaleUse
 	// trace receives the analysis.widen events, parented under span (the
 	// function's analysis.analyze span).
 	trace *telemetry.RequestTrace
 	span  telemetry.SpanID
-}
-
-// collectAddrTaken returns the variables whose address is taken anywhere in
-// the block — writable behind the analysis's back, hence unguardable.
-func collectAddrTaken(b *lang.Block) map[string]bool {
-	taken := make(map[string]bool)
-	lang.WalkStmts(b, func(st lang.Stmt) {
-		walkStmtExprs(st, func(e lang.Expr) {
-			if ad, ok := e.(*lang.AddrExpr); ok {
-				taken[ad.Name] = true
-			}
-		})
-	})
-	return taken
-}
-
-// walkStmtExprs applies fn to every expression directly attached to st
-// (conditions, operands — not statements of nested blocks, which WalkStmts
-// visits separately).
-func walkStmtExprs(st lang.Stmt, fn func(lang.Expr)) {
-	switch v := st.(type) {
-	case *lang.AssignStmt:
-		lang.WalkExprs(v.LHS, fn)
-		lang.WalkExprs(v.RHS, fn)
-	case *lang.ExprStmt:
-		lang.WalkExprs(v.X, fn)
-	case *lang.IfStmt:
-		lang.WalkExprs(v.Cond, fn)
-	case *lang.WhileStmt:
-		lang.WalkExprs(v.Cond, fn)
-	case *lang.ReturnStmt:
-		lang.WalkExprs(v.Value, fn)
-	}
 }
 
 // branchRefs turns one edge's guardable atoms into interned references,
@@ -233,7 +207,13 @@ func (a *analyzer) guardTainted(at guard.Atom) bool {
 // cluster router needs only this (the set's fingerprint decides ring
 // placement) and must not pay for the dataflow walk per routed request.
 func CollectAxioms(prog *lang.Program, fnName string, inferTypes bool) *axiom.Set {
-	merged := &axiom.Set{StructName: fnName}
+	n := 0
+	for _, s := range prog.Structs {
+		if s.Axioms != nil {
+			n += len(s.Axioms.Axioms)
+		}
+	}
+	merged := &axiom.Set{StructName: fnName, Axioms: make([]axiom.Axiom, 0, n)}
 	for _, s := range prog.Structs {
 		if s.Axioms == nil {
 			continue
@@ -271,30 +251,52 @@ func (a *analyzer) collectAxioms() {
 	a.res.Axioms = CollectAxioms(a.prog, a.fn.Name, a.opts.InferTypeAxioms)
 }
 
-// numberVars gives every pointer variable of the function — exactly the
-// names varTypes can come to hold — its matrix column.
+// numberVars gives every pointer variable of the function its column: the
+// struct pointers, which varTypes can come to hold, and the other pointers,
+// which only handle safety tracks.  It also lists the escaped struct
+// pointers and sizes the walk's records.
 func (a *analyzer) numberVars() {
 	a.colID = make(map[string]int)
-	add := func(name string) {
+	add := func(name string, t lang.Type) {
+		if t.Ptr == 0 {
+			return
+		}
 		if _, ok := a.colID[name]; !ok {
 			a.colID[name] = len(a.colName)
 			a.colName = append(a.colName, name)
 		}
-	}
-	for _, p := range a.fn.Params {
-		if p.Type.IsPointerToStruct() {
-			add(p.Name)
+		if t.IsPointerToStruct() && a.addrTaken[name] && !slices.Contains(a.escaped, name) {
+			a.escaped = append(a.escaped, name)
 		}
 	}
+	for _, p := range a.fn.Params {
+		add(p.Name, p.Type)
+	}
+	// Size the walk's records: it records every var->field occurrence
+	// once, at most one nullness hazard per dereference site, and at most
+	// one origin per declaration, NULL or field load.
+	accesses, derefs, nulls := 0, 0, 0
 	lang.WalkStmts(a.fn.Body, func(st lang.Stmt) {
 		if d, ok := st.(*lang.DeclStmt); ok {
 			for _, item := range d.Items {
-				if item.Type.IsPointerToStruct() {
-					add(item.Name)
-				}
+				add(item.Name, item.Type)
 			}
 		}
+		lang.StmtExprs(st, func(e lang.Expr) {
+			switch e.(type) {
+			case *lang.FieldAccess:
+				accesses++
+			case *lang.DerefExpr:
+				derefs++
+			case *lang.NullLit:
+				nulls++
+			}
+		})
 	})
+	a.res.Accesses = make([]Access, 0, accesses)
+	a.res.Hazards = make([]Hazard, 0, accesses+derefs)
+	a.origins = make([]origin, 0, len(a.colName)+nulls+accesses)
+	slices.Sort(a.escaped)
 }
 
 // handle returns the row of the named handle, numbering it on first use.
@@ -329,6 +331,11 @@ func (a *analyzer) paths(st *state, v string) HandlePaths {
 	if !ok {
 		return nil
 	}
+	return a.colPaths(st, c)
+}
+
+// colPaths is paths by column.
+func (a *analyzer) colPaths(st *state, c int) HandlePaths {
 	n := 0
 	for h := 0; h < st.rows(); h++ {
 		if st.get(h, c) != nil {
@@ -432,6 +439,9 @@ func (a *analyzer) walkStmt(st *state, s lang.Stmt) *state {
 	switch v := s.(type) {
 	case *lang.DeclStmt:
 		for _, item := range v.Items {
+			if c := a.column(item.Name); c >= 0 && item.Type.Ptr > 0 && !st.dead {
+				st.facts[c] = handleFact{null: nullUninit, origin: a.newOrigin(v.StmtPos(), item.Name)}
+			}
 			if item.Type.IsPointerToStruct() {
 				a.varTypes[item.Name] = item.Type.Base
 			}
@@ -442,33 +452,42 @@ func (a *analyzer) walkStmt(st *state, s lang.Stmt) *state {
 		return a.walkAssign(st, v)
 
 	case *lang.ExprStmt:
-		a.recordReads(st, v.X, v.Label(), v.StmtPos())
+		a.recordReads(st, v.X, v.Label())
 		a.applyCallsIn(st, v.X, v.Label(), v.StmtPos())
 		return st
 
 	case *lang.ReturnStmt:
 		if v.Value != nil {
-			a.recordReads(st, v.Value, v.Label(), v.StmtPos())
+			a.recordReads(st, v.Value, v.Label())
 			a.applyCallsIn(st, v.Value, v.Label(), v.StmtPos())
 		}
+		st.dead = true
 		return st
 
 	case *lang.BlockStmt:
 		return a.walkBlock(st, v.Body)
 
 	case *lang.IfStmt:
-		a.recordReads(st, v.Cond, v.Label(), v.StmtPos())
+		a.recordReads(st, v.Cond, v.Label())
 		thenAtoms, elseAtoms := guard.BranchAtoms(v.Cond)
 		depth := len(a.guards)
 		a.guards = append(a.guards, a.branchRefs(st, thenAtoms)...)
-		thenSt := a.walkBlock(st.clone(), v.Then)
+		// The condition's calls run before either branch; the guards
+		// describe the condition as it was evaluated.
+		a.applyCallsIn(st, v.Cond, v.Label(), v.StmtPos())
+		thenSt := st.clone()
+		a.refine(thenSt, v.Cond, true)
+		thenSt = a.walkBlock(thenSt, v.Then)
 		a.guards = a.guards[:depth]
 		if v.Else != nil {
 			a.guards = append(a.guards, a.branchRefs(st, elseAtoms)...)
-			elseSt := a.walkBlock(st.clone(), v.Else)
+			elseSt := st.clone()
+			a.refine(elseSt, v.Cond, false)
+			elseSt = a.walkBlock(elseSt, v.Else)
 			a.guards = a.guards[:depth]
 			return join(thenSt, elseSt)
 		}
+		a.refine(st, v.Cond, false)
 		return join(thenSt, st)
 
 	case *lang.WhileStmt:
@@ -478,24 +497,33 @@ func (a *analyzer) walkStmt(st *state, s lang.Stmt) *state {
 }
 
 func (a *analyzer) walkAssign(st *state, s *lang.AssignStmt) *state {
-	a.recordReads(st, s.RHS, s.Label(), s.StmtPos())
+	a.recordReads(st, s.RHS, s.Label())
 	a.applyCallsIn(st, s.RHS, s.Label(), s.StmtPos())
 
 	switch lhs := s.LHS.(type) {
 	case *lang.FieldAccess:
 		// Store to lhs.Base->lhs.Field.  Record the write with the APM
 		// before the statement (the store does not move any pointer VAR).
-		a.recordAccess(st, s.Label(), lhs.Base, lhs.Field, true, s.StmtPos())
+		a.access(st, s.Label(), lhs, true)
 		a.ver.BumpField(lhs.Field)
 		if a.pointerField(lhs.Base, lhs.Field) {
-			a.structuralMod(st, lhs.Field, s.Label(), s.StmtPos())
+			a.structuralMod(st, lhs.Field, s.Label(), s.StmtPos(), a.colID[lhs.Base])
 		}
+		return st
+
+	case *lang.DerefExpr:
+		a.checkDeref(st, lhs.Name, a.column(lhs.Name), lhs.Pos)
+		a.reassignEscaped(st)
 		return st
 
 	case *lang.Ident:
 		name := lhs.Name
 		a.ver.BumpVar(name)
-		x, isPtr := a.colID[name], a.isPointerVar(name)
+		x := a.column(name)
+		if x >= 0 {
+			a.assignFact(st, x, s.RHS)
+		}
+		isPtr := a.isPointerVar(name)
 		switch rhs := s.RHS.(type) {
 		case *lang.Ident:
 			if !isPtr || rhs.Name == name {
@@ -570,16 +598,25 @@ func (a *analyzer) walkAssign(st *state, s *lang.AssignStmt) *state {
 // fixpoint with synthetic iteration handles planted for loop-carried
 // queries.
 func (a *analyzer) walkWhile(st *state, w *lang.WhileStmt) *state {
-	a.recordReads(st, w.Cond, w.Label(), w.StmtPos())
+	a.recordReads(st, w.Cond, w.Label())
+	// The condition runs, calls and all, before the first iteration and
+	// again after each one.
+	a.applyCallsIn(st, w.Cond, w.Label(), w.StmtPos())
 	entry := st
+	lp := a.loopFor(w)
+	// Handle safety's column at the head: the entry's, with everything
+	// the body may assign forgotten.
+	a.widenFacts(entry, lp)
 
 	// Silent pass to observe one iteration's effect.
 	saved := a.record
 	a.record = false
-	after1 := a.walkBlock(entry.clone(), w.Body)
+	after1 := a.walkBlock(entry.matrixOnly(), w.Body)
+	a.applyCallsIn(after1, w.Cond, w.Label(), w.StmtPos())
 	a.record = saved
 
 	wid, deltas := widen(entry, after1)
+	wid.facts, wid.dead = entry.facts, entry.dead
 
 	// Per-variable iteration increment: consistent across handles or none.
 	varDelta := make([]*pathexpr.Node, entry.nv)
@@ -598,10 +635,11 @@ func (a *analyzer) walkWhile(st *state, w *lang.WhileStmt) *state {
 	a.loopID++
 	lc := &loopCtx{
 		id:        a.loopID,
+		loop:      lp,
 		modFields: make(map[string]bool),
 	}
-	a.prescanLoopBody(lc, w.Body)
 	fix := wid.clone()
+	a.refine(fix, w.Cond, true)
 	for v, d := range varDelta {
 		if !varOK[v] {
 			continue
@@ -621,7 +659,8 @@ func (a *analyzer) walkWhile(st *state, w *lang.WhileStmt) *state {
 	// Recording pass at the widened fixpoint.
 	firstAccess := len(a.res.Accesses)
 	a.loops = append(a.loops, lc)
-	after2 := a.walkBlock(fix.clone(), w.Body)
+	after2 := a.walkBlock(fix, w.Body)
+	a.applyCallsIn(after2, w.Cond, w.Label(), w.StmtPos())
 	a.loops = a.loops[:len(a.loops)-1]
 
 	// Accesses recorded early in the body must still see modifications that
@@ -663,42 +702,46 @@ func (a *analyzer) walkWhile(st *state, w *lang.WhileStmt) *state {
 			post.cells[i] = p
 		}
 	}
+	// The column leaves the loop when its condition fails, which a
+	// while (1) condition never does.
+	post.joinFacts(wid, after2)
+	a.refine(post, w.Cond, false)
+	if lang.ConstTrue(w.Cond) {
+		post.dead = true
+	}
 	return post
 }
 
-// prescanLoopBody fills the loop's guard-invariance sets: variables
-// assigned and fields written anywhere in the body, including through
-// summarized calls.  Conservative in the right direction — an
-// over-approximation only shrinks InvGuards, never grows it.
-func (a *analyzer) prescanLoopBody(lc *loopCtx, body *lang.Block) {
-	lc.assignedVars = make(map[string]bool)
-	lc.writtenFields = make(map[string]bool)
-	noteCall := func(name string) {
+// loopFor returns w's loop record, making it on first sight: the loop is
+// walked again for every pass over an enclosing loop.  Written, the fields
+// and the unknown-call flag decide which guards are loop-invariant; they
+// over-approximate, which only shrinks InvGuards.
+func (a *analyzer) loopFor(w *lang.WhileStmt) *Loop {
+	for _, lp := range a.res.Loops {
+		if lp.Stmt == w {
+			return lp
+		}
+	}
+	wr := lang.LoopWrites(w)
+	lp := &Loop{Stmt: w, Written: wr.Vars, writtenFields: wr.Fields}
+	for _, name := range wr.Calls {
 		sum := a.summaries[name]
 		if sum == nil || sum.CallsUnknown {
-			lc.unknownCalls = true
+			lp.unknownCalls = true
 		}
 		if sum != nil {
 			for _, f := range sum.WrittenFields {
-				lc.writtenFields[f] = true
+				lp.writtenFields[f] = true
 			}
 		}
 	}
-	lang.WalkStmts(body, func(st lang.Stmt) {
-		if as, ok := st.(*lang.AssignStmt); ok {
-			switch lhs := as.LHS.(type) {
-			case *lang.Ident:
-				lc.assignedVars[lhs.Name] = true
-			case *lang.FieldAccess:
-				lc.writtenFields[lhs.Field] = true
-			}
+	if len(wr.Calls) > 0 || wr.Deref {
+		for _, v := range a.escaped {
+			lp.Written[v] = true
 		}
-		walkStmtExprs(st, func(e lang.Expr) {
-			if call, ok := e.(*lang.CallExpr); ok {
-				noteCall(call.Name)
-			}
-		})
-	})
+	}
+	a.res.Loops = append(a.res.Loops, lp)
+	return lp
 }
 
 // includes decides language inclusion L(sub) ⊆ L(sup) through the
@@ -758,39 +801,51 @@ func componentSuffix(pe, p1 pathexpr.Expr) (pathexpr.Expr, bool) {
 	return pathexpr.FromComponents(c1[len(ce):]), true
 }
 
-// structuralMod handles a store to a pointer field (§3.4): it is recorded as
-// a modification site, poisons the enclosing loops, and invalidates every
-// access path that traverses the modified field.
-func (a *analyzer) structuralMod(st *state, field, label string, pos lang.Pos) {
+// structuralMod is the one place a destructive update (§3.4) takes
+// effect, whether a store to a pointer field or a summarized callee's
+// ModifiedFields.  It records the modification site and poisons the
+// enclosing loops; it drops every access path that traverses the field and
+// stales every handle reached through it, save the one the store is made
+// through (-1 for a call).  Field "*" is an opaque call that may rewrite
+// every field: every path but ε goes.
+func (a *analyzer) structuralMod(st *state, field, label string, pos lang.Pos, through int) {
 	if a.record {
-		a.res.Mods = append(a.res.Mods, ModSite{Epoch: st.modEpoch, Field: field, Label: label, Pos: pos})
+		a.res.Mods = append(a.res.Mods, ModSite{Epoch: st.modEpoch, Field: field, Label: label, Pos: pos, Loop: a.innermost()})
 	}
 	st.modEpoch++
 	for _, lc := range a.loops {
 		lc.modFields[field] = true
 	}
 	for i, p := range st.cells {
-		if p != nil && mentionsField(p.Expr(), field) {
+		if p != nil && (field == "*" && p != epsNode || mentionsField(p.Expr(), field)) {
 			st.cells[i] = nil
 		}
+	}
+	a.markStale(st, field, pos, through)
+}
+
+// reassignEscaped applies the address-taken rule at a call or a store
+// through a pointer: either may write any variable whose address was taken,
+// so each address-taken struct pointer gets a fresh handle, its paths
+// dropped and its guard version bumped.
+func (a *analyzer) reassignEscaped(st *state) {
+	for _, v := range a.escaped {
+		if !a.isPointerVar(v) {
+			continue
+		}
+		x := a.colID[v]
+		st.dropVar(x)
+		st.set(a.freshHandle(v), x, epsNode)
+		a.ver.BumpVar(v)
 	}
 }
 
-// invalidateAll models an opaque call that may restructure everything:
-// every non-ε path is dropped and all fields count as modified.
-func (a *analyzer) invalidateAll(st *state, label string, pos lang.Pos) {
-	if a.record {
-		a.res.Mods = append(a.res.Mods, ModSite{Epoch: st.modEpoch, Field: "*", Label: label, Pos: pos})
+// innermost returns the loop the walk is in, nil outside loops.
+func (a *analyzer) innermost() *Loop {
+	if len(a.loops) == 0 {
+		return nil
 	}
-	st.modEpoch++
-	for _, lc := range a.loops {
-		lc.modFields["*"] = true
-	}
-	for i, p := range st.cells {
-		if p != epsNode {
-			st.cells[i] = nil
-		}
-	}
+	return a.loops[len(a.loops)-1].loop
 }
 
 func mentionsField(p pathexpr.Expr, field string) bool {
@@ -813,6 +868,7 @@ func (a *analyzer) applyCallsIn(st *state, e lang.Expr, label string, pos lang.P
 		if !ok {
 			return
 		}
+		a.reassignEscaped(st)
 		sum := a.summaries[call.Name]
 		if sum == nil {
 			// Unknown callee: the lenient default assumes it maintains the
@@ -822,7 +878,7 @@ func (a *analyzer) applyCallsIn(st *state, e lang.Expr, label string, pos lang.P
 			// structural axioms.
 			a.ver.BumpAllFields()
 			if a.opts.CallsModifyStructure {
-				a.invalidateAll(st, label, pos)
+				a.structuralMod(st, "*", label, pos, -1)
 			}
 			return
 		}
@@ -830,55 +886,88 @@ func (a *analyzer) applyCallsIn(st *state, e lang.Expr, label string, pos lang.P
 			a.ver.BumpField(f)
 		}
 		for _, f := range sum.ModifiedFields {
-			a.structuralMod(st, f, label, pos)
+			a.structuralMod(st, f, label, pos, -1)
 		}
 		if sum.CallsUnknown {
 			a.ver.BumpAllFields()
 			if a.opts.CallsModifyStructure {
-				a.invalidateAll(st, label, pos)
+				a.structuralMod(st, "*", label, pos, -1)
 			}
 		}
 	})
 }
 
-// recordReads records a read access for every var->field occurrence in e.
-func (a *analyzer) recordReads(st *state, e lang.Expr, label string, _ lang.Pos) {
+// recordReads records a read access for every var->field occurrence in e
+// and checks every dereference e performs.
+func (a *analyzer) recordReads(st *state, e lang.Expr, label string) {
 	lang.WalkExprs(e, func(x lang.Expr) {
-		if fa, ok := x.(*lang.FieldAccess); ok {
-			a.recordAccess(st, label, fa.Base, fa.Field, false, fa.ExprPos())
+		switch v := x.(type) {
+		case *lang.FieldAccess:
+			a.access(st, label, v, false)
+		case *lang.DerefExpr:
+			a.checkDeref(st, v.Name, a.column(v.Name), v.Pos)
+		case *lang.AddrExpr:
+			a.escape(st, v.Name)
 		}
 	})
 }
 
-func (a *analyzer) recordAccess(st *state, label, v, field string, isWrite bool, pos lang.Pos) {
-	if !a.record {
-		return
+// access records the access base->field (in the recording pass) and checks
+// the dereference of base.
+func (a *analyzer) access(st *state, label string, fa *lang.FieldAccess, isWrite bool) {
+	c := a.column(fa.Base)
+	if a.record {
+		a.recordAccess(st, label, fa, c, isWrite)
 	}
+	a.checkDeref(st, fa.Base, c, fa.Pos)
+}
+
+// column returns v's matrix column, -1 when v is not a pointer variable.
+func (a *analyzer) column(v string) int {
+	if c, ok := a.colID[v]; ok {
+		return c
+	}
+	return -1
+}
+
+func (a *analyzer) recordAccess(st *state, label string, fa *lang.FieldAccess, c int, isWrite bool) {
 	acc := Access{
 		Label:    label,
 		Stmt:     a.ordinal,
-		Var:      v,
-		Field:    field,
-		Type:     a.varTypes[v],
+		Var:      fa.Base,
+		Field:    fa.Field,
+		Type:     a.varTypes[fa.Base],
 		IsWrite:  isWrite,
-		Paths:    a.paths(st, v),
 		ModEpoch: st.modEpoch,
-		Pos:      pos,
+		Pos:      fa.Pos,
+		Loop:     a.innermost(),
 	}
-	acc.Guards = guard.Canon(a.guards)
-	acc.InvGuards = acc.Guards
+	if c >= 0 {
+		acc.Paths = a.colPaths(st, c)
+	}
+	acc.Guards, acc.InvGuards = a.guardSets()
 	if len(a.loops) > 0 {
 		acc.IterDeltas = a.iterDeltas(acc.Paths)
 		for _, lc := range a.loops {
 			for f := range lc.modFields {
 				acc.LoopModFields = append(acc.LoopModFields, f)
 			}
-			acc.InvGuards = acc.InvGuards.Filter(lc.invariant)
 		}
 		slices.Sort(acc.LoopModFields)
 		acc.LoopModFields = slices.Compact(acc.LoopModFields)
 	}
 	a.res.Accesses = append(a.res.Accesses, acc)
+}
+
+// guardSets returns the guards dominating the current point and their
+// subset that is invariant in every enclosing loop.
+func (a *analyzer) guardSets() (all, inv guard.Set) {
+	all = guard.Canon(a.guards)
+	inv = all
+	for _, lc := range a.loops {
+		inv = inv.Filter(lc.invariant)
+	}
+	return all, inv
 }
 
 // iterDeltas returns the increments of the enclosing loops' iteration

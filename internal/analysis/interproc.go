@@ -47,17 +47,13 @@ func Summarize(prog *lang.Program) map[string]*Summary {
 		s := sums[fn.Name]
 		modSet := map[string]bool{}
 		writeSet := map[string]bool{}
-		paramTypes := map[string]string{}
+		varTypes := map[string]string{}
 		for _, p := range fn.Params {
 			if p.Type.IsPointerToStruct() {
-				paramTypes[p.Name] = p.Type.Base
+				varTypes[p.Name] = p.Type.Base
 			}
 		}
-		varTypes := map[string]string{}
-		for k, v := range paramTypes {
-			varTypes[k] = v
-		}
-		walkStmts(fn.Body, func(st lang.Stmt) {
+		lang.WalkStmts(fn.Body, func(st lang.Stmt) {
 			switch v := st.(type) {
 			case *lang.DeclStmt:
 				for _, item := range v.Items {
@@ -72,16 +68,17 @@ func Summarize(prog *lang.Program) map[string]*Summary {
 						modSet[fa.Field] = true
 					}
 				}
-				collectCalls(v.RHS, fn.Name, prog, &edges, s)
-			case *lang.ExprStmt:
-				collectCalls(v.X, fn.Name, prog, &edges, s)
-			case *lang.IfStmt:
-				collectCalls(v.Cond, fn.Name, prog, &edges, s)
-			case *lang.WhileStmt:
-				collectCalls(v.Cond, fn.Name, prog, &edges, s)
-			case *lang.ReturnStmt:
-				collectCalls(v.Value, fn.Name, prog, &edges, s)
 			}
+			lang.StmtExprs(st, func(e lang.Expr) {
+				call, ok := e.(*lang.CallExpr)
+				switch {
+				case !ok:
+				case prog.Func(call.Name) != nil:
+					edges = append(edges, callEdge{fn.Name, call.Name})
+				default:
+					s.CallsUnknown = true
+				}
+			})
 		})
 		for f := range modSet {
 			s.ModifiedFields = append(s.ModifiedFields, f)
@@ -139,20 +136,6 @@ func Summarize(prog *lang.Program) map[string]*Summary {
 // callEdge is one static call-graph edge between defined functions.
 type callEdge struct{ from, to string }
 
-func collectCalls(e lang.Expr, from string, prog *lang.Program, edges *[]callEdge, s *Summary) {
-	lang.WalkExprs(e, func(x lang.Expr) {
-		call, ok := x.(*lang.CallExpr)
-		if !ok {
-			return
-		}
-		if prog.Func(call.Name) != nil {
-			*edges = append(*edges, callEdge{from, call.Name})
-		} else {
-			s.CallsUnknown = true
-		}
-	})
-}
-
 func isPointerFieldOf(prog *lang.Program, structName, field string) bool {
 	sd := prog.Struct(structName)
 	if sd == nil {
@@ -162,31 +145,13 @@ func isPointerFieldOf(prog *lang.Program, structName, field string) bool {
 	return fd != nil && fd.Type.IsPointerToStruct()
 }
 
-// walkStmts visits every statement in the block, recursively.
-func walkStmts(b *lang.Block, fn func(lang.Stmt)) {
-	for _, s := range b.Stmts {
-		fn(s)
-		switch v := s.(type) {
-		case *lang.BlockStmt:
-			walkStmts(v.Body, fn)
-		case *lang.IfStmt:
-			walkStmts(v.Then, fn)
-			if v.Else != nil {
-				walkStmts(v.Else, fn)
-			}
-		case *lang.WhileStmt:
-			walkStmts(v.Body, fn)
-		}
-	}
-}
-
 // extractReturnPath derives the param-relative path of the return value for
 // loop-free bodies by symbolic forward substitution: each pointer variable
 // is tracked as (param index, path) when derivable.
 func extractReturnPath(prog *lang.Program, fn *lang.FuncDecl, s *Summary) {
 	// Bail out on loops or branching (joins could merge different params).
 	simple := true
-	walkStmts(fn.Body, func(st lang.Stmt) {
+	lang.WalkStmts(fn.Body, func(st lang.Stmt) {
 		switch st.(type) {
 		case *lang.WhileStmt, *lang.IfStmt:
 			simple = false

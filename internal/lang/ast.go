@@ -1,6 +1,8 @@
 package lang
 
 import (
+	"slices"
+
 	"repro/internal/axiom"
 )
 
@@ -296,4 +298,82 @@ func WalkExprs(e Expr, fn func(Expr)) {
 			WalkExprs(a, fn)
 		}
 	}
+}
+
+// StmtExprs calls fn on every expression st carries itself — operands,
+// conditions, return values, and all their sub-expressions — but not on the
+// statements of nested blocks, which WalkStmts visits on their own.
+func StmtExprs(st Stmt, fn func(Expr)) {
+	switch v := st.(type) {
+	case *AssignStmt:
+		WalkExprs(v.LHS, fn)
+		WalkExprs(v.RHS, fn)
+	case *ExprStmt:
+		WalkExprs(v.X, fn)
+	case *IfStmt:
+		WalkExprs(v.Cond, fn)
+	case *WhileStmt:
+		WalkExprs(v.Cond, fn)
+	case *ReturnStmt:
+		WalkExprs(v.Value, fn)
+	}
+}
+
+// AddrTaken returns the variables whose address (&x) is taken anywhere in
+// b: they can change through an alias without an assignment naming them.
+func AddrTaken(b *Block) map[string]bool {
+	taken := make(map[string]bool)
+	WalkStmts(b, func(st Stmt) {
+		StmtExprs(st, func(e Expr) {
+			if ad, ok := e.(*AddrExpr); ok {
+				taken[ad.Name] = true
+			}
+		})
+	})
+	return taken
+}
+
+// Writes is what a loop can change, read off its syntax alone.
+type Writes struct {
+	// Vars are the variables assigned by name; Fields the struct fields
+	// stored to through any base.
+	Vars, Fields map[string]bool
+	// Calls names every function called, once each, in first-call order.
+	Calls []string
+	// Deref reports a store through a pointer (*x = …).
+	Deref bool
+}
+
+// LoopWrites scans a loop — its condition, which runs before every
+// iteration, and its body, nested statements included — for everything one
+// iteration may write.
+func LoopWrites(loop *WhileStmt) Writes {
+	w := Writes{Vars: make(map[string]bool), Fields: make(map[string]bool)}
+	noteCall := func(e Expr) {
+		if call, ok := e.(*CallExpr); ok && !slices.Contains(w.Calls, call.Name) {
+			w.Calls = append(w.Calls, call.Name)
+		}
+	}
+	WalkExprs(loop.Cond, noteCall)
+	WalkStmts(loop.Body, func(st Stmt) {
+		if as, ok := st.(*AssignStmt); ok {
+			switch lhs := as.LHS.(type) {
+			case *Ident:
+				w.Vars[lhs.Name] = true
+			case *FieldAccess:
+				w.Fields[lhs.Field] = true
+			case *DerefExpr:
+				w.Deref = true
+			}
+		}
+		StmtExprs(st, noteCall)
+	})
+	return w
+}
+
+// ConstTrue reports whether a loop condition is a non-zero literal, as in
+// while (1): control never leaves the loop through its condition.
+func ConstTrue(e Expr) bool {
+	n, ok := e.(*NumLit)
+	return ok && n.Text != "0"
 }

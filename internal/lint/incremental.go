@@ -124,38 +124,16 @@ func callGraph(prog *lang.Program) map[string][]string {
 	for _, fn := range prog.Funcs {
 		seen := map[string]bool{}
 		lang.WalkStmts(fn.Body, func(st lang.Stmt) {
-			walkStmtExprsLint(st, func(e lang.Expr) {
-				lang.WalkExprs(e, func(x lang.Expr) {
-					if c, ok := x.(*lang.CallExpr); ok && defined[c.Name] && !seen[c.Name] {
-						seen[c.Name] = true
-						out[fn.Name] = append(out[fn.Name], c.Name)
-					}
-				})
+			lang.StmtExprs(st, func(e lang.Expr) {
+				if c, ok := e.(*lang.CallExpr); ok && defined[c.Name] && !seen[c.Name] {
+					seen[c.Name] = true
+					out[fn.Name] = append(out[fn.Name], c.Name)
+				}
 			})
 		})
 		sort.Strings(out[fn.Name])
 	}
 	return out
-}
-
-// walkStmtExprsLint visits the expressions directly attached to one
-// statement (WalkStmts already recurses into nested statements).
-func walkStmtExprsLint(st lang.Stmt, fn func(lang.Expr)) {
-	switch s := st.(type) {
-	case *lang.AssignStmt:
-		fn(s.LHS)
-		fn(s.RHS)
-	case *lang.ExprStmt:
-		fn(s.X)
-	case *lang.IfStmt:
-		fn(s.Cond)
-	case *lang.WhileStmt:
-		fn(s.Cond)
-	case *lang.ReturnStmt:
-		if s.Value != nil {
-			fn(s.Value)
-		}
-	}
 }
 
 // reachable returns every function reachable from start through the call

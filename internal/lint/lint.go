@@ -13,6 +13,11 @@
 //	invariant-maintenance    §3.4 axiom invalidation at update sites
 //	parallelization-legality per-loop DOALL verdicts from deptest (§5)
 //	lang-hygiene             undefined fields/structs, dead stores, …
+//
+// The dataflow facts come from one walk: handle-safety, invariant-
+// maintenance and parallelization-legality read the memoized
+// analysis.Result of each function (its hazards, modification sites and
+// loops) instead of interpreting the body again.
 package lint
 
 import (

@@ -247,6 +247,29 @@ void f(struct N *a) {
 	}
 }
 
+// TestHandleSafetyStaleThroughCall: a summarized callee's store to nx stales
+// t exactly as a direct store would.
+func TestHandleSafetyStaleThroughCall(t *testing.T) {
+	diags := mustLint(t, `
+struct N { struct N *nx; int d; };
+void cut(struct N *a) { a->nx = NULL; }
+void f(struct N *a) {
+	struct N *t;
+	t = a->nx;
+	if (t != NULL) {
+		cut(a);
+		t->d = 1;
+	}
+}`, HandleSafety())
+	d := findDiag(diags, "use of handle t after destructive update of field nx")
+	if d == nil || d.Severity != Warning {
+		t.Fatalf("missing stale-handle warning through the call: %v", diags)
+	}
+	if len(d.Related) == 0 || d.Related[0].Pos.Line != 8 {
+		t.Errorf("stale warning does not point at the call: %+v", d)
+	}
+}
+
 // --- parallelization-legality ---
 
 func TestParLoopDoall(t *testing.T) {
@@ -288,6 +311,38 @@ void accumulate(struct Acc *a, struct Acc *l) {
 	}
 	if len(d.Related) == 0 || !strings.Contains(d.Related[0].Message, "every iteration writes a->sum") {
 		t.Errorf("error lacks the explanation note: %+v", d)
+	}
+}
+
+// TestParLoopAddressTakenInductionIsMaybe: step(&p) advances p through its
+// address, from the body or from the loop condition, so p->v is not one
+// vertex written every iteration — the loop may carry a dependence, but
+// none is provable.
+func TestParLoopAddressTakenInductionIsMaybe(t *testing.T) {
+	const decls = `
+struct N {
+	struct N *next;
+	int v;
+	axioms { A1: forall p, p.next+ <> p.eps; }
+};
+int step(struct N **pp) {
+	struct N *x;
+	x = *pp;
+	*pp = x->next;
+	return 1;
+}
+`
+	for _, loop := range []string{
+		"while (p != NULL) { p->v = 1; step(&p); }",
+		"while (step(&p)) { p->v = 1; }",
+	} {
+		diags := mustLint(t, decls+"void walk(struct N *h) { struct N *p; p = h; "+loop+" }", ParallelizationLegality())
+		if d := findDiag(diags, "provable dependence"); d != nil {
+			t.Errorf("%s: address-taken induction variable reported as a provable dependence: %+v", loop, d)
+		}
+		if d := findDiag(diags, "loop may carry a dependence"); d == nil || d.Severity != Warning {
+			t.Errorf("%s: missing Maybe warning: %v", loop, diags)
+		}
 	}
 }
 

@@ -127,6 +127,76 @@ void patch(struct N *h, int fix) {
 		wantUpgrade: false, maxVertices: 3,
 	},
 	{
+		// The update made through a called function: cut's store to next
+		// stales t only when fix is set, and t is used only when it is not.
+		name: "stale-call-exclusive",
+		src: `
+struct N {
+	struct N *next;
+	int v;
+	axioms {
+		A1: forall p, p.next+ <> p.eps;
+	}
+};
+
+void cut(struct N *h) {
+	h->next = NULL;
+}
+
+void patch(struct N *h, int fix) {
+	struct N *t;
+	t = h->next;
+	if (t == NULL) {
+		return;
+	}
+	if (fix) {
+		U: h->v = 0;
+		cut(h);
+	}
+	if (!fix) {
+		S: h->v = t->v;
+	}
+}
+`,
+		fn: "patch", labelA: "U", labelB: "S",
+		wantUpgrade: true, maxVertices: 3,
+	},
+	{
+		// The same call under same-polarity guards: both branches run
+		// whenever fix is set, so the stale use is real.
+		name: "stale-call-same-polarity",
+		src: `
+struct N {
+	struct N *next;
+	int v;
+	axioms {
+		A1: forall p, p.next+ <> p.eps;
+	}
+};
+
+void cut(struct N *h) {
+	h->next = NULL;
+}
+
+void patch(struct N *h, int fix) {
+	struct N *t;
+	t = h->next;
+	if (t == NULL) {
+		return;
+	}
+	if (fix) {
+		U: h->v = 0;
+		cut(h);
+	}
+	if (fix) {
+		S: h->v = t->v;
+	}
+}
+`,
+		fn: "patch", labelA: "U", labelB: "S",
+		wantUpgrade: false, maxVertices: 3,
+	},
+	{
 		// The seeded DOALL flip: the loop-invariant mode picks exactly one
 		// of the two iteration bodies for the whole traversal.
 		name: "doall-exclusive",
@@ -214,7 +284,8 @@ func TestGuardUpgradeOracle(t *testing.T) {
 // same ground truth.
 func TestOracleCorpusUpgradesAreExclusive(t *testing.T) {
 	// guarded_stale.c and guarded_doall.c embed the same function bodies as
-	// oracleCases[0] and oracleCases[3] modulo the oracle's labels; a quick
+	// the stale-exclusive and doall-exclusive oracle cases modulo the
+	// oracle's labels; a quick
 	// structural check keeps them from drifting apart silently.
 	for _, probe := range []struct{ file, needle string }{
 		{"guarded_stale.c", "h->next = t->next;"},

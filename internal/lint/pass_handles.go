@@ -3,18 +3,18 @@ package lint
 import (
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/guard"
-	"repro/internal/lang"
 )
 
-// handleSafety is a forward abstract interpretation of each function over a
-// small pointer lattice.  It reports
+// handleSafety renders the hazardous dereferences the memory-reference
+// analysis records while it walks each function (analysis.Hazard):
 //
 //   - dereferences of handles that are definitely or possibly NULL,
 //   - dereferences of handles that were never initialized, and
-//   - uses of handles after a destructive update rewrote a pointer field on
-//     the access path that produced them (the hazard §3.4's axiom windows
-//     exist to contain).
+//   - uses of handles after a destructive update — a direct store or a
+//     summarized call — rewrote a pointer field on the access path that
+//     produced them (the hazard §3.4's axiom windows exist to contain).
 type handleSafety struct{}
 
 // HandleSafety returns the handle-safety pass.
@@ -25,570 +25,53 @@ func (handleSafety) Doc() string {
 	return "nil/uninitialized handle dereferences, uses after destructive updates"
 }
 
-// ptrState is the abstract value of one pointer variable.
-type ptrState int
-
-const (
-	psValid       ptrState = iota // unknown but assumed usable (params, call results)
-	psUninit                      // declared, never assigned
-	psNil                         // definitely NULL
-	psNonNil                      // definitely not NULL
-	psMaybe                       // possibly NULL
-	psMaybeUninit                 // initialized on some paths only
-)
-
-// varInfo is the per-variable abstract state.
-type varInfo struct {
-	state     ptrState
-	origin    lang.Pos
-	originMsg string
-	// via is the set of pointer fields traversed to reach this handle's
-	// value; a destructive update to any of them makes the handle stale.
-	via map[string]bool
-	// stale marks a handle whose access path was invalidated by a
-	// destructive update after the handle was last computed.
-	stale      bool
-	stalePos   lang.Pos
-	staleField string
-	// staleGuards is the branch-guard set the destructive update executed
-	// under; a later use under a contradictory guard set lies on a
-	// mutually exclusive path and is not actually stale.
-	staleGuards guard.Set
-}
-
-type handleEnv map[string]varInfo
-
-func (e handleEnv) clone() handleEnv {
-	out := make(handleEnv, len(e))
-	for k, v := range e {
-		out[k] = v
-	}
-	return out
-}
-
 func (handleSafety) Run(ctx *Context) error {
 	for _, fn := range ctx.Prog.Funcs {
 		if ctx.SkipFunc(fn.Name) {
 			continue
 		}
-		w := &handleWalker{
-			ctx:       ctx,
-			types:     map[string]lang.Type{},
-			ver:       guard.NewVersioner(),
-			addrTaken: addrTakenVars(fn.Body),
+		res, err := ctx.Analysis(fn.Name)
+		if err != nil {
+			continue
 		}
-		env := handleEnv{}
-		for _, p := range fn.Params {
-			w.types[p.Name] = p.Type
-			if p.Type.Ptr > 0 {
-				env[p.Name] = varInfo{state: psValid}
-			}
+		for _, h := range res.Hazards {
+			ctx.Report(hazardDiagnostic(h))
 		}
-		w.block(fn.Body, env)
 	}
 	return nil
 }
 
-type handleWalker struct {
-	ctx   *Context
-	types map[string]lang.Type
-	// ver versions guard predicates: a predicate's identity is (canonical
-	// condition, version), and every assignment, field store, or call
-	// bumps the versions it may have changed, so two guard references
-	// conflict only when their shared value provably never changed in
-	// between.
-	ver    *guard.Versioner
-	guards []guard.Ref
-	// addrTaken vars can change through aliases; they never form guards.
-	addrTaken map[string]bool
-	// loopTaints stacks the per-enclosing-loop modification sets: this
-	// walker visits a loop body once, so a guard atom on anything the
-	// body modifies would wrongly keep one version across iterations —
-	// such atoms are skipped (widened to ⊤) instead.
-	loopTaints []*loopTaintInfo
-}
-
-// loopTaintInfo is what one enclosing loop body may modify.
-type loopTaintInfo struct {
-	vars, fields map[string]bool
-	allFields    bool
-}
-
-// addrTakenVars collects every variable whose address is taken anywhere in
-// the function.
-func addrTakenVars(b *lang.Block) map[string]bool {
-	out := map[string]bool{}
-	lang.WalkStmts(b, func(st lang.Stmt) {
-		walkStmtExprsLint(st, func(e lang.Expr) {
-			lang.WalkExprs(e, func(x lang.Expr) {
-				if a, ok := x.(*lang.AddrExpr); ok {
-					out[a.Name] = true
-				}
-			})
-		})
-	})
-	return out
-}
-
-// loopTaintFor prescans one loop body for everything it may modify.
-func loopTaintFor(b *lang.Block) *loopTaintInfo {
-	lt := &loopTaintInfo{vars: map[string]bool{}, fields: map[string]bool{}}
-	lang.WalkStmts(b, func(st lang.Stmt) {
-		if a, ok := st.(*lang.AssignStmt); ok {
-			switch lhs := a.LHS.(type) {
-			case *lang.Ident:
-				lt.vars[lhs.Name] = true
-			case *lang.FieldAccess:
-				lt.fields[lhs.Field] = true
-			}
-		}
-		walkStmtExprsLint(st, func(e lang.Expr) {
-			lang.WalkExprs(e, func(x lang.Expr) {
-				if _, ok := x.(*lang.CallExpr); ok {
-					// A call may write any heap field (locals are safe:
-					// only address-taken vars can change through a call,
-					// and those never form guards).
-					lt.allFields = true
-				}
-			})
-		})
-	})
-	return lt
-}
-
-// tainted reports whether any enclosing loop may modify one of the atom's
-// inputs.
-func (w *handleWalker) tainted(vars, fields []string) bool {
-	for _, lt := range w.loopTaints {
-		for _, v := range vars {
-			if lt.vars[v] {
-				return true
-			}
-		}
-		if lt.allFields && len(fields) > 0 {
-			return true
-		}
-		for _, f := range fields {
-			if lt.fields[f] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// atomRefs interns branch atoms as guard references, skipping atoms whose
-// truth value the analysis cannot pin (address-taken vars, loop-modified
-// inputs).
-func (w *handleWalker) atomRefs(atoms []guard.Atom) []guard.Ref {
-	var out []guard.Ref
-	for _, at := range atoms {
-		usable := true
-		for _, v := range at.Vars {
-			if w.addrTaken[v] {
-				usable = false
-			}
-		}
-		if !usable || w.tainted(at.Vars, at.Fields) {
-			continue
-		}
-		p := guard.Intern(at.Canon, w.ver.Version(at.Vars, at.Fields), at.Vars, at.Fields, nil)
-		out = append(out, guard.Ref{P: p, Neg: at.Neg})
-	}
-	return out
-}
-
-// bumpCalls invalidates all field versions when the expression performs a
-// call (the callee may overwrite any heap field).
-func (w *handleWalker) bumpCalls(e lang.Expr) {
-	lang.WalkExprs(e, func(x lang.Expr) {
-		if _, ok := x.(*lang.CallExpr); ok {
-			w.ver.BumpAllFields()
-		}
-	})
-}
-
-func (w *handleWalker) tracked(name string) bool {
-	t, ok := w.types[name]
-	return ok && t.Ptr > 0
-}
-
-// block walks a statement list, mutating env in place, and reports whether
-// control cannot flow past the block.
-func (w *handleWalker) block(b *lang.Block, env handleEnv) bool {
-	if b == nil {
-		return false
-	}
-	for _, st := range b.Stmts {
-		if w.stmt(st, env) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *handleWalker) stmt(st lang.Stmt, env handleEnv) (terminates bool) {
-	switch s := st.(type) {
-	case *lang.DeclStmt:
-		for _, it := range s.Items {
-			w.types[it.Name] = it.Type
-			if it.Type.Ptr > 0 {
-				env[it.Name] = varInfo{state: psUninit, origin: s.StmtPos(),
-					originMsg: fmt.Sprintf("%s declared here", it.Name)}
-			}
-		}
-	case *lang.AssignStmt:
-		w.assign(s, env)
-		w.bumpCalls(s.RHS)
-		switch lhs := s.LHS.(type) {
-		case *lang.Ident:
-			w.ver.BumpVar(lhs.Name)
-		case *lang.FieldAccess:
-			w.ver.BumpField(lhs.Field)
-		}
-	case *lang.ExprStmt:
-		w.expr(s.X, env)
-		w.bumpCalls(s.X)
-	case *lang.ReturnStmt:
-		w.expr(s.Value, env)
-		return true
-	case *lang.BlockStmt:
-		return w.block(s.Body, env)
-	case *lang.IfStmt:
-		w.expr(s.Cond, env)
-		w.bumpCalls(s.Cond)
-		// Both branches' guard references are interned at the branch
-		// point: they denote the condition's value at this single
-		// evaluation, so opposite signs genuinely exclude each other.
-		thenAtoms, elseAtoms := guard.BranchAtoms(s.Cond)
-		thenRefs, elseRefs := w.atomRefs(thenAtoms), w.atomRefs(elseAtoms)
-		thenEnv, elseEnv := env.clone(), env.clone()
-		refine(s.Cond, thenEnv, true)
-		refine(s.Cond, elseEnv, false)
-		saved := len(w.guards)
-		w.guards = append(w.guards, thenRefs...)
-		thenEnds := w.block(s.Then, thenEnv)
-		w.guards = append(w.guards[:saved], elseRefs...)
-		elseEnds := s.Else != nil && w.block(s.Else, elseEnv)
-		w.guards = w.guards[:saved]
-		switch {
-		case thenEnds && elseEnds:
-			return true
-		case thenEnds:
-			replace(env, elseEnv)
-		case elseEnds:
-			replace(env, thenEnv)
-		default:
-			replace(env, joinEnv(thenEnv, elseEnv))
-		}
-	case *lang.WhileStmt:
-		w.expr(s.Cond, env)
-		// Widen: anything the body assigns is unknown at the loop head.
-		for _, name := range assignedVars(s.Body) {
-			if w.tracked(name) {
-				env[name] = varInfo{state: psValid}
-			}
-		}
-		bodyEnv := env.clone()
-		refine(s.Cond, bodyEnv, true)
-		w.loopTaints = append(w.loopTaints, loopTaintFor(s.Body))
-		w.block(s.Body, bodyEnv)
-		w.loopTaints = w.loopTaints[:len(w.loopTaints)-1]
-		replace(env, joinEnv(env, bodyEnv))
-		// On exit the guard is false: while (x != NULL) leaves x NULL.
-		refine(s.Cond, env, false)
-		return constTrue(s.Cond)
-	}
-	return false
-}
-
-func (w *handleWalker) assign(s *lang.AssignStmt, env handleEnv) {
-	w.expr(s.RHS, env)
-	switch lhs := s.LHS.(type) {
-	case *lang.FieldAccess:
-		w.deref(lhs.Base, lhs.Pos, env)
-		w.destructiveUpdate(lhs, env)
-	case *lang.DerefExpr:
-		w.deref(lhs.Name, lhs.ExprPos(), env)
-	case *lang.Ident:
-		if !w.tracked(lhs.Name) {
-			return
-		}
-		env[lhs.Name] = w.eval(s.RHS, env)
-	}
-}
-
-// eval abstracts the RHS of a pointer assignment.
-func (w *handleWalker) eval(rhs lang.Expr, env handleEnv) varInfo {
-	switch r := rhs.(type) {
-	case *lang.MallocExpr:
-		return varInfo{state: psNonNil, via: nil}
-	case *lang.NullLit:
-		return varInfo{state: psNil, origin: r.Pos,
-			originMsg: "assigned NULL here"}
-	case *lang.AddrExpr:
-		return varInfo{state: psNonNil}
-	case *lang.Ident:
-		if vi, ok := env[r.Name]; ok {
-			return vi
-		}
-		return varInfo{state: psValid}
-	case *lang.FieldAccess:
-		// A pointer loaded from the heap may be the structure's NULL
-		// terminator; it also inherits the base handle's access path.
-		via := map[string]bool{r.Field: true}
-		if base, ok := env[r.Base]; ok {
-			for f := range base.via {
-				via[f] = true
-			}
-		}
-		return varInfo{state: psMaybe, origin: r.Pos,
-			originMsg: fmt.Sprintf("loaded from field %s here", r.Field), via: via}
-	default:
-		return varInfo{state: psValid}
-	}
-}
-
-// destructiveUpdate handles a store to base->field: when field is a pointer
-// field, every live handle that was reached through it goes stale.
-func (w *handleWalker) destructiveUpdate(lhs *lang.FieldAccess, env handleEnv) {
-	t, ok := w.types[lhs.Base]
-	if !ok || !t.IsStruct {
-		return
-	}
-	sd := w.ctx.Prog.Struct(t.Base)
-	if sd == nil {
-		return
-	}
-	fd := sd.Field(lhs.Field)
-	if fd == nil || !fd.Type.IsPointerToStruct() {
-		return
-	}
-	for name, vi := range env {
-		if name == lhs.Base || vi.stale || !vi.via[lhs.Field] {
-			continue
-		}
-		vi.stale = true
-		vi.stalePos = lhs.Pos
-		vi.staleField = lhs.Field
-		vi.staleGuards = guard.Canon(w.guards)
-		env[name] = vi
-	}
-}
-
-// expr checks all dereferences an expression performs.
-func (w *handleWalker) expr(e lang.Expr, env handleEnv) {
-	lang.WalkExprs(e, func(x lang.Expr) {
-		switch v := x.(type) {
-		case *lang.FieldAccess:
-			w.deref(v.Base, v.Pos, env)
-		case *lang.DerefExpr:
-			w.deref(v.Name, v.ExprPos(), env)
-		case *lang.AddrExpr:
-			// Its address escaped: assume the callee/aliases initialize it.
-			if vi, ok := env[v.Name]; ok && (vi.state == psUninit || vi.state == psMaybeUninit) {
-				vi.state = psValid
-				env[v.Name] = vi
-			}
-		}
-	})
-}
-
-// deref reports problems with dereferencing var name at pos, then assumes
-// the handle valid so each problem is reported once.
-func (w *handleWalker) deref(name string, pos lang.Pos, env handleEnv) {
-	vi, ok := env[name]
-	if !ok {
-		return
-	}
-	var d *Diagnostic
-	switch vi.state {
-	case psUninit:
-		d = &Diagnostic{Pos: pos, Severity: Error,
-			Message: fmt.Sprintf("dereference of never-initialized handle %s", name)}
-	case psMaybeUninit:
-		d = &Diagnostic{Pos: pos, Severity: Warning,
-			Message: fmt.Sprintf("dereference of possibly-uninitialized handle %s", name)}
-	case psNil:
-		d = &Diagnostic{Pos: pos, Severity: Error,
-			Message: fmt.Sprintf("nil dereference of handle %s", name)}
-	case psMaybe:
-		d = &Diagnostic{Pos: pos, Severity: Warning,
-			Message: fmt.Sprintf("possibly-nil dereference of handle %s", name)}
-	}
-	if d != nil {
-		if vi.originMsg != "" {
-			d.Related = append(d.Related, Related{Pos: vi.origin, Message: vi.originMsg})
-		}
-		w.ctx.Report(*d)
-		vi.state = psValid
-		vi.originMsg = ""
-	}
-	if vi.stale {
-		if ru, rd, ok := guard.Conflict(guard.Canon(w.guards), vi.staleGuards); ok {
-			// The update and this use sit on mutually exclusive branch
-			// outcomes of one condition: the hazard cannot happen.  What
-			// would have been a maybe-stale warning upgrades to a
-			// definite all-clear, citing the contradicting guards.
-			w.ctx.Report(Diagnostic{Pos: pos, Severity: Info,
-				Message:           fmt.Sprintf("use of handle %s is safe despite the destructive update of field %s: the update executes only under %s, this use only under %s — the paths are mutually exclusive", name, vi.staleField, rd, ru),
-				UpgradedFromMaybe: true,
-				Related: []Related{{Pos: vi.stalePos,
-					Message: fmt.Sprintf("field %s rewritten here", vi.staleField)}}})
+// hazardDiagnostic words one hazard.  A stale use whose guards contradict
+// the update's lies on a mutually exclusive path: what would have been a
+// maybe-stale warning upgrades to a definite all-clear citing the guards.
+func hazardDiagnostic(h analysis.Hazard) Diagnostic {
+	d := Diagnostic{Pos: h.Pos, Severity: Error}
+	switch h.Kind {
+	case analysis.DerefUninit:
+		d.Message = fmt.Sprintf("dereference of never-initialized handle %s", h.Var)
+	case analysis.DerefMaybeUninit:
+		d.Severity = Warning
+		d.Message = fmt.Sprintf("dereference of possibly-uninitialized handle %s", h.Var)
+	case analysis.DerefNil:
+		d.Message = fmt.Sprintf("nil dereference of handle %s", h.Var)
+	case analysis.DerefMaybeNil:
+		d.Severity = Warning
+		d.Message = fmt.Sprintf("possibly-nil dereference of handle %s", h.Var)
+	case analysis.DerefStale:
+		s := h.Stale
+		d.Related = []Related{{Pos: s.Site, Message: fmt.Sprintf("field %s rewritten here", s.Field)}}
+		if ru, rd, ok := guard.Conflict(s.Guards, s.SiteGuards); ok {
+			d.Severity = Info
+			d.UpgradedFromMaybe = true
+			d.Message = fmt.Sprintf("use of handle %s is safe despite the destructive update of field %s: the update executes only under %s, this use only under %s — the paths are mutually exclusive", h.Var, s.Field, rd, ru)
 		} else {
-			w.ctx.Report(Diagnostic{Pos: pos, Severity: Warning,
-				Message: fmt.Sprintf("use of handle %s after destructive update of field %s on its access path", name, vi.staleField),
-				Related: []Related{{Pos: vi.stalePos,
-					Message: fmt.Sprintf("field %s rewritten here", vi.staleField)}}})
+			d.Severity = Warning
+			d.Message = fmt.Sprintf("use of handle %s after destructive update of field %s on its access path", h.Var, s.Field)
 		}
-		vi.stale = false
+		return d
 	}
-	env[name] = vi
-}
-
-// refine narrows env with the facts a branch condition establishes when it
-// evaluates to want.
-func refine(cond lang.Expr, env handleEnv, want bool) {
-	setState := func(name string, st ptrState) {
-		if vi, ok := env[name]; ok {
-			vi.state = st
-			vi.originMsg = ""
-			env[name] = vi
-		}
+	if pos, note, ok := h.OriginNote(); ok {
+		d.Related = []Related{{Pos: pos, Message: note}}
 	}
-	switch c := cond.(type) {
-	case *lang.Ident:
-		if want {
-			setState(c.Name, psNonNil)
-		} else {
-			setState(c.Name, psNil)
-		}
-	case *lang.UnaryExpr:
-		if c.Op == "!" {
-			refine(c.X, env, !want)
-		}
-	case *lang.BinaryExpr:
-		switch c.Op {
-		case "&&":
-			if want {
-				refine(c.L, env, true)
-				refine(c.R, env, true)
-			}
-		case "||":
-			if !want {
-				refine(c.L, env, false)
-				refine(c.R, env, false)
-			}
-		case "==", "!=":
-			name, ok := nullComparand(c)
-			if !ok {
-				return
-			}
-			isNil := (c.Op == "==") == want
-			if isNil {
-				setState(name, psNil)
-			} else {
-				setState(name, psNonNil)
-			}
-		}
-	}
-}
-
-// nullComparand matches "x == NULL"-shaped comparisons (either side) and
-// returns the variable name.
-func nullComparand(c *lang.BinaryExpr) (string, bool) {
-	if id, ok := c.L.(*lang.Ident); ok {
-		if _, isNull := c.R.(*lang.NullLit); isNull {
-			return id.Name, true
-		}
-	}
-	if id, ok := c.R.(*lang.Ident); ok {
-		if _, isNull := c.L.(*lang.NullLit); isNull {
-			return id.Name, true
-		}
-	}
-	return "", false
-}
-
-// joinEnv merges the states of two control-flow paths.
-func joinEnv(a, b handleEnv) handleEnv {
-	out := make(handleEnv, len(a))
-	for name, va := range a {
-		vb, ok := b[name]
-		if !ok {
-			out[name] = va
-			continue
-		}
-		out[name] = joinVar(va, vb)
-	}
-	for name, vb := range b {
-		if _, ok := a[name]; !ok {
-			out[name] = vb
-		}
-	}
-	return out
-}
-
-func joinVar(a, b varInfo) varInfo {
-	out := a
-	out.state = joinState(a.state, b.state)
-	if out.state != a.state {
-		out.origin, out.originMsg = b.origin, b.originMsg
-		if out.state != b.state {
-			out.originMsg = ""
-		}
-	}
-	if len(b.via) > 0 {
-		via := map[string]bool{}
-		for f := range a.via {
-			via[f] = true
-		}
-		for f := range b.via {
-			via[f] = true
-		}
-		out.via = via
-	}
-	if b.stale && !a.stale {
-		out.stale, out.stalePos, out.staleField = true, b.stalePos, b.staleField
-		out.staleGuards = b.staleGuards
-	}
-	return out
-}
-
-func joinState(a, b ptrState) ptrState {
-	if a == b {
-		return a
-	}
-	if a == psUninit || b == psUninit || a == psMaybeUninit || b == psMaybeUninit {
-		return psMaybeUninit
-	}
-	if (a == psValid || a == psNonNil) && (b == psValid || b == psNonNil) {
-		return psValid
-	}
-	return psMaybe
-}
-
-// replace copies src's bindings into dst in place.
-func replace(dst, src handleEnv) {
-	for k := range dst {
-		if _, ok := src[k]; !ok {
-			delete(dst, k)
-		}
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-// assignedVars lists variables assigned anywhere in the block.
-func assignedVars(b *lang.Block) []string {
-	var out []string
-	lang.WalkStmts(b, func(st lang.Stmt) {
-		if a, ok := st.(*lang.AssignStmt); ok {
-			if id, ok := a.LHS.(*lang.Ident); ok {
-				out = append(out, id.Name)
-			}
-		}
-	})
-	return out
+	return d
 }

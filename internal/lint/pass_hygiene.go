@@ -128,7 +128,7 @@ func (h *hygiene) stmt(st lang.Stmt) (terminates bool) {
 		h.loops = append(h.loops, s)
 		h.block(s.Body)
 		h.loops = h.loops[:len(h.loops)-1]
-		return constTrue(s.Cond)
+		return lang.ConstTrue(s.Cond)
 	case *lang.IfStmt:
 		h.expr(s.Cond)
 		thenEnds := h.block(s.Then)
@@ -232,11 +232,4 @@ func sharesLoop(a, b []*lang.WhileStmt) bool {
 		}
 	}
 	return false
-}
-
-// constTrue reports whether a loop condition is a non-zero literal, i.e.
-// while(1): control never flows past the loop.
-func constTrue(e lang.Expr) bool {
-	n, ok := e.(*lang.NumLit)
-	return ok && n.Text != "0"
 }

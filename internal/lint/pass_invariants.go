@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/axiom"
-	"repro/internal/lang"
 )
 
 // invariantMaintenance statically audits structural update sites against the
@@ -37,7 +36,6 @@ func (invariantMaintenance) Run(ctx *Context) error {
 		if err != nil {
 			continue // not analyzable; other passes still cover it
 		}
-		inLoop := loopPositions(fn.Body)
 		for _, m := range res.Mods {
 			names := axiomsMentioning(res.Axioms, m.Field)
 			if len(names) == 0 {
@@ -47,7 +45,7 @@ func (invariantMaintenance) Run(ctx *Context) error {
 			msg := fmt.Sprintf(
 				"structural update of field %s suspends axiom %s until the invariant is restored (§3.4 window)",
 				m.Field, strings.Join(names, ", "))
-			if inLoop[m.Pos] {
+			if m.Loop != nil {
 				sev = Warning
 				msg = fmt.Sprintf(
 					"structural update of field %s inside a loop suspends axiom %s for every loop-carried dependence test (§3.4 window)",
@@ -88,33 +86,5 @@ func axiomsMentioning(set *axiom.Set, field string) []string {
 			}
 		}
 	}
-	return out
-}
-
-// loopPositions marks the positions of statements that execute inside a
-// while-loop.
-func loopPositions(b *lang.Block) map[lang.Pos]bool {
-	out := map[lang.Pos]bool{}
-	var walk func(b *lang.Block, inLoop bool)
-	walk = func(b *lang.Block, inLoop bool) {
-		if b == nil {
-			return
-		}
-		for _, st := range b.Stmts {
-			if inLoop {
-				out[st.StmtPos()] = true
-			}
-			switch v := st.(type) {
-			case *lang.WhileStmt:
-				walk(v.Body, true)
-			case *lang.IfStmt:
-				walk(v.Then, inLoop)
-				walk(v.Else, inLoop)
-			case *lang.BlockStmt:
-				walk(v.Body, inLoop)
-			}
-		}
-	}
-	walk(b, false)
 	return out
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/lang"
 	"repro/internal/prover"
 )
 
@@ -39,101 +38,21 @@ func (parLegality) Run(ctx *Context) error {
 				"function %s not analyzable (%v); no parallelization verdicts", fn.Name, err)
 			continue
 		}
-		loops := collectLoops(fn.Body)
-		if len(loops) == 0 {
+		if len(res.Loops) == 0 {
 			continue
 		}
 		eng := ctx.Engine()
-		byLoop := attributeAccesses(res.Accesses, loops)
-		for _, lp := range loops {
-			judgeLoop(ctx, res, eng, lp, byLoop[lp.stmt])
+		for _, lp := range res.Loops {
+			var accs []analysis.Access
+			for _, a := range res.Accesses {
+				if a.Loop == lp {
+					accs = append(accs, a)
+				}
+			}
+			judgeLoop(ctx, res, eng, lp, accs)
 		}
 	}
 	return nil
-}
-
-// loopInfo is one while-loop with the source positions its body spans.
-type loopInfo struct {
-	stmt *lang.WhileStmt
-	// positions holds every statement and expression position in the body,
-	// including nested loops (accesses are matched against it).
-	positions map[lang.Pos]bool
-	// assigned lists variables the body assigns (for the loop-invariant
-	// write special case).
-	assigned map[string]bool
-	depth    int
-}
-
-// collectLoops returns every while-loop in the block, outermost first.
-func collectLoops(b *lang.Block) []*loopInfo {
-	var out []*loopInfo
-	var walk func(b *lang.Block, depth int)
-	walk = func(b *lang.Block, depth int) {
-		if b == nil {
-			return
-		}
-		for _, st := range b.Stmts {
-			switch v := st.(type) {
-			case *lang.WhileStmt:
-				lp := &loopInfo{stmt: v, positions: map[lang.Pos]bool{}, assigned: map[string]bool{}, depth: depth}
-				lang.WalkStmts(v.Body, func(s lang.Stmt) {
-					lp.positions[s.StmtPos()] = true
-					collectExprPositions(s, lp.positions)
-					if a, ok := s.(*lang.AssignStmt); ok {
-						if id, ok := a.LHS.(*lang.Ident); ok {
-							lp.assigned[id.Name] = true
-						}
-					}
-				})
-				out = append(out, lp)
-				walk(v.Body, depth+1)
-			case *lang.IfStmt:
-				walk(v.Then, depth)
-				walk(v.Else, depth)
-			case *lang.BlockStmt:
-				walk(v.Body, depth)
-			}
-		}
-	}
-	walk(b, 0)
-	return out
-}
-
-func collectExprPositions(st lang.Stmt, into map[lang.Pos]bool) {
-	record := func(e lang.Expr) {
-		lang.WalkExprs(e, func(x lang.Expr) { into[x.ExprPos()] = true })
-	}
-	switch s := st.(type) {
-	case *lang.AssignStmt:
-		record(s.LHS)
-		record(s.RHS)
-	case *lang.ExprStmt:
-		record(s.X)
-	case *lang.WhileStmt:
-		record(s.Cond)
-	case *lang.IfStmt:
-		record(s.Cond)
-	case *lang.ReturnStmt:
-		record(s.Value)
-	}
-}
-
-// attributeAccesses assigns each recorded heap access to the innermost loop
-// whose body contains its position.
-func attributeAccesses(accs []analysis.Access, loops []*loopInfo) map[*lang.WhileStmt][]analysis.Access {
-	out := map[*lang.WhileStmt][]analysis.Access{}
-	for _, a := range accs {
-		var best *loopInfo
-		for _, lp := range loops {
-			if lp.positions[a.Pos] && (best == nil || lp.depth > best.depth) {
-				best = lp
-			}
-		}
-		if best != nil {
-			out[best.stmt] = append(out[best.stmt], a)
-		}
-	}
-	return out
 }
 
 // judgeLoop collects every loop-carried dependence query for one loop,
@@ -142,8 +61,8 @@ func attributeAccesses(accs []analysis.Access, loops []*loopInfo) map[*lang.Whil
 // cost one proof search), and emits its DOALL verdict.  Batch results are
 // index-aligned with the submitted queries, so the diagnostics come out in
 // the same deterministic order as the old query-at-a-time loop.
-func judgeLoop(ctx *Context, res *analysis.Result, eng *engine.Engine, lp *loopInfo, accs []analysis.Access) {
-	pos := lp.stmt.StmtPos()
+func judgeLoop(ctx *Context, res *analysis.Result, eng *engine.Engine, lp *analysis.Loop, accs []analysis.Access) {
+	pos := lp.Stmt.StmtPos()
 	hasWrite := false
 	for _, a := range accs {
 		if a.IsWrite {
@@ -204,7 +123,7 @@ func judgeLoop(ctx *Context, res *analysis.Result, eng *engine.Engine, lp *loopI
 		// way the analysis cannot express, and the only sound verdict is
 		// Maybe.
 		if a.IsWrite && len(a.IterDeltas) == 0 {
-			if h, ok := invariantHandle(a); ok && !lp.assigned[a.Var] {
+			if h, ok := invariantHandle(a); ok && !lp.Written[a.Var] {
 				q := core.Query{
 					Axioms: res.Axioms,
 					S:      core.Access{Handle: h.Handle, Path: h.Path, Field: a.Field, Type: a.Type, IsWrite: true},

@@ -8,13 +8,20 @@ import (
 	"path/filepath"
 )
 
+// storeSchema tags the on-disk store.  It covers fpSchema and what the
+// fingerprint cannot: the analyses behind the stored diagnostics.  Bump the
+// suffix when they report differently on an unchanged declaration (v2:
+// staleness through summarized calls, the address-taken rule).
+const storeSchema = fpSchema + "/store-v2"
+
 // Store is the persisted state of the incremental driver: per-file, the
 // fingerprint and diagnostics of every top-level declaration as of the
 // last run.  It round-trips through JSON so watch sessions survive process
 // restarts (-incr-cache).
 type Store struct {
-	// Schema guards the on-disk format and the fingerprint schema at once:
-	// a loaded store with a different schema is discarded wholesale.
+	// Schema (storeSchema) guards the on-disk format, the fingerprint
+	// schema and the analyses at once: a loaded store with a different
+	// schema is discarded wholesale.
 	Schema string                `json:"schema"`
 	Files  map[string]*FileState `json:"files"`
 }
@@ -36,7 +43,7 @@ type OwnerState struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{Schema: fpSchema, Files: map[string]*FileState{}}
+	return &Store{Schema: storeSchema, Files: map[string]*FileState{}}
 }
 
 // LoadStore reads a store from path.  A missing file or a schema mismatch
@@ -54,7 +61,7 @@ func LoadStore(path string) (*Store, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, err
 	}
-	if s.Schema != fpSchema || s.Files == nil {
+	if s.Schema != storeSchema || s.Files == nil {
 		return NewStore(), nil
 	}
 	return &s, nil
