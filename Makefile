@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test determinism race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check fuzzfarm-smoke aptc-smoke bench-build bench-pairs bench bench-json bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 loc clean
+.PHONY: check vet build test determinism race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check wire-fuzz fuzzfarm-smoke aptc-smoke bench-build bench-pairs bench bench-json bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 loc clean
 
 check: vet build bench-build race bench lintsmoke serve-smoke cluster-smoke race-cluster obs-check fuzzfarm-smoke aptc-smoke determinism
 
@@ -93,8 +93,8 @@ serve-smoke:
 # counters-never-go-backwards scrape test, the traceparent/span-tree tests, a 50-iteration race soak of the lock-free
 # flight recorder and sliding-window histogram, the allocation guards —
 # zero allocations for disabled tracing and warm hits, two for a cold
-# language decision — (which -race would skew, hence the separate non-race
-# invocation), the count-once test (every instance counter
+# language decision, at most seven to decode the raw-mode golden request —
+# (which -race would skew, hence the separate non-race invocation), the count-once test (every instance counter
 # counts with telemetry off and feeds the registry exactly once), and the
 # one-span-model test (a streaming and a retaining trace of one batch hold
 # the same spans with the same parents).
@@ -102,9 +102,16 @@ obs-check:
 	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestGaugeFunc|TestTraceparent|TestRequestTrace|TestStreamingTrace|TestMetricsPrometheus|TestMetricsCountersNeverGoBackwards|TestAccessLog' \
 		./internal/telemetry ./internal/serve
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestWindowHistogram' ./internal/telemetry
-	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestColdDecisionAllocations|TestFrontEndAllocations' \
-		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata ./internal/analysis
+	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestColdDecisionAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations' \
+		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata ./internal/analysis ./internal/wire
 	$(GO) test -race -run 'TestDegradedCountersSplitByReason|TestCountOnce|TestOneSpanModel' ./internal/engine
+
+# Differential fuzzing of the /v1/batch decoder: every input decodes through
+# internal/wire's decoder and through encoding/json into method-less copies
+# of the types, and both must fail or both yield equal values.
+wire-fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 20s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 20s ./internal/wire
 
 # Fixed-seed differential fuzzing smoke: generate scenario programs over all
 # five structure families, cross-check every verdict against the concrete and

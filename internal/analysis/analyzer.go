@@ -24,7 +24,7 @@ func Analyze(prog *lang.Program, fnName string, opts Options) (*Result, error) {
 	tel := opts.Telemetry
 	sp := tel.Trace().StartSpan("analysis.analyze", tel.Parent())
 	ssp := tel.Trace().StartSpan("analysis.summarize", sp.ID())
-	summaries := Summarize(prog)
+	summaries := summarize(prog, []*lang.FuncDecl{fn})
 	ssp.End(telemetry.Int("funcs", len(summaries)))
 	dfas := opts.DFACache
 	if dfas == nil {
@@ -470,17 +470,23 @@ func (a *analyzer) walkStmt(st *state, s lang.Stmt) *state {
 	case *lang.IfStmt:
 		a.recordReads(st, v.Cond, v.Label())
 		thenAtoms, elseAtoms := guard.BranchAtoms(v.Cond)
+		// Both edges' guards describe the condition as it was evaluated:
+		// before its calls run, and before either branch bumps a version
+		// of what it reads.
+		thenRefs := a.branchRefs(st, thenAtoms)
+		var elseRefs []guard.Ref
+		if v.Else != nil {
+			elseRefs = a.branchRefs(st, elseAtoms)
+		}
 		depth := len(a.guards)
-		a.guards = append(a.guards, a.branchRefs(st, thenAtoms)...)
-		// The condition's calls run before either branch; the guards
-		// describe the condition as it was evaluated.
+		a.guards = append(a.guards, thenRefs...)
 		a.applyCallsIn(st, v.Cond, v.Label(), v.StmtPos())
 		thenSt := st.clone()
 		a.refine(thenSt, v.Cond, true)
 		thenSt = a.walkBlock(thenSt, v.Then)
 		a.guards = a.guards[:depth]
 		if v.Else != nil {
-			a.guards = append(a.guards, a.branchRefs(st, elseAtoms)...)
+			a.guards = append(a.guards, elseRefs...)
 			elseSt := st.clone()
 			a.refine(elseSt, v.Cond, false)
 			elseSt = a.walkBlock(elseSt, v.Else)

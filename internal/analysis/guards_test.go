@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/guard"
+	"repro/internal/heap/oracle"
 	"repro/internal/lang"
 	"repro/internal/prover"
 )
@@ -210,6 +211,54 @@ T:		b->v = a->v;
 	}
 	if upgraded == 0 {
 		t.Fatalf("no straight-line query upgraded")
+	}
+}
+
+// TestIfElseGuardsShareOneEvaluation: both edges of one if/else describe
+// the condition as it was evaluated, so an assignment to the condition's
+// variable inside the then-branch does not give the else edge a newer
+// version; the two writes below never run together.
+func TestIfElseGuardsShareOneEvaluation(t *testing.T) {
+	src := `
+struct N {
+	struct N *nx;
+	int v;
+	axioms {
+		A1: forall p, p.nx+ <> p.eps;
+	}
+};
+
+void f(struct N *h, int fix) {
+	struct N *p;
+	p = h;
+	if (fix) {
+		fix = 0;
+S:		p->v = 1;
+	} else {
+T:		p->v = 2;
+	}
+}
+`
+	r := analyzeGuarded(t, src, "f")
+	if _, _, ok := guard.Conflict(singleAccess(t, r, "S").Guards, singleAccess(t, r, "T").Guards); !ok {
+		t.Fatalf("the then and else edges of one if do not conflict")
+	}
+	sweep, err := oracle.SweepLabels(lang.MustParse(src), "f", "S", "T", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sweep.BothReached {
+		t.Fatalf("UNSOUND: a concrete run reached both S and T")
+	}
+	qs, err := r.QueriesBetween("S", "T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tester := core.NewTester(r.Axioms, prover.Options{})
+	for _, q := range qs {
+		if out := tester.DepTest(q); out.Result != core.No || !out.GuardUpgraded {
+			t.Errorf("S vs T = %v (%s), want No by contradictory guards", out.Result, out.Reason)
+		}
 	}
 }
 

@@ -36,14 +36,25 @@ type Summary struct {
 // mutual recursion are handled; return paths are extracted only from
 // loop-free bodies (typical accessors).
 func Summarize(prog *lang.Program) map[string]*Summary {
-	sums := make(map[string]*Summary, len(prog.Funcs))
-	for _, fn := range prog.Funcs {
+	return summarize(prog, prog.Funcs)
+}
+
+// summarize computes the summaries of roots and of every function they
+// reach through calls.  A summary depends only on its callees, so each one
+// equals Summarize's.
+func summarize(prog *lang.Program, roots []*lang.FuncDecl) map[string]*Summary {
+	sums := make(map[string]*Summary, len(roots))
+	work := make([]*lang.FuncDecl, 0, 8)
+	for _, fn := range roots {
 		sums[fn.Name] = &Summary{Name: fn.Name}
+		work = append(work, fn)
 	}
 
 	// Direct structural stores and call edges.
 	var edges []callEdge
-	for _, fn := range prog.Funcs {
+	for len(work) > 0 {
+		fn := work[len(work)-1]
+		work = work[:len(work)-1]
 		s := sums[fn.Name]
 		modSet := map[string]bool{}
 		writeSet := map[string]bool{}
@@ -71,12 +82,18 @@ func Summarize(prog *lang.Program) map[string]*Summary {
 			}
 			lang.StmtExprs(st, func(e lang.Expr) {
 				call, ok := e.(*lang.CallExpr)
-				switch {
-				case !ok:
-				case prog.Func(call.Name) != nil:
-					edges = append(edges, callEdge{fn.Name, call.Name})
-				default:
+				if !ok {
+					return
+				}
+				callee := prog.Func(call.Name)
+				if callee == nil {
 					s.CallsUnknown = true
+					return
+				}
+				edges = append(edges, callEdge{fn.Name, call.Name})
+				if sums[call.Name] == nil {
+					sums[call.Name] = &Summary{Name: call.Name}
+					work = append(work, callee)
 				}
 			})
 		})
@@ -128,7 +145,9 @@ func Summarize(prog *lang.Program) map[string]*Summary {
 
 	// Return paths for loop-free accessors.
 	for _, fn := range prog.Funcs {
-		extractReturnPath(prog, fn, sums[fn.Name])
+		if s := sums[fn.Name]; s != nil {
+			extractReturnPath(prog, fn, s)
+		}
 	}
 	return sums
 }

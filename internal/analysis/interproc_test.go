@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lang"
 	"repro/internal/prover"
+	"repro/internal/telemetry"
 )
 
 const interprocSrc = `
@@ -88,6 +89,36 @@ func TestSummarize(t *testing.T) {
 	ch := sums["churn"]
 	if !reflect.DeepEqual(ch.ModifiedFields, []string{"link"}) || !ch.CallsUnknown {
 		t.Fatalf("churn summary = %+v", ch)
+	}
+}
+
+// TestSummarizeReachedOnly: Analyze summarizes only the functions its
+// function reaches through calls, each summary equal to Summarize's, and its
+// analysis.summarize span counts them.
+func TestSummarizeReachedOnly(t *testing.T) {
+	prog := lang.MustParse(interprocSrc)
+	all := Summarize(prog)
+	for _, fn := range prog.Funcs {
+		for name, s := range summarize(prog, []*lang.FuncDecl{fn}) {
+			if !reflect.DeepEqual(s, all[name]) {
+				t.Errorf("from %s: %s summary = %+v, want %+v", fn.Name, name, s, all[name])
+			}
+		}
+	}
+	for fn, want := range map[string]int64{"caller": 3, "crossesMutation": 3, "churn": 2, "advance": 1} {
+		rt := telemetry.NewRequestTrace(telemetry.NewTraceContext())
+		if _, err := Analyze(prog, fn, Options{Telemetry: telemetry.New(nil, rt)}); err != nil {
+			t.Fatal(err)
+		}
+		var got any
+		for _, sp := range rt.Spans() {
+			if sp.Name == "analysis.summarize" {
+				got = sp.Attrs["funcs"]
+			}
+		}
+		if got != want {
+			t.Errorf("Analyze(%s) summarized %v functions, want %d", fn, got, want)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package route
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -454,14 +453,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.hRequest.Observe(time.Since(start).Nanoseconds())
 	}()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := wire.ReadBody(w, r, rt.cfg.MaxBodyBytes)
 	if err != nil {
 		wire.WriteBodyError(w, "read body", err)
 		return
 	}
 	var req wire.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		wire.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if err := wire.DecodeRequest(body, &req); err != nil {
+		wire.WriteBodyError(w, "bad request body", err)
 		return
 	}
 	fp := rt.fingerprint(&req)

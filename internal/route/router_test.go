@@ -279,6 +279,31 @@ func TestRouterBodyCapAnswers413(t *testing.T) {
 	}
 }
 
+// TestRouterTrailingDataAnswers400: a body holding more than one JSON value
+// is rejected whole, as the backend rejects it, without reaching a backend.
+func TestRouterTrailingDataAnswers400(t *testing.T) {
+	backend := newBackendTS(t)
+	rt := newRouter(t, Config{Backends: []string{backend.URL}})
+	rts := httptest.NewServer(rt)
+	defer rts.Close()
+
+	for _, body := range []string{`{"fn":"f"}garbage`, `{"fn":"f"}{"fn":"f"}`} {
+		resp, err := http.Post(rts.URL+"/v1/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e wire.ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "bad request body") {
+			t.Errorf("%s: %d %q, want 400 bad request body", body, resp.StatusCode, e.Error)
+		}
+	}
+	if n := counters(rt)[telemetry.Labeled("route.backend_forwarded", "backend", backend.URL)]; n != 0 {
+		t.Errorf("rejected bodies forwarded %d batches", n)
+	}
+}
+
 // TestRouterPropagatesRetryAfter: a backend's 429 is the shard owner's
 // considered backpressure estimate — the router must deliver status, body,
 // and the Retry-After header verbatim, not re-derive its own.

@@ -52,7 +52,7 @@ func (c *serveClient) batchVerdicts(ctx context.Context, program, fn string, lin
 		return nil, fmt.Errorf("serve: %s: %s", resp.Status, strings.TrimSpace(string(payload)))
 	}
 	var br wire.BatchResponse
-	if err := json.Unmarshal(payload, &br); err != nil {
+	if err := wire.DecodeResponse(payload, &br); err != nil {
 		return nil, fmt.Errorf("serve: bad response: %w", err)
 	}
 	verdicts := make([]string, len(lines))

@@ -366,8 +366,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	qsp.End()
 
 	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	body, err := wire.ReadBody(w, r, s.cfg.MaxBodyBytes)
+	if err == nil {
+		err = wire.DecodeRequest(body, &req)
+	}
+	if err != nil {
 		wire.WriteBodyError(w, "bad request body", err)
 		return
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -60,7 +59,7 @@ func (s *Server) handlePreload(w http.ResponseWriter, r *http.Request) {
 	}
 	// Artifacts outgrow batch bodies (they carry DFA tables); allow 64× the
 	// batch body cap rather than adding another knob.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64*s.cfg.MaxBodyBytes))
+	body, err := wire.ReadBody(w, r, 64*s.cfg.MaxBodyBytes)
 	if err != nil {
 		wire.WriteBodyError(w, "read body", err)
 		return

@@ -81,3 +81,26 @@ func TestWireGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestTrailingDataAnswers400: a body holding more than one JSON value is
+// rejected whole, as the router rejects it, rather than answered from its
+// first value.
+func TestTrailingDataAnswers400(t *testing.T) {
+	req, err := os.ReadFile(filepath.Join("..", "..", "testdata", "wire", "raw.request.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(Config{Workers: 1}))
+	defer ts.Close()
+	for _, suffix := range []string{"garbage", string(req)} {
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(append(bytes.Clone(req), suffix...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("bad request body")) {
+			t.Errorf("body + %.8q: %d %s, want 400 bad request body", suffix, resp.StatusCode, body)
+		}
+	}
+}

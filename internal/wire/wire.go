@@ -1,7 +1,8 @@
 // Package wire is the transport-neutral layer of the query plane: the JSON
-// request/response vocabulary of POST /v1/batch plus the small helpers both
-// sides of the wire share (JSON writers, millisecond clamping, traceparent
-// echo).  Everything that talks the protocol — the serving execution stack
+// request/response vocabulary of POST /v1/batch, its one decoder
+// (DecodeRequest, DecodeResponse), plus the small helpers both sides of the
+// wire share (body reading, JSON writers, millisecond clamping).
+// Everything that talks the protocol — the serving execution stack
 // (internal/serve), the cluster router (internal/route), the repository
 // benchmark's client, and the scenario farm's cross-checker — depends on
 // this package and on nothing above it; wire itself depends only on stdlib
@@ -26,9 +27,11 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -183,6 +186,18 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 // WriteJSONError writes the protocol's error body.
 func WriteJSONError(w http.ResponseWriter, code int, msg string) {
 	WriteJSON(w, code, ErrorResponse{Error: msg})
+}
+
+// ReadBody reads r's body through an http.MaxBytesReader of the given
+// limit, into one buffer sized from Content-Length when that is within it.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	if r.ContentLength <= 0 || r.ContentLength > limit {
+		return io.ReadAll(body)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, r.ContentLength+bytes.MinRead))
+	_, err := buf.ReadFrom(body)
+	return buf.Bytes(), err
 }
 
 // WriteBodyError answers a request whose body failed to read or decode:
