@@ -59,12 +59,11 @@ race-serve:
 	$(GO) test -race -count=3 -run 'TestSoak|TestDrain|TestAdmission|TestScrapeDuringColdBuilds' ./internal/serve
 
 # Soak the routing tier's trickiest interleavings under the race detector:
-# hedge accounting (no double-counted completions, losers canceled), ring
-# membership changes under live load, and drain racing a hedged request.
-# The tests synchronize through channel handshakes, so 50 iterations stay
-# cheap and deterministic.
+# hedge accounting (no double-counted completions, losers canceled) and
+# drain racing a hedged request.  The tests synchronize through channel
+# handshakes, so 50 iterations stay cheap and deterministic.
 race-cluster:
-	$(GO) test -race -count=50 -run 'Hedge|RingChangeUnderLoad|AllBackendsDraining' ./internal/route
+	$(GO) test -race -count=50 -run 'Hedge|AllBackendsDraining' ./internal/route
 
 # Cluster smoke: two backend daemons plus a router daemon in one process,
 # a batch routed end to end, one SIGTERM draining all three with exit 0 —

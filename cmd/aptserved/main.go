@@ -17,8 +17,8 @@
 //
 // Router mode turns the same binary into the cluster's routing tier: a
 // consistent-hash router that shards /v1/batch traffic across backends by
-// axiom-set fingerprint, with health probing, failover, optional hedged
-// retries, and warm-state handoff when the ring changes:
+// axiom-set fingerprint over the fixed -backends list, with health probing,
+// failover, and optional hedged retries:
 //
 //	aptserved -router -backends 127.0.0.1:8081,127.0.0.1:8082 -addr :8080
 //	aptserved -router -backends ... -hedge 25ms   # hedge tail requests

@@ -338,9 +338,8 @@ type state struct {
 	modEpoch int
 	// facts is handle safety's column: one entry per pointer variable, in
 	// the matrix's column numbering.  dead marks a path that a return or a
-	// while (1) ended, or one only the matrix walks: the statements after
-	// it still shape the matrix, the column neither reads nor records
-	// anything there (and may be nil).
+	// while (1) ended: the statements after it still shape the matrix, the
+	// column neither reads nor records anything there (and may be nil).
 	facts []handleFact
 	dead  bool
 }
@@ -363,14 +362,6 @@ func (s *state) clone() *state {
 	if !s.dead {
 		c.facts = slices.Clone(s.facts)
 	}
-	return &c
-}
-
-// matrixOnly clones the matrix alone, for a walk whose column is unused.
-func (s *state) matrixOnly() *state {
-	c := *s
-	c.cells = append([]*pathexpr.Node(nil), s.cells...)
-	c.facts, c.dead = nil, true
 	return &c
 }
 

@@ -614,11 +614,17 @@ func (a *analyzer) walkWhile(st *state, w *lang.WhileStmt) *state {
 	// the body may assign forgotten.
 	a.widenFacts(entry, lp)
 
-	// Silent pass to observe one iteration's effect.
+	// Silent pass to observe one iteration's effect, on the column too:
+	// a handle the body stales after its last use is stale at its first
+	// use in the next iteration, so the pass repeats until the head's
+	// column stales no further handle.
 	saved := a.record
 	a.record = false
-	after1 := a.walkBlock(entry.matrixOnly(), w.Body)
-	a.applyCallsIn(after1, w.Cond, w.Label(), w.StmtPos())
+	var after1 *state
+	for again := true; again; again = entry.carryStale(after1) {
+		after1 = a.walkBlock(entry.clone(), w.Body)
+		a.applyCallsIn(after1, w.Cond, w.Label(), w.StmtPos())
+	}
 	a.record = saved
 
 	wid, deltas := widen(entry, after1)

@@ -63,6 +63,29 @@ func (s *state) joinFacts(a, b *state) {
 	}
 }
 
+// carryStale merges into a loop head's column what one pass over the body
+// leaves on the paths to the handles: the fields they were reached through
+// and the updates that staled them.  Nullness stays as widenFacts left it.
+// It reports whether a handle fresh at the head became stale.
+func (s *state) carryStale(after *state) bool {
+	if s.dead || after.dead {
+		return false
+	}
+	staled := false
+	for i := range s.facts {
+		f, g := &s.facts[i], after.facts[i]
+		if f.null == nullAbsent || g.null == nullAbsent {
+			continue
+		}
+		f.via |= g.via
+		if f.stale == 0 && g.stale != 0 {
+			f.stale = g.stale
+			staled = true
+		}
+	}
+	return staled
+}
+
 // joinFact merges one variable's facts at a control-flow merge.  The left
 // side's origin and staleness win where both have one.
 func joinFact(a, b handleFact) handleFact {

@@ -144,3 +144,64 @@ void walk(struct N *h, struct N *g) {
 		t.Errorf("written: outer %v, inner %v; want p (through step(&p)) and q outer, no p inner", outer.Written, inner.Written)
 	}
 }
+
+// TestLoopCarriedStaleHandle: a destructive update late in a loop body
+// stales a handle that the next iteration dereferences early in the body,
+// just as the same update stales a later use in straight-line code — also
+// when the stale value reaches the use through a copy one iteration on.
+func TestLoopCarriedStaleHandle(t *testing.T) {
+	const structs = `
+struct N {
+	struct N *nx;
+	int d;
+};
+`
+	for _, tc := range []struct{ name, body, want string }{
+		{"straight-line", `
+	h->nx = NULL;
+	t->d = 1;
+`, "t"},
+		{"loop-carried", `
+	while (c) {
+		t->d = 1;
+		h->nx = NULL;
+		c = c - 1;
+	}
+`, "t"},
+		{"carried-through-a-copy", `
+	u = h;
+	while (c) {
+		u->d = 1;
+		u = t;
+		t = h->nx;
+		h->nx = NULL;
+		c = c - 1;
+	}
+`, "u"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := structs + `
+void f(struct N *h, int c) {
+	struct N *t;
+	struct N *u;
+	t = h->nx;
+	if (t == NULL) {
+		return;
+	}` + tc.body + `}
+`
+			res, err := Analyze(lang.MustParse(src), "f", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stale []Hazard
+			for _, h := range res.Hazards {
+				if h.Kind == DerefStale {
+					stale = append(stale, h)
+				}
+			}
+			if len(stale) != 1 || stale[0].Var != tc.want || stale[0].Stale.Field != "nx" {
+				t.Fatalf("stale hazards = %+v, want one use of %s after the update of nx", stale, tc.want)
+			}
+		})
+	}
+}

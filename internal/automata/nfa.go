@@ -97,11 +97,6 @@ func AlphabetOf(exprs ...pathexpr.Expr) *Alphabet {
 	return NewAlphabet(pathexpr.Fields(exprs...)...)
 }
 
-// Union returns an alphabet containing the symbols of both alphabets.
-func (a *Alphabet) Union(b *Alphabet) *Alphabet {
-	return NewAlphabet(append(append([]string{}, a.symbols...), b.symbols...)...)
-}
-
 // Size returns the number of symbols.
 func (a *Alphabet) Size() int { return len(a.symbols) }
 

@@ -216,8 +216,8 @@ func (s *Set) ID() uint64 {
 // order — the fingerprint is a pure function of the axiom content, so two
 // processes that never exchanged state agree on it.  It is what may cross
 // the wire: the cluster router's consistent-hash ring places axiom sets on
-// backends by fingerprint, and the warm-handoff snapshot endpoint addresses
-// warm state by it.  (Like Key, it is name- and declaration-order-blind.)
+// backends by fingerprint.  (Like Key, it is name- and declaration-order-
+// blind.)
 func (s *Set) Fingerprint64() uint64 {
 	s.memo.mu.Lock()
 	defer s.memo.mu.Unlock()
@@ -225,10 +225,10 @@ func (s *Set) Fingerprint64() uint64 {
 	return s.memo.fp
 }
 
-// Fingerprint64ForKey hashes a canonical fingerprint string (a Key
+// fingerprint64ForKey hashes a canonical fingerprint string (a Key
 // rendering, possibly produced by another process) the same way
 // Set.Fingerprint64 does.
-func Fingerprint64ForKey(key string) uint64 {
+func fingerprint64ForKey(key string) uint64 {
 	return strhash.FNV64a(key)
 }
 
@@ -248,7 +248,7 @@ func (s *Set) refreshMemoLocked() {
 	id := internKeyLocked(key)
 	setIDs.mu.Unlock()
 	s.memo.ok, s.memo.n, s.memo.key, s.memo.id = true, len(s.Axioms), key, id
-	s.memo.fp = Fingerprint64ForKey(key)
+	s.memo.fp = fingerprint64ForKey(key)
 }
 
 // WithoutFields returns a new set containing only axioms that mention none

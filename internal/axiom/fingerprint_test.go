@@ -87,8 +87,8 @@ func TestFingerprint64IsFNV64aOfKey(t *testing.T) {
 		if got, want := set.Fingerprint64(), ref.Sum64(); got != want {
 			t.Errorf("%s: Fingerprint64 = %#x, want FNV-64a(Key) = %#x", set.StructName, got, want)
 		}
-		if got, want := Fingerprint64ForKey(set.Key()), set.Fingerprint64(); got != want {
-			t.Errorf("%s: Fingerprint64ForKey disagrees with Set.Fingerprint64: %#x vs %#x", set.StructName, got, want)
+		if got, want := fingerprint64ForKey(set.Key()), set.Fingerprint64(); got != want {
+			t.Errorf("%s: fingerprint64ForKey disagrees with Set.Fingerprint64: %#x vs %#x", set.StructName, got, want)
 		}
 	}
 }

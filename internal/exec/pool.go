@@ -1,9 +1,8 @@
 // Package exec is the execution tier of the query plane: the process's one
-// engine over one pool-owned DFA cache and proof memo, the raw-query
-// builder that turns wire queries into core ones, and the warm-state
-// snapshot/preload operations the cluster's ring-change handoff rides on.
-// It knows nothing about HTTP or admission — internal/serve composes it
-// under both.
+// engine over one pool-owned DFA cache and proof memo, preseeded at boot
+// from a compiled artifact when one is given, and the raw-query builder
+// that turns wire queries into core ones.  It knows nothing about HTTP or
+// admission — internal/serve composes it under both.
 package exec
 
 import (
@@ -69,7 +68,8 @@ func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 	tel.GaugeFunc("serve.decision_entries", func() int64 { return int64(p.dfas.OpsLen()) })
 	tel.GaugeFunc("serve.memo_entries", func() int64 { return int64(p.memo.Stats().Entries) })
 	if cfg.Preload != nil {
-		p.PreloadArtifact(cfg.Preload)
+		p.dfas.Preseed(cfg.Preload)
+		p.memo.Preseed(cfg.Preload)
 	}
 	return p
 }
@@ -93,26 +93,3 @@ func (p *Pool) Batch(ctx context.Context, queries []core.Query, perQuery time.Du
 // Deprecated: kept only for perfbench's mirror stack, removed by the
 // benchmark PR that replaces raw-churn.  Use Batch.
 func (p *Pool) Get(*axiom.Set) (eng *engine.Engine, cold bool) { return p.eng, false }
-
-// SnapshotArtifact renders the pool's warm state — compiled DFAs, decision
-// tables, and memoized proof goals, each goal scoped to its axiom-set
-// fingerprint — as a portable artifact, or nil when the memo holds no goal
-// scoped to the axiom set with fingerprint fp.
-func (p *Pool) SnapshotArtifact(fp uint64) *automata.Artifact {
-	art := p.dfas.Snapshot()
-	p.memo.AppendGoals(art)
-	for _, sig := range art.Sigs {
-		if axiom.Fingerprint64ForKey(sig) == fp {
-			return art
-		}
-	}
-	return nil
-}
-
-// PreloadArtifact preseeds the pool's caches from the artifact and returns
-// the number of DFAs, decisions and proof goals it inserted (entries
-// already present are skipped).
-func (p *Pool) PreloadArtifact(art *automata.Artifact) (dfas, decisions, goals int) {
-	dfas, decisions = p.dfas.Preseed(art)
-	return dfas, decisions, p.memo.Preseed(art)
-}

@@ -1,15 +1,16 @@
 // Package route is the routing tier of the query plane: a consistent-hash
-// ring that shards axiom sets across aptserved backends, health-checked
-// forwarding with hedged retries for tail latency, and the ring-change warm
-// handoff that ships a gaining backend the old owner's warm engine state.
+// ring that shards axiom sets across aptserved backends, and health-checked
+// forwarding with hedged retries for tail latency.  The membership is fixed
+// when the router starts.
 //
 // Sharding works because the paper's dependence test is a pure function of
 // (axiom set, goal): any backend computes the same verdicts, so placement
 // is free to optimize purely for cache warmth.  Routing every request for
 // one axiom set to one backend keeps that backend's DFA cache and proof
 // memo hot for its shard — the "compile-server at scale" architecture the
-// ROADMAP names — and the consistent ring keeps placement stable as
-// backends join and leave (only the moved shards change owners).
+// ROADMAP names — and the consistent ring keeps placement stable across
+// restarts with a different membership (only the moved shards change
+// owners).
 //
 // Identity on the ring is axiom.Set.Fingerprint64, never Set.ID: the
 // router and its backends are separate processes, and the fingerprint is
@@ -25,15 +26,14 @@ import (
 
 // vnodesPerBackend is the virtual-node count per backend address.  64
 // vnodes keep the load split across a handful of backends within a few
-// percent of even while keeping ring rebuilds trivially cheap.
+// percent of even while keeping the ring trivially cheap to build.
 const vnodesPerBackend = 64
 
 // Ring is an immutable consistent-hash ring over backend addresses.
-// Lookups binary-search the sorted vnode ring; rebuilds construct a new
-// Ring (the router swaps them atomically).
+// Lookups binary-search the sorted vnode ring.
 type Ring struct {
-	vnodes []vnode
-	addrs  []string // sorted, deduplicated
+	vnodes  []vnode
+	members int // distinct addresses
 }
 
 type vnode struct {
@@ -51,12 +51,11 @@ func NewRing(addrs []string) *Ring {
 			continue
 		}
 		seen[a] = true
-		r.addrs = append(r.addrs, a)
+		r.members++
 		for i := 0; i < vnodesPerBackend; i++ {
 			r.vnodes = append(r.vnodes, vnode{hash: strhash.FNV64a(a + "#" + strconv.Itoa(i)), addr: a})
 		}
 	}
-	sort.Strings(r.addrs)
 	sort.Slice(r.vnodes, func(i, j int) bool {
 		if r.vnodes[i].hash != r.vnodes[j].hash {
 			return r.vnodes[i].hash < r.vnodes[j].hash
@@ -65,12 +64,6 @@ func NewRing(addrs []string) *Ring {
 	})
 	return r
 }
-
-// Addrs returns the member addresses, sorted.
-func (r *Ring) Addrs() []string { return r.addrs }
-
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.addrs) }
 
 // Owner returns the backend owning the fingerprint (the first vnode at or
 // after the mixed fingerprint, wrapping), or "" on an empty ring.
@@ -88,13 +81,13 @@ func (r *Ring) Sequence(fp uint64) []string {
 	if len(r.vnodes) == 0 {
 		return nil
 	}
-	out := make([]string, 0, len(r.addrs))
-	seen := make(map[string]bool, len(r.addrs))
+	out := make([]string, 0, r.members)
+	seen := make(map[string]bool, r.members)
 	for i, n := r.search(fp), 0; n < len(r.vnodes); i, n = (i+1)%len(r.vnodes), n+1 {
 		if a := r.vnodes[i].addr; !seen[a] {
 			seen[a] = true
 			out = append(out, a)
-			if len(out) == len(r.addrs) {
+			if len(out) == r.members {
 				break
 			}
 		}
@@ -124,24 +117,4 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// Moved returns the fingerprints (among fps) whose owner differs between
-// the two rings, with their old and new owners — the shards a ring change
-// actually moves, which is what the warm handoff iterates.
-func Moved(old, next *Ring, fps []uint64) []Move {
-	var out []Move
-	for _, fp := range fps {
-		from, to := old.Owner(fp), next.Owner(fp)
-		if from != to {
-			out = append(out, Move{FP: fp, From: from, To: to})
-		}
-	}
-	return out
-}
-
-// Move is one shard changing owners across a ring change.
-type Move struct {
-	FP       uint64
-	From, To string
 }

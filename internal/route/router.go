@@ -31,16 +31,15 @@ const (
 	DefaultHealthInterval = 500 * time.Millisecond
 	DefaultProbeTimeout   = 2 * time.Second
 	DefaultMaxBodyBytes   = 1 << 20
-	// fpCacheCap bounds the program→fingerprint cache; seenFPCap bounds the
-	// set of fingerprints tracked for warm handoff.
+	// fpCacheCap bounds the program→fingerprint cache.
 	fpCacheCap = 1024
-	seenFPCap  = 4096
 )
 
 // Config sizes a Router.
 type Config struct {
-	// Backends are the initial backend addresses ("host:port" or full
-	// "http://host:port" URLs).
+	// Backends are the backend addresses ("host:port" or full
+	// "http://host:port" URLs); the membership is fixed for the router's
+	// life.
 	Backends []string
 	// HedgeDelay, when positive, fires a hedged duplicate of a request to
 	// the shard's next backend if the owner has not answered within the
@@ -100,11 +99,13 @@ type Router struct {
 	client *http.Client
 	access *telemetry.TraceWriter
 
-	mu       sync.Mutex
+	// ring and backends (by normalized addr) are fixed at New, so the
+	// request path and the prober read them without a lock.
 	ring     *Ring
-	backends map[string]*backend // by normalized addr; survives ring changes
-	seenFPs  map[uint64]struct{}
-	fpCache  map[uint64]uint64 // FNV(program+fn) → axiom-set fingerprint
+	backends map[string]*backend
+
+	mu      sync.Mutex        // guards fpCache
+	fpCache map[uint64]uint64 // FNV(program+fn) → axiom-set fingerprint
 
 	probeCtx    context.Context
 	probeCancel context.CancelFunc
@@ -114,17 +115,15 @@ type Router struct {
 	hedgeWon    telemetry.Counter // route.hedge{outcome="won"}
 	hedgeLost   telemetry.Counter // route.hedge{outcome="lost"}
 	hedgeSpared telemetry.Counter // route.hedge{outcome="spared"}
-	ringMoves   telemetry.Counter // route.ring_moves
-	handoffs    telemetry.Counter // route.ring_warm_handoffs: successful warm handoffs (≤ ringMoves)
 	panics      telemetry.Counter // route.panics
 
 	cHedges  *telemetry.Counter
 	hRequest *telemetry.Histogram
 }
 
-// NormalizeAddr turns "host:port" into "http://host:port" (full URLs pass
+// normalizeAddr turns "host:port" into "http://host:port" (full URLs pass
 // through, trailing slashes are trimmed).
-func NormalizeAddr(addr string) string {
+func normalizeAddr(addr string) string {
 	for len(addr) > 0 && addr[len(addr)-1] == '/' {
 		addr = addr[:len(addr)-1]
 	}
@@ -158,7 +157,6 @@ func New(cfg Config) *Router {
 		},
 		access:   cfg.AccessLog,
 		backends: make(map[string]*backend),
-		seenFPs:  make(map[uint64]struct{}),
 		fpCache:  make(map[uint64]uint64),
 		cHedges:  tel.Counter("route.hedges"),
 		hRequest: tel.Histogram("route.request_ns"),
@@ -166,14 +164,12 @@ func New(cfg Config) *Router {
 	rt.hedgeWon.Feed(tel.Counter(telemetry.Labeled("route.hedge", "outcome", "won")))
 	rt.hedgeLost.Feed(tel.Counter(telemetry.Labeled("route.hedge", "outcome", "lost")))
 	rt.hedgeSpared.Feed(tel.Counter(telemetry.Labeled("route.hedge", "outcome", "spared")))
-	rt.ringMoves.Feed(tel.Counter("route.ring_moves"))
-	rt.handoffs.Feed(tel.Counter("route.ring_warm_handoffs"))
 	rt.panics.Feed(tel.Counter("route.panics"))
 	start := time.Now()
 	tel.GaugeFunc("route.uptime_seconds", func() int64 { return int64(time.Since(start).Seconds()) })
 	var addrs []string
 	for _, a := range cfg.Backends {
-		if n := NormalizeAddr(a); n != "" {
+		if n := normalizeAddr(a); n != "" {
 			addrs = append(addrs, n)
 			rt.addBackend(n)
 		}
@@ -191,8 +187,7 @@ func New(cfg Config) *Router {
 
 // addBackend registers a member not seen before — optimistically up until
 // the first probe says otherwise — with its per-backend series
-// route.backend_forwarded and route.backend_up.  Members are never removed,
-// so their series survive ring changes.  Callers after New hold rt.mu.
+// route.backend_forwarded and route.backend_up.
 func (rt *Router) addBackend(addr string) {
 	if _, ok := rt.backends[addr]; ok {
 		return
@@ -236,86 +231,6 @@ func (rt *Router) Drain(ctx context.Context) error {
 // Draining reports whether Drain has begun.
 func (rt *Router) Draining() bool { return rt.adm.Draining() }
 
-// currentRing returns the ring under the lock.
-func (rt *Router) currentRing() *Ring {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.ring
-}
-
-// SetBackends replaces the ring membership and performs the warm handoff:
-// for every fingerprint this router has routed whose owner changes, it
-// snapshots the old owner's warm state and preloads it into the new owner,
-// so the moved shard's first request there rides memoized proofs instead
-// of searching cold.  Handoff is best-effort — an unreachable old owner, or
-// one holding no proof goal for the shard, just means the gaining backend
-// starts cold, which is the pre-handoff behavior.
-func (rt *Router) SetBackends(addrs []string) {
-	var normalized []string
-	for _, a := range addrs {
-		if n := NormalizeAddr(a); n != "" {
-			normalized = append(normalized, n)
-		}
-	}
-	next := NewRing(normalized)
-
-	rt.mu.Lock()
-	old := rt.ring
-	rt.ring = next
-	for _, a := range next.Addrs() {
-		rt.addBackend(a)
-	}
-	fps := make([]uint64, 0, len(rt.seenFPs))
-	for fp := range rt.seenFPs {
-		fps = append(fps, fp)
-	}
-	rt.mu.Unlock()
-
-	for _, mv := range Moved(old, next, fps) {
-		rt.ringMoves.Add(1)
-		if mv.From == "" || mv.To == "" {
-			continue
-		}
-		if rt.handoff(mv) {
-			rt.handoffs.Add(1)
-		}
-	}
-}
-
-// handoff ships one moved shard's warm state from its old owner to its new
-// one; false means the move proceeds cold.
-func (rt *Router) handoff(mv Move) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/snapshot?fp=%016x", mv.From, mv.FP), nil)
-	if err != nil {
-		return false
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return false
-	}
-	art, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK || len(art) == 0 {
-		return false
-	}
-	preq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		mv.To+"/v1/preload", bytes.NewReader(art))
-	if err != nil {
-		return false
-	}
-	preq.Header.Set("Content-Type", "application/octet-stream")
-	presp, err := rt.client.Do(preq)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, presp.Body) //nolint:errcheck
-	presp.Body.Close()
-	return presp.StatusCode == http.StatusOK
-}
-
 // probeLoop polls every backend's /healthz, flipping its up flag.  A
 // backend marked down by a failed forward is revived here as soon as it
 // answers again.
@@ -333,15 +248,9 @@ func (rt *Router) probeLoop() {
 	}
 }
 
-// probeAll runs one synchronous probe pass over every known backend.
+// probeAll runs one synchronous probe pass over every backend.
 func (rt *Router) probeAll() {
-	rt.mu.Lock()
-	members := make([]*backend, 0, len(rt.backends))
 	for _, b := range rt.backends {
-		members = append(members, b)
-	}
-	rt.mu.Unlock()
-	for _, b := range members {
 		b.up.Store(rt.probe(b.addr))
 	}
 }
@@ -401,16 +310,6 @@ func (rt *Router) fingerprint(req *wire.BatchRequest) uint64 {
 	return fp
 }
 
-// noteFP tracks a routed fingerprint for future warm handoffs (bounded;
-// beyond the cap new shards just move cold).
-func (rt *Router) noteFP(fp uint64) {
-	rt.mu.Lock()
-	if len(rt.seenFPs) < seenFPCap {
-		rt.seenFPs[fp] = struct{}{}
-	}
-	rt.mu.Unlock()
-}
-
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if rt.Draining() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
@@ -463,9 +362,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wire.WriteBodyError(w, "bad request body", err)
 		return
 	}
-	fp := rt.fingerprint(&req)
-	rt.noteFP(fp)
-	res := rt.forward(r.Context(), fp, body, r.Header.Get("traceparent"))
+	res := rt.forward(r.Context(), rt.fingerprint(&req), body, r.Header.Get("traceparent"))
 	if res == nil {
 		wire.WriteJSONError(w, http.StatusBadGateway, "no backend available")
 		return
@@ -595,16 +492,10 @@ func (rt *Router) forward(ctx context.Context, fp uint64, body []byte, tracepare
 // ones first (stable within each class), so the owner serves when up and
 // the walk order still decides failover when it is not.
 func (rt *Router) candidates(fp uint64) []*backend {
-	seq := rt.currentRing().Sequence(fp)
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	seq := rt.ring.Sequence(fp)
 	var up, down []*backend
 	for _, addr := range seq {
-		b := rt.backends[addr]
-		if b == nil {
-			continue
-		}
-		if b.up.Load() {
+		if b := rt.backends[addr]; b.up.Load() {
 			up = append(up, b)
 		} else {
 			down = append(down, b)

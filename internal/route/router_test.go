@@ -183,7 +183,7 @@ func TestRouterByteIdenticalVerdicts(t *testing.T) {
 	expected := map[string]int64{} // ring-owner addr → batches owed
 	for _, g := range order {
 		req := wire.BatchRequest{AxiomSet: g.set.Source(), AxiomSetName: g.set.StructName, Raw: g.raws}
-		expected[rt.currentRing().Owner(reqFingerprint(&req))]++
+		expected[rt.ring.Owner(reqFingerprint(&req))]++
 
 		dResp, dBody := postBatch(t, direct.URL, req)
 		rResp, rBody := postBatch(t, rts.URL, req)
@@ -661,129 +661,6 @@ func TestFailoverOnDownBackend(t *testing.T) {
 	}
 }
 
-// TestWarmHandoffOnRingChange is deterministic by construction: with two
-// live servers we let the ring decide which one owns the tree shard under
-// the two-member ring, start the router with only the OTHER member, warm the
-// shard there, then add the owner.  The shard must move, the warm state must
-// ship, and the gaining backend's first request must search no proof.
-func TestWarmHandoffOnRingChange(t *testing.T) {
-	s1, s2 := newBackendTS(t), newBackendTS(t)
-	req := rawTreeReq()
-
-	gaining := NewRing([]string{s1.URL, s2.URL}).Owner(reqFingerprint(&req))
-	losing := s1.URL
-	if gaining == s1.URL {
-		losing = s2.URL
-	}
-
-	rt := newRouter(t, Config{Backends: []string{losing}})
-	rts := httptest.NewServer(rt)
-	defer rts.Close()
-
-	// Warm the shard on the losing member (cold proof search there).
-	resp, body := postBatch(t, rts.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warmup status = %d (body %s)", resp.StatusCode, body)
-	}
-	if memoMisses(t, losing) == 0 {
-		t.Fatal("warmup request searched no proof; the handoff would ship nothing")
-	}
-
-	// Ring change: the owner joins; the tree shard moves to it warm.
-	rt.SetBackends([]string{losing, gaining})
-	c := counters(rt)
-	if moves := c["route.ring_moves"]; moves < 1 {
-		t.Fatalf("ring moves = %d, want ≥1 — the tree shard's owner changed", moves)
-	}
-	if handoffs := c["route.ring_warm_handoffs"]; handoffs != 1 {
-		t.Fatalf("warm handoffs = %d, want exactly 1", handoffs)
-	}
-
-	// The moved shard's first request on the gaining backend rides the
-	// shipped proof goals: no proof search.
-	misses0 := memoMisses(t, gaining)
-	resp, body = postBatch(t, rts.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-move status = %d (body %s)", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-Apt-Backend"); got != gaining {
-		t.Fatalf("post-move request went to %q, want the gaining owner %q", got, gaining)
-	}
-	if n := memoMisses(t, gaining) - misses0; n != 0 {
-		t.Errorf("gaining backend searched %d proofs despite the warm handoff", n)
-	}
-}
-
-// TestRingChangeUnderLoad: concurrent traffic across several shards while
-// members join and leave.  Every request must get exactly one 200 verdict —
-// accepted == completed, nothing shed, nothing lost, nothing in flight at
-// the end.
-func TestRingChangeUnderLoad(t *testing.T) {
-	a, b, c := newBackendTS(t), newBackendTS(t), newBackendTS(t)
-	rt := newRouter(t, Config{Backends: []string{a.URL, b.URL}})
-	rts := httptest.NewServer(rt)
-	defer rts.Close()
-
-	// A handful of distinct shards: the workload windows all fingerprint
-	// differently.
-	var reqs []wire.BatchRequest
-	for _, set := range engine.WorkloadWindows() {
-		reqs = append(reqs, wire.BatchRequest{
-			AxiomSet:     set.Source(),
-			AxiomSetName: set.StructName,
-			Raw: []wire.RawQuery{
-				{SHandle: "h", SPath: "L", SField: "val", SWrite: true, THandle: "h", TPath: "R", TField: "val"},
-			},
-		})
-	}
-
-	const workers, perWorker = 6, 10
-	var wg sync.WaitGroup
-	errs := make(chan error, workers*perWorker)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				req := reqs[(w+i)%len(reqs)]
-				body, _ := json.Marshal(req)
-				resp, err := http.Post(rts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
-				if err != nil {
-					errs <- fmt.Errorf("worker %d req %d: %v", w, i, err)
-					continue
-				}
-				out, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("worker %d req %d: status %d (%s)", w, i, resp.StatusCode, out)
-				}
-			}
-		}(w)
-	}
-
-	// Membership churn while the burst is in flight: grow, shrink, regrow.
-	rt.SetBackends([]string{a.URL, b.URL, c.URL})
-	rt.SetBackends([]string{a.URL, c.URL})
-	rt.SetBackends([]string{a.URL, b.URL, c.URL})
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
-	total := int64(workers * perWorker)
-	accepted, completed, shed, refused := lifecycle(rt)
-	if accepted != total || completed != total {
-		t.Errorf("accepted=%d completed=%d, want both %d — no request may be lost across ring changes", accepted, completed, total)
-	}
-	if inflight := rt.tel.Metrics().Snapshot().Gauges["route.inflight"]; inflight != 0 {
-		t.Errorf("inflight = %d after the burst, want 0", inflight)
-	}
-	if shed != 0 || refused != 0 {
-		t.Errorf("shed=%d refused=%d, want 0/0", shed, refused)
-	}
-}
-
 // TestRouterMetrics: the /metrics exposition is the router's registry
 // rendered — it parses under the strict validator and carries the cluster
 // families under the one apt_route_ naming rule, the hand-written router
@@ -816,8 +693,6 @@ func TestRouterMetrics(t *testing.T) {
 		`apt_route_hedge_total{outcome="won"} 0`,
 		`apt_route_hedge_total{outcome="lost"} 0`,
 		`apt_route_hedge_total{outcome="spared"} 0`,
-		"apt_route_ring_moves_total 0\n",
-		"apt_route_ring_warm_handoffs_total 0\n",
 		"apt_route_requests_total 1\n",
 		"apt_route_completed_total 1\n",
 		"apt_route_panics_total 0\n",

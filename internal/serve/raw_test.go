@@ -2,15 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"repro/internal/automata"
 	"repro/internal/axiom"
+	"repro/internal/engine"
+	"repro/internal/exec"
+	"repro/internal/prover"
 	"repro/internal/telemetry"
 )
 
@@ -101,84 +105,6 @@ func TestRawBatchRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestSnapshotPreloadHandoff is the warm-handoff round trip the router's
-// ring-change path performs: snapshot one server's warm state by
-// fingerprint, preload it into a second, and observe the second server
-// answer its first request over that set without searching a proof.
-func TestSnapshotPreloadHandoff(t *testing.T) {
-	a := New(Config{Workers: 1})
-	tsA := httptest.NewServer(a)
-	defer tsA.Close()
-
-	// Warm server A on the tree set via raw mode.
-	if resp, br := postBatch(t, tsA.URL, rawTreeRequest()); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm request: status = %d (%s)", resp.StatusCode, br.Stats.AxiomSet)
-	}
-
-	fp := axiom.LeafLinkedBinaryTree().Fingerprint64()
-	snap, err := http.Get(fmt.Sprintf("%s/v1/snapshot?fp=%016x", tsA.URL, fp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := io.ReadAll(snap.Body)
-	snap.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot: status = %d (%s)", snap.StatusCode, art)
-	}
-	if len(art) == 0 {
-		t.Fatal("snapshot: empty artifact")
-	}
-
-	// Unknown fingerprints answer 404, not an empty artifact.
-	if resp, err := http.Get(tsA.URL + "/v1/snapshot?fp=00000000deadbeef"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("unknown fingerprint: status = %d, want 404", resp.StatusCode)
-		}
-	}
-
-	b := newMetered(Config{Workers: 1})
-	tsB := httptest.NewServer(b)
-	defer tsB.Close()
-
-	pre, err := http.Post(tsB.URL+"/v1/preload", "application/octet-stream", bytes.NewReader(art))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report PreloadReport
-	if err := json.NewDecoder(pre.Body).Decode(&report); err != nil {
-		t.Fatal(err)
-	}
-	pre.Body.Close()
-	if pre.StatusCode != http.StatusOK {
-		t.Fatalf("preload: status = %d", pre.StatusCode)
-	}
-	if report.Goals == 0 {
-		t.Errorf("preload report = %+v, want the shipped proof goals inserted", report)
-	}
-
-	// The handoff's whole point: B's first request over the set rides the
-	// shipped proof goals instead of searching cold.
-	misses0 := metrics(b).Counters["engine.memo_misses"]
-	resp, br := postBatch(t, tsB.URL, rawTreeRequest())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-preload request: status = %d (%s)", resp.StatusCode, br.Stats.AxiomSet)
-	}
-	if misses := metrics(b).Counters["engine.memo_misses"] - misses0; misses != 0 {
-		t.Errorf("first request after preload searched %d proofs, want 0", misses)
-	}
-	for i, r := range br.Results {
-		if r.Result != "No" {
-			t.Errorf("results[%d] = %q (%s), want No", i, r.Result, r.Reason)
-		}
-	}
-}
-
 // TestBatchStatsTimeoutsPerRequest: stats.timeouts counts the request's own
 // timed-out queries, like its neighbours degraded_queries and
 // deadline_expired — not the engine's lifetime count, which would repeat
@@ -209,5 +135,68 @@ func TestBatchStatsTimeoutsPerRequest(t *testing.T) {
 	_, br2 := postBatch(t, ts.URL, clean)
 	if br2.Stats.Timeouts != 0 {
 		t.Errorf("clean request after a timed-out one: stats.timeouts = %d, want 0", br2.Stats.Timeouts)
+	}
+}
+
+// TestNoWarmStateEndpoints: a serving process takes warm state only from
+// its own -preload artifact at boot, never over HTTP.  Neither a snapshot
+// nor a preload endpoint answers, and a forged artifact POSTed at the old
+// preload path — the tree set's NotProved goal for h.(L|R)*->val against
+// itself rewritten as a one-step Proved tree — cannot turn the raw query's
+// Maybe into an unsound No.
+func TestNoWarmStateEndpoints(t *testing.T) {
+	tree := axiom.LeafLinkedBinaryTree()
+	req := BatchRequest{
+		AxiomSet:     tree.Source(),
+		AxiomSetName: tree.StructName,
+		Raw: []RawQuery{{SHandle: "h", SPath: "(L|R)*", SField: "val", SWrite: true,
+			THandle: "h", TPath: "(L|R)*", TField: "val"}},
+	}
+	queries, err := exec.BuildRawQueries(tree, req.Raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Options{Workers: 1})
+	eng.Batch(context.Background(), queries)
+	art := eng.SnapshotArtifact()
+	forged := 0
+	for i := range art.Goals {
+		g := &art.Goals[i]
+		if g.Result == uint8(prover.NotProved) {
+			g.Result = uint8(prover.Proved)
+			g.Steps = []automata.ArtifactStep{{Rule: uint8(prover.RuleTrivial), Form: g.Form, X: g.X, Y: g.Y}}
+			forged++
+		}
+	}
+	if forged == 0 {
+		t.Fatal("the query searched no NotProved goal; nothing to forge")
+	}
+	var buf bytes.Buffer
+	if _, err := art.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	ts := httptest.NewServer(New(Config{Workers: 1}))
+	defer ts.Close()
+	// Warm the tree set on other goals, so a snapshot would have state to serve.
+	postBatch(t, ts.URL, rawTreeRequest())
+	snap, err := http.Get(fmt.Sprintf("%s/v1/snapshot?fp=%016x", ts.URL, tree.Fingerprint64()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Body.Close()
+	if snap.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/snapshot = %d, want 404", snap.StatusCode)
+	}
+	pre, err := http.Post(ts.URL+"/v1/preload", "application/octet-stream", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre.Body.Close()
+	if pre.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/preload = %d, want 404", pre.StatusCode)
+	}
+	if _, br := postBatch(t, ts.URL, req); br.Results[0].Result != "Maybe" {
+		t.Errorf("answer after the forged preload = %q (%s), want Maybe", br.Results[0].Result, br.Results[0].Reason)
 	}
 }

@@ -14,8 +14,8 @@
 //   - internal/admit — the two-channel slots/queue/429 admission machinery
 //     and the drain lifecycle;
 //   - internal/exec — the process's one engine and the DFA cache and proof
-//     memo it borrows, the raw-query builder, and warm-state
-//     snapshot/preload.
+//     memo it borrows, preseeded from a -preload artifact at boot, and the
+//     raw-query builder.
 //
 // What remains here is the composition itself: HTTP endpoint wiring, the
 // program-mode analysis pipeline, tracing/flight-recorder/access-log
@@ -220,8 +220,6 @@ func newServer(cfg Config) *Server {
 	// size to watch for expression-churn growth.
 	tel.GaugeFunc("serve.interned_exprs", func() int64 { return int64(pathexpr.InternedExprs()) })
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("/v1/preload", s.handlePreload)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
