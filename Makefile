@@ -101,7 +101,7 @@ obs-check:
 	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestGaugeFunc|TestTraceparent|TestRequestTrace|TestStreamingTrace|TestMetricsPrometheus|TestMetricsCountersNeverGoBackwards|TestAccessLog' \
 		./internal/telemetry ./internal/serve
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestWindowHistogram' ./internal/telemetry
-	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestColdDecisionAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations' \
+	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestColdDecisionAllocations|TestCompileAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations' \
 		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata ./internal/analysis ./internal/wire
 	$(GO) test -race -run 'TestDegradedCountersSplitByReason|TestCountOnce|TestOneSpanModel' ./internal/engine
 
@@ -162,10 +162,11 @@ bench-json:
 
 # DFA backend report: the flat-table backend vs the frozen map/string
 # backend over the same expression suite, written to BENCH_dfa.json.  The
-# acceptance guards (equal verdicts, table no slower per decision) are
-# asserted by the tests.
+# acceptance guards (equal verdicts, minimal tables byte-identical to the
+# Thompson reference's, table no slower per decision) are asserted by the
+# tests.
 bench-dfa:
-	$(GO) test -run TestTableBackendMatchesLegacy ./internal/automata
+	$(GO) test -run 'TestTableBackendMatchesLegacy|TestCompileMatchesThompson' ./internal/automata
 	BENCH_DFA_JSON=$(CURDIR)/BENCH_dfa.json $(GO) test -run TestWriteBenchDFAJSON -v ./internal/automata
 
 # Warm-hit cost of the interned-key caches (shared DFA cache, its decision

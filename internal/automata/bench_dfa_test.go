@@ -3,7 +3,9 @@ package automata
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -11,13 +13,83 @@ import (
 	"repro/internal/pathexpr"
 )
 
-// This file freezes the pre-refactor DFA backend — map-based transition
-// tables, string-signature subset construction and minimization, string-
-// keyed product states — as an in-test reference implementation.  The
-// differential test proves the flat-table backend reaches identical
+// This file freezes the pre-refactor DFA backend — a Thompson NFA, subset
+// construction over ε-closures, map-based transition tables, string-
+// signature minimization, string-keyed product states — as an in-test
+// reference implementation.  The differential tests prove the flat-table
+// backend compiles byte-identical minimal tables and reaches identical
 // verdicts; the benchmark report (BENCH_dfa.json, via `make bench-dfa`)
 // quantifies what the rewrite bought and asserts the table backend is no
 // slower per decision.
+
+// nfa is a Thompson-construction NFA with ε-transitions, the automaton the
+// frozen backend compiled through.  States are dense integers.
+type nfa struct {
+	alphabet *Alphabet
+	// eps[s] lists ε-successors of state s.
+	eps [][]int
+	// A Thompson state has at most one labelled edge: sym[s] is its symbol
+	// (-1 when s has none) and to[s] its target.
+	sym, to []int32
+}
+
+func (n *nfa) newState() int {
+	n.eps = append(n.eps, nil)
+	n.sym = append(n.sym, -1)
+	n.to = append(n.to, -1)
+	return len(n.eps) - 1
+}
+
+func (n *nfa) addEps(from, to int) {
+	n.eps[from] = append(n.eps[from], to)
+}
+
+// build compiles e into a Thompson NFA fragment and returns its (start,
+// accept) states.  Symbols absent from the alphabet get no labelled edge,
+// so they denote the empty language.
+func (n *nfa) build(e pathexpr.Expr) (start, accept int) {
+	start = n.newState()
+	accept = n.newState()
+	switch v := e.(type) {
+	case nil, pathexpr.Epsilon:
+		n.addEps(start, accept)
+	case pathexpr.Empty:
+		// no transitions: accept unreachable
+	case pathexpr.Field:
+		sym := n.alphabet.Index(v.Name)
+		if sym >= 0 {
+			n.sym[start], n.to[start] = int32(sym), int32(accept)
+		}
+	case pathexpr.Concat:
+		cur := start
+		for _, p := range v.Parts {
+			s, a := n.build(p)
+			n.addEps(cur, s)
+			cur = a
+		}
+		n.addEps(cur, accept)
+	case pathexpr.Alt:
+		for _, p := range v.Alts {
+			s, a := n.build(p)
+			n.addEps(start, s)
+			n.addEps(a, accept)
+		}
+	case pathexpr.Star:
+		s, a := n.build(v.Inner)
+		n.addEps(start, s)
+		n.addEps(a, s)
+		n.addEps(start, accept)
+		n.addEps(a, accept)
+	case pathexpr.Plus:
+		s, a := n.build(v.Inner)
+		n.addEps(start, s)
+		n.addEps(a, s)
+		n.addEps(a, accept)
+	default:
+		panic(fmt.Sprintf("automata: unknown expression type %T", e))
+	}
+	return start, accept
+}
 
 // legacyDFA is the old representation: one map per state.
 type legacyDFA struct {
@@ -67,9 +139,14 @@ func legacySig(set []int) string {
 // legacyCompile is subset construction over string signatures followed by
 // string-signature Moore minimization — the frozen old pipeline.
 func legacyCompile(e pathexpr.Expr, a *Alphabet) *legacyDFA {
-	n := newNFA(a)
+	return legacyMinimize(legacySubset(e, a))
+}
+
+// legacySubset is the Thompson construction followed by subset construction
+// with ε-closures, interning state sets by string signature.
+func legacySubset(e pathexpr.Expr, a *Alphabet) *legacyDFA {
+	n := &nfa{alphabet: a}
 	start, accept := n.build(e)
-	n.start, n.accept = start, accept
 
 	d := &legacyDFA{alphabet: a}
 	index := map[string]int{}
@@ -85,14 +162,14 @@ func legacyCompile(e pathexpr.Expr, a *Alphabet) *legacyDFA {
 		d.trans = append(d.trans, make(map[int]int, a.Size()))
 		acc := false
 		for _, s := range set {
-			if s == n.accept {
+			if s == accept {
 				acc = true
 			}
 		}
 		d.accept = append(d.accept, acc)
 		return i
 	}
-	intern(legacyEpsClosure(n, []int{n.start}))
+	intern(legacyEpsClosure(n, []int{start}))
 	for i := 0; i < len(sets); i++ {
 		for sym := 0; sym < a.Size(); sym++ {
 			var next []int
@@ -104,7 +181,7 @@ func legacyCompile(e pathexpr.Expr, a *Alphabet) *legacyDFA {
 			d.trans[i][sym] = intern(legacyEpsClosure(n, next))
 		}
 	}
-	return legacyMinimize(d)
+	return d
 }
 
 // legacyMinimize is Moore refinement with string signatures in a map —
@@ -293,6 +370,97 @@ func TestTableBackendMatchesLegacy(t *testing.T) {
 			if got, want := table[i].Equivalent(table[j]), legacyEquivalent(legacy[i], legacy[j]); got != want {
 				t.Errorf("Equivalent(%v, %v): table %v, legacy %v", x, y, got, want)
 			}
+		}
+	}
+}
+
+// flatten renders a legacy DFA as a dense table, in the same layout as
+// DFA.trans and DFA.accept.
+func (d *legacyDFA) flatten() ([]int32, []bool) {
+	k := d.alphabet.Size()
+	trans := make([]int32, len(d.accept)*k)
+	for s, row := range d.trans {
+		for c := 0; c < k; c++ {
+			trans[s*k+c] = int32(row[c])
+		}
+	}
+	return trans, d.accept
+}
+
+// TestCompileMatchesThompson: the position construction compiles every
+// expression to exactly the tables the frozen Thompson pipeline builds —
+// same states, same numbering, same bytes — before and after minimization.
+// A Thompson set and its position set determine each other, so the subset
+// construction visits the same states in the same order, and never more.
+func TestCompileMatchesThompson(t *testing.T) {
+	suite, lrn := benchDFASuite()
+	type input struct {
+		e pathexpr.Expr
+		a *Alphabet
+	}
+	var inputs []input
+	for _, e := range suite {
+		inputs = append(inputs, input{e, lrn})
+	}
+	// ∅, ε, and a field outside the alphabet, alone and inside larger
+	// shapes.  The parser has no ∅, and the constructors fold it away, so
+	// those shapes are built directly.
+	empty, l, r := pathexpr.Empty{}, pathexpr.F("L"), pathexpr.F("R")
+	for _, e := range []pathexpr.Expr{
+		nil, empty,
+		pathexpr.Concat{Parts: []pathexpr.Expr{l, empty}},
+		pathexpr.Alt{Alts: []pathexpr.Expr{empty, r}},
+		pathexpr.Star{Inner: empty},
+		pathexpr.Plus{Inner: pathexpr.Alt{Alts: []pathexpr.Expr{l, empty}}},
+	} {
+		inputs = append(inputs, input{e, lrn})
+	}
+	for _, src := range []string{"ε", "X", "L.X", "L|X", "X*", "(L.X)+", "L*.X.R|N", "(X|ε).R"} {
+		inputs = append(inputs, input{pathexpr.MustParse(src), lrn})
+	}
+	// More than 63 positions, so a position set spans several words.
+	var wide, wider []string
+	for i := 0; i < 40; i++ {
+		wide = append(wide, "(L|R)")
+		wider = append(wider, "(L|R|N)", "N")
+	}
+	for _, src := range []string{
+		strings.Join(wide, "."),
+		"(" + strings.Join(wide, ".") + ")*.N",
+		strings.Join(wider, "."),
+		"L.(" + strings.Join(wider, "|") + ")+.R",
+	} {
+		inputs = append(inputs, input{pathexpr.MustParse(src), lrn})
+	}
+	// The property tests' random expressions, over an alphabet that misses
+	// one of their fields.
+	rng := rand.New(rand.NewSource(83))
+	fields := []string{"a", "b", "c"}
+	abc, ab := NewAlphabet(fields...), NewAlphabet("a", "b")
+	for i := 0; i < 300; i++ {
+		e := randExpr(rng, fields, 5)
+		inputs = append(inputs, input{e, abc}, input{e, ab})
+	}
+
+	for _, in := range inputs {
+		d, err := Compile(in.e, in.a)
+		if err != nil {
+			t.Fatalf("Compile(%v): %v", in.e, err)
+		}
+		ref := legacySubset(in.e, in.a)
+		if got, want := d.NumStates(), len(ref.accept); got > want {
+			t.Errorf("%v over %v: subset construction built %d states, Thompson's %d", in.e, in.a.Symbols(), got, want)
+		}
+		trans, accept := ref.flatten()
+		if !slices.Equal(d.trans, trans) || !slices.Equal(d.accept, accept) {
+			t.Errorf("%v over %v: unminimized table\n  trans %v accept %v\nThompson's\n  trans %v accept %v",
+				in.e, in.a.Symbols(), d.trans, d.accept, trans, accept)
+		}
+		m := d.Minimize()
+		trans, accept = legacyMinimize(ref).flatten()
+		if !slices.Equal(m.trans, trans) || !slices.Equal(m.accept, accept) {
+			t.Errorf("%v over %v: minimal table\n  trans %v accept %v\nThompson's\n  trans %v accept %v",
+				in.e, in.a.Symbols(), m.trans, m.accept, trans, accept)
 		}
 	}
 }

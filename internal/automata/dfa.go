@@ -54,22 +54,11 @@ func (e ErrStateLimit) Error() string {
 // so this is far above anything a realistic proof needs.
 const DefaultStateLimit = 1 << 14
 
-// Compile builds a total DFA recognizing e over the given alphabet, via
-// Thompson construction and subset construction.  Fields of e not in the
-// alphabet yield the empty language contribution (see buildNFA).
+// Compile builds a total DFA recognizing e over the given alphabet, by the
+// subset construction over e's position automaton (see table.go).  Fields
+// of e not in the alphabet denote the empty language.
 func Compile(e pathexpr.Expr, a *Alphabet) (*DFA, error) {
 	return CompileLimit(e, a, DefaultStateLimit)
-}
-
-// CompileLimit is Compile with an explicit subset-construction state budget.
-// The construction is fully integer-keyed (see table.go): NFA state sets
-// are interned through a hash table of int32 slices, never rendered to
-// strings.
-func CompileLimit(e pathexpr.Expr, a *Alphabet, limit int) (*DFA, error) {
-	n := newNFA(a)
-	start, accept := n.build(e)
-	n.start, n.accept = start, accept
-	return compileTable(n, limit)
 }
 
 // MustCompile is Compile, panicking on error.
@@ -99,37 +88,6 @@ func (d *DFA) Step(s int, name string) int {
 
 // Accepting reports whether state s accepts.
 func (d *DFA) Accepting(s int) bool { return d.accept[s] }
-
-// Accepts reports whether the DFA accepts the word (a sequence of field
-// names).  Words containing symbols outside the alphabet are rejected.
-func (d *DFA) Accepts(word []string) bool {
-	s := 0
-	for _, f := range word {
-		s = d.Step(s, f)
-		if s < 0 {
-			return false
-		}
-	}
-	return d.accept[s]
-}
-
-// Complement returns a DFA for the complement language over the same
-// alphabet.  The receiver must be total, which Compile guarantees.
-//
-// The transition table is copied, not aliased: the receiver's table may be
-// shared with a loaded artifact, and two automata silently sharing a
-// backing slice is a correctness hazard the moment any caller stops
-// treating DFAs as frozen.
-// An aliasing regression is caught by TestComplementDoesNotAliasTables.
-func (d *DFA) Complement() *DFA {
-	acc := make([]bool, len(d.accept))
-	for i, a := range d.accept {
-		acc[i] = !a
-	}
-	trans := make([]int32, len(d.trans))
-	copy(trans, d.trans)
-	return &DFA{alphabet: d.alphabet, trans: trans, accept: acc}
-}
 
 // pairRule is a truth table over a product state's component acceptance:
 // rule[2*a+b] says whether the pair accepts when d's state accepts (a) and

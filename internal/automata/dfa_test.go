@@ -11,6 +11,41 @@ import (
 	"repro/internal/pathexpr"
 )
 
+// Accepts and Complement serve the tests only: the prover decides
+// languages through products explored on the fly (dfa.go), never by word
+// membership or a materialized complement.
+
+// Accepts reports whether the DFA accepts the word (a sequence of field
+// names).  Words containing symbols outside the alphabet are rejected.
+func (d *DFA) Accepts(word []string) bool {
+	s := 0
+	for _, f := range word {
+		s = d.Step(s, f)
+		if s < 0 {
+			return false
+		}
+	}
+	return d.accept[s]
+}
+
+// Complement returns a DFA for the complement language over the same
+// alphabet.  The receiver must be total, which Compile guarantees.
+//
+// The transition table is copied, not aliased: the receiver's table may be
+// shared with a loaded artifact, and two automata silently sharing a
+// backing slice is a correctness hazard the moment any caller stops
+// treating DFAs as frozen.
+// An aliasing regression is caught by TestComplementDoesNotAliasTables.
+func (d *DFA) Complement() *DFA {
+	acc := make([]bool, len(d.accept))
+	for i, a := range d.accept {
+		acc[i] = !a
+	}
+	trans := make([]int32, len(d.trans))
+	copy(trans, d.trans)
+	return &DFA{alphabet: d.alphabet, trans: trans, accept: acc}
+}
+
 func compile(t *testing.T, src string, fields ...string) *DFA {
 	t.Helper()
 	e := pathexpr.MustParse(src)

@@ -135,8 +135,8 @@ func (c *SharedCache) SetTelemetry(tel *telemetry.Set) *SharedCache {
 }
 
 // SkipMinimize makes the cache keep DFAs as subset construction built them,
-// without Hopcroft minimization (the prover's minimization ablation).  Call
-// it before the first lookup.  Returns the cache for chaining.
+// without minimization (the prover's minimization ablation).  Call it
+// before the first lookup.  Returns the cache for chaining.
 func (c *SharedCache) SkipMinimize() *SharedCache {
 	c.noMinimize = true
 	return c

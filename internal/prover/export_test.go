@@ -42,3 +42,6 @@ func WatchGoals(t testing.TB) (checked func() int, restore func()) {
 	}
 	return func() int { return goals }, func() { testGoalHook = nil }
 }
+
+// WordsCongruent exposes the congruence check behind DefinitelyAliased.
+func (p *Prover) WordsCongruent(w1, w2 []string) bool { return p.wordsCongruent(w1, w2) }

@@ -76,3 +76,43 @@ func TestGoalNodesMatchComponents(t *testing.T) {
 	}
 	t.Logf("%d goals checked (%d from the workload)", checked(), workload)
 }
+
+// TestDefinitelyAliasedMatchesSimplify: DefinitelyAliased reads each path's
+// simplified form from the interner; over every pair of the differential
+// workload's access paths, under each of its validity windows, its answers
+// equal the ones that extract the words from a fresh Simplify of the paths.
+func TestDefinitelyAliasedMatchesSimplify(t *testing.T) {
+	simplified := func(p *prover.Prover, x, y pathexpr.Expr) bool {
+		w1, ok1 := pathexpr.Word(pathexpr.Simplify(x))
+		w2, ok2 := pathexpr.Word(pathexpr.Simplify(y))
+		return ok1 && ok2 && p.WordsCongruent(w1, w2)
+	}
+	var paths []pathexpr.Expr
+	seen := map[string]bool{}
+	for _, q := range engine.Workload(1, 0) {
+		for _, x := range []pathexpr.Expr{q.S.Path, q.T.Path} {
+			if !seen[x.String()] {
+				seen[x.String()] = true
+				paths = append(paths, x)
+			}
+		}
+	}
+	aliased := 0
+	for _, ax := range engine.WorkloadWindows() {
+		p := prover.New(ax, prover.Options{})
+		for _, x := range paths {
+			for _, y := range paths {
+				got, want := p.DefinitelyAliased(x, y), simplified(p, x, y)
+				if got != want {
+					t.Errorf("%s: DefinitelyAliased(%v, %v) = %v, Simplify-based answer %v", ax.StructName, x, y, got, want)
+				}
+				if got {
+					aliased++
+				}
+			}
+		}
+	}
+	if aliased == 0 {
+		t.Fatal("no pair of workload paths is definitely aliased; the comparison is vacuous")
+	}
+}

@@ -294,10 +294,11 @@ func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 // DefinitelyAliased reports whether the two access paths provably denote the
 // same vertex from a common handle: both are single words and are congruent
 // under the equality axioms (identical words are trivially congruent).
-// deptest uses this for its Yes answer.
+// deptest uses this for its Yes answer.  The simplified forms are read from
+// the interner, which computes each one once per distinct path.
 func (p *Prover) DefinitelyAliased(x, y pathexpr.Expr) bool {
-	w1, ok1 := pathexpr.Word(pathexpr.Simplify(x))
-	w2, ok2 := pathexpr.Word(pathexpr.Simplify(y))
+	w1, ok1 := pathexpr.Word(pathexpr.Intern(x).Simplified().Expr())
+	w2, ok2 := pathexpr.Word(pathexpr.Intern(y).Simplified().Expr())
 	if !ok1 || !ok2 {
 		return false
 	}
