@@ -101,7 +101,7 @@ obs-check:
 	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestGaugeFunc|TestTraceparent|TestRequestTrace|TestStreamingTrace|TestMetricsPrometheus|TestMetricsCountersNeverGoBackwards|TestAccessLog' \
 		./internal/telemetry ./internal/serve
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestWindowHistogram' ./internal/telemetry
-	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestColdDecisionAllocations|TestCompileAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations' \
+	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestColdDecisionAllocations|TestCompileAllocations|TestSummaryAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations' \
 		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata ./internal/analysis ./internal/wire
 	$(GO) test -race -run 'TestDegradedCountersSplitByReason|TestCountOnce|TestOneSpanModel' ./internal/engine
 

@@ -30,3 +30,21 @@ func TestCompileAllocations(t *testing.T) {
 	}
 	t.Logf("%v: %.0f allocations", e, allocs)
 }
+
+// TestSummaryAllocations: the summary filter runs on every direct check the
+// prover tries, so folding a summary, concatenating two and testing
+// inclusion allocate nothing.
+func TestSummaryAllocations(t *testing.T) {
+	e := pathexpr.Cat(pathexpr.MustParse("L.(L|R)*.N+"), pathexpr.Alt{Alts: []pathexpr.Expr{pathexpr.F("N"), pathexpr.Empty{}}})
+	a := NewAlphabet("L", "R", "N")
+	n := Summarize(pathexpr.F("N"), a)
+	var sink bool
+	allocs := testing.AllocsPerRun(200, func() {
+		s := Summarize(e, a)
+		sink = s.Then(n).MayInclude(s)
+	})
+	if allocs != 0 {
+		t.Errorf("Summarize+Then+MayInclude of %v made %.1f allocations, want 0", e, allocs)
+	}
+	_ = sink
+}

@@ -47,6 +47,8 @@ type Node struct {
 	// simp caches the interned post-Simplify normal form, computed lazily on
 	// first use (see Simplified).
 	simp atomic.Pointer[Node]
+	// compact caches Compact(expr), computed lazily on first use.
+	compact atomic.Pointer[string]
 }
 
 // ID returns the node's stable 64-bit identity.  IDs start at 1 and are
@@ -79,6 +81,18 @@ func (n *Node) Simplified() *Node {
 		s.simp.CompareAndSwap(nil, s)
 	}
 	n.simp.Store(s)
+	return s
+}
+
+// Compact returns the paper-style rendering of the node's expression (see
+// the package-level Compact), computed once and cached on the node: a
+// proof's theorem is rendered from its root goal's nodes on every search.
+func (n *Node) Compact() string {
+	if s := n.compact.Load(); s != nil {
+		return *s
+	}
+	s := Compact(n.expr)
+	n.compact.Store(&s)
 	return s
 }
 

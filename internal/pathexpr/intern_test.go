@@ -75,8 +75,8 @@ func TestInternAliasesFlatAndNested(t *testing.T) {
 	}
 }
 
-// TestInternNodeMetadata: the node carries the rendering, size, and
-// simplified form of its expression, computed once.
+// TestInternNodeMetadata: the node carries the rendering, size, compact
+// rendering and simplified form of its expression, computed once.
 func TestInternNodeMetadata(t *testing.T) {
 	for _, src := range internCorpus {
 		e := pathexpr.MustParse(src)
@@ -86,6 +86,11 @@ func TestInternNodeMetadata(t *testing.T) {
 		}
 		if n.Size() != e.Size() {
 			t.Errorf("%q: node size %d != expr size %d", src, n.Size(), e.Size())
+		}
+		for i := 0; i < 2; i++ { // computed, then cached
+			if got, want := n.Compact(), pathexpr.Compact(e); got != want {
+				t.Errorf("%q: Compact() = %q, want %q", src, got, want)
+			}
 		}
 		want := pathexpr.Simplify(e).String()
 		if got := n.Simplified().String(); got != want {

@@ -27,9 +27,10 @@ func (p *Prover) CheckProof(pf *Proof) error {
 	fields := append(p.axioms.Fields(), collectFields(pf.Root)...)
 	c := &checker{
 		run: &run{
-			p:     p,
-			alpha: automata.NewAlphabet(fields...),
-			dfas:  p.dfas.Account(),
+			p:         p,
+			alpha:     automata.NewAlphabet(fields...),
+			dfas:      p.dfas.Account(),
+			decideAll: true,
 		},
 		verified: make(map[proofKey]bool),
 	}
@@ -70,6 +71,7 @@ func (c *checker) check(st *Step, lems hyps) error {
 		return nil
 	}
 	cx, cy := g.x, g.y
+	kx, ky := newCuts(cx, g.xn, c.run.alpha), newCuts(cy, g.yn, c.run.alpha)
 
 	switch st.Rule {
 	case RuleTrivial:
@@ -89,7 +91,7 @@ func (c *checker) check(st *Step, lems hyps) error {
 		}
 
 	case RuleAxiom:
-		name, err := c.run.direct(g.form, g.xn, g.yn, lems.list, g.size())
+		name, err := c.run.direct(g.form, split{kx, ky, len(cx), len(cy)}, lems.list, g.size())
 		if err != nil {
 			return c.fail(st, "inclusion test failed: %v", err)
 		}
@@ -104,22 +106,21 @@ func (c *checker) check(st *Step, lems hyps) error {
 		}
 		spc, sqc := cx[len(cx)-i:], cy[len(cy)-j:]
 		pp, pq := cx[:len(cx)-i], cy[:len(cy)-j]
-		kx, ky := newCuts(cx, g.xn), newCuts(cy, g.yn)
-		sp, sq := kx.suffix(i), ky.suffix(j)
+		sp := split{kx, ky, i, j}
 		size := sliceSize(spc) + sliceSize(sqc)
 		switch st.Rule {
 		case RuleSuffixAB:
-			if name, err := c.run.direct(SameSrc, sp, sq, lems.list, size); err != nil || name == "" {
+			if name, err := c.run.direct(SameSrc, sp, lems.list, size); err != nil || name == "" {
 				return c.fail(st, "T1 not derivable for suffixes (%s | %s)", exprOrEps(spc), exprOrEps(sqc))
 			}
-			if name, err := c.run.direct(DiffSrc, sp, sq, lems.list, size); err != nil || name == "" {
+			if name, err := c.run.direct(DiffSrc, sp, lems.list, size); err != nil || name == "" {
 				return c.fail(st, "T2 not derivable for suffixes (%s | %s)", exprOrEps(spc), exprOrEps(sqc))
 			}
 		case RuleCaseC:
 			if g.form != SameSrc {
 				return c.fail(st, "case C requires a same-anchor goal")
 			}
-			if name, err := c.run.direct(SameSrc, sp, sq, lems.list, size); err != nil || name == "" {
+			if name, err := c.run.direct(SameSrc, sp, lems.list, size); err != nil || name == "" {
 				return c.fail(st, "T1 not derivable")
 			}
 			eq, err := c.run.prefixesEqual(kx, ky, len(pp), len(pq))
@@ -127,7 +128,7 @@ func (c *checker) check(st *Step, lems hyps) error {
 				return c.fail(st, "prefixes %s and %s not provably equal", exprOrEps(pp), exprOrEps(pq))
 			}
 		case RuleCaseD:
-			if name, err := c.run.direct(DiffSrc, sp, sq, lems.list, size); err != nil || name == "" {
+			if name, err := c.run.direct(DiffSrc, sp, lems.list, size); err != nil || name == "" {
 				return c.fail(st, "T2 not derivable")
 			}
 			if len(st.Children) != 1 {

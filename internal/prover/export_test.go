@@ -10,9 +10,11 @@ import (
 // WatchGoals installs a search hook that checks every goal any prover
 // enters against the component sequences it carries: each side node, and
 // every suffix and prefix node of its cuts, must be the interned
-// concatenation of its components, and the goal's key must equal the key
-// built by interning the reassembled sides.  It returns the number of goals
-// checked so far and a function that removes the hook.
+// concatenation of its components, the goal's key must equal the key built
+// by interning the reassembled sides, and its rendering from the nodes (a
+// proof's theorem) must equal its rendering from the components.  It
+// returns the number of goals checked so far and a function that removes
+// the hook.
 func WatchGoals(t testing.TB) (checked func() int, restore func()) {
 	goals := 0
 	testGoalHook = func(g goal, cx, cy *cuts) {
@@ -28,6 +30,9 @@ func WatchGoals(t testing.TB) (checked func() int, restore func()) {
 		want := goalKey{form: g.form, x: pathexpr.InternID(expr(g.x)), y: pathexpr.InternID(expr(g.y))}
 		if g.key() != want {
 			t.Errorf("key of %s is %v, interning its reassembled sides gives %v", g, g.key(), want)
+		}
+		if got := g.theorem(); got != g.String() {
+			t.Errorf("goal %s renders from its nodes as %s", g, got)
 		}
 		for side, c := range map[string]*cuts{"left": cx, "right": cy} {
 			if c == nil {
@@ -45,3 +50,38 @@ func WatchGoals(t testing.TB) (checked func() int, restore func()) {
 
 // WordsCongruent exposes the congruence check behind DefinitelyAliased.
 func (p *Prover) WordsCongruent(w1, w2 []string) bool { return p.wordsCongruent(w1, w2) }
+
+// WatchFilter installs a hook that decides every direct check the summary
+// filter answered alone through the prover's SharedCache, in both
+// orientations, and fails the test if either would have discharged the
+// goal.  It returns the numbers of filtered inclusion and equivalence
+// checks seen so far and a function that removes the hook.
+func WatchFilter(t testing.TB) (filtered func() (incl, equiv int), restore func()) {
+	var n [2]int // inclusion, equivalence
+	testFilterHook = func(r *run, equiv bool, x, y, re1, re2 *pathexpr.Node) {
+		decide := r.p.dfas.Includes
+		if equiv {
+			decide = r.p.dfas.Equivalent
+			n[1]++
+		} else {
+			n[0]++
+		}
+		for _, fact := range [][2]*pathexpr.Node{{re1, re2}, {re2, re1}} {
+			ok1, err1 := decide(x, fact[0], r.alpha)
+			ok2, err2 := decide(y, fact[1], r.alpha)
+			if err1 == nil && err2 == nil && ok1 && ok2 {
+				t.Errorf("filter rejected (%s, %s) against (%s, %s) (equiv %v), which the language layer accepts",
+					x, y, fact[0], fact[1], equiv)
+			}
+		}
+	}
+	return func() (int, int) { return n[0], n[1] }, func() { testFilterHook = nil }
+}
+
+// RootGoalStrings returns a top-level query's theorem as ProveNodes renders
+// it (from the sides' nodes) and as its root goal renders from its
+// components.
+func RootGoalStrings(form Form, x, y pathexpr.Expr) (theorem, rendered string) {
+	g := rootGoal(form, pathexpr.Intern(x).Simplified(), pathexpr.Intern(y).Simplified())
+	return g.theorem(), g.String()
+}

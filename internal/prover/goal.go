@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/automata"
 	"repro/internal/pathexpr"
 )
 
@@ -130,8 +131,19 @@ func (g goal) size() int {
 }
 
 func (g goal) String() string {
-	lhs, rhs := pathexpr.Compact(expr(g.x)), pathexpr.Compact(expr(g.y))
-	if g.form == SameSrc {
+	return render(g.form, pathexpr.Compact(expr(g.x)), pathexpr.Compact(expr(g.y)))
+}
+
+// theorem is String rendered from the carried nodes, whose compact forms
+// are cached on them: each node is the interned concatenation of its
+// side's components, so the two renderings agree without reassembling or
+// re-walking either side.
+func (g goal) theorem() string {
+	return render(g.form, g.xn.Compact(), g.yn.Compact())
+}
+
+func render(form Form, lhs, rhs string) string {
+	if form == SameSrc {
 		return "∀h, h." + lhs + " <> h." + rhs
 	}
 	return "∀h<>k, h." + lhs + " <> k." + rhs
@@ -156,18 +168,25 @@ func (g goal) key() goalKey {
 // cuts holds the interned suffixes and prefixes of one goal side for the
 // suffix-split search and the rules after it.  Each is interned on first
 // use and at most once per goal; the empty cut is ε and the full cut is the
-// side's own node.
+// side's own node.  Every suffix's summary over the run's alphabet is
+// folded up front, right to left, one component at a time.
 type cuts struct {
 	comps []pathexpr.Expr
 	whole *pathexpr.Node
-	suf   []*pathexpr.Node // suf[i]: the last i components
-	pre   []*pathexpr.Node // pre[k]: the first k components
+	suf   []*pathexpr.Node   // suf[i]: the last i components
+	pre   []*pathexpr.Node   // pre[k]: the first k components
+	sums  []automata.Summary // sums[i]: the last i components' summary
 }
 
-func newCuts(comps []pathexpr.Expr, whole *pathexpr.Node) *cuts {
+func newCuts(comps []pathexpr.Expr, whole *pathexpr.Node, a *automata.Alphabet) *cuts {
 	n := len(comps)
 	nodes := make([]*pathexpr.Node, 2*(n+1))
-	return &cuts{comps: comps, whole: whole, suf: nodes[:n+1], pre: nodes[n+1:]}
+	sums := make([]automata.Summary, n+1)
+	sums[0] = automata.Summarize(pathexpr.Eps, a)
+	for i := 1; i <= n; i++ {
+		sums[i] = automata.Summarize(comps[n-i], a).Then(sums[i-1])
+	}
+	return &cuts{comps: comps, whole: whole, suf: nodes[:n+1], pre: nodes[n+1:], sums: sums}
 }
 
 // suffix returns the node of the last i components.
@@ -203,10 +222,12 @@ func (c *cuts) prefix(k int) *pathexpr.Node {
 // inductive step of Kleene processing.  It may only be applied to goals
 // strictly smaller than the step goal it was introduced for (maxSize), which
 // is the well-founded guard that keeps the induction from discharging
-// itself.
+// itself.  s1 and s2 summarize its sides, taken from the goal that
+// introduced it.
 type lemma struct {
 	form     Form
 	re1, re2 *pathexpr.Node
+	s1, s2   automata.Summary
 	maxSize  int
 }
 

@@ -135,6 +135,9 @@ type Stats struct {
 	CacheHits int
 	// DirectChecks is the number of axiom/lemma inclusion tests attempted.
 	DirectChecks int
+	// FilteredChecks is the number of those the summary filter answered
+	// "no" alone, without asking the language layer.
+	FilteredChecks int
 	// Inductions is the number of Kleene induction schemata instantiated.
 	Inductions int
 	// DFACompiles is the number of DFA compilations (language-cache misses)

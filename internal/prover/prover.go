@@ -76,6 +76,12 @@ func (o Options) withDefaults() Options {
 // pin the carried nodes to the components they stand for.
 var testGoalHook func(g goal, cx, cy *cuts)
 
+// testFilterHook, when non-nil, sees every direct check the summary filter
+// answered alone: (x, y) against the fact (re1, re2), by equivalence when
+// equiv, else by inclusion.  Tests use it to decide each one through the
+// language layer anyway.
+var testFilterHook func(r *run, equiv bool, x, y, re1, re2 *pathexpr.Node)
+
 // errBudget aborts a search that exceeded its resource budget.
 var errBudget = errors.New("prover: resource budget exhausted")
 
@@ -98,12 +104,17 @@ type proofKey struct {
 // not safe for concurrent use.
 type Prover struct {
 	axioms *axiom.Set
+	// fields are the axiom set's fields, read by the first search: every
+	// search's alphabet is these plus its query's.
+	fields []string
 	opts   Options
 	dfas   *automata.SharedCache
 	// disjoint holds the disjointness axioms of each goal form (indexed by
 	// Form) with their sides interned, built by the first search (see
-	// disjointAxioms).
-	disjoint *[2][]disjointAxiom
+	// disjointAxioms), and their sides' summaries over summedOver, the
+	// alphabet of the latest search (see summarizeAxioms).
+	disjoint   *[2][]disjointAxiom
+	summedOver *automata.Alphabet
 	// cache memoizes definitive goal outcomes keyed by goal+lemma
 	// fingerprint, retaining the proof tree of proved goals so that cached
 	// steps remain machine-checkable.  Valid for the lifetime of the prover
@@ -119,44 +130,48 @@ type Prover struct {
 	m     proverMetrics
 }
 
-// disjointAxiom is a disjointness axiom with interned sides.
+// disjointAxiom is a disjointness axiom with interned sides and their
+// summaries.
 type disjointAxiom struct {
 	name     string
 	re1, re2 *pathexpr.Node
+	s1, s2   automata.Summary
 }
 
 // proverMetrics are the prover's pre-resolved registry instruments.
 type proverMetrics struct {
-	queries      *telemetry.Counter
-	goals        *telemetry.Counter
-	cacheHits    *telemetry.Counter
-	directChecks *telemetry.Counter
-	inductions   *telemetry.Counter
-	suffixSplits *telemetry.Counter
-	starUnfolds  *telemetry.Counter
-	altSplits    *telemetry.Counter
-	exhausted    *telemetry.Counter
-	peakDepth    *telemetry.Max
-	queryTimeNS  *telemetry.Histogram
-	queryWin     *telemetry.WindowHistogram
-	querySteps   *telemetry.Histogram
+	queries        *telemetry.Counter
+	goals          *telemetry.Counter
+	cacheHits      *telemetry.Counter
+	directChecks   *telemetry.Counter
+	filteredChecks *telemetry.Counter
+	inductions     *telemetry.Counter
+	suffixSplits   *telemetry.Counter
+	starUnfolds    *telemetry.Counter
+	altSplits      *telemetry.Counter
+	exhausted      *telemetry.Counter
+	peakDepth      *telemetry.Max
+	queryTimeNS    *telemetry.Histogram
+	queryWin       *telemetry.WindowHistogram
+	querySteps     *telemetry.Histogram
 }
 
 func newProverMetrics(tel *telemetry.Set) proverMetrics {
 	return proverMetrics{
-		queries:      tel.Counter("prover.queries"),
-		goals:        tel.Counter("prover.goals"),
-		cacheHits:    tel.Counter("prover.cache_hits"),
-		directChecks: tel.Counter("prover.direct_checks"),
-		inductions:   tel.Counter("prover.inductions"),
-		suffixSplits: tel.Counter("prover.suffix_splits"),
-		starUnfolds:  tel.Counter("prover.star_unfolds"),
-		altSplits:    tel.Counter("prover.alt_splits"),
-		exhausted:    tel.Counter("prover.exhausted"),
-		peakDepth:    tel.Max("prover.peak_depth"),
-		queryTimeNS:  tel.Histogram("prover.query_ns"),
-		queryWin:     tel.Window("prover.query_ns"),
-		querySteps:   tel.Histogram("prover.steps_per_query"),
+		queries:        tel.Counter("prover.queries"),
+		goals:          tel.Counter("prover.goals"),
+		cacheHits:      tel.Counter("prover.cache_hits"),
+		directChecks:   tel.Counter("prover.direct_checks"),
+		filteredChecks: tel.Counter("prover.filtered_checks"),
+		inductions:     tel.Counter("prover.inductions"),
+		suffixSplits:   tel.Counter("prover.suffix_splits"),
+		starUnfolds:    tel.Counter("prover.star_unfolds"),
+		altSplits:      tel.Counter("prover.alt_splits"),
+		exhausted:      tel.Counter("prover.exhausted"),
+		peakDepth:      tel.Max("prover.peak_depth"),
+		queryTimeNS:    tel.Histogram("prover.query_ns"),
+		queryWin:       tel.Window("prover.query_ns"),
+		querySteps:     tel.Histogram("prover.steps_per_query"),
 	}
 }
 
@@ -216,6 +231,24 @@ func (p *Prover) disjointAxioms(form Form) []disjointAxiom {
 	return p.disjoint[form]
 }
 
+// summarizeAxioms folds every disjointness axiom side's summary over a, the
+// alphabet of the search about to start.  A prover's searches share one
+// alphabet unless a query brings fields the axioms lack, so this runs once
+// per prover in the common case.
+func (p *Prover) summarizeAxioms(a *automata.Alphabet) {
+	if p.summedOver == a {
+		return
+	}
+	p.disjointAxioms(SameSrc) // builds p.disjoint on first use
+	for f := range p.disjoint {
+		for i := range p.disjoint[f] {
+			d := &p.disjoint[f][i]
+			d.s1, d.s2 = automata.Summarize(d.re1.Expr(), a), automata.Summarize(d.re2.Expr(), a)
+		}
+	}
+	p.summedOver = a
+}
+
 // Axioms returns the prover's axiom set.
 func (p *Prover) Axioms() *axiom.Set { return p.axioms }
 
@@ -242,13 +275,22 @@ func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 		t0 = time.Now()
 	}
 	span := p.trace.StartSpanAt("prover.prove", p.opts.TraceParent, t0)
+	// The fields are read here, not in New, so a prover whose queries the
+	// proof memo answers never pays for them.  The three-index slice makes
+	// append copy: a run never writes into the prover's fields.
+	if p.fields == nil {
+		p.fields = p.axioms.Fields()
+	}
+	n := len(p.fields)
+	alpha := automata.NewAlphabet(append(p.fields[:n:n], pathexpr.Fields(x.Expr(), y.Expr())...)...)
+	p.summarizeAxioms(alpha)
 	r := &run{
 		p:     p,
-		alpha: automata.NewAlphabet(append(p.axioms.Fields(), pathexpr.Fields(x.Expr(), y.Expr())...)...),
+		alpha: alpha,
 		dfas:  p.dfas.Account(),
 		span:  span.ID(),
 	}
-	proof := &Proof{Theorem: g.String()}
+	proof := &Proof{Theorem: g.theorem()}
 	proved, st, err := r.prove(g, hyps{}, 0)
 	proof.Stats = r.stats
 	proof.Stats.StepsUsed = r.stats.ProveCalls
@@ -267,6 +309,7 @@ func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 	p.m.goals.Add(int64(r.stats.ProveCalls))
 	p.m.cacheHits.Add(int64(r.stats.CacheHits))
 	p.m.directChecks.Add(int64(r.stats.DirectChecks))
+	p.m.filteredChecks.Add(int64(r.stats.FilteredChecks))
 	p.m.inductions.Add(int64(r.stats.Inductions))
 	if proof.Result == Exhausted {
 		p.m.exhausted.Add(1)
@@ -311,8 +354,11 @@ type run struct {
 	alpha *automata.Alphabet
 	// dfas draws from the prover's cache and counts the compiles this
 	// search ran, apart from those of other searches sharing the cache.
-	dfas  automata.Account
-	stats Stats
+	dfas automata.Account
+	// decideAll turns the summary filter off: CheckProof decides every
+	// inclusion it re-derives.
+	decideAll bool
+	stats     Stats
 	// incomplete records that some branch of the current subtree was
 	// truncated by the depth limit; failures in incomplete subtrees are not
 	// definitive and must not be cached.
@@ -415,8 +461,16 @@ func (r *run) prove(g goal, lems hyps, depth int) (bool, *Step, error) {
 }
 
 func (r *run) proveUncached(g goal, lems hyps, depth int) (bool, *Step, error) {
+	// The goal's cuts carry its suffixes' summaries, the whole goal's among
+	// them, so they are built before the first direct check.
+	n, m := len(g.x), len(g.y)
+	cx, cy := newCuts(g.x, g.xn, r.alpha), newCuts(g.y, g.yn, r.alpha)
+	if testGoalHook != nil {
+		defer testGoalHook(g, cx, cy)
+	}
+
 	// Direct application of a single axiom or induction hypothesis.
-	if name, err := r.direct(g.form, g.xn, g.yn, lems.list, g.size()); err != nil {
+	if name, err := r.direct(g.form, split{cx, cy, n, m}, lems.list, g.size()); err != nil {
 		return false, nil, err
 	} else if name != "" {
 		if r.p.trace.Streaming() {
@@ -428,10 +482,6 @@ func (r *run) proveUncached(g goal, lems hyps, depth int) (bool, *Step, error) {
 	}
 
 	// Suffix-split search: the core of proveDisj (steps A–F, Figure 5).
-	cx, cy := newCuts(g.x, g.xn), newCuts(g.y, g.yn)
-	if testGoalHook != nil {
-		defer testGoalHook(g, cx, cy)
-	}
 	if ok, st, err := r.splitSearch(g, cx, cy, lems, depth); err != nil || ok {
 		return ok, st, err
 	}
@@ -441,7 +491,7 @@ func (r *run) proveUncached(g goal, lems hyps, depth int) (bool, *Step, error) {
 	if ok, st, err := r.starUnfold(g, cx, cy, lems, depth); err != nil || ok {
 		return ok, st, err
 	}
-	if ok, st, err := r.plusInduction(g, lems, depth); err != nil || ok {
+	if ok, st, err := r.plusInduction(g, cx.sums[n], cy.sums[m], lems, depth); err != nil || ok {
 		return ok, st, err
 	}
 
@@ -472,13 +522,29 @@ func (r *run) vacuous(g goal) (*Step, error) {
 	return nil, nil
 }
 
-// direct attempts to discharge the goal by a single axiom or lemma whose
+// split names the sides of a goal a direct check tests: the last i
+// components of cx and the last j of cy.
+type split struct {
+	cx, cy *cuts
+	i, j   int
+}
+
+// nodes returns the split's sides, interning each on first use.
+func (s split) nodes() (x, y *pathexpr.Node) { return s.cx.suffix(s.i), s.cy.suffix(s.j) }
+
+// direct attempts to discharge the goal s by a single axiom or lemma whose
 // sides include the goal's sides as regular languages (paper: "direct
 // application of a single axiom").  It returns the name of the applied fact,
 // or "" when none applies.  goalSize guards lemma applicability.
-func (r *run) direct(form Form, x, y *pathexpr.Node, lems []lemma, goalSize int) (string, error) {
-	for _, a := range r.p.disjointAxioms(form) {
-		ok, err := r.coveredBy(x, y, a.re1, a.re2)
+func (r *run) direct(form Form, s split, lems []lemma, goalSize int) (string, error) {
+	sx, sy := s.cx.sums[s.i], s.cy.sums[s.j]
+	axs := r.p.disjointAxioms(form)
+	for k := range axs {
+		a := &axs[k]
+		// Disjointness facts are symmetric in their two sides.
+		ok, err := r.covered(false, s, a.re1, a.re2,
+			a.s1.MayInclude(sx) && a.s2.MayInclude(sy),
+			a.s2.MayInclude(sx) && a.s1.MayInclude(sy))
 		if err != nil {
 			return "", err
 		}
@@ -486,7 +552,8 @@ func (r *run) direct(form Form, x, y *pathexpr.Node, lems []lemma, goalSize int)
 			return a.name, nil
 		}
 	}
-	for _, l := range lems {
+	for k := range lems {
+		l := &lems[k]
 		if l.form != form || goalSize >= l.maxSize {
 			continue
 		}
@@ -497,8 +564,11 @@ func (r *run) direct(form Form, x, y *pathexpr.Node, lems []lemma, goalSize int)
 		// happens when suffix splits peel the appended concrete components
 		// off the inductive step goal.  Mere language inclusion would let a
 		// rewritten form of the step goal discharge itself (unsound; caught
-		// by the soundness property tests).
-		ok, err := r.sameAs(x, y, l.re1, l.re2)
+		// by the soundness property tests).  Equal languages have equal
+		// summaries.
+		ok, err := r.covered(true, s, l.re1, l.re2,
+			sx == l.s1 && sy == l.s2,
+			sx == l.s2 && sy == l.s1)
 		if err != nil {
 			return "", err
 		}
@@ -509,71 +579,62 @@ func (r *run) direct(form Form, x, y *pathexpr.Node, lems []lemma, goalSize int)
 	return "", nil
 }
 
-// sameAs reports whether (x ≡ re1 ∧ y ≡ re2) or (x ≡ re2 ∧ y ≡ re1) as
-// regular languages.
-func (r *run) sameAs(x, y, re1, re2 *pathexpr.Node) (bool, error) {
+// covered is one direct check: whether the split's sides x, y satisfy
+// x ⊆ re1 ∧ y ⊆ re2 or x ⊆ re2 ∧ y ⊆ re1 — with ≡ for ⊆ when equiv.  fwd
+// and rev are the summary filter's verdicts on the two orientations.  An
+// orientation the filter rules out is never decided, and a check it rules
+// out in both is answered "no" without interning a side, probing the memo,
+// compiling a DFA or searching a product.  The summaries are exact, so a
+// filtered orientation's decision would have said no too.
+func (r *run) covered(equiv bool, s split, re1, re2 *pathexpr.Node, fwd, rev bool) (bool, error) {
 	r.stats.DirectChecks++
-	eq := func(a, b *pathexpr.Node) (bool, error) {
-		ok, err := r.dfas.Equivalent(a, b, r.alpha)
-		if err != nil {
-			return false, errBudget
-		}
-		return ok, nil
+	if r.decideAll {
+		fwd, rev = true, true
 	}
-	ok1, err := eq(x, re1)
-	if err != nil {
-		return false, err
-	}
-	if ok1 {
-		ok2, err := eq(y, re2)
-		if err != nil {
-			return false, err
+	if !fwd && !rev {
+		r.stats.FilteredChecks++
+		if testFilterHook != nil {
+			x, y := s.nodes()
+			testFilterHook(r, equiv, x, y, re1, re2)
 		}
-		if ok2 {
-			return true, nil
+		return false, nil
+	}
+	x, y := s.nodes()
+	if fwd {
+		if ok, err := r.both(equiv, x, y, re1, re2); err != nil || ok {
+			return ok, err
 		}
 	}
-	ok1, err = eq(x, re2)
-	if err != nil {
-		return false, err
+	if !rev {
+		return false, nil
 	}
-	if ok1 {
-		return eq(y, re1)
-	}
-	return false, nil
+	return r.both(equiv, x, y, re2, re1)
 }
 
-// coveredBy reports whether (x ⊆ re1 ∧ y ⊆ re2) or (x ⊆ re2 ∧ y ⊆ re1):
-// disjointness facts are symmetric in their two sides.
-func (r *run) coveredBy(x, y, re1, re2 *pathexpr.Node) (bool, error) {
-	r.stats.DirectChecks++
-	ok1, err := r.dfas.Includes(x, re1, r.alpha)
+// both decides x ⊆ re1 ∧ y ⊆ re2 (≡ when equiv) through the language
+// layer, the second half only when the first holds.
+func (r *run) both(equiv bool, x, y, re1, re2 *pathexpr.Node) (bool, error) {
+	ok, err := r.decide(equiv, x, re1)
+	if err != nil || !ok {
+		return false, err
+	}
+	return r.decide(equiv, y, re2)
+}
+
+// decide answers x ≡ y when equiv, else x ⊆ y, through the prover's DFA
+// cache; a blown state budget aborts the search.
+func (r *run) decide(equiv bool, x, y *pathexpr.Node) (bool, error) {
+	var ok bool
+	var err error
+	if equiv {
+		ok, err = r.dfas.Equivalent(x, y, r.alpha)
+	} else {
+		ok, err = r.dfas.Includes(x, y, r.alpha)
+	}
 	if err != nil {
 		return false, errBudget
 	}
-	if ok1 {
-		ok2, err := r.dfas.Includes(y, re2, r.alpha)
-		if err != nil {
-			return false, errBudget
-		}
-		if ok2 {
-			return true, nil
-		}
-	}
-	ok1, err = r.dfas.Includes(x, re2, r.alpha)
-	if err != nil {
-		return false, errBudget
-	}
-	if ok1 {
-		ok2, err := r.dfas.Includes(y, re1, r.alpha)
-		if err != nil {
-			return false, errBudget
-		}
-		if ok2 {
-			return true, nil
-		}
-	}
-	return false, nil
+	return ok, nil
 }
 
 // splitSearch enumerates suffix splits (Sp, Sq) of the goal's paths at
@@ -604,14 +665,14 @@ func (r *run) splitSearch(g goal, cx, cy *cuts, lems hyps, depth int) (bool, *St
 			if j > m {
 				continue
 			}
-			sp, sq := cx.suffix(i), cy.suffix(j)
 			size := sliceSize(g.x[n-i:]) + sliceSize(g.y[m-j:])
 
-			t1, err := r.direct(SameSrc, sp, sq, lems.list, size)
+			sp := split{cx, cy, i, j}
+			t1, err := r.direct(SameSrc, sp, lems.list, size)
 			if err != nil {
 				return false, nil, err
 			}
-			t2, err := r.direct(DiffSrc, sp, sq, lems.list, size)
+			t2, err := r.direct(DiffSrc, sp, lems.list, size)
 			if err != nil {
 				return false, nil, err
 			}
@@ -797,8 +858,9 @@ func (r *run) starUnfold(g goal, cx, cy *cuts, lems hyps, depth int) (bool, *Ste
 // single trailing plus (X = U·a⁺) the cases are the base (U·a) and the
 // inductive step: assume the claim for U·a⁺ and prove it for U·a⁺·a, with
 // the hypothesis admitted only on strictly smaller goals.  For two trailing
-// pluses the paper's four sub-cases 4.1–4.4 apply.
-func (r *run) plusInduction(g goal, lems hyps, depth int) (bool, *Step, error) {
+// pluses the paper's four sub-cases 4.1–4.4 apply.  sx and sy summarize
+// the goal's sides; the hypothesis carries them.
+func (r *run) plusInduction(g goal, sx, sy automata.Summary, lems hyps, depth int) (bool, *Step, error) {
 	xp, xok := trailingPlus(g.x)
 	yp, yok := trailingPlus(g.y)
 	switch {
@@ -825,7 +887,7 @@ func (r *run) plusInduction(g goal, lems hyps, depth int) (bool, *Step, error) {
 		// 4.4: assume (a⁺, b⁺), prove (a⁺a, b⁺b).
 		stepX := appendComp(g.x, a)
 		stepY := appendComp(g.y, b)
-		ih := lemma{form: g.form, re1: g.xn, re2: g.yn, maxSize: sliceSize(stepX) + sliceSize(stepY)}
+		ih := lemma{form: g.form, re1: g.xn, re2: g.yn, s1: sx, s2: sy, maxSize: sliceSize(stepX) + sliceSize(stepY)}
 		ok, st, err := r.prove(newGoal(g.form, stepX, stepY), lems.with(ih), depth+1)
 		if err != nil || !ok {
 			return false, nil, err
@@ -847,7 +909,7 @@ func (r *run) plusInduction(g goal, lems hyps, depth int) (bool, *Step, error) {
 			return false, nil, err
 		}
 		stepX := appendComp(g.x, a)
-		ih := lemma{form: g.form, re1: g.xn, re2: g.yn, maxSize: sliceSize(stepX) + sliceSize(g.y)}
+		ih := lemma{form: g.form, re1: g.xn, re2: g.yn, s1: sx, s2: sy, maxSize: sliceSize(stepX) + sliceSize(g.y)}
 		ok, s2, err := r.prove(newGoal(g.form, stepX, g.y), lems.with(ih), depth+1)
 		if err != nil || !ok {
 			return false, nil, err
@@ -869,7 +931,7 @@ func (r *run) plusInduction(g goal, lems hyps, depth int) (bool, *Step, error) {
 			return false, nil, err
 		}
 		stepY := appendComp(g.y, b)
-		ih := lemma{form: g.form, re1: g.xn, re2: g.yn, maxSize: sliceSize(g.x) + sliceSize(stepY)}
+		ih := lemma{form: g.form, re1: g.xn, re2: g.yn, s1: sx, s2: sy, maxSize: sliceSize(g.x) + sliceSize(stepY)}
 		ok, s2, err := r.prove(newGoal(g.form, g.x, stepY), lems.with(ih), depth+1)
 		if err != nil || !ok {
 			return false, nil, err

@@ -129,7 +129,7 @@ func TestProverTelemetry(t *testing.T) {
 	if snap.Counters["prover.queries"] != 2 {
 		t.Errorf("prover.queries = %d, want 2", snap.Counters["prover.queries"])
 	}
-	for _, c := range []string{"prover.goals", "prover.direct_checks", "automata.shared_compiles", "automata.shared_lookups"} {
+	for _, c := range []string{"prover.goals", "prover.direct_checks", "prover.filtered_checks", "automata.shared_compiles", "automata.shared_lookups"} {
 		if snap.Counters[c] == 0 {
 			t.Errorf("counter %s = 0", c)
 		}
