@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test determinism race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check wire-fuzz fuzzfarm-smoke aptc-smoke bench-build bench-pairs bench bench-json bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 loc clean
+.PHONY: check vet build test determinism race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check wire-fuzz fuzzfarm-smoke bench-build bench-pairs bench bench-json bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 loc clean
 
-check: vet build bench-build race bench lintsmoke serve-smoke cluster-smoke race-cluster obs-check fuzzfarm-smoke aptc-smoke determinism
+check: vet build bench-build race bench lintsmoke serve-smoke cluster-smoke race-cluster obs-check fuzzfarm-smoke determinism
 
 vet:
 	$(GO) vet ./...
@@ -23,21 +23,13 @@ race:
 
 # Schedule independence: verdicts and cache contents must not depend on
 # goroutine scheduling.  Run the engine-vs-sequential differential, the
-# artifact preload round trip (whose preloaded engine must compile no DFA),
-# the swap-symmetry tests and the missing-axiom-set test (whose set-less
-# queries may open any chunk) at several GOMAXPROCS values, then compile one
-# replay artifact at one and at four workers, five times over, and demand
-# byte-identical files.
+# swap-symmetry tests, the missing-axiom-set test (whose set-less queries
+# may open any chunk) and the two cache-contents tests (walk.{c,q} in
+# order, reversed, and at four workers must leave equal DFA-cache and
+# proof-memo dumps) at several GOMAXPROCS values.
 determinism:
-	$(GO) test -cpu 1,2,8 -count 20 -run 'TestDifferentialAgainstSequential|TestPreloadedEngineMatchesCold|Swap|TestNilAxiomsAnsweredMaybe' \
-		./internal/engine ./internal/scenario
-	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
-	$(GO) build -o $$tmp/aptc ./cmd/aptc && \
-	$$tmp/aptc -program testdata/determinism/walk.c -queries testdata/determinism/walk.q -workers 1 -o $$tmp/w1.aptc > /dev/null && \
-	for i in 1 2 3 4 5; do \
-		$$tmp/aptc -program testdata/determinism/walk.c -queries testdata/determinism/walk.q -workers 4 -o $$tmp/w4.aptc > /dev/null && \
-		cmp $$tmp/w1.aptc $$tmp/w4.aptc || exit 1; \
-	done; echo "determinism: OK"
+	$(GO) test -cpu 1,2,8 -count 20 -run 'TestDifferentialAgainstSequential|TestSharedCacheContentsScheduleIndependent|TestMemoContentsScheduleIndependent|Swap|TestNilAxiomsAnsweredMaybe' \
+		./internal/engine ./internal/scenario ./internal/automata ./internal/core
 
 # Focused race coverage for the batched query engine and everything it
 # leans on (worker pool, shared DFA cache).
@@ -119,18 +111,6 @@ wire-fuzz:
 fuzzfarm-smoke:
 	$(GO) run ./cmd/aptfuzz -seed 1 -n 50
 	$(GO) run ./cmd/aptfuzz -repro testdata/fuzz/regressions
-
-# Offline-compiler round-trip smoke: compile a library artifact and a
-# replay artifact with self-verification on, then boot aptdep from each and
-# demand output identical to a cold run (the -preload identity contract).
-aptc-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
-	$(GO) run ./cmd/aptc -library LeafLinkedBinaryTree -o $$tmp/llbt.aptc -verify && \
-	printf 'between S T\n' > $$tmp/q.txt && \
-	$(GO) run ./cmd/aptc -program testdata/section33.c -queries $$tmp/q.txt -o $$tmp/replay.aptc -verify && \
-	$(GO) run ./cmd/aptdep -fn subr -batch $$tmp/q.txt testdata/section33.c > $$tmp/cold.out && \
-	$(GO) run ./cmd/aptdep -preload $$tmp/replay.aptc -fn subr -batch $$tmp/q.txt testdata/section33.c > $$tmp/warm.out && \
-	diff -u $$tmp/cold.out $$tmp/warm.out && echo "aptc-smoke: OK"
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/automata"
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -65,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	assumeInv := fs.Bool("assume-invariants", false, "assume loops re-establish axioms despite structural modifications (the 'full' analysis of §5)")
 	verify := fs.Bool("verify", false, "independently re-check every proof before trusting a No")
 	batch := fs.String("batch", "", "`file` of queries (between S T | cross S T | loop U, one per line) answered by the batched engine")
-	preload := fs.String("preload", "", "compiled automata artifact `file` (from aptc) preseeding the DFA cache")
 	workers := fs.Int("workers", 1, "engine pool `width` for -batch")
 	timeout := fs.Duration("timeout", 0, "per-query proof-search `bound` for -batch (0 = none; expiry degrades the query to Maybe)")
 	var tf cliutil.TelemetryFlags
@@ -87,17 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	phases := telemetry.NewPhases(tel)
 	defer tf.Close(stderr, phases)
-
-	var artifact *automata.Artifact
-	if *preload != "" {
-		artifact, err = automata.LoadArtifact(*preload)
-		if err != nil {
-			// Preload is an optimization: a bad artifact falls back to cold
-			// compilation and must never change an answer.
-			fmt.Fprintf(stderr, "aptdep: preload %s: %v (continuing with cold caches)\n", *preload, err)
-			artifact = nil
-		}
-	}
 
 	var prog *lang.Program
 	if err := phases.Run("parse", func() error {
@@ -171,7 +158,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			timeout: *timeout,
 			verify:  *verify,
 			trace:   *trace,
-			preload: artifact,
 			res:     res,
 			tel:     tel,
 			phases:  phases,
@@ -197,15 +183,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fatalf("%v", err)
 	}
 
-	popts := prover.Options{Telemetry: tel}
-	if artifact != nil {
-		// The sequential path reaches the artifact through a preseeded
-		// shared cache handed to the prover as its language cache.
-		cache := automata.NewSharedCache(0, 0, 0).SetTelemetry(tel)
-		cache.Preseed(artifact)
-		popts.DFACache = cache
-	}
-	tester := core.NewTester(res.Axioms, popts)
+	tester := core.NewTester(res.Axioms, prover.Options{Telemetry: tel})
 	tester.VerifyProofs = *verify
 	exit := 0
 	phases.Run("deptest", func() error {
@@ -235,7 +213,6 @@ type batchConfig struct {
 	timeout time.Duration
 	verify  bool
 	trace   bool
-	preload *automata.Artifact
 	res     *analysis.Result
 	tel     *telemetry.Set
 	phases  *telemetry.Phases
@@ -265,22 +242,13 @@ func runBatch(cfg batchConfig, stdout, stderr io.Writer) int {
 		return fatalf("%v", err)
 	}
 
-	opts := engine.Options{
+	eng := engine.New(engine.Options{
 		Workers:      cfg.workers,
 		QueryTimeout: cfg.timeout,
 		Prover:       prover.Options{Telemetry: cfg.tel},
 		VerifyProofs: cfg.verify,
 		Telemetry:    cfg.tel,
-	}
-	if cfg.preload != nil {
-		// The engine borrows caches preseeded from the artifact: its DFAs
-		// and decisions, and its proof-memo goals.
-		opts.DFACache = automata.NewSharedCache(0, 0, 0).SetTelemetry(cfg.tel)
-		opts.DFACache.Preseed(cfg.preload)
-		opts.Memo = core.NewMemo(0, 0, cfg.tel)
-		opts.Memo.Preseed(cfg.preload)
-	}
-	eng := engine.New(opts)
+	})
 	exit := 0
 	cfg.phases.Run("deptest", func() error {
 		for i, out := range eng.Batch(context.Background(), queries) {

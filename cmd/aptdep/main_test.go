@@ -2,18 +2,12 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/analysis"
-	"repro/internal/automata"
-	"repro/internal/engine"
-	"repro/internal/lang"
 	"repro/internal/telemetry"
 )
 
@@ -282,95 +276,9 @@ func TestRunUsageError(t *testing.T) {
 	if code := run([]string{}, &stdout, &stderr); code != 2 {
 		t.Errorf("missing file: exit = %d, want 2", code)
 	}
-}
-
-// TestPreloadIdentityAndFallback: -preload must never change output — not
-// with a good artifact (warm boot), and not with a corrupt one (warn on
-// stderr, fall back to cold compilation).
-func TestPreloadIdentityAndFallback(t *testing.T) {
-	dir := t.TempDir()
-	queries := filepath.Join(dir, "q.txt")
-	if err := os.WriteFile(queries, []byte("between S T\n"), 0o644); err != nil {
-		t.Fatal(err)
+	// A script written for an older build may still pass -preload; it must
+	// fail, not run cold in silence.
+	if code := run([]string{"-preload", "x", "../../testdata/section33.c"}, &stdout, &stderr); code != 2 {
+		t.Errorf("-preload x: exit = %d, want 2", code)
 	}
-	baseArgs := []string{"-fn", "subr", "-batch", queries, "../../testdata/section33.c"}
-
-	var cold bytes.Buffer
-	if code := run(baseArgs, &cold, &bytes.Buffer{}); code != 0 {
-		t.Fatalf("cold run exit = %d", code)
-	}
-
-	// Build a matching artifact the way the docs describe: replay the same
-	// program and query file through aptc's snapshot path (here, inline).
-	art := buildReplayArtifact(t, "../../testdata/section33.c", "subr", "between S T")
-	good := filepath.Join(dir, "good.aptc")
-	if err := art.Save(good); err != nil {
-		t.Fatal(err)
-	}
-	var warm, warmErr bytes.Buffer
-	if code := run(append([]string{"-preload", good}, baseArgs...), &warm, &warmErr); code != 0 {
-		t.Fatalf("preloaded run exit = %d\nstderr: %s", code, warmErr.String())
-	}
-	if warm.String() != cold.String() {
-		t.Errorf("preloaded output differs from cold output:\n--- cold ---\n%s--- warm ---\n%s", cold.String(), warm.String())
-	}
-
-	// Corrupt artifact: same verdicts, plus a warning, never a failure.
-	blob, err := os.ReadFile(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)-1] ^= 0x01
-	bad := filepath.Join(dir, "bad.aptc")
-	if err := os.WriteFile(bad, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var degraded, degradedErr bytes.Buffer
-	if code := run(append([]string{"-preload", bad}, baseArgs...), &degraded, &degradedErr); code != 0 {
-		t.Fatalf("corrupt-preload run exit = %d\nstderr: %s", code, degradedErr.String())
-	}
-	if degraded.String() != cold.String() {
-		t.Errorf("corrupt-preload output differs from cold output:\n--- cold ---\n%s--- got ---\n%s", cold.String(), degraded.String())
-	}
-	if !strings.Contains(degradedErr.String(), "continuing with cold caches") {
-		t.Errorf("corrupt preload did not warn: %q", degradedErr.String())
-	}
-
-	// The sequential (non-batch) path takes -preload too.
-	seqArgs := []string{"-fn", "subr", "-from", "S", "-to", "T", "../../testdata/section33.c"}
-	var seqCold, seqWarm bytes.Buffer
-	if code := run(seqArgs, &seqCold, &bytes.Buffer{}); code != 0 {
-		t.Fatalf("sequential cold exit = %d", code)
-	}
-	if code := run(append([]string{"-preload", good}, seqArgs...), &seqWarm, &bytes.Buffer{}); code != 0 {
-		t.Fatalf("sequential preloaded exit = %d", code)
-	}
-	if seqWarm.String() != seqCold.String() {
-		t.Errorf("sequential preloaded output differs:\n--- cold ---\n%s--- warm ---\n%s", seqCold.String(), seqWarm.String())
-	}
-}
-
-// buildReplayArtifact snapshots the engine working set of one batch run,
-// exactly as `aptc -program -queries` does.
-func buildReplayArtifact(t *testing.T, file, fn, queryLine string) *automata.Artifact {
-	t.Helper()
-	src, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := lang.Parse(string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := analysis.Analyze(prog, fn, analysis.Options{InferTypeAxioms: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs, _, err := res.ExpandQueryLines(strings.Split(queryLine, "\n"), strconv.Itoa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(engine.Options{})
-	eng.Batch(context.Background(), qs)
-	return eng.DFACache().Snapshot()
 }

@@ -24,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/automata"
 	"repro/internal/cliutil"
 	"repro/internal/lang"
 	"repro/internal/lint"
@@ -48,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	watchInterval := fs.Duration("watch-interval", 500*time.Millisecond, "polling `period` for -watch")
 	watchCycles := fs.Int("watch-cycles", 0, "stop -watch after `n` poll cycles (0 = watch forever; used by tests and benchmarks)")
 	incrCache := fs.String("incr-cache", "", "`path` of the persisted incremental store: fingerprints and diagnostics survive process restarts, so unchanged declarations are never re-analyzed")
-	preload := fs.String("preload", "", "compiled automata artifact `file` (from aptc) preseeding the DFA caches")
 	var tf cliutil.TelemetryFlags
 	tf.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -85,16 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer tf.Close(stderr, phases)
 
 	driver := lint.NewDriver(tel, passes...).SetWorkers(*workers)
-	if *preload != "" {
-		art, err := automata.LoadArtifact(*preload)
-		if err != nil {
-			// Preload is an optimization: a bad artifact falls back to cold
-			// compilation and must never change a diagnostic.
-			fmt.Fprintf(stderr, "aptlint: preload %s: %v (continuing with cold caches)\n", *preload, err)
-		} else {
-			driver.SetPreload(art)
-		}
-	}
 
 	if *watch || *incrCache != "" {
 		store := lint.NewStore()

@@ -249,6 +249,9 @@ func TestUsageErrors(t *testing.T) {
 	if code := run([]string{"-pass", "nope", "x.c"}, &stdout, &stderr); code != 2 {
 		t.Errorf("unknown-pass exit = %d, want 2", code)
 	}
+	if code := run([]string{"-preload", "x", filepath.Join("..", "..", "testdata", "lint", "doall.c")}, &stdout, &stderr); code != 2 {
+		t.Errorf("-preload x exit = %d, want 2", code)
+	}
 }
 
 func TestPassSelectionAndListing(t *testing.T) {

@@ -42,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/automata"
 	"repro/internal/route"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
@@ -70,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	accessLog := fs.String("access-log", "", "append one JSONL access-log line per request to `file` (\"-\" for stderr)")
 	flightK := fs.Int("flight-k", 0, "slowest requests the flight recorder retains (0 = default)")
 	flightRing := fs.Int("flight-ring", 0, "degraded requests the flight recorder's ring retains (0 = default)")
-	preload := fs.String("preload", "", "compiled automata artifact `file` (from aptc) preseeding the DFA cache and proof memo")
 
 	router := fs.Bool("router", false, "run as a consistent-hash cluster router over -backends instead of a single-node server")
 	backends := fs.String("backends", "", "router: comma-separated backend addresses (host:port or http://...)")
@@ -93,9 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if set[name] && !*router {
 			return fatalf("-%s needs -router", name)
 		}
-	}
-	if set["preload"] && *router {
-		return fatalf("-preload does not apply to -router")
 	}
 
 	tel := telemetry.New(telemetry.NewRegistry(), nil)
@@ -153,17 +148,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FlightRing:    *flightRing,
 		Telemetry:     tel,
 		AccessLog:     accessW,
-	}
-	if *preload != "" {
-		art, err := automata.LoadArtifact(*preload)
-		if err != nil {
-			// A bad artifact degrades startup to cold compilation; it must
-			// never stop the server or change a verdict.
-			fmt.Fprintf(stderr, "aptserved: preload %s: %v (continuing with cold caches)\n", *preload, err)
-		} else {
-			cfg.Preload = art
-			fmt.Fprintf(stderr, "aptserved: preloaded %s: %d DFAs, %d decisions\n", *preload, len(art.DFAs), len(art.Ops))
-		}
 	}
 	srv := serve.New(cfg)
 	return runDaemon(daemon{

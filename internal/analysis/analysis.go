@@ -65,7 +65,7 @@ type Options struct {
 	Telemetry *telemetry.Set
 	// DFACache holds the DFAs and inclusion decisions behind the post-loop
 	// widening checks.  A caller that already keeps one (the server's engine
-	// pool, a lint run's preseeded cache) lends it here so later analyses
+	// pool) lends it here so later analyses
 	// start warm; inclusion is a pure function of the two paths and the
 	// alphabet, so borrowing never changes a result.  Nil gives the walk a
 	// private one-shard cache.

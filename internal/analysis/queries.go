@@ -321,7 +321,7 @@ func (r *Result) QueriesFor(mode, a, b string) ([]core.Query, error) {
 }
 
 // ExpandQueryLines expands query lines — the grammar of aptdep -batch
-// files, aptc -queries files, and /v1/batch's queries — against r.  Each
+// files and /v1/batch's queries — against r.  Each
 // line is "between S T", "cross S T", or "loop U"; '#' starts a comment and
 // blank lines are skipped.  origins[i] is the index in lines of the line
 // queries[i] came from.  Errors name the offending line as where(index).

@@ -33,23 +33,8 @@ type Alphabet struct {
 var alphaIDs = struct {
 	mu    sync.Mutex
 	byKey map[string]*Alphabet
-	byID  map[uint64]*Alphabet
 	next  uint64
-}{byKey: make(map[string]*Alphabet), byID: make(map[uint64]*Alphabet)}
-
-// alphabetKeyByID reverses the alphabet-ID registry: given an ID handed out
-// by NewAlphabet, it returns the canonical space-joined symbol key.  The
-// artifact writer uses it to turn cache snapshot keys (which are bare IDs)
-// back into serializable symbol lists.
-func alphabetKeyByID(id uint64) (string, bool) {
-	alphaIDs.mu.Lock()
-	a, ok := alphaIDs.byID[id]
-	alphaIDs.mu.Unlock()
-	if !ok {
-		return "", false
-	}
-	return a.key, true
-}
+}{byKey: make(map[string]*Alphabet)}
 
 // NewAlphabet returns the alphabet of the given field names, deduplicated
 // and sorted.  An alphabet seen before is returned as is; a new one is
@@ -87,7 +72,6 @@ func NewAlphabet(fields ...string) *Alphabet {
 	alphaIDs.next++
 	a.id = alphaIDs.next
 	alphaIDs.byKey[a.key] = a
-	alphaIDs.byID[a.id] = a
 	return a
 }
 

@@ -13,11 +13,10 @@ import (
 // symbol (a dead state absorbs failures).  State 0 is the start state.
 //
 // The transition function is a dense int32 table (trans[s*k+c] with
-// k = alphabet.Size()), the representation the decision path walks and the
-// artifact format persists verbatim.  A DFA is frozen once built: no method
-// mutates trans or accept after construction, which is what makes it safe
-// to share trans with a loaded artifact (see Preseed) and to share one *DFA
-// across every prover in a process.
+// k = alphabet.Size()), the representation the decision path walks.  A DFA
+// is frozen once built: no method mutates trans or accept after
+// construction, which is what makes it safe to share one *DFA across every
+// prover in a process.
 type DFA struct {
 	alphabet *Alphabet
 	// trans[s*k+c] is the successor of state s on symbol c.

@@ -31,10 +31,9 @@ func (d *DFA) Accepts(word []string) bool {
 // Complement returns a DFA for the complement language over the same
 // alphabet.  The receiver must be total, which Compile guarantees.
 //
-// The transition table is copied, not aliased: the receiver's table may be
-// shared with a loaded artifact, and two automata silently sharing a
-// backing slice is a correctness hazard the moment any caller stops
-// treating DFAs as frozen.
+// The transition table is copied, not aliased: two automata silently
+// sharing a backing slice is a correctness hazard the moment any caller
+// stops treating DFAs as frozen.
 // An aliasing regression is caught by TestComplementDoesNotAliasTables.
 func (d *DFA) Complement() *DFA {
 	acc := make([]bool, len(d.accept))

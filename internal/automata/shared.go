@@ -75,7 +75,7 @@ type SharedCache struct {
 // builds its key with no string concatenation and no allocation.  op is a
 // full word although it holds one byte: with no padding the key is 32 bytes
 // of plain memory, which the map hashes in one pass instead of field by
-// field.  The artifact still stores it as one byte.
+// field.
 type opsKey struct {
 	op    uint64
 	alpha uint64

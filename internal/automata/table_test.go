@@ -135,8 +135,8 @@ func TestStateBudgetDegradesThroughCaches(t *testing.T) {
 
 // TestComplementDoesNotAliasTables is the regression test for the
 // trans-slice aliasing bug: Complement must deep-copy the transition table,
-// because the receiver's table may be shared with a preloaded artifact and
-// must stay frozen either way.
+// because the receiver's table is shared with every holder of the DFA and
+// must stay frozen.
 func TestComplementDoesNotAliasTables(t *testing.T) {
 	d := compile(t, "a.b*")
 	c := d.Complement()

@@ -112,41 +112,8 @@ type Set struct {
 var setIDs = struct {
 	mu   sync.Mutex
 	ids  map[string]uint64
-	keys map[uint64]string
 	next uint64
-}{ids: make(map[string]uint64), keys: make(map[uint64]string)}
-
-// IDForKey interns a set fingerprint (a Key rendering, possibly produced by
-// another process) and returns the identity a local Set with that
-// fingerprint carries.  Artifact loading uses it to rebind persisted proof
-// verdicts to their axiom-set namespace without materializing the Set:
-// fingerprint equality is exactly "same theorems hold".
-func IDForKey(key string) uint64 {
-	setIDs.mu.Lock()
-	defer setIDs.mu.Unlock()
-	return internKeyLocked(key)
-}
-
-// KeyForID reverses ID for fingerprints interned in this process.
-func KeyForID(id uint64) (string, bool) {
-	setIDs.mu.Lock()
-	defer setIDs.mu.Unlock()
-	key, ok := setIDs.keys[id]
-	return key, ok
-}
-
-// internKeyLocked assigns (or returns) the stable ID of a fingerprint.
-// Caller holds setIDs.mu.
-func internKeyLocked(key string) uint64 {
-	id, ok := setIDs.ids[key]
-	if !ok {
-		setIDs.next++
-		id = setIDs.next
-		setIDs.ids[key] = id
-		setIDs.keys[id] = key
-	}
-	return id
-}
+}{ids: make(map[string]uint64)}
 
 // NewSet builds a set from axioms.
 func NewSet(name string, axioms ...Axiom) *Set {
@@ -245,7 +212,12 @@ func (s *Set) refreshMemoLocked() {
 	sort.Strings(parts)
 	key := strings.Join(parts, "\x02")
 	setIDs.mu.Lock()
-	id := internKeyLocked(key)
+	id, ok := setIDs.ids[key]
+	if !ok {
+		setIDs.next++
+		id = setIDs.next
+		setIDs.ids[key] = id
+	}
 	setIDs.mu.Unlock()
 	s.memo.ok, s.memo.n, s.memo.key, s.memo.id = true, len(s.Axioms), key, id
 	s.memo.fp = fingerprint64ForKey(key)

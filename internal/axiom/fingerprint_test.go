@@ -13,14 +13,13 @@ import (
 func resetRegistryForTest(t *testing.T) func() {
 	t.Helper()
 	setIDs.mu.Lock()
-	savedIDs, savedKeys, savedNext := setIDs.ids, setIDs.keys, setIDs.next
+	savedIDs, savedNext := setIDs.ids, setIDs.next
 	setIDs.ids = make(map[string]uint64)
-	setIDs.keys = make(map[uint64]string)
 	setIDs.next = 0
 	setIDs.mu.Unlock()
 	return func() {
 		setIDs.mu.Lock()
-		setIDs.ids, setIDs.keys, setIDs.next = savedIDs, savedKeys, savedNext
+		setIDs.ids, setIDs.next = savedIDs, savedNext
 		setIDs.mu.Unlock()
 	}
 }
@@ -30,8 +29,8 @@ func resetRegistryForTest(t *testing.T) func() {
 // design (assigned in interning order by an append-only registry), so two
 // processes that build the same sets in different orders disagree on IDs —
 // but they must agree on Fingerprint64, which is a pure function of the
-// canonical Key.  Ring placement and the snapshot/preload wire endpoints
-// key on fingerprints for exactly this reason.
+// canonical Key.  Ring placement keys on fingerprints for exactly this
+// reason.
 func TestFingerprintStableAcrossRegistries(t *testing.T) {
 	mkTree := func() *Set { return LeafLinkedBinaryTree() }
 	mkList := func() *Set {

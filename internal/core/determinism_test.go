@@ -1,0 +1,85 @@
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/automata"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/lang"
+)
+
+// TestMemoContentsScheduleIndependent runs walk.{c,q} through an engine
+// with a fresh borrowed proof memo, once at one worker, once at one worker
+// over the reversed queries, and five times at four, and demands the same
+// memo contents every time: the same goals with the same Result, Theorem
+// and rendered derivation.  The memo searches each goal in its canonical
+// orientation, so which worker reaches a goal first must not shape the
+// proof it keeps.
+func TestMemoContentsScheduleIndependent(t *testing.T) {
+	queries := walkQueries(t)
+	run := func(workers int, queries []core.Query) string {
+		memo := core.NewMemo(0, 0, nil)
+		eng := engine.New(engine.Options{Workers: workers, DFACache: automata.NewSharedCache(0, 0, 0), Memo: memo})
+		eng.Batch(context.Background(), queries)
+		return core.DumpMemo(memo)
+	}
+	want := run(1, queries)
+	if want == "" {
+		t.Fatal("the walk workload left the proof memo empty; the comparison would be vacuous")
+	}
+	// The 4-worker runs leave only the order between chunks to the
+	// scheduler, and two callers of one goal may share a chunk; a 1-worker
+	// run over the reversed queries makes them arrive the other way round
+	// for certain.
+	if got := run(1, reversed(queries)); got != want {
+		t.Fatalf("reversed queries at 1 worker: proof memo contents differ from the in-order run\nin order:\n%s\nreversed:\n%s", want, got)
+	}
+	for i := 0; i < 5; i++ {
+		if got := run(4, queries); got != want {
+			t.Fatalf("run %d at 4 workers: proof memo contents differ from the 1-worker run\n1 worker:\n%s\n4 workers:\n%s", i+1, want, got)
+		}
+	}
+}
+
+// reversed returns the queries in reverse order.
+func reversed(qs []core.Query) []core.Query {
+	out := make([]core.Query, len(qs))
+	for i, q := range qs {
+		out[len(qs)-1-i] = q
+	}
+	return out
+}
+
+// walkQueries analyzes testdata/determinism/walk.c and expands walk.q.
+func walkQueries(t *testing.T) []core.Query {
+	t.Helper()
+	src, err := os.ReadFile("../../testdata/determinism/walk.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	qsrc, err := os.ReadFile("../../testdata/determinism/walk.q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lang.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := analysis.Analyze(prog, "walk", analysis.Options{InferTypeAxioms: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, _, err := res.ExpandQueryLines(strings.Split(string(qsrc), "\n"), func(n int) string {
+		return fmt.Sprintf("walk.q:%d", n+1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qs
+}

@@ -53,7 +53,7 @@ type Options struct {
 	// DFACache and Memo are the compiled-DFA cache and the cross-query
 	// proof memo the engine's workers share.  A long-lived process
 	// (exec.Pool) builds one bounded pair and lends it to its engine; the
-	// lender owns their bounds, preseeding, and telemetry.  Nil selects a
+	// lender owns their bounds and telemetry.  Nil selects a
 	// private unbounded cache — right for a one-shot batch, a leak for a
 	// server.
 	DFACache *automata.SharedCache

@@ -42,13 +42,14 @@ func FuzzCanonicalGoal(f *testing.F) {
 			}
 			return e, true
 		}
-		// sides returns the normalized renderings of a pair, in key order.
-		sides := func(x, y pathexpr.Expr) (string, string) {
-			sx, sy := pathexpr.Simplify(x).String(), pathexpr.Simplify(y).String()
-			if sy < sx {
+		// sides returns the interned IDs of a pair's normalized sides, in
+		// key order (by rendering).
+		sides := func(x, y pathexpr.Expr) (uint64, uint64) {
+			sx, sy := pathexpr.Intern(pathexpr.Simplify(x)), pathexpr.Intern(pathexpr.Simplify(y))
+			if sy.String() < sx.String() {
 				sx, sy = sy, sx
 			}
-			return sx, sy
+			return sx.ID(), sy.ID()
 		}
 		x, ok := parse(a)
 		if !ok {
@@ -74,11 +75,11 @@ func FuzzCanonicalGoal(f *testing.F) {
 		if core.CanonicalGoalKey(other, x, y) == key {
 			t.Errorf("key %+v does not separate SameSrc from DiffSrc", key)
 		}
-		// The key decodes to exactly the two normalized sides, in rendering
-		// order, so equal keys imply equal normalized goals.
+		// The key holds exactly the IDs of the two normalized sides, in
+		// rendering order, so equal keys imply equal normalized goals.
 		sx, sy := sides(x, y)
-		if ka, kb := pathexpr.LookupID(key.A).String(), pathexpr.LookupID(key.B).String(); ka != sx || kb != sy {
-			t.Errorf("key %+v decoded to (%q,%q), want (%q,%q)", key, ka, kb, sx, sy)
+		if key.A != sx || key.B != sy {
+			t.Errorf("key %+v holds IDs (%d,%d), want the normalized sides' (%d,%d)", key, key.A, key.B, sx, sy)
 		}
 
 		// Cross-pair separation: when a second parseable pair yields the

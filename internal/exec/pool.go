@@ -1,8 +1,7 @@
 // Package exec is the execution tier of the query plane: the process's one
-// engine over one pool-owned DFA cache and proof memo, preseeded at boot
-// from a compiled artifact when one is given, and the raw-query builder
-// that turns wire queries into core ones.  It knows nothing about HTTP or
-// admission — internal/serve composes it under both.
+// engine over one pool-owned DFA cache and proof memo, and the raw-query
+// builder that turns wire queries into core ones.  It knows nothing about
+// HTTP or admission — internal/serve composes it under both.
 package exec
 
 import (
@@ -31,9 +30,6 @@ type PoolConfig struct {
 	MemoShardCap int
 	// VerifyProofs re-checks every prover-backed No independently.
 	VerifyProofs bool
-	// Preload, when non-nil, preseeds the pool's caches with a compiled
-	// automata artifact.
-	Preload *automata.Artifact
 }
 
 // Pool owns the process's warm state — one DFA cache and one proof memo,
@@ -47,9 +43,8 @@ type Pool struct {
 	eng  *engine.Engine
 }
 
-// NewPool builds a pool, preseeded from cfg.Preload when set.  The
-// read-at-scrape gauges of its cache sizes report under tel's serve.*
-// names.
+// NewPool builds a pool with cold caches.  The read-at-scrape gauges of
+// its cache sizes report under tel's serve.* names.
 func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 	p := &Pool{
 		dfas: automata.NewSharedCache(0, 0, cfg.DFAShardCap).SetTelemetry(tel),
@@ -67,10 +62,6 @@ func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 	tel.GaugeFunc("serve.dfa_entries", func() int64 { return int64(p.dfas.Len()) })
 	tel.GaugeFunc("serve.decision_entries", func() int64 { return int64(p.dfas.OpsLen()) })
 	tel.GaugeFunc("serve.memo_entries", func() int64 { return int64(p.memo.Stats().Entries) })
-	if cfg.Preload != nil {
-		p.dfas.Preseed(cfg.Preload)
-		p.memo.Preseed(cfg.Preload)
-	}
 	return p
 }
 

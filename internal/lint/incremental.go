@@ -208,14 +208,11 @@ func (inc *IncrementalDriver) Run(file string, prog *lang.Program) ([]Diagnostic
 	fps := fingerprints(prog)
 	prev := inc.Store.Files[file]
 
-	if inc.Caches.DFACache == nil {
-		inc.Caches.DFACache = inc.Driver.dfaCache()
-	}
 	var stats RunStats
 	ctx := &Context{
 		File: file, Prog: prog,
 		Telemetry: inc.Driver.tel, Workers: inc.Driver.workers,
-		Caches: inc.Caches, DFACache: inc.Caches.DFACache, fps: fps,
+		Caches: inc.Caches, fps: fps,
 	}
 	var reused []Diagnostic
 	if prev == nil {

@@ -7,9 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/automata"
 	"repro/internal/lang"
-	"repro/internal/pathexpr"
 	"repro/internal/telemetry"
 )
 
@@ -171,33 +169,23 @@ func TestIncrementalEditCycle(t *testing.T) {
 	}
 }
 
-// TestIncrementalReusesCachesAcrossRuns: with a preload artifact, the
-// first incremental run preseeds one DFA cache and builds one engine over
-// it; a re-run after an edit borrows both — no second preseed, and the
-// DFAs run 1 compiled answer run 2 as hits.
+// TestIncrementalReusesCachesAcrossRuns: the first incremental run builds
+// one engine, with its DFA cache and proof memo; a re-run after an edit
+// borrows the engine, compiles no DFA run 1 compiled, and answers from the
+// memo run 1 filled.
 func TestIncrementalReusesCachesAcrossRuns(t *testing.T) {
-	seed := automata.NewSharedCache(0, 0, 0)
-	if _, err := seed.DFA(pathexpr.Intern(pathexpr.MustParse("next+")), automata.NewAlphabet("next")); err != nil {
-		t.Fatal(err)
-	}
 	tel := telemetry.New(telemetry.NewRegistry(), nil)
-	inc := NewIncremental(NewDriver(tel).SetPreload(seed.Snapshot()))
-	// DFA and decision hits, all on the one cache the runs share.
-	hits := func() int64 {
-		c := tel.Metrics().Snapshot().Counters
-		return c["automata.shared_hits"] + c["automata.shared_decision_hits"]
-	}
+	inc := NewIncremental(NewDriver(tel))
+	hits := func() int64 { return tel.Metrics().Snapshot().Counters["engine.memo_hits"] }
 
 	if _, _, err := inc.Run("u.c", parse(t, incrSrc)); err != nil {
 		t.Fatal(err)
 	}
-	dfas, eng := inc.Caches.DFACache, inc.Caches.Engine
-	if dfas == nil || eng == nil {
-		t.Fatalf("run 1 left DFA cache %p and engine %p; want both built", dfas, eng)
+	eng := inc.Caches.Engine
+	if eng == nil {
+		t.Fatal("run 1 built no engine")
 	}
-	if eng.DFACache() != dfas {
-		t.Fatal("run 1's engine does not borrow the preseeded DFA cache")
-	}
+	dfas := eng.DFACache()
 	before, hits1 := dfas.Stats(), hits()
 	if before.Compiles == 0 {
 		t.Fatal("run 1 compiled no DFA; the reuse check would be vacuous")
@@ -211,9 +199,6 @@ func TestIncrementalReusesCachesAcrossRuns(t *testing.T) {
 	if stats.Analyzed == 0 {
 		t.Fatal("the edit re-analyzed nothing")
 	}
-	if inc.Caches.DFACache != dfas {
-		t.Error("run 2 replaced the DFA cache: the artifact was preseeded again")
-	}
 	if inc.Caches.Engine != eng {
 		t.Error("run 2 built a second engine")
 	}
@@ -222,7 +207,7 @@ func TestIncrementalReusesCachesAcrossRuns(t *testing.T) {
 		t.Errorf("run 2 compiled %d DFAs that run 1 had already compiled", after.Compiles-before.Compiles)
 	}
 	if hits() <= hits1 {
-		t.Error("run 2 took no hits on the DFAs run 1 compiled")
+		t.Error("run 2 took no hits on the proofs run 1 memoized")
 	}
 
 	cold, err := NewDriver(nil).Run("u.c", parse(t, edited))

@@ -25,7 +25,6 @@ import (
 	"sort"
 
 	"repro/internal/analysis"
-	"repro/internal/automata"
 	"repro/internal/engine"
 	"repro/internal/lang"
 	"repro/internal/prover"
@@ -127,13 +126,6 @@ type Context struct {
 	// axiom content — so reusing it across re-parses of edited source is
 	// sound, and it carries proofs and compiled DFAs from run to run.
 	Caches *Caches
-	// DFACache, when non-nil, is the DFA cache the context's engine and
-	// every analysis it runs borrow; the driver preseeds it from its
-	// compiled automata artifact (aptc), so the first query of each axiom
-	// set skips cold compilation.  Nil gives the engine and each analysis
-	// a private cache.  Purely an optimization: verdicts are identical
-	// either way.
-	DFACache *automata.SharedCache
 
 	pass     string
 	diags    []Diagnostic
@@ -155,17 +147,13 @@ func (c *Context) SkipStruct(name string) bool {
 }
 
 // Caches holds the cross-run state of the incremental driver: one batched
-// query engine and the DFA cache it and every run's analyses borrow.
-// Every verdict the engine produces depends only on axiom content, never
+// query engine, with the DFA cache and proof memo it owns.  Every verdict the engine produces depends only on axiom content, never
 // on source positions, so a cache hit after a re-parse is exact.  Analysis
 // results are deliberately NOT cached across runs: they embed source
 // positions, which shift under edits that leave the fingerprint unchanged.
 type Caches struct {
 	// Engine is built by the first run that needs one.
 	Engine *engine.Engine
-	// DFACache is preseeded once, by the first run, from the driver's
-	// artifact; nil when the driver has none.
-	DFACache *automata.SharedCache
 }
 
 // NewCaches returns an empty cross-run cache set.
@@ -199,7 +187,6 @@ func (c *Context) Analysis(fn string) (*analysis.Result, error) {
 	res, err := analysis.Analyze(c.Prog, fn, analysis.Options{
 		InferTypeAxioms: true,
 		Telemetry:       c.Telemetry,
-		DFACache:        c.DFACache,
 	})
 	c.analyses[fn], c.anErrs[fn] = res, err
 	return res, err
@@ -221,7 +208,6 @@ func (c *Context) Engine() *engine.Engine {
 			Workers:   c.Workers,
 			Prover:    prover.Options{Telemetry: c.Telemetry},
 			Telemetry: c.Telemetry,
-			DFACache:  c.DFACache,
 		})
 		if c.Caches != nil {
 			c.Caches.Engine = c.engine
@@ -235,7 +221,6 @@ type Driver struct {
 	passes  []Pass
 	tel     *telemetry.Set
 	workers int
-	preload *automata.Artifact
 }
 
 // NewDriver builds a driver over the given passes (DefaultPasses when none
@@ -258,27 +243,9 @@ func (d *Driver) SetWorkers(n int) *Driver {
 	return d
 }
 
-// SetPreload attaches a compiled automata artifact (aptc) that preseeds the
-// DFA cache each run's engines share.  Returns the driver for chaining.
-func (d *Driver) SetPreload(art *automata.Artifact) *Driver {
-	d.preload = art
-	return d
-}
-
-// dfaCache returns a fresh DFA cache preseeded from the driver's artifact,
-// or nil when none is attached.
-func (d *Driver) dfaCache() *automata.SharedCache {
-	if d.preload == nil {
-		return nil
-	}
-	c := automata.NewSharedCache(0, 0, 0).SetTelemetry(d.tel)
-	c.Preseed(d.preload)
-	return c
-}
-
 // Run lints one parsed unit and returns its diagnostics sorted by position.
 func (d *Driver) Run(file string, prog *lang.Program) ([]Diagnostic, error) {
-	ctx := &Context{File: file, Prog: prog, Telemetry: d.tel, Workers: d.workers, DFACache: d.dfaCache()}
+	ctx := &Context{File: file, Prog: prog, Telemetry: d.tel, Workers: d.workers}
 	return d.RunContext(ctx)
 }
 

@@ -114,7 +114,6 @@ type Interner struct {
 	mu       sync.RWMutex
 	byStruct map[uint64][]structEntry
 	byString map[string]*Node
-	byID     map[uint64]*Node
 	next     uint64
 }
 
@@ -123,7 +122,6 @@ func NewInterner() *Interner {
 	return &Interner{
 		byStruct: make(map[uint64][]structEntry),
 		byString: make(map[string]*Node),
-		byID:     make(map[uint64]*Node),
 	}
 }
 
@@ -135,21 +133,6 @@ func Intern(e Expr) *Node { return defaultInterner.Intern(e) }
 
 // InternID returns Intern(e).ID().
 func InternID(e Expr) uint64 { return defaultInterner.Intern(e).id }
-
-// LookupID returns the node with the given interned ID in the process-wide
-// default interner, or nil when no such ID has been handed out.  It is the
-// reverse of InternID: artifact writers use it to turn cache keys (bare IDs)
-// back into canonical expression strings for serialization.
-func LookupID(id uint64) *Node { return defaultInterner.LookupID(id) }
-
-// LookupID returns the node with the given ID, or nil if the ID was never
-// issued by this interner.
-func (in *Interner) LookupID(id uint64) *Node {
-	in.mu.RLock()
-	n := in.byID[id]
-	in.mu.RUnlock()
-	return n
-}
 
 // InternedExprs reports the number of distinct expressions (by canonical
 // string) held by the process-wide interner.  Long-lived servers export it:
@@ -194,7 +177,6 @@ func (in *Interner) internSlow(e Expr, h uint64) *Node {
 		in.next++
 		n = &Node{expr: e, str: s, id: in.next, size: e.Size(), in: in}
 		in.byString[s] = n
-		in.byID[n.id] = n
 	}
 	in.byStruct[h] = append(in.byStruct[h], structEntry{expr: e, node: n})
 	return n

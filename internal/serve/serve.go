@@ -14,8 +14,7 @@
 //   - internal/admit — the two-channel slots/queue/429 admission machinery
 //     and the drain lifecycle;
 //   - internal/exec — the process's one engine and the DFA cache and proof
-//     memo it borrows, preseeded from a -preload artifact at boot, and the
-//     raw-query builder.
+//     memo it borrows, and the raw-query builder.
 //
 // What remains here is the composition itself: HTTP endpoint wiring, the
 // program-mode analysis pipeline, tracing/flight-recorder/access-log
@@ -40,9 +39,7 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -51,7 +48,6 @@ import (
 
 	"repro/internal/admit"
 	"repro/internal/analysis"
-	"repro/internal/automata"
 	"repro/internal/axiom"
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -113,10 +109,6 @@ type Config struct {
 	// AccessLog, when non-nil, receives one JSONL "http_access" line per
 	// HTTP request (method, path, status, bytes, latency, traceparent).
 	AccessLog *telemetry.TraceWriter
-	// Preload, when non-nil, preseeds the process's caches with a compiled
-	// automata artifact (see cmd/aptc), so even the first batch over an
-	// axiom set rides warm DFA tables, memoized decisions, and proof goals.
-	Preload *automata.Artifact
 }
 
 func (c Config) withDefaults() Config {
@@ -159,7 +151,6 @@ func (c Config) poolConfig() exec.PoolConfig {
 		DFAShardCap:  c.DFAShardCap,
 		MemoShardCap: c.MemoShardCap,
 		VerifyProofs: c.VerifyProofs,
-		Preload:      c.Preload,
 	}
 }
 
@@ -224,60 +215,7 @@ func newServer(cfg Config) *Server {
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
 	s.mux.HandleFunc("/debug/flightrecorder", s.handleFlightRecorder)
-	// Boot-time prewarm: the pool has already preseeded its caches from the
-	// artifact, so a -preload server's first request rides memoized proofs,
-	// which is the artifact's whole point: warm-equivalent behavior from
-	// boot.  Replaying the recorded workloads pays the rest.
-	if cfg.Preload != nil {
-		s.replayWarm(cfg.Preload.Replays)
-		// Boot prewarm allocates heavily (first parses, first batches);
-		// collect now so the first real request inherits a quiet heap instead
-		// of boot's GC debt.
-		runtime.GC()
-	}
 	return s
-}
-
-// replayWarm drives the artifact's recorded replay workloads through the
-// server's own request path, round-robin, until a time budget is spent.
-// The preseeded caches remove proof search and DFA construction from the
-// first request, but a long tail of one-time costs remains — first parse
-// of that exact program text, first query expansion and its interning, the
-// first batch over the preseeded entries — and the only way to pay them
-// all is to serve the workload.  The budget is wall time rather than a
-// pass count because request latency keeps improving long after logical
-// first-touch is done: sustained busy CPU is what ramps a host's frequency
-// governor and settles the allocator, and a ~tenth of a second of it at
-// boot is what makes the first client request perform like a steady-state
-// one.  Errors are ignored (a malformed recorded workload degrades warmth,
-// nothing else); the warmup requests show up in the request counters like
-// any request.
-func (s *Server) replayWarm(replays []automata.ArtifactReplay) {
-	const (
-		budget    = 120 * time.Millisecond
-		maxPasses = 4096 // bound the counter pollution when passes are very cheap
-	)
-	var bodies [][]byte
-	for _, rp := range replays {
-		body, err := json.Marshal(BatchRequest{Program: rp.Program, Fn: rp.Fn, Queries: rp.Queries})
-		if err != nil {
-			continue
-		}
-		bodies = append(bodies, body)
-	}
-	if len(bodies) == 0 {
-		return
-	}
-	start := time.Now()
-	for pass := 0; pass < maxPasses && time.Since(start) < budget; pass++ {
-		body := bodies[pass%len(bodies)]
-		req, err := http.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		s.ServeHTTP(&discardResponseWriter{h: make(http.Header)}, req)
-	}
 }
 
 // ServeHTTP dispatches with panic isolation: a panic below (including a

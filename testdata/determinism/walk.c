@@ -1,7 +1,7 @@
 // A leaf-linked binary tree kernel with many labeled accesses, so a batch
 // over testdata/determinism/walk.q spreads its proof goals across several
-// engine workers.  `make determinism` compiles it with aptc at one and at
-// four workers and demands byte-identical artifacts.
+// engine workers.  `make determinism` runs it at one and at four workers
+// and demands identical DFA-cache and proof-memo contents.
 struct LLBinaryTree {
 	struct LLBinaryTree *L;
 	struct LLBinaryTree *R;
