@@ -24,9 +24,10 @@ race:
 # Schedule independence: verdicts and cache contents must not depend on
 # goroutine scheduling.  Run the engine-vs-sequential differential, the
 # swap-symmetry tests, the missing-axiom-set test (whose set-less queries
-# may open any chunk) and the two cache-contents tests (walk.{c,q} in
-# order, reversed, and at four workers must leave equal DFA-cache and
-# proof-memo dumps) at several GOMAXPROCS values.
+# may open any chunk) and the two cache-contents tests (walk.{c,q} and
+# swap.{c,q} from testdata/determinism in order, reversed, and at four
+# workers must leave equal DFA-cache and proof-memo dumps) at several
+# GOMAXPROCS values.
 determinism:
 	$(GO) test -cpu 1,2,8 -count 20 -run 'TestDifferentialAgainstSequential|TestSharedCacheContentsScheduleIndependent|TestMemoContentsScheduleIndependent|Swap|TestNilAxiomsAnsweredMaybe' \
 		./internal/engine ./internal/scenario ./internal/automata ./internal/core

@@ -13,6 +13,7 @@ import (
 	"repro/internal/automata"
 	"repro/internal/guard"
 	"repro/internal/lang"
+	"repro/internal/pathexpr"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/apm.golden")
@@ -234,4 +235,43 @@ func TestAnalyzeSharedCacheMatchesPrivate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWidenRuleAgreesWithDFA: on every post-loop inclusion check the golden
+// corpus reaches, the structural rule (X·δ*·δ ⊆ X·δ*) answers only checks
+// the DFA decision accepts too.  The corpus reaches checks of both kinds.
+func TestWidenRuleAgreesWithDFA(t *testing.T) {
+	cache := automata.NewSharedCache(0, 1, 0)
+	var ruled, decided int
+	testIncludesHook = func(sub, sup *pathexpr.Node) {
+		if !closesStar(sub, sup) {
+			decided++
+			return
+		}
+		ruled++
+		ok, err := cache.Includes(sub, sup, automata.AlphabetOf(sub.Expr(), sup.Expr()))
+		if err != nil || !ok {
+			t.Errorf("the rule answers %s ⊆ %s, the DFA decision says %v (%v)", sub, sup, ok, err)
+		}
+	}
+	defer func() { testIncludesHook = nil }()
+	for _, file := range goldenCorpus(t) {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := lang.Parse(string(src))
+		if err != nil {
+			continue
+		}
+		for _, fn := range prog.Funcs {
+			for _, cfg := range goldenConfigs {
+				Analyze(prog, fn.Name, cfg.opts)
+			}
+		}
+	}
+	if ruled == 0 || decided == 0 {
+		t.Fatalf("%d checks answered by the rule, %d left to the DFA cache; want both kinds", ruled, decided)
+	}
+	t.Logf("%d checks answered by the rule, %d left to the DFA cache", ruled, decided)
 }

@@ -2,8 +2,8 @@
 // decidable theorem proving: DFAs compiled straight from path expressions
 // by the position (Glushkov / McNaughton–Yamada) construction, Moore-style
 // partition-refinement minimization, and the language queries the prover
-// needs (emptiness, inclusion, equivalence, disjointness, cardinality,
-// witnesses), decided over products explored on the fly.
+// needs (emptiness, inclusion, equivalence, disjointness, witnesses),
+// decided over products explored on the fly.
 //
 // The paper (§4.1) decides RE1 ⊆ RE2 by checking
 // L(M1) ∩ complement(L(M2)) = ∅ over DFAs M1, M2; this package implements

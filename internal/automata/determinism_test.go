@@ -21,7 +21,12 @@ import (
 // the same decisions with the same values.
 // Which worker reaches a goal first must not decide what gets compiled.
 func TestSharedCacheContentsScheduleIndependent(t *testing.T) {
-	queries := walkQueries(t)
+	for _, w := range []string{"walk", "swap"} {
+		t.Run(w, func(t *testing.T) { sharedCacheContents(t, workloadQueries(t, w)) })
+	}
+}
+
+func sharedCacheContents(t *testing.T, queries []core.Query) {
 	run := func(workers int, queries []core.Query) string {
 		cache := automata.NewSharedCache(0, 0, 0)
 		eng := engine.New(engine.Options{Workers: workers, DFACache: cache, Memo: core.NewMemo(0, 0, nil)})
@@ -30,7 +35,7 @@ func TestSharedCacheContentsScheduleIndependent(t *testing.T) {
 	}
 	want := run(1, queries)
 	if want == "" {
-		t.Fatal("the walk workload left the DFA cache empty; the comparison would be vacuous")
+		t.Fatal("the workload left the DFA cache empty; the comparison would be vacuous")
 	}
 	// The 4-worker runs leave only the order between chunks to the
 	// scheduler, and two callers of one goal may share a chunk; a 1-worker
@@ -55,14 +60,15 @@ func reversed(qs []core.Query) []core.Query {
 	return out
 }
 
-// walkQueries analyzes testdata/determinism/walk.c and expands walk.q.
-func walkQueries(t *testing.T) []core.Query {
+// workloadQueries analyzes testdata/determinism/<name>.c, whose function
+// shares its name, and expands <name>.q.
+func workloadQueries(t *testing.T, name string) []core.Query {
 	t.Helper()
-	src, err := os.ReadFile("../../testdata/determinism/walk.c")
+	src, err := os.ReadFile("../../testdata/determinism/" + name + ".c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	qsrc, err := os.ReadFile("../../testdata/determinism/walk.q")
+	qsrc, err := os.ReadFile("../../testdata/determinism/" + name + ".q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +76,12 @@ func walkQueries(t *testing.T) []core.Query {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := analysis.Analyze(prog, "walk", analysis.Options{InferTypeAxioms: true})
+	res, err := analysis.Analyze(prog, name, analysis.Options{InferTypeAxioms: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	qs, _, err := res.ExpandQueryLines(strings.Split(string(qsrc), "\n"), func(n int) string {
-		return fmt.Sprintf("walk.q:%d", n+1)
+		return fmt.Sprintf("%s.q:%d", name, n+1)
 	})
 	if err != nil {
 		t.Fatal(err)

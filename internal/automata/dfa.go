@@ -2,8 +2,6 @@ package automata
 
 import (
 	"fmt"
-	"math"
-	"sync/atomic"
 
 	"repro/internal/pathexpr"
 )
@@ -22,18 +20,6 @@ type DFA struct {
 	// trans[s*k+c] is the successor of state s on symbol c.
 	trans  []int32
 	accept []bool
-
-	// card memoizes Cardinality.  The DFA is frozen, so its language class
-	// is a constant, computed on first use — the prover's prefix check
-	// (case C) asks for it on every attempt, across every search sharing
-	// the automaton.
-	card atomic.Pointer[cardinality]
-}
-
-// cardinality is a memoized Cardinality answer.
-type cardinality struct {
-	class Cardinality
-	word  []string
 }
 
 // ErrStateLimit is returned by Compile — and by the budgeted product
@@ -364,253 +350,8 @@ func (d *DFA) Equivalent(o *DFA) bool {
 	return ok
 }
 
-// Cardinality classifies the size of the language.
-type Cardinality int
-
-// Language cardinality classes.
-const (
-	CardEmpty    Cardinality = iota // no words
-	CardOne                         // exactly one word
-	CardFinite                      // more than one word, finitely many
-	CardInfinite                    // infinitely many words
-)
-
-func (c Cardinality) String() string {
-	switch c {
-	case CardEmpty:
-		return "empty"
-	case CardOne:
-		return "one"
-	case CardFinite:
-		return "finite"
-	case CardInfinite:
-		return "infinite"
-	}
-	return "unknown"
-}
-
-// Cardinality returns the language-size class and, when the class is
-// CardOne, the unique word.  The result is memoized on the DFA and safe to
-// ask for concurrently (racing first calls compute the same answer and
-// either store wins); the returned word is shared and must not be
-// modified.
-func (d *DFA) Cardinality() (Cardinality, []string) {
-	c := d.card.Load()
-	if c == nil {
-		c = new(cardinality)
-		c.class, c.word = d.computeCardinality()
-		d.card.Store(c)
-	}
-	return c.class, c.word
-}
-
-// computeCardinality computes Cardinality's answer.
-func (d *DFA) computeCardinality() (Cardinality, []string) {
-	k := d.alphabet.Size()
-	useful := d.usefulStates()
-	if !useful[0] {
-		return CardEmpty, nil
-	}
-	// Detect a cycle among useful states: any cycle implies infinitely many
-	// words (every useful state lies on a path from start to accept).
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int, len(d.accept))
-	var cyclic bool
-	var dfs func(s int)
-	dfs = func(s int) {
-		color[s] = gray
-		for c := 0; c < k; c++ {
-			t := int(d.trans[s*k+c])
-			if !useful[t] {
-				continue
-			}
-			switch color[t] {
-			case gray:
-				cyclic = true
-			case white:
-				dfs(t)
-			}
-		}
-		color[s] = black
-	}
-	dfs(0)
-	if cyclic {
-		return CardInfinite, nil
-	}
-	// Acyclic: count accepted words by memoized DAG counting, capped at 2.
-	counts := make([]int, len(d.accept))
-	for i := range counts {
-		counts[i] = -1
-	}
-	var count func(s int) int
-	count = func(s int) int {
-		if counts[s] >= 0 {
-			return counts[s]
-		}
-		n := 0
-		if d.accept[s] {
-			n = 1
-		}
-		for c := 0; c < k; c++ {
-			t := int(d.trans[s*k+c])
-			if useful[t] {
-				n += count(t)
-			}
-			if n > 2 {
-				n = 3
-				break
-			}
-		}
-		counts[s] = n
-		return n
-	}
-	switch n := count(0); {
-	case n == 0:
-		return CardEmpty, nil
-	case n == 1:
-		w, _ := d.uniqueWord(useful)
-		return CardOne, w
-	default:
-		return CardFinite, nil
-	}
-}
-
-// uniqueWord extracts the single accepted word from a DFA already known to
-// accept exactly one word.
-func (d *DFA) uniqueWord(useful []bool) ([]string, bool) {
-	k := d.alphabet.Size()
-	var word []string
-	s := 0
-	for steps := 0; steps <= len(d.accept)*k+1; steps++ {
-		if d.accept[s] {
-			// The unique word ends here unless a useful continuation exists;
-			// with exactly one word there cannot be both.
-			hasNext := false
-			for c := 0; c < k; c++ {
-				if useful[d.trans[s*k+c]] {
-					hasNext = true
-				}
-			}
-			if !hasNext {
-				return word, true
-			}
-		}
-		advanced := false
-		for c := 0; c < k; c++ {
-			t := int(d.trans[s*k+c])
-			if useful[t] {
-				word = append(word, d.alphabet.symbols[c])
-				s = t
-				advanced = true
-				break
-			}
-		}
-		if !advanced {
-			return word, d.accept[s]
-		}
-	}
-	return nil, false
-}
-
-// usefulStates marks states that are both reachable from the start state and
-// can reach an accepting state.
-func (d *DFA) usefulStates() []bool {
-	k := d.alphabet.Size()
-	n := len(d.accept)
-	reach := make([]bool, n)
-	stack := []int32{0}
-	reach[0] = true
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for c := 0; c < k; c++ {
-			t := d.trans[int(s)*k+c]
-			if !reach[t] {
-				reach[t] = true
-				stack = append(stack, t)
-			}
-		}
-	}
-	// Reverse reachability from accepting states.
-	rev := make([][]int32, n)
-	for s := 0; s < n; s++ {
-		for c := 0; c < k; c++ {
-			t := d.trans[s*k+c]
-			rev[t] = append(rev[t], int32(s))
-		}
-	}
-	coreach := make([]bool, n)
-	for s := 0; s < n; s++ {
-		if d.accept[s] && !coreach[s] {
-			coreach[s] = true
-			stack = append(stack, int32(s))
-		}
-	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range rev[s] {
-			if !coreach[p] {
-				coreach[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	useful := make([]bool, n)
-	for s := 0; s < n; s++ {
-		useful[s] = reach[s] && coreach[s]
-	}
-	return useful
-}
-
 // Minimize returns the minimal DFA equivalent to d, via the integer
 // partition refinement in table.go (no per-state string signatures).
 func (d *DFA) Minimize() *DFA {
 	return minimizeTable(d)
-}
-
-// MaxWordLen returns the length of the longest accepted word, or
-// math.MaxInt for infinite languages, or -1 for the empty language.
-func (d *DFA) MaxWordLen() int {
-	card, _ := d.Cardinality()
-	switch card {
-	case CardEmpty:
-		return -1
-	case CardInfinite:
-		return math.MaxInt
-	}
-	// Longest path in the useful-state DAG.
-	k := d.alphabet.Size()
-	useful := d.usefulStates()
-	memo := make([]int, len(d.accept))
-	for i := range memo {
-		memo[i] = -2
-	}
-	var longest func(s int) int
-	longest = func(s int) int {
-		if memo[s] != -2 {
-			return memo[s]
-		}
-		best := -1
-		if d.accept[s] {
-			best = 0
-		}
-		memo[s] = best // provisional; DAG so no revisits on a cycle
-		for c := 0; c < k; c++ {
-			t := int(d.trans[s*k+c])
-			if !useful[t] {
-				continue
-			}
-			if l := longest(t); l >= 0 && l+1 > best {
-				best = l + 1
-			}
-		}
-		memo[s] = best
-		return best
-	}
-	return longest(0)
 }

@@ -61,14 +61,6 @@ func (k *KLimited) DepTest(q core.Query) core.Result {
 	x, y := pathexpr.Simplify(q.S.Path), pathexpr.Simplify(q.T.Path)
 	xn, yn := pathexpr.Intern(x), pathexpr.Intern(y)
 	alpha := alphabetFor(k.axioms, x, y)
-	dx, err := k.dfas.DFA(xn, alpha)
-	if err != nil {
-		return core.Maybe
-	}
-	dy, err := k.dfas.DFA(yn, alpha)
-	if err != nil {
-		return core.Maybe
-	}
 	disjoint, err := k.dfas.Disjoint(xn, yn, alpha)
 	if err != nil {
 		return core.Maybe // the product blew the state budget
@@ -83,8 +75,16 @@ func (k *KLimited) DepTest(q core.Query) core.Result {
 		}
 		return core.Maybe
 	}
-	// Both reach past the k-limit ⇒ both may name the summary node.
-	if dx.MaxWordLen() > k.K && dy.MaxWordLen() > k.K {
+	// Both reach past the k-limit ⇒ both may name the summary node.  A
+	// language reaches past it when it is not inside Σ^≤k, the words of at
+	// most k fields.
+	short := pathexpr.Intern(upTo(alpha.Symbols(), k.K))
+	xShort, err := k.dfas.Includes(xn, short, alpha)
+	if err != nil {
+		return core.Maybe
+	}
+	yShort, err := k.dfas.Includes(yn, short, alpha)
+	if err != nil || !xShort && !yShort {
 		return core.Maybe
 	}
 	// Within the k-limit, distinct names are distinct nodes only on
@@ -125,6 +125,20 @@ func (k *KLimited) LoopIndependent(inc, body pathexpr.Expr) (int, core.Result) {
 		distinct = 0
 	}
 	return distinct, core.Maybe
+}
+
+// upTo returns Σ^≤k over the fields: k factors of (ε|f1|…|fn).
+func upTo(fields []string, k int) pathexpr.Expr {
+	step := []pathexpr.Expr{pathexpr.Eps}
+	for _, f := range fields {
+		step = append(step, pathexpr.F(f))
+	}
+	one := pathexpr.Or(step...)
+	parts := make([]pathexpr.Expr, k)
+	for i := range parts {
+		parts[i] = one
+	}
+	return pathexpr.Cat(parts...)
 }
 
 // minWordLen returns the length of the shortest word of e, or -1 when the

@@ -22,7 +22,12 @@ import (
 // orientation, so which worker reaches a goal first must not shape the
 // proof it keeps.
 func TestMemoContentsScheduleIndependent(t *testing.T) {
-	queries := walkQueries(t)
+	for _, w := range []string{"walk", "swap"} {
+		t.Run(w, func(t *testing.T) { memoContents(t, workloadQueries(t, w)) })
+	}
+}
+
+func memoContents(t *testing.T, queries []core.Query) {
 	run := func(workers int, queries []core.Query) string {
 		memo := core.NewMemo(0, 0, nil)
 		eng := engine.New(engine.Options{Workers: workers, DFACache: automata.NewSharedCache(0, 0, 0), Memo: memo})
@@ -31,7 +36,7 @@ func TestMemoContentsScheduleIndependent(t *testing.T) {
 	}
 	want := run(1, queries)
 	if want == "" {
-		t.Fatal("the walk workload left the proof memo empty; the comparison would be vacuous")
+		t.Fatal("the workload left the proof memo empty; the comparison would be vacuous")
 	}
 	// The 4-worker runs leave only the order between chunks to the
 	// scheduler, and two callers of one goal may share a chunk; a 1-worker
@@ -56,14 +61,15 @@ func reversed(qs []core.Query) []core.Query {
 	return out
 }
 
-// walkQueries analyzes testdata/determinism/walk.c and expands walk.q.
-func walkQueries(t *testing.T) []core.Query {
+// workloadQueries analyzes testdata/determinism/<name>.c, whose function
+// shares its name, and expands <name>.q.
+func workloadQueries(t *testing.T, name string) []core.Query {
 	t.Helper()
-	src, err := os.ReadFile("../../testdata/determinism/walk.c")
+	src, err := os.ReadFile("../../testdata/determinism/" + name + ".c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	qsrc, err := os.ReadFile("../../testdata/determinism/walk.q")
+	qsrc, err := os.ReadFile("../../testdata/determinism/" + name + ".q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +77,12 @@ func walkQueries(t *testing.T) []core.Query {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := analysis.Analyze(prog, "walk", analysis.Options{InferTypeAxioms: true})
+	res, err := analysis.Analyze(prog, name, analysis.Options{InferTypeAxioms: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	qs, _, err := res.ExpandQueryLines(strings.Split(string(qsrc), "\n"), func(n int) string {
-		return fmt.Sprintf("walk.q:%d", n+1)
+		return fmt.Sprintf("%s.q:%d", name, n+1)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,9 +9,7 @@ import (
 // DumpMemo renders the memo's completed entries, one sorted block per goal:
 // the axiom-set ID and goal key, the proof's Result and Theorem, and its
 // rendered derivation.  Keys stay interned IDs, so two dumps compare equal
-// only within one process's interner.  The rendering leaves out the DFA
-// compile count: a search compiles only what the shared DFA cache lacks, so
-// that count says which search reached an automaton first.
+// only within one process's interner.
 func DumpMemo(m *Memo) string {
 	var blocks []string
 	for i := range m.shards {
@@ -19,8 +17,7 @@ func DumpMemo(m *Memo) string {
 		sh.mu.Lock()
 		for k, e := range sh.m {
 			<-e.done
-			p := *e.proof
-			p.Stats.DFACompiles = 0
+			p := e.proof
 			blocks = append(blocks, fmt.Sprintf("goal ax=%d form=%d a=%d b=%d: %v %s\n%s",
 				k.ax, k.goal.Form, k.goal.A, k.goal.B, p.Result, p.Theorem, p.Render()))
 		}

@@ -98,10 +98,11 @@ type memoShard struct {
 // Memo is the sharded cross-query proof memo shared by concurrent testers
 // (see Tester.SetProofMemo).  Proofs are pure functions of (axiom set,
 // goal), so the memo runs each search itself, in the goal's canonical
-// orientation: whichever worker reaches a goal first, the proof tree — and
-// the DFAs compiled along the way — are the same.  Single-flight: when
-// several workers reach one goal concurrently, exactly one searches and the
-// rest wait for its result.
+// orientation and from an empty goal cache (prover.ProveFresh): whichever
+// worker reaches a goal first, and whatever that worker searched before,
+// the proof tree — and the DFAs compiled along the way — are the same.
+// Single-flight: when several workers reach one goal concurrently, exactly
+// one searches and the rest wait for its result.
 //
 // Exhausted proofs (budget, timeout, or cancellation artifacts — not
 // verdicts about the axioms) are returned to their caller but never
@@ -207,7 +208,7 @@ func (m *Memo) Prove(prv *prover.Prover, axiomID uint64, form prover.Form, x, y 
 		}
 		close(e.done)
 	}()
-	e.proof = prv.ProveNodes(form, xn, yn)
+	e.proof = prv.ProveFresh(form, xn, yn)
 	return e.proof
 }
 

@@ -9,6 +9,7 @@
 package pathexpr
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -425,6 +426,72 @@ func Word(e Expr) ([]string, bool) {
 		return w, true
 	}
 	return nil, false
+}
+
+// Count classifies the size of a language: no word, exactly one word, or
+// more than one.
+type Count uint8
+
+// Language size classes.
+const (
+	NoWord Count = iota
+	OneWord
+	ManyWords
+)
+
+// singleton computes e's size class and its one word when the class is
+// OneWord, by structural recursion.  Each rule is exact: ∅ absorbs a
+// concatenation; a concatenation of one-word parts spells one word, while
+// one part with several words (and none empty) gives several; ∅
+// alternatives add nothing and one-word alternatives with equal words
+// merge; (∅)*, (ε)* and ε+ are ε; ∅+ is ∅; any other closure repeats a
+// non-empty word or a choice, so it has infinitely many words.
+func singleton(e Expr) (Count, []string) {
+	switch v := e.(type) {
+	case nil, Epsilon:
+		return OneWord, []string{}
+	case Empty:
+		return NoWord, nil
+	case Field:
+		return OneWord, []string{v.Name}
+	case Concat:
+		c, w := OneWord, []string{}
+		for _, p := range v.Parts {
+			switch pc, pw := singleton(p); {
+			case pc == NoWord:
+				return NoWord, nil
+			case pc == ManyWords:
+				c, w = ManyWords, nil
+			case c == OneWord:
+				w = append(w, pw...)
+			}
+		}
+		return c, w
+	case Alt:
+		c, w := NoWord, []string(nil)
+		for _, p := range v.Alts {
+			switch pc, pw := singleton(p); {
+			case pc == NoWord:
+			case pc == ManyWords || c == OneWord && !slices.Equal(w, pw):
+				return ManyWords, nil
+			default:
+				c, w = OneWord, pw
+			}
+		}
+		return c, w
+	case Star:
+		if c, w := singleton(v.Inner); c == NoWord || c == OneWord && len(w) == 0 {
+			return OneWord, []string{}
+		}
+	case Plus:
+		switch c, w := singleton(v.Inner); {
+		case c == NoWord:
+			return NoWord, nil
+		case c == OneWord && len(w) == 0:
+			return OneWord, w
+		}
+	}
+	return ManyWords, nil
 }
 
 // FromWord builds a concatenation of fields from a word.

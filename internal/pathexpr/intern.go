@@ -49,6 +49,18 @@ type Node struct {
 	simp atomic.Pointer[Node]
 	// compact caches Compact(expr), computed lazily on first use.
 	compact atomic.Pointer[string]
+	// words caches the node's word facts (see Word and Singleton),
+	// computed lazily on first use.
+	words atomic.Pointer[wordFacts]
+}
+
+// wordFacts are a node's two word facts: whether its expression is a
+// syntactic word (see Word), and the size class of its language with the
+// one word when there is exactly one — the syntactic word, if any.
+type wordFacts struct {
+	isWord bool
+	count  Count
+	single []string
 }
 
 // ID returns the node's stable 64-bit identity.  IDs start at 1 and are
@@ -94,6 +106,39 @@ func (n *Node) Compact() string {
 	s := Compact(n.expr)
 	n.compact.Store(&s)
 	return s
+}
+
+// Word returns Word(n.Expr()), computed once and cached on the node.  The
+// returned slice is shared and must not be modified.
+func (n *Node) Word() ([]string, bool) {
+	if f := n.wordFacts(); f.isWord {
+		return f.single, true
+	}
+	return nil, false
+}
+
+// Singleton returns the size class of the node's language and, when it is
+// OneWord, that word: the language-level counterpart of Word, which also
+// sees the one word of (a|a), a.(ε)*, b.ε+ and the like.  Computed once and
+// cached on the node; the returned slice is shared and must not be
+// modified.
+func (n *Node) Singleton() (Count, []string) {
+	f := n.wordFacts()
+	return f.count, f.single
+}
+
+func (n *Node) wordFacts() *wordFacts {
+	if f := n.words.Load(); f != nil {
+		return f
+	}
+	f := &wordFacts{}
+	if f.single, f.isWord = Word(n.expr); f.isWord {
+		f.count = OneWord
+	} else {
+		f.count, f.single = singleton(n.expr)
+	}
+	n.words.Store(f)
+	return f
 }
 
 // structEntry pairs one concrete structure with the node it interns to.  A

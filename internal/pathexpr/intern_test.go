@@ -100,9 +100,49 @@ func TestInternNodeMetadata(t *testing.T) {
 		if s := n.Simplified(); s.Simplified() != s {
 			t.Errorf("%q: Simplified() is not a fixpoint of itself", src)
 		}
+		for i := 0; i < 2; i++ { // computed, then cached
+			w, ok := n.Word()
+			if ww, wok := pathexpr.Word(e); ok != wok || fmt.Sprint(w) != fmt.Sprint(ww) {
+				t.Errorf("%q: Word() = %v %v, want %v %v", src, w, ok, ww, wok)
+			}
+		}
 	}
 	if pathexpr.Intern(nil) != pathexpr.Intern(pathexpr.Eps) {
 		t.Error("Intern(nil) must alias Intern(ε)")
+	}
+}
+
+// TestSingletonRules: each structural rule behind Node.Singleton, on trees
+// built without the simplifying constructors (the automata package checks
+// the facts against minimal DFAs on random expressions).
+func TestSingletonRules(t *testing.T) {
+	a, b := pathexpr.F("a"), pathexpr.F("b")
+	cat := func(p ...pathexpr.Expr) pathexpr.Expr { return pathexpr.Concat{Parts: p} }
+	alt := func(p ...pathexpr.Expr) pathexpr.Expr { return pathexpr.Alt{Alts: p} }
+	for _, c := range []struct {
+		e    pathexpr.Expr
+		want pathexpr.Count
+		word string
+	}{
+		{pathexpr.Empty{}, pathexpr.NoWord, ""},
+		{pathexpr.Eps, pathexpr.OneWord, "[]"},
+		{cat(a, b), pathexpr.OneWord, "[a b]"},
+		{cat(pathexpr.Star{Inner: a}, pathexpr.Empty{}), pathexpr.NoWord, ""},     // ∅ absorbs
+		{cat(a, pathexpr.Star{Inner: a}), pathexpr.ManyWords, ""},                 // a.a*
+		{alt(a, cat(pathexpr.Eps, a)), pathexpr.OneWord, "[a]"},                   // equal words merge
+		{alt(a, pathexpr.Empty{}), pathexpr.OneWord, "[a]"},                       // ∅ adds nothing
+		{alt(a, b), pathexpr.ManyWords, ""},                                       // distinct words
+		{cat(b, pathexpr.Star{Inner: pathexpr.Empty{}}), pathexpr.OneWord, "[b]"}, // (∅)* is ε
+		{cat(b, pathexpr.Star{Inner: pathexpr.Eps}), pathexpr.OneWord, "[b]"},     // (ε)* is ε
+		{cat(b, pathexpr.Plus{Inner: pathexpr.Eps}), pathexpr.OneWord, "[b]"},     // ε+ is ε
+		{cat(b, pathexpr.Plus{Inner: pathexpr.Empty{}}), pathexpr.NoWord, ""},     // ∅+ is ∅
+		{pathexpr.Plus{Inner: a}, pathexpr.ManyWords, ""},
+	} {
+		n := pathexpr.Intern(c.e)
+		got, w := n.Singleton()
+		if word := fmt.Sprint(w); got != c.want || got == pathexpr.OneWord && word != c.word {
+			t.Errorf("%v: Singleton() = %v %s, want %v %s", c.e, got, word, c.want, c.word)
+		}
 	}
 }
 

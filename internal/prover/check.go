@@ -91,7 +91,7 @@ func (c *checker) check(st *Step, lems hyps) error {
 		}
 
 	case RuleAxiom:
-		name, err := c.run.direct(g.form, split{kx, ky, len(cx), len(cy)}, lems.list, g.size())
+		name, err := c.run.direct(g.form, split{&kx, &ky, len(cx), len(cy)}, lems.list, g.size())
 		if err != nil {
 			return c.fail(st, "inclusion test failed: %v", err)
 		}
@@ -106,7 +106,7 @@ func (c *checker) check(st *Step, lems hyps) error {
 		}
 		spc, sqc := cx[len(cx)-i:], cy[len(cy)-j:]
 		pp, pq := cx[:len(cx)-i], cy[:len(cy)-j]
-		sp := split{kx, ky, i, j}
+		sp := split{&kx, &ky, i, j}
 		size := sliceSize(spc) + sliceSize(sqc)
 		switch st.Rule {
 		case RuleSuffixAB:
@@ -123,8 +123,7 @@ func (c *checker) check(st *Step, lems hyps) error {
 			if name, err := c.run.direct(SameSrc, sp, lems.list, size); err != nil || name == "" {
 				return c.fail(st, "T1 not derivable")
 			}
-			eq, err := c.run.prefixesEqual(kx, ky, len(pp), len(pq))
-			if err != nil || !eq {
+			if !c.run.prefixesEqual(&kx, &ky, len(pp), len(pq)) {
 				return c.fail(st, "prefixes %s and %s not provably equal", exprOrEps(pp), exprOrEps(pq))
 			}
 		case RuleCaseD:

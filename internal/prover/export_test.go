@@ -12,12 +12,14 @@ import (
 // every suffix and prefix node of its cuts, must be the interned
 // concatenation of its components, the goal's key must equal the key built
 // by interning the reassembled sides, and its rendering from the nodes (a
-// proof's theorem) must equal its rendering from the components.  It
-// returns the number of goals checked so far and a function that removes
-// the hook.
+// proof's theorem) must equal its rendering from the components.  Every
+// field of its sides must lie in the search's alphabet: case C reads a
+// prefix's size class off the expression, which agrees with the prefix's
+// automaton only when no field falls outside the alphabet.  It returns the
+// number of goals checked so far and a function that removes the hook.
 func WatchGoals(t testing.TB) (checked func() int, restore func()) {
 	goals := 0
-	testGoalHook = func(g goal, cx, cy *cuts) {
+	testGoalHook = func(r *run, g goal, cx, cy cuts) {
 		goals++
 		check := func(what string, got *pathexpr.Node, comps []pathexpr.Expr) {
 			t.Helper()
@@ -34,8 +36,13 @@ func WatchGoals(t testing.TB) (checked func() int, restore func()) {
 		if got := g.theorem(); got != g.String() {
 			t.Errorf("goal %s renders from its nodes as %s", g, got)
 		}
-		for side, c := range map[string]*cuts{"left": cx, "right": cy} {
-			if c == nil {
+		for _, f := range pathexpr.Fields(g.xn.Expr(), g.yn.Expr()) {
+			if !r.alpha.Contains(f) {
+				t.Errorf("goal %s has field %s outside its search's alphabet %q", g, f, r.alpha.Key())
+			}
+		}
+		for side, c := range map[string]cuts{"left": cx, "right": cy} {
+			if c.at == nil {
 				continue
 			}
 			n := len(c.comps)

@@ -108,22 +108,6 @@ func intern(comps []pathexpr.Expr) *pathexpr.Node {
 // epsNode is the interned ε: the empty suffix or prefix of a side.
 var epsNode = pathexpr.Intern(pathexpr.Eps)
 
-// wordOf returns the word a normalized component sequence spells when
-// every component is a single field — pathexpr.Word of its concatenation,
-// without reassembling it.
-func wordOf(comps []pathexpr.Expr) ([]string, bool) {
-	for _, c := range comps {
-		if _, ok := c.(pathexpr.Field); !ok {
-			return nil, false
-		}
-	}
-	w := make([]string, len(comps))
-	for i, c := range comps {
-		w[i] = c.(pathexpr.Field).Name
-	}
-	return w, true
-}
-
 // size is the structural measure of a goal used to guard induction
 // hypotheses: the total pathexpr.Size of both sides.
 func (g goal) size() int {
@@ -169,24 +153,29 @@ func (g goal) key() goalKey {
 // suffix-split search and the rules after it.  Each is interned on first
 // use and at most once per goal; the empty cut is ε and the full cut is the
 // side's own node.  Every suffix's summary over the run's alphabet is
-// folded up front, right to left, one component at a time.
+// folded up front, right to left, one component at a time.  A side's cuts
+// take one allocation, sized to the side.
 type cuts struct {
 	comps []pathexpr.Expr
 	whole *pathexpr.Node
-	suf   []*pathexpr.Node   // suf[i]: the last i components
-	pre   []*pathexpr.Node   // pre[k]: the first k components
-	sums  []automata.Summary // sums[i]: the last i components' summary
+	at    []cut // at[i]: the cuts i components in from either end
 }
 
-func newCuts(comps []pathexpr.Expr, whole *pathexpr.Node, a *automata.Alphabet) *cuts {
+// cut is the node of the last i components (suf) and of the first i (pre),
+// and the last i components' summary.
+type cut struct {
+	suf, pre *pathexpr.Node
+	sum      automata.Summary
+}
+
+func newCuts(comps []pathexpr.Expr, whole *pathexpr.Node, a *automata.Alphabet) cuts {
 	n := len(comps)
-	nodes := make([]*pathexpr.Node, 2*(n+1))
-	sums := make([]automata.Summary, n+1)
-	sums[0] = automata.Summarize(pathexpr.Eps, a)
+	at := make([]cut, n+1)
+	at[0].sum = automata.Summarize(pathexpr.Eps, a)
 	for i := 1; i <= n; i++ {
-		sums[i] = automata.Summarize(comps[n-i], a).Then(sums[i-1])
+		at[i].sum = automata.Summarize(comps[n-i], a).Then(at[i-1].sum)
 	}
-	return &cuts{comps: comps, whole: whole, suf: nodes[:n+1], pre: nodes[n+1:], sums: sums}
+	return cuts{comps: comps, whole: whole, at: at}
 }
 
 // suffix returns the node of the last i components.
@@ -198,10 +187,10 @@ func (c *cuts) suffix(i int) *pathexpr.Node {
 	case n:
 		return c.whole
 	}
-	if c.suf[i] == nil {
-		c.suf[i] = intern(c.comps[n-i:])
+	if c.at[i].suf == nil {
+		c.at[i].suf = intern(c.comps[n-i:])
 	}
-	return c.suf[i]
+	return c.at[i].suf
 }
 
 // prefix returns the node of the first k components.
@@ -212,10 +201,10 @@ func (c *cuts) prefix(k int) *pathexpr.Node {
 	case len(c.comps):
 		return c.whole
 	}
-	if c.pre[k] == nil {
-		c.pre[k] = intern(c.comps[:k])
+	if c.at[k].pre == nil {
+		c.at[k].pre = intern(c.comps[:k])
 	}
-	return c.pre[k]
+	return c.at[k].pre
 }
 
 // lemma is an induction hypothesis: a disjointness fact assumed during the

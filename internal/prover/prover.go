@@ -71,10 +71,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// testGoalHook, when non-nil, sees every goal the search enters (with nil
+// testGoalHook, when non-nil, sees every goal the search enters (with empty
 // cuts) and, after its rules ran, the cuts they interned.  Tests use it to
-// pin the carried nodes to the components they stand for.
-var testGoalHook func(g goal, cx, cy *cuts)
+// pin the carried nodes to the components they stand for, and the goal's
+// fields to the search's alphabet.  The cuts come by value, so the hook
+// does not move a goal's cuts to the heap.
+var testGoalHook func(r *run, g goal, cx, cy cuts)
 
 // testFilterHook, when non-nil, sees every direct check the summary filter
 // answered alone: (x, y) against the fact (re1, re2), by equivalence when
@@ -104,9 +106,12 @@ type proofKey struct {
 // not safe for concurrent use.
 type Prover struct {
 	axioms *axiom.Set
-	// fields are the axiom set's fields, read by the first search: every
-	// search's alphabet is these plus its query's.
+	// fields are the axiom set's fields and alpha their alphabet, both
+	// built by the first search: every search's alphabet is these fields
+	// plus its query's, which is alpha itself unless the query brings a
+	// field the axioms lack.
 	fields []string
+	alpha  *automata.Alphabet
 	opts   Options
 	dfas   *automata.SharedCache
 	// disjoint holds the disjointness axioms of each goal form (indexed by
@@ -118,7 +123,7 @@ type Prover struct {
 	// cache memoizes definitive goal outcomes keyed by goal+lemma
 	// fingerprint, retaining the proof tree of proved goals so that cached
 	// steps remain machine-checkable.  Valid for the lifetime of the prover
-	// because the axiom set is immutable.
+	// because the axiom set is immutable; ProveFresh empties it.
 	cache map[proofKey]cacheEntry
 	// eqWordAxioms are the equality axioms whose both sides are single
 	// words, usable for congruence rewriting of prefixes.
@@ -249,6 +254,35 @@ func (p *Prover) summarizeAxioms(a *automata.Alphabet) {
 	p.summedOver = a
 }
 
+// alphabet returns the alphabet of a search over x and y: the axiom
+// fields' alphabet, built once per prover, when x and y bring no other
+// field.  It is built on the first search, not in New, so a prover whose
+// queries the proof memo answers never pays for it.
+func (p *Prover) alphabet(x, y pathexpr.Expr) *automata.Alphabet {
+	if p.alpha == nil {
+		p.fields = p.axioms.Fields()
+		p.alpha = automata.NewAlphabet(p.fields...)
+	}
+	if within(x, p.alpha) && within(y, p.alpha) {
+		return p.alpha
+	}
+	// The three-index slice makes append copy: a search never writes into
+	// the prover's fields.
+	n := len(p.fields)
+	return automata.NewAlphabet(append(p.fields[:n:n], pathexpr.Fields(x, y)...)...)
+}
+
+// within reports whether every field of e lies in a.
+func within(e pathexpr.Expr, a *automata.Alphabet) bool {
+	ok := true
+	pathexpr.Walk(e, func(x pathexpr.Expr) {
+		if f, isField := x.(pathexpr.Field); isField && !a.Contains(f.Name) {
+			ok = false
+		}
+	})
+	return ok
+}
+
 // Axioms returns the prover's axiom set.
 func (p *Prover) Axioms() *axiom.Set { return p.axioms }
 
@@ -275,14 +309,7 @@ func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 		t0 = time.Now()
 	}
 	span := p.trace.StartSpanAt("prover.prove", p.opts.TraceParent, t0)
-	// The fields are read here, not in New, so a prover whose queries the
-	// proof memo answers never pays for them.  The three-index slice makes
-	// append copy: a run never writes into the prover's fields.
-	if p.fields == nil {
-		p.fields = p.axioms.Fields()
-	}
-	n := len(p.fields)
-	alpha := automata.NewAlphabet(append(p.fields[:n:n], pathexpr.Fields(x.Expr(), y.Expr())...)...)
+	alpha := p.alphabet(x.Expr(), y.Expr())
 	p.summarizeAxioms(alpha)
 	r := &run{
 		p:     p,
@@ -334,14 +361,24 @@ func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 	return proof
 }
 
+// ProveFresh is ProveNodes from an empty goal cache, so the proof's
+// derivation and search counts depend on the goal alone, not on the
+// searches the prover ran before.  The proof memo searches this way: it
+// hands one proof to every caller of a goal, whichever worker searched it.
+func (p *Prover) ProveFresh(form Form, x, y *pathexpr.Node) *Proof {
+	clear(p.cache)
+	return p.ProveNodes(form, x, y)
+}
+
 // DefinitelyAliased reports whether the two access paths provably denote the
 // same vertex from a common handle: both are single words and are congruent
 // under the equality axioms (identical words are trivially congruent).
-// deptest uses this for its Yes answer.  The simplified forms are read from
-// the interner, which computes each one once per distinct path.
+// deptest uses this for its Yes answer.  The simplified forms and their
+// words are read from the interner, which computes each once per distinct
+// path.
 func (p *Prover) DefinitelyAliased(x, y pathexpr.Expr) bool {
-	w1, ok1 := pathexpr.Word(pathexpr.Intern(x).Simplified().Expr())
-	w2, ok2 := pathexpr.Word(pathexpr.Intern(y).Simplified().Expr())
+	w1, ok1 := pathexpr.Intern(x).Simplified().Word()
+	w2, ok2 := pathexpr.Intern(y).Simplified().Word()
 	if !ok1 || !ok2 {
 		return false
 	}
@@ -385,7 +422,7 @@ func (r *run) event(name string, g goal, depth int, extra ...telemetry.Attr) {
 // whole query.
 func (r *run) prove(g goal, lems hyps, depth int) (bool, *Step, error) {
 	if testGoalHook != nil {
-		testGoalHook(g, nil, nil)
+		testGoalHook(r, g, cuts{}, cuts{})
 	}
 	r.stats.ProveCalls++
 	if r.stats.ProveCalls > r.p.opts.MaxSteps {
@@ -412,8 +449,8 @@ func (r *run) prove(g goal, lems hyps, depth int) (bool, *Step, error) {
 		return false, nil, nil // same vertex: definitely aliased
 	}
 	if g.form == SameSrc {
-		if w1, ok1 := wordOf(g.x); ok1 {
-			if w2, ok2 := wordOf(g.y); ok2 && r.p.wordsCongruent(w1, w2) {
+		if w1, ok1 := g.xn.Word(); ok1 {
+			if w2, ok2 := g.yn.Word(); ok2 && r.p.wordsCongruent(w1, w2) {
 				return false, nil, nil // definite alias: unprovable
 			}
 		}
@@ -466,11 +503,11 @@ func (r *run) proveUncached(g goal, lems hyps, depth int) (bool, *Step, error) {
 	n, m := len(g.x), len(g.y)
 	cx, cy := newCuts(g.x, g.xn, r.alpha), newCuts(g.y, g.yn, r.alpha)
 	if testGoalHook != nil {
-		defer testGoalHook(g, cx, cy)
+		defer testGoalHook(r, g, cx, cy)
 	}
 
 	// Direct application of a single axiom or induction hypothesis.
-	if name, err := r.direct(g.form, split{cx, cy, n, m}, lems.list, g.size()); err != nil {
+	if name, err := r.direct(g.form, split{&cx, &cy, n, m}, lems.list, g.size()); err != nil {
 		return false, nil, err
 	} else if name != "" {
 		if r.p.trace.Streaming() {
@@ -482,16 +519,16 @@ func (r *run) proveUncached(g goal, lems hyps, depth int) (bool, *Step, error) {
 	}
 
 	// Suffix-split search: the core of proveDisj (steps A–F, Figure 5).
-	if ok, st, err := r.splitSearch(g, cx, cy, lems, depth); err != nil || ok {
+	if ok, st, err := r.splitSearch(g, &cx, &cy, lems, depth); err != nil || ok {
 		return ok, st, err
 	}
 
 	// Kleene processing (step E): trailing star unfolds into the ε and ⁺
 	// cases; trailing plus triggers the paper's induction schema.
-	if ok, st, err := r.starUnfold(g, cx, cy, lems, depth); err != nil || ok {
+	if ok, st, err := r.starUnfold(g, &cx, &cy, lems, depth); err != nil || ok {
 		return ok, st, err
 	}
-	if ok, st, err := r.plusInduction(g, cx.sums[n], cy.sums[m], lems, depth); err != nil || ok {
+	if ok, st, err := r.plusInduction(g, cx.at[n].sum, cy.at[m].sum, lems, depth); err != nil || ok {
 		return ok, st, err
 	}
 
@@ -537,7 +574,7 @@ func (s split) nodes() (x, y *pathexpr.Node) { return s.cx.suffix(s.i), s.cy.suf
 // application of a single axiom").  It returns the name of the applied fact,
 // or "" when none applies.  goalSize guards lemma applicability.
 func (r *run) direct(form Form, s split, lems []lemma, goalSize int) (string, error) {
-	sx, sy := s.cx.sums[s.i], s.cy.sums[s.j]
+	sx, sy := s.cx.at[s.i].sum, s.cy.at[s.j].sum
 	axs := r.p.disjointAxioms(form)
 	for k := range axs {
 		a := &axs[k]
@@ -692,24 +729,18 @@ func (r *run) splitSearch(g goal, cx, cy *cuts, lems hyps, depth int) (bool, *St
 			// Case C is sound only for same-anchored goals: equal prefix
 			// paths from the SAME handle denote one vertex; from distinct
 			// handles h <> k they denote distinct vertices.
-			if t1 != "" && g.form == SameSrc {
-				eq, err := r.prefixesEqual(cx, cy, n-i, m-j)
-				if err != nil {
-					return false, nil, err
+			if t1 != "" && g.form == SameSrc && r.prefixesEqual(cx, cy, n-i, m-j) {
+				r.p.m.suffixSplits.Add(1)
+				if r.p.trace.Streaming() {
+					r.event("prover.suffix_split", g, depth,
+						telemetry.String("case", "C"),
+						telemetry.Int("i", i), telemetry.Int("j", j),
+						telemetry.String("t1", t1))
 				}
-				if eq {
-					r.p.m.suffixSplits.Add(1)
-					if r.p.trace.Streaming() {
-						r.event("prover.suffix_split", g, depth,
-							telemetry.String("case", "C"),
-							telemetry.Int("i", i), telemetry.Int("j", j),
-							telemetry.String("t1", t1))
-					}
-					st := step(g, RuleCaseC)
-					st.SuffixI, st.SuffixJ = i, j
-					st.ByT1 = t1
-					return true, st, nil
-				}
+				st := step(g, RuleCaseC)
+				st.SuffixI, st.SuffixJ = i, j
+				st.ByT1 = t1
+				return true, st, nil
 			}
 			if t2 != "" {
 				// Case D recurses with the goal's own quantifier form: for a
@@ -759,37 +790,18 @@ func exprOrEps(comps []pathexpr.Expr) string {
 }
 
 // prefixesEqual reports whether the prefixes of lengths k and l provably
-// denote the same single vertex: both reduce to single words
-// (syntactically or as singleton languages) that are congruent under the
-// word-equality axioms.
-func (r *run) prefixesEqual(cx, cy *cuts, k, l int) (bool, error) {
-	w1, ok, err := r.asWord(cx.comps[:k], cx.prefix(k))
-	if err != nil || !ok {
-		return false, err
+// denote the same single vertex: both languages hold exactly one word, and
+// the two words are congruent under the word-equality axioms.  The size
+// classes are exact structural facts cached on the interned prefixes (see
+// pathexpr.Node.Singleton); every field of a goal lies in the search's
+// alphabet, so they agree with the prefixes' automata.
+func (r *run) prefixesEqual(cx, cy *cuts, k, l int) bool {
+	c1, w1 := cx.prefix(k).Singleton()
+	if c1 != pathexpr.OneWord {
+		return false
 	}
-	w2, ok, err := r.asWord(cy.comps[:l], cy.prefix(l))
-	if err != nil || !ok {
-		return false, err
-	}
-	return r.p.wordsCongruent(w1, w2), nil
-}
-
-// asWord returns the single word the prefix comps (interned as n) denotes,
-// if it denotes exactly one: syntactically, or else by its DFA's language
-// cardinality.
-func (r *run) asWord(comps []pathexpr.Expr, n *pathexpr.Node) ([]string, bool, error) {
-	if w, ok := wordOf(comps); ok {
-		return w, true, nil
-	}
-	d, err := r.dfas.DFA(n, r.alpha)
-	if err != nil {
-		return nil, false, errBudget
-	}
-	card, w := d.Cardinality()
-	if card == automata.CardOne {
-		return w, true, nil
-	}
-	return nil, false, nil
+	c2, w2 := cy.prefix(l).Singleton()
+	return c2 == pathexpr.OneWord && r.p.wordsCongruent(w1, w2)
 }
 
 // starUnfold handles a trailing Kleene-star component by splitting it into

@@ -36,8 +36,11 @@ func TestStatsRichFields(t *testing.T) {
 	if again.Stats.DFACompiles != 0 {
 		t.Errorf("second query compiled %d DFAs, want 0", again.Stats.DFACompiles)
 	}
-	if !strings.Contains(proof.Render(), "DFA compiles") {
-		t.Error("Render missing DFA compile count")
+	// The rendering leaves the count out: it says which search sharing a
+	// DFA cache compiled first, so it would make renderings depend on
+	// scheduling.
+	if strings.Contains(proof.Render(), "DFA compiles") {
+		t.Error("Render shows the DFA compile count")
 	}
 }
 

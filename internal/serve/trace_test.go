@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -425,13 +426,19 @@ func TestDegradedRequestCaptured(t *testing.T) {
 // TestAnalysisSpanShowsWarmWidening: the analysis joins the request's span
 // tree under serve.analyze, and because it borrows the pool's DFA cache,
 // the second request over one loop program decides the same widening
-// checks without compiling a DFA.
+// checks without compiling a DFA.  The program's nested walks leave
+// post-loop checks (L*.R.R* ⊆ R.R*) that only the DFA cache decides; a
+// loop's usual X·δ*·δ ⊆ X·δ* is answered without it.
 func TestAnalysisSpanShowsWarmWidening(t *testing.T) {
 	srv := New(Config{Workers: 1, FlightK: 8})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	req := BatchRequest{Program: listProgram(t), Fn: "update", Queries: []string{"loop U"}}
+	src, err := os.ReadFile("../../testdata/determinism/swap.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := BatchRequest{Program: string(src), Fn: "swap", Queries: []string{"loop D"}}
 	traces := []string{
 		"00-0af7651916cd43dd8448eb211c803101-b7ad6b7169203331-01",
 		"00-0af7651916cd43dd8448eb211c803102-b7ad6b7169203331-01",
