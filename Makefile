@@ -24,13 +24,14 @@ race:
 # Schedule independence: verdicts and cache contents must not depend on
 # goroutine scheduling.  Run the engine-vs-sequential differential, the
 # swap-symmetry tests, the missing-axiom-set test (whose set-less queries
-# may open any chunk) and the two cache-contents tests (walk.{c,q} and
+# may open any chunk), the two cache-contents tests (walk.{c,q} and
 # swap.{c,q} from testdata/determinism in order, reversed, and at four
-# workers must leave equal DFA-cache and proof-memo dumps) at several
-# GOMAXPROCS values.
+# workers must leave equal DFA-cache and proof-memo dumps) and the
+# history test (a prover's proof of a goal equals a fresh prover's,
+# whatever it searched before) at several GOMAXPROCS values.
 determinism:
-	$(GO) test -cpu 1,2,8 -count 20 -run 'TestDifferentialAgainstSequential|TestSharedCacheContentsScheduleIndependent|TestMemoContentsScheduleIndependent|Swap|TestNilAxiomsAnsweredMaybe' \
-		./internal/engine ./internal/scenario ./internal/automata ./internal/core
+	$(GO) test -cpu 1,2,8 -count 20 -run 'TestDifferentialAgainstSequential|TestSharedCacheContentsScheduleIndependent|TestMemoContentsScheduleIndependent|Swap|TestNilAxiomsAnsweredMaybe|TestProofIndependentOfHistory' \
+		./internal/engine ./internal/scenario ./internal/automata ./internal/core ./internal/prover
 
 # Focused race coverage for the batched query engine and everything it
 # leans on (worker pool, shared DFA cache).
@@ -94,7 +95,7 @@ obs-check:
 	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestGaugeFunc|TestTraceparent|TestRequestTrace|TestStreamingTrace|TestMetricsPrometheus|TestMetricsCountersNeverGoBackwards|TestAccessLog' \
 		./internal/telemetry ./internal/serve
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestWindowHistogram' ./internal/telemetry
-	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestColdDecisionAllocations|TestCompileAllocations|TestSummaryAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations' \
+	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestCutsAllocationBudget|TestColdDecisionAllocations|TestCompileAllocations|TestSummaryAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations' \
 		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata ./internal/analysis ./internal/wire
 	$(GO) test -race -run 'TestDegradedCountersSplitByReason|TestCountOnce|TestOneSpanModel' ./internal/engine
 

@@ -37,7 +37,7 @@ func BenchmarkSection33_Proof(b *testing.B) {
 	y := pathexpr.MustParse("L.R.N")
 	for i := 0; i < b.N; i++ {
 		p := prover.New(axiom.LeafLinkedBinaryTree(), prover.Options{})
-		if p.ProveDisjoint(x, y).Result != prover.Proved {
+		if p.Prove(prover.SameSrc, x, y).Result != prover.Proved {
 			b.Fatal("proof lost")
 		}
 	}
@@ -115,7 +115,7 @@ func BenchmarkTheoremT_CoreAxioms(b *testing.B) {
 	y := pathexpr.MustParse("nrowE+ncolE+")
 	for i := 0; i < b.N; i++ {
 		p := prover.New(axiom.SparseMatrixCore(), prover.Options{})
-		if p.ProveDisjoint(x, y).Result != prover.Proved {
+		if p.Prove(prover.SameSrc, x, y).Result != prover.Proved {
 			b.Fatal("proof lost")
 		}
 	}
@@ -126,7 +126,7 @@ func BenchmarkTheoremT_AppendixA(b *testing.B) {
 	y := pathexpr.MustParse("nrowE+ncolE+")
 	for i := 0; i < b.N; i++ {
 		p := prover.New(axiom.SparseMatrix(), prover.Options{})
-		if p.ProveDisjoint(x, y).Result != prover.Proved {
+		if p.Prove(prover.SameSrc, x, y).Result != prover.Proved {
 			b.Fatal("proof lost")
 		}
 	}
@@ -291,15 +291,10 @@ func theoremTUnderOptions(b *testing.B, opts prover.Options) {
 	y := pathexpr.MustParse("nrowE+ncolE+")
 	for i := 0; i < b.N; i++ {
 		p := prover.New(axiom.SparseMatrix(), opts)
-		if p.ProveDisjoint(x, y).Result != prover.Proved {
+		if p.Prove(prover.SameSrc, x, y).Result != prover.Proved {
 			b.Fatal("proof lost")
 		}
 	}
-}
-
-func BenchmarkAblation_ProofCacheOn(b *testing.B) { theoremTUnderOptions(b, prover.Options{}) }
-func BenchmarkAblation_ProofCacheOff(b *testing.B) {
-	theoremTUnderOptions(b, prover.Options{DisableProofCache: true})
 }
 
 func BenchmarkAblation_SuffixShortestFirst(b *testing.B) {
@@ -343,7 +338,7 @@ func complexityGoal(b *testing.B, n int) {
 	y := pathexpr.Cat(pathexpr.FromWord(w1), pathexpr.Rep1(pathexpr.F("link")))
 	for i := 0; i < b.N; i++ {
 		p := prover.New(axiom.SinglyLinkedList("link"), prover.Options{})
-		if p.ProveDisjoint(x, y).Result != prover.Proved {
+		if p.Prove(prover.SameSrc, x, y).Result != prover.Proved {
 			b.Fatal("proof lost")
 		}
 	}
@@ -358,7 +353,7 @@ func BenchmarkComplexity_Paths16(b *testing.B) { complexityGoal(b, 16) }
 // derivation (prover.CheckProof).
 func BenchmarkProofCheck(b *testing.B) {
 	p := prover.New(axiom.SparseMatrixCore(), prover.Options{})
-	proof := p.ProveDisjoint(pathexpr.MustParse("ncolE+"), pathexpr.MustParse("nrowE+ncolE+"))
+	proof := p.Prove(prover.SameSrc, pathexpr.MustParse("ncolE+"), pathexpr.MustParse("nrowE+ncolE+"))
 	if proof.Result != prover.Proved {
 		b.Fatal("proof lost")
 	}

@@ -86,7 +86,7 @@ func TestTraceJSONSchema(t *testing.T) {
 			children = append(children, [2]string{ev, parent})
 		}
 		if ev == "prover.prove" {
-			for _, k := range []string{"span_id", "dur_us", "theorem", "result", "steps", "budget", "peak_depth", "dfa_compiles", "cache_hits"} {
+			for _, k := range []string{"span_id", "dur_us", "theorem", "result", "steps", "budget", "peak_depth", "dfa_compiles"} {
 				if _, ok := m[k]; !ok {
 					t.Errorf("prover.prove missing %q: %s", k, ln)
 				}

@@ -63,7 +63,7 @@ func TestFigure3AxiomsFromADDS(t *testing.T) {
 		{"ε", "(L|R|N)+", prover.Proved},
 		{"L.L.N.N", "L.R.N", prover.NotProved},
 	} {
-		got := p.ProveDisjoint(pathexpr.MustParse(c.x), pathexpr.MustParse(c.y)).Result
+		got := p.Prove(prover.SameSrc, pathexpr.MustParse(c.x), pathexpr.MustParse(c.y)).Result
 		if got != c.want {
 			t.Errorf("%s <> %s: %v, want %v", c.x, c.y, got, c.want)
 		}
@@ -85,7 +85,7 @@ func TestGeneratedAxiomsMatchHandWritten(t *testing.T) {
 	}
 	for _, q := range queries {
 		x, y := pathexpr.MustParse(q[0]), pathexpr.MustParse(q[1])
-		if g, h := pGen.ProveDisjoint(x, y).Result, pHand.ProveDisjoint(x, y).Result; g != h {
+		if g, h := pGen.Prove(prover.SameSrc, x, y).Result, pHand.Prove(prover.SameSrc, x, y).Result; g != h {
 			t.Errorf("%s <> %s: generated %v, hand-written %v", q[0], q[1], g, h)
 		}
 	}
@@ -115,7 +115,7 @@ structure SparseElems {
 func TestTheoremTFromADDS(t *testing.T) {
 	set := MustParse(sparseSrc).Axioms()
 	p := prover.New(set, prover.Options{})
-	proof := p.ProveDisjoint(
+	proof := p.Prove(prover.SameSrc,
 		pathexpr.MustParse("ncolE+"),
 		pathexpr.MustParse("nrowE+ncolE+"))
 	if proof.Result != prover.Proved {
@@ -132,7 +132,7 @@ structure Ring {
 }`).Axioms()
 	// A ring dimension must not produce acyclicity over its own fields.
 	p := prover.New(set, prover.Options{})
-	if p.ProveDisjoint(pathexpr.Eps, pathexpr.MustParse("next+")).Result == prover.Proved {
+	if p.Prove(prover.SameSrc, pathexpr.Eps, pathexpr.MustParse("next+")).Result == prover.Proved {
 		t.Fatal("ring dimension must not certify acyclicity")
 	}
 	// Injectivity survives.

@@ -157,8 +157,8 @@ func (s *Set) ByForm(f Form) []Axiom {
 	return out
 }
 
-// Key returns a canonical fingerprint of the set, used in proof-cache keys
-// and snapshot ordering.  Computed once per set size and memoized.
+// Key returns a canonical fingerprint of the set, behind ID (the proof
+// memo's key) and snapshot ordering.  Computed once per set size and memoized.
 func (s *Set) Key() string {
 	s.memo.mu.Lock()
 	defer s.memo.mu.Unlock()

@@ -90,9 +90,10 @@ func (t *TelemetryFlags) Close(stderr io.Writer, phases *telemetry.Phases) error
 			fmt.Fprint(stderr, phases.Summary())
 		}
 		snap := t.reg.Snapshot()
-		if r, ok := snap.Ratio("prover.cache_hits", "prover.goals"); ok {
-			fmt.Fprintf(stderr, "prover cache hit rate: %.1f%% (%d of %d goals)\n",
-				100*r, snap.Counters["prover.cache_hits"], snap.Counters["prover.goals"])
+		hits, misses := snap.Counters["engine.memo_hits"], snap.Counters["engine.memo_misses"]
+		if n := hits + misses; n > 0 {
+			fmt.Fprintf(stderr, "proof memo hit rate: %.1f%% (%d of %d lookups)\n",
+				100*float64(hits)/float64(n), hits, n)
 		}
 		if r, ok := snap.Ratio("automata.shared_hits", "automata.shared_lookups"); ok {
 			fmt.Fprintf(stderr, "DFA language-cache hit rate: %.1f%% (%d of %d lookups)\n",

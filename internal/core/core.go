@@ -182,8 +182,9 @@ type Outcome struct {
 
 // Tester runs dependence queries, each under the axiom set it carries
 // (the §3.4 window valid across its two statements), reusing one prover
-// (and its caches) per set across queries.  A query without a set is
-// answered Maybe.  Not safe for concurrent use.
+// per set across queries; a prover keeps only facts derived from its
+// axioms, never a proof.  A query without a set is answered Maybe.  Not
+// safe for concurrent use.
 type Tester struct {
 	axioms *axiom.Set
 	opts   prover.Options

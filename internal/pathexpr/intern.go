@@ -8,9 +8,9 @@ import (
 // This file implements hash-consing for path expressions: a concurrency-safe
 // interner that maps every expression to a unique *Node, so that structural
 // equality — which every cache in the stack (the DFA compilation cache, the
-// language-decision memo, the cross-query proof memo, the prover's goal
-// cache) previously decided by re-rendering
-// expressions to strings on each lookup — becomes pointer/ID equality, and
+// language-decision memo, the cross-query proof memo) previously decided by
+// re-rendering expressions to strings on each lookup — becomes pointer/ID
+// equality, and
 // the canonical string is computed exactly once per distinct expression.
 //
 // The identity invariant is deliberately the same one the string keys

@@ -22,7 +22,7 @@ func TestAccuracyGrowsWithAxioms(t *testing.T) {
 		for _, w1 := range words {
 			for _, w2 := range words {
 				x, y := pathexpr.FromWord(w1), pathexpr.FromWord(w2)
-				if p.ProveDisjoint(x, y).Result == Proved {
+				if p.Prove(SameSrc, x, y).Result == Proved {
 					key := fmtWord(w1) + "|" + fmtWord(w2)
 					decided[key] = true
 					n++
@@ -78,7 +78,7 @@ func TestNaryTreeAxioms(t *testing.T) {
 		{"ε", "(c0|c1|c2|c3)+", Proved},
 		{"c0.c1", "c0.c1", NotProved},
 	} {
-		got := p.ProveDisjoint(pathexpr.MustParse(c.x), pathexpr.MustParse(c.y)).Result
+		got := p.Prove(SameSrc, pathexpr.MustParse(c.x), pathexpr.MustParse(c.y)).Result
 		if got != c.want {
 			t.Errorf("quadtree %s <> %s: %v, want %v", c.x, c.y, got, c.want)
 		}
@@ -90,7 +90,7 @@ func TestNaryTreeAxioms(t *testing.T) {
 		t.Errorf("octree axiom count = %d, want %d", oct.Len(), 8*7/2+2)
 	}
 	po := New(oct, Options{})
-	proof := po.ProveDisjoint(pathexpr.MustParse("o0.o7"), pathexpr.MustParse("o7.o0"))
+	proof := po.Prove(SameSrc, pathexpr.MustParse("o0.o7"), pathexpr.MustParse("o7.o0"))
 	if proof.Result != Proved {
 		t.Errorf("octree disjoint subtrees: %v", proof.Result)
 	}
@@ -114,7 +114,7 @@ func TestSkipListQueries(t *testing.T) {
 		{"n1", "n0.n0", NotProved},   // one express hop CAN equal two base hops
 		{"n2", "n1.n1", NotProved},   // levels interleave through shared vertices
 	} {
-		got := p.ProveDisjoint(pathexpr.MustParse(c.x), pathexpr.MustParse(c.y)).Result
+		got := p.Prove(SameSrc, pathexpr.MustParse(c.x), pathexpr.MustParse(c.y)).Result
 		if got != c.want {
 			t.Errorf("skip list %s <> %s: %v, want %v", c.x, c.y, got, c.want)
 		}

@@ -25,16 +25,13 @@ func (p *Prover) CheckProof(pf *Proof) error {
 		return fmt.Errorf("prover: root derives %q, theorem is %q", rootGoal.String(), pf.Theorem)
 	}
 	fields := append(p.axioms.Fields(), collectFields(pf.Root)...)
-	c := &checker{
-		run: &run{
-			p:         p,
-			alpha:     automata.NewAlphabet(fields...),
-			dfas:      p.dfas.Account(),
-			decideAll: true,
-		},
-		verified: make(map[proofKey]bool),
-	}
-	return c.check(pf.Root, hyps{})
+	c := &checker{run: &run{
+		p:         p,
+		alpha:     automata.NewAlphabet(fields...),
+		dfas:      p.dfas.Account(),
+		decideAll: true,
+	}}
+	return c.check(pf.Root, nil)
 }
 
 func collectFields(st *Step) []string {
@@ -53,8 +50,7 @@ func stepGoal(st *Step) goal {
 }
 
 type checker struct {
-	run      *run
-	verified map[proofKey]bool
+	run *run
 }
 
 func (c *checker) fail(st *Step, format string, args ...any) error {
@@ -66,10 +62,6 @@ func (c *checker) check(st *Step, lems hyps) error {
 		return fmt.Errorf("checkproof: missing derivation")
 	}
 	g := stepGoal(st)
-	key := proofKey{goal: g.key(), lems: lems.key}
-	if c.verified[key] {
-		return nil
-	}
 	cx, cy := g.x, g.y
 	kx, ky := newCuts(cx, g.xn, c.run.alpha), newCuts(cy, g.yn, c.run.alpha)
 
@@ -91,7 +83,7 @@ func (c *checker) check(st *Step, lems hyps) error {
 		}
 
 	case RuleAxiom:
-		name, err := c.run.direct(g.form, split{&kx, &ky, len(cx), len(cy)}, lems.list, g.size())
+		name, err := c.run.direct(g.form, split{&kx, &ky, len(cx), len(cy)}, lems, g.size())
 		if err != nil {
 			return c.fail(st, "inclusion test failed: %v", err)
 		}
@@ -110,24 +102,24 @@ func (c *checker) check(st *Step, lems hyps) error {
 		size := sliceSize(spc) + sliceSize(sqc)
 		switch st.Rule {
 		case RuleSuffixAB:
-			if name, err := c.run.direct(SameSrc, sp, lems.list, size); err != nil || name == "" {
+			if name, err := c.run.direct(SameSrc, sp, lems, size); err != nil || name == "" {
 				return c.fail(st, "T1 not derivable for suffixes (%s | %s)", exprOrEps(spc), exprOrEps(sqc))
 			}
-			if name, err := c.run.direct(DiffSrc, sp, lems.list, size); err != nil || name == "" {
+			if name, err := c.run.direct(DiffSrc, sp, lems, size); err != nil || name == "" {
 				return c.fail(st, "T2 not derivable for suffixes (%s | %s)", exprOrEps(spc), exprOrEps(sqc))
 			}
 		case RuleCaseC:
 			if g.form != SameSrc {
 				return c.fail(st, "case C requires a same-anchor goal")
 			}
-			if name, err := c.run.direct(SameSrc, sp, lems.list, size); err != nil || name == "" {
+			if name, err := c.run.direct(SameSrc, sp, lems, size); err != nil || name == "" {
 				return c.fail(st, "T1 not derivable")
 			}
 			if !c.run.prefixesEqual(&kx, &ky, len(pp), len(pq)) {
 				return c.fail(st, "prefixes %s and %s not provably equal", exprOrEps(pp), exprOrEps(pq))
 			}
 		case RuleCaseD:
-			if name, err := c.run.direct(DiffSrc, sp, lems.list, size); err != nil || name == "" {
+			if name, err := c.run.direct(DiffSrc, sp, lems, size); err != nil || name == "" {
 				return c.fail(st, "T2 not derivable")
 			}
 			if len(st.Children) != 1 {
@@ -137,7 +129,7 @@ func (c *checker) check(st *Step, lems hyps) error {
 			if err := c.expectGoal(st.Children[0], want); err != nil {
 				return err
 			}
-			return c.finish(key, st.Children[0], lems)
+			return c.check(st.Children[0], lems)
 		}
 
 	case RuleStarUnfold:
@@ -173,10 +165,10 @@ func (c *checker) check(st *Step, lems hyps) error {
 		if err := c.check(st.Children[0], lems); err != nil {
 			return err
 		}
-		return c.finish(key, st.Children[1], lems)
+		return c.check(st.Children[1], lems)
 
 	case RulePlusInduction:
-		return c.checkInduction(st, g, lems, key)
+		return c.checkInduction(st, g, lems)
 
 	case RuleAltSplit:
 		side := cx
@@ -211,27 +203,16 @@ func (c *checker) check(st *Step, lems hyps) error {
 			}
 		}
 
-	case RuleCached:
-		if len(st.Children) != 1 {
-			return c.fail(st, "cached step needs its original proof")
-		}
-		if err := c.expectGoal(st.Children[0], g); err != nil {
-			return err
-		}
-		return c.finish(key, st.Children[0], lems)
-
 	default:
 		return c.fail(st, "unknown rule")
 	}
-
-	c.verified[key] = true
 	return nil
 }
 
 // checkInduction re-derives the paper's Kleene induction schema from the
 // goal shape and validates the subproofs, admitting the induction
 // hypothesis only in the step case and only under its size guard.
-func (c *checker) checkInduction(st *Step, g goal, lems hyps, key proofKey) error {
+func (c *checker) checkInduction(st *Step, g goal, lems hyps) error {
 	cx, cy := g.x, g.y
 	xp, xok := trailingPlus(cx)
 	yp, yok := trailingPlus(cy)
@@ -257,11 +238,7 @@ func (c *checker) checkInduction(st *Step, g goal, lems hyps, key proofKey) erro
 		if err := c.expectGoal(st.Children[3], newGoal(g.form, stepX, stepY)); err != nil {
 			return err
 		}
-		if err := c.check(st.Children[3], lems.with(ih)); err != nil {
-			return err
-		}
-		c.verified[key] = true
-		return nil
+		return c.check(st.Children[3], lems.with(ih))
 
 	case len(st.Children) == 2 && ((st.StarOnLeft && xok) || (!st.StarOnLeft && yok)):
 		var base, stepGoalWant goal
@@ -288,11 +265,7 @@ func (c *checker) checkInduction(st *Step, g goal, lems hyps, key proofKey) erro
 		if err := c.expectGoal(st.Children[1], stepGoalWant); err != nil {
 			return err
 		}
-		if err := c.check(st.Children[1], lems.with(ih)); err != nil {
-			return err
-		}
-		c.verified[key] = true
-		return nil
+		return c.check(st.Children[1], lems.with(ih))
 	}
 	return c.fail(st, "goal shape does not match the induction schema")
 }
@@ -303,17 +276,8 @@ func (c *checker) expectGoal(child *Step, want goal) error {
 		return fmt.Errorf("checkproof: missing subproof for %s", want.String())
 	}
 	got := stepGoal(child)
-	if got.key() != want.key() {
+	if got.form != want.form || got.xn != want.xn || got.yn != want.yn {
 		return fmt.Errorf("checkproof: subproof derives %s, expected %s", got.String(), want.String())
 	}
-	return nil
-}
-
-// finish validates a delegated child and marks the parent verified.
-func (c *checker) finish(parentKey proofKey, child *Step, lems hyps) error {
-	if err := c.check(child, lems); err != nil {
-		return err
-	}
-	c.verified[parentKey] = true
 	return nil
 }

@@ -56,21 +56,6 @@ func TestCheckProofAcceptsTheCorpus(t *testing.T) {
 	proveAndCheck(t, rt, SameSrc, "L.aux.(l|r|n)*", "R.aux.(l|r|n)*")
 }
 
-// TestCheckProofAcceptsCachedProofs: cache-backed steps re-validate by
-// descending into the retained original derivation.
-func TestCheckProofAcceptsCachedProofs(t *testing.T) {
-	p := New(axiom.SparseMatrixCore(), Options{})
-	first := proveAndCheck(t, p, SameSrc, "ncolE+", "nrowE+ncolE+")
-	second := p.Prove(SameSrc, pathexpr.MustParse("ncolE+"), pathexpr.MustParse("nrowE+ncolE+"))
-	if second.Stats.CacheHits == 0 {
-		t.Fatal("second proof should hit the cache")
-	}
-	if err := p.CheckProof(second); err != nil {
-		t.Fatalf("cached proof rejected: %v", err)
-	}
-	_ = first
-}
-
 // TestCheckProofRejectsTampering: mutating a valid derivation in any
 // load-bearing way must be detected.
 func TestCheckProofRejectsTampering(t *testing.T) {

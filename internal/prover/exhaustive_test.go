@@ -71,7 +71,7 @@ func TestExhaustiveShortPathsLeafLinkedTree(t *testing.T) {
 					}
 				}
 			}
-			proved := p.ProveDisjoint(x, y).Result == Proved
+			proved := p.Prove(SameSrc, x, y).Result == Proved
 			switch {
 			case collides && proved:
 				unsound++
@@ -118,7 +118,7 @@ func TestExhaustiveShortPathsList(t *testing.T) {
 	for _, w1 := range words {
 		for _, w2 := range words {
 			x, y := pathexpr.FromWord(w1), pathexpr.FromWord(w2)
-			proved := p.ProveDisjoint(x, y).Result == Proved
+			proved := p.Prove(SameSrc, x, y).Result == Proved
 			// Ground truth on a list is simply word length equality.
 			shouldProve := len(w1) != len(w2)
 			if proved != shouldProve {
@@ -146,7 +146,7 @@ func TestExhaustiveRing3(t *testing.T) {
 			if got := p.DefinitelyAliased(word(i), word(j)); got != aliased {
 				t.Errorf("next^%d ≡ next^%d: DefinitelyAliased=%v, want %v", i, j, got, aliased)
 			}
-			proved := p.ProveDisjoint(word(i), word(j)).Result == Proved
+			proved := p.Prove(SameSrc, word(i), word(j)).Result == Proved
 			if proved && aliased {
 				t.Errorf("next^%d and next^%d are aliased but proved disjoint", i, j)
 			}
@@ -164,7 +164,7 @@ func TestExhaustiveRing3(t *testing.T) {
 func TestProverDeterminism(t *testing.T) {
 	run := func() string {
 		p := New(axiom.SparseMatrix(), Options{})
-		proof := p.ProveDisjoint(
+		proof := p.Prove(SameSrc,
 			pathexpr.MustParse("ncolE+"),
 			pathexpr.MustParse("nrowE+ncolE+"))
 		return fmt.Sprintf("%v/%+v", proof.Result, proof.Stats)

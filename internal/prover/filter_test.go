@@ -53,7 +53,7 @@ func TestSummaryFilterAgreesWithDecisions(t *testing.T) {
 // have found without the language layer is still found.
 func TestFilteredChecksCounted(t *testing.T) {
 	p := prover.New(axiom.LeafLinkedBinaryTree(), prover.Options{})
-	pf := p.ProveDisjoint(pathexpr.MustParse("L.L.N"), pathexpr.MustParse("L.R.N"))
+	pf := p.Prove(prover.SameSrc, pathexpr.MustParse("L.L.N"), pathexpr.MustParse("L.R.N"))
 	if pf.Result != prover.Proved {
 		t.Fatal("section 3.3 theorem not proved")
 	}

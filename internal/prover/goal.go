@@ -17,8 +17,6 @@
 package prover
 
 import (
-	"encoding/binary"
-	"sort"
 	"strings"
 
 	"repro/internal/automata"
@@ -45,9 +43,9 @@ func (f Form) String() string {
 
 // goal is a normalized disjointness obligation over component sequences.
 // Each side carries the interned node of its concatenation (xn, yn): the
-// proof cache, the language-decision memo and the DFA cache all key on node
-// IDs, so a side is interned once, when its goal is built, and never
-// reassembled or re-hashed after that.
+// language-decision memo and the DFA cache key on node IDs, so a side is
+// interned once, when its goal is built, and never reassembled or
+// re-hashed after that.
 type goal struct {
 	form   Form
 	x, y   []pathexpr.Expr
@@ -131,22 +129,6 @@ func render(form Form, lhs, rhs string) string {
 		return "∀h, h." + lhs + " <> h." + rhs
 	}
 	return "∀h<>k, h." + lhs + " <> k." + rhs
-}
-
-// goalKey is the canonical cache identity of a goal: its form plus the
-// interned IDs of its sides.  Interned IDs biject with the canonical
-// renderings the old string key concatenated, so the cache's equality
-// classes — and therefore its hit pattern, and therefore the proof trees it
-// reproduces — are unchanged.
-type goalKey struct {
-	form Form
-	x, y uint64
-}
-
-// key returns the canonical cache key of the goal: two loads from the
-// carried nodes, no reassembly, no interning.
-func (g goal) key() goalKey {
-	return goalKey{form: g.form, x: g.xn.ID(), y: g.yn.ID()}
 }
 
 // cuts holds the interned suffixes and prefixes of one goal side for the
@@ -235,57 +217,10 @@ func (l lemma) String() string {
 	return b.String()
 }
 
-// hyps is the list of induction hypotheses in scope together with its
-// cache fingerprint (lemmaKey).  The fingerprint is computed once, when an
-// induction pushes a hypothesis, so building a proof-cache key under
-// hypotheses costs no more than building one without.
-type hyps struct {
-	list []lemma
-	key  string
-}
+// hyps is the list of induction hypotheses in scope.
+type hyps []lemma
 
 // with returns h extended by l, leaving h itself untouched.
 func (h hyps) with(l lemma) hyps {
-	list := append(append(make([]lemma, 0, len(h.list)+1), h.list...), l)
-	return hyps{list: list, key: lemmaKey(list)}
-}
-
-// lemmaFP is one lemma's cache identity: its form and the interned IDs of
-// its sides.  maxSize is deliberately excluded, matching the rendering-based
-// fingerprint this replaced (a hypothesis re-admitted at a different guard
-// still states the same disjointness fact).
-type lemmaFP struct {
-	form     Form
-	re1, re2 uint64
-}
-
-// lemmaKey fingerprints a lemma list for cache keys: the multiset of lemma
-// identities in a canonical order (lemma order does not affect
-// applicability), packed into a string so the result can sit inside a
-// comparable struct key.
-func lemmaKey(lems []lemma) string {
-	if len(lems) == 0 {
-		return ""
-	}
-	fps := make([]lemmaFP, len(lems))
-	for i, l := range lems {
-		fps[i] = lemmaFP{form: l.form, re1: l.re1.ID(), re2: l.re2.ID()}
-	}
-	sort.Slice(fps, func(i, j int) bool {
-		a, b := fps[i], fps[j]
-		if a.form != b.form {
-			return a.form < b.form
-		}
-		if a.re1 != b.re1 {
-			return a.re1 < b.re1
-		}
-		return a.re2 < b.re2
-	})
-	buf := make([]byte, 0, len(fps)*17)
-	for _, fp := range fps {
-		buf = append(buf, byte(fp.form))
-		buf = binary.BigEndian.AppendUint64(buf, fp.re1)
-		buf = binary.BigEndian.AppendUint64(buf, fp.re2)
-	}
-	return string(buf)
+	return append(append(make(hyps, 0, len(h)+1), h...), l)
 }

@@ -67,8 +67,6 @@ const (
 	// RuleAltSplit: a top-level alternative component splits the goal into
 	// one child per alternative.
 	RuleAltSplit
-	// RuleCached: the goal was proved earlier; the child is that proof.
-	RuleCached
 )
 
 func (r Rule) String() string {
@@ -91,8 +89,6 @@ func (r Rule) String() string {
 		return "plus-induction"
 	case RuleAltSplit:
 		return "alt-split"
-	case RuleCached:
-		return "cache"
 	}
 	return "unknown"
 }
@@ -129,10 +125,8 @@ func (s *Step) GoalString() string {
 
 // Stats counts the work a proof attempt performed.
 type Stats struct {
-	// ProveCalls is the number of goals examined (including cache hits).
+	// ProveCalls is the number of goals examined.
 	ProveCalls int
-	// CacheHits is the number of goals answered from the proof cache.
-	CacheHits int
 	// DirectChecks is the number of axiom/lemma inclusion tests attempted.
 	DirectChecks int
 	// FilteredChecks is the number of those the summary filter answered
@@ -164,8 +158,7 @@ type Proof struct {
 }
 
 // Render formats the proof trace as an indented derivation, in the spirit of
-// the paper's paraphrased proof in §3.3.  Cached subproofs are summarized
-// without descending (CheckProof descends).  The DFA compile count is left
+// the paper's paraphrased proof in §3.3.  The DFA compile count is left
 // out: a search compiles only what a shared DFA cache lacks, so that count
 // says which search reached an automaton first (the prover.prove span
 // carries it).
@@ -182,8 +175,8 @@ func (p *Proof) Render() string {
 	case Exhausted:
 		b.WriteString("Resource budget exhausted before the search completed (answer: Maybe).\n")
 	}
-	fmt.Fprintf(&b, "[%d goals examined, %d cache hits, %d axiom applications tried, %d inductions, peak depth %d]\n",
-		p.Stats.ProveCalls, p.Stats.CacheHits, p.Stats.DirectChecks, p.Stats.Inductions, p.Stats.PeakDepth)
+	fmt.Fprintf(&b, "[%d goals examined, %d axiom applications tried, %d inductions, peak depth %d]\n",
+		p.Stats.ProveCalls, p.Stats.DirectChecks, p.Stats.Inductions, p.Stats.PeakDepth)
 	return b.String()
 }
 
@@ -197,9 +190,6 @@ func renderStep(b *strings.Builder, s *Step, depth int) {
 		fmt.Fprintf(b, " (%s)", note)
 	}
 	fmt.Fprintf(b, ": %s\n", s.GoalString())
-	if s.Rule == RuleCached {
-		return // summarized; the checker descends
-	}
 	for _, c := range s.Children {
 		renderStep(b, c, depth+1)
 	}
@@ -242,8 +232,6 @@ func (s *Step) describe() string {
 		return side + " path ends in ⁺: base case and inductive step"
 	case RuleAltSplit:
 		return "alternative component split per branch"
-	case RuleCached:
-		return "previously proved"
 	}
 	return s.Note
 }

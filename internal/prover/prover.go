@@ -23,8 +23,6 @@ type Options struct {
 	// DFAStateLimit bounds subset construction (automata.DefaultStateLimit
 	// if zero).
 	DFAStateLimit int
-	// DisableProofCache turns off goal memoization (ablation).
-	DisableProofCache bool
 	// LongestSuffixFirst reverses the suffix enumeration order (ablation).
 	// The paper prescribes "ever-increasing suffixes", i.e. shortest first.
 	LongestSuffixFirst bool
@@ -87,21 +85,6 @@ var testFilterHook func(r *run, equiv bool, x, y, re1, re2 *pathexpr.Node)
 // errBudget aborts a search that exceeded its resource budget.
 var errBudget = errors.New("prover: resource budget exhausted")
 
-// cacheEntry is a memoized definitive outcome; st is the proof tree when
-// proved.
-type cacheEntry struct {
-	proved bool
-	st     *Step
-}
-
-// proofKey identifies one cached goal outcome: the goal's canonical identity
-// plus the lemma-list fingerprint it was judged under.  A no-lemma key (the
-// common case) is built without any allocation.
-type proofKey struct {
-	goal goalKey
-	lems string
-}
-
 // Prover proves disjointness theorems from a fixed axiom set.  A Prover is
 // not safe for concurrent use.
 type Prover struct {
@@ -120,11 +103,6 @@ type Prover struct {
 	// alphabet of the latest search (see summarizeAxioms).
 	disjoint   *[2][]disjointAxiom
 	summedOver *automata.Alphabet
-	// cache memoizes definitive goal outcomes keyed by goal+lemma
-	// fingerprint, retaining the proof tree of proved goals so that cached
-	// steps remain machine-checkable.  Valid for the lifetime of the prover
-	// because the axiom set is immutable; ProveFresh empties it.
-	cache map[proofKey]cacheEntry
 	// eqWordAxioms are the equality axioms whose both sides are single
 	// words, usable for congruence rewriting of prefixes.
 	eqWordRewrites [][2][]string
@@ -147,7 +125,6 @@ type disjointAxiom struct {
 type proverMetrics struct {
 	queries        *telemetry.Counter
 	goals          *telemetry.Counter
-	cacheHits      *telemetry.Counter
 	directChecks   *telemetry.Counter
 	filteredChecks *telemetry.Counter
 	inductions     *telemetry.Counter
@@ -165,7 +142,6 @@ func newProverMetrics(tel *telemetry.Set) proverMetrics {
 	return proverMetrics{
 		queries:        tel.Counter("prover.queries"),
 		goals:          tel.Counter("prover.goals"),
-		cacheHits:      tel.Counter("prover.cache_hits"),
 		directChecks:   tel.Counter("prover.direct_checks"),
 		filteredChecks: tel.Counter("prover.filtered_checks"),
 		inductions:     tel.Counter("prover.inductions"),
@@ -199,7 +175,6 @@ func New(axioms *axiom.Set, opts Options) *Prover {
 		axioms: axioms,
 		opts:   opts,
 		dfas:   dfas,
-		cache:  make(map[proofKey]cacheEntry),
 		trace:  trace,
 		m:      newProverMetrics(opts.Telemetry),
 	}
@@ -286,12 +261,6 @@ func within(e pathexpr.Expr, a *automata.Alphabet) bool {
 // Axioms returns the prover's axiom set.
 func (p *Prover) Axioms() *axiom.Set { return p.axioms }
 
-// ProveDisjoint attempts to prove ∀h, h.x <> h.y — the theorem of no
-// dependence for access paths sharing a handle.
-func (p *Prover) ProveDisjoint(x, y pathexpr.Expr) *Proof {
-	return p.Prove(SameSrc, x, y)
-}
-
 // Prove attempts to prove the disjointness theorem of the given form.
 func (p *Prover) Prove(form Form, x, y pathexpr.Expr) *Proof {
 	return p.ProveNodes(form, pathexpr.Intern(x), pathexpr.Intern(y))
@@ -318,7 +287,7 @@ func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 		span:  span.ID(),
 	}
 	proof := &Proof{Theorem: g.theorem()}
-	proved, st, err := r.prove(g, hyps{}, 0)
+	proved, st, err := r.prove(g, nil, 0)
 	proof.Stats = r.stats
 	proof.Stats.StepsUsed = r.stats.ProveCalls
 	proof.Stats.PeakDepth = r.peakDepth
@@ -334,7 +303,6 @@ func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 	}
 	p.m.queries.Add(1)
 	p.m.goals.Add(int64(r.stats.ProveCalls))
-	p.m.cacheHits.Add(int64(r.stats.CacheHits))
 	p.m.directChecks.Add(int64(r.stats.DirectChecks))
 	p.m.filteredChecks.Add(int64(r.stats.FilteredChecks))
 	p.m.inductions.Add(int64(r.stats.Inductions))
@@ -355,19 +323,9 @@ func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 			telemetry.Int("steps", proof.Stats.StepsUsed),
 			telemetry.Int("budget", p.opts.MaxSteps),
 			telemetry.Int("peak_depth", proof.Stats.PeakDepth),
-			telemetry.Int("cache_hits", proof.Stats.CacheHits),
 			telemetry.Int("dfa_compiles", proof.Stats.DFACompiles))
 	}
 	return proof
-}
-
-// ProveFresh is ProveNodes from an empty goal cache, so the proof's
-// derivation and search counts depend on the goal alone, not on the
-// searches the prover ran before.  The proof memo searches this way: it
-// hands one proof to every caller of a goal, whichever worker searched it.
-func (p *Prover) ProveFresh(form Form, x, y *pathexpr.Node) *Proof {
-	clear(p.cache)
-	return p.ProveNodes(form, x, y)
 }
 
 // DefinitelyAliased reports whether the two access paths provably denote the
@@ -396,10 +354,6 @@ type run struct {
 	// inclusion it re-derives.
 	decideAll bool
 	stats     Stats
-	// incomplete records that some branch of the current subtree was
-	// truncated by the depth limit; failures in incomplete subtrees are not
-	// definitive and must not be cached.
-	incomplete bool
 	// span is the proof's span, the parent of its rule events.
 	span telemetry.SpanID
 	// peakDepth is the deepest goal nesting reached this query.
@@ -437,7 +391,6 @@ func (r *run) prove(g goal, lems hyps, depth int) (bool, *Step, error) {
 		r.peakDepth = depth
 	}
 	if depth > r.p.opts.MaxDepth {
-		r.incomplete = true
 		return false, nil, nil
 	}
 
@@ -463,41 +416,6 @@ func (r *run) prove(g goal, lems hyps, depth int) (bool, *Step, error) {
 		return true, vac, nil
 	}
 
-	// Proof cache.  The key is the goal's carried side IDs plus the
-	// hypothesis fingerprint computed when the hypotheses were pushed.
-	var key proofKey
-	if !r.p.opts.DisableProofCache {
-		key = proofKey{goal: g.key(), lems: lems.key}
-		if entry, ok := r.p.cache[key]; ok {
-			r.stats.CacheHits++
-			if r.p.trace.Streaming() {
-				r.event("prover.cache_hit", g, depth, telemetry.Bool("proved", entry.proved))
-			}
-			if entry.proved {
-				st := step(g, RuleCached)
-				st.Children = []*Step{entry.st}
-				return true, st, nil
-			}
-			return false, nil, nil
-		}
-	}
-
-	wasIncomplete := r.incomplete
-	r.incomplete = false
-	proved, st, err := r.proveUncached(g, lems, depth)
-	if err != nil {
-		r.incomplete = r.incomplete || wasIncomplete
-		return false, nil, err
-	}
-	definitive := proved || !r.incomplete
-	r.incomplete = r.incomplete || wasIncomplete
-	if !r.p.opts.DisableProofCache && definitive {
-		r.p.cache[key] = cacheEntry{proved: proved, st: st}
-	}
-	return proved, st, nil
-}
-
-func (r *run) proveUncached(g goal, lems hyps, depth int) (bool, *Step, error) {
 	// The goal's cuts carry its suffixes' summaries, the whole goal's among
 	// them, so they are built before the first direct check.
 	n, m := len(g.x), len(g.y)
@@ -507,7 +425,7 @@ func (r *run) proveUncached(g goal, lems hyps, depth int) (bool, *Step, error) {
 	}
 
 	// Direct application of a single axiom or induction hypothesis.
-	if name, err := r.direct(g.form, split{&cx, &cy, n, m}, lems.list, g.size()); err != nil {
+	if name, err := r.direct(g.form, split{&cx, &cy, n, m}, lems, g.size()); err != nil {
 		return false, nil, err
 	} else if name != "" {
 		if r.p.trace.Streaming() {
@@ -705,11 +623,11 @@ func (r *run) splitSearch(g goal, cx, cy *cuts, lems hyps, depth int) (bool, *St
 			size := sliceSize(g.x[n-i:]) + sliceSize(g.y[m-j:])
 
 			sp := split{cx, cy, i, j}
-			t1, err := r.direct(SameSrc, sp, lems.list, size)
+			t1, err := r.direct(SameSrc, sp, lems, size)
 			if err != nil {
 				return false, nil, err
 			}
-			t2, err := r.direct(DiffSrc, sp, lems.list, size)
+			t2, err := r.direct(DiffSrc, sp, lems, size)
 			if err != nil {
 				return false, nil, err
 			}

@@ -10,18 +10,18 @@ import (
 
 func mustProve(t *testing.T, p *Prover, x, y string) *Proof {
 	t.Helper()
-	proof := p.ProveDisjoint(pathexpr.MustParse(x), pathexpr.MustParse(y))
+	proof := p.Prove(SameSrc, pathexpr.MustParse(x), pathexpr.MustParse(y))
 	if proof.Result != Proved {
-		t.Fatalf("ProveDisjoint(%s, %s) = %v, want proved\n%s", x, y, proof.Result, proof.Render())
+		t.Fatalf("Prove(%s, %s) = %v, want proved\n%s", x, y, proof.Result, proof.Render())
 	}
 	return proof
 }
 
 func mustFail(t *testing.T, p *Prover, x, y string) *Proof {
 	t.Helper()
-	proof := p.ProveDisjoint(pathexpr.MustParse(x), pathexpr.MustParse(y))
+	proof := p.Prove(SameSrc, pathexpr.MustParse(x), pathexpr.MustParse(y))
 	if proof.Result != NotProved {
-		t.Fatalf("ProveDisjoint(%s, %s) = %v, want not proved\n%s", x, y, proof.Result, proof.Render())
+		t.Fatalf("Prove(%s, %s) = %v, want not proved\n%s", x, y, proof.Result, proof.Render())
 	}
 	return proof
 }
@@ -218,7 +218,7 @@ func TestAltSplit(t *testing.T) {
 
 func TestExhaustedOnTinyBudget(t *testing.T) {
 	p := New(axiom.SparseMatrixCore(), Options{MaxSteps: 3})
-	proof := p.ProveDisjoint(pathexpr.MustParse("ncolE+"), pathexpr.MustParse("nrowE+ncolE+"))
+	proof := p.Prove(SameSrc, pathexpr.MustParse("ncolE+"), pathexpr.MustParse("nrowE+ncolE+"))
 	if proof.Result != Exhausted {
 		t.Fatalf("tiny budget should exhaust, got %v", proof.Result)
 	}
@@ -226,10 +226,10 @@ func TestExhaustedOnTinyBudget(t *testing.T) {
 
 func TestDepthLimitIsNotDefinitive(t *testing.T) {
 	// With a depth too small to find the Theorem T proof, the result must be
-	// NotProved or Exhausted, and a fresh prover with normal limits must
-	// still prove it (i.e. the shallow failure must not poison a cache).
+	// NotProved or Exhausted, and a prover with normal limits must still
+	// prove it: the depth cut reports a failed search, not a disproof.
 	shallow := New(axiom.SparseMatrixCore(), Options{MaxDepth: 1})
-	res := shallow.ProveDisjoint(pathexpr.MustParse("ncolE+"), pathexpr.MustParse("nrowE+ncolE+"))
+	res := shallow.Prove(SameSrc, pathexpr.MustParse("ncolE+"), pathexpr.MustParse("nrowE+ncolE+"))
 	if res.Result == Proved {
 		t.Fatal("depth-1 prover should not find the Theorem T proof")
 	}
@@ -237,25 +237,36 @@ func TestDepthLimitIsNotDefinitive(t *testing.T) {
 	mustProve(t, deep, "ncolE+", "nrowE+ncolE+")
 }
 
-func TestProofCacheSpeedsRepeats(t *testing.T) {
-	p := New(axiom.SparseMatrixCore(), Options{})
-	first := mustProve(t, p, "ncolE+", "nrowE+ncolE+")
-	second := mustProve(t, p, "ncolE+", "nrowE+ncolE+")
-	if second.Stats.ProveCalls >= first.Stats.ProveCalls {
-		t.Errorf("cached reproof should examine fewer goals: %d vs %d",
-			second.Stats.ProveCalls, first.Stats.ProveCalls)
+// TestProofIndependentOfHistory: a proof depends on the axioms, the goal
+// and the options alone, not on the searches its prover ran before.  One
+// prover proves A, then B (which shares sub-goals with A), then A again;
+// each proof must render, and count its search, exactly as a fresh
+// prover's proof of the same goal.  Only the DFA compile count may differ:
+// the prover's DFA cache keeps automata across searches by design.
+func TestProofIndependentOfHistory(t *testing.T) {
+	ax := axiom.SparseMatrixCore()
+	goals := [][2]string{
+		{"ncolE+", "nrowE+ncolE+"},
+		{"ncolE.ncolE*", "nrowE+ncolE.ncolE*"},
+		{"ncolE+", "nrowE+ncolE+"},
 	}
-	if second.Stats.CacheHits == 0 {
-		t.Error("second proof should hit the cache")
-	}
-}
-
-func TestDisableProofCache(t *testing.T) {
-	p := New(axiom.SparseMatrixCore(), Options{DisableProofCache: true})
-	mustProve(t, p, "ncolE+", "nrowE+ncolE+")
-	second := mustProve(t, p, "ncolE+", "nrowE+ncolE+")
-	if second.Stats.CacheHits != 0 {
-		t.Error("cache disabled but hits recorded")
+	p := New(ax, Options{})
+	for i, g := range goals {
+		got := mustProve(t, p, g[0], g[1])
+		want := mustProve(t, New(ax, Options{}), g[0], g[1])
+		if got.Render() != want.Render() {
+			t.Errorf("query %d (%s <> %s) after %d others renders\n%s\na fresh prover renders\n%s",
+				i, g[0], g[1], i, got.Render(), want.Render())
+		}
+		gs, ws := got.Stats, want.Stats
+		gs.DFACompiles, ws.DFACompiles = 0, 0
+		if gs != ws {
+			t.Errorf("query %d (%s <> %s) after %d others: stats %+v, a fresh prover's %+v",
+				i, g[0], g[1], i, gs, ws)
+		}
+		if err := p.CheckProof(got); err != nil {
+			t.Errorf("query %d: %v", i, err)
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ func checkSoundness(t *testing.T, p *Prover, graphs []*heap.Graph, roots []heap.
 	for i := 0; i < trials; i++ {
 		x := randPath(rng, fields, 3)
 		y := randPath(rng, fields, 3)
-		proof := p.ProveDisjoint(x, y)
+		proof := p.Prove(SameSrc, x, y)
 		if proof.Result == Proved {
 			proved++
 			for gi, g := range graphs {

@@ -16,7 +16,7 @@ import (
 // budget consumption alongside the original counters.
 func TestStatsRichFields(t *testing.T) {
 	p := New(axiom.LeafLinkedBinaryTree(), Options{})
-	proof := p.ProveDisjoint(pathexpr.MustParse("L.L.N"), pathexpr.MustParse("L.R.N"))
+	proof := p.Prove(SameSrc, pathexpr.MustParse("L.L.N"), pathexpr.MustParse("L.R.N"))
 	if proof.Result != Proved {
 		t.Fatalf("result = %v", proof.Result)
 	}
@@ -30,9 +30,9 @@ func TestStatsRichFields(t *testing.T) {
 	if st.PeakDepth == 0 {
 		t.Error("PeakDepth = 0 for a recursive proof")
 	}
-	// A repeat of the same query is answered from the caches: no new DFA
-	// compilations.
-	again := p.ProveDisjoint(pathexpr.MustParse("L.L.N"), pathexpr.MustParse("L.R.N"))
+	// A repeat of the same query finds every automaton in the DFA cache: no
+	// new compilations.
+	again := p.Prove(SameSrc, pathexpr.MustParse("L.L.N"), pathexpr.MustParse("L.R.N"))
 	if again.Stats.DFACompiles != 0 {
 		t.Errorf("second query compiled %d DFAs, want 0", again.Stats.DFACompiles)
 	}
@@ -51,7 +51,7 @@ func TestStatsRichFields(t *testing.T) {
 func TestDFACompilesChargedToOwnSearch(t *testing.T) {
 	x := pathexpr.MustParse("(L|R).(L|R).(L|R).N*")
 	y := pathexpr.MustParse("(L|R).(L|R).(L|R).N+")
-	alone := New(axiom.LeafLinkedBinaryTree(), Options{}).ProveDisjoint(x, y)
+	alone := New(axiom.LeafLinkedBinaryTree(), Options{}).Prove(SameSrc, x, y)
 
 	cache := automata.NewSharedCache(0, 1, 0)
 	other := automata.NewAlphabet("hook")
@@ -64,7 +64,7 @@ func TestDFACompilesChargedToOwnSearch(t *testing.T) {
 		}
 		return false
 	}
-	shared := New(axiom.LeafLinkedBinaryTree(), Options{DFACache: cache, Interrupt: interrupt}).ProveDisjoint(x, y)
+	shared := New(axiom.LeafLinkedBinaryTree(), Options{DFACache: cache, Interrupt: interrupt}).Prove(SameSrc, x, y)
 	if polls == 0 {
 		t.Fatalf("interrupt hook never polled in %d goals; the test needs a longer search", shared.Stats.ProveCalls)
 	}
@@ -119,7 +119,7 @@ func TestProverTelemetry(t *testing.T) {
 	tel := telemetry.New(reg, telemetry.NewStreamingTrace(telemetry.NewTraceWriter(&buf)))
 	p := New(axiom.LeafLinkedBinaryTree(), Options{Telemetry: tel})
 
-	if p.ProveDisjoint(pathexpr.MustParse("L.L.N"), pathexpr.MustParse("L.R.N")).Result != Proved {
+	if p.Prove(SameSrc, pathexpr.MustParse("L.L.N"), pathexpr.MustParse("L.R.N")).Result != Proved {
 		t.Fatal("section 3.3 theorem not proved")
 	}
 	// §5's Theorem T exercises the Kleene induction machinery.
@@ -156,7 +156,7 @@ func TestProverTelemetry(t *testing.T) {
 		events[ev]++
 		switch {
 		case ev == "prover.prove":
-			for _, k := range []string{"span_id", "dur_us", "theorem", "result", "steps", "budget", "peak_depth", "cache_hits", "dfa_compiles"} {
+			for _, k := range []string{"span_id", "dur_us", "theorem", "result", "steps", "budget", "peak_depth", "dfa_compiles"} {
 				if _, ok := m[k]; !ok {
 					t.Errorf("prover.prove span missing %q: %v", k, m)
 				}
