@@ -11,6 +11,7 @@ package repro_test
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -348,6 +349,31 @@ func BenchmarkComplexity_Paths2(b *testing.B)  { complexityGoal(b, 2) }
 func BenchmarkComplexity_Paths4(b *testing.B)  { complexityGoal(b, 4) }
 func BenchmarkComplexity_Paths8(b *testing.B)  { complexityGoal(b, 8) }
 func BenchmarkComplexity_Paths16(b *testing.B) { complexityGoal(b, 16) }
+
+// complexityNested proves Theorem T with its column path nested k deep,
+// ∀h, h.(ncolE+.)ᵏncolE <> h.nrowE+.(ncolE+.)ᵏncolE.  The direct checks
+// above settle each Paths goal in one step; here every level adds a
+// plus induction, so the sub-goals a search meets grow with k.  The goals
+// one proof examines are reported beside its time.
+func complexityNested(b *testing.B, k int) {
+	b.Helper()
+	cols := strings.Repeat("ncolE+.", k) + "ncolE"
+	x, y := pathexpr.MustParse(cols), pathexpr.MustParse("nrowE+."+cols)
+	goals := 0
+	for i := 0; i < b.N; i++ {
+		pf := prover.New(axiom.SparseMatrixCore(), prover.Options{}).Prove(prover.SameSrc, x, y)
+		if pf.Result != prover.Proved {
+			b.Fatal("proof lost")
+		}
+		goals = pf.Stats.ProveCalls
+	}
+	b.ReportMetric(float64(goals), "goals/op")
+}
+
+func BenchmarkComplexity_Nested1(b *testing.B) { complexityNested(b, 1) }
+func BenchmarkComplexity_Nested2(b *testing.B) { complexityNested(b, 2) }
+func BenchmarkComplexity_Nested3(b *testing.B) { complexityNested(b, 3) }
+func BenchmarkComplexity_Nested4(b *testing.B) { complexityNested(b, 4) }
 
 // BenchmarkProofCheck times the independent re-validation of the Theorem T
 // derivation (prover.CheckProof).

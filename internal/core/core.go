@@ -183,12 +183,17 @@ type Outcome struct {
 // Tester runs dependence queries, each under the axiom set it carries
 // (the §3.4 window valid across its two statements), reusing one prover
 // per set across queries; a prover keeps only facts derived from its
-// axioms, never a proof.  A query without a set is answered Maybe.  Not
+// axioms, never a proof.  Proofs are reused through a proof memo: the
+// tester's own, built on its first proof, unless SetProofMemo shares one
+// or turns memoization off.  A query without a set is answered Maybe.  Not
 // safe for concurrent use.
 type Tester struct {
 	axioms *axiom.Set
 	opts   prover.Options
 	memo   *Memo
+	// memoSet records a SetProofMemo call, after which a nil memo means
+	// no memoization rather than a private memo not yet built.
+	memoSet bool
 	// provers caches per-window provers by axiom-set identity.
 	provers map[uint64]*prover.Prover
 	// VerifyProofs re-validates every prover-backed No with the independent
@@ -205,11 +210,14 @@ func NewTester(axioms *axiom.Set, opts prover.Options) *Tester {
 	return &Tester{axioms: axioms, opts: opts, provers: map[uint64]*prover.Prover{}}
 }
 
-// SetProofMemo routes the tester's theorem-proving calls through a
-// cross-query proof memo shared with other testers (nil, the default,
-// disables sharing).  Returns the tester for chaining.
+// SetProofMemo routes the tester's theorem-proving calls through m, a
+// proof memo shared with other testers, instead of the tester's own.  A
+// nil m turns memoization off: every query then searches afresh, in the
+// caller's orientation, which is what the differential and swap tests
+// compare the memo against.  Returns the tester for chaining.
 func (t *Tester) SetProofMemo(m *Memo) *Tester {
 	t.memo = m
+	t.memoSet = true
 	return t
 }
 
@@ -278,6 +286,9 @@ func (t *Tester) depTest(q Query) Outcome {
 		return out
 	}
 	prv, axID := t.proverFor(q.Axioms)
+	if t.memo == nil && !t.memoSet {
+		t.memo = NewMemo(1, 0, t.opts.Telemetry)
+	}
 	prove := func(form prover.Form, x, y pathexpr.Expr) *prover.Proof {
 		if t.memo == nil {
 			return prv.Prove(form, x, y)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/axiom"
 	"repro/internal/pathexpr"
 	"repro/internal/prover"
+	"repro/internal/telemetry"
 )
 
 func llTester() *Tester {
@@ -34,6 +35,48 @@ func TestSection33EndToEnd(t *testing.T) {
 	}
 	if out.Proof == nil || out.Proof.Result != prover.Proved {
 		t.Error("No answer should carry a proof")
+	}
+}
+
+// TestTesterReusesProofsAcrossQueries: a tester answers a repeated query,
+// and the same query with its accesses swapped, from its own proof memo
+// without searching again; with memoization turned off it searches anew
+// and derives the same proof.
+func TestTesterReusesProofsAcrossQueries(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	goals := reg.Counter("prover.goals")
+	ax := axiom.LeafLinkedBinaryTree()
+	q := Query{
+		Axioms: ax,
+		S:      access("_hroot", "L.L.N", "d", true),
+		T:      access("_hroot", "L.R.N", "d", false),
+	}
+
+	tr := NewTester(ax, prover.Options{Telemetry: telemetry.New(reg, nil)})
+	first := tr.DepTest(q)
+	if first.Result != No || first.Proof == nil {
+		t.Fatalf("§3.3 query = %v (%s), want No with a proof", first.Result, first.Reason)
+	}
+	searched := goals.Value()
+	for _, again := range []Query{q, q.Swapped()} {
+		if out := tr.DepTest(again); out.Proof != first.Proof {
+			t.Errorf("S %v, T %v: proof searched again, not reused", again.S, again.T)
+		}
+	}
+	if n := goals.Value(); n != searched {
+		t.Errorf("repeated queries examined %d more goals, want 0", n-searched)
+	}
+
+	off := NewTester(ax, prover.Options{Telemetry: telemetry.New(reg, nil)}).SetProofMemo(nil)
+	for round := 1; round <= 2; round++ {
+		before := goals.Value()
+		out := off.DepTest(q)
+		if n := goals.Value() - before; n != searched {
+			t.Errorf("memo off, round %d: examined %d goals, want %d", round, n, searched)
+		}
+		if out.Proof == first.Proof || out.Proof.Render() != first.Proof.Render() {
+			t.Errorf("memo off, round %d: want a fresh search with an equal proof", round)
+		}
 	}
 }
 

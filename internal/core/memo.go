@@ -95,13 +95,13 @@ type memoShard struct {
 	m  map[memoKey]*memoEntry
 }
 
-// Memo is the sharded cross-query proof memo shared by concurrent testers
-// (see Tester.SetProofMemo) and the only cache of proofs: a prover search
-// keeps no outcome from one search to the next.  Proofs are pure functions
-// of (axiom set, goal), so the memo runs each search itself, in the goal's
-// canonical orientation: whichever worker reaches a goal first, and
-// whatever that worker searched before, the proof tree — and the DFAs
-// compiled along the way — are the same.
+// Memo is the sharded cross-query proof memo, private to one Tester or
+// shared by concurrent ones (see Tester.SetProofMemo), and the only cache
+// of proofs: a prover search keeps no outcome from one search to the
+// next.  Proofs are pure functions of (axiom set, goal), so the memo runs
+// each search itself, in the goal's canonical orientation: whichever
+// worker reaches a goal first, and whatever that worker searched before,
+// the proof tree — and the DFAs compiled along the way — are the same.
 // Single-flight: when several workers reach one goal concurrently, exactly
 // one searches and the rest wait for its result.
 //
@@ -135,7 +135,8 @@ func NewMemo(shards, perShardCap int, tel *telemetry.Set) *Memo {
 		shards = DefaultMemoShards
 	}
 	// The registry names say "engine": the memo serves the batched engine,
-	// and the repository benchmark and /metrics consumers read them.
+	// and the repository benchmark and /metrics consumers read them.  A
+	// Tester's private memo reports under the same names.
 	m := &Memo{shards: make([]memoShard, shards), perShard: perShardCap}
 	m.hits.Feed(tel.Counter("engine.memo_hits"))
 	m.misses.Feed(tel.Counter("engine.memo_misses"))

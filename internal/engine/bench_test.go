@@ -13,11 +13,11 @@ import (
 
 // The benchmarks compare one cold batch against one cold sequential sweep
 // over the same ~200-query workload: a fresh tester/engine per iteration,
-// so neither side carries warm caches between iterations.  The engine's
-// advantage is architectural, not parallel-hardware luck — the canonical
-// memo answers each swapped orientation from the first proof, and the
-// shared DFA cache compiles each goal automaton once across all four
-// validity windows instead of once per window.
+// so neither side carries warm caches between iterations.  Both sides
+// answer a swapped orientation from the first proof: the sequential
+// tester keeps a proof memo of its own.  What the engine adds is its
+// workers and the shared DFA cache, which compiles each goal automaton
+// once across all four validity windows instead of once per window.
 
 const benchSeed = 1
 

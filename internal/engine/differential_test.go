@@ -9,13 +9,14 @@ import (
 	"repro/internal/prover"
 )
 
-// runSequential answers the workload on a plain sequential core.Tester —
-// the reference the engine must agree with.  Each query carries its own
+// runSequential answers the workload on a plain sequential core.Tester
+// with memoization off — the reference the engine must agree with, every
+// goal searched in the caller's orientation.  Each query carries its own
 // axiom window, so one tester (whose per-window provers are memoized by
 // fingerprint) covers the whole workload.
 func runSequential(t *testing.T, queries []core.Query) []core.Outcome {
 	t.Helper()
-	tester := core.NewTester(WorkloadWindows()[0], prover.Options{})
+	tester := core.NewTester(WorkloadWindows()[0], prover.Options{}).SetProofMemo(nil)
 	out := make([]core.Outcome, len(queries))
 	for i, q := range queries {
 		out[i] = tester.DepTest(q)
@@ -97,7 +98,7 @@ func TestBatchRepeatDeterministic(t *testing.T) {
 // (a memoized proof must still check on every query that receives it).
 func TestVerifyProofsMatchesSequential(t *testing.T) {
 	queries := Workload(11, 0)
-	tester := core.NewTester(WorkloadWindows()[0], prover.Options{})
+	tester := core.NewTester(WorkloadWindows()[0], prover.Options{}).SetProofMemo(nil)
 	tester.VerifyProofs = true
 	want := make([]core.Outcome, len(queries))
 	for i, q := range queries {
