@@ -87,8 +87,8 @@ serve-smoke:
 # flight recorder and sliding-window histogram, the allocation guards —
 # zero allocations for disabled tracing and warm hits, two for a cold
 # language decision, at most seven to decode the raw-mode golden request —
-# (which -race would skew, hence the separate non-race invocation), the count-once test (every instance counter
-# counts with telemetry off and feeds the registry exactly once), and the
+# (which -race would skew, hence the separate non-race invocation), the count-once test (one drive moves
+# every registry counter the engine, caches and admission book), and the
 # one-span-model test (a streaming and a retaining trace of one batch hold
 # the same spans with the same parents).
 obs-check:
@@ -107,9 +107,11 @@ wire-fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 20s ./internal/wire
 
 # Fixed-seed differential fuzzing smoke: generate scenario programs over all
-# five structure families, cross-check every verdict against the concrete and
-# enumerated-heap oracles, and replay the committed regression corpus.  Any
-# divergence is a failure.
+# five structure families, check every No verdict against the concrete and
+# enumerated-heap oracles (a No with a conflicting access pair on a
+# conforming heap is a soundness divergence; Maybe and Yes are not checked),
+# and replay the committed regression corpus.  Any divergence, or a program
+# that fails to execute, is a failure.
 fuzzfarm-smoke:
 	$(GO) run ./cmd/aptfuzz -seed 1 -n 50
 	$(GO) run ./cmd/aptfuzz -repro testdata/fuzz/regressions

@@ -263,12 +263,17 @@ func runBatch(cfg batchConfig, stdout, stderr io.Writer) int {
 		}
 		return nil
 	})
-	st, memo, dfa := eng.Stats(), eng.Memo().Stats(), eng.DFACache().Stats()
 	if cfg.tel.Enabled() {
+		c := cfg.tel.Metrics().Snapshot().Counters
+		hits, lookups := c["engine.memo_hits"], c["engine.memo_hits"]+c["engine.memo_misses"]
+		rate := 0.0
+		if lookups > 0 {
+			rate = 100 * float64(hits) / float64(lookups)
+		}
 		fmt.Fprintf(stderr, "aptdep: batch: %d queries, %d workers; proof memo %d/%d hits (%.0f%%), shared DFA cache %d/%d hits, %d timeouts\n",
-			st.Queries, eng.Workers(),
-			memo.Hits, memo.Lookups, 100*memo.HitRate(),
-			dfa.Hits, dfa.Lookups, st.Timeouts)
+			c["engine.queries"], eng.Workers(),
+			hits, lookups, rate,
+			c["automata.shared_hits"], c["automata.shared_lookups"], c["engine.degraded.query_timeout"])
 	}
 	if err := cfg.tf.Close(stderr, cfg.phases); err != nil {
 		return fatalf("%v", err)

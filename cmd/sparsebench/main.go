@@ -224,10 +224,14 @@ func runCertify(workers int, tel *telemetry.Set, stdout, stderr io.Writer) error
 	fmt.Fprintf(stdout, "certify: %d loop-carried queries answered No on %d workers — the kernel's loops are DOALL-legal\n",
 		len(outs), eng.Workers())
 	if tel.Enabled() {
-		memo, dfa := eng.Memo().Stats(), eng.DFACache().Stats()
+		c := tel.Metrics().Snapshot().Counters
+		hits, lookups := c["engine.memo_hits"], c["engine.memo_hits"]+c["engine.memo_misses"]
+		rate := 0.0
+		if lookups > 0 {
+			rate = 100 * float64(hits) / float64(lookups)
+		}
 		fmt.Fprintf(stderr, "certify: proof memo %d/%d hits (%.0f%%), shared DFA cache %d/%d hits\n",
-			memo.Hits, memo.Lookups, 100*memo.HitRate(),
-			dfa.Hits, dfa.Lookups)
+			hits, lookups, rate, c["automata.shared_hits"], c["automata.shared_lookups"])
 	}
 	return nil
 }

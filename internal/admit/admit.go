@@ -51,12 +51,13 @@ type Controller struct {
 	// rate even on an uninstrumented process.
 	completions *telemetry.WindowHistogram
 
-	// The lifecycle counts; Feed links them to the owner's registry.
-	accepted  telemetry.Counter
-	completed telemetry.Counter
-	shed      telemetry.Counter
-	refused   telemetry.Counter // rejected because draining
-	gauge     atomic.Int64      // requests admitted and not yet completed
+	// The lifecycle counts: registry counters resolved by Feed (nil, so
+	// no-ops, without it).
+	accepted  *telemetry.Counter
+	completed *telemetry.Counter
+	shed      *telemetry.Counter
+	refused   *telemetry.Counter // rejected because draining
+	gauge     atomic.Int64       // requests admitted and not yet completed
 }
 
 // New builds a Controller with maxConcurrent run slots and a queue of
@@ -69,16 +70,16 @@ func New(maxConcurrent, queueDepth int) *Controller {
 	}
 }
 
-// Feed links the lifecycle counts to tel's registry under the owner's
+// Feed books the lifecycle counts into tel's registry under the owner's
 // prefix — prefix.requests (accepted), .completed, .shed and
 // .refused_draining — and registers the in-flight gauge prefix.inflight.
-// A nil tel feeds nothing.  Call it before serving.  Returns the controller
-// for chaining.
+// A nil tel counts nothing.  Call it before serving.  Returns the
+// controller for chaining.
 func (c *Controller) Feed(tel *telemetry.Set, prefix string) *Controller {
-	c.accepted.Feed(tel.Counter(prefix + ".requests"))
-	c.completed.Feed(tel.Counter(prefix + ".completed"))
-	c.shed.Feed(tel.Counter(prefix + ".shed"))
-	c.refused.Feed(tel.Counter(prefix + ".refused_draining"))
+	c.accepted = tel.Counter(prefix + ".requests")
+	c.completed = tel.Counter(prefix + ".completed")
+	c.shed = tel.Counter(prefix + ".shed")
+	c.refused = tel.Counter(prefix + ".refused_draining")
 	tel.GaugeFunc(prefix+".inflight", c.gauge.Load)
 	return c
 }
@@ -201,9 +202,3 @@ func (c *Controller) Gauge() *atomic.Int64 { return &c.gauge }
 
 // Completions exposes the completion window feeding RetryAfterSeconds.
 func (c *Controller) Completions() *telemetry.WindowHistogram { return c.completions }
-
-// Counts returns the lifecycle counters: accepted, completed, shed,
-// refused-while-draining.
-func (c *Controller) Counts() (accepted, completed, shed, refused int64) {
-	return c.accepted.Value(), c.completed.Value(), c.shed.Value(), c.refused.Value()
-}

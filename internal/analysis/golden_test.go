@@ -14,6 +14,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/lang"
 	"repro/internal/pathexpr"
+	"repro/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/apm.golden")
@@ -197,6 +198,9 @@ func TestAnalyzeSharedCacheMatchesPrivate(t *testing.T) {
 		{"evicting", automata.NewSharedCache(0, 2, 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			tc.cache.SetTelemetry(telemetry.New(reg, nil))
+			count := func(name string) int64 { return reg.Counter(name).Value() }
 			const workers = 8
 			errs := make(chan string, workers)
 			var wg sync.WaitGroup
@@ -227,10 +231,10 @@ func TestAnalyzeSharedCacheMatchesPrivate(t *testing.T) {
 			for e := range errs {
 				t.Fatal(e)
 			}
-			if st := tc.cache.Stats(); st.Lookups == 0 {
+			if count("automata.shared_lookups") == 0 {
 				t.Fatal("no widening check reached the shared cache")
 			}
-			if tc.name == "evicting" && tc.cache.DFAEvictions()+tc.cache.OpsEvictions() == 0 {
+			if tc.name == "evicting" && count("automata.shared_evictions") == 0 {
 				t.Fatal("the capped cache evicted nothing")
 			}
 		})

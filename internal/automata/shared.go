@@ -8,19 +8,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// CacheStats counts a SharedCache's work.
-type CacheStats struct {
-	// Lookups is the number of DFA requests.
-	Lookups int
-	// Hits is the number of requests served from the cache.
-	Hits int
-	// Compiles is the number of subset constructions performed.
-	Compiles int
-	// LimitFailures counts compilations and product constructions aborted
-	// by the state limit.
-	LimitFailures int
-}
-
 // dfaKey identifies one compiled DFA: an interned alphabet identity plus an
 // interned expression identity.  A fixed-size comparable struct, so a
 // lookup builds its key without allocating or re-rendering the expression.
@@ -46,21 +33,20 @@ const DefaultSharedShards = 16
 // An optional per-shard entry cap bounds memory: a shard at its cap is
 // emptied wholesale before the next insert (epoch eviction — no LRU
 // bookkeeping on the hit path), and every dropped entry counts as an
-// eviction in the stats and telemetry.
+// eviction in telemetry.
 type SharedCache struct {
 	limit      int
 	perShard   int // entry cap per shard; 0 = unbounded
 	noMinimize bool
 	shards     []sharedShard
 
-	// The cache's own counts; SetTelemetry feeds them into the registry.
-	// Both eviction counters feed the one automata.shared_evictions.
-	lookups      telemetry.Counter
-	hits         telemetry.Counter
-	compiles     telemetry.Counter
-	limitFails   telemetry.Counter
-	dfaEvictions telemetry.Counter
-	opsEvictions telemetry.Counter
+	// Registry counters, resolved by SetTelemetry (nil, so no-ops, without
+	// it).  DFA-map and decision-memo evictions book into one counter.
+	lookups    *telemetry.Counter
+	hits       *telemetry.Counter
+	compiles   *telemetry.Counter
+	limitFails *telemetry.Counter
+	evictions  *telemetry.Counter
 
 	trace         *telemetry.RequestTrace
 	cDecisions    *telemetry.Counter
@@ -120,13 +106,11 @@ func NewSharedCache(limit, shards, perShardCap int) *SharedCache {
 // the cache for chaining.
 func (c *SharedCache) SetTelemetry(tel *telemetry.Set) *SharedCache {
 	c.trace = tel.Trace()
-	c.lookups.Feed(tel.Counter("automata.shared_lookups"))
-	c.hits.Feed(tel.Counter("automata.shared_hits"))
-	c.compiles.Feed(tel.Counter("automata.shared_compiles"))
-	c.limitFails.Feed(tel.Counter("automata.shared_state_limit_failures"))
-	evictions := tel.Counter("automata.shared_evictions")
-	c.dfaEvictions.Feed(evictions)
-	c.opsEvictions.Feed(evictions)
+	c.lookups = tel.Counter("automata.shared_lookups")
+	c.hits = tel.Counter("automata.shared_hits")
+	c.compiles = tel.Counter("automata.shared_compiles")
+	c.limitFails = tel.Counter("automata.shared_state_limit_failures")
+	c.evictions = tel.Counter("automata.shared_evictions")
 	c.cDecisions = tel.Counter("automata.shared_decision_lookups")
 	c.cDecisionHits = tel.Counter("automata.shared_decision_hits")
 	c.compileTimeNS = tel.Histogram("automata.shared_compile_ns")
@@ -208,29 +192,12 @@ func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, compiles *int) (*DFA, e
 	if c.perShard > 0 && len(sh.dfas) >= c.perShard {
 		dropped := len(sh.dfas)
 		sh.dfas = make(map[dfaKey]*DFA, c.perShard)
-		c.dfaEvictions.Add(int64(dropped))
+		c.evictions.Add(int64(dropped))
 	}
 	sh.dfas[key] = d
 	sh.mu.Unlock()
 	return d, nil
 }
-
-// Stats returns the cache's work counters so far.  Safe to call
-// concurrently with lookups; the counters are individually atomic.
-func (c *SharedCache) Stats() CacheStats {
-	return CacheStats{
-		Lookups:       int(c.lookups.Value()),
-		Hits:          int(c.hits.Value()),
-		Compiles:      int(c.compiles.Value()),
-		LimitFailures: int(c.limitFails.Value()),
-	}
-}
-
-// DFAEvictions returns the evictions charged to the DFA map.
-func (c *SharedCache) DFAEvictions() int64 { return c.dfaEvictions.Value() }
-
-// OpsEvictions returns the evictions charged to the decision memo.
-func (c *SharedCache) OpsEvictions() int64 { return c.opsEvictions.Value() }
 
 // Len reports the number of cached DFAs across all shards.
 func (c *SharedCache) Len() int {
@@ -315,7 +282,7 @@ func (c *SharedCache) decide(op uint64, x, y *pathexpr.Node, a *Alphabet, compil
 		// entry is one bool — millions of forgotten bools are still a leak.
 		dropped := len(sh.ops)
 		sh.ops = make(map[opsKey]bool, c.perShard)
-		c.opsEvictions.Add(int64(dropped))
+		c.evictions.Add(int64(dropped))
 	}
 	sh.ops[key] = v
 	sh.mu.Unlock()

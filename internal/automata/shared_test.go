@@ -6,7 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/pathexpr"
+	"repro/internal/telemetry"
 )
+
+// counted returns c booking into a fresh registry, and a reader of the
+// registry's automata.shared_<name> counter.
+func counted(c *SharedCache) (*SharedCache, func(name string) int64) {
+	reg := telemetry.NewRegistry()
+	c.SetTelemetry(telemetry.New(reg, nil))
+	return c, func(name string) int64 { return reg.Counter("automata.shared_" + name).Value() }
+}
 
 func sharedTestExprs() []pathexpr.Expr {
 	srcs := []string{"L", "R", "N", "L.R", "(L|R)", "(L|R)+", "N*", "L.(L|R)*", "(L|R|N)+", "ε"}
@@ -53,7 +62,7 @@ func TestSharedCacheMatchesUncachedDFA(t *testing.T) {
 // the compile counter staying near the distinct-key count.
 func TestSharedCacheConcurrentLookups(t *testing.T) {
 	alpha := NewAlphabet("L", "R", "N")
-	c := NewSharedCache(0, 4, 0)
+	c, count := counted(NewSharedCache(0, 4, 0))
 	exprs := sharedTestExprs()
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -82,19 +91,19 @@ func TestSharedCacheConcurrentLookups(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	st := c.Stats()
-	if st.Lookups == 0 || st.Hits == 0 {
-		t.Fatalf("stats show no traffic: %+v", st)
+	lookups, hits, compiles := count("lookups"), count("hits"), count("compiles")
+	if lookups == 0 || hits == 0 {
+		t.Fatalf("counters show no traffic: %d lookups, %d hits", lookups, hits)
 	}
 	// Racing goroutines may compile the same key more than once (benign),
 	// but steady-state reuse must dominate: far fewer compiles than lookups.
-	if st.Compiles >= st.Lookups/10 {
-		t.Errorf("%d compiles for %d lookups: cache not absorbing repeat traffic", st.Compiles, st.Lookups)
+	if compiles >= lookups/10 {
+		t.Errorf("%d compiles for %d lookups: cache not absorbing repeat traffic", compiles, lookups)
 	}
 	if c.Len() == 0 || c.Len() > len(exprs)+2 {
 		t.Errorf("Len() = %d, want about %d distinct entries", c.Len(), len(exprs))
 	}
-	if rate := float64(st.Hits) / float64(st.Lookups); rate <= 0.5 {
+	if rate := float64(hits) / float64(lookups); rate <= 0.5 {
 		t.Errorf("hit rate = %.2f, want > 0.5", rate)
 	}
 }
@@ -103,14 +112,14 @@ func TestSharedCacheConcurrentLookups(t *testing.T) {
 // insert and every dropped entry is counted.
 func TestSharedCacheEpochEviction(t *testing.T) {
 	alpha := NewAlphabet("L", "R", "N")
-	c := NewSharedCache(0, 1, 4) // one shard, four entries
+	c, count := counted(NewSharedCache(0, 1, 4)) // one shard, four entries
 	exprs := sharedTestExprs()
 	for _, e := range exprs {
 		if _, err := c.DFA(pathexpr.Intern(e), alpha); err != nil {
 			t.Fatalf("DFA(%v): %v", e, err)
 		}
 	}
-	if c.DFAEvictions() == 0 {
+	if count("evictions") == 0 {
 		t.Errorf("no evictions after inserting %d entries into a 4-entry shard", len(exprs))
 	}
 	if got := c.Len(); got > 4 {
@@ -126,13 +135,13 @@ func TestSharedCacheEpochEviction(t *testing.T) {
 // enforced and counted, and a failed compilation is not cached.
 func TestSharedCacheStateLimit(t *testing.T) {
 	alpha := NewAlphabet("L", "R", "N")
-	c := NewSharedCache(1, 0, 0)
+	c, count := counted(NewSharedCache(1, 0, 0))
 	big := pathexpr.MustParse("(L|R).(L|R).(L|R).(L|R)")
 	if _, err := c.DFA(pathexpr.Intern(big), alpha); err == nil {
 		t.Fatal("want a state-limit error from a 1-state limit")
 	}
-	if st := c.Stats(); st.LimitFailures == 0 {
-		t.Errorf("stats did not count the limit failure: %+v", st)
+	if count("state_limit_failures") == 0 {
+		t.Error("the limit failure was not counted")
 	}
 	if c.Len() != 0 {
 		t.Errorf("failed compilation was cached: Len() = %d", c.Len())
@@ -147,7 +156,7 @@ func TestSharedCacheStateLimit(t *testing.T) {
 func TestSharedCacheOpsMemoBounded(t *testing.T) {
 	alpha := NewAlphabet("L", "R", "N")
 	const cap = 4
-	c := NewSharedCache(0, 1, cap) // one shard so the cap binds immediately
+	c, count := counted(NewSharedCache(0, 1, cap)) // one shard so the cap binds immediately
 	exprs := sharedTestExprs()
 	for _, x := range exprs {
 		for _, y := range exprs {
@@ -168,18 +177,17 @@ func TestSharedCacheOpsMemoBounded(t *testing.T) {
 	if got := c.OpsLen(); got > cap {
 		t.Errorf("OpsLen() = %d after the sweep, want <= the per-shard cap of %d", got, cap)
 	}
-	if c.OpsEvictions() == 0 {
-		t.Error("OpsEvictions() = 0 after driving hundreds of decisions past a 4-entry cap")
-	}
-	if c.DFAEvictions() == 0 {
-		t.Error("DFAEvictions() = 0 after compiling every expression into a 4-entry shard")
+	// DFA-map and decision-memo evictions book into the one counter; the
+	// bounds above are what tell the two maps apart.
+	if count("evictions") == 0 {
+		t.Error("no evictions after driving hundreds of decisions past a 4-entry cap")
 	}
 	// Evicted decisions recompute to the same answers.
 	if ok, err := c.Disjoint(node("L"), node("R"), alpha); err != nil || !ok {
 		t.Errorf("Disjoint(L,R) after ops eviction = %v, %v", ok, err)
 	}
 	// An unbounded cache (cap 0) never evicts, whatever its size.
-	u := NewSharedCache(0, 1, 0)
+	u, ucount := counted(NewSharedCache(0, 1, 0))
 	for _, x := range exprs {
 		for _, y := range exprs {
 			if _, err := u.Includes(pathexpr.Intern(x), pathexpr.Intern(y), alpha); err != nil {
@@ -187,7 +195,7 @@ func TestSharedCacheOpsMemoBounded(t *testing.T) {
 			}
 		}
 	}
-	if n := u.DFAEvictions() + u.OpsEvictions(); n != 0 {
+	if n := ucount("evictions"); n != 0 {
 		t.Errorf("unbounded cache evicted %d entries", n)
 	}
 }

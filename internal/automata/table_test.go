@@ -101,12 +101,12 @@ func TestStateBudgetDegradesThroughCaches(t *testing.T) {
 	alpha := NewAlphabet("a")
 	x, y := pathexpr.Intern(modExpr(t, 5)), pathexpr.Intern(modExpr(t, 7))
 
-	tight := NewSharedCache(16, 0, 0)
+	tight, count := counted(NewSharedCache(16, 0, 0))
 	if v, err := tight.Disjoint(x, y, alpha); err == nil {
 		t.Fatalf("tight-budget Disjoint returned (%v, nil); want an error, anything else risks an unsound No", v)
 	}
-	if st := tight.Stats(); st.LimitFailures == 0 {
-		t.Errorf("limit failure not counted: %+v", st)
+	if count("state_limit_failures") == 0 {
+		t.Error("limit failure not counted")
 	}
 	if n := tight.OpsLen(); n != 0 {
 		t.Errorf("failed decision was memoized: OpsLen() = %d", n)
@@ -124,12 +124,12 @@ func TestStateBudgetDegradesThroughCaches(t *testing.T) {
 
 	// A prover's private cache is the one-shard case of the same type and
 	// wraps the same budgeted product.
-	priv := NewSharedCache(16, 1, 0)
+	priv, privCount := counted(NewSharedCache(16, 1, 0))
 	if v, err := priv.Disjoint(x, y, alpha); err == nil {
 		t.Fatalf("tight-budget private-cache Disjoint returned (%v, nil); want an error", v)
 	}
-	if st := priv.Stats(); st.LimitFailures == 0 {
-		t.Errorf("private cache did not count the limit failure: %+v", st)
+	if privCount("state_limit_failures") == 0 {
+		t.Error("private cache did not count the limit failure")
 	}
 }
 

@@ -52,30 +52,6 @@ func orient(form prover.Form, x, y pathexpr.Expr) (key GoalKey, xn, yn *pathexpr
 // non-positive one.
 const DefaultMemoShards = 16
 
-// MemoStats counts the proof memo's work.
-type MemoStats struct {
-	// Lookups is the number of Prove calls routed through the memo.
-	Lookups int64
-	// Hits is the number served without a fresh proof search (including
-	// callers that waited for an in-flight computation of the same goal).
-	Hits int64
-	// Misses is the number that ran a proof search.
-	Misses int64
-	// Evictions is the number of completed entries dropped by the per-shard
-	// cap (0 forever when the memo is unbounded).
-	Evictions int64
-	// Entries is the number of memoized goals currently held.
-	Entries int
-}
-
-// HitRate returns Hits/Lookups, or 0 when no lookups happened.
-func (s MemoStats) HitRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Lookups)
-}
-
 // memoEntry is one canonical goal's slot.  done is closed once proof is
 // set; waiters blocked on an in-flight computation read proof afterwards.
 type memoEntry struct {
@@ -119,12 +95,11 @@ type Memo struct {
 	shards   []memoShard
 	perShard int // completed-entry cap per shard; 0 = unbounded
 
-	// The memo's own counts; hits, misses and evictions also feed the
-	// registry.
-	lookups   telemetry.Counter
-	hits      telemetry.Counter
-	misses    telemetry.Counter
-	evictions telemetry.Counter
+	// Registry counters (nil, so no-ops, when telemetry is off).  A
+	// lookup is a hit or a miss, so lookups are their sum.
+	hits      *telemetry.Counter
+	misses    *telemetry.Counter
+	evictions *telemetry.Counter
 }
 
 // NewMemo returns a memo with the given shard count (DefaultMemoShards if
@@ -137,10 +112,13 @@ func NewMemo(shards, perShardCap int, tel *telemetry.Set) *Memo {
 	// The registry names say "engine": the memo serves the batched engine,
 	// and the repository benchmark and /metrics consumers read them.  A
 	// Tester's private memo reports under the same names.
-	m := &Memo{shards: make([]memoShard, shards), perShard: perShardCap}
-	m.hits.Feed(tel.Counter("engine.memo_hits"))
-	m.misses.Feed(tel.Counter("engine.memo_misses"))
-	m.evictions.Feed(tel.Counter("engine.memo_evictions"))
+	m := &Memo{
+		shards:    make([]memoShard, shards),
+		perShard:  perShardCap,
+		hits:      tel.Counter("engine.memo_hits"),
+		misses:    tel.Counter("engine.memo_misses"),
+		evictions: tel.Counter("engine.memo_evictions"),
+	}
 	for i := range m.shards {
 		m.shards[i].m = make(map[memoKey]*memoEntry)
 	}
@@ -158,7 +136,6 @@ func (m *Memo) shardFor(key memoKey) *memoShard {
 // prv — a prover over that set — in canonical orientation and shares the
 // result.
 func (m *Memo) Prove(prv *prover.Prover, axiomID uint64, form prover.Form, x, y pathexpr.Expr) *prover.Proof {
-	m.lookups.Add(1)
 	goal, xn, yn := orient(form, x, y)
 	key := memoKey{ax: axiomID, goal: goal}
 	sh := m.shardFor(key)
@@ -214,19 +191,14 @@ func (m *Memo) Prove(prv *prover.Prover, axiomID uint64, form prover.Form, x, y 
 	return e.proof
 }
 
-// Stats returns the memo's counters and current size.
-func (m *Memo) Stats() MemoStats {
+// Len returns the number of memoized goals currently held, in-flight
+// ones included.
+func (m *Memo) Len() int {
 	n := 0
 	for i := range m.shards {
 		m.shards[i].mu.Lock()
 		n += len(m.shards[i].m)
 		m.shards[i].mu.Unlock()
 	}
-	return MemoStats{
-		Lookups:   m.lookups.Value(),
-		Hits:      m.hits.Value(),
-		Misses:    m.misses.Value(),
-		Evictions: m.evictions.Value(),
-		Entries:   n,
-	}
+	return n
 }

@@ -86,19 +86,21 @@ func TestWriteBenchEngineJSON(t *testing.T) {
 		})
 		// Hit rates come from one untimed batch on a fresh engine — the
 		// same cold-start shape the timing measured.
-		eng := New(Options{Workers: workers})
+		eng, count := newCountedEngine(Options{Workers: workers})
 		eng.Batch(context.Background(), queries)
-		dfa := eng.DFACache().Stats()
-		dfaRate := 0.0
-		if dfa.Lookups > 0 {
-			dfaRate = float64(dfa.Hits) / float64(dfa.Lookups)
+		rate := func(hits, lookups int64) float64 {
+			if lookups == 0 {
+				return 0
+			}
+			return float64(hits) / float64(lookups)
 		}
+		memoHits := count("engine.memo_hits")
 		report.Engine = append(report.Engine, benchEngineRow{
 			Workers:     workers,
 			NsOp:        r.NsPerOp(),
 			Speedup:     float64(report.SequentialNsOp) / float64(r.NsPerOp()),
-			MemoHitRate: eng.Memo().Stats().HitRate(),
-			DFAHitRate:  dfaRate,
+			MemoHitRate: rate(memoHits, memoHits+count("engine.memo_misses")),
+			DFAHitRate:  rate(count("automata.shared_hits"), count("automata.shared_lookups")),
 		})
 	}
 

@@ -60,23 +60,6 @@ type Options struct {
 	Memo     *core.Memo
 }
 
-// Stats is a point-in-time snapshot of the engine's own counters (the
-// caches it borrows report their own; see DFACache and Memo).
-type Stats struct {
-	// Batches and Queries count Batch calls and the queries they carried.
-	Batches int64
-	Queries int64
-	// The degraded-toward-Maybe counters, split by the interrupt guard's
-	// three reasons so a timed-out query stays distinguishable from a
-	// deadline-expired or canceled one: Timeouts counts per-query
-	// QueryTimeout expiries, DeadlineExpired the batch context's own
-	// deadline passing, Canceled outright context cancellation.  Each
-	// degraded query increments exactly one of the three.
-	Timeouts        int64
-	DeadlineExpired int64
-	Canceled        int64
-}
-
 // Engine answers batches of dependence queries concurrently while keeping
 // every verdict identical to the sequential core.Tester's (see package doc;
 // differential_test.go enforces the equivalence).  An Engine is safe for
@@ -87,13 +70,15 @@ type Engine struct {
 	dfas *automata.SharedCache
 	memo *core.Memo
 
-	// The engine's own counts, each feeding the registry counter of the
-	// same quantity (shared by every engine on one telemetry set).
-	batches   telemetry.Counter
-	queries   telemetry.Counter
-	timeouts  telemetry.Counter
-	deadlines telemetry.Counter
-	canceled  telemetry.Counter
+	// Registry counters, shared by every engine on one telemetry set (nil,
+	// so no-ops, when telemetry is off).  Each degraded query books exactly
+	// one of the interrupt guard's three reasons: its own QueryTimeout, the
+	// batch context's deadline, or outright cancellation.
+	batches   *telemetry.Counter
+	queries   *telemetry.Counter
+	timeouts  *telemetry.Counter
+	deadlines *telemetry.Counter
+	canceled  *telemetry.Counter
 }
 
 // New builds an engine.  One engine serves every axiom set: each query is
@@ -116,34 +101,21 @@ func New(opts Options) *Engine {
 	if memo == nil {
 		memo = core.NewMemo(0, 0, tel)
 	}
-	e := &Engine{
-		opts: opts,
-		pool: parallel.NewPool(opts.Workers).SetTelemetry(tel),
-		dfas: dfas,
-		memo: memo,
+	return &Engine{
+		opts:      opts,
+		pool:      parallel.NewPool(opts.Workers).SetTelemetry(tel),
+		dfas:      dfas,
+		memo:      memo,
+		batches:   tel.Counter("engine.batches"),
+		queries:   tel.Counter("engine.queries"),
+		timeouts:  tel.Counter("engine.degraded.query_timeout"),
+		deadlines: tel.Counter("engine.degraded.request_deadline"),
+		canceled:  tel.Counter("engine.degraded.canceled"),
 	}
-	e.batches.Feed(tel.Counter("engine.batches"))
-	e.queries.Feed(tel.Counter("engine.queries"))
-	e.timeouts.Feed(tel.Counter("engine.degraded.query_timeout"))
-	e.deadlines.Feed(tel.Counter("engine.degraded.request_deadline"))
-	e.canceled.Feed(tel.Counter("engine.degraded.canceled"))
-	return e
 }
 
 // Workers returns the engine's pool width.
 func (e *Engine) Workers() int { return e.opts.Workers }
-
-// Stats snapshots the engine's own counters: this instance's counts, not
-// the registry's sum over every engine sharing its telemetry set.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		Batches:         e.batches.Value(),
-		Queries:         e.queries.Value(),
-		Timeouts:        e.timeouts.Value(),
-		DeadlineExpired: e.deadlines.Value(),
-		Canceled:        e.canceled.Value(),
-	}
-}
 
 // Memo exposes the proof memo the engine uses, borrowed or private.
 func (e *Engine) Memo() *core.Memo { return e.memo }

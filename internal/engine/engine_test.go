@@ -60,7 +60,7 @@ func TestBatchCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	queries := []core.Query{disjointQuery(), aliasQuery(), disjointQuery()}
-	eng := New(Options{Workers: 4})
+	eng, count := newCountedEngine(Options{Workers: 4})
 	results := eng.Batch(ctx, queries)
 	for i, out := range results {
 		if out.Result != core.Maybe {
@@ -73,8 +73,8 @@ func TestBatchCanceledContext(t *testing.T) {
 			t.Errorf("results[%d] kind = %v, want %v (kind is structural, computable without searching)", i, out.Kind, want)
 		}
 	}
-	if got := eng.Stats().Canceled; got != int64(len(queries)) {
-		t.Errorf("Stats().Canceled = %d, want %d", got, len(queries))
+	if got := count("engine.degraded.canceled"); got != int64(len(queries)) {
+		t.Errorf("engine.degraded.canceled = %d, want %d", got, len(queries))
 	}
 }
 
@@ -90,7 +90,7 @@ func heavyQuery() core.Query {
 }
 
 func TestQueryTimeoutDegradesToMaybe(t *testing.T) {
-	eng := New(Options{Workers: 1, QueryTimeout: time.Nanosecond})
+	eng, count := newCountedEngine(Options{Workers: 1, QueryTimeout: time.Nanosecond})
 	results := eng.Batch(context.Background(), []core.Query{heavyQuery()})
 	if results[0].Result != core.Maybe {
 		t.Fatalf("timed-out query answered %v, want Maybe", results[0].Result)
@@ -98,8 +98,8 @@ func TestQueryTimeoutDegradesToMaybe(t *testing.T) {
 	if !strings.Contains(results[0].Reason, "query timeout") {
 		t.Errorf("reason = %q, want a timeout reason", results[0].Reason)
 	}
-	if got := eng.Stats().Timeouts; got != 1 {
-		t.Errorf("Stats().Timeouts = %d, want 1", got)
+	if got := count("engine.degraded.query_timeout"); got != 1 {
+		t.Errorf("engine.degraded.query_timeout = %d, want 1", got)
 	}
 }
 
@@ -119,10 +119,18 @@ func TestQueryTimeoutLeavesFastVerdictsAlone(t *testing.T) {
 	}
 }
 
+// newCountedEngine builds an engine from opts booking into a fresh
+// registry, and returns a reader of the registry's counters.
+func newCountedEngine(opts Options) (*Engine, func(name string) int64) {
+	reg := telemetry.NewRegistry()
+	opts.Telemetry = telemetry.New(reg, nil)
+	return New(opts), func(name string) int64 { return reg.Counter(name).Value() }
+}
+
 func TestCanonicalSwapSharesMemo(t *testing.T) {
 	q := disjointQuery()
 	swapped := q.Swapped()
-	eng := New(Options{Workers: 1})
+	eng, count := newCountedEngine(Options{Workers: 1})
 	results := eng.Batch(context.Background(), []core.Query{q, swapped})
 	if results[0].Result != core.No || results[1].Result != core.No {
 		t.Fatalf("verdicts = %v/%v, want No/No", results[0].Result, results[1].Result)
@@ -130,26 +138,24 @@ func TestCanonicalSwapSharesMemo(t *testing.T) {
 	if results[0].Kind != core.Flow || results[1].Kind != core.Anti {
 		t.Errorf("kinds = %v/%v, want flow/anti (swap exchanges reader and writer)", results[0].Kind, results[1].Kind)
 	}
-	st := eng.Memo().Stats()
-	if st.Lookups != 2 || st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("memo stats = %+v, want exactly one search shared by the swapped pair", st)
+	if hits, misses := count("engine.memo_hits"), count("engine.memo_misses"); misses != 1 || hits != 1 {
+		t.Errorf("memo hits/misses = %d/%d, want exactly one search shared by the swapped pair", hits, misses)
 	}
 }
 
 func TestMemoAndDFACacheSharedAcrossBatch(t *testing.T) {
 	queries := Workload(5, 0)
-	eng := New(Options{Workers: 4})
+	eng, count := newCountedEngine(Options{Workers: 4})
 	eng.Batch(context.Background(), queries)
-	st := eng.Stats()
-	if st.Batches != 1 || st.Queries != int64(len(queries)) {
-		t.Errorf("batch counters = %d/%d, want 1/%d", st.Batches, st.Queries, len(queries))
+	if b, q := count("engine.batches"), count("engine.queries"); b != 1 || q != int64(len(queries)) {
+		t.Errorf("batch counters = %d/%d, want 1/%d", b, q, len(queries))
 	}
-	if memo := eng.Memo().Stats(); memo.Hits == 0 {
+	if hits := count("engine.memo_hits"); hits == 0 {
 		t.Error("memo recorded no hits on a workload built around swapped and repeated goals")
-	} else if rate := memo.HitRate(); rate <= 0.5 {
+	} else if rate := float64(hits) / float64(hits+count("engine.memo_misses")); rate <= 0.5 {
 		t.Errorf("memo hit rate = %.2f, want > 0.5 on the shared workload", rate)
 	}
-	if eng.DFACache().Stats().Hits == 0 {
+	if count("automata.shared_hits") == 0 {
 		t.Error("shared DFA cache recorded no hits across the axiom windows")
 	}
 }
@@ -188,7 +194,7 @@ func TestRequestDeadlineDegradesToMaybe(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	queries := []core.Query{disjointQuery(), heavyQuery()}
-	eng := New(Options{Workers: 2})
+	eng, count := newCountedEngine(Options{Workers: 2})
 	for i, out := range eng.BatchTimeout(ctx, queries, 0) {
 		if out.Result != core.Maybe {
 			t.Errorf("results[%d] = %v, want Maybe", i, out.Result)
@@ -197,10 +203,11 @@ func TestRequestDeadlineDegradesToMaybe(t *testing.T) {
 			t.Errorf("results[%d] reason = %q, want a deadline reason", i, out.Reason)
 		}
 	}
-	st := eng.Stats()
-	if st.DeadlineExpired != int64(len(queries)) || st.Timeouts != 0 || st.Canceled != 0 {
-		t.Errorf("stats = %d deadline / %d timeouts / %d canceled, want %d / 0 / 0",
-			st.DeadlineExpired, st.Timeouts, st.Canceled, len(queries))
+	deadline, timeouts, canceled := count("engine.degraded.request_deadline"),
+		count("engine.degraded.query_timeout"), count("engine.degraded.canceled")
+	if deadline != int64(len(queries)) || timeouts != 0 || canceled != 0 {
+		t.Errorf("counters = %d deadline / %d timeouts / %d canceled, want %d / 0 / 0",
+			deadline, timeouts, canceled, len(queries))
 	}
 }
 
@@ -242,9 +249,9 @@ func TestNilAxiomsAnsweredMaybe(t *testing.T) {
 	}
 	// An expired per-query timeout relabels searches it cut short, not a
 	// query that never searched.
-	eng := New(Options{Workers: 1, QueryTimeout: time.Nanosecond})
+	eng, count := newCountedEngine(Options{Workers: 1, QueryTimeout: time.Nanosecond})
 	check("engine, 1ns query timeout", eng.Batch(context.Background(), queries))
-	if got := eng.Stats().Timeouts; got != 0 {
+	if got := count("engine.degraded.query_timeout"); got != 0 {
 		t.Errorf("engine booked %d query timeouts for queries that never searched", got)
 	}
 }

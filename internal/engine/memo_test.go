@@ -9,7 +9,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/pathexpr"
 	"repro/internal/prover"
+	"repro/internal/telemetry"
 )
+
+// newCountedMemo returns a memo booking into a fresh registry, and a
+// reader of the registry's engine.memo_<name> counter.
+func newCountedMemo(shards, perShardCap int) (*core.Memo, func(name string) int64) {
+	reg := telemetry.NewRegistry()
+	m := core.NewMemo(shards, perShardCap, telemetry.New(reg, nil))
+	return m, func(name string) int64 { return reg.Counter("engine.memo_" + name).Value() }
+}
 
 // The memo tests drive core.Memo the way the engine's workers share it:
 // real provers, one memo.  A test that needs a search to stay in flight
@@ -24,7 +33,7 @@ import (
 // search.
 func TestMemoWaiterDoesNotInheritExhausted(t *testing.T) {
 	axioms := WorkloadWindows()[0]
-	m := core.NewMemo(1, 0, nil)
+	m, count := newCountedMemo(1, 0)
 	q := heavyQuery()
 	x, y := q.S.Path, q.T.Path
 
@@ -61,8 +70,8 @@ func TestMemoWaiterDoesNotInheritExhausted(t *testing.T) {
 	if waiterProof == nil || waiterProof.Result == prover.Exhausted || waiterProof.Stats.StepsUsed == 0 {
 		t.Fatalf("waiter proof = %+v, want the result of its own search", waiterProof)
 	}
-	if st := m.Stats(); st.Hits != 0 {
-		t.Errorf("Stats().Hits = %d, want 0 (an inherited artifact must not count as a hit)", st.Hits)
+	if hits := count("hits"); hits != 0 {
+		t.Errorf("engine.memo_hits = %d, want 0 (an inherited artifact must not count as a hit)", hits)
 	}
 }
 
@@ -82,8 +91,8 @@ func TestMemoExhaustedNotRetainedAcrossTesters(t *testing.T) {
 	if out := impatient.DepTest(q); out.Result != core.Maybe {
 		t.Fatalf("budget-bound tester answered %v, want Maybe", out.Result)
 	}
-	if st := memo.Stats(); st.Entries != 0 {
-		t.Fatalf("memo retained %d entries after an exhausted-only search", st.Entries)
+	if n := memo.Len(); n != 0 {
+		t.Fatalf("memo retained %d entries after an exhausted-only search", n)
 	}
 
 	patient := core.NewTester(axioms, prover.Options{}).SetProofMemo(memo)
@@ -99,7 +108,7 @@ func TestMemoShardCapBoundsEntries(t *testing.T) {
 	const cap = 4
 	axioms := WorkloadWindows()[0]
 	ax := axioms.ID()
-	m := core.NewMemo(1, cap, nil)
+	m, count := newCountedMemo(1, cap)
 	plain := prover.New(axioms, prover.Options{})
 
 	// Pin one goal in flight across the whole flood: its search parks at
@@ -129,17 +138,16 @@ func TestMemoShardCapBoundsEntries(t *testing.T) {
 		x := pathexpr.MustParse(fmt.Sprintf("L.R%s", strings.Repeat(".N", i)))
 		m.Prove(plain, ax, prover.SameSrc, x, pathexpr.MustParse("R"))
 	}
-	st := m.Stats()
-	if st.Entries > cap+1 { // the flood's survivors plus the pinned in-flight entry
-		t.Errorf("Entries = %d after flooding a %d-cap shard, want bounded", st.Entries, cap)
+	if n := m.Len(); n > cap+1 { // the flood's survivors plus the pinned in-flight entry
+		t.Errorf("Len() = %d after flooding a %d-cap shard, want bounded", n, cap)
 	}
-	if st.Evictions == 0 {
-		t.Error("Evictions = 0 after flooding past the cap")
+	if count("evictions") == 0 {
+		t.Error("engine.memo_evictions = 0 after flooding past the cap")
 	}
 
 	// The pinned entry survived every epoch: a second caller must join it as
 	// a waiter, not start a duplicate search.
-	hitsBefore := st.Hits
+	hitsBefore := count("hits")
 	duplicate := prover.New(axioms, prover.Options{Interrupt: func() bool {
 		t.Error("duplicate search started for an in-flight goal: the cap evicted a live entry")
 		return true
@@ -151,17 +159,17 @@ func TestMemoShardCapBoundsEntries(t *testing.T) {
 	if p := <-done; p != pinnedProof {
 		t.Errorf("waiter on pinned goal got %+v, want the pinned search's proof", p)
 	}
-	if st := m.Stats(); st.Hits != hitsBefore+1 {
-		t.Errorf("Hits = %d, want %d (the waiter shares the pinned search)", st.Hits, hitsBefore+1)
+	if hits := count("hits"); hits != hitsBefore+1 {
+		t.Errorf("engine.memo_hits = %d, want %d (the waiter shares the pinned search)", hits, hitsBefore+1)
 	}
 
 	// An uncapped memo never evicts.
-	u := core.NewMemo(1, 0, nil)
+	u, ucount := newCountedMemo(1, 0)
 	for i := 0; i < 10*cap; i++ {
 		x := pathexpr.MustParse(fmt.Sprintf("L%s", strings.Repeat(".N", i)))
 		u.Prove(plain, ax, prover.SameSrc, x, pathexpr.MustParse("R"))
 	}
-	if st := u.Stats(); st.Evictions != 0 || st.Entries != 10*cap {
-		t.Errorf("uncapped memo stats = %+v, want every entry retained", st)
+	if ev, n := ucount("evictions"), u.Len(); ev != 0 || n != 10*cap {
+		t.Errorf("uncapped memo: %d evictions, %d entries, want every entry retained", ev, n)
 	}
 }

@@ -61,7 +61,7 @@ func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 	})
 	tel.GaugeFunc("serve.dfa_entries", func() int64 { return int64(p.dfas.Len()) })
 	tel.GaugeFunc("serve.decision_entries", func() int64 { return int64(p.dfas.OpsLen()) })
-	tel.GaugeFunc("serve.memo_entries", func() int64 { return int64(p.memo.Stats().Entries) })
+	tel.GaugeFunc("serve.memo_entries", func() int64 { return int64(p.memo.Len()) })
 	return p
 }
 

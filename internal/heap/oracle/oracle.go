@@ -6,11 +6,12 @@
 // from every root under every boolean input, and hand the resulting traces
 // to the caller.
 //
-// Two clients ride on it: the path-sensitivity soundness oracle (`make
-// race-guards`), which asserts that guard-upgraded verdicts never coexist
-// with a concrete run reaching both accesses, and the scenario farm
-// (internal/scenario, cmd/aptfuzz), which cross-checks every batched prover
-// verdict against exhaustive small-heap execution.
+// Its clients are tests: the path-sensitivity soundness oracle (`make
+// race-guards`, internal/lint) and the guard tests of internal/analysis,
+// which assert that guard-upgraded verdicts never coexist with a concrete
+// run reaching both accesses.  The scenario farm (internal/scenario,
+// cmd/aptfuzz) does not use it: it sweeps its families' conforming heaps
+// with its own runner (internal/scenario/oracle.go).
 package oracle
 
 import (

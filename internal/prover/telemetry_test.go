@@ -53,7 +53,8 @@ func TestDFACompilesChargedToOwnSearch(t *testing.T) {
 	y := pathexpr.MustParse("(L|R).(L|R).(L|R).N+")
 	alone := New(axiom.LeafLinkedBinaryTree(), Options{}).Prove(SameSrc, x, y)
 
-	cache := automata.NewSharedCache(0, 1, 0)
+	reg := telemetry.NewRegistry()
+	cache := automata.NewSharedCache(0, 1, 0).SetTelemetry(telemetry.New(reg, nil))
 	other := automata.NewAlphabet("hook")
 	polls := 0
 	interrupt := func() bool {
@@ -75,7 +76,7 @@ func TestDFACompilesChargedToOwnSearch(t *testing.T) {
 		t.Errorf("DFACompiles = %d with %d hook compiles in the cache, want the search's own %d",
 			shared.Stats.DFACompiles, polls, alone.Stats.DFACompiles)
 	}
-	if total := cache.Stats().Compiles; total != alone.Stats.DFACompiles+polls {
+	if total := int(reg.Counter("automata.shared_compiles").Value()); total != alone.Stats.DFACompiles+polls {
 		t.Errorf("cache compiled %d DFAs, want %d (search) + %d (hook)", total, alone.Stats.DFACompiles, polls)
 	}
 }

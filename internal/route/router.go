@@ -84,7 +84,7 @@ func (c Config) withDefaults() Config {
 type backend struct {
 	addr      string // normalized base URL, e.g. "http://127.0.0.1:8080"
 	up        atomic.Bool
-	forwarded telemetry.Counter // feeds route.backend_forwarded{backend=addr}
+	forwarded *telemetry.Counter // route.backend_forwarded{backend=addr}
 }
 
 // Router shards /v1/batch traffic across aptserved backends by axiom-set
@@ -111,14 +111,12 @@ type Router struct {
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
 
-	// Each feeds the route.* registry counter named alongside.
-	hedgeWon    telemetry.Counter // route.hedge{outcome="won"}
-	hedgeLost   telemetry.Counter // route.hedge{outcome="lost"}
-	hedgeSpared telemetry.Counter // route.hedge{outcome="spared"}
-	panics      telemetry.Counter // route.panics
-
-	cHedges  *telemetry.Counter
-	hRequest *telemetry.Histogram
+	hedgeWon    *telemetry.Counter // route.hedge{outcome="won"}
+	hedgeLost   *telemetry.Counter // route.hedge{outcome="lost"}
+	hedgeSpared *telemetry.Counter // route.hedge{outcome="spared"}
+	panics      *telemetry.Counter // route.panics
+	cHedges     *telemetry.Counter // route.hedges
+	hRequest    *telemetry.Histogram
 }
 
 // normalizeAddr turns "host:port" into "http://host:port" (full URLs pass
@@ -155,16 +153,16 @@ func New(cfg Config) *Router {
 			// from the request context.
 			Transport: &http.Transport{MaxIdleConnsPerHost: cfg.MaxConcurrent},
 		},
-		access:   cfg.AccessLog,
-		backends: make(map[string]*backend),
-		fpCache:  make(map[uint64]uint64),
-		cHedges:  tel.Counter("route.hedges"),
-		hRequest: tel.Histogram("route.request_ns"),
+		access:      cfg.AccessLog,
+		backends:    make(map[string]*backend),
+		fpCache:     make(map[uint64]uint64),
+		hedgeWon:    tel.Counter(telemetry.Labeled("route.hedge", "outcome", "won")),
+		hedgeLost:   tel.Counter(telemetry.Labeled("route.hedge", "outcome", "lost")),
+		hedgeSpared: tel.Counter(telemetry.Labeled("route.hedge", "outcome", "spared")),
+		panics:      tel.Counter("route.panics"),
+		cHedges:     tel.Counter("route.hedges"),
+		hRequest:    tel.Histogram("route.request_ns"),
 	}
-	rt.hedgeWon.Feed(tel.Counter(telemetry.Labeled("route.hedge", "outcome", "won")))
-	rt.hedgeLost.Feed(tel.Counter(telemetry.Labeled("route.hedge", "outcome", "lost")))
-	rt.hedgeSpared.Feed(tel.Counter(telemetry.Labeled("route.hedge", "outcome", "spared")))
-	rt.panics.Feed(tel.Counter("route.panics"))
 	start := time.Now()
 	tel.GaugeFunc("route.uptime_seconds", func() int64 { return int64(time.Since(start).Seconds()) })
 	var addrs []string
@@ -192,9 +190,8 @@ func (rt *Router) addBackend(addr string) {
 	if _, ok := rt.backends[addr]; ok {
 		return
 	}
-	b := &backend{addr: addr}
+	b := &backend{addr: addr, forwarded: rt.tel.Counter(telemetry.Labeled("route.backend_forwarded", "backend", addr))}
 	b.up.Store(true)
-	b.forwarded.Feed(rt.tel.Counter(telemetry.Labeled("route.backend_forwarded", "backend", addr)))
 	rt.tel.GaugeFunc(telemetry.Labeled("route.backend_up", "backend", addr), func() int64 {
 		if b.up.Load() {
 			return 1

@@ -399,6 +399,8 @@ void f(struct L *h) { struct L *p; p = h->next; S: p->d = 1; T: h->d = 2; }`}
 type hedgePair struct {
 	a, b      *httptest.Server
 	aCanceled chan struct{}
+	aGotReq   chan struct{}
+	aGotOnce  *sync.Once
 	bGotReq   chan struct{}
 	bGotOnce  *sync.Once
 	req       wire.BatchRequest
@@ -410,7 +412,13 @@ type hedgePair struct {
 // communication).
 func newHedgePair(t *testing.T, aH, bH func(p *hedgePair, w http.ResponseWriter, r *http.Request)) *hedgePair {
 	t.Helper()
-	p := &hedgePair{aCanceled: make(chan struct{}, 1), bGotReq: make(chan struct{}), bGotOnce: new(sync.Once)}
+	p := &hedgePair{
+		aCanceled: make(chan struct{}, 1),
+		aGotReq:   make(chan struct{}),
+		aGotOnce:  new(sync.Once),
+		bGotReq:   make(chan struct{}),
+		bGotOnce:  new(sync.Once),
+	}
 	mk := func(h func(p *hedgePair, w http.ResponseWriter, r *http.Request)) *httptest.Server {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/healthz" {
@@ -446,6 +454,7 @@ func newHedgePair(t *testing.T, aH, bH func(p *hedgePair, w http.ResponseWriter,
 	return p
 }
 
+func (p *hedgePair) noteAGotReq() { p.aGotOnce.Do(func() { close(p.aGotReq) }) }
 func (p *hedgePair) noteBGotReq() { p.bGotOnce.Do(func() { close(p.bGotReq) }) }
 
 func okBody(who string) string {
@@ -462,7 +471,8 @@ func TestHedgeWins(t *testing.T) {
 			// HTTP/1.1 server only cancels r.Context() on client disconnect
 			// once the request body has been consumed.
 			io.Copy(io.Discard, r.Body) //nolint:errcheck
-			select {                    // hang until the router cancels the losing attempt
+			p.noteAGotReq()
+			select { // hang until the router cancels the losing attempt
 			case <-r.Context().Done():
 				select {
 				case p.aCanceled <- struct{}{}:
@@ -473,6 +483,14 @@ func TestHedgeWins(t *testing.T) {
 		},
 		func(p *hedgePair, w http.ResponseWriter, r *http.Request) {
 			p.noteBGotReq()
+			// Answer only once the owner's handler holds the request, so
+			// the router's cancel reaches a request the owner saw; under
+			// load the hedge could otherwise win before the owner's
+			// request arrived, and the cancel would stop nothing.
+			select {
+			case <-p.aGotReq:
+			case <-time.After(10 * time.Second):
+			}
 			w.Header().Set("Content-Type", "application/json")
 			fmt.Fprint(w, okBody("hedge"))
 		})

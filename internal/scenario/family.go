@@ -1,11 +1,11 @@
 // Package scenario is the differential-fuzzing farm behind cmd/aptfuzz: a
 // registry of dynamic-structure families (axiom library + random instance
 // generator), a random generator of small mini-C programs over those
-// structures, and a harness that cross-checks every prover verdict obtained
-// through engine.Batch (or a live aptserved endpoint) against two ground-
+// structures, and a harness that checks every No verdict obtained through
+// engine.Batch (or a live aptserved endpoint) against two ground-
 // truth oracles — concrete execution on the generated heap, and exhaustive
-// execution over every conforming small heap (internal/heap/oracle's
-// bounded enumeration).
+// execution over every conforming small heap of the family
+// (Family.ConformingHeaps, swept by oracle.go).
 //
 // The headline contract under test is the soundness direction of the paper's
 // dependence test: the prover must never answer "No dependence" for an

@@ -62,18 +62,13 @@ func (s *Server) logAccess(sw *statusWriter, r *http.Request, dur time.Duration)
 }
 
 // flightMeta is the request context a FlightRecord carries beyond its span
-// tree: what ran, where, and the request's cache-hit deltas on the
-// process's caches (best-effort under concurrency — the caches are shared,
-// so a neighbor's hits can leak into the delta).
+// tree: what ran and how long it took.  Cache totals are the registry's;
+// the caches are shared, so no per-request figure is kept for them.
 type flightMeta struct {
-	Status      int    `json:"status"`
-	AxiomSet    string `json:"axiom_set,omitempty"`
-	Queries     int    `json:"queries"`
-	ElapsedUS   int64  `json:"elapsed_us"`
-	MemoHits    int64  `json:"memo_hits"`
-	MemoLookups int64  `json:"memo_lookups"`
-	DFAHits     int64  `json:"dfa_hits"`
-	DFALookups  int64  `json:"dfa_lookups"`
+	Status    int    `json:"status"`
+	AxiomSet  string `json:"axiom_set,omitempty"`
+	Queries   int    `json:"queries"`
+	ElapsedUS int64  `json:"elapsed_us"`
 }
 
 // recordFlight offers the finished request to the flight recorder.  The

@@ -167,8 +167,8 @@ type Server struct {
 	flight *telemetry.FlightRecorder
 	access *telemetry.TraceWriter
 
-	panics       telemetry.Counter // feeds serve.panics
-	degradedReqs telemetry.Counter // feeds serve.degraded_requests: requests with ≥1 degraded query
+	panics       *telemetry.Counter // serve.panics
+	degradedReqs *telemetry.Counter // serve.degraded_requests: requests with ≥1 degraded query
 
 	hRequestNS *telemetry.Histogram
 	hQueueNS   *telemetry.Histogram
@@ -197,13 +197,13 @@ func newServer(cfg Config) *Server {
 		mux:  http.NewServeMux(),
 		flight: telemetry.NewFlightRecorder(cfg.FlightK, cfg.FlightRing).
 			Feed(tel.Counter("serve.flight_slow_recorded"), tel.Counter("serve.flight_degraded_recorded")),
-		access:     cfg.AccessLog,
-		hRequestNS: tel.Histogram("serve.request_ns"),
-		hQueueNS:   tel.Histogram("serve.queue_wait_ns"),
-		wRequestNS: tel.Window("serve.request_ns"),
+		access:       cfg.AccessLog,
+		panics:       tel.Counter("serve.panics"),
+		degradedReqs: tel.Counter("serve.degraded_requests"),
+		hRequestNS:   tel.Histogram("serve.request_ns"),
+		hQueueNS:     tel.Histogram("serve.queue_wait_ns"),
+		wRequestNS:   tel.Window("serve.request_ns"),
 	}
-	s.panics.Feed(tel.Counter("serve.panics"))
-	s.degradedReqs.Feed(tel.Counter("serve.degraded_requests"))
 	start := time.Now()
 	tel.GaugeFunc("serve.uptime_seconds", func() int64 { return int64(time.Since(start).Seconds()) })
 	// The interner underlies every cache key in the stack and is never
@@ -324,6 +324,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // Spans it opens parent under parent; the engine and prover pick up the
 // trace through the batch context's trace scope.
 func (s *Server) answer(ctx context.Context, req *BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*BatchResponse, *flightMeta, int, error) {
+	// Verification is a server-wide setting; a request asking for it from
+	// a server that does not verify must not get unverified Nos.
+	if req.Verify && !s.cfg.VerifyProofs {
+		return nil, nil, http.StatusBadRequest, fmt.Errorf("verify requested, but this server does not verify proofs (start it with -verify)")
+	}
 	if len(req.Raw) > 0 {
 		return s.answerRaw(ctx, req, rt, parent)
 	}
@@ -423,11 +428,9 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.
 	bsp := rt.StartSpan("serve.batch", parent)
 	bctx = telemetry.WithTraceScope(bctx, rt, bsp.ID())
 
-	memo0, dfa0 := s.pool.Memo().Stats(), s.pool.DFACache().Stats()
 	start := time.Now()
 	outs := s.pool.Batch(bctx, queries, perQuery)
 	elapsed := time.Since(start)
-	memo, dfa := s.pool.Memo().Stats(), s.pool.DFACache().Stats()
 	bsp.End(
 		telemetry.String("axiom_set", ax.StructName),
 		telemetry.Int("queries", len(outs)),
@@ -461,17 +464,10 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.
 		DegradedQueries: rt.DegradedTotal(),
 		DeadlineExpired: deg[telemetry.DegradeRequestDeadline],
 	}
-	// The flight-recorder metadata carries this request's cache economics
-	// as deltas of the pool's counters (best-effort: concurrent requests
-	// blur them); the lifetime totals are the registry's.
 	meta := &flightMeta{
-		AxiomSet:    ax.StructName,
-		Queries:     len(outs),
-		ElapsedUS:   elapsed.Microseconds(),
-		MemoHits:    memo.Hits - memo0.Hits,
-		MemoLookups: memo.Lookups - memo0.Lookups,
-		DFAHits:     int64(dfa.Hits - dfa0.Hits),
-		DFALookups:  int64(dfa.Lookups - dfa0.Lookups),
+		AxiomSet:  ax.StructName,
+		Queries:   len(outs),
+		ElapsedUS: elapsed.Microseconds(),
 	}
 	return resp, meta, http.StatusOK, nil
 }

@@ -154,6 +154,40 @@ func TestBatchRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestVerifyRequiresVerifyingServer: a request asking for verification is
+// refused with 400 by a server that does not verify, in both request
+// modes, and answered as usual by one that does.
+func TestVerifyRequiresVerifyingServer(t *testing.T) {
+	program := BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}, Verify: true}
+	raw := rawTreeRequest()
+	raw.Verify = true
+
+	plain := httptest.NewServer(New(Config{}))
+	defer plain.Close()
+	for name, req := range map[string]BatchRequest{"program": program, "raw": raw} {
+		resp, br := postBatch(t, plain.URL, req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s mode: status = %d, want 400 from a server without -verify", name, resp.StatusCode)
+		} else if !strings.Contains(br.Stats.AxiomSet, "verify") {
+			t.Errorf("%s mode: error = %q, want it to name verify", name, br.Stats.AxiomSet)
+		}
+	}
+
+	verifying := httptest.NewServer(New(Config{VerifyProofs: true}))
+	defer verifying.Close()
+	for name, req := range map[string]BatchRequest{"program": program, "raw": raw} {
+		resp, br := postBatch(t, verifying.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s mode: status = %d (%s), want 200 from a verifying server", name, resp.StatusCode, br.Stats.AxiomSet)
+		}
+		for i, r := range br.Results {
+			if r.Result != "No" {
+				t.Errorf("%s mode: results[%d] = %q (%s), want No", name, i, r.Result, r.Reason)
+			}
+		}
+	}
+}
+
 // TestBodyCapAnswers413: a body over the cap answers 413 naming the cap,
 // like the query-count cap on the same requests; a malformed body under the
 // cap stays a 400.

@@ -72,8 +72,8 @@ type FlightRecorder struct {
 	mask    uint64
 	cursor  atomic.Uint64
 	ring    []atomic.Pointer[FlightRecord]
-	slowRec Counter // requests ever retained in the K-slowest set
-	degRec  Counter // degraded requests ever retained in the ring
+	slowRec *Counter // requests ever retained in the K-slowest set (nil: uncounted)
+	degRec  *Counter // degraded requests ever retained in the ring (nil: uncounted)
 }
 
 // NewFlightRecorder keeps the k slowest requests and the last ring
@@ -97,12 +97,11 @@ func NewFlightRecorder(k, ring int) *FlightRecorder {
 	}
 }
 
-// Feed makes the recorder's two recorded totals also add to the given
-// registry counters (nil feeds nothing).  Call it before recording.
-// Returns f for chaining.
+// Feed books the recorder's two recorded totals into the given registry
+// counters (nil counts nothing, and the snapshot then reads 0).  Call it
+// before recording.  Returns f for chaining.
 func (f *FlightRecorder) Feed(slow, degraded *Counter) *FlightRecorder {
-	f.slowRec.Feed(slow)
-	f.degRec.Feed(degraded)
+	f.slowRec, f.degRec = slow, degraded
 	return f
 }
 
@@ -166,7 +165,8 @@ func (f *FlightRecorder) Record(dur time.Duration, degraded bool, build func() *
 
 // FlightSnapshot is the recorder's state: slowest requests (slowest
 // first), the retained degraded requests (most recent first), and how many
-// of each kind were ever recorded (the ring forgets, the counters do not).
+// of each kind were ever recorded (the ring forgets, the counters do not;
+// the totals read the registry counters given to Feed, 0 without them).
 type FlightSnapshot struct {
 	K                int             `json:"k"`
 	RingSize         int             `json:"ring_size"`

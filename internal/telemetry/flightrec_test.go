@@ -10,8 +10,15 @@ func rec(id string) func() *FlightRecord {
 	return func() *FlightRecord { return &FlightRecord{TraceID: id} }
 }
 
+// countedRecorder returns a recorder whose recorded totals book into a
+// fresh registry, so its snapshot's slow_recorded/degraded_recorded move.
+func countedRecorder(k, ring int) *FlightRecorder {
+	reg := NewRegistry()
+	return NewFlightRecorder(k, ring).Feed(reg.Counter("slow"), reg.Counter("degraded"))
+}
+
 func TestFlightRecorderKeepsKSlowest(t *testing.T) {
-	f := NewFlightRecorder(3, 8)
+	f := countedRecorder(3, 8)
 	durs := []time.Duration{5, 9, 1, 7, 3, 8} // ms
 	for i, d := range durs {
 		f.Record(d*time.Millisecond, false, rec(string(rune('a'+i))))
@@ -29,6 +36,10 @@ func TestFlightRecorderKeepsKSlowest(t *testing.T) {
 	}
 	if len(snap.Degraded) != 0 || snap.DegradedRecorded != 0 {
 		t.Errorf("degraded = %d/%d, want none", len(snap.Degraded), snap.DegradedRecorded)
+	}
+	// 5, 9, 1, 7 and 8 ms entered the slow set; 3 ms arrived under its floor.
+	if snap.SlowRecorded != 5 {
+		t.Errorf("slow recorded = %d, want 5", snap.SlowRecorded)
 	}
 }
 
@@ -55,7 +66,7 @@ func TestFlightRecorderLazyBuild(t *testing.T) {
 }
 
 func TestFlightRecorderDegradedRing(t *testing.T) {
-	f := NewFlightRecorder(1, 4)
+	f := countedRecorder(1, 4)
 	ids := []string{"a", "b", "c", "d", "e", "f"}
 	for i, id := range ids {
 		// All fast: only the degraded ring retains them (plus one slow slot).
@@ -110,7 +121,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		k         = 4
 		ring      = 1024 // outsizes writers*perWriter degraded records
 	)
-	f := NewFlightRecorder(k, ring)
+	f := countedRecorder(k, ring)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Concurrent snapshotters.

@@ -29,29 +29,17 @@ import (
 // Counter is a monotonically increasing atomic counter.  A nil *Counter is a
 // valid no-op instrument.
 //
-// A component that must read its own counts whether or not telemetry is on
-// (a cache's Stats, an admission controller's Counts) owns a Counter per quantity and
-// links it to the registry's counter of the same name with Feed: one Add
-// then books both, so each quantity is counted once and the registry sums
-// every instance fed into it.
-type Counter struct {
-	v      atomic.Int64
-	parent *Counter
-}
+// Each counted quantity is one registry counter: a component resolves the
+// *Counter once, holds the pointer, and readers take the value from the
+// registry.  With metrics disabled the pointer is nil and an event costs a
+// nil check.
+type Counter struct{ v atomic.Int64 }
 
-// Add increments the counter by n, and the counter it feeds (if any).
+// Add increments the counter by n.
 func (c *Counter) Add(n int64) {
-	for ; c != nil; c = c.parent {
+	if c != nil {
 		c.v.Add(n)
 	}
-}
-
-// Feed makes every later Add on c also add to parent; a nil parent (a
-// disabled registry's counter) feeds nothing.  Call it once, before c is
-// shared.  Returns c for chaining.
-func (c *Counter) Feed(parent *Counter) *Counter {
-	c.parent = parent
-	return c
 }
 
 // Inc increments the counter by one.

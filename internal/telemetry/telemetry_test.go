@@ -10,22 +10,6 @@ import (
 	"time"
 )
 
-// TestCounterFeed: an instance counter fed into a registry counter books
-// both from one Add, and one fed into nothing (telemetry off) still counts.
-func TestCounterFeed(t *testing.T) {
-	r := NewRegistry()
-	var a, b, off Counter
-	a.Feed(r.Counter("n")).Add(2)
-	b.Feed(r.Counter("n")).Inc()
-	off.Feed(nil).Add(5)
-	if a.Value() != 2 || b.Value() != 1 || off.Value() != 5 {
-		t.Errorf("instances = %d, %d, %d, want 2, 1, 5", a.Value(), b.Value(), off.Value())
-	}
-	if got := r.Counter("n").Value(); got != 3 {
-		t.Errorf("registry = %d, want the instances' sum 3", got)
-	}
-}
-
 func TestCounterMaxHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")

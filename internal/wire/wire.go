@@ -64,8 +64,11 @@ type BatchRequest struct {
 	// DeadlineMS, when positive, bounds the whole request in milliseconds
 	// (capped by the server's MaxDeadline).  Zero selects the server cap.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Verify re-checks every prover-backed No with the independent proof
-	// checker.
+	// Verify asks for every prover-backed No to be re-checked by the
+	// independent proof checker.  Verification is a server-wide setting
+	// (aptserved -verify): a verifying server answers as usual, and any
+	// other server refuses the request with 400 rather than answer
+	// unverified.
 	Verify bool `json:"verify,omitempty"`
 	// AssumeInvariants enables §5's "full" analysis (loops are assumed to
 	// re-establish axioms despite structural modifications).
