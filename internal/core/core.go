@@ -201,13 +201,26 @@ type Tester struct {
 	// degrades the answer to Maybe.  Defense in depth for the one failure
 	// mode a dependence test must never have.
 	VerifyProofs bool
+	// deptests, answers (indexed by Result) and guardUpgrades book
+	// core.deptests, core.answer_<Result> and core.guard_upgrades; nil
+	// without telemetry.
+	deptests, guardUpgrades *telemetry.Counter
+	answers                 [Yes + 1]*telemetry.Counter
 }
 
 // NewTester builds a Tester.  The set only backs Prover and Axioms (proof
 // rendering, loop-carried query construction); queries are answered under
 // their own Axioms, never under it.  A nil set is valid.
 func NewTester(axioms *axiom.Set, opts prover.Options) *Tester {
-	return &Tester{axioms: axioms, opts: opts, provers: map[uint64]*prover.Prover{}}
+	t := &Tester{axioms: axioms, opts: opts, provers: map[uint64]*prover.Prover{}}
+	if reg := opts.Telemetry.Metrics(); reg != nil {
+		t.deptests = reg.Counter("core.deptests")
+		t.guardUpgrades = reg.Counter("core.guard_upgrades")
+		for r := range t.answers {
+			t.answers[r] = reg.Counter("core.answer_" + Result(r).String())
+		}
+	}
+	return t
 }
 
 // SetProofMemo routes the tester's theorem-proving calls through m, a
@@ -257,23 +270,28 @@ func (t *Tester) Axioms() *axiom.Set { return t.axioms }
 //  5. proveDisj succeeds               → No
 //  6. otherwise                        → Maybe
 func (t *Tester) DepTest(q Query) Outcome {
-	tel := t.opts.Telemetry
-	if !tel.Enabled() {
-		return t.depTest(q)
+	rt := t.opts.Telemetry.Trace()
+	if rt == nil {
+		return t.count(t.depTest(q))
 	}
-	sp := tel.Trace().StartSpan("core.deptest", telemetry.SpanID{})
-	out := t.depTest(q)
-	tel.Counter("core.deptests").Add(1)
-	tel.Counter("core.answer_" + out.Result.String()).Add(1)
-	if out.GuardUpgraded {
-		tel.Counter("core.guard_upgrades").Add(1)
-	}
+	sp := rt.StartSpan("core.deptest", telemetry.SpanID{})
+	out := t.count(t.depTest(q))
 	sp.End(
 		telemetry.String("s", q.S.String()),
 		telemetry.String("t", q.T.String()),
 		telemetry.String("result", out.Result.String()),
 		telemetry.String("kind", out.Kind.String()),
 		telemetry.String("reason", out.Reason))
+	return out
+}
+
+// count books one answered query.
+func (t *Tester) count(out Outcome) Outcome {
+	t.deptests.Add(1)
+	t.answers[out.Result].Add(1)
+	if out.GuardUpgraded {
+		t.guardUpgrades.Add(1)
+	}
 	return out
 }
 

@@ -80,6 +80,38 @@ func TestTesterReusesProofsAcrossQueries(t *testing.T) {
 	}
 }
 
+// A tester books each answered query on counters it resolved when it was
+// built, and renders the core.deptest span's attributes only for a trace
+// that records: on a metrics-only set a query costs the allocations it
+// costs with telemetry off.
+func TestTesterCountsAnswers(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	tr := NewTester(axiom.LeafLinkedBinaryTree(), prover.Options{Telemetry: telemetry.New(reg, nil)})
+	for _, q := range []Query{
+		{Axioms: tr.Axioms(), S: access("_hroot", "L.L.N", "d", true), T: access("_hroot", "L.R.N", "d", false)},
+		{Axioms: tr.Axioms(), S: access("_h", "L.L.N", "d", true), T: access("_h", "L.L.N", "d", false)},
+		{S: access("_h", "L", "d", true), T: access("_h", "R", "d", true)},
+		{Axioms: tr.Axioms(), S: access("_h", "L", "d", false), T: access("_h", "R", "d", false)},
+	} {
+		tr.DepTest(q)
+	}
+	c := reg.Snapshot().Counters
+	for name, want := range map[string]int64{
+		"core.deptests": 4, "core.answer_No": 2, "core.answer_Yes": 1, "core.answer_Maybe": 1, "core.guard_upgrades": 0,
+	} {
+		if c[name] != want {
+			t.Errorf("%s = %d, want %d", name, c[name], want)
+		}
+	}
+
+	readRead := Query{Axioms: tr.Axioms(), S: access("_h", "L", "d", false), T: access("_h", "R", "d", false)}
+	off := NewTester(axiom.LeafLinkedBinaryTree(), prover.Options{})
+	want := testing.AllocsPerRun(100, func() { off.DepTest(readRead) })
+	if got := testing.AllocsPerRun(100, func() { tr.DepTest(readRead) }); got != want {
+		t.Errorf("metrics-only DepTest: %.0f allocations, want %.0f as with telemetry off", got, want)
+	}
+}
+
 func TestDefiniteYes(t *testing.T) {
 	tr := llTester()
 	out := tr.DepTest(Query{

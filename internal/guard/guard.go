@@ -196,12 +196,3 @@ func Intern(cond string, version uint64, vars, fields []string, eq *Fact) *Pred 
 	interned[key] = p
 	return p
 }
-
-// InternedPreds reports the number of distinct predicates held by the
-// process-wide table (observability; the table is append-only like the
-// path-expression interner's).
-func InternedPreds() int {
-	internMu.Lock()
-	defer internMu.Unlock()
-	return len(interned)
-}

@@ -1,9 +1,13 @@
 package oracle
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/heap"
+	"repro/internal/interp"
 	"repro/internal/lang"
 )
 
@@ -38,6 +42,127 @@ func parse(t *testing.T, src string) *lang.Program {
 		t.Fatal(err)
 	}
 	return prog
+}
+
+// Sweep's argument order is part of its contract: the scenario farm's
+// divergence details name the first conflicting run, so the order fixes
+// which run a detail quotes.  Pointer choice is the outer loop with the
+// first pointer parameter varying fastest; the 0/1 choice is the inner
+// loop, bit k feeding the k-th non-pointer parameter.
+func TestSweepArgumentOrder(t *testing.T) {
+	prog := parse(t, `
+struct N {
+	struct N *next;
+	int v;
+};
+
+void f(struct N *a, int x, struct N *b, int y) {
+	S: a->v = x;
+	T: b->v = y;
+}
+`)
+	var got []string
+	runs, err := Sweep(prog, "f", heap.New(2), func(r Run) bool {
+		got = append(got, fmt.Sprintf("a=%d x=%v b=%d y=%v",
+			r.Args[0].Vertex, r.Args[1].Num, r.Args[2].Vertex, r.Args[3].Num))
+		if len(r.Trace.At("S")) != 1 || len(r.Trace.At("T")) != 1 {
+			t.Errorf("run %v did not execute both labels", r.Args)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, ab := range [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}} {
+		for bits := 0; bits < 4; bits++ {
+			want = append(want, fmt.Sprintf("a=%d x=%d b=%d y=%d", ab[0], bits&1, ab[1], bits>>1))
+		}
+	}
+	if runs != len(want) || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("%d runs in order:\n%s\nwant %d:\n%s", runs, strings.Join(got, "\n"), len(want), strings.Join(want, "\n"))
+	}
+}
+
+// Each run gets its own clone: the swept heap is never mutated.
+func TestSweepRunsOnClones(t *testing.T) {
+	prog := parse(t, `
+struct N {
+	struct N *next;
+	int v;
+};
+
+void f(struct N *h) {
+	h->next = h;
+}
+`)
+	g := heap.New(2)
+	runs, err := Sweep(prog, "f", g, func(r Run) bool {
+		if _, ok := r.Graph.Edge(r.Args[0].Vertex, "next"); !ok {
+			t.Errorf("run %v: its graph lacks the edge it wrote", r.Args)
+		}
+		return true
+	})
+	if err != nil || runs != 2 {
+		t.Fatalf("runs = %d, err = %v; want 2, nil", runs, err)
+	}
+	for v := 0; v < 2; v++ {
+		if _, ok := g.Edge(heap.Vertex(v), "next"); ok {
+			t.Errorf("swept heap was mutated at vertex %d", v)
+		}
+	}
+}
+
+// A failing run stops the sweep with a RunError naming its arguments.
+func TestSweepRunError(t *testing.T) {
+	prog := parse(t, `
+struct N {
+	struct N *next;
+	int v;
+};
+
+void f(struct N *h, int w) {
+	struct N *t;
+	t = h->next;
+	if (w) {
+		S: t->v = 1;
+	}
+}
+`)
+	runs, err := Sweep(prog, "f", heap.New(1), func(Run) bool { return true })
+	var re *RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("err = %v, want a *RunError", err)
+	}
+	if runs != 1 || len(re.Args) != 2 || re.Args[0].Vertex != 0 || re.Args[1].Num != 1 {
+		t.Fatalf("runs = %d, failing args %v; want 1 run, then a failure at h=0 w=1", runs, re.Args)
+	}
+	if _, err := Sweep(prog, "nope", heap.New(1), func(Run) bool { return true }); err == nil {
+		t.Error("unknown function swept")
+	}
+}
+
+func TestConflict(t *testing.T) {
+	ev := func(v int, field string, write bool) interp.Event {
+		return interp.Event{Vertex: heap.Vertex(v), Field: field, IsWrite: write}
+	}
+	for _, c := range []struct {
+		name string
+		a, b interp.Event
+		want bool
+	}{
+		{"write-write", ev(0, "v", true), ev(0, "v", true), true},
+		{"write-read", ev(1, "next", true), ev(1, "next", false), true},
+		{"read-write", ev(1, "v", false), ev(1, "v", true), true},
+		{"read-read", ev(0, "v", false), ev(0, "v", false), false},
+		{"other vertex", ev(0, "v", true), ev(1, "v", true), false},
+		{"other field", ev(0, "v", true), ev(0, "next", true), false},
+		{"no field", ev(0, "", true), ev(0, "", true), false},
+	} {
+		if got := Conflict(c.a, c.b); got != c.want {
+			t.Errorf("%s: Conflict = %v, want %v", c.name, got, c.want)
+		}
+	}
 }
 
 func TestForEachRunCounts(t *testing.T) {

@@ -39,9 +39,14 @@ void mid(struct Cell *c) {
 
 void top(struct Cell *l) {
 	struct Cell *p;
+	struct Cell *q;
 	p = l;
 	while (p != NULL) {
 		p->v = 2;
+		q = p->next;
+		if (q != NULL) {
+			q->v = 3;
+		}
 		p = p->next;
 	}
 	mid(l);
@@ -172,7 +177,9 @@ func TestIncrementalEditCycle(t *testing.T) {
 // TestIncrementalReusesCachesAcrossRuns: the first incremental run builds
 // one engine, with its DFA cache and proof memo; a re-run after an edit
 // borrows the engine, compiles no DFA run 1 compiled, and answers from the
-// memo run 1 filled.
+// memo run 1 filled.  (top's q->v write against p->v is what reaches the
+// DFA cache: the prover answers a language's check against itself
+// without it.)
 func TestIncrementalReusesCachesAcrossRuns(t *testing.T) {
 	tel := telemetry.New(telemetry.NewRegistry(), nil)
 	inc := NewIncremental(NewDriver(tel))

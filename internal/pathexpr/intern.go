@@ -335,10 +335,9 @@ func structEq(a, b Expr) bool {
 }
 
 // Mix64 folds v into the running hash h (FNV-1a over the value's bytes,
-// collapsed to one multiply).  Downstream sharded caches use it to build
-// shard indices from interned-ID keys without rendering strings; exporting
-// one implementation keeps their routing conventions aligned the same way
-// strhash.FNV32a did for the string-keyed era.
+// collapsed to one multiply).  The sharded caches (the proof memo, the DFA
+// cache) build their shard indices from interned-ID keys with it, without
+// rendering strings; one implementation keeps their routing aligned.
 func Mix64(h, v uint64) uint64 {
 	return (h ^ v) * fnvPrime64
 }

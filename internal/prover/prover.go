@@ -577,8 +577,13 @@ func (r *run) both(equiv bool, x, y, re1, re2 *pathexpr.Node) (bool, error) {
 }
 
 // decide answers x ≡ y when equiv, else x ⊆ y, through the prover's DFA
-// cache; a blown state budget aborts the search.
+// cache; a blown state budget aborts the search.  A language includes and
+// equals itself, so a check of one interned node against itself is
+// answered here, without the cache.
 func (r *run) decide(equiv bool, x, y *pathexpr.Node) (bool, error) {
+	if x == y {
+		return true, nil
+	}
 	var ok bool
 	var err error
 	if equiv {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/engine"
+	"repro/internal/heap/oracle"
 	"repro/internal/lang"
 )
 
@@ -94,7 +95,15 @@ func Replay(d *Divergence) (*Divergence, error) {
 		return nil, err
 	}
 
-	runs, execErr := oracleSweepAll(prog, fam, d.NInts, g)
+	var conflict string
+	_, execErr := sweepProgram(prog, fam, g, func(kind string, r oracle.Run) {
+		if conflict != "" {
+			return
+		}
+		if hit, detail := lineConflict(r.Trace, d.Query); hit {
+			conflict = fmt.Sprintf("(%s, %s): %s", kind, describeArgs(r.Args), detail)
+		}
+	})
 	if d.Kind == KindExecError {
 		if execErr == nil {
 			return nil, nil
@@ -124,13 +133,10 @@ func Replay(d *Divergence) (*Divergence, error) {
 	if lineVerdict(eng.Batch(context.Background(), qs)) != "no" {
 		return nil, nil
 	}
-	for _, r := range runs {
-		if hit, detail := lineConflict(r.Trace, d.Query); hit {
-			redo := *d
-			redo.Detail = fmt.Sprintf("still reproduces: verdict No for %q, but (%s, root %d, ints %v): %s",
-				d.Query.Text, r.Desc, r.Root, r.Ints, detail)
-			return &redo, nil
-		}
+	if conflict == "" {
+		return nil, nil
 	}
-	return nil, nil
+	redo := *d
+	redo.Detail = fmt.Sprintf("still reproduces: verdict No for %q, but %s", d.Query.Text, conflict)
+	return &redo, nil
 }

@@ -5,7 +5,7 @@
 // engine.Batch (or a live aptserved endpoint) against two ground-
 // truth oracles — concrete execution on the generated heap, and exhaustive
 // execution over every conforming small heap of the family
-// (Family.ConformingHeaps, swept by oracle.go).
+// (Family.ConformingHeaps), both swept through heap/oracle.Sweep.
 //
 // The headline contract under test is the soundness direction of the paper's
 // dependence test: the prover must never answer "No dependence" for an

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -10,6 +11,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/heap"
+	"repro/internal/heap/oracle"
+	"repro/internal/interp"
 	"repro/internal/lang"
 )
 
@@ -319,62 +322,90 @@ func (f *Farm) checkProgram(ctx context.Context, fam *Family, sp *progSpec, g *h
 		}
 	}
 
-	// Oracle: concrete generated instance plus the family's exhaustive
+	// Oracle: the concrete generated instance plus the family's exhaustive
 	// conforming small heaps, every root, every int-parameter combination.
-	runs, execErr := f.oracleRuns(prog, sp, g)
+	// Each run is checked against the lines that claim No, keeping the
+	// first conflicting run of each.
+	var claimsNo []int
+	for i := range kept {
+		if verdicts[i] == "no" || serveVerdicts[i] == "no" {
+			claimsNo = append(claimsNo, i)
+		}
+	}
+	conflicts := make([]string, len(kept))
+	runs, execErr := sweepProgram(prog, fam, g, func(kind string, r oracle.Run) {
+		for _, i := range claimsNo {
+			if conflicts[i] != "" {
+				continue
+			}
+			if hit, detail := lineConflict(r.Trace, kept[i]); hit {
+				conflicts[i] = fmt.Sprintf("verdict No for %q, but on a conforming heap (%s, %s): %s",
+					kept[i].Text, kind, describeArgs(r.Args), detail)
+			}
+		}
+	})
+	f.report.OracleRuns += runs
 	if execErr != nil {
 		f.recordDivergence(fam, sp, src, QueryLine{}, g, root, KindExecError, "",
 			execErr.Error())
 		return nil
 	}
-
-	for i, q := range kept {
-		claimsNo := verdicts[i] == "no" || serveVerdicts[i] == "no"
-		if !claimsNo {
-			continue
-		}
-		for _, r := range runs {
-			if hit, detail := lineConflict(r.Trace, q); hit {
-				d := fmt.Sprintf("verdict No for %q, but on a conforming heap (%s, root %d, ints %v): %s",
-					q.Text, r.Desc, r.Root, r.Ints, detail)
-				f.recordDivergence(fam, sp, src, q, g, root, KindSoundness, "no", d)
-				f.report.SoundnessViolations++
-				break
-			}
+	for i, d := range conflicts {
+		if d != "" {
+			f.recordDivergence(fam, sp, src, kept[i], g, root, KindSoundness, "no", d)
+			f.report.SoundnessViolations++
 		}
 	}
 	return nil
 }
 
-// oracleRuns executes the program over the concrete generated heap and the
-// family's enumerated conforming heaps.
-func (f *Farm) oracleRuns(prog *lang.Program, sp *progSpec, g *heap.Graph) ([]oracleRun, error) {
-	runs, err := oracleSweepAll(prog, sp.fam, sp.nInts, g)
-	f.report.OracleRuns += len(runs)
-	return runs, err
+// sweepProgram runs the scenario function through oracle.Sweep over the
+// concrete instance g (when non-nil) and then each of the family's
+// conforming small heaps, calling visit with every completed run and the
+// kind of heap it ran on ("concrete" or "enum").  It returns the number of
+// completed runs.  A failing run stops the sweep with an error naming the
+// heap kind, root and ints: generated programs must run cleanly on every
+// conforming heap, so the farm reports it as an exec-error divergence.
+func sweepProgram(prog *lang.Program, fam *Family, g *heap.Graph, visit func(kind string, r oracle.Run)) (int, error) {
+	total := 0
+	sweep := func(kind string, h *heap.Graph) error {
+		n, err := oracle.Sweep(prog, "scenario", h, func(r oracle.Run) bool {
+			visit(kind, r)
+			return true
+		})
+		total += n
+		var re *oracle.RunError
+		if errors.As(err, &re) {
+			return fmt.Errorf("%s heap, %s: %w", kind, describeArgs(re.Args), re.Err)
+		}
+		return err
+	}
+	if g != nil {
+		if err := sweep("concrete", g); err != nil {
+			return total, err
+		}
+	}
+	for _, h := range fam.ConformingHeaps() {
+		if err := sweep("enum", h); err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
-// oracleSweepAll is the oracle run set for one program: the concrete
-// instance (when non-nil) plus the family's exhaustive conforming small
-// heaps, from every root, under every int-parameter combination.
-func oracleSweepAll(prog *lang.Program, fam *Family, nInts int, g *heap.Graph) ([]oracleRun, error) {
-	var (
-		runs []oracleRun
-		err  error
-	)
-	if g != nil {
-		runs, err = sweepHeap(prog, "scenario", g, allRoots(g), nInts, "concrete", runs)
-		if err != nil {
-			return runs, err
+// describeArgs renders a scenario run's inputs, its root vertex and its
+// int parameters, as divergence details quote them: "root 0, ints [1 0]".
+func describeArgs(args []interp.Value) string {
+	var root heap.Vertex
+	var ints []int
+	for _, a := range args {
+		if a.IsPtr {
+			root = a.Vertex
+		} else {
+			ints = append(ints, int(a.Num))
 		}
 	}
-	for _, eg := range fam.ConformingHeaps() {
-		runs, err = sweepHeap(prog, "scenario", eg, allRoots(eg), nInts, "enum", runs)
-		if err != nil {
-			return runs, err
-		}
-	}
-	return runs, nil
+	return fmt.Sprintf("root %d, ints %v", root, ints)
 }
 
 // recordDivergence minimizes (when configured) and records one divergence.

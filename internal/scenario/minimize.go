@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/heap"
+	"repro/internal/heap/oracle"
 	"repro/internal/lang"
 )
 
@@ -102,7 +103,7 @@ func (f *Farm) reproduces(fam *Family, sp *progSpec, q QueryLine, g *heap.Graph,
 		return false
 	}
 	if kind == KindExecError {
-		_, execErr := oracleSweepAll(prog, fam, sp.nInts, g)
+		_, execErr := sweepProgram(prog, fam, g, func(string, oracle.Run) {})
 		return execErr != nil
 	}
 	res, err := analysis.Analyze(prog, "scenario", analysis.Options{})
@@ -119,14 +120,11 @@ func (f *Farm) reproduces(fam *Family, sp *progSpec, q QueryLine, g *heap.Graph,
 			return false
 		}
 	}
-	runs, execErr := oracleSweepAll(prog, fam, sp.nInts, g)
-	if execErr != nil {
-		return false
-	}
-	for _, r := range runs {
-		if hit, _ := lineConflict(r.Trace, q); hit {
-			return true
+	conflict := false
+	_, execErr := sweepProgram(prog, fam, g, func(_ string, r oracle.Run) {
+		if !conflict {
+			conflict, _ = lineConflict(r.Trace, q)
 		}
-	}
-	return false
+	})
+	return execErr == nil && conflict
 }

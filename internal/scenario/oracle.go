@@ -3,94 +3,9 @@ package scenario
 import (
 	"fmt"
 
-	"repro/internal/heap"
+	"repro/internal/heap/oracle"
 	"repro/internal/interp"
-	"repro/internal/lang"
 )
-
-// oracleRun is one concrete execution of a scenario program: the trace plus
-// the inputs that produced it (kept for divergence reports).
-type oracleRun struct {
-	Trace *interp.Trace
-	Root  heap.Vertex
-	Ints  []int
-	Desc  string // "concrete" or "enum"
-}
-
-// maxOracleSteps bounds each oracle execution.  Conforming heaps are tiny
-// and loops walk acyclic fields, so any budget hit is a harness bug
-// surfaced as an exec-error divergence.
-const maxOracleSteps = 50000
-
-// runProgram executes fn once on a clone of g with the root and int inputs.
-func runProgram(prog *lang.Program, fn string, g *heap.Graph, root heap.Vertex, ints []int) (*interp.Trace, error) {
-	f := prog.Func(fn)
-	if f == nil {
-		return nil, fmt.Errorf("scenario: function %q not found", fn)
-	}
-	args := make([]interp.Value, len(f.Params))
-	ptrSeen := false
-	k := 0
-	for i, p := range f.Params {
-		if p.Type.IsPointerToStruct() {
-			if ptrSeen {
-				return nil, fmt.Errorf("scenario: %q has more than one pointer parameter", fn)
-			}
-			ptrSeen = true
-			args[i] = interp.Ptr(root)
-			continue
-		}
-		v := 0
-		if k < len(ints) {
-			v = ints[k]
-		}
-		k++
-		args[i] = interp.Num(float64(v))
-	}
-	in := interp.New(prog, g.Clone(), interp.Options{MaxSteps: maxOracleSteps})
-	_, tr, err := in.Run(fn, args...)
-	return tr, err
-}
-
-// intCombos enumerates every 0/1 assignment to n int parameters.
-func intCombos(n int) [][]int {
-	out := make([][]int, 0, 1<<n)
-	for bits := 0; bits < 1<<n; bits++ {
-		combo := make([]int, n)
-		for i := range combo {
-			combo[i] = (bits >> i) & 1
-		}
-		out = append(out, combo)
-	}
-	return out
-}
-
-// sweepHeap runs the program on one heap from the given roots under every
-// int combination, appending to runs.  An execution error is returned with
-// the failing inputs identified — the farm reports it as an exec-error
-// divergence (generated programs must run cleanly on every conforming
-// heap).
-func sweepHeap(prog *lang.Program, fn string, g *heap.Graph, roots []heap.Vertex, nInts int, desc string, runs []oracleRun) ([]oracleRun, error) {
-	for _, root := range roots {
-		for _, ints := range intCombos(nInts) {
-			tr, err := runProgram(prog, fn, g, root, ints)
-			if err != nil {
-				return runs, fmt.Errorf("%s heap, root %d, ints %v: %w", desc, root, ints, err)
-			}
-			runs = append(runs, oracleRun{Trace: tr, Root: root, Ints: ints, Desc: desc})
-		}
-	}
-	return runs, nil
-}
-
-// allRoots returns every vertex of g.
-func allRoots(g *heap.Graph) []heap.Vertex {
-	out := make([]heap.Vertex, g.NumVertices())
-	for i := range out {
-		out[i] = heap.Vertex(i)
-	}
-	return out
-}
 
 // event is an interp event with its global trace position.
 type event struct {
@@ -107,11 +22,6 @@ func eventsAt(tr *interp.Trace, label string) []event {
 		}
 	}
 	return out
-}
-
-func collide(a, b event) bool {
-	return a.Vertex == b.Vertex && a.Field == b.Field && a.Field != "" &&
-		(a.IsWrite || b.IsWrite)
 }
 
 // lineConflict reports whether one run exhibits a dependence covered by the
@@ -132,7 +42,7 @@ func lineConflict(tr *interp.Trace, q QueryLine) (bool, string) {
 	case "loop":
 		for i := range ea {
 			for j := i + 1; j < len(ea); j++ {
-				if collide(ea[i], ea[j]) {
+				if oracle.Conflict(ea[i].Event, ea[j].Event) {
 					return true, fmt.Sprintf("occurrences %d and %d of %s touch vertex %d field %s",
 						i, j, q.A, ea[i].Vertex, ea[i].Field)
 				}
@@ -143,7 +53,7 @@ func lineConflict(tr *interp.Trace, q QueryLine) (bool, string) {
 		eb := eventsAt(tr, q.B)
 		for i := range ea {
 			for j := i + 1; j < len(eb); j++ {
-				if collide(ea[i], eb[j]) {
+				if oracle.Conflict(ea[i].Event, eb[j].Event) {
 					return true, fmt.Sprintf("%s@%d and %s@%d touch vertex %d field %s",
 						q.A, i, q.B, j, ea[i].Vertex, ea[i].Field)
 				}
@@ -158,7 +68,7 @@ func lineConflict(tr *interp.Trace, q QueryLine) (bool, string) {
 				n = len(eb)
 			}
 			for i := 0; i < n; i++ {
-				if collide(ea[i], eb[i]) {
+				if oracle.Conflict(ea[i].Event, eb[i].Event) {
 					return true, fmt.Sprintf("iteration %d: %s and %s touch vertex %d field %s",
 						i, q.A, q.B, ea[i].Vertex, ea[i].Field)
 				}
@@ -167,7 +77,7 @@ func lineConflict(tr *interp.Trace, q QueryLine) (bool, string) {
 		}
 		for _, a := range ea {
 			for _, b := range eb {
-				if a.idx < b.idx && collide(a, b) {
+				if a.idx < b.idx && oracle.Conflict(a.Event, b.Event) {
 					return true, fmt.Sprintf("%s then %s touch vertex %d field %s",
 						q.A, q.B, a.Vertex, a.Field)
 				}

@@ -1,29 +1,12 @@
-// Package strhash holds the FNV-1a string hash every sharded structure in
-// the repository routes keys through.  The engine's proof memo and the
-// automata shared cache each used to carry a private copy; one shared
-// implementation guarantees the shard routing of the two layers can never
-// silently diverge (a divergence would not be wrong, but it would quietly
-// destroy the cross-layer key-locality that makes warm servers cheap to
-// reason about).
+// Package strhash holds the 64-bit FNV-1a string hash the cluster layer
+// routes through: internal/route hashes ring vnode labels and request
+// fingerprints with it, and internal/axiom axiom-set fingerprints.  The
+// in-process sharded caches (the proof memo, the DFA cache) key on
+// interned IDs and mix them with pathexpr.Mix64 instead.
 package strhash
 
-// FNV32a returns the 32-bit FNV-1a hash of s.
-func FNV32a(s string) uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime
-	}
-	return h
-}
-
-// FNV64a returns the 64-bit FNV-1a hash of s.  The cluster layer hashes
-// axiom-set fingerprints and ring vnode labels through it, so — like FNV32a
-// above — the constants are pinned by test against the standard library.
+// FNV64a returns the 64-bit FNV-1a hash of s.  Its constants are pinned by
+// test against the standard library.
 func FNV64a(s string) uint64 {
 	const (
 		offset = 14695981039346656037
