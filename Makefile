@@ -84,8 +84,8 @@ serve-smoke:
 
 # Observability gate: the Prometheus exposition golden + validator, the
 # counters-never-go-backwards scrape test, the traceparent/span-tree tests, a 50-iteration race soak of the lock-free
-# flight recorder and sliding-window histogram, the allocation guards —
-# zero allocations for disabled tracing and warm hits, two for a cold
+# flight recorder and of admission's Retry-After completion count, the allocation guards —
+# zero allocations for disabled tracing, warm hits and a Retry-After estimate, two for a cold
 # language decision, at most seven to decode the raw-mode golden request —
 # (which -race would skew, hence the separate non-race invocation), the count-once test (one drive moves
 # every registry counter the engine, caches and admission book), and the
@@ -94,9 +94,9 @@ serve-smoke:
 obs-check:
 	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestGaugeFunc|TestTraceparent|TestRequestTrace|TestStreamingTrace|TestMetricsPrometheus|TestMetricsCountersNeverGoBackwards|TestAccessLog' \
 		./internal/telemetry ./internal/serve
-	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestWindowHistogram' ./internal/telemetry
-	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestCutsAllocationBudget|TestColdDecisionAllocations|TestCompileAllocations|TestSummaryAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations' \
-		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata ./internal/analysis ./internal/wire
+	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestConcurrentFinishCountsExact' ./internal/telemetry ./internal/admit
+	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestCutsAllocationBudget|TestColdDecisionAllocations|TestCompileAllocations|TestSummaryAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations|TestRetryAfterAllocations' \
+		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata ./internal/analysis ./internal/wire ./internal/admit
 	$(GO) test -race -run 'TestDegradedCountersSplitByReason|TestCountOnce|TestOneSpanModel' ./internal/engine
 
 # Differential fuzzing of the /v1/batch decoder: every input decodes through

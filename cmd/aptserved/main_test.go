@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/serve"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // syncBuffer lets the test read stderr while runServer's goroutines (the
@@ -81,14 +81,14 @@ func TestServerSmokeAndDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(serve.BatchRequest{
+	body, _ := json.Marshal(wire.BatchRequest{
 		Program: string(src), Fn: "subr", Queries: []string{"between S T"},
 	})
 	resp, err = http.Post(base+"/v1/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var br serve.BatchResponse
+	var br wire.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatalf("batch decode: %v", err)
 	}
@@ -258,14 +258,14 @@ func TestClusterSmokeAndDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(serve.BatchRequest{
+	body, _ := json.Marshal(wire.BatchRequest{
 		Program: string(src), Fn: "subr", Queries: []string{"between S T"},
 	})
 	resp, err := http.Post(routerBase+"/v1/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var br serve.BatchResponse
+	var br wire.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatalf("batch decode: %v", err)
 	}

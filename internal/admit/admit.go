@@ -45,11 +45,11 @@ type Controller struct {
 	draining bool
 	inflight sync.WaitGroup
 
-	// completions feeds the Retry-After estimator: one observation per
-	// completed request.  Controller-owned (not drawn from a telemetry set,
-	// which may be absent) because shedding must be able to estimate drain
-	// rate even on an uninstrumented process.
-	completions *telemetry.WindowHistogram
+	// completions feeds the Retry-After estimator: one count per completed
+	// request.  Controller-owned (not drawn from a telemetry set, which may
+	// be absent) because shedding must be able to estimate drain rate even
+	// on an uninstrumented process.
+	completions completionRing
 
 	// The lifecycle counts: registry counters resolved by Feed (nil, so
 	// no-ops, without it).
@@ -66,7 +66,7 @@ func New(maxConcurrent, queueDepth int) *Controller {
 	return &Controller{
 		slots:       make(chan struct{}, maxConcurrent+queueDepth),
 		run:         make(chan struct{}, maxConcurrent),
-		completions: telemetry.NewWindowHistogram(),
+		completions: completionRing{start: time.Now()},
 	}
 }
 
@@ -121,7 +121,7 @@ func (c *Controller) Begin() bool {
 func (c *Controller) Finish() {
 	c.gauge.Add(-1)
 	c.completed.Add(1)
-	c.completions.Observe(1)
+	c.completions.add(c.completions.now())
 	c.inflight.Done()
 }
 
@@ -173,12 +173,11 @@ func (c *Controller) Draining() bool {
 // burst-filled), so it answers the 1-second floor.
 func (c *Controller) RetryAfterSeconds() int {
 	backlog := len(c.slots)
-	done := c.completions.Summary(RetryAfterWindow).Count
+	done := c.completions.count(c.completions.now())
 	if backlog == 0 || done == 0 {
 		return 1
 	}
-	windowSec := int64(RetryAfterWindow / time.Second)
-	secs := (int64(backlog)*windowSec + done - 1) / done
+	secs := (int64(backlog)*retryAfterSecs + done - 1) / done
 	if secs < 1 {
 		secs = 1
 	}
@@ -200,5 +199,52 @@ func (c *Controller) Run() chan struct{} { return c.run }
 // Gauge exposes the in-flight gauge (admitted and not yet completed).
 func (c *Controller) Gauge() *atomic.Int64 { return &c.gauge }
 
-// Completions exposes the completion window feeding RetryAfterSeconds.
-func (c *Controller) Completions() *telemetry.WindowHistogram { return c.completions }
+// retryAfterSecs is RetryAfterWindow in whole seconds: the completion
+// ring's length.
+const retryAfterSecs = int64(RetryAfterWindow / time.Second)
+
+// completionRing counts completed requests per second over the trailing
+// RetryAfterWindow.  Slot i holds the count of a second s ≡ i (mod
+// retryAfterSecs), packed as s<<32 | count with s itself, so a slot last
+// written a lap ago reads as expired.  Seconds are counted from start on
+// the monotonic clock, from 1 so that a zero slot is empty.  Counts are
+// exact at any rate; nothing is stored per request.
+type completionRing struct {
+	start time.Time
+	slots [retryAfterSecs]atomic.Uint64
+}
+
+// now returns the current second of the ring's clock.
+func (r *completionRing) now() uint64 { return uint64(time.Since(r.start)/time.Second) + 1 }
+
+// add counts one completion in second sec.  A completion whose slot a
+// later lap already owns is older than the window and is dropped.
+func (r *completionRing) add(sec uint64) {
+	slot := &r.slots[sec%uint64(retryAfterSecs)]
+	for {
+		old := slot.Load()
+		next := sec<<32 | 1
+		switch at := old >> 32; {
+		case at == sec:
+			next = old + 1
+		case at > sec:
+			return
+		}
+		if slot.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// count returns the completions of the retryAfterSecs seconds ending at
+// sec, the current one included.
+func (r *completionRing) count(sec uint64) int64 {
+	var n int64
+	for i := range r.slots {
+		v := r.slots[i].Load()
+		if at := v >> 32; at <= sec && at+uint64(retryAfterSecs) > sec {
+			n += int64(v & (1<<32 - 1))
+		}
+	}
+	return n
+}

@@ -52,7 +52,6 @@ type SharedCache struct {
 	cDecisions    *telemetry.Counter
 	cDecisionHits *telemetry.Counter
 	compileTimeNS *telemetry.Histogram
-	compileWin    *telemetry.WindowHistogram
 }
 
 // opsKey identifies one memoized boolean language decision: the operation,
@@ -114,7 +113,6 @@ func (c *SharedCache) SetTelemetry(tel *telemetry.Set) *SharedCache {
 	c.cDecisions = tel.Counter("automata.shared_decision_lookups")
 	c.cDecisionHits = tel.Counter("automata.shared_decision_hits")
 	c.compileTimeNS = tel.Histogram("automata.shared_compile_ns")
-	c.compileWin = tel.Window("automata.shared_compile_ns")
 	return c
 }
 
@@ -174,7 +172,6 @@ func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, compiles *int) (*DFA, e
 	if timed {
 		dur := time.Since(t0)
 		c.compileTimeNS.Observe(dur.Nanoseconds())
-		c.compileWin.Observe(dur.Nanoseconds())
 		c.trace.Event("automata.compile", telemetry.SpanID{},
 			telemetry.String("expr", n.String()),
 			telemetry.Int("states", built),

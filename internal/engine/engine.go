@@ -95,7 +95,7 @@ func New(opts Options) *Engine {
 	}
 	dfas := opts.DFACache
 	if dfas == nil {
-		dfas = automata.NewSharedCache(opts.Prover.DFAStateLimit, 0, 0).SetTelemetry(tel)
+		dfas = automata.NewSharedCache(0, 0, 0).SetTelemetry(tel)
 	}
 	memo := opts.Memo
 	if memo == nil {

@@ -67,7 +67,7 @@ func TestMemoWaiterDoesNotInheritExhausted(t *testing.T) {
 	// worker must leave it a path to a real verdict.
 	close(release)
 	wg.Wait()
-	if waiterProof == nil || waiterProof.Result == prover.Exhausted || waiterProof.Stats.StepsUsed == 0 {
+	if waiterProof == nil || waiterProof.Result == prover.Exhausted || waiterProof.Stats.ProveCalls == 0 {
 		t.Fatalf("waiter proof = %+v, want the result of its own search", waiterProof)
 	}
 	if hits := count("hits"); hits != 0 {

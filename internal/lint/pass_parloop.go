@@ -225,8 +225,8 @@ func explainMaybe(q core.Query, out core.Outcome, a *analysis.Access) string {
 	if pf := out.Proof; pf != nil {
 		switch pf.Result {
 		case prover.Exhausted:
-			fmt.Fprintf(&b, "; proof search exhausted its budget (%d goals, %d inductions, peak depth %d, %d steps) — a larger budget might still prove independence",
-				pf.Stats.ProveCalls, pf.Stats.Inductions, pf.Stats.PeakDepth, pf.Stats.StepsUsed)
+			fmt.Fprintf(&b, "; proof search exhausted its budget (%d goals, %d inductions, peak depth %d) — a larger budget might still prove independence",
+				pf.Stats.ProveCalls, pf.Stats.Inductions, pf.Stats.PeakDepth)
 		case prover.NotProved:
 			fmt.Fprintf(&b, "; prover searched %d goals (%d axiom applications, %d inductions, peak depth %d) without finding a derivation — the axioms likely do not imply independence",
 				pf.Stats.ProveCalls, pf.Stats.DirectChecks, pf.Stats.Inductions, pf.Stats.PeakDepth)

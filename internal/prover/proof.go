@@ -139,9 +139,6 @@ type Stats struct {
 	DFACompiles int
 	// PeakDepth is the deepest goal nesting the search reached.
 	PeakDepth int
-	// StepsUsed is the portion of the Options.MaxSteps budget consumed
-	// (equal to ProveCalls; named for budget-consumption reporting).
-	StepsUsed int
 }
 
 // Proof is the outcome of one prover invocation.

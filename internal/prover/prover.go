@@ -20,9 +20,6 @@ type Options struct {
 	// pruned heuristically and cutoff points set"; exceeding the budget
 	// yields Exhausted, which callers must map to Maybe.
 	MaxSteps int
-	// DFAStateLimit bounds subset construction (automata.DefaultStateLimit
-	// if zero).
-	DFAStateLimit int
 	// LongestSuffixFirst reverses the suffix enumeration order (ablation).
 	// The paper prescribes "ever-increasing suffixes", i.e. shortest first.
 	LongestSuffixFirst bool
@@ -32,8 +29,7 @@ type Options struct {
 	// DFACache, when non-nil, replaces the prover's private language cache —
 	// the batched query engine passes one cache here so every worker prover
 	// draws from (and feeds) one compilation cache.  The provider owns the
-	// cache's telemetry wiring; DisableMinimize and DFAStateLimit are then
-	// ignored.
+	// cache's telemetry wiring; DisableMinimize is then ignored.
 	DFACache *automata.SharedCache
 	// Interrupt, when non-nil, is polled periodically during proof search;
 	// returning true aborts the query with Exhausted — which callers map to
@@ -62,9 +58,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSteps <= 0 {
 		o.MaxSteps = 200000
-	}
-	if o.DFAStateLimit <= 0 {
-		o.DFAStateLimit = automata.DefaultStateLimit
 	}
 	return o
 }
@@ -134,7 +127,6 @@ type proverMetrics struct {
 	exhausted      *telemetry.Counter
 	peakDepth      *telemetry.Max
 	queryTimeNS    *telemetry.Histogram
-	queryWin       *telemetry.WindowHistogram
 	querySteps     *telemetry.Histogram
 }
 
@@ -151,7 +143,6 @@ func newProverMetrics(tel *telemetry.Set) proverMetrics {
 		exhausted:      tel.Counter("prover.exhausted"),
 		peakDepth:      tel.Max("prover.peak_depth"),
 		queryTimeNS:    tel.Histogram("prover.query_ns"),
-		queryWin:       tel.Window("prover.query_ns"),
 		querySteps:     tel.Histogram("prover.steps_per_query"),
 	}
 }
@@ -162,7 +153,7 @@ func New(axioms *axiom.Set, opts Options) *Prover {
 	dfas := opts.DFACache
 	if dfas == nil {
 		// A private cache has one owner, hence one shard.
-		dfas = automata.NewSharedCache(opts.DFAStateLimit, 1, 0).SetTelemetry(opts.Telemetry)
+		dfas = automata.NewSharedCache(0, 1, 0).SetTelemetry(opts.Telemetry)
 		if opts.DisableMinimize {
 			dfas.SkipMinimize()
 		}
@@ -289,7 +280,6 @@ func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 	proof := &Proof{Theorem: g.theorem()}
 	proved, st, err := r.prove(g, nil, 0)
 	proof.Stats = r.stats
-	proof.Stats.StepsUsed = r.stats.ProveCalls
 	proof.Stats.PeakDepth = r.peakDepth
 	proof.Stats.DFACompiles = r.dfas.Compiles
 	switch {
@@ -312,15 +302,13 @@ func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 	p.m.peakDepth.Observe(int64(r.peakDepth))
 	p.m.querySteps.Observe(int64(r.stats.ProveCalls))
 	if timed {
-		ns := time.Since(t0).Nanoseconds()
-		p.m.queryTimeNS.Observe(ns)
-		p.m.queryWin.Observe(ns)
+		p.m.queryTimeNS.Observe(time.Since(t0).Nanoseconds())
 	}
 	if p.trace != nil {
 		span.End(
 			telemetry.String("theorem", proof.Theorem),
 			telemetry.String("result", proof.Result.String()),
-			telemetry.Int("steps", proof.Stats.StepsUsed),
+			telemetry.Int("steps", proof.Stats.ProveCalls),
 			telemetry.Int("budget", p.opts.MaxSteps),
 			telemetry.Int("peak_depth", proof.Stats.PeakDepth),
 			telemetry.Int("dfa_compiles", proof.Stats.DFACompiles))

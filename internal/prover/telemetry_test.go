@@ -21,8 +21,8 @@ func TestStatsRichFields(t *testing.T) {
 		t.Fatalf("result = %v", proof.Result)
 	}
 	st := proof.Stats
-	if st.StepsUsed != st.ProveCalls || st.StepsUsed == 0 {
-		t.Errorf("StepsUsed = %d, ProveCalls = %d", st.StepsUsed, st.ProveCalls)
+	if st.ProveCalls == 0 {
+		t.Error("ProveCalls = 0 on a proved query")
 	}
 	if st.DFACompiles == 0 {
 		t.Error("DFACompiles = 0 on a fresh prover")

@@ -126,9 +126,6 @@ type Divergence struct {
 	// the farm ran with Minimize).
 	Program string `json:"program"`
 	Fn      string `json:"fn"`
-	// NInts is the number of int parameters (the oracle sweeps all 0/1
-	// combinations).
-	NInts int `json:"n_ints"`
 	// Query is the diverging line; zero-valued for exec-error kinds.
 	Query QueryLine `json:"query"`
 	// Verdict is the definite answer under test ("no", or "no-vs-yes" for
@@ -424,7 +421,6 @@ func (f *Farm) recordDivergence(fam *Family, sp *progSpec, src string, q QueryLi
 		Family:  fam.Name,
 		Program: src,
 		Fn:      "scenario",
-		NInts:   sp.nInts,
 		Query:   q,
 		Verdict: verdict,
 		Detail:  detail,

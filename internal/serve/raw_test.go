@@ -12,16 +12,17 @@ import (
 
 	"repro/internal/axiom"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // rawTreeRequest builds a raw-mode request over the paper's leaf-linked
 // binary tree: left and right subtrees of one vertex are provably disjoint.
-func rawTreeRequest() BatchRequest {
+func rawTreeRequest() wire.BatchRequest {
 	tree := axiom.LeafLinkedBinaryTree()
-	return BatchRequest{
+	return wire.BatchRequest{
 		AxiomSet:     tree.Source(),
 		AxiomSetName: tree.StructName,
-		Raw: []RawQuery{
+		Raw: []wire.RawQuery{
 			{SHandle: "h", SPath: "L", SField: "val", SWrite: true,
 				THandle: "h", TPath: "R", TField: "val"},
 			{SHandle: "h", SPath: "", SField: "val", SWrite: true,
@@ -74,22 +75,22 @@ func TestRawBatchRejectsBadRequests(t *testing.T) {
 	defer ts.Close()
 
 	tree := axiom.LeafLinkedBinaryTree()
-	for name, req := range map[string]BatchRequest{
+	for name, req := range map[string]wire.BatchRequest{
 		"mixed modes": {Program: "void f() { int x; x = 1; }", AxiomSet: tree.Source(),
-			Raw: []RawQuery{{SHandle: "h", SField: "val", THandle: "h", TField: "val"}}},
+			Raw: []wire.RawQuery{{SHandle: "h", SField: "val", THandle: "h", TField: "val"}}},
 		"bad axiom set": {AxiomSet: "forall nonsense",
-			Raw: []RawQuery{{SHandle: "h", SField: "val", THandle: "h", TField: "val"}}},
+			Raw: []wire.RawQuery{{SHandle: "h", SField: "val", THandle: "h", TField: "val"}}},
 		"bad path": {AxiomSet: tree.Source(),
-			Raw: []RawQuery{{SHandle: "h", SPath: "((", SField: "val", THandle: "h", TField: "val"}}},
+			Raw: []wire.RawQuery{{SHandle: "h", SPath: "((", SField: "val", THandle: "h", TField: "val"}}},
 		"bad relation": {AxiomSet: tree.Source(),
-			Raw: []RawQuery{{SHandle: "h", SField: "val", THandle: "h", TField: "val", Relation: "sideways"}}},
+			Raw: []wire.RawQuery{{SHandle: "h", SField: "val", THandle: "h", TField: "val", Relation: "sideways"}}},
 	} {
 		body, _ := json.Marshal(req)
 		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e errorResponse
+		var e wire.ErrorResponse
 		json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
@@ -113,7 +114,7 @@ func TestBatchStatsTimeoutsPerRequest(t *testing.T) {
 	// The heavy pair's proof search runs well past the prover's interrupt
 	// poll stride, so the 1ns per-query timeout is observed mid-search.
 	heavy := rawTreeRequest()
-	heavy.Raw = []RawQuery{{
+	heavy.Raw = []wire.RawQuery{{
 		SHandle: "h", SPath: "(L|R).(L|R).(L|R).N*", SField: "val", SWrite: true,
 		THandle: "h", TPath: "(L|R).(L|R).(L|R).N+", TField: "val",
 	}}
@@ -140,10 +141,10 @@ func TestBatchStatsTimeoutsPerRequest(t *testing.T) {
 // h.(L|R)*->val against itself into an unsound No.
 func TestNoWarmStateEndpoints(t *testing.T) {
 	tree := axiom.LeafLinkedBinaryTree()
-	req := BatchRequest{
+	req := wire.BatchRequest{
 		AxiomSet:     tree.Source(),
 		AxiomSetName: tree.StructName,
-		Raw: []RawQuery{{SHandle: "h", SPath: "(L|R)*", SField: "val", SWrite: true,
+		Raw: []wire.RawQuery{{SHandle: "h", SPath: "(L|R)*", SField: "val", SWrite: true,
 			THandle: "h", TPath: "(L|R)*", TField: "val"}},
 	}
 	ts := httptest.NewServer(New(Config{Workers: 1}))

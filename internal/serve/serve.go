@@ -172,7 +172,6 @@ type Server struct {
 
 	hRequestNS *telemetry.Histogram
 	hQueueNS   *telemetry.Histogram
-	wRequestNS *telemetry.WindowHistogram
 }
 
 // New builds a Server from the config.
@@ -202,7 +201,6 @@ func newServer(cfg Config) *Server {
 		degradedReqs: tel.Counter("serve.degraded_requests"),
 		hRequestNS:   tel.Histogram("serve.request_ns"),
 		hQueueNS:     tel.Histogram("serve.queue_wait_ns"),
-		wRequestNS:   tel.Window("serve.request_ns"),
 	}
 	start := time.Now()
 	tel.GaugeFunc("serve.uptime_seconds", func() int64 { return int64(time.Since(start).Seconds()) })
@@ -285,7 +283,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		dur := time.Since(startWait)
 		s.adm.Finish()
 		s.hRequestNS.Observe(dur.Nanoseconds())
-		s.wRequestNS.Observe(dur.Nanoseconds())
 		root.End()
 		s.recordFlight(w, rt, startWait, dur, meta)
 	}()
@@ -301,7 +298,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.hQueueNS.Observe(time.Since(startWait).Nanoseconds())
 	qsp.End()
 
-	var req BatchRequest
+	var req wire.BatchRequest
 	body, err := wire.ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err == nil {
 		err = wire.DecodeRequest(body, &req)
@@ -323,7 +320,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // metadata (nil on error) and an HTTP status code alongside any error.
 // Spans it opens parent under parent; the engine and prover pick up the
 // trace through the batch context's trace scope.
-func (s *Server) answer(ctx context.Context, req *BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*BatchResponse, *flightMeta, int, error) {
+func (s *Server) answer(ctx context.Context, req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*wire.BatchResponse, *flightMeta, int, error) {
 	// Verification is a server-wide setting; a request asking for it from
 	// a server that does not verify must not get unverified Nos.
 	if req.Verify && !s.cfg.VerifyProofs {
@@ -383,7 +380,7 @@ func (s *Server) answer(ctx context.Context, req *BatchRequest, rt *telemetry.Re
 // path routed cluster traffic takes when the client already holds analysis
 // results (and the differential suite's way of replaying engine workloads
 // through HTTP byte-identically).
-func (s *Server) answerRaw(ctx context.Context, req *BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*BatchResponse, *flightMeta, int, error) {
+func (s *Server) answerRaw(ctx context.Context, req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*wire.BatchResponse, *flightMeta, int, error) {
 	if len(req.Queries) > 0 || req.Program != "" {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("raw queries exclude program/queries fields")
 	}
@@ -415,8 +412,8 @@ func (s *Server) answerRaw(ctx context.Context, req *BatchRequest, rt *telemetry
 // pool's engine under the request deadline, and assemble the response and
 // flight metadata.  echo maps a result index to the line/echo pair the
 // response reports.
-func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID,
-	ax *axiom.Set, queries []core.Query, echo func(int) (int, string), svc0 time.Time) (*BatchResponse, *flightMeta, int, error) {
+func (s *Server) runBatch(ctx context.Context, req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID,
+	ax *axiom.Set, queries []core.Query, echo func(int) (int, string), svc0 time.Time) (*wire.BatchResponse, *flightMeta, int, error) {
 
 	deadline := wire.ClampMS(req.DeadlineMS, s.cfg.MaxDeadline)
 	perQuery := s.cfg.QueryTimeout
@@ -436,11 +433,11 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.
 		telemetry.Int("queries", len(outs)),
 	)
 
-	resp := &BatchResponse{Results: make([]QueryResult, len(outs))}
+	resp := &wire.BatchResponse{Results: make([]wire.QueryResult, len(outs))}
 	for i, out := range outs {
 		q := queries[i]
 		line, src := echo(i)
-		resp.Results[i] = QueryResult{
+		resp.Results[i] = wire.QueryResult{
 			Line:   line,
 			Query:  src,
 			S:      q.S.String(),
@@ -454,7 +451,7 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.
 		}
 	}
 	deg := rt.DegradedCounts()
-	resp.Stats = BatchStats{
+	resp.Stats = wire.BatchStats{
 		Queries:         len(outs),
 		ElapsedUS:       elapsed.Microseconds(),
 		ServiceUS:       time.Since(svc0).Microseconds(),

@@ -15,6 +15,7 @@ import (
 	"repro/internal/admit"
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // treeProgram is the paper's §3.3 example (testdata/section33.c): S and T
@@ -49,7 +50,7 @@ func newMetered(cfg Config) *Server {
 // metrics snapshots the server's registry.
 func metrics(srv *Server) telemetry.Snapshot { return srv.tel.Metrics().Snapshot() }
 
-func postBatch(t *testing.T, url string, req BatchRequest) (*http.Response, *BatchResponse) {
+func postBatch(t *testing.T, url string, req wire.BatchRequest) (*http.Response, *wire.BatchResponse) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -61,11 +62,11 @@ func postBatch(t *testing.T, url string, req BatchRequest) (*http.Response, *Bat
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var e errorResponse
+		var e wire.ErrorResponse
 		json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck
-		return resp, &BatchResponse{Stats: BatchStats{AxiomSet: e.Error}}
+		return resp, &wire.BatchResponse{Stats: wire.BatchStats{AxiomSet: e.Error}}
 	}
-	var br BatchResponse
+	var br wire.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -77,7 +78,7 @@ func TestBatchRoundTripWarmsCaches(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	req := BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T", "# comment", "between S T"}}
+	req := wire.BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T", "# comment", "between S T"}}
 	resp, br := postBatch(t, ts.URL, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d (%s)", resp.StatusCode, br.Stats.AxiomSet)
@@ -133,7 +134,7 @@ func TestBatchRejectsBadRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e errorResponse
+		var e wire.ErrorResponse
 		json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
@@ -158,13 +159,13 @@ func TestBatchRejectsBadRequests(t *testing.T) {
 // refused with 400 by a server that does not verify, in both request
 // modes, and answered as usual by one that does.
 func TestVerifyRequiresVerifyingServer(t *testing.T) {
-	program := BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}, Verify: true}
+	program := wire.BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}, Verify: true}
 	raw := rawTreeRequest()
 	raw.Verify = true
 
 	plain := httptest.NewServer(New(Config{}))
 	defer plain.Close()
-	for name, req := range map[string]BatchRequest{"program": program, "raw": raw} {
+	for name, req := range map[string]wire.BatchRequest{"program": program, "raw": raw} {
 		resp, br := postBatch(t, plain.URL, req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s mode: status = %d, want 400 from a server without -verify", name, resp.StatusCode)
@@ -175,7 +176,7 @@ func TestVerifyRequiresVerifyingServer(t *testing.T) {
 
 	verifying := httptest.NewServer(New(Config{VerifyProofs: true}))
 	defer verifying.Close()
-	for name, req := range map[string]BatchRequest{"program": program, "raw": raw} {
+	for name, req := range map[string]wire.BatchRequest{"program": program, "raw": raw} {
 		resp, br := postBatch(t, verifying.URL, req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s mode: status = %d (%s), want 200 from a verifying server", name, resp.StatusCode, br.Stats.AxiomSet)
@@ -209,7 +210,7 @@ func TestBodyCapAnswers413(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e errorResponse
+		var e wire.ErrorResponse
 		json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck
 		resp.Body.Close()
 		if resp.StatusCode != tc.want || !strings.Contains(e.Error, tc.msg) {
@@ -229,7 +230,7 @@ func TestAdmissionShedding(t *testing.T) {
 	// Occupy the only run slot so admitted requests park in the queue.
 	srv.adm.Run() <- struct{}{}
 
-	req := BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}
+	req := wire.BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}
 	body, _ := json.Marshal(req)
 	type result struct {
 		code int
@@ -292,7 +293,7 @@ func TestDrainFinishesInflight(t *testing.T) {
 
 	srv.adm.Run() <- struct{}{} // park admitted requests in the queue
 
-	req := BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}
+	req := wire.BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}
 	body, _ := json.Marshal(req)
 	const parked = 3
 	codes := make(chan int, parked)
@@ -375,7 +376,7 @@ func TestPanicBecomes500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e errorResponse
+	var e wire.ErrorResponse
 	json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
@@ -402,7 +403,7 @@ func TestMetricsAndStatzEndpoints(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	if _, br := postBatch(t, ts.URL, BatchRequest{
+	if _, br := postBatch(t, ts.URL, wire.BatchRequest{
 		Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"},
 	}); len(br.Results) == 0 {
 		t.Fatal("no results")
@@ -451,7 +452,7 @@ func TestRequestScaleDeadline(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		queries = append(queries, "between S T")
 	}
-	resp, br := postBatch(t, ts.URL, BatchRequest{
+	resp, br := postBatch(t, ts.URL, wire.BatchRequest{
 		Program: treeProgram(t), Fn: "subr", Queries: queries,
 		DeadlineMS: 1, TimeoutMS: 1,
 	})
@@ -471,8 +472,9 @@ func TestRequestScaleDeadline(t *testing.T) {
 // TestRetryAfterScalesWithBacklog is the regression test for the constant
 // Retry-After: the hint must be backlog ÷ recent completion rate, so a
 // deeper jam at the same drain rate tells clients to wait longer, a faster-
-// draining server tells them to come back sooner, and the floor (1s) and
-// ceiling (60s) clamp the extremes.
+// draining server tells them to come back sooner, the floor (1s) and
+// ceiling (60s) clamp the extremes, and the rate stays exact past any
+// sample count.
 func TestRetryAfterScalesWithBacklog(t *testing.T) {
 	mk := func(depth, backlog, completions int) *admit.Controller {
 		srv := New(Config{MaxConcurrent: 1, QueueDepth: depth})
@@ -480,7 +482,10 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 			srv.adm.Slots() <- struct{}{}
 		}
 		for i := 0; i < completions; i++ {
-			srv.adm.Completions().Observe(1)
+			if !srv.adm.Begin() {
+				t.Fatal("Begin refused on a server that is not draining")
+			}
+			srv.adm.Finish()
 		}
 		return srv.adm
 	}
@@ -521,6 +526,12 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 	if got := mk(200, 200, 1).RetryAfterSeconds(); got != 60 {
 		t.Errorf("glacial drain: Retry-After = %d, want the 60s ceiling", got)
 	}
+
+	// 8,192 completions in the window = 819.2/s; a backlog of 2,000 drains
+	// in ~2.44s.  A count that stopped at 4,096 would answer 5.
+	if got := mk(2000, 2000, 8192).RetryAfterSeconds(); got != 3 {
+		t.Errorf("backlog 2000 after 8192 completions: Retry-After = %d, want 3", got)
+	}
 }
 
 // TestBatchRejectsNULInProgram: a NUL byte in the program is a parse error
@@ -532,7 +543,7 @@ func TestBatchRejectsNULInProgram(t *testing.T) {
 
 	prog := treeProgram(t)
 	lines := strings.Count(prog, "\n")
-	req := BatchRequest{
+	req := wire.BatchRequest{
 		Program: prog + "\x00 int hidden(struct LLBinaryTree *p) { p->d = 1; }",
 		Fn:      "subr",
 		Queries: []string{"between S T"},

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // makeListProgram renders a Figure 1-style list-update loop whose link
@@ -76,19 +77,19 @@ func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 	defer ts.Close()
 
 	type workload struct {
-		req  BatchRequest
+		req  wire.BatchRequest
 		name string
 	}
 	workloads := []workload{
-		{name: "tree", req: BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}},
-		{name: "listLink", req: BatchRequest{Program: makeListProgram("link"), Queries: []string{"loop U"}}},
-		{name: "listNext", req: BatchRequest{Program: makeListProgram("next"), Queries: []string{"loop U"}}},
-		{name: "listFwd", req: BatchRequest{Program: makeListProgram("fwd"), Queries: []string{"loop U"}}},
-		{name: "listSucc", req: BatchRequest{Program: makeListProgram("succ"), Queries: []string{"loop U"}}},
+		{name: "tree", req: wire.BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}},
+		{name: "listLink", req: wire.BatchRequest{Program: makeListProgram("link"), Queries: []string{"loop U"}}},
+		{name: "listNext", req: wire.BatchRequest{Program: makeListProgram("next"), Queries: []string{"loop U"}}},
+		{name: "listFwd", req: wire.BatchRequest{Program: makeListProgram("fwd"), Queries: []string{"loop U"}}},
+		{name: "listSucc", req: wire.BatchRequest{Program: makeListProgram("succ"), Queries: []string{"loop U"}}},
 	}
 	deadlines := []int64{0, 1, 50} // server default, pathologically tight, modest
 
-	post := func(req BatchRequest) (int, *BatchResponse, error) {
+	post := func(req wire.BatchRequest) (int, *wire.BatchResponse, error) {
 		body, err := json.Marshal(req)
 		if err != nil {
 			return 0, nil, err
@@ -101,7 +102,7 @@ func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			return resp.StatusCode, nil, nil
 		}
-		var br BatchResponse
+		var br wire.BatchResponse
 		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 			return resp.StatusCode, nil, err
 		}
@@ -273,10 +274,10 @@ func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 
 // rawSetRequest is a raw-mode request over the i-th of a family of
 // distinct two-field axiom sets, so each i searches its own proofs cold.
-func rawSetRequest(i int) BatchRequest {
-	return BatchRequest{
+func rawSetRequest(i int) wire.BatchRequest {
+	return wire.BatchRequest{
 		AxiomSet: fmt.Sprintf("A1: forall p, p.L%[1]d <> p.R%[1]d\nA2: forall p <> q, p.L%[1]d|R%[1]d <> q.L%[1]d|R%[1]d\n", i),
-		Raw: []RawQuery{{SHandle: "h", SPath: fmt.Sprintf("L%d", i), SField: "val", SWrite: true,
+		Raw: []wire.RawQuery{{SHandle: "h", SPath: fmt.Sprintf("L%d", i), SField: "val", SWrite: true,
 			THandle: "h", TPath: fmt.Sprintf("R%d", i), TField: "val"}},
 	}
 }

@@ -13,12 +13,13 @@ import (
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // postBatchTraced posts one batch with a client traceparent and returns the
 // response, decoded body, and the traceparent header the server answered
 // with.
-func postBatchTraced(t *testing.T, url, traceparent string, req BatchRequest) (*http.Response, *BatchResponse, string) {
+func postBatchTraced(t *testing.T, url, traceparent string, req wire.BatchRequest) (*http.Response, *wire.BatchResponse, string) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -37,7 +38,7 @@ func postBatchTraced(t *testing.T, url, traceparent string, req BatchRequest) (*
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var br BatchResponse
+	var br wire.BatchResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 			t.Fatalf("decode: %v", err)
@@ -57,7 +58,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, br, echoed := postBatchTraced(t, ts.URL, client, BatchRequest{
+	resp, br, echoed := postBatchTraced(t, ts.URL, client, wire.BatchRequest{
 		Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -135,7 +136,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 
 	// A headerless (or malformed) request gets a freshly minted trace.
-	_, _, minted := postBatchTraced(t, ts.URL, "garbage", BatchRequest{
+	_, _, minted := postBatchTraced(t, ts.URL, "garbage", wire.BatchRequest{
 		Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"},
 	})
 	mtc, ok := telemetry.ParseTraceparent(minted)
@@ -157,7 +158,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	if _, br := postBatch(t, ts.URL, BatchRequest{
+	if _, br := postBatch(t, ts.URL, wire.BatchRequest{
 		Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"},
 	}); len(br.Results) == 0 {
 		t.Fatal("no results")
@@ -177,13 +178,12 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"apt_engine_queries_total",
 		"apt_engine_degraded_request_deadline_total 0\n",
 		"apt_serve_request_ns_bucket{le=\"+Inf\"}",
-		"apt_serve_request_ns_window{quantile=\"0.99\"}",
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	for _, gone := range []string{"apt_server_", "apt_degraded_total", "apt_engine_set_", "apt_interned_exprs", "apt_flight_"} {
+	for _, gone := range []string{"apt_server_", "apt_degraded_total", "apt_engine_set_", "apt_interned_exprs", "apt_flight_", "_window"} {
 		if strings.Contains(string(data), gone) {
 			t.Errorf("/metrics still carries %q", gone)
 		}
@@ -256,7 +256,7 @@ func TestMetricsCountersNeverGoBackwards(t *testing.T) {
 	for i := range lines {
 		lines[i] = "between S T"
 	}
-	degrading := BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: lines, DeadlineMS: 1}
+	degrading := wire.BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: lines, DeadlineMS: 1}
 	for attempt := 0; attempt < 25; attempt++ {
 		srv := newMetered(Config{Workers: 2})
 		ts := httptest.NewServer(srv)
@@ -266,7 +266,7 @@ func TestMetricsCountersNeverGoBackwards(t *testing.T) {
 			continue // the search beat the deadline; try again cold
 		}
 		before := counterSeries(t, scrape(t, ts.URL))
-		postBatch(t, ts.URL, BatchRequest{Program: listProgram(t), Fn: "update", Queries: []string{"loop U"}})
+		postBatch(t, ts.URL, wire.BatchRequest{Program: listProgram(t), Fn: "update", Queries: []string{"loop U"}})
 		after := counterSeries(t, scrape(t, ts.URL))
 		ts.Close()
 		if before["apt_engine_degraded_request_deadline_total"] == 0 {
@@ -313,7 +313,7 @@ func TestAccessLogJSONL(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	if _, br := postBatch(t, ts.URL, BatchRequest{
+	if _, br := postBatch(t, ts.URL, wire.BatchRequest{
 		Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"},
 	}); len(br.Results) == 0 {
 		t.Fatal("no results")
@@ -377,7 +377,7 @@ func TestDegradedRequestCaptured(t *testing.T) {
 	for i := range lines {
 		lines[i] = "between S T"
 	}
-	req := BatchRequest{
+	req := wire.BatchRequest{
 		Program: treeProgram(t), Fn: "subr",
 		Queries:    lines,
 		DeadlineMS: 1,
@@ -438,7 +438,7 @@ func TestAnalysisSpanShowsWarmWidening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := BatchRequest{Program: string(src), Fn: "swap", Queries: []string{"loop D"}}
+	req := wire.BatchRequest{Program: string(src), Fn: "swap", Queries: []string{"loop D"}}
 	traces := []string{
 		"00-0af7651916cd43dd8448eb211c803101-b7ad6b7169203331-01",
 		"00-0af7651916cd43dd8448eb211c803102-b7ad6b7169203331-01",

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync"
+
+	"repro/internal/wire"
 )
 
 // Process warmup: the first execution of the request pipeline in a fresh
@@ -58,7 +60,7 @@ func (w *discardResponseWriter) WriteHeader(int)             {}
 func warmProcess() {
 	warmupOnce.Do(func() {
 		srv := newServer(Config{Workers: 1})
-		body, err := json.Marshal(BatchRequest{
+		body, err := json.Marshal(wire.BatchRequest{
 			Program: warmupProgram,
 			Fn:      "warm",
 			Queries: []string{"between S T"},

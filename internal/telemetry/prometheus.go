@@ -20,9 +20,6 @@ import (
 //   - GaugeFunc → gauge     apt_<name>
 //   - Histogram → histogram apt_<name> with cumulative log₂ buckets
 //     (le = 2^i − 1, the exact upper bound of bucket i), _sum and _count
-//   - WindowHistogram → summary apt_<name>_window with exact sample
-//     quantiles (0.5 / 0.95 / 0.99) over the trailing DefaultWindow,
-//     like a client_golang sliding-window summary
 //
 // Dots and any other characters outside [a-zA-Z0-9_:] become '_'.  A
 // counter or gauge name built by Labeled keeps its label set verbatim: only
@@ -108,10 +105,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for n, h := range r.hists {
 		hists[n] = h
 	}
-	windows := make(map[string]*WindowHistogram, len(r.windows))
-	for n, wh := range r.windows {
-		windows[n] = wh
-	}
 	r.mu.Unlock()
 
 	bw := bufio.NewWriter(w)
@@ -126,9 +119,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	})
 	for _, n := range sortedKeys(hists) {
 		writePromHistogram(bw, "apt_"+PromName(n), n, hists[n])
-	}
-	for _, n := range sortedKeys(windows) {
-		writePromWindow(bw, "apt_"+PromName(n)+"_window", n, windows[n])
 	}
 	return bw.Flush()
 }
@@ -176,16 +166,6 @@ func writePromHistogram(w io.Writer, name, orig string, h *Histogram) {
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, count)
 	fmt.Fprintf(w, "%s_sum %d\n", name, sum)
 	fmt.Fprintf(w, "%s_count %d\n", name, count)
-}
-
-func writePromWindow(w io.Writer, name, orig string, wh *WindowHistogram) {
-	s := wh.Summary(DefaultWindow)
-	fmt.Fprintf(w, "# HELP %s Sliding-window (%dms) sample quantiles of %s.\n# TYPE %s summary\n",
-		name, s.WindowMS, orig, name)
-	fmt.Fprintf(w, "%s{quantile=\"0.5\"} %d\n", name, s.P50)
-	fmt.Fprintf(w, "%s{quantile=\"0.95\"} %d\n", name, s.P95)
-	fmt.Fprintf(w, "%s{quantile=\"0.99\"} %d\n", name, s.P99)
-	fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

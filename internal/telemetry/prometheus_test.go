@@ -31,10 +31,6 @@ func deterministicRegistry() *Registry {
 	for _, v := range []int64{0, 1, 5, 100, 1000, 1 << 20} {
 		h.Observe(v)
 	}
-	w := r.Window("serve.request_ns")
-	for v := int64(1); v <= 100; v++ {
-		w.Observe(v * 1000)
-	}
 	return r
 }
 
@@ -131,14 +127,19 @@ func TestValidatePrometheusCatchesBreakage(t *testing.T) {
 	}
 }
 
-func TestSnapshotWriteTextIncludesWindows(t *testing.T) {
+// TestSnapshotWriteTextSections: the text summary has one section per
+// instrument kind, so a latency appears once, under histograms.
+func TestSnapshotWriteTextSections(t *testing.T) {
 	r := deterministicRegistry()
 	var buf bytes.Buffer
 	r.Snapshot().WriteText(&buf)
-	for _, want := range []string{"windows:", "gauges:"} {
+	for _, want := range []string{"counters:", "maxima:", "gauges:", "histograms:"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("WriteText lacks the %s section:\n%s", want, buf.String())
 		}
+	}
+	if n := strings.Count(buf.String(), "serve.request_ns"); n != 1 {
+		t.Errorf("WriteText lists serve.request_ns %d times, want once:\n%s", n, buf.String())
 	}
 }
 

@@ -76,10 +76,6 @@ func (s *Set) GaugeFunc(name string, f func() int64) { s.Metrics().GaugeFunc(nam
 // Histogram resolves a named histogram (nil when metrics are disabled).
 func (s *Set) Histogram(name string) *Histogram { return s.Metrics().Histogram(name) }
 
-// Window resolves a named sliding-window histogram (nil when metrics are
-// disabled).
-func (s *Set) Window(name string) *WindowHistogram { return s.Metrics().Window(name) }
-
 // PhaseTiming is one completed pipeline phase.
 type PhaseTiming struct {
 	Name string
@@ -87,8 +83,8 @@ type PhaseTiming struct {
 }
 
 // Phases times named sequential pipeline phases (parse, analyze, query, …),
-// recording each as a "pipeline.phase" span and a *_ns histogram, and
-// keeps the ordered wall-clock list for the -stats summary.  Works with a nil Set
+// recording each as a "pipeline.phase" span and in the ordered wall-clock
+// list the -stats summary prints.  Works with a nil Set
 // (timings are still collected locally).  Not safe for concurrent use.
 type Phases struct {
 	tel *Set
@@ -105,7 +101,6 @@ func (p *Phases) Run(name string, f func() error) error {
 	err := f()
 	d := time.Since(start)
 	p.rec = append(p.rec, PhaseTiming{Name: name, Dur: d})
-	p.tel.Histogram("pipeline." + name + "_ns").Observe(d.Nanoseconds())
 	sp.End(String("phase", name), Bool("ok", err == nil))
 	return err
 }

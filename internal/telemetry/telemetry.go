@@ -192,7 +192,6 @@ type Registry struct {
 	maxes    map[string]*Max
 	gauges   map[string]func() int64
 	hists    map[string]*Histogram
-	windows  map[string]*WindowHistogram
 }
 
 // NewRegistry returns an empty registry.
@@ -202,7 +201,6 @@ func NewRegistry() *Registry {
 		maxes:    make(map[string]*Max),
 		gauges:   make(map[string]func() int64),
 		hists:    make(map[string]*Histogram),
-		windows:  make(map[string]*WindowHistogram),
 	}
 }
 
@@ -281,35 +279,15 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Window returns the named sliding-window histogram, creating it if
-// needed.  Window names share the registry namespace but are a separate
-// instrument kind: a *_ns name may hold both a cumulative Histogram and a
-// WindowHistogram (serve.request_ns does).
-func (r *Registry) Window(name string) *WindowHistogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.windows[name]
-	if !ok {
-		w = NewWindowHistogram()
-		r.windows[name] = w
-	}
-	return w
-}
-
 // Snapshot is a point-in-time copy of every instrument's state.
 type Snapshot struct {
-	Counters map[string]int64         `json:"counters"`
-	Maxes    map[string]int64         `json:"maxes"`
-	Gauges   map[string]int64         `json:"gauges,omitempty"`
-	Hists    map[string]HistSummary   `json:"histograms"`
-	Windows  map[string]WindowSummary `json:"windows,omitempty"`
+	Counters map[string]int64       `json:"counters"`
+	Maxes    map[string]int64       `json:"maxes"`
+	Gauges   map[string]int64       `json:"gauges,omitempty"`
+	Hists    map[string]HistSummary `json:"histograms"`
 }
 
-// Snapshot captures the current state of all instruments.  Sliding-window
-// summaries cover the trailing DefaultWindow.
+// Snapshot captures the current state of all instruments.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters: map[string]int64{},
@@ -332,12 +310,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for n, h := range r.hists {
 		s.Hists[n] = h.Summary()
-	}
-	if len(r.windows) > 0 {
-		s.Windows = map[string]WindowSummary{}
-		for n, w := range r.windows {
-			s.Windows[n] = w.Summary(DefaultWindow)
-		}
 	}
 	return s
 }
@@ -398,26 +370,6 @@ func (s Snapshot) WriteText(w io.Writer) {
 					time.Duration(h.P99).Round(time.Microsecond))
 			} else {
 				fmt.Fprintf(w, "  %-42s %10d %12.1f %12d %12d %12d\n", n, h.Count, h.Mean, h.Min, h.Max, h.P99)
-			}
-		}
-	}
-	if len(s.Windows) > 0 {
-		wn := make([]string, 0, len(s.Windows))
-		for n := range s.Windows {
-			wn = append(wn, n)
-		}
-		sort.Strings(wn)
-		fmt.Fprintf(w, "windows: %35s %12s %12s %12s %12s\n", "count", "p50", "p95", "p99", "max")
-		for _, n := range wn {
-			ws := s.Windows[n]
-			if strings.HasSuffix(n, "_ns") {
-				fmt.Fprintf(w, "  %-42s %10d %12v %12v %12v %12v\n", n, ws.Count,
-					time.Duration(ws.P50).Round(time.Microsecond),
-					time.Duration(ws.P95).Round(time.Microsecond),
-					time.Duration(ws.P99).Round(time.Microsecond),
-					time.Duration(ws.Max).Round(time.Microsecond))
-			} else {
-				fmt.Fprintf(w, "  %-42s %10d %12d %12d %12d %12d\n", n, ws.Count, ws.P50, ws.P95, ws.P99, ws.Max)
 			}
 		}
 	}

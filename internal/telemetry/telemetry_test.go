@@ -203,8 +203,8 @@ func TestPhases(t *testing.T) {
 	if err := ph.Run("analyze", func() error { return wantErr }); err != wantErr {
 		t.Fatalf("error not propagated: %v", err)
 	}
-	if len(ph.Timings()) != 2 || ph.Timings()[0].Name != "parse" {
-		t.Errorf("timings = %v", ph.Timings())
+	if tm := ph.Timings(); len(tm) != 2 || tm[0].Name != "parse" || tm[1].Name != "analyze" || tm[0].Dur < 0 || tm[1].Dur < 0 {
+		t.Errorf("timings = %v", tm)
 	}
 	if !strings.Contains(ph.Summary(), "parse") || !strings.Contains(ph.Summary(), "total") {
 		t.Errorf("summary = %q", ph.Summary())
@@ -212,8 +212,8 @@ func TestPhases(t *testing.T) {
 	if !strings.Contains(buf.String(), `"phase":"analyze"`) {
 		t.Errorf("trace missing phase event: %s", buf.String())
 	}
-	if reg.Snapshot().Hists["pipeline.parse_ns"].Count != 1 {
-		t.Error("phase histogram not recorded")
+	if h := reg.Snapshot().Hists; len(h) != 0 {
+		t.Errorf("phases booked histograms %v; the phase list is their one record", h)
 	}
 
 	// A nil-telemetry Phases still records timings.
