@@ -83,17 +83,23 @@ serve-smoke:
 	$(GO) test -run 'TestServerSmokeAndDrain' -v ./cmd/aptserved
 
 # Observability gate: the Prometheus exposition golden + validator, the
-# counters-never-go-backwards scrape test, the traceparent/span-tree tests, a 50-iteration race soak of the lock-free
+# counters-never-go-backwards scrape test, the traceparent/span-tree tests,
+# aptdep's trace-schema test (sequentially and with -batch, one streamed
+# tree whose only root spans are its pipeline phases), a 50-iteration race soak of the lock-free
 # flight recorder and of admission's Retry-After completion count, the allocation guards —
-# zero allocations for disabled tracing, warm hits and a Retry-After estimate, two for a cold
+# zero allocations for disabled tracing and a nil Set handed down a layer, warm hits and a
+# Retry-After estimate, two for a cold
 # language decision, at most seven to decode the raw-mode golden request —
 # (which -race would skew, hence the separate non-race invocation), the count-once test (one drive moves
 # every registry counter the engine, caches and admission book), and the
-# one-span-model test (a streaming and a retaining trace of one batch hold
-# the same spans with the same parents).
+# one-span-model test (a streaming and a retaining trace of one batch,
+# each handed to it in a telemetry.Set, hold the same spans with the same
+# parents, and an engine streaming on its own Set puts every proof and
+# query event under an engine.worker).
 obs-check:
 	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestGaugeFunc|TestTraceparent|TestRequestTrace|TestStreamingTrace|TestMetricsPrometheus|TestMetricsCountersNeverGoBackwards|TestAccessLog' \
 		./internal/telemetry ./internal/serve
+	$(GO) test -run 'TestTraceJSONSchema' ./cmd/aptdep
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestConcurrentFinishCountsExact' ./internal/telemetry ./internal/admit
 	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestCutsAllocationBudget|TestColdDecisionAllocations|TestCompileAllocations|TestSummaryAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations|TestRetryAfterAllocations' \
 		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata ./internal/analysis ./internal/wire ./internal/admit

@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer tf.Close(stderr, phases)
 
 	var prog *lang.Program
-	if err := phases.Run("parse", func() error {
+	if err := phases.Run("parse", func(*telemetry.Set) error {
 		src, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
 			return err
@@ -130,12 +130,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var res *analysis.Result
-	if err := phases.Run("analyze", func() error {
+	if err := phases.Run("analyze", func(set *telemetry.Set) error {
 		var err error
 		res, err = analysis.Analyze(prog, name, analysis.Options{
 			InferTypeAxioms:      true,
 			AssumeLoopInvariants: *assumeInv,
-			Telemetry:            tel,
+			Telemetry:            set,
 		})
 		return err
 	}); err != nil {
@@ -166,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var queries []core.Query
-	if err := phases.Run("build-queries", func() error {
+	if err := phases.Run("build-queries", func(*telemetry.Set) error {
 		var err error
 		switch {
 		case *loop != "":
@@ -183,10 +183,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fatalf("%v", err)
 	}
 
-	tester := core.NewTester(res.Axioms, prover.Options{Telemetry: tel})
-	tester.VerifyProofs = *verify
 	exit := 0
-	phases.Run("deptest", func() error {
+	phases.Run("deptest", func(set *telemetry.Set) error {
+		tester := core.NewTester(res.Axioms, prover.Options{Telemetry: set})
+		tester.VerifyProofs = *verify
 		for _, q := range queries {
 			out := tester.DepTest(q)
 			fmt.Fprintf(stdout, "%v  [%s]  S: %v  T: %v\n    %s\n", out.Result, out.Kind, q.S, q.T, out.Reason)
@@ -229,7 +229,7 @@ func runBatch(cfg batchConfig, stdout, stderr io.Writer) int {
 		return 2
 	}
 	var queries []core.Query
-	if err := cfg.phases.Run("build-queries", func() error {
+	if err := cfg.phases.Run("build-queries", func(*telemetry.Set) error {
 		src, err := os.ReadFile(cfg.file)
 		if err != nil {
 			return err
@@ -244,14 +244,12 @@ func runBatch(cfg batchConfig, stdout, stderr io.Writer) int {
 
 	eng := engine.New(engine.Options{
 		Workers:      cfg.workers,
-		QueryTimeout: cfg.timeout,
-		Prover:       prover.Options{Telemetry: cfg.tel},
 		VerifyProofs: cfg.verify,
 		Telemetry:    cfg.tel,
 	})
 	exit := 0
-	cfg.phases.Run("deptest", func() error {
-		for i, out := range eng.Batch(context.Background(), queries) {
+	cfg.phases.Run("deptest", func(set *telemetry.Set) error {
+		for i, out := range eng.BatchTimeout(context.Background(), queries, cfg.timeout, set) {
 			q := queries[i]
 			fmt.Fprintf(stdout, "%v  [%s]  S: %v  T: %v\n    %s\n", out.Result, out.Kind, q.S, q.T, out.Reason)
 			if cfg.trace && out.Proof != nil {

@@ -24,26 +24,50 @@ func TestIndent(t *testing.T) {
 	}
 }
 
-// TestTraceJSONSchema drives the whole CLI in-process over the paper's §3.3
-// example and validates the JSONL trace schema: every line is one JSON
+// TestTraceJSONSchema drives the whole CLI in-process, sequentially over
+// the paper's §3.3 example and with -batch over testdata/determinism's
+// walk.{c,q}, and validates the JSONL trace schema: every line is one JSON
 // object with ts_us / strictly-increasing seq / ev, the prover span carries
-// its effort attributes, and the expected event kinds are present.
+// its effort attributes, and the expected event kinds are present.  Each
+// run streams one tree: only its pipeline.phase spans are roots, the
+// analysis sits under the analyze phase, and every proof under the deptest
+// phase (sequentially) or under an engine.worker (with -batch).
 func TestTraceJSONSchema(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-stats", "-trace-json", tracePath,
-		"-fn", "subr", "-from", "S", "-to", "T",
-		"../../testdata/section33.c",
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 (independence provable)\nstdout: %s\nstderr: %s",
-			code, stdout.String(), stderr.String())
+	for _, tc := range []struct {
+		name       string
+		args       []string
+		wantExit   int
+		proofUnder string
+	}{
+		{"sequential", []string{"-fn", "subr", "-from", "S", "-to", "T", "../../testdata/section33.c"}, 0, "pipeline.phase"},
+		{"batch", []string{"-fn", "walk", "-batch", "../../testdata/determinism/walk.q", "../../testdata/determinism/walk.c"}, 1, "engine.worker"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
+			var stdout, stderr bytes.Buffer
+			code := run(append([]string{"-stats", "-trace-json", tracePath}, tc.args...), &stdout, &stderr)
+			if code != tc.wantExit {
+				t.Fatalf("exit = %d, want %d\nstdout: %s\nstderr: %s",
+					code, tc.wantExit, stdout.String(), stderr.String())
+			}
+			if !strings.Contains(stdout.String(), "No") {
+				t.Errorf("stdout missing verdict: %s", stdout.String())
+			}
+			checkTrace(t, tracePath, tc.name == "sequential", tc.proofUnder)
+			// The -stats stderr summary carries the derived effort numbers.
+			for _, want := range []string{"wall-clock per phase", "cache hit rate", "DFA compiles:", "counters:", "histograms:"} {
+				if !strings.Contains(stderr.String(), want) {
+					t.Errorf("stderr missing %q:\n%s", want, stderr.String())
+				}
+			}
+		})
 	}
-	if !strings.Contains(stdout.String(), "No") {
-		t.Errorf("stdout missing verdict: %s", stdout.String())
-	}
+}
 
+// checkTrace validates one -trace-json file (see TestTraceJSONSchema).
+// allProved asks every proof to read "proved".
+func checkTrace(t *testing.T, tracePath string, allProved bool, proofUnder string) {
+	t.Helper()
 	data, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
@@ -53,8 +77,8 @@ func TestTraceJSONSchema(t *testing.T) {
 		t.Fatalf("only %d trace lines", len(lines))
 	}
 	events := map[string]int{}
-	spans := map[string]string{} // span_id → ev
-	var children [][2]string     // (ev, parent_id) of every parented line
+	spans := map[string]map[string]any{} // span_id → its line
+	var parented []map[string]any
 	lastSeq := int64(0)
 	for _, ln := range lines {
 		var m map[string]any
@@ -80,10 +104,12 @@ func TestTraceJSONSchema(t *testing.T) {
 			t.Errorf("span line lacks dur_us: %s", ln)
 		}
 		if isSpan {
-			spans[id] = ev
+			spans[id] = m
 		}
-		if parent, ok := m["parent_id"].(string); ok {
-			children = append(children, [2]string{ev, parent})
+		if _, ok := m["parent_id"].(string); ok {
+			parented = append(parented, m)
+		} else if isSpan && ev != "pipeline.phase" {
+			t.Errorf("%s span is a root; only pipeline.phase spans are: %s", ev, ln)
 		}
 		if ev == "prover.prove" {
 			for _, k := range []string{"span_id", "dur_us", "theorem", "result", "steps", "budget", "peak_depth", "dfa_compiles"} {
@@ -91,7 +117,7 @@ func TestTraceJSONSchema(t *testing.T) {
 					t.Errorf("prover.prove missing %q: %s", k, ln)
 				}
 			}
-			if m["result"] != "proved" {
+			if allProved && m["result"] != "proved" {
 				t.Errorf("prover.prove result = %v, want proved", m["result"])
 			}
 		}
@@ -105,22 +131,28 @@ func TestTraceJSONSchema(t *testing.T) {
 	if events["prover.query"] != 0 {
 		t.Errorf("%d prover.query lines; the proof is reported once, as prover.prove", events["prover.query"])
 	}
-	// Every parent_id names a span of the same trace, and the rule events
-	// sit under their proof's span.
-	for _, c := range children {
-		parent, ok := spans[c[1]]
+	// Every parent_id names a span of the same trace, the analysis sits
+	// under the analyze phase, each proof and query under proofUnder, and
+	// the rule events under their proof's span.
+	for _, m := range parented {
+		ev := m["ev"].(string)
+		parent, ok := spans[m["parent_id"].(string)]
 		if !ok {
-			t.Errorf("%s parented under %s, which is no span in the trace", c[0], c[1])
+			t.Errorf("%s parented under %s, which is no span in the trace", ev, m["parent_id"])
+			continue
 		}
-		if strings.HasPrefix(c[0], "prover.") && parent != "prover.prove" {
-			t.Errorf("%s parented under %s, want prover.prove", c[0], parent)
-		}
-	}
-
-	// The -stats stderr summary carries the derived effort numbers.
-	for _, want := range []string{"wall-clock per phase", "cache hit rate", "DFA compiles:", "counters:", "histograms:"} {
-		if !strings.Contains(stderr.String(), want) {
-			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
+		pev := parent["ev"].(string)
+		switch {
+		case ev == "analysis.analyze":
+			if pev != "pipeline.phase" || parent["phase"] != "analyze" {
+				t.Errorf("analysis.analyze parented under %s (phase %v), want the analyze phase", pev, parent["phase"])
+			}
+		case ev == "prover.prove" || ev == "core.deptest":
+			if pev != proofUnder {
+				t.Errorf("%s parented under %s, want %s", ev, pev, proofUnder)
+			}
+		case strings.HasPrefix(ev, "prover.") && pev != "prover.prove":
+			t.Errorf("%s parented under %s, want prover.prove", ev, pev)
 		}
 	}
 }

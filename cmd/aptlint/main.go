@@ -140,7 +140,7 @@ func lintFiles(files []string, stdout, stderr io.Writer, phases *telemetry.Phase
 	for _, file := range files {
 		var diags []lint.Diagnostic
 		var prog *lang.Program
-		err := phases.Run("parse", func() error {
+		err := phases.Run("parse", func(*telemetry.Set) error {
 			src, err := os.ReadFile(file)
 			if err != nil {
 				return err
@@ -158,7 +158,7 @@ func lintFiles(files []string, stdout, stderr io.Writer, phases *telemetry.Phase
 		case err != nil:
 			return fatalf("%s: %v", file, err)
 		default:
-			if err := phases.Run("lint", func() error {
+			if err := phases.Run("lint", func(*telemetry.Set) error {
 				diags, err = lintOne(file, prog)
 				return err
 			}); err != nil {

@@ -28,7 +28,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lang"
 	"repro/internal/parallel"
-	"repro/internal/prover"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/telemetry"
@@ -211,7 +210,6 @@ func runCertify(workers int, tel *telemetry.Set, stdout, stderr io.Writer) error
 
 	eng := engine.New(engine.Options{
 		Workers:   workers,
-		Prover:    prover.Options{Telemetry: tel},
 		Telemetry: tel,
 	})
 	outs := eng.Batch(context.Background(), queries)

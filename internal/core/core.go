@@ -269,19 +269,21 @@ func (t *Tester) Axioms() *axiom.Set { return t.axioms }
 //  4. identical single-vertex paths    → Yes
 //  5. proveDisj succeeds               → No
 //  6. otherwise                        → Maybe
+//
+// A streaming trace receives one "core.deptest" event per query under the
+// Telemetry set's Parent (the engine.worker span of a batch, the deptest
+// phase of aptdep); a retaining trace keeps no events, so a served tree
+// holds the query's prover.prove spans alone.
 func (t *Tester) DepTest(q Query) Outcome {
-	rt := t.opts.Telemetry.Trace()
-	if rt == nil {
-		return t.count(t.depTest(q))
-	}
-	sp := rt.StartSpan("core.deptest", telemetry.SpanID{})
 	out := t.count(t.depTest(q))
-	sp.End(
-		telemetry.String("s", q.S.String()),
-		telemetry.String("t", q.T.String()),
-		telemetry.String("result", out.Result.String()),
-		telemetry.String("kind", out.Kind.String()),
-		telemetry.String("reason", out.Reason))
+	if rt := t.opts.Telemetry.Trace(); rt.Streaming() {
+		rt.Event("core.deptest", t.opts.Telemetry.Parent(),
+			telemetry.String("s", q.S.String()),
+			telemetry.String("t", q.T.String()),
+			telemetry.String("result", out.Result.String()),
+			telemetry.String("kind", out.Kind.String()),
+			telemetry.String("reason", out.Reason))
+	}
 	return out
 }
 

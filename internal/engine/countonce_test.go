@@ -48,7 +48,7 @@ func (c *countedInstances) drive(t *testing.T, seed int64) map[string]int64 {
 	t.Helper()
 	work := Workload(seed, 60)
 	c.eng.Batch(context.Background(), work)
-	c.eng.BatchTimeout(context.Background(), []core.Query{heavyQuery()}, time.Nanosecond)
+	c.eng.BatchTimeout(context.Background(), []core.Query{heavyQuery()}, time.Nanosecond, nil)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	c.eng.Batch(canceled, []core.Query{disjointQuery()})

@@ -16,16 +16,16 @@ import (
 // "why are my answers Maybe" undiagnosable from metrics, so every sub-test
 // asserts its own counter moved and the other two stayed at zero.
 
-// degradedHarness runs one batch with a trace scope attached and returns
-// the telemetry counters and per-reason trace counts.
+// degradedHarness runs one batch under a request's Set, as a server does,
+// and returns the telemetry counters and per-reason trace counts.
 func degradedHarness(t *testing.T, ctx context.Context, queries []core.Query, perQuery time.Duration) (map[string]int64, [telemetry.NumDegradeReasons]int64) {
 	t.Helper()
 	tel := telemetry.New(telemetry.NewRegistry(), nil)
 	tc := telemetry.NewTraceContext()
 	rt := telemetry.NewRequestTrace(tc)
-	ctx = telemetry.WithTraceScope(ctx, rt, tc.SpanID)
 	eng := New(Options{Workers: 2, Telemetry: tel})
-	for i, out := range eng.BatchTimeout(ctx, queries, perQuery) {
+	batch := telemetry.New(tel.Metrics(), rt).Under(tc.SpanID)
+	for i, out := range eng.BatchTimeout(ctx, queries, perQuery, batch) {
 		if out.Result != core.Maybe {
 			t.Errorf("results[%d] = %v, want Maybe", i, out.Result)
 		}

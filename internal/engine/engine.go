@@ -39,16 +39,17 @@ type Options struct {
 	// QueryTimeout, when positive, bounds each query's wall-clock proof
 	// search; an expired query degrades to Maybe (never to an unsound No).
 	QueryTimeout time.Duration
-	// Prover configures the per-worker provers (budgets, ablations,
-	// telemetry).  DFACache and Interrupt are overwritten by the engine.
+	// Prover configures the per-worker provers (budgets, ablations).
+	// DFACache, Interrupt and Telemetry are overwritten by the engine: each
+	// worker's provers report through the Set of its engine.worker span.
 	Prover prover.Options
 	// VerifyProofs re-checks every prover-backed No with the independent
 	// proof checker, as on the sequential Tester.
 	VerifyProofs bool
-	// Telemetry receives the engine's batch/memo/cache counters (nil, the
-	// default, disables them) and, for a batch whose context carries no
-	// trace scope, its spans.  Also passed to the worker provers unless
-	// Prover.Telemetry is already set.
+	// Telemetry is the engine's registry and default trace: every counter
+	// the engine, its testers and its provers book goes to its registry
+	// (nil, the default, disables them), and a batch run without a Set of
+	// its own (Batch, the CLIs) opens its spans on its trace.
 	Telemetry *telemetry.Set
 	// DFACache and Memo are the compiled-DFA cache and the cross-query
 	// proof memo the engine's workers share.  A long-lived process
@@ -90,9 +91,6 @@ func New(opts Options) *Engine {
 		opts.Workers = 1
 	}
 	tel := opts.Telemetry
-	if opts.Prover.Telemetry == nil {
-		opts.Prover.Telemetry = tel
-	}
 	dfas := opts.DFACache
 	if dfas == nil {
 		dfas = automata.NewSharedCache(0, 0, 0).SetTelemetry(tel)
@@ -169,7 +167,8 @@ func (g *interruptGuard) arm(timeout time.Duration) {
 	}
 }
 
-// Batch answers every query, fanning the slice across the pool.  The
+// Batch answers every query, fanning the slice across the pool, under the
+// engine's own Telemetry (see BatchTimeout).  The
 // result slice is index-aligned with queries — results[i] answers
 // queries[i] regardless of which worker ran it or in what order — and the
 // verdicts are those the sequential Tester would produce, provided budgets
@@ -177,7 +176,7 @@ func (g *interruptGuard) arm(timeout time.Duration) {
 // Maybe, the sound direction).  Queries not yet started when ctx is
 // canceled are answered Maybe without searching.
 func (e *Engine) Batch(ctx context.Context, queries []core.Query) []core.Outcome {
-	return e.BatchTimeout(ctx, queries, e.opts.QueryTimeout)
+	return e.BatchTimeout(ctx, queries, e.opts.QueryTimeout, nil)
 }
 
 // BatchTimeout is Batch with a per-call override of the per-query timeout
@@ -186,35 +185,36 @@ func (e *Engine) Batch(ctx context.Context, queries []core.Query) []core.Outcome
 // shared either way.  A deadline on ctx bounds the whole batch: queries
 // still searching when it passes degrade to Maybe with a deadline reason,
 // exactly like a per-query timeout (and unlike an outright cancellation).
-func (e *Engine) BatchTimeout(ctx context.Context, queries []core.Query, perQuery time.Duration) []core.Outcome {
+//
+// set is the batch's Set: its trace and parent place the batch in its
+// caller's span tree (a served request's retaining trace under serve.batch,
+// a CLI phase's stream under pipeline.phase), and its trace notes each
+// degraded query.  Nil means the engine's own Telemetry.  Each chunk of
+// the batch is one engine.worker span under set.Parent(), and its tester
+// and provers report through that span's Set, booking into the engine's
+// registry.
+func (e *Engine) BatchTimeout(ctx context.Context, queries []core.Query, perQuery time.Duration, set *telemetry.Set) []core.Outcome {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	e.batches.Add(1)
 	e.queries.Add(int64(len(queries)))
 	results := make([]core.Outcome, len(queries))
-	// Spans go to the batch context's trace scope (a served request's
-	// retaining trace) or, without one, to the engine's telemetry trace (a
-	// CLI's -trace-json stream); either way each chunk is one engine.worker
-	// span with its proofs under it.
-	rt, parent := telemetry.TraceScope(ctx)
-	if rt == nil {
-		rt = e.opts.Telemetry.Trace()
+	if set == nil {
+		set = e.opts.Telemetry
 	}
+	rt := set.Trace()
 	e.pool.ForEachChunk(len(queries), func(lo, hi int) {
-		ws := rt.StartSpan("engine.worker", parent)
+		ws := rt.StartSpan("engine.worker", set.Parent())
 		guard := &interruptGuard{ctx: ctx}
 		opts := e.opts.Prover
 		opts.DFACache = e.dfas
 		opts.Interrupt = guard.tripped
-		if rt != nil {
-			opts.Trace = rt
-			opts.TraceParent = ws.ID()
-		}
+		opts.Telemetry = telemetry.New(e.opts.Telemetry.Metrics(), rt).Under(ws.ID())
 		tester := core.NewTester(nil, opts).SetProofMemo(e.memo)
 		tester.VerifyProofs = e.opts.VerifyProofs
 		for i := lo; i < hi; i++ {
-			results[i] = e.runOne(tester, guard, queries[i], perQuery)
+			results[i] = e.runOne(tester, guard, rt, queries[i], perQuery)
 		}
 		ws.End(telemetry.Int("queries", hi-lo))
 	})
@@ -222,10 +222,10 @@ func (e *Engine) BatchTimeout(ctx context.Context, queries []core.Query, perQuer
 }
 
 // degrade books one query's degradation under reason — on the engine's
-// split counters and, when the batch context carries a trace scope, on the
-// request's degradation profile (which is what marks the request for the
-// flight recorder).
-func (e *Engine) degrade(ctx context.Context, reason telemetry.DegradeReason) {
+// split counters and on the batch trace's degradation profile (which, on a
+// served request's trace, is what marks the request for the flight
+// recorder).
+func (e *Engine) degrade(rt *telemetry.RequestTrace, reason telemetry.DegradeReason) {
 	switch reason {
 	case telemetry.DegradeQueryTimeout:
 		e.timeouts.Add(1)
@@ -234,26 +234,24 @@ func (e *Engine) degrade(ctx context.Context, reason telemetry.DegradeReason) {
 	case telemetry.DegradeCanceled:
 		e.canceled.Add(1)
 	}
-	if rt, _ := telemetry.TraceScope(ctx); rt != nil {
-		rt.NoteDegraded(reason)
-	}
+	rt.NoteDegraded(reason)
 }
 
 // runOne answers one query on the worker's tester, degrading to Maybe with
-// an explanatory reason when the guard trips.
-func (e *Engine) runOne(tester *core.Tester, guard *interruptGuard, q core.Query, perQuery time.Duration) core.Outcome {
+// an explanatory reason, noted on the batch trace rt, when the guard trips.
+func (e *Engine) runOne(tester *core.Tester, guard *interruptGuard, rt *telemetry.RequestTrace, q core.Query, perQuery time.Duration) core.Outcome {
 	guard.arm(perQuery)
 	if guard.tripped() {
 		switch {
 		case guard.canceled:
-			e.degrade(guard.ctx, telemetry.DegradeCanceled)
+			e.degrade(rt, telemetry.DegradeCanceled)
 			return core.Outcome{
 				Result: core.Maybe,
 				Kind:   core.Classify(q.S, q.T),
 				Reason: fmt.Sprintf("batch canceled before query ran (%v); dependence assumed", guard.ctx.Err()),
 			}
 		case guard.expired:
-			e.degrade(guard.ctx, telemetry.DegradeRequestDeadline)
+			e.degrade(rt, telemetry.DegradeRequestDeadline)
 			return core.Outcome{
 				Result: core.Maybe,
 				Kind:   core.Classify(q.S, q.T),
@@ -269,13 +267,13 @@ func (e *Engine) runOne(tester *core.Tester, guard *interruptGuard, q core.Query
 	if out.Result == core.Maybe && q.Axioms != nil {
 		switch {
 		case guard.canceled:
-			e.degrade(guard.ctx, telemetry.DegradeCanceled)
+			e.degrade(rt, telemetry.DegradeCanceled)
 			out.Reason = fmt.Sprintf("batch canceled mid-search (%v); dependence assumed", guard.ctx.Err())
 		case guard.expired:
-			e.degrade(guard.ctx, telemetry.DegradeRequestDeadline)
+			e.degrade(rt, telemetry.DegradeRequestDeadline)
 			out.Reason = "request deadline expired mid-search; dependence assumed"
 		case guard.timedOut:
-			e.degrade(guard.ctx, telemetry.DegradeQueryTimeout)
+			e.degrade(rt, telemetry.DegradeQueryTimeout)
 			out.Reason = fmt.Sprintf("query timeout (%v) exhausted the search; dependence assumed", perQuery)
 		}
 	}

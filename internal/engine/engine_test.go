@@ -195,7 +195,7 @@ func TestRequestDeadlineDegradesToMaybe(t *testing.T) {
 	defer cancel()
 	queries := []core.Query{disjointQuery(), heavyQuery()}
 	eng, count := newCountedEngine(Options{Workers: 2})
-	for i, out := range eng.BatchTimeout(ctx, queries, 0) {
+	for i, out := range eng.BatchTimeout(ctx, queries, 0, nil) {
 		if out.Result != core.Maybe {
 			t.Errorf("results[%d] = %v, want Maybe", i, out.Result)
 		}

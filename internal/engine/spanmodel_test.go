@@ -16,24 +16,12 @@ import (
 // root).
 type spanEdge struct{ name, parent string }
 
-// TestOneSpanModel pins the one span model: the same batch run under a
-// streaming trace (the CLIs' -trace-json) and under a retaining trace (a
-// served request's tree) yields the same spans with the same parentage —
-// engine.worker under the batch, each prover.prove under an engine.worker —
-// and only the stream carries the per-step rule events.
-func TestOneSpanModel(t *testing.T) {
-	queries := Workload(3, 24)
-	run := func(rt *telemetry.RequestTrace) {
-		eng := New(Options{Workers: 1})
-		batch := rt.StartSpan("test.batch", telemetry.SpanID{})
-		eng.Batch(telemetry.WithTraceScope(context.Background(), rt, batch.ID()), queries)
-		batch.End()
-	}
-
-	var buf bytes.Buffer
-	run(telemetry.NewStreamingTrace(telemetry.NewTraceWriter(&buf)))
+// streamed parses a streaming trace into its spans, each named with its
+// parent, and its events, each as {ev, parent span's name}.
+func streamed(t *testing.T, buf *bytes.Buffer) (spans, events []spanEdge) {
+	t.Helper()
 	names := map[string]string{} // span_id → name
-	var spanLines, eventLines []map[string]any
+	var lines []map[string]any
 	for _, ln := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var m map[string]any
 		if err := json.Unmarshal([]byte(ln), &m); err != nil {
@@ -41,16 +29,39 @@ func TestOneSpanModel(t *testing.T) {
 		}
 		if id, ok := m["span_id"].(string); ok {
 			names[id] = m["ev"].(string)
-			spanLines = append(spanLines, m)
+		}
+		lines = append(lines, m)
+	}
+	for _, m := range lines {
+		parent, _ := m["parent_id"].(string)
+		e := spanEdge{m["ev"].(string), names[parent]}
+		if _, ok := m["span_id"]; ok {
+			spans = append(spans, e)
 		} else {
-			eventLines = append(eventLines, m)
+			events = append(events, e)
 		}
 	}
-	var streamed []spanEdge
-	for _, m := range spanLines {
-		parent, _ := m["parent_id"].(string)
-		streamed = append(streamed, spanEdge{m["ev"].(string), names[parent]})
+	return spans, events
+}
+
+// TestOneSpanModel pins the one span model: the same batch run under a
+// streaming trace (the CLIs' -trace-json) and under a retaining trace (a
+// served request's tree), each handed to the batch as its Set, yields the
+// same spans with the same parentage — engine.worker under the batch, each
+// prover.prove under an engine.worker — and only the stream carries the
+// per-query core.deptest events and the per-step rule events.
+func TestOneSpanModel(t *testing.T) {
+	queries := Workload(3, 24)
+	run := func(rt *telemetry.RequestTrace) {
+		eng := New(Options{Workers: 1})
+		batch := rt.StartSpan("test.batch", telemetry.SpanID{})
+		eng.BatchTimeout(context.Background(), queries, 0, telemetry.New(nil, rt).Under(batch.ID()))
+		batch.End()
 	}
+
+	var buf bytes.Buffer
+	run(telemetry.NewStreamingTrace(telemetry.NewTraceWriter(&buf)))
+	stream, events := streamed(t, &buf)
 
 	retaining := telemetry.NewRequestTrace(telemetry.NewTraceContext())
 	run(retaining)
@@ -64,10 +75,10 @@ func TestOneSpanModel(t *testing.T) {
 		retained = append(retained, spanEdge{sp.Name, byID[sp.Parent]})
 	}
 
-	sortEdges(streamed)
+	sortEdges(stream)
 	sortEdges(retained)
-	if !reflect.DeepEqual(streamed, retained) {
-		t.Fatalf("span multisets differ:\nstream    %v\nretaining %v", streamed, retained)
+	if !reflect.DeepEqual(stream, retained) {
+		t.Fatalf("span multisets differ:\nstream    %v\nretaining %v", stream, retained)
 	}
 	count := map[string]int{}
 	for _, e := range retained {
@@ -90,17 +101,59 @@ func TestOneSpanModel(t *testing.T) {
 		t.Fatalf("span counts %v: want engine.worker and prover.prove spans", count)
 	}
 
-	t.Logf("spans %v; %d rule events", count, len(eventLines))
+	t.Logf("spans %v; %d events", count, len(events))
 
-	// The rule events exist only on the stream, each under its proof.
-	if len(eventLines) == 0 {
-		t.Fatal("stream holds no rule events")
-	}
-	for _, m := range eventLines {
-		parent, _ := m["parent_id"].(string)
-		if ev := m["ev"].(string); !strings.HasPrefix(ev, "prover.") || names[parent] != "prover.prove" {
-			t.Errorf("event %s parented under %q, want a prover rule under prover.prove", ev, names[parent])
+	// The events exist only on the stream: one core.deptest per query
+	// under its worker, each rule under its proof.
+	checkEvents(t, events, len(queries))
+
+	// The CLIs' configuration: an engine whose own Telemetry streams,
+	// batched without a Set of its own.  Each worker is a root, and every
+	// proof and query event of the batch sits under one.
+	buf.Reset()
+	eng := New(Options{Workers: 2, Telemetry: telemetry.New(nil, telemetry.NewStreamingTrace(telemetry.NewTraceWriter(&buf)))})
+	eng.Batch(context.Background(), queries)
+	spans, events := streamed(t, &buf)
+	count = map[string]int{}
+	for _, e := range spans {
+		count[e.name]++
+		want := "engine.worker"
+		if e.name == "engine.worker" {
+			want = ""
 		}
+		if e.parent != want {
+			t.Errorf("%s parented under %q, want %q", e.name, e.parent, want)
+		}
+	}
+	if count["engine.worker"] == 0 || count["prover.prove"] == 0 || len(count) != 2 {
+		t.Fatalf("span counts %v: want engine.worker and prover.prove spans alone", count)
+	}
+	checkEvents(t, events, len(queries))
+}
+
+// checkEvents asserts a stream's events: n core.deptest events, each under
+// an engine.worker, and rule events, each under its prover.prove.  An
+// engine's own DFA cache outlives any one batch, so its compile events, on
+// the engine's own stream, are roots.
+func checkEvents(t *testing.T, events []spanEdge, n int) {
+	t.Helper()
+	deptests, rules := 0, 0
+	for _, e := range events {
+		switch {
+		case e.name == "core.deptest":
+			deptests++
+			if e.parent != "engine.worker" {
+				t.Errorf("core.deptest parented under %q, want engine.worker", e.parent)
+			}
+		case strings.HasPrefix(e.name, "prover.") && e.parent == "prover.prove":
+			rules++
+		case e.name == "automata.compile" && e.parent == "":
+		default:
+			t.Errorf("event %s parented under %q, want a prover rule under prover.prove", e.name, e.parent)
+		}
+	}
+	if deptests != n || rules == 0 {
+		t.Errorf("%d core.deptest and %d rule events, want %d and some", deptests, rules, n)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/axiom"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/prover"
 	"repro/internal/telemetry"
 )
 
@@ -53,7 +52,6 @@ func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 	p.eng = engine.New(engine.Options{
 		Workers:      cfg.Workers,
 		QueryTimeout: cfg.QueryTimeout,
-		Prover:       prover.Options{Telemetry: tel},
 		VerifyProofs: cfg.VerifyProofs,
 		Telemetry:    tel,
 		DFACache:     p.dfas,
@@ -72,10 +70,11 @@ func (p *Pool) DFACache() *automata.SharedCache { return p.dfas }
 func (p *Pool) Memo() *core.Memo { return p.memo }
 
 // Batch answers the queries on the pool's engine, each under its own axiom
-// set, with perQuery bounding each proof search (see
+// set, with perQuery bounding each proof search and set placing the batch
+// in its caller's span tree (nil: the engine's own; see
 // engine.Engine.BatchTimeout).  Every query must carry its Axioms.
-func (p *Pool) Batch(ctx context.Context, queries []core.Query, perQuery time.Duration) []core.Outcome {
-	return p.eng.BatchTimeout(ctx, queries, perQuery)
+func (p *Pool) Batch(ctx context.Context, queries []core.Query, perQuery time.Duration, set *telemetry.Set) []core.Outcome {
+	return p.eng.BatchTimeout(ctx, queries, perQuery, set)
 }
 
 // Get returns the pool's one engine, never cold; the axiom set is unused,

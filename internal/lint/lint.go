@@ -27,7 +27,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/engine"
 	"repro/internal/lang"
-	"repro/internal/prover"
 	"repro/internal/telemetry"
 )
 
@@ -206,7 +205,6 @@ func (c *Context) Engine() *engine.Engine {
 	if c.engine == nil {
 		c.engine = engine.New(engine.Options{
 			Workers:   c.Workers,
-			Prover:    prover.Options{Telemetry: c.Telemetry},
 			Telemetry: c.Telemetry,
 		})
 		if c.Caches != nil {

@@ -36,19 +36,15 @@ type Options struct {
 	// Maybe, never to an unsound No.  The engine uses this for context
 	// cancellation and per-query timeouts.
 	Interrupt func() bool
-	// Trace, when non-nil, receives one "prover.prove" span per top-level
-	// Prove call, parented under TraceParent — the engine sets both so a
-	// served request's span tree reaches all the way down to the proof
-	// searches (including the ones its interrupt hook cut short).  When
-	// nil, the proofs go to Telemetry's trace instead; with neither, the
-	// cost is one pointer check per query.  A streaming trace also receives
-	// the search's rule-application events, parented under the proof's
-	// span.
-	Trace       *telemetry.RequestTrace
-	TraceParent telemetry.SpanID
-	// Telemetry receives aggregate search counters and, unless Trace is
-	// set, the proof spans.  Nil (the default) disables instrumentation at
-	// ~zero cost on the hot path.
+	// Telemetry receives aggregate search counters and, on its trace, one
+	// "prover.prove" span per top-level Prove call, parented under its
+	// Parent — the engine hands each worker's provers a Set under the
+	// worker's engine.worker span, so a served request's span tree reaches
+	// all the way down to the proof searches (including the ones its
+	// interrupt hook cut short).  A streaming trace also receives the
+	// search's rule-application events, parented under the proof's span.
+	// Nil (the default) disables instrumentation at ~zero cost on the hot
+	// path: one pointer check per query.
 	Telemetry *telemetry.Set
 }
 
@@ -99,9 +95,9 @@ type Prover struct {
 	// eqWordAxioms are the equality axioms whose both sides are single
 	// words, usable for congruence rewriting of prefixes.
 	eqWordRewrites [][2][]string
-	// trace receives the proof spans (Options.Trace, else the Telemetry
-	// set's); m holds the pre-resolved instruments (all nil, hence no-op,
-	// when Options.Telemetry is nil).
+	// trace receives the proof spans (the Telemetry set's); m holds the
+	// pre-resolved instruments (all nil, hence no-op, when
+	// Options.Telemetry is nil).
 	trace *telemetry.RequestTrace
 	m     proverMetrics
 }
@@ -125,7 +121,7 @@ type proverMetrics struct {
 	starUnfolds    *telemetry.Counter
 	altSplits      *telemetry.Counter
 	exhausted      *telemetry.Counter
-	peakDepth      *telemetry.Max
+	peakDepth      *telemetry.Histogram
 	queryTimeNS    *telemetry.Histogram
 	querySteps     *telemetry.Histogram
 }
@@ -141,7 +137,7 @@ func newProverMetrics(tel *telemetry.Set) proverMetrics {
 		starUnfolds:    tel.Counter("prover.star_unfolds"),
 		altSplits:      tel.Counter("prover.alt_splits"),
 		exhausted:      tel.Counter("prover.exhausted"),
-		peakDepth:      tel.Max("prover.peak_depth"),
+		peakDepth:      tel.Histogram("prover.peak_depth"),
 		queryTimeNS:    tel.Histogram("prover.query_ns"),
 		querySteps:     tel.Histogram("prover.steps_per_query"),
 	}
@@ -158,15 +154,11 @@ func New(axioms *axiom.Set, opts Options) *Prover {
 			dfas.SkipMinimize()
 		}
 	}
-	trace := opts.Trace
-	if trace == nil {
-		trace = opts.Telemetry.Trace()
-	}
 	p := &Prover{
 		axioms: axioms,
 		opts:   opts,
 		dfas:   dfas,
-		trace:  trace,
+		trace:  opts.Telemetry.Trace(),
 		m:      newProverMetrics(opts.Telemetry),
 	}
 	for _, a := range axioms.ByForm(axiom.SameSrcEqual) {
@@ -268,7 +260,7 @@ func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 	if timed {
 		t0 = time.Now()
 	}
-	span := p.trace.StartSpanAt("prover.prove", p.opts.TraceParent, t0)
+	span := p.trace.StartSpanAt("prover.prove", p.opts.Telemetry.Parent(), t0)
 	alpha := p.alphabet(x.Expr(), y.Expr())
 	p.summarizeAxioms(alpha)
 	r := &run{

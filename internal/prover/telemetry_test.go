@@ -138,8 +138,8 @@ func TestProverTelemetry(t *testing.T) {
 			t.Errorf("counter %s = 0", c)
 		}
 	}
-	if snap.Maxes["prover.peak_depth"] == 0 {
-		t.Error("prover.peak_depth max = 0")
+	if h := snap.Hists["prover.peak_depth"]; h.Count != 2 || h.Max == 0 {
+		t.Errorf("prover.peak_depth = %+v, want 2 observations with a nonzero max", h)
 	}
 	if snap.Hists["prover.query_ns"].Count != 2 {
 		t.Errorf("prover.query_ns count = %d, want 2", snap.Hists["prover.query_ns"].Count)

@@ -53,7 +53,7 @@ func NewRing(addrs []string) *Ring {
 		seen[a] = true
 		r.members++
 		for i := 0; i < vnodesPerBackend; i++ {
-			r.vnodes = append(r.vnodes, vnode{hash: strhash.FNV64a(a + "#" + strconv.Itoa(i)), addr: a})
+			r.vnodes = append(r.vnodes, vnode{hash: mix64(strhash.FNV64a(a + "#" + strconv.Itoa(i))), addr: a})
 		}
 	}
 	sort.Slice(r.vnodes, func(i, j int) bool {
@@ -107,9 +107,11 @@ func (r *Ring) search(fp uint64) int {
 }
 
 // mix64 is the splitmix64 finalizer: ring position must not correlate with
-// the structure of the FNV fingerprint (nearby keys hash to nearby FNV
-// values more often than ideal), so lookups pass through a full-avalanche
-// mix first.
+// the structure of an FNV hash (nearby inputs hash to nearby FNV values
+// more often than ideal), so vnode hashes and lookups alike pass through a
+// full-avalanche mix.  Unmixed vnodes of two addresses differing in a few
+// digits (loopback ports) cluster, and one backend of such a pair can own
+// under 1% of the keyspace.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

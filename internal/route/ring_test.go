@@ -1,6 +1,8 @@
 package route
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -63,6 +65,44 @@ func TestRingBalance(t *testing.T) {
 			t.Errorf("%s owns %.1f%% of the keyspace; want a roughly even split (counts %v)", a, share*100, counts)
 		}
 	}
+}
+
+// TestRingPairBalance: two backends split the keyspace roughly evenly,
+// whatever their loopback ports — the shape of every two-backend test
+// cluster.  With unmixed vnode hashes, addresses differing in a few digits
+// cluster on the ring: 127.0.0.1:43891 next to :42713 owned 0.15% of keys,
+// and :35278 next to :11403 0.29%.  Seeded, so a failure names its pair.
+func TestRingPairBalance(t *testing.T) {
+	rng := rand.New(rand.NewPCG(38, 1))
+	keys := make([]uint64, 4000)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+	}
+	pairs := [][2]int{{43891, 42713}, {35278, 11403}}
+	for len(pairs) < 1002 {
+		a, b := 1024+rng.IntN(64512), 1024+rng.IntN(64512)
+		if a != b {
+			pairs = append(pairs, [2]int{a, b})
+		}
+	}
+	worst := 1.0
+	for _, pr := range pairs {
+		a, b := fmt.Sprintf("http://127.0.0.1:%d", pr[0]), fmt.Sprintf("http://127.0.0.1:%d", pr[1])
+		r := NewRing([]string{a, b})
+		owned := 0
+		for _, fp := range keys {
+			if r.Owner(fp) == a {
+				owned++
+			}
+		}
+		share := min(owned, len(keys)-owned)
+		frac := float64(share) / float64(len(keys))
+		worst = min(worst, frac)
+		if frac < 0.25 {
+			t.Errorf("ports %d and %d: the minority backend owns %.2f%% of keys, want >= 25%%", pr[0], pr[1], frac*100)
+		}
+	}
+	t.Logf("worst minority share over %d pairs: %.1f%%", len(pairs), worst*100)
 }
 
 // TestRingMinimalDisruption is consistent hashing's defining property: a

@@ -393,9 +393,10 @@ void f(struct L *h) { struct L *p; p = h->next; S: p->d = 1; T: h->d = 2; }`}
 }
 
 // hedgePair is a two-backend harness: two scriptable fake backends plus a
-// request steered (by content hash) so backend a owns its shard and backend
-// b is the hedge target.  Handlers are fixed at construction, so there is
-// no handler mutation to race with the serving goroutines.
+// request whose shard backend a owns, so b is the hedge target.  The roles
+// follow the ring: of the two servers, the owner of the request's
+// fingerprint becomes a.  Handlers are fixed before the servers start, so
+// there is no handler mutation to race with the serving goroutines.
 type hedgePair struct {
 	a, b      *httptest.Server
 	aCanceled chan struct{}
@@ -419,37 +420,35 @@ func newHedgePair(t *testing.T, aH, bH func(p *hedgePair, w http.ResponseWriter,
 		bGotReq:   make(chan struct{}),
 		bGotOnce:  new(sync.Once),
 	}
-	mk := func(h func(p *hedgePair, w http.ResponseWriter, r *http.Request)) *httptest.Server {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	p.req = wire.BatchRequest{
+		AxiomSet: "?hedge pair?",
+		Raw:      []wire.RawQuery{{SHandle: "h", THandle: "h", SField: "v", TField: "v"}},
+	}
+	mk := func() *httptest.Server {
+		ts := httptest.NewUnstartedServer(nil)
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	p.a, p.b = mk(), mk()
+	// An unstarted server's listener already holds its address, so the
+	// owner can be picked before either server runs a handler.
+	url := func(ts *httptest.Server) string { return "http://" + ts.Listener.Addr().String() }
+	if NewRing([]string{url(p.a), url(p.b)}).Owner(reqFingerprint(&p.req)) != url(p.a) {
+		p.a, p.b = p.b, p.a
+	}
+	for _, s := range []struct {
+		ts *httptest.Server
+		h  func(p *hedgePair, w http.ResponseWriter, r *http.Request)
+	}{{p.a, aH}, {p.b, bH}} {
+		h := s.h
+		s.ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/healthz" {
 				fmt.Fprintln(w, "ok")
 				return
 			}
 			h(p, w, r)
-		}))
-		t.Cleanup(ts.Close)
-		return ts
-	}
-	p.a, p.b = mk(aH), mk(bH)
-
-	// Steer: an unparsable axiom-set body fingerprints as a pure content
-	// hash, so scanning a few variants always finds one owned by a.
-	ring := NewRing([]string{p.a.URL, p.b.URL})
-	for i := 0; ; i++ {
-		if i == 1000 {
-			t.Fatal("no steering fingerprint found in 1000 variants")
-		}
-		req := wire.BatchRequest{
-			AxiomSet: fmt.Sprintf("?steer variant %d?", i),
-			Raw:      []wire.RawQuery{{SHandle: "h", THandle: "h", SField: "v", TField: "v"}},
-		}
-		if _, err := axiom.ParseSet("", req.AxiomSet); err == nil {
-			continue // must stay on the content-hash path
-		}
-		if ring.Owner(reqFingerprint(&req)) == p.a.URL {
-			p.req = req
-			break
-		}
+		})
+		s.ts.Start()
 	}
 	return p
 }

@@ -307,7 +307,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wire.WriteBodyError(w, "bad request body", err)
 		return
 	}
-	resp, m, code, err := s.answer(r.Context(), &req, rt, root.ID())
+	resp, m, code, err := s.answer(r.Context(), &req, telemetry.New(s.tel.Metrics(), rt).Under(root.ID()))
 	meta = m
 	if err != nil {
 		wire.WriteJSONError(w, code, err.Error())
@@ -318,22 +318,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // answer runs one decoded batch request; it returns the flight-recorder
 // metadata (nil on error) and an HTTP status code alongside any error.
-// Spans it opens parent under parent; the engine and prover pick up the
-// trace through the batch context's trace scope.
-func (s *Server) answer(ctx context.Context, req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*wire.BatchResponse, *flightMeta, int, error) {
+// set is the request's Set: the server's registry and the request's
+// retaining trace, under the request's root span.  Every span of the
+// request opens from it — answer's own under set.Parent(), and the
+// analysis and the engine batch each from set.Under(the span they run in).
+func (s *Server) answer(ctx context.Context, req *wire.BatchRequest, set *telemetry.Set) (*wire.BatchResponse, *flightMeta, int, error) {
 	// Verification is a server-wide setting; a request asking for it from
 	// a server that does not verify must not get unverified Nos.
 	if req.Verify && !s.cfg.VerifyProofs {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("verify requested, but this server does not verify proofs (start it with -verify)")
 	}
 	if len(req.Raw) > 0 {
-		return s.answerRaw(ctx, req, rt, parent)
+		return s.answerRaw(ctx, req, set)
 	}
 	if len(req.Queries) == 0 {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("no queries")
 	}
 	svc0 := time.Now()
-	asp := rt.StartSpan("serve.analyze", parent)
+	asp := set.Trace().StartSpan("serve.analyze", set.Parent())
 	prog, err := lang.Parse(req.Program)
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("program: %v", err)
@@ -353,7 +355,7 @@ func (s *Server) answer(ctx context.Context, req *wire.BatchRequest, rt *telemet
 	res, err := analysis.Analyze(prog, fn, analysis.Options{
 		InferTypeAxioms:      true,
 		AssumeLoopInvariants: req.AssumeInvariants,
-		Telemetry:            telemetry.New(s.tel.Metrics(), rt).Under(asp.ID()),
+		Telemetry:            set.Under(asp.ID()),
 		DFACache:             s.pool.DFACache(),
 	})
 	if err != nil {
@@ -372,7 +374,7 @@ func (s *Server) answer(ctx context.Context, req *wire.BatchRequest, rt *telemet
 	asp.End(telemetry.String("fn", fn), telemetry.Int("queries", len(queries)))
 
 	echo := func(i int) (int, string) { return origins[i], req.Queries[origins[i]] }
-	return s.runBatch(ctx, req, rt, parent, res.Axioms, queries, echo, svc0)
+	return s.runBatch(ctx, req, set, res.Axioms, queries, echo, svc0)
 }
 
 // answerRaw runs a raw-mode request: the axiom set arrives as text and the
@@ -380,7 +382,7 @@ func (s *Server) answer(ctx context.Context, req *wire.BatchRequest, rt *telemet
 // path routed cluster traffic takes when the client already holds analysis
 // results (and the differential suite's way of replaying engine workloads
 // through HTTP byte-identically).
-func (s *Server) answerRaw(ctx context.Context, req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*wire.BatchResponse, *flightMeta, int, error) {
+func (s *Server) answerRaw(ctx context.Context, req *wire.BatchRequest, set *telemetry.Set) (*wire.BatchResponse, *flightMeta, int, error) {
 	if len(req.Queries) > 0 || req.Program != "" {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("raw queries exclude program/queries fields")
 	}
@@ -389,7 +391,7 @@ func (s *Server) answerRaw(ctx context.Context, req *wire.BatchRequest, rt *tele
 			fmt.Errorf("%d raw queries exceed the per-request limit of %d", len(req.Raw), s.cfg.MaxQueries)
 	}
 	svc0 := time.Now()
-	asp := rt.StartSpan("serve.rawparse", parent)
+	asp := set.Trace().StartSpan("serve.rawparse", set.Parent())
 	name := req.AxiomSetName
 	if name == "" {
 		name = "raw"
@@ -405,14 +407,14 @@ func (s *Server) answerRaw(ctx context.Context, req *wire.BatchRequest, rt *tele
 	asp.End(telemetry.String("axiom_set", name), telemetry.Int("queries", len(queries)))
 
 	echo := func(i int) (int, string) { return i, exec.RenderRawQuery(req.Raw[i]) }
-	return s.runBatch(ctx, req, rt, parent, ax, queries, echo, svc0)
+	return s.runBatch(ctx, req, set, ax, queries, echo, svc0)
 }
 
 // runBatch is the shared tail of both request modes: run the batch on the
 // pool's engine under the request deadline, and assemble the response and
 // flight metadata.  echo maps a result index to the line/echo pair the
 // response reports.
-func (s *Server) runBatch(ctx context.Context, req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID,
+func (s *Server) runBatch(ctx context.Context, req *wire.BatchRequest, set *telemetry.Set,
 	ax *axiom.Set, queries []core.Query, echo func(int) (int, string), svc0 time.Time) (*wire.BatchResponse, *flightMeta, int, error) {
 
 	deadline := wire.ClampMS(req.DeadlineMS, s.cfg.MaxDeadline)
@@ -422,11 +424,11 @@ func (s *Server) runBatch(ctx context.Context, req *wire.BatchRequest, rt *telem
 	}
 	bctx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
-	bsp := rt.StartSpan("serve.batch", parent)
-	bctx = telemetry.WithTraceScope(bctx, rt, bsp.ID())
+	rt := set.Trace()
+	bsp := rt.StartSpan("serve.batch", set.Parent())
 
 	start := time.Now()
-	outs := s.pool.Batch(bctx, queries, perQuery)
+	outs := s.pool.Batch(bctx, queries, perQuery, set.Under(bsp.ID()))
 	elapsed := time.Since(start)
 	bsp.End(
 		telemetry.String("axiom_set", ax.StructName),

@@ -3,7 +3,6 @@
 package telemetry
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -27,13 +26,16 @@ func TestDisabledObservabilityAllocations(t *testing.T) {
 		t.Errorf("nil RequestTrace NoteDegraded allocates %.1f per call, want 0", got)
 	}
 
-	ctx := context.Background()
+	// The nil Set carries no trace: handing it down a layer (Under) and
+	// reading its trace and parent, as every traced layer does on entry,
+	// must cost nothing.
+	var set *Set
 	if got := testing.AllocsPerRun(200, func() {
-		if rt, _ := TraceScope(ctx); rt != nil {
-			t.Fatal("bare context carries a trace scope")
+		if sub := set.Under(SpanID{1}); sub.Trace() != nil || !sub.Parent().IsZero() {
+			t.Fatal("nil Set carries a trace")
 		}
 	}); got > 0 {
-		t.Errorf("TraceScope on a bare context allocates %.1f per call, want 0", got)
+		t.Errorf("nil Set Under/Trace/Parent allocates %.1f per call, want 0", got)
 	}
 
 	// Flight recorder fast path: non-degraded requests below the floor

@@ -16,7 +16,6 @@ import (
 // The mapping:
 //
 //   - Counter   → counter   apt_<name>_total
-//   - Max       → gauge     apt_<name>
 //   - GaugeFunc → gauge     apt_<name>
 //   - Histogram → histogram apt_<name> with cumulative log₂ buckets
 //     (le = 2^i − 1, the exact upper bound of bucket i), _sum and _count
@@ -96,11 +95,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for n, c := range r.counters {
 		counters[n] = c.Value()
 	}
-	maxes := make(map[string]bool, len(r.maxes))
-	for n, m := range r.maxes {
-		gauges[n] = m.Value()
-		maxes[n] = true
-	}
 	hists := make(map[string]*Histogram, len(r.hists))
 	for n, h := range r.hists {
 		hists[n] = h
@@ -112,9 +106,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return "Cumulative counter " + base + "."
 	})
 	writePromScalars(bw, "gauge", "", gauges, func(base string) string {
-		if maxes[base] {
-			return "Running maximum " + base + "."
-		}
 		return "Gauge " + base + "."
 	})
 	for _, n := range sortedKeys(hists) {

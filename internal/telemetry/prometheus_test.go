@@ -12,9 +12,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // deterministicRegistry builds a registry whose exposition is byte-stable:
-// counters, maxes, histogram buckets, and window counts are all functions
-// of the fixed observations (window quantiles are too, as long as the test
-// finishes within the one-minute window).
+// counters, gauges and histogram buckets are all functions of the fixed
+// observations.
 func deterministicRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("engine.queries").Add(42)
@@ -25,7 +24,6 @@ func deterministicRegistry() *Registry {
 	r.Counter(Labeled("route.hedge", "outcome", "won")).Add(2)
 	r.Counter(Labeled("route.hedge", "outcome", "lost")).Add(1)
 	r.Counter("route.hedges").Add(3)
-	r.Max("pool.width").Observe(8)
 	r.GaugeFunc("serve.inflight", func() int64 { return 5 })
 	h := r.Histogram("serve.request_ns")
 	for _, v := range []int64{0, 1, 5, 100, 1000, 1 << 20} {
@@ -133,10 +131,13 @@ func TestSnapshotWriteTextSections(t *testing.T) {
 	r := deterministicRegistry()
 	var buf bytes.Buffer
 	r.Snapshot().WriteText(&buf)
-	for _, want := range []string{"counters:", "maxima:", "gauges:", "histograms:"} {
+	for _, want := range []string{"counters:", "gauges:", "histograms:"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("WriteText lacks the %s section:\n%s", want, buf.String())
 		}
+	}
+	if strings.Contains(buf.String(), "maxima:") {
+		t.Errorf("WriteText has a maxima: section; a maximum is a histogram's Max:\n%s", buf.String())
 	}
 	if n := strings.Count(buf.String(), "serve.request_ns"); n != 1 {
 		t.Errorf("WriteText lists serve.request_ns %d times, want once:\n%s", n, buf.String())

@@ -6,19 +6,26 @@ import (
 	"time"
 )
 
-// Set bundles a metrics Registry with an optional span recorder — the
-// single handle threaded through prover.Options, analysis.Options,
-// parallel.Pool, and the CLIs.  A nil *Set is the disabled default: every
-// method no-ops and every instrument it hands out is nil (itself a no-op).
+// Set bundles a metrics Registry with an optional span recorder and the
+// span a layer's top span parents under — the single handle threaded
+// through prover.Options, analysis.Options, engine and serve, parallel.Pool
+// and the CLIs, and the only carrier of trace context between them: a
+// layer opens its spans on Trace under Parent and hands its callees
+// Under(its span).  A nil *Set is the disabled default: every method
+// no-ops and every instrument it hands out is nil (itself a no-op).
 type Set struct {
 	metrics *Registry
 	trace   *RequestTrace
 	parent  SpanID
 }
 
-// New bundles reg and tr; either may be nil to disable that half.  The
-// CLIs pass a streaming trace (-trace-json).
+// New bundles reg and tr; either may be nil to disable that half, and with
+// both nil New returns the nil (disabled) Set.  The CLIs pass a streaming
+// trace (-trace-json), a server each request's retaining trace.
 func New(reg *Registry, tr *RequestTrace) *Set {
+	if reg == nil && tr == nil {
+		return nil
+	}
 	return &Set{metrics: reg, trace: tr}
 }
 
@@ -66,9 +73,6 @@ func (s *Set) Parent() SpanID {
 // Counter resolves a named counter (nil when metrics are disabled).
 func (s *Set) Counter(name string) *Counter { return s.Metrics().Counter(name) }
 
-// Max resolves a named maximum tracker (nil when metrics are disabled).
-func (s *Set) Max(name string) *Max { return s.Metrics().Max(name) }
-
 // GaugeFunc registers a read-at-scrape gauge (a no-op when metrics are
 // disabled).
 func (s *Set) GaugeFunc(name string, f func() int64) { s.Metrics().GaugeFunc(name, f) }
@@ -84,7 +88,8 @@ type PhaseTiming struct {
 
 // Phases times named sequential pipeline phases (parse, analyze, query, …),
 // recording each as a "pipeline.phase" span and in the ordered wall-clock
-// list the -stats summary prints.  Works with a nil Set
+// list the -stats summary prints.  Each phase's work receives the Set under
+// its span, so what it builds joins the phase's tree.  Works with a nil Set
 // (timings are still collected locally).  Not safe for concurrent use.
 type Phases struct {
 	tel *Set
@@ -94,11 +99,12 @@ type Phases struct {
 // NewPhases returns a phase timer reporting through tel (which may be nil).
 func NewPhases(tel *Set) *Phases { return &Phases{tel: tel} }
 
-// Run times f as the named phase, propagating its error.
-func (p *Phases) Run(name string, f func() error) error {
+// Run times f as the named phase, handing it the phase's Set (the timer's
+// Set under the phase span), and propagates its error.
+func (p *Phases) Run(name string, f func(*Set) error) error {
 	start := time.Now()
-	sp := p.tel.Trace().StartSpanAt("pipeline.phase", SpanID{}, start)
-	err := f()
+	sp := p.tel.Trace().StartSpanAt("pipeline.phase", p.tel.Parent(), start)
+	err := f(p.tel.Under(sp.ID()))
 	d := time.Since(start)
 	p.rec = append(p.rec, PhaseTiming{Name: name, Dur: d})
 	sp.End(String("phase", name), Bool("ok", err == nil))

@@ -1,5 +1,5 @@
 // Package telemetry is the repository's zero-dependency observability core:
-// atomic counters, maxima, read-at-scrape gauges, and log₂-bucketed
+// atomic counters, read-at-scrape gauges, and log₂-bucketed
 // histograms collected in a Registry, plus one span recorder, RequestTrace (tracecontext.go), that
 // either retains a request's span tree or streams spans as JSONL
 // (trace.go).  Every layer of the system — the theorem prover, the automata
@@ -7,7 +7,7 @@
 // through it, and the CLIs surface the result via -stats and -trace-json.
 //
 // The package is built around a "nil is off" discipline: a nil *Set, nil
-// *Registry, nil *Counter, nil *Histogram, nil *Max, nil *RequestTrace and
+// *Registry, nil *Counter, nil *Histogram, nil *RequestTrace and
 // nil *TraceWriter are all valid, disabled instruments whose methods no-op.  Hot paths hold
 // pre-resolved instrument pointers and call them unconditionally; when
 // telemetry is disabled those calls are a nil check and a return, with zero
@@ -51,31 +51,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Max tracks the maximum observed value of a non-negative quantity (e.g.
-// peak recursion depth).  A nil *Max is a valid no-op instrument.
-type Max struct{ v atomic.Int64 }
-
-// Observe records v, keeping the running maximum.
-func (m *Max) Observe(v int64) {
-	if m == nil {
-		return
-	}
-	for {
-		cur := m.v.Load()
-		if v <= cur || m.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Value returns the maximum observed so far (0 when nothing was observed).
-func (m *Max) Value() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.v.Load()
 }
 
 // histBuckets is the number of log₂ buckets: bucket i counts observations v
@@ -189,7 +164,6 @@ func (h *Histogram) quantile(count int64, q float64) int64 {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	maxes    map[string]*Max
 	gauges   map[string]func() int64
 	hists    map[string]*Histogram
 }
@@ -198,7 +172,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		maxes:    make(map[string]*Max),
 		gauges:   make(map[string]func() int64),
 		hists:    make(map[string]*Histogram),
 	}
@@ -217,21 +190,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Max returns the named maximum tracker, creating it if needed.
-func (r *Registry) Max(name string) *Max {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.maxes[name]
-	if !ok {
-		m = &Max{}
-		r.maxes[name] = m
-	}
-	return m
 }
 
 // GaugeFunc registers a read-at-scrape gauge: f is called whenever the
@@ -282,7 +240,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Snapshot is a point-in-time copy of every instrument's state.
 type Snapshot struct {
 	Counters map[string]int64       `json:"counters"`
-	Maxes    map[string]int64       `json:"maxes"`
 	Gauges   map[string]int64       `json:"gauges,omitempty"`
 	Hists    map[string]HistSummary `json:"histograms"`
 }
@@ -291,7 +248,6 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters: map[string]int64{},
-		Maxes:    map[string]int64{},
 		Hists:    map[string]HistSummary{},
 	}
 	if r == nil {
@@ -304,9 +260,6 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	for n, c := range r.counters {
 		s.Counters[n] = c.Value()
-	}
-	for n, m := range r.maxes {
-		s.Maxes[n] = m.Value()
 	}
 	for n, h := range r.hists {
 		s.Hists[n] = h.Summary()
@@ -339,12 +292,6 @@ func (s Snapshot) WriteText(w io.Writer) {
 		fmt.Fprintln(w, "counters:")
 		for _, n := range names(s.Counters) {
 			fmt.Fprintf(w, "  %-44s %12d\n", n, s.Counters[n])
-		}
-	}
-	if len(s.Maxes) > 0 {
-		fmt.Fprintln(w, "maxima:")
-		for _, n := range names(s.Maxes) {
-			fmt.Fprintf(w, "  %-44s %12d\n", n, s.Maxes[n])
 		}
 	}
 	if len(s.Gauges) > 0 {

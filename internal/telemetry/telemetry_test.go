@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-func TestCounterMaxHistogram(t *testing.T) {
+func TestCounterHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
 	c.Add(3)
@@ -20,14 +20,6 @@ func TestCounterMaxHistogram(t *testing.T) {
 	}
 	if r.Counter("c") != c {
 		t.Error("Counter not idempotent")
-	}
-
-	m := r.Max("m")
-	m.Observe(5)
-	m.Observe(2)
-	m.Observe(9)
-	if m.Value() != 9 {
-		t.Errorf("max = %d, want 9", m.Value())
 	}
 
 	h := r.Histogram("h")
@@ -70,14 +62,16 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	var reg *Registry
 	var tw *TraceWriter
 	set.Counter("x").Add(1)
-	set.Max("x").Observe(1)
 	set.Histogram("x").Observe(1)
 	set.Trace().Event("ev", SpanID{}, Int("a", 1))
 	set.Trace().StartSpan("ev", SpanID{}).End()
 	if set.Enabled() || set.Trace().Streaming() {
 		t.Error("nil set reports enabled")
 	}
-	if reg.Counter("x") != nil || reg.Max("x") != nil || reg.Histogram("x") != nil {
+	if New(nil, nil) != nil {
+		t.Error("New(nil, nil) is not the nil Set")
+	}
+	if reg.Counter("x") != nil || reg.Histogram("x") != nil {
 		t.Error("nil registry returned live instruments")
 	}
 	tw.Emit("ev")
@@ -172,7 +166,7 @@ func TestSnapshotWriteTextAndRatio(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits").Add(3)
 	r.Counter("lookups").Add(4)
-	r.Max("depth").Observe(7)
+	r.Histogram("depth").Observe(7)
 	r.Histogram("q_ns").Observe(1500)
 	snap := r.Snapshot()
 	if rate, ok := snap.Ratio("hits", "lookups"); !ok || rate != 0.75 {
@@ -184,7 +178,7 @@ func TestSnapshotWriteTextAndRatio(t *testing.T) {
 	var buf bytes.Buffer
 	snap.WriteText(&buf)
 	out := buf.String()
-	for _, want := range []string{"hits", "lookups", "depth", "q_ns", "counters:", "maxima:", "histograms:"} {
+	for _, want := range []string{"hits", "lookups", "depth", "q_ns", "counters:", "histograms:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteText missing %q in:\n%s", want, out)
 		}
@@ -196,11 +190,19 @@ func TestPhases(t *testing.T) {
 	reg := NewRegistry()
 	tel := New(reg, NewStreamingTrace(NewTraceWriter(&buf)))
 	ph := NewPhases(tel)
-	if err := ph.Run("parse", func() error { return nil }); err != nil {
+	var inner *Set
+	if err := ph.Run("parse", func(set *Set) error {
+		inner = set
+		set.Trace().StartSpan("parse.work", set.Parent()).End()
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
+	if inner.Metrics() != reg || inner.Trace() != tel.Trace() || inner.Parent().IsZero() {
+		t.Errorf("phase Set = %+v, want the timer's registry and trace under the phase span", inner)
+	}
 	wantErr := errors.New("boom")
-	if err := ph.Run("analyze", func() error { return wantErr }); err != wantErr {
+	if err := ph.Run("analyze", func(*Set) error { return wantErr }); err != wantErr {
 		t.Fatalf("error not propagated: %v", err)
 	}
 	if tm := ph.Timings(); len(tm) != 2 || tm[0].Name != "parse" || tm[1].Name != "analyze" || tm[0].Dur < 0 || tm[1].Dur < 0 {
@@ -212,13 +214,22 @@ func TestPhases(t *testing.T) {
 	if !strings.Contains(buf.String(), `"phase":"analyze"`) {
 		t.Errorf("trace missing phase event: %s", buf.String())
 	}
+	// The work a phase runs sits under the phase's span.
+	if want := `"parent_id":"` + inner.Parent().String() + `"`; !strings.Contains(buf.String(), want) {
+		t.Errorf("no line parented under the parse phase (%s): %s", want, buf.String())
+	}
 	if h := reg.Snapshot().Hists; len(h) != 0 {
 		t.Errorf("phases booked histograms %v; the phase list is their one record", h)
 	}
 
 	// A nil-telemetry Phases still records timings.
 	ph2 := NewPhases(nil)
-	_ = ph2.Run("x", func() error { return nil })
+	_ = ph2.Run("x", func(set *Set) error {
+		if set != nil {
+			t.Errorf("nil-telemetry phase handed %+v, want the nil Set", set)
+		}
+		return nil
+	})
 	if len(ph2.Timings()) != 1 {
 		t.Error("nil-telemetry phases lost timing")
 	}
@@ -226,9 +237,8 @@ func TestPhases(t *testing.T) {
 
 // disabledHotPath is the exact call pattern instrumented hot paths use when
 // telemetry is off: pre-resolved nil instruments plus a Streaming guard.
-func disabledHotPath(tel *Set, c *Counter, m *Max, h *Histogram) {
+func disabledHotPath(tel *Set, c *Counter, h *Histogram) {
 	c.Add(1)
-	m.Observe(42)
 	h.Observe(1234)
 	rt := tel.Trace()
 	rt.Event("event", SpanID{})
@@ -239,9 +249,9 @@ func disabledHotPath(tel *Set, c *Counter, m *Max, h *Histogram) {
 
 func TestTelemetryDisabledAllocs(t *testing.T) {
 	var tel *Set
-	c, m, h := tel.Counter("c"), tel.Max("m"), tel.Histogram("h")
+	c, h := tel.Counter("c"), tel.Histogram("h")
 	allocs := testing.AllocsPerRun(1000, func() {
-		disabledHotPath(tel, c, m, h)
+		disabledHotPath(tel, c, h)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled telemetry path allocates %.1f allocs/op, want 0", allocs)
@@ -252,11 +262,11 @@ func TestTelemetryDisabledAllocs(t *testing.T) {
 // criterion is 0 allocs/op (run with -benchmem or check the test above).
 func BenchmarkTelemetryDisabled(b *testing.B) {
 	var tel *Set
-	c, m, h := tel.Counter("c"), tel.Max("m"), tel.Histogram("h")
+	c, h := tel.Counter("c"), tel.Histogram("h")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		disabledHotPath(tel, c, m, h)
+		disabledHotPath(tel, c, h)
 	}
 }
 
@@ -265,10 +275,10 @@ func BenchmarkTelemetryDisabled(b *testing.B) {
 func BenchmarkTelemetryEnabledCounters(b *testing.B) {
 	reg := NewRegistry()
 	tel := New(reg, nil)
-	c, m, h := tel.Counter("c"), tel.Max("m"), tel.Histogram("h")
+	c, h := tel.Counter("c"), tel.Histogram("h")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		disabledHotPath(tel, c, m, h)
+		disabledHotPath(tel, c, h)
 	}
 }

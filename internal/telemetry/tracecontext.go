@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"encoding/hex"
 	"math/rand/v2"
 	"sync"
@@ -18,8 +17,9 @@ import (
 // so a retained tree holds spans alone.
 //
 // The "nil is off" discipline holds throughout: a nil *RequestTrace hands
-// out no-op spans, NoteDegraded no-ops, and TraceScope on a context that
-// never saw WithTraceScope returns nil without allocating.
+// out no-op spans and NoteDegraded no-ops.  Which trace a layer records
+// into, and under which parent, travels in the *Set it is handed (set.go),
+// never in a context.
 
 // TraceID is a 128-bit W3C trace id.
 type TraceID [16]byte
@@ -356,30 +356,4 @@ func (a Attr) value() any {
 		return a.i != 0
 	}
 	return nil
-}
-
-// traceScopeKey carries a (*RequestTrace, parent span) pair through a
-// context so layers that only see a context.Context (the engine, and the
-// prover below it) can attach their spans to the right parent.
-type traceScopeKey struct{}
-
-type traceScope struct {
-	rt     *RequestTrace
-	parent SpanID
-}
-
-// WithTraceScope returns a context carrying rt with parent as the span
-// under which callees should parent their spans.
-func WithTraceScope(ctx context.Context, rt *RequestTrace, parent SpanID) context.Context {
-	return context.WithValue(ctx, traceScopeKey{}, traceScope{rt: rt, parent: parent})
-}
-
-// TraceScope extracts the request trace and parent span from ctx,
-// returning (nil, zero) — without allocating — when none was attached.
-func TraceScope(ctx context.Context) (*RequestTrace, SpanID) {
-	if v := ctx.Value(traceScopeKey{}); v != nil {
-		sc := v.(traceScope)
-		return sc.rt, sc.parent
-	}
-	return nil, SpanID{}
 }

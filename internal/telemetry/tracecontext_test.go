@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -188,22 +187,6 @@ func TestNilRequestTraceIsNoOp(t *testing.T) {
 	rt.NoteDegraded(DegradeCanceled)
 	if rt.Spans() != nil || rt.DegradedTotal() != 0 || rt.TraceIDString() != "" {
 		t.Error("nil RequestTrace is not a clean no-op")
-	}
-
-	// A context that never saw WithTraceScope yields nil without drama.
-	gotRT, parent := TraceScope(context.Background())
-	if gotRT != nil || !parent.IsZero() {
-		t.Errorf("TraceScope(bare ctx) = %v, %v", gotRT, parent)
-	}
-}
-
-func TestWithTraceScope(t *testing.T) {
-	rt := NewRequestTrace(NewTraceContext())
-	sp := rt.StartSpan("parent", SpanID{})
-	ctx := WithTraceScope(context.Background(), rt, sp.ID())
-	gotRT, gotParent := TraceScope(ctx)
-	if gotRT != rt || gotParent != sp.ID() {
-		t.Errorf("TraceScope = %v, %v; want the attached pair", gotRT, gotParent)
 	}
 }
 
