@@ -46,11 +46,12 @@ race-pool:
 
 # Soak the long-lived query server under the race detector: 8 concurrent
 # clients, mixed deadlines, several axiom sets over capped caches, then a
-# drain overlapping a fresh request wave; and scrapes of both metrics
+# drain overlapping a fresh request wave; scrapes of both metrics
 # endpoints racing cold batches over many axiom sets (the registry's gauge
-# functions must run outside its lock).
+# functions must run outside its lock); and 8 goroutines resolving the same
+# raw-mode texts through the pool's raw-text table at once.
 race-serve:
-	$(GO) test -race -count=3 -run 'TestSoak|TestDrain|TestAdmission|TestScrapeDuringColdBuilds' ./internal/serve
+	$(GO) test -race -count=3 -run 'TestSoak|TestDrain|TestAdmission|TestScrapeDuringColdBuilds|TestRawTableConcurrent' ./internal/serve ./internal/exec
 
 # Soak the routing tier's trickiest interleavings under the race detector:
 # hedge accounting (no double-counted completions, losers canceled) and
@@ -84,12 +85,14 @@ serve-smoke:
 
 # Observability gate: the Prometheus exposition golden + validator, the
 # counters-never-go-backwards scrape test, the traceparent/span-tree tests,
-# aptdep's trace-schema test (sequentially and with -batch, one streamed
-# tree whose only root spans are its pipeline phases), a 50-iteration race soak of the lock-free
+# aptdep's and aptlint's trace-schema tests (aptdep sequentially and with
+# -batch, aptlint one-shot and incremental: one streamed tree whose only
+# root spans are its pipeline phases), a 50-iteration race soak of the lock-free
 # flight recorder and of admission's Retry-After completion count, the allocation guards —
 # zero allocations for disabled tracing and a nil Set handed down a layer, warm hits and a
 # Retry-After estimate, two for a cold
-# language decision, at most seven to decode the raw-mode golden request —
+# language decision, at most seven to decode the raw-mode golden request,
+# one (the query slice) to resolve its texts through a warm raw-text table —
 # (which -race would skew, hence the separate non-race invocation), the count-once test (one drive moves
 # every registry counter the engine, caches and admission book), and the
 # one-span-model test (a streaming and a retaining trace of one batch,
@@ -99,10 +102,10 @@ serve-smoke:
 obs-check:
 	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestGaugeFunc|TestTraceparent|TestRequestTrace|TestStreamingTrace|TestMetricsPrometheus|TestMetricsCountersNeverGoBackwards|TestAccessLog' \
 		./internal/telemetry ./internal/serve
-	$(GO) test -run 'TestTraceJSONSchema' ./cmd/aptdep
+	$(GO) test -run 'TestTraceJSONSchema' ./cmd/aptdep ./cmd/aptlint
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestConcurrentFinishCountsExact' ./internal/telemetry ./internal/admit
-	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestCutsAllocationBudget|TestColdDecisionAllocations|TestCompileAllocations|TestSummaryAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations|TestRetryAfterAllocations' \
-		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata ./internal/analysis ./internal/wire ./internal/admit
+	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestCutsAllocationBudget|TestColdDecisionAllocations|TestCompileAllocations|TestSummaryAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations|TestRetryAfterAllocations|TestRawResolveAllocations' \
+		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata ./internal/analysis ./internal/wire ./internal/admit ./internal/exec
 	$(GO) test -race -run 'TestDegradedCountersSplitByReason|TestCountOnce|TestOneSpanModel' ./internal/engine
 
 # Differential fuzzing of the /v1/batch decoder: every input decodes through

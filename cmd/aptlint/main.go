@@ -82,7 +82,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	phases := telemetry.NewPhases(tel)
 	defer tf.Close(stderr, phases)
 
-	driver := lint.NewDriver(tel, passes...).SetWorkers(*workers)
+	// Each file's lint phase hands the driver its Set, so the pass spans
+	// and everything under them join that phase's tree.
+	newDriver := func(set *telemetry.Set) *lint.Driver {
+		return lint.NewDriver(set, passes...).SetWorkers(*workers)
+	}
 
 	if *watch || *incrCache != "" {
 		store := lint.NewStore()
@@ -92,8 +96,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fatalf("%v", err)
 			}
 		}
-		inc := &lint.IncrementalDriver{Driver: driver, Store: store, Caches: lint.NewCaches()}
+		inc := &lint.IncrementalDriver{Store: store, Caches: lint.NewCaches()}
 		if *watch {
+			// Watch mode runs no phases: its driver reports through the
+			// root Set.
+			inc.Driver = newDriver(tel)
 			hadErrors, err := lint.Watch(fs.Args(), inc, lint.WatchOptions{
 				Interval:  *watchInterval,
 				Cycles:    *watchCycles,
@@ -112,7 +119,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		// One-shot incremental run against the persisted store.
 		code := lintFiles(fs.Args(), stdout, stderr, phases, *jsonOut,
-			func(file string, prog *lang.Program) ([]lint.Diagnostic, error) {
+			func(set *telemetry.Set, file string, prog *lang.Program) ([]lint.Diagnostic, error) {
+				inc.Driver = newDriver(set)
 				diags, _, err := inc.Run(file, prog)
 				return diags, err
 			})
@@ -124,13 +132,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	return lintFiles(fs.Args(), stdout, stderr, phases, *jsonOut, driver.Run)
+	return lintFiles(fs.Args(), stdout, stderr, phases, *jsonOut,
+		func(set *telemetry.Set, file string, prog *lang.Program) ([]lint.Diagnostic, error) {
+			return newDriver(set).Run(file, prog)
+		})
 }
 
 // lintFiles parses and lints each file through lintOne, renders the
-// results, and returns the process exit code.
+// results, and returns the process exit code.  lintOne reports through
+// the Set of the file's lint phase, so its spans join the phase's tree.
 func lintFiles(files []string, stdout, stderr io.Writer, phases *telemetry.Phases, jsonOut bool,
-	lintOne func(string, *lang.Program) ([]lint.Diagnostic, error)) int {
+	lintOne func(*telemetry.Set, string, *lang.Program) ([]lint.Diagnostic, error)) int {
 	fatalf := func(format string, fargs ...any) int {
 		fmt.Fprintf(stderr, "aptlint: "+format+"\n", fargs...)
 		return 2
@@ -158,8 +170,8 @@ func lintFiles(files []string, stdout, stderr io.Writer, phases *telemetry.Phase
 		case err != nil:
 			return fatalf("%s: %v", file, err)
 		default:
-			if err := phases.Run("lint", func(*telemetry.Set) error {
-				diags, err = lintOne(file, prog)
+			if err := phases.Run("lint", func(set *telemetry.Set) error {
+				diags, err = lintOne(set, file, prog)
 				return err
 			}); err != nil {
 				return fatalf("%v", err)

@@ -297,3 +297,72 @@ func TestStatsAndTrace(t *testing.T) {
 		t.Errorf("trace lacks lint.pass spans:\n%s", data)
 	}
 }
+
+// TestTraceJSONSchema: -trace-json streams one span tree per phase.  Only
+// the pipeline.phase spans are roots; each lint.pass span sits under a lint
+// phase, and the analysis and the engine's batch sit under a lint.pass —
+// in a one-shot run and in an incremental one.  Events are not checked:
+// the DFA cache streams its automata.compile events as roots.
+func TestTraceJSONSchema(t *testing.T) {
+	file := filepath.Join("..", "..", "testdata", "lint", "unsafe_loop.c")
+	for name, args := range map[string][]string{
+		"one-shot":    {file},
+		"incremental": {"-incr-cache", filepath.Join(t.TempDir(), "store.json"), file},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
+			var stdout, stderr bytes.Buffer
+			if code := run(append([]string{"-trace-json", tracePath}, args...), &stdout, &stderr); code != 1 {
+				t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+			}
+			data, err := os.ReadFile(tracePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byID := map[string]map[string]any{}
+			var lines []map[string]any
+			for _, ln := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+				var m map[string]any
+				if err := json.Unmarshal([]byte(ln), &m); err != nil {
+					t.Fatalf("trace line not JSON: %v\n%s", err, ln)
+				}
+				if id, ok := m["span_id"].(string); ok {
+					byID[id] = m
+				}
+				lines = append(lines, m)
+			}
+			parentEv := func(m map[string]any) string {
+				p, ok := m["parent_id"].(string)
+				if !ok {
+					return ""
+				}
+				return byID[p]["ev"].(string)
+			}
+			seen := map[string]int{}
+			for _, m := range lines {
+				ev := m["ev"].(string)
+				seen[ev]++
+				if _, isSpan := m["span_id"].(string); !isSpan {
+					continue
+				}
+				_, parented := m["parent_id"].(string)
+				if parented == (ev == "pipeline.phase") {
+					t.Errorf("%s: parented = %v; only pipeline.phase spans are roots: %v", ev, parented, m)
+				}
+				want := map[string]string{
+					"lint.pass":        "pipeline.phase",
+					"analysis.analyze": "lint.pass",
+					"engine.worker":    "lint.pass",
+				}[ev]
+				if got := parentEv(m); want != "" && got != want {
+					t.Errorf("%s under %q, want under %s", ev, got, want)
+				}
+			}
+			for _, ev := range []string{"pipeline.phase", "lint.pass", "analysis.analyze", "engine.worker"} {
+				if seen[ev] == 0 {
+					t.Errorf("no %s record in the trace", ev)
+				}
+			}
+		})
+	}
+}

@@ -27,7 +27,7 @@ func TestFrontEndAllocations(t *testing.T) {
 	}
 	program, lines := string(src), strings.Split(string(q), "\n")
 	where := func(n int) string { return fmt.Sprintf("walk.q:%d", n+1) }
-	opts := Options{InferTypeAxioms: true, DFACache: automata.NewSharedCache(0, 1, 0)}
+	opts := Options{InferTypeAxioms: true, DFACache: automata.NewSharedCache(1, 0)}
 	var queries int
 	run := func() {
 		prog, err := lang.Parse(program)

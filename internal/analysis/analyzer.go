@@ -28,7 +28,7 @@ func Analyze(prog *lang.Program, fnName string, opts Options) (*Result, error) {
 	ssp.End(telemetry.Int("funcs", len(summaries)))
 	dfas := opts.DFACache
 	if dfas == nil {
-		dfas = automata.NewSharedCache(0, 1, 0).SetTelemetry(tel)
+		dfas = automata.NewSharedCache(1, 0).SetTelemetry(tel)
 	}
 	a := &analyzer{
 		prog:      prog,

@@ -194,8 +194,8 @@ func TestAnalyzeSharedCacheMatchesPrivate(t *testing.T) {
 		name  string
 		cache *automata.SharedCache
 	}{
-		{"unbounded", automata.NewSharedCache(0, 0, 0)},
-		{"evicting", automata.NewSharedCache(0, 2, 1)},
+		{"unbounded", automata.NewSharedCache(0, 0)},
+		{"evicting", automata.NewSharedCache(2, 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := telemetry.NewRegistry()
@@ -245,7 +245,7 @@ func TestAnalyzeSharedCacheMatchesPrivate(t *testing.T) {
 // corpus reaches, the structural rule (X·δ*·δ ⊆ X·δ*) answers only checks
 // the DFA decision accepts too.  The corpus reaches checks of both kinds.
 func TestWidenRuleAgreesWithDFA(t *testing.T) {
-	cache := automata.NewSharedCache(0, 1, 0)
+	cache := automata.NewSharedCache(1, 0)
 	var ruled, decided int
 	testIncludesHook = func(sub, sup *pathexpr.Node) {
 		if !closesStar(sub, sup) {

@@ -28,7 +28,7 @@ func TestSharedCacheContentsScheduleIndependent(t *testing.T) {
 
 func sharedCacheContents(t *testing.T, queries []core.Query) {
 	run := func(workers int, queries []core.Query) string {
-		cache := automata.NewSharedCache(0, 0, 0)
+		cache := automata.NewSharedCache(0, 0)
 		eng := engine.New(engine.Options{Workers: workers, DFACache: cache, Memo: core.NewMemo(0, 0, nil)})
 		eng.Batch(context.Background(), queries)
 		return automata.DumpSharedCache(cache)

@@ -257,7 +257,7 @@ func asErr(err error, target *ErrStateLimit) bool {
 }
 
 func TestCacheReuses(t *testing.T) {
-	c := NewSharedCache(0, 1, 0)
+	c := NewSharedCache(1, 0)
 	a := NewAlphabet("x", "y")
 	e := pathexpr.MustParse("x.y*")
 	d1, err := c.DFA(pathexpr.Intern(e), a)

@@ -26,3 +26,13 @@ func DumpSharedCache(c *SharedCache) string {
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
 }
+
+// withStateLimit lowers the cache's subset- and product-construction budget
+// from DefaultStateLimit (kept when limit <= 0), so tests can blow it with
+// small languages.  Call it before the first lookup.
+func (c *SharedCache) withStateLimit(limit int) *SharedCache {
+	if limit > 0 {
+		c.limit = limit
+	}
+	return c
+}

@@ -87,8 +87,8 @@ func TestProductEmptyMatchesMaterialized(t *testing.T) {
 			want, wantErr = materializedEquivalent(d1, d2, limit)
 			sameDecision(t, what("Equivalent"), got, gotErr, want, wantErr)
 
-			got, gotErr = NewSharedCache(limit, 1, 0).Disjoint(x, y, a)
-			ref := NewSharedCache(limit, 1, 0)
+			got, gotErr = NewSharedCache(1, 0).withStateLimit(limit).Disjoint(x, y, a)
+			ref := NewSharedCache(1, 0).withStateLimit(limit)
 			dx, errx := ref.DFA(x, a)
 			dy, erry := ref.DFA(y, a)
 			switch {
@@ -153,7 +153,7 @@ func TestColdDecisionAllocations(t *testing.T) {
 	// directions.
 	x := pathexpr.Intern(pathexpr.MustParse("L.(L|R)*.N.N.N"))
 	y := pathexpr.Intern(pathexpr.MustParse("(L|R)*.N.N.N"))
-	c := NewSharedCache(0, 1, 0)
+	c := NewSharedCache(1, 0)
 	dx, err := c.DFA(x, a)
 	if err != nil {
 		t.Fatal(err)

@@ -81,18 +81,15 @@ type sharedShard struct {
 	ops map[opsKey]bool
 }
 
-// NewSharedCache returns a concurrency-safe cache with the given subset
-// construction state limit (DefaultStateLimit if limit <= 0), shard count
-// (DefaultSharedShards if shards <= 0), and per-shard entry cap
-// (0 = unbounded).
-func NewSharedCache(limit, shards, perShardCap int) *SharedCache {
-	if limit <= 0 {
-		limit = DefaultStateLimit
-	}
+// NewSharedCache returns a concurrency-safe cache with the given shard
+// count (DefaultSharedShards if shards <= 0) and per-shard entry cap
+// (0 = unbounded).  Subset and product constructions run under
+// DefaultStateLimit.
+func NewSharedCache(shards, perShardCap int) *SharedCache {
 	if shards <= 0 {
 		shards = DefaultSharedShards
 	}
-	c := &SharedCache{limit: limit, perShard: perShardCap, shards: make([]sharedShard, shards)}
+	c := &SharedCache{limit: DefaultStateLimit, perShard: perShardCap, shards: make([]sharedShard, shards)}
 	for i := range c.shards {
 		c.shards[i].dfas = make(map[dfaKey]*DFA)
 		c.shards[i].ops = make(map[opsKey]bool)

@@ -31,7 +31,7 @@ func sharedTestExprs() []pathexpr.Expr {
 // compiled DFAs — on the first (compiling) call and on the memoized repeat.
 func TestSharedCacheMatchesUncachedDFA(t *testing.T) {
 	alpha := NewAlphabet("L", "R", "N")
-	c := NewSharedCache(0, 0, 0)
+	c := NewSharedCache(0, 0)
 	exprs := sharedTestExprs()
 	for _, x := range exprs {
 		for _, y := range exprs {
@@ -62,7 +62,7 @@ func TestSharedCacheMatchesUncachedDFA(t *testing.T) {
 // the compile counter staying near the distinct-key count.
 func TestSharedCacheConcurrentLookups(t *testing.T) {
 	alpha := NewAlphabet("L", "R", "N")
-	c, count := counted(NewSharedCache(0, 4, 0))
+	c, count := counted(NewSharedCache(4, 0))
 	exprs := sharedTestExprs()
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -112,7 +112,7 @@ func TestSharedCacheConcurrentLookups(t *testing.T) {
 // insert and every dropped entry is counted.
 func TestSharedCacheEpochEviction(t *testing.T) {
 	alpha := NewAlphabet("L", "R", "N")
-	c, count := counted(NewSharedCache(0, 1, 4)) // one shard, four entries
+	c, count := counted(NewSharedCache(1, 4)) // one shard, four entries
 	exprs := sharedTestExprs()
 	for _, e := range exprs {
 		if _, err := c.DFA(pathexpr.Intern(e), alpha); err != nil {
@@ -135,7 +135,7 @@ func TestSharedCacheEpochEviction(t *testing.T) {
 // enforced and counted, and a failed compilation is not cached.
 func TestSharedCacheStateLimit(t *testing.T) {
 	alpha := NewAlphabet("L", "R", "N")
-	c, count := counted(NewSharedCache(1, 0, 0))
+	c, count := counted(NewSharedCache(0, 0).withStateLimit(1))
 	big := pathexpr.MustParse("(L|R).(L|R).(L|R).(L|R)")
 	if _, err := c.DFA(pathexpr.Intern(big), alpha); err == nil {
 		t.Fatal("want a state-limit error from a 1-state limit")
@@ -156,7 +156,7 @@ func TestSharedCacheStateLimit(t *testing.T) {
 func TestSharedCacheOpsMemoBounded(t *testing.T) {
 	alpha := NewAlphabet("L", "R", "N")
 	const cap = 4
-	c, count := counted(NewSharedCache(0, 1, cap)) // one shard so the cap binds immediately
+	c, count := counted(NewSharedCache(1, cap)) // one shard so the cap binds immediately
 	exprs := sharedTestExprs()
 	for _, x := range exprs {
 		for _, y := range exprs {
@@ -187,7 +187,7 @@ func TestSharedCacheOpsMemoBounded(t *testing.T) {
 		t.Errorf("Disjoint(L,R) after ops eviction = %v, %v", ok, err)
 	}
 	// An unbounded cache (cap 0) never evicts, whatever its size.
-	u, ucount := counted(NewSharedCache(0, 1, 0))
+	u, ucount := counted(NewSharedCache(1, 0))
 	for _, x := range exprs {
 		for _, y := range exprs {
 			if _, err := u.Includes(pathexpr.Intern(x), pathexpr.Intern(y), alpha); err != nil {

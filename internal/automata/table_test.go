@@ -101,7 +101,7 @@ func TestStateBudgetDegradesThroughCaches(t *testing.T) {
 	alpha := NewAlphabet("a")
 	x, y := pathexpr.Intern(modExpr(t, 5)), pathexpr.Intern(modExpr(t, 7))
 
-	tight, count := counted(NewSharedCache(16, 0, 0))
+	tight, count := counted(NewSharedCache(0, 0).withStateLimit(16))
 	if v, err := tight.Disjoint(x, y, alpha); err == nil {
 		t.Fatalf("tight-budget Disjoint returned (%v, nil); want an error, anything else risks an unsound No", v)
 	}
@@ -112,7 +112,7 @@ func TestStateBudgetDegradesThroughCaches(t *testing.T) {
 		t.Errorf("failed decision was memoized: OpsLen() = %d", n)
 	}
 
-	roomy := NewSharedCache(0, 0, 0)
+	roomy := NewSharedCache(0, 0)
 	got, err := roomy.Disjoint(x, y, alpha)
 	if err != nil {
 		t.Fatalf("default-budget Disjoint: %v", err)
@@ -124,7 +124,7 @@ func TestStateBudgetDegradesThroughCaches(t *testing.T) {
 
 	// A prover's private cache is the one-shard case of the same type and
 	// wraps the same budgeted product.
-	priv, privCount := counted(NewSharedCache(16, 1, 0))
+	priv, privCount := counted(NewSharedCache(1, 0).withStateLimit(16))
 	if v, err := priv.Disjoint(x, y, alpha); err == nil {
 		t.Fatalf("tight-budget private-cache Disjoint returned (%v, nil); want an error", v)
 	}

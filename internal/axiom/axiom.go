@@ -14,6 +14,7 @@ package axiom
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -207,7 +208,7 @@ func (s *Set) refreshMemoLocked() {
 	}
 	parts := make([]string, len(s.Axioms))
 	for i, a := range s.Axioms {
-		parts[i] = fmt.Sprintf("%d\x01%s\x01%s", a.Form, a.RE1, a.RE2)
+		parts[i] = strconv.Itoa(int(a.Form)) + "\x01" + a.RE1.String() + "\x01" + a.RE2.String()
 	}
 	sort.Strings(parts)
 	key := strings.Join(parts, "\x02")

@@ -69,7 +69,9 @@ func TestTreeCertified(t *testing.T) {
 // baselines: (L^127)* and (L^131)* each compile within the default state
 // budget, but their product has lcm(127, 131) = 16,637 states, past the
 // default 16,384.  A baseline must answer Maybe, as it does when a compile
-// blows the budget.
+// blows the budget.  (Hendren–Nicolau answers Maybe here before any
+// product, since neither cycle is a path a path matrix stores; see
+// TestHendrenNicolauBudgetIsMaybe.)
 func TestProductOverBudgetIsMaybe(t *testing.T) {
 	cycle := func(n int) string { return "(" + strings.TrimSuffix(strings.Repeat("L.", n), ".") + ")*" }
 	query := q("_hroot", cycle(127), cycle(131))
@@ -87,18 +89,35 @@ func TestProductOverBudgetIsMaybe(t *testing.T) {
 			}
 		})
 	}
+}
 
-	// Hendren–Nicolau only intersects path-matrix paths (a word, then at
-	// most one trailing single-field closure), whose products grow
-	// linearly, so reaching the default budget takes ~8,000-state chains.
-	// A tighter cache shows the same thing cheaply: L^40 and R^40 compile
-	// in 42 states each, their product needs 82, and the answer must
-	// follow the cache's budget rather than a private default one.
-	hn := NewHendrenNicolau(tree)
-	hn.dfas = automata.NewSharedCache(64, 1, 0)
-	word := func(f string) string { return strings.TrimSuffix(strings.Repeat(f+".", 40), ".") }
-	if got := hn.DepTest(q("_hroot", word("L"), word("R"))); got != core.Maybe {
-		t.Errorf("HendrenNicolau: over-budget product answered %v, want Maybe", got)
+// overBudget is a DFA cache none of whose decisions fit its state budget.
+// It returns true beside the error, so a baseline that reads the answer
+// before the error answers an unsound No.
+type overBudget struct{}
+
+func (overBudget) Disjoint(*pathexpr.Node, *pathexpr.Node, *automata.Alphabet) (bool, error) {
+	return true, automata.ErrStateLimit{Limit: automata.DefaultStateLimit}
+}
+
+// TestHendrenNicolauBudgetIsMaybe: when its DFA cache cannot decide a
+// path-matrix pair within the state budget, Hendren–Nicolau answers Maybe.
+// Path-matrix paths (a word, then at most one trailing single-field
+// closure) have products that grow linearly, so blowing the default budget
+// with a real cache takes two 8,200-field words, seconds of compiling; a
+// cache that always fails shows the same branch at once.
+func TestHendrenNicolauBudgetIsMaybe(t *testing.T) {
+	tree := axiom.BinaryTree("L", "R")
+	// Within budget, the first pair is disjoint and the second is one word.
+	for query, want := range map[[2]string]core.Result{{"L.L", "R.R"}: core.No, {"L.L", "L.L"}: core.Yes} {
+		if got := NewHendrenNicolau(tree).DepTest(q("_hroot", query[0], query[1])); got != want {
+			t.Fatalf("%s vs %s within budget: %v, want %v", query[0], query[1], got, want)
+		}
+		hn := NewHendrenNicolau(tree)
+		hn.dfas = overBudget{}
+		if got := hn.DepTest(q("_hroot", query[0], query[1])); got != core.Maybe {
+			t.Errorf("%s vs %s over budget: %v, want Maybe", query[0], query[1], got)
+		}
 	}
 }
 

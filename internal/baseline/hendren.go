@@ -20,14 +20,19 @@ import (
 type HendrenNicolau struct {
 	axioms    *axiom.Set
 	prov      *prover.Prover
-	dfas      *automata.SharedCache
+	dfas      disjointer
 	certified map[string]bool
+}
+
+// disjointer is the one decision Hendren–Nicolau asks of its DFA cache.
+type disjointer interface {
+	Disjoint(x, y *pathexpr.Node, a *automata.Alphabet) (bool, error)
 }
 
 // NewHendrenNicolau builds the baseline over the same structural knowledge
 // APT receives.
 func NewHendrenNicolau(axioms *axiom.Set) *HendrenNicolau {
-	dfas := automata.NewSharedCache(0, 1, 0)
+	dfas := automata.NewSharedCache(1, 0)
 	return &HendrenNicolau{
 		axioms:    axioms,
 		prov:      prover.New(axioms, prover.Options{DFACache: dfas}),

@@ -30,7 +30,7 @@ type KLimited struct {
 // NewKLimited builds the baseline with the given k (a typical published
 // value is 1 or 2; the paper's discussion uses an unspecified small k).
 func NewKLimited(k int, axioms *axiom.Set) *KLimited {
-	dfas := automata.NewSharedCache(0, 1, 0)
+	dfas := automata.NewSharedCache(1, 0)
 	return &KLimited{
 		K:      k,
 		axioms: axioms,

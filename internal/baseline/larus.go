@@ -24,7 +24,7 @@ type LarusHilfinger struct {
 // NewLarusHilfinger builds the baseline over the same structural knowledge
 // APT receives.
 func NewLarusHilfinger(axioms *axiom.Set) *LarusHilfinger {
-	dfas := automata.NewSharedCache(0, 1, 0)
+	dfas := automata.NewSharedCache(1, 0)
 	return &LarusHilfinger{
 		axioms:    axioms,
 		prov:      prover.New(axioms, prover.Options{DFACache: dfas}),

@@ -30,7 +30,7 @@ func TestMemoContentsScheduleIndependent(t *testing.T) {
 func memoContents(t *testing.T, queries []core.Query) {
 	run := func(workers int, queries []core.Query) string {
 		memo := core.NewMemo(0, 0, nil)
-		eng := engine.New(engine.Options{Workers: workers, DFACache: automata.NewSharedCache(0, 0, 0), Memo: memo})
+		eng := engine.New(engine.Options{Workers: workers, DFACache: automata.NewSharedCache(0, 0), Memo: memo})
 		eng.Batch(context.Background(), queries)
 		return core.DumpMemo(memo)
 	}

@@ -19,7 +19,7 @@ func TestWarmHitAllocationBudget(t *testing.T) {
 	x, y, a := benchInternExprs()
 	xn, yn := pathexpr.Intern(x), pathexpr.Intern(y)
 
-	c := automata.NewSharedCache(0, 0, 0)
+	c := automata.NewSharedCache(0, 0)
 	if _, err := c.Disjoint(xn, yn, a); err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func benchInternExprs() (x, y pathexpr.Expr, a *automata.Alphabet) {
 func BenchmarkSharedCacheDFAHit(b *testing.B) {
 	x, _, a := benchInternExprs()
 	xn := pathexpr.Intern(x)
-	c := automata.NewSharedCache(0, 0, 0)
+	c := automata.NewSharedCache(0, 0)
 	if _, err := c.DFA(xn, a); err != nil {
 		b.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func BenchmarkSharedCacheDFAHit(b *testing.B) {
 func BenchmarkSharedCacheOpsHit(b *testing.B) {
 	x, y, a := benchInternExprs()
 	xn, yn := pathexpr.Intern(x), pathexpr.Intern(y)
-	c := automata.NewSharedCache(0, 0, 0)
+	c := automata.NewSharedCache(0, 0)
 	if _, err := c.Disjoint(xn, yn, a); err != nil {
 		b.Fatal(err)
 	}

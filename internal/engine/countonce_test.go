@@ -2,12 +2,14 @@ package engine
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/admit"
 	"repro/internal/automata"
 	"repro/internal/core"
+	"repro/internal/pathexpr"
 	"repro/internal/telemetry"
 )
 
@@ -26,10 +28,9 @@ type countedInstances struct {
 }
 
 // newCounted builds the instances on tel.  The cache and memo are capped
-// small so the eviction counters move too, and the cache's 8-state limit
-// is tight enough that some compilations fail.
+// small so the eviction counters move too.
 func newCounted(tel *telemetry.Set) *countedInstances {
-	dfas := automata.NewSharedCache(8, 1, 8).SetTelemetry(tel)
+	dfas := automata.NewSharedCache(1, 8).SetTelemetry(tel)
 	memo := core.NewMemo(1, 8, tel)
 	return &countedInstances{
 		eng:  New(Options{Workers: 1, Telemetry: tel, DFACache: dfas, Memo: memo}),
@@ -40,8 +41,9 @@ func newCounted(tel *telemetry.Set) *countedInstances {
 }
 
 // drive moves every counter: a seeded workload (lookups, hits, compiles,
-// state-limit failures, memo hits and misses, evictions), a timed-out, a canceled, and a
-// deadline-expired batch (the three degraded reasons), and one admitted
+// memo hits and misses, evictions), a timed-out, a canceled, and a
+// deadline-expired batch (the three degraded reasons), a decision past the
+// DFA cache's state budget, and one admitted
 // and completed, one shed, and one refused-while-draining request.  It
 // returns the figures its own calls fix exactly, under their registry names.
 func (c *countedInstances) drive(t *testing.T, seed int64) map[string]int64 {
@@ -55,6 +57,15 @@ func (c *countedInstances) drive(t *testing.T, seed int64) map[string]int64 {
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	c.eng.Batch(expired, []core.Query{aliasQuery(), disjointQuery()})
+
+	// (L^127)* and (L^131)* each compile within the cache's state budget,
+	// but their product needs lcm(127, 131) = 16,637 states, past it.
+	cycle := func(n int) *pathexpr.Node {
+		return pathexpr.Intern(pathexpr.MustParse("(" + strings.TrimSuffix(strings.Repeat("L.", n), ".") + ")*"))
+	}
+	if _, err := c.dfas.Disjoint(cycle(127), cycle(131), automata.NewAlphabet("L")); err == nil {
+		t.Fatal("a product past the state budget was decided")
+	}
 
 	if !c.adm.TryAcquire() || !c.adm.Begin() {
 		t.Fatal("admission refused the first request")

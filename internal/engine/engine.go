@@ -93,7 +93,7 @@ func New(opts Options) *Engine {
 	tel := opts.Telemetry
 	dfas := opts.DFACache
 	if dfas == nil {
-		dfas = automata.NewSharedCache(0, 0, 0).SetTelemetry(tel)
+		dfas = automata.NewSharedCache(0, 0).SetTelemetry(tel)
 	}
 	memo := opts.Memo
 	if memo == nil {

@@ -1,6 +1,7 @@
 // Package exec is the execution tier of the query plane: the process's one
 // engine over one pool-owned DFA cache and proof memo, and the raw-query
-// builder that turns wire queries into core ones.  It knows nothing about
+// builder that turns wire queries into core ones (through the pool's
+// bounded table of already-parsed raw texts).  It knows nothing about
 // HTTP or admission — internal/serve composes it under both.
 package exec
 
@@ -32,7 +33,8 @@ type PoolConfig struct {
 }
 
 // Pool owns the process's warm state — one DFA cache and one proof memo,
-// bounded by the config's shard caps — and the one engine that answers
+// bounded by the config's shard caps, and the raw-text table RawQueries
+// resolves through — and the one engine that answers
 // every batch over them.  Each query carries the axiom set valid across
 // its window (§3.4), and DFAs are keyed by alphabet and proofs by
 // axiom-set identity, so one engine serves every axiom set exactly.
@@ -40,14 +42,16 @@ type Pool struct {
 	dfas *automata.SharedCache
 	memo *core.Memo
 	eng  *engine.Engine
+	raw  *rawTable
 }
 
 // NewPool builds a pool with cold caches.  The read-at-scrape gauges of
 // its cache sizes report under tel's serve.* names.
 func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 	p := &Pool{
-		dfas: automata.NewSharedCache(0, 0, cfg.DFAShardCap).SetTelemetry(tel),
+		dfas: automata.NewSharedCache(0, cfg.DFAShardCap).SetTelemetry(tel),
 		memo: core.NewMemo(0, cfg.MemoShardCap, tel),
+		raw:  newRawTable(),
 	}
 	p.eng = engine.New(engine.Options{
 		Workers:      cfg.Workers,

@@ -107,7 +107,9 @@ type Context struct {
 	File string
 	// Prog is the parsed translation unit.
 	Prog *lang.Program
-	// Telemetry receives pass spans and counters; nil disables.
+	// Telemetry receives pass spans, opened under its Parent, and counters;
+	// nil disables.  While a pass runs, the driver moves it under that
+	// pass's span.
 	Telemetry *telemetry.Set
 	// Workers is the pool width the batched query engine fans dependence
 	// queries across (minimum 1).  Widths above 1 keep every verdict
@@ -250,16 +252,20 @@ func (d *Driver) Run(file string, prog *lang.Program) ([]Diagnostic, error) {
 // RunContext lints through a caller-built Context (the incremental driver
 // sets dirty-set filters and cross-run caches on it) and returns the
 // diagnostics sorted by position, each stamped with the fingerprint of the
-// declaration it belongs to.
+// declaration it belongs to.  Each pass runs in a lint.pass span under
+// ctx.Telemetry's parent and sees ctx.Telemetry moved under that span, so
+// the analyses and batches it starts sit in one tree.
 func (d *Driver) RunContext(ctx *Context) ([]Diagnostic, error) {
-	file, prog := ctx.File, ctx.Prog
+	file, prog, tel := ctx.File, ctx.Prog, ctx.Telemetry
+	defer func() { ctx.Telemetry = tel }()
 	for _, p := range d.passes {
-		sp := d.tel.Trace().StartSpan("lint.pass", telemetry.SpanID{})
+		sp := tel.Trace().StartSpan("lint.pass", tel.Parent())
+		ctx.Telemetry = tel.Under(sp.ID())
 		before := len(ctx.diags)
 		ctx.pass = p.Name()
 		err := p.Run(ctx)
 		n := len(ctx.diags) - before
-		d.tel.Counter("lint.pass." + p.Name() + ".diags").Add(int64(n))
+		tel.Counter("lint.pass." + p.Name() + ".diags").Add(int64(n))
 		sp.End(
 			telemetry.String("pass", p.Name()),
 			telemetry.String("file", file),
@@ -274,9 +280,9 @@ func (d *Driver) RunContext(ctx *Context) ([]Diagnostic, error) {
 		ctx.fps = fingerprints(prog)
 	}
 	ctx.fps.stamp(ctx.diags)
-	d.tel.Counter("lint.files").Add(1)
+	tel.Counter("lint.files").Add(1)
 	for _, diag := range ctx.diags {
-		d.tel.Counter("lint.diags_" + diag.Severity.String()).Add(1)
+		tel.Counter("lint.diags_" + diag.Severity.String()).Add(1)
 	}
 	return ctx.diags, nil
 }

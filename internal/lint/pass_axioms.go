@@ -61,7 +61,7 @@ func CheckSet(set *axiom.Set) []Diagnostic {
 	}
 
 	alpha := automata.NewAlphabet(set.Fields()...)
-	cache := automata.NewSharedCache(0, 1, 0)
+	cache := automata.NewSharedCache(1, 0)
 	seen := make(map[string]string, set.Len())
 	empty := make(map[int][2]bool, set.Len()) // axiom index -> per-side emptiness
 	for i, a := range set.Axioms {

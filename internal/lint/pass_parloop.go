@@ -139,7 +139,9 @@ func judgeLoop(ctx *Context, res *analysis.Result, eng *engine.Engine, lp *analy
 		}
 	}
 
-	outs := eng.Batch(context.Background(), batch)
+	// The batch's engine.worker spans sit under this pass's span, also when
+	// the engine outlives the run (the incremental driver's Caches).
+	outs := eng.BatchTimeout(context.Background(), batch, 0, ctx.Telemetry)
 	var yes, maybe, upgraded []judged
 	proved := 0
 	for _, s := range slots {

@@ -149,7 +149,7 @@ func New(axioms *axiom.Set, opts Options) *Prover {
 	dfas := opts.DFACache
 	if dfas == nil {
 		// A private cache has one owner, hence one shard.
-		dfas = automata.NewSharedCache(0, 1, 0).SetTelemetry(opts.Telemetry)
+		dfas = automata.NewSharedCache(1, 0).SetTelemetry(opts.Telemetry)
 		if opts.DisableMinimize {
 			dfas.SkipMinimize()
 		}

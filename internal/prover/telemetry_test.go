@@ -54,7 +54,7 @@ func TestDFACompilesChargedToOwnSearch(t *testing.T) {
 	alone := New(axiom.LeafLinkedBinaryTree(), Options{}).Prove(SameSrc, x, y)
 
 	reg := telemetry.NewRegistry()
-	cache := automata.NewSharedCache(0, 1, 0).SetTelemetry(telemetry.New(reg, nil))
+	cache := automata.NewSharedCache(1, 0).SetTelemetry(telemetry.New(reg, nil))
 	other := automata.NewAlphabet("hook")
 	polls := 0
 	interrupt := func() bool {

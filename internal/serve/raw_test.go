@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/axiom"
+	"repro/internal/exec"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -169,5 +173,125 @@ func TestNoWarmStateEndpoints(t *testing.T) {
 	}
 	if _, br := postBatch(t, ts.URL, req); br.Results[0].Result != "Maybe" {
 		t.Errorf("answer after the POST = %q (%s), want Maybe", br.Results[0].Result, br.Results[0].Reason)
+	}
+}
+
+// postRaw POSTs a body to /v1/batch and returns the status, the body with
+// its timing and trace fields blanked, and its trace id.
+func postRaw(t *testing.T, url string, body []byte) (int, string, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var br wire.BatchResponse
+	if err := wire.DecodeResponse(out, &br); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, volatileStats.ReplaceAllString(string(out), `"$1":0`), br.Stats.TraceID
+}
+
+// volatileStats matches the response fields that differ between two
+// answers to one request: its timings and its trace id.
+var volatileStats = regexp.MustCompile(`"(elapsed_us|service_us|trace_id)":("[^"]*"|\d+)`)
+
+// TestRawTextTableByteIdentical: a server whose raw-text table already
+// holds a request's texts answers it byte for byte as a fresh server does,
+// apart from timings and trace id, and its serve.rawparse span reports
+// that it parsed nothing.
+func TestRawTextTableByteIdentical(t *testing.T) {
+	golden, err := os.ReadFile("../../testdata/wire/raw.request.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := json.Marshal(rawTreeRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := [][]byte{golden, tree}
+
+	srv := New(Config{Workers: 1, FlightK: 8})
+	warm := httptest.NewServer(srv)
+	defer warm.Close()
+	_, _, first := postRaw(t, warm.URL, bodies[0])
+	postRaw(t, warm.URL, bodies[1]) // the tree set again, over a subset of the paths
+	var warmTraces []string
+	for i, b := range bodies {
+		fresh := httptest.NewServer(New(Config{Workers: 1}))
+		fcode, fbody, _ := postRaw(t, fresh.URL, b)
+		fresh.Close()
+		wcode, wbody, trace := postRaw(t, warm.URL, b)
+		if fcode != http.StatusOK || wcode != fcode || wbody != fbody {
+			t.Errorf("request %d: warm server answered %d %s\nfresh server answered %d %s", i, wcode, wbody, fcode, fbody)
+		}
+		warmTraces = append(warmTraces, trace)
+	}
+
+	parsed := map[string]any{}
+	for _, rec := range srv.FlightSnapshot().Slowest {
+		for _, sp := range rec.Spans {
+			if sp.Name == "serve.rawparse" {
+				parsed[rec.TraceID] = sp.Attrs["parsed"]
+			}
+		}
+	}
+	if len(parsed) != 2*len(bodies) {
+		t.Fatalf("%d serve.rawparse spans recorded, want %d", len(parsed), 2*len(bodies))
+	}
+	// The golden request's set and its six distinct paths were all new.
+	if parsed[first] != int64(7) {
+		t.Errorf("first request: serve.rawparse parsed = %v, want 7", parsed[first])
+	}
+	for _, trace := range warmTraces {
+		if parsed[trace] != int64(0) {
+			t.Errorf("warm request %s: serve.rawparse parsed = %v, want 0", trace, parsed[trace])
+		}
+	}
+}
+
+// TestRawBadTextAfterGood: once a set's texts are in the table, a request
+// with a bad path over that set, or with a bad axiom text, still answers
+// 400 with the error parsing it afresh gives.
+func TestRawBadTextAfterGood(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Workers: 1}))
+	defer ts.Close()
+	good := rawTreeRequest()
+	if resp, br := postBatch(t, ts.URL, good); resp.StatusCode != http.StatusOK {
+		t.Fatalf("good request: status %d (%s)", resp.StatusCode, br.Stats.AxiomSet)
+	}
+
+	badPath := rawTreeRequest()
+	badPath.Raw = append(badPath.Raw, wire.RawQuery{SHandle: "h", SPath: "L.X", SField: "val", THandle: "h", TField: "val"})
+	ax, err := axiom.ParseSet(good.AxiomSetName, good.AxiomSet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pathErr := exec.BuildRawQueries(ax, badPath.Raw)
+
+	badSet := rawTreeRequest()
+	badSet.AxiomSet += "forall p, p.L <> \n"
+	_, setErr := axiom.ParseSet(badSet.AxiomSetName, badSet.AxiomSet)
+	if pathErr == nil || setErr == nil {
+		t.Fatalf("fixtures parse: path error %v, axiom error %v", pathErr, setErr)
+	}
+
+	for name, tc := range map[string]struct {
+		req  wire.BatchRequest
+		want string
+	}{
+		"bad path":      {badPath, pathErr.Error()},
+		"bad axiom set": {badSet, "axiom_set: " + setErr.Error()},
+	} {
+		for range 2 {
+			resp, br := postBatch(t, ts.URL, tc.req)
+			if resp.StatusCode != http.StatusBadRequest || br.Stats.AxiomSet != tc.want {
+				t.Errorf("%s: %d %q, want 400 %q", name, resp.StatusCode, br.Stats.AxiomSet, tc.want)
+			}
+		}
 	}
 }

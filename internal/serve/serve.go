@@ -381,7 +381,9 @@ func (s *Server) answer(ctx context.Context, req *wire.BatchRequest, set *teleme
 // queries fully specified, so analysis is skipped entirely.  This is the
 // path routed cluster traffic takes when the client already holds analysis
 // results (and the differential suite's way of replaying engine workloads
-// through HTTP byte-identically).
+// through HTTP byte-identically).  The texts resolve through the pool's
+// raw-text table, so a set or path sent before is not parsed again; the
+// serve.rawparse span's parsed attribute counts the texts that were.
 func (s *Server) answerRaw(ctx context.Context, req *wire.BatchRequest, set *telemetry.Set) (*wire.BatchResponse, *flightMeta, int, error) {
 	if len(req.Queries) > 0 || req.Program != "" {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("raw queries exclude program/queries fields")
@@ -396,15 +398,12 @@ func (s *Server) answerRaw(ctx context.Context, req *wire.BatchRequest, set *tel
 	if name == "" {
 		name = "raw"
 	}
-	ax, err := axiom.ParseSet(name, req.AxiomSet)
-	if err != nil {
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("axiom_set: %v", err)
-	}
-	queries, err := exec.BuildRawQueries(ax, req.Raw)
+	ax, queries, parsed, err := s.pool.RawQueries(name, req.AxiomSet, req.Raw)
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, err
 	}
-	asp.End(telemetry.String("axiom_set", name), telemetry.Int("queries", len(queries)))
+	asp.End(telemetry.String("axiom_set", name), telemetry.Int("queries", len(queries)),
+		telemetry.Int("parsed", parsed))
 
 	echo := func(i int) (int, string) { return i, exec.RenderRawQuery(req.Raw[i]) }
 	return s.runBatch(ctx, req, set, ax, queries, echo, svc0)
