@@ -75,7 +75,7 @@ cluster-smoke:
 # analyses sharing one (evicting) DFA cache from 8 goroutines, each of
 # which must match its private-cache result.
 race-guards:
-	$(GO) test -race -run 'TestGuardUpgradeOracle|TestOracleCorpus|TestEnumerateGraphs|TestEnumerateConforming|TestClone|TestForEachRun|TestSweep|TestConflict|TestChecker|TestAnalyzeSharedCacheMatchesPrivate' ./internal/lint ./internal/heap ./internal/heap/oracle ./internal/analysis
+	$(GO) test -race -run 'TestGuardUpgradeOracle|TestOracleCorpus|TestEnumerateGraphs|TestEnumerateConforming|TestClone|TestForEachRun|TestSweep|TestConflict|TestChecker|TestAnalyzeSharedCacheMatchesPrivate|TestGuardPredicatesPerWalk' ./internal/lint ./internal/heap ./internal/heap/oracle ./internal/analysis
 
 # End-to-end daemon smoke: boot aptserved on a loopback port, round-trip
 # /healthz + /v1/batch + both metrics endpoints, SIGQUIT-dump the flight

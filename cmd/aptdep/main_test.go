@@ -29,9 +29,10 @@ func TestIndent(t *testing.T) {
 // walk.{c,q}, and validates the JSONL trace schema: every line is one JSON
 // object with ts_us / strictly-increasing seq / ev, the prover span carries
 // its effort attributes, and the expected event kinds are present.  Each
-// run streams one tree: only its pipeline.phase spans are roots, the
-// analysis sits under the analyze phase, and every proof under the deptest
-// phase (sequentially) or under an engine.worker (with -batch).
+// run streams one tree: only its pipeline.phase spans are roots, events
+// included, the analysis sits under the analyze phase, every proof under
+// the deptest phase (sequentially) or under an engine.worker (with -batch),
+// and every DFA compile under the proof or analysis that ran it.
 func TestTraceJSONSchema(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -108,8 +109,8 @@ func checkTrace(t *testing.T, tracePath string, allProved bool, proofUnder strin
 		}
 		if _, ok := m["parent_id"].(string); ok {
 			parented = append(parented, m)
-		} else if isSpan && ev != "pipeline.phase" {
-			t.Errorf("%s span is a root; only pipeline.phase spans are: %s", ev, ln)
+		} else if ev != "pipeline.phase" {
+			t.Errorf("%s line is a root; only pipeline.phase spans are: %s", ev, ln)
 		}
 		if ev == "prover.prove" {
 			for _, k := range []string{"span_id", "dur_us", "theorem", "result", "steps", "budget", "peak_depth", "dfa_compiles"} {
@@ -132,8 +133,9 @@ func checkTrace(t *testing.T, tracePath string, allProved bool, proofUnder strin
 		t.Errorf("%d prover.query lines; the proof is reported once, as prover.prove", events["prover.query"])
 	}
 	// Every parent_id names a span of the same trace, the analysis sits
-	// under the analyze phase, each proof and query under proofUnder, and
-	// the rule events under their proof's span.
+	// under the analyze phase, each proof and query under proofUnder, the
+	// rule events under their proof's span, and each DFA compile under the
+	// proof or analysis that ran it.
 	for _, m := range parented {
 		ev := m["ev"].(string)
 		parent, ok := spans[m["parent_id"].(string)]
@@ -153,6 +155,8 @@ func checkTrace(t *testing.T, tracePath string, allProved bool, proofUnder strin
 			}
 		case strings.HasPrefix(ev, "prover.") && pev != "prover.prove":
 			t.Errorf("%s parented under %s, want prover.prove", ev, pev)
+		case ev == "automata.compile" && pev != "prover.prove" && pev != "analysis.analyze":
+			t.Errorf("automata.compile parented under %s, want prover.prove or analysis.analyze", pev)
 		}
 	}
 }

@@ -98,8 +98,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		inc := &lint.IncrementalDriver{Store: store, Caches: lint.NewCaches()}
 		if *watch {
-			// Watch mode runs no phases: its driver reports through the
-			// root Set.
+			// Watch mode opens each re-lint's lint phase span itself, from
+			// the root Set its driver reports through.
 			inc.Driver = newDriver(tel)
 			hadErrors, err := lint.Watch(fs.Args(), inc, lint.WatchOptions{
 				Interval:  *watchInterval,

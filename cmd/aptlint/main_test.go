@@ -299,21 +299,23 @@ func TestStatsAndTrace(t *testing.T) {
 }
 
 // TestTraceJSONSchema: -trace-json streams one span tree per phase.  Only
-// the pipeline.phase spans are roots; each lint.pass span sits under a lint
-// phase, and the analysis and the engine's batch sit under a lint.pass —
-// in a one-shot run and in an incremental one.  Events are not checked:
-// the DFA cache streams its automata.compile events as roots.
+// the pipeline.phase spans are roots, events included; each lint.pass span
+// sits under a lint phase, the analysis and the engine's batch under a
+// lint.pass, and each DFA compile under the proof or analysis that ran it
+// — in a one-shot run, an incremental one and a watch session (whose
+// re-lints each open their own lint phase).  walk.c's lint compiles DFAs.
 func TestTraceJSONSchema(t *testing.T) {
-	file := filepath.Join("..", "..", "testdata", "lint", "unsafe_loop.c")
+	file := filepath.Join("..", "..", "testdata", "determinism", "walk.c")
 	for name, args := range map[string][]string{
 		"one-shot":    {file},
 		"incremental": {"-incr-cache", filepath.Join(t.TempDir(), "store.json"), file},
+		"watch":       {"-watch", "-watch-cycles", "1", "-watch-interval", "1ms", file},
 	} {
 		t.Run(name, func(t *testing.T) {
 			tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
 			var stdout, stderr bytes.Buffer
-			if code := run(append([]string{"-trace-json", tracePath}, args...), &stdout, &stderr); code != 1 {
-				t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+			if code := run(append([]string{"-trace-json", tracePath}, args...), &stdout, &stderr); code != 0 {
+				t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 			}
 			data, err := os.ReadFile(tracePath)
 			if err != nil {
@@ -342,23 +344,27 @@ func TestTraceJSONSchema(t *testing.T) {
 			for _, m := range lines {
 				ev := m["ev"].(string)
 				seen[ev]++
-				if _, isSpan := m["span_id"].(string); !isSpan {
-					continue
-				}
 				_, parented := m["parent_id"].(string)
 				if parented == (ev == "pipeline.phase") {
 					t.Errorf("%s: parented = %v; only pipeline.phase spans are roots: %v", ev, parented, m)
+				}
+				got := parentEv(m)
+				if ev == "automata.compile" {
+					if got != "prover.prove" && got != "analysis.analyze" {
+						t.Errorf("automata.compile under %q, want under prover.prove or analysis.analyze", got)
+					}
+					continue
 				}
 				want := map[string]string{
 					"lint.pass":        "pipeline.phase",
 					"analysis.analyze": "lint.pass",
 					"engine.worker":    "lint.pass",
 				}[ev]
-				if got := parentEv(m); want != "" && got != want {
+				if want != "" && got != want {
 					t.Errorf("%s under %q, want under %s", ev, got, want)
 				}
 			}
-			for _, ev := range []string{"pipeline.phase", "lint.pass", "analysis.analyze", "engine.worker"} {
+			for _, ev := range []string{"pipeline.phase", "lint.pass", "analysis.analyze", "engine.worker", "automata.compile"} {
 				if seen[ev] == 0 {
 					t.Errorf("no %s record in the trace", ev)
 				}

@@ -47,7 +47,7 @@ func Analyze(prog *lang.Program, fnName string, opts Options) (*Result, error) {
 		record:    true,
 		ver:       guard.NewVersioner(),
 		addrTaken: lang.AddrTaken(fn.Body),
-		dfas:      dfas.Account(),
+		dfas:      dfas.Account(tel.Under(sp.ID())),
 		handleID:  make(map[string]int),
 	}
 	a.collectAxioms()
@@ -185,7 +185,7 @@ func (a *analyzer) branchRefs(st *state, atoms []guard.Atom) []guard.Ref {
 				eq = &guard.Fact{X: at.EqX, Y: at.EqY, XPath: xh, YPath: yh, Handle: h}
 			}
 		}
-		p := guard.Intern(at.Canon, a.ver.Version(at.Vars, at.Fields), at.Vars, at.Fields, eq)
+		p := a.ver.Intern(at.Canon, at.Vars, at.Fields, eq)
 		out = append(out, guard.Ref{P: p, Neg: at.Neg})
 	}
 	return out

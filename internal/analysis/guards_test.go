@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -335,5 +337,50 @@ T:	h->v = 2;
 	}
 	if !found {
 		t.Fatalf("no query refuted the x == y guard")
+	}
+}
+
+// TestGuardPredicatesPerWalk: each analysis walk interns its guard
+// predicates in a table of its own, numbered from 1.  Two walks over the
+// same function therefore give every access the same predicate IDs and
+// conditions, yet share no *guard.Pred, so nothing a walk interns outlives
+// its result.
+func TestGuardPredicatesPerWalk(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/lint/guarded_doall.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := analyzeGuarded(t, string(src), "sweep")
+	second := analyzeGuarded(t, string(src), "sweep")
+	if len(first.Accesses) != len(second.Accesses) {
+		t.Fatalf("walks record %d and %d accesses", len(first.Accesses), len(second.Accesses))
+	}
+	guarded := 0
+	same := func(where string, a, b guard.Set) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: guard sets %v and %v differ in length", where, a, b)
+		}
+		for i := range a {
+			ra, rb := a[i], b[i]
+			if ra.P.ID() != rb.P.ID() || ra.P.Cond() != rb.P.Cond() || ra.Neg != rb.Neg {
+				t.Errorf("%s[%d]: #%d %v vs #%d %v", where, i, ra.P.ID(), ra, rb.P.ID(), rb)
+			}
+			if ra.P == rb.P {
+				t.Errorf("%s[%d]: predicate %v shared between walks", where, i, ra)
+			}
+		}
+	}
+	for i := range first.Accesses {
+		a, b := &first.Accesses[i], &second.Accesses[i]
+		where := fmt.Sprintf("access %s (stmt %d)", a.Label, a.Stmt)
+		same(where+" Guards", a.Guards, b.Guards)
+		same(where+" InvGuards", a.InvGuards, b.InvGuards)
+		if len(a.Guards) > 0 {
+			guarded++
+		}
+	}
+	if guarded == 0 {
+		t.Fatal("no access carries a guard; the fixture no longer exercises guard interning")
 	}
 }

@@ -48,7 +48,6 @@ type SharedCache struct {
 	limitFails *telemetry.Counter
 	evictions  *telemetry.Counter
 
-	trace         *telemetry.RequestTrace
 	cDecisions    *telemetry.Counter
 	cDecisionHits *telemetry.Counter
 	compileTimeNS *telemetry.Histogram
@@ -97,11 +96,11 @@ func NewSharedCache(shards, perShardCap int) *SharedCache {
 	return c
 }
 
-// SetTelemetry wires the cache's counters and compile events into tel
-// (nil disables, the default).  Call it before the first lookup.  Returns
-// the cache for chaining.
+// SetTelemetry wires the cache's counters into tel's registry (nil
+// disables, the default).  Compile events go to the trace of the Account
+// whose lookup compiled.  Call it before the first lookup.  Returns the
+// cache for chaining.
 func (c *SharedCache) SetTelemetry(tel *telemetry.Set) *SharedCache {
-	c.trace = tel.Trace()
 	c.lookups = tel.Counter("automata.shared_lookups")
 	c.hits = tel.Counter("automata.shared_hits")
 	c.compiles = tel.Counter("automata.shared_compiles")
@@ -134,9 +133,10 @@ func (c *SharedCache) DFA(n *pathexpr.Node, a *Alphabet) (*DFA, error) {
 	return c.dfa(n, a, nil)
 }
 
-// dfa is DFA that also adds one to *compiles (when non-nil) if this call
-// ran the subset construction itself.
-func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, compiles *int) (*DFA, error) {
+// dfa is DFA on behalf of ac (nil for a lookup made on the cache itself):
+// a compile this call runs adds one to ac.Compiles and streams an
+// automata.compile event on ac's trace, under ac's parent span.
+func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, ac *Account) (*DFA, error) {
 	c.lookups.Add(1)
 	key := dfaKey{alpha: a.ID(), expr: n.ID()}
 	sh := c.shardAt(pathexpr.Mix64(pathexpr.Mix64(pathexpr.MixInit, key.alpha), key.expr))
@@ -148,7 +148,11 @@ func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, compiles *int) (*DFA, e
 		return d, nil
 	}
 
-	timed := c.compileTimeNS != nil || c.trace.Streaming()
+	var tel *telemetry.Set
+	if ac != nil {
+		tel = ac.tel
+	}
+	timed := c.compileTimeNS != nil || tel.Trace().Streaming()
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
@@ -163,13 +167,13 @@ func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, compiles *int) (*DFA, e
 		d = d.Minimize()
 	}
 	c.compiles.Add(1)
-	if compiles != nil {
-		*compiles++
+	if ac != nil {
+		ac.Compiles++
 	}
 	if timed {
 		dur := time.Since(t0)
 		c.compileTimeNS.Observe(dur.Nanoseconds())
-		c.trace.Event("automata.compile", telemetry.SpanID{},
+		tel.Trace().Event("automata.compile", tel.Parent(),
 			telemetry.String("expr", n.String()),
 			telemetry.Int("states", built),
 			telemetry.Int("min_states", d.NumStates()),
@@ -225,7 +229,8 @@ const (
 )
 
 // decide answers a binary language decision through the per-shard decision
-// memo, adding the DFA compiles it ran to *compiles (when non-nil).  The key
+// memo on behalf of ac (nil for a lookup made on the cache itself), which
+// is charged the DFA compiles it runs.  The key
 // is the operands' interned IDs, so a warm decision hashes four integers
 // and probes one map: no expression is walked, rendered, or interned.
 // Compiled DFAs are deterministic, so the boolean answer for an (op,
@@ -234,7 +239,7 @@ const (
 // decisions recur across the goals of a batch.  A miss explores the product
 // of the two cached DFAs on the fly (DFA.productEmpty), so a cold decision
 // allocates its visited set and pair queue and nothing else.
-func (c *SharedCache) decide(op uint64, x, y *pathexpr.Node, a *Alphabet, compiles *int) (bool, error) {
+func (c *SharedCache) decide(op uint64, x, y *pathexpr.Node, a *Alphabet, ac *Account) (bool, error) {
 	c.cDecisions.Add(1)
 	key := opsKey{op: op, alpha: a.ID(), x: x.ID(), y: y.ID()}
 	sh := c.shardAt(key.hash())
@@ -245,11 +250,11 @@ func (c *SharedCache) decide(op uint64, x, y *pathexpr.Node, a *Alphabet, compil
 		c.cDecisionHits.Add(1)
 		return v, nil
 	}
-	dx, err := c.dfa(x, a, compiles)
+	dx, err := c.dfa(x, a, ac)
 	if err != nil {
 		return false, err
 	}
-	dy, err := c.dfa(y, a, compiles)
+	dy, err := c.dfa(y, a, ac)
 	if err != nil {
 		return false, err
 	}
@@ -302,30 +307,35 @@ func (c *SharedCache) Equivalent(x, y *pathexpr.Node, a *Alphabet) (bool, error)
 }
 
 // Account is one caller's handle on a SharedCache: its lookups go through
-// the cache, and Compiles counts the subset constructions those lookups ran
-// themselves.  A prover sharing its cache with concurrent workers uses one
-// per search, so the compiles it reports are its own and not theirs.
+// the cache, Compiles counts the subset constructions those lookups ran
+// themselves, and each of those compiles streams an automata.compile event
+// on the caller's trace, under the caller's span.  A prover sharing its
+// cache with concurrent workers uses one per search, so the compiles it
+// reports are its own and not theirs.
 type Account struct {
-	c *SharedCache
+	c   *SharedCache
+	tel *telemetry.Set
 	// Compiles is the number of DFAs this account's lookups compiled.
 	Compiles int
 }
 
-// Account returns a fresh handle on c with a zero compile count.
-func (c *SharedCache) Account() Account { return Account{c: c} }
+// Account returns a fresh handle on c with a zero compile count, whose
+// compile events open on tel's trace under tel's parent (none when tel is
+// nil).
+func (c *SharedCache) Account(tel *telemetry.Set) Account { return Account{c: c, tel: tel} }
 
 // DFA is SharedCache.DFA, charging a compile to the account.
 func (ac *Account) DFA(n *pathexpr.Node, a *Alphabet) (*DFA, error) {
-	return ac.c.dfa(n, a, &ac.Compiles)
+	return ac.c.dfa(n, a, ac)
 }
 
 // Includes is SharedCache.Includes, charging its compiles to the account.
 func (ac *Account) Includes(sub, sup *pathexpr.Node, a *Alphabet) (bool, error) {
-	return ac.c.decide(opIncludes, sub, sup, a, &ac.Compiles)
+	return ac.c.decide(opIncludes, sub, sup, a, ac)
 }
 
 // Equivalent is SharedCache.Equivalent, charging its compiles to the
 // account.
 func (ac *Account) Equivalent(x, y *pathexpr.Node, a *Alphabet) (bool, error) {
-	return ac.c.decide(opEquivalent, x, y, a, &ac.Compiles)
+	return ac.c.decide(opEquivalent, x, y, a, ac)
 }

@@ -40,7 +40,7 @@ func TestWarmHitAllocationBudget(t *testing.T) {
 
 	// The prover's decision path: a per-search account over the shared
 	// cache, deciding a memoized node pair.
-	ac := c.Account()
+	ac := c.Account(nil)
 	if _, err := ac.Includes(xn, yn, a); err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,6 @@ type Options struct {
 	// QueryTimeout, when positive, bounds each query's wall-clock proof
 	// search; an expired query degrades to Maybe (never to an unsound No).
 	QueryTimeout time.Duration
-	// Prover configures the per-worker provers (budgets, ablations).
-	// DFACache, Interrupt and Telemetry are overwritten by the engine: each
-	// worker's provers report through the Set of its engine.worker span.
-	Prover prover.Options
 	// VerifyProofs re-checks every prover-backed No with the independent
 	// proof checker, as on the sequential Tester.
 	VerifyProofs bool
@@ -207,11 +203,13 @@ func (e *Engine) BatchTimeout(ctx context.Context, queries []core.Query, perQuer
 	e.pool.ForEachChunk(len(queries), func(lo, hi int) {
 		ws := rt.StartSpan("engine.worker", set.Parent())
 		guard := &interruptGuard{ctx: ctx}
-		opts := e.opts.Prover
-		opts.DFACache = e.dfas
-		opts.Interrupt = guard.tripped
-		opts.Telemetry = telemetry.New(e.opts.Telemetry.Metrics(), rt).Under(ws.ID())
-		tester := core.NewTester(nil, opts).SetProofMemo(e.memo)
+		// Default budgets; each worker's provers report through the Set of
+		// its engine.worker span.
+		tester := core.NewTester(nil, prover.Options{
+			DFACache:  e.dfas,
+			Interrupt: guard.tripped,
+			Telemetry: telemetry.New(e.opts.Telemetry.Metrics(), rt).Under(ws.ID()),
+		}).SetProofMemo(e.memo)
 		tester.VerifyProofs = e.opts.VerifyProofs
 		for i := lo; i < hi; i++ {
 			results[i] = e.runOne(tester, guard, rt, queries[i], perQuery)

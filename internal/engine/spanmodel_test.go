@@ -109,7 +109,7 @@ func TestOneSpanModel(t *testing.T) {
 
 	// The CLIs' configuration: an engine whose own Telemetry streams,
 	// batched without a Set of its own.  Each worker is a root, and every
-	// proof and query event of the batch sits under one.
+	// proof, query and compile event of the batch sits under one.
 	buf.Reset()
 	eng := New(Options{Workers: 2, Telemetry: telemetry.New(nil, telemetry.NewStreamingTrace(telemetry.NewTraceWriter(&buf)))})
 	eng.Batch(context.Background(), queries)
@@ -132,12 +132,12 @@ func TestOneSpanModel(t *testing.T) {
 }
 
 // checkEvents asserts a stream's events: n core.deptest events, each under
-// an engine.worker, and rule events, each under its prover.prove.  An
-// engine's own DFA cache outlives any one batch, so its compile events, on
-// the engine's own stream, are roots.
+// an engine.worker, and rule and DFA-compile events, each under the
+// prover.prove whose search caused it.  Each run's engine is fresh, so its
+// proofs compile DFAs.
 func checkEvents(t *testing.T, events []spanEdge, n int) {
 	t.Helper()
-	deptests, rules := 0, 0
+	deptests, rules, compiles := 0, 0, 0
 	for _, e := range events {
 		switch {
 		case e.name == "core.deptest":
@@ -145,15 +145,16 @@ func checkEvents(t *testing.T, events []spanEdge, n int) {
 			if e.parent != "engine.worker" {
 				t.Errorf("core.deptest parented under %q, want engine.worker", e.parent)
 			}
+		case e.name == "automata.compile" && e.parent == "prover.prove":
+			compiles++
 		case strings.HasPrefix(e.name, "prover.") && e.parent == "prover.prove":
 			rules++
-		case e.name == "automata.compile" && e.parent == "":
 		default:
-			t.Errorf("event %s parented under %q, want a prover rule under prover.prove", e.name, e.parent)
+			t.Errorf("event %s parented under %q, want a prover rule or DFA compile under prover.prove", e.name, e.parent)
 		}
 	}
-	if deptests != n || rules == 0 {
-		t.Errorf("%d core.deptest and %d rule events, want %d and some", deptests, rules, n)
+	if deptests != n || rules == 0 || compiles == 0 {
+		t.Errorf("%d core.deptest, %d rule and %d compile events, want %d, some and some", deptests, rules, compiles, n)
 	}
 }
 

@@ -5,8 +5,6 @@
 package guard
 
 import (
-	"sync/atomic"
-
 	"repro/internal/lang"
 	"repro/internal/pathexpr"
 )
@@ -157,32 +155,51 @@ func identName(e lang.Expr) string {
 	return ""
 }
 
-// saltCounter hands each Versioner a process-unique salt, so predicates
-// created by different analysis walks (different functions, different
-// passes, re-analyses of an edited function) can never collide on an
-// interner key even when their canonical text and local counters agree.
-var saltCounter atomic.Uint64
-
 // Versioner tracks modification counters for one analysis walk.  Every
 // assignment to a variable bumps its counter; every store through a field
 // bumps the field's; an opaque call bumps the all-fields epoch.  A
 // predicate's version hashes the counters of everything it reads, so two
 // occurrences of the same condition text share a version — and hence a
 // predicate — exactly when nothing they depend on changed in between.
+// The versioner also owns the walk's predicate table (see Intern), so the
+// predicates of one walk are never shared with another's.
 type Versioner struct {
-	salt     uint64
 	varVer   map[string]uint64
 	fieldVer map[string]uint64
 	allEpoch uint64
+	preds    map[predKey]*Pred
 }
 
-// NewVersioner returns a fresh versioner with a process-unique salt.
+// predKey keys a walk's predicate table: canonical condition text plus
+// version.
+type predKey struct {
+	cond string
+	ver  uint64
+}
+
+// NewVersioner returns a fresh versioner with an empty predicate table.
 func NewVersioner() *Versioner {
 	return &Versioner{
-		salt:     saltCounter.Add(1),
 		varVer:   make(map[string]uint64),
 		fieldVer: make(map[string]uint64),
+		preds:    make(map[predKey]*Pred),
 	}
+}
+
+// Intern returns this walk's unique predicate for cond at the current
+// version of the variables and fields it reads.  The first call for a
+// (cond, version) fixes the predicate's variables, fields and fact and
+// numbers it one past the walk's last predicate; later calls return the
+// same *Pred.  A Versioner serves one walk and is not safe for concurrent
+// use.
+func (v *Versioner) Intern(cond string, vars, fields []string, eq *Fact) *Pred {
+	key := predKey{cond: cond, ver: v.version(vars, fields)}
+	if p, ok := v.preds[key]; ok {
+		return p
+	}
+	p := &Pred{id: uint64(len(v.preds)) + 1, cond: cond, vars: vars, fields: fields, eq: eq}
+	v.preds[key] = p
+	return p
 }
 
 // BumpVar records an assignment to (or address-taking of) a variable.
@@ -195,12 +212,11 @@ func (v *Versioner) BumpField(field string) { v.fieldVer[field]++ }
 // opaque call, a summary-less callee).
 func (v *Versioner) BumpAllFields() { v.allEpoch++ }
 
-// Version hashes the current counters of the given variables and fields
+// version hashes the current counters of the given variables and fields
 // into a predicate version.  Field-reading predicates also absorb the
 // all-fields epoch.
-func (v *Versioner) Version(vars, fields []string) uint64 {
+func (v *Versioner) version(vars, fields []string) uint64 {
 	h := pathexpr.MixInit
-	h = pathexpr.Mix64(h, v.salt)
 	for _, x := range vars {
 		h = mixString(h, x)
 		h = pathexpr.Mix64(h, v.varVer[x])

@@ -10,16 +10,20 @@
 // dependence between them is infeasible regardless of what the aliasing
 // prover can or cannot show.
 //
-// Predicate identity is (canonical condition text, version).  The version
-// is a hash of the modification counters of every variable and field the
-// condition reads, salted per analysis walk (see Versioner in cond.go).
-// Two guard references therefore share a predicate only when the condition
-// text is identical AND nothing the condition depends on was modified
-// between the two program points in the walk that created them — which is
-// exactly the regime in which "same text" implies "same run-time truth
-// value".  A reassignment of a condition variable bumps its counter, the
-// version changes, and the stale predicate can never again pair (or
-// conflict) with fresh ones.
+// Predicates belong to one analysis walk: each walk's Versioner interns
+// them in a table it owns, so they live and die with the walk's result and
+// two walks never share one.  Within a walk, predicate identity is
+// (canonical condition text, version), where the version is a hash of the
+// modification counters of every variable and field the condition reads
+// (see Versioner in cond.go).  Two guard references therefore share a
+// predicate only when the condition text is identical AND nothing the
+// condition depends on was modified between the two program points —
+// which is exactly the regime in which "same text" implies "same run-time
+// truth value".  A reassignment of a condition variable bumps its
+// counter, the version changes, and the stale predicate can never again
+// pair (or conflict) with fresh ones.  Predicate IDs order a guard set
+// (Canon); one walk builds every set, so they need be unique only within
+// it.
 //
 // A predicate over pointer variables may additionally carry a Fact: the
 // access paths the two comparands held at the branch point, when both were
@@ -33,7 +37,6 @@ package guard
 import (
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/pathexpr"
 )
@@ -50,18 +53,20 @@ type Fact struct {
 }
 
 // Pred is an interned guard predicate.  Preds are immutable and unique per
-// (canonical condition, version): comparing two with == decides whether
-// they denote the same run-time truth value.
+// (analysis walk, canonical condition, version): comparing two with ==
+// decides whether they denote the same run-time truth value.
 type Pred struct {
 	id     uint64
 	cond   string
-	ver    uint64
 	vars   []string
 	fields []string
 	eq     *Fact
 }
 
-// ID returns the predicate's stable identity (never 0, never reused).
+// ID returns the predicate's identity within its walk: the walk numbers
+// its predicates 1, 2, … in the order it interns them, so IDs are unique
+// within a walk (and within any guard set, which one walk builds) but
+// repeat across walks.
 func (p *Pred) ID() uint64 { return p.id }
 
 // Cond returns the canonical positive rendering of the condition.
@@ -166,33 +171,4 @@ func Conflict(a, b Set) (Ref, Ref, bool) {
 		}
 	}
 	return Ref{}, Ref{}, false
-}
-
-// predKey is the interner key: canonical condition text plus version.
-type predKey struct {
-	cond string
-	ver  uint64
-}
-
-var (
-	internMu sync.Mutex
-	interned = make(map[predKey]*Pred)
-	nextID   uint64
-)
-
-// Intern returns the unique predicate for (cond, version).  The first call
-// for a key fixes the predicate's variables, fields, and fact; later calls
-// return the same *Pred (versions are salted per analysis walk, so two
-// walks never collide on a key — see Versioner).
-func Intern(cond string, version uint64, vars, fields []string, eq *Fact) *Pred {
-	key := predKey{cond: cond, ver: version}
-	internMu.Lock()
-	defer internMu.Unlock()
-	if p, ok := interned[key]; ok {
-		return p
-	}
-	nextID++
-	p := &Pred{id: nextID, cond: cond, ver: version, vars: vars, fields: fields, eq: eq}
-	interned[key] = p
-	return p
 }

@@ -2,7 +2,6 @@ package guard
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/lang"
@@ -86,8 +85,8 @@ func TestComplementaryFormsShareAPredicate(t *testing.T) {
 	if len(ge) != 1 || len(lt) != 1 {
 		t.Fatalf("atoms: %v %v", ge, lt)
 	}
-	pg := Intern(ge[0].Canon, v.Version(ge[0].Vars, ge[0].Fields), ge[0].Vars, ge[0].Fields, nil)
-	pl := Intern(lt[0].Canon, v.Version(lt[0].Vars, lt[0].Fields), lt[0].Vars, lt[0].Fields, nil)
+	pg := v.Intern(ge[0].Canon, ge[0].Vars, ge[0].Fields, nil)
+	pl := v.Intern(lt[0].Canon, lt[0].Vars, lt[0].Fields, nil)
 	if pg != pl {
 		t.Fatalf("a>=b and a<b interned to distinct predicates")
 	}
@@ -103,8 +102,8 @@ func TestComplementaryFormsShareAPredicate(t *testing.T) {
 
 func TestConflict(t *testing.T) {
 	v := NewVersioner()
-	p := Intern("mode", v.Version([]string{"mode"}, nil), []string{"mode"}, nil, nil)
-	q := Intern("flag", v.Version([]string{"flag"}, nil), []string{"flag"}, nil, nil)
+	p := v.Intern("mode", []string{"mode"}, nil, nil)
+	q := v.Intern("flag", []string{"flag"}, nil, nil)
 	pos := Canon([]Ref{{P: p}, {P: q}})
 	negp := Canon([]Ref{{P: p, Neg: true}})
 	if a, b, ok := Conflict(pos, negp); !ok || a.P != p || b.P != p {
@@ -125,8 +124,8 @@ func TestConflict(t *testing.T) {
 
 func TestCanonSortsAndDedups(t *testing.T) {
 	v := NewVersioner()
-	p := Intern("a", v.Version([]string{"a"}, nil), []string{"a"}, nil, nil)
-	q := Intern("b", v.Version([]string{"b"}, nil), []string{"b"}, nil, nil)
+	p := v.Intern("a", []string{"a"}, nil, nil)
+	q := v.Intern("b", []string{"b"}, nil, nil)
 	s := Canon([]Ref{{P: q}, {P: p}, {P: q}, {P: p, Neg: true}})
 	if len(s) != 3 {
 		t.Fatalf("len = %d, want 3 (dedup)", len(s))
@@ -139,18 +138,18 @@ func TestCanonSortsAndDedups(t *testing.T) {
 func TestVersionerSeparatesModifiedPredicates(t *testing.T) {
 	v := NewVersioner()
 	vars := []string{"mode"}
-	p1 := Intern("mode", v.Version(vars, nil), vars, nil, nil)
-	p2 := Intern("mode", v.Version(vars, nil), vars, nil, nil)
+	p1 := v.Intern("mode", vars, nil, nil)
+	p2 := v.Intern("mode", vars, nil, nil)
 	if p1 != p2 {
 		t.Fatalf("same text, no modification: distinct predicates")
 	}
 	v.BumpVar("mode")
-	p3 := Intern("mode", v.Version(vars, nil), vars, nil, nil)
+	p3 := v.Intern("mode", vars, nil, nil)
 	if p3 == p1 {
 		t.Fatalf("predicate survived a modification of its variable")
 	}
 	v.BumpVar("other")
-	p4 := Intern("mode", v.Version(vars, nil), vars, nil, nil)
+	p4 := v.Intern("mode", vars, nil, nil)
 	if p4 != p3 {
 		t.Fatalf("unrelated assignment changed the version")
 	}
@@ -158,54 +157,36 @@ func TestVersionerSeparatesModifiedPredicates(t *testing.T) {
 	// Field-reading predicates react to field stores and to the
 	// all-fields epoch; var-only predicates ignore both.
 	fv, ff := []string{"p"}, []string{"flag"}
-	f1 := Intern("p->flag", v.Version(fv, ff), fv, ff, nil)
+	f1 := v.Intern("p->flag", fv, ff, nil)
 	v.BumpField("flag")
-	f2 := Intern("p->flag", v.Version(fv, ff), fv, ff, nil)
+	f2 := v.Intern("p->flag", fv, ff, nil)
 	if f1 == f2 {
 		t.Fatalf("field predicate survived a store to its field")
 	}
 	v.BumpAllFields()
-	f3 := Intern("p->flag", v.Version(fv, ff), fv, ff, nil)
+	f3 := v.Intern("p->flag", fv, ff, nil)
 	if f3 == f2 {
 		t.Fatalf("field predicate survived an opaque call")
 	}
-	p5 := Intern("mode", v.Version(vars, nil), vars, nil, nil)
+	p5 := v.Intern("mode", vars, nil, nil)
 	if p5 != p4 {
 		t.Fatalf("var-only predicate changed on heap events")
 	}
 }
 
-func TestVersionerSaltIsolatesWalks(t *testing.T) {
+func TestVersionerIsolatesWalks(t *testing.T) {
 	a, b := NewVersioner(), NewVersioner()
 	vars := []string{"mode"}
-	pa := Intern("mode", a.Version(vars, nil), vars, nil, nil)
-	pb := Intern("mode", b.Version(vars, nil), vars, nil, nil)
+	pa := a.Intern("mode", vars, nil, nil)
+	pb := b.Intern("mode", vars, nil, nil)
 	if pa == pb {
 		t.Fatalf("predicates from different walks unified")
 	}
-}
-
-func TestInternConcurrent(t *testing.T) {
-	v := NewVersioner()
-	const goroutines = 8
-	var wg sync.WaitGroup
-	got := make([]*Pred, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				p := Intern(fmt.Sprintf("c%d", i%17), v.Version(nil, nil), nil, nil, nil)
-				if i == 0 {
-					got[g] = p
-				}
-			}
-		}(g)
+	// Each walk numbers its own predicates from 1.
+	if pa.ID() != 1 || pb.ID() != 1 {
+		t.Fatalf("IDs = %d, %d, want 1, 1", pa.ID(), pb.ID())
 	}
-	wg.Wait()
-	for g := 1; g < goroutines; g++ {
-		if got[g] != got[0] {
-			t.Fatalf("goroutine %d interned a distinct predicate for the same key", g)
-		}
+	if q := a.Intern("flag", []string{"flag"}, nil, nil); q.ID() != 2 {
+		t.Fatalf("second predicate of a walk has ID %d, want 2", q.ID())
 	}
 }

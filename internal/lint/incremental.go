@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/lang"
+	"repro/internal/telemetry"
 )
 
 // fpSchema versions the analysis fingerprint.  It covers everything the
@@ -205,13 +206,19 @@ func NewIncremental(d *Driver) *IncrementalDriver {
 // callers, and declarations of edited structs — is re-analyzed.  The store
 // entry for the file is replaced with the merged result.
 func (inc *IncrementalDriver) Run(file string, prog *lang.Program) ([]Diagnostic, RunStats, error) {
+	return inc.run(file, prog, inc.Driver.tel)
+}
+
+// run is Run reporting through tel instead of the driver's Set (watch mode
+// hands it each re-lint's phase Set).
+func (inc *IncrementalDriver) run(file string, prog *lang.Program, tel *telemetry.Set) ([]Diagnostic, RunStats, error) {
 	fps := fingerprints(prog)
 	prev := inc.Store.Files[file]
 
 	var stats RunStats
 	ctx := &Context{
 		File: file, Prog: prog,
-		Telemetry: inc.Driver.tel, Workers: inc.Driver.workers,
+		Telemetry: tel, Workers: inc.Driver.workers,
 		Caches: inc.Caches, fps: fps,
 	}
 	var reused []Diagnostic

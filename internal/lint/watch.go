@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/lang"
+	"repro/internal/telemetry"
 )
 
 // WatchOptions configures a watch session.
@@ -74,7 +75,10 @@ func Watch(files []string, inc *IncrementalDriver, opts WatchOptions) (bool, err
 	// lintOne lints w unless its bytes are those it last linted, and
 	// reports whether it did.  A poll may stat the file mid-rewrite and
 	// still read the finished bytes; comparing bytes, not attributes, keeps
-	// the next poll from linting (and emitting) them a second time.
+	// the next poll from linting (and emitting) them a second time.  A
+	// parsed file is linted under one "lint" pipeline.phase span opened
+	// from the driver's Set, as in a one-shot run.
+	tel := inc.Driver.tel
 	lintOne := func(w *watchedFile) bool {
 		start := time.Now()
 		src, err := os.ReadFile(w.name)
@@ -98,7 +102,9 @@ func Watch(files []string, inc *IncrementalDriver, opts WatchOptions) (bool, err
 			}
 			return true
 		}
-		diags, stats, err := inc.Run(w.name, prog)
+		sp := tel.Trace().StartSpan("pipeline.phase", tel.Parent())
+		diags, stats, err := inc.run(w.name, prog, tel.Under(sp.ID()))
+		sp.End(telemetry.String("phase", "lint"), telemetry.Bool("ok", err == nil))
 		if err != nil {
 			status("%s: %v", w.name, err)
 			return true

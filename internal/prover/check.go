@@ -28,7 +28,7 @@ func (p *Prover) CheckProof(pf *Proof) error {
 	c := &checker{run: &run{
 		p:         p,
 		alpha:     automata.NewAlphabet(fields...),
-		dfas:      p.dfas.Account(),
+		dfas:      p.dfas.Account(p.opts.Telemetry),
 		decideAll: true,
 	}}
 	return c.check(pf.Root, nil)

@@ -263,10 +263,14 @@ func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 	span := p.trace.StartSpanAt("prover.prove", p.opts.Telemetry.Parent(), t0)
 	alpha := p.alphabet(x.Expr(), y.Expr())
 	p.summarizeAxioms(alpha)
+	tel := p.opts.Telemetry
+	if p.trace != nil {
+		tel = tel.Under(span.ID()) // the search's DFA compiles open under its span
+	}
 	r := &run{
 		p:     p,
 		alpha: alpha,
-		dfas:  p.dfas.Account(),
+		dfas:  p.dfas.Account(tel),
 		span:  span.ID(),
 	}
 	proof := &Proof{Theorem: g.theorem()}

@@ -17,8 +17,8 @@
 //     memo it borrows, and the raw-query builder.
 //
 // What remains here is the composition itself: HTTP endpoint wiring, the
-// program-mode analysis pipeline, tracing/flight-recorder/access-log
-// plumbing, and process warmup.  The cluster router (internal/route) is the
+// program-mode analysis pipeline, and tracing/flight-recorder/access-log
+// plumbing.  The cluster router (internal/route) is the
 // other composition of the same tiers — admission in front of forwarding
 // instead of execution.
 //
@@ -176,13 +176,6 @@ type Server struct {
 
 // New builds a Server from the config.
 func New(cfg Config) *Server {
-	warmProcess()
-	return newServer(cfg)
-}
-
-// newServer is New without the process warmup, so warmup itself can build
-// a throwaway instance without re-entering the warmup once.
-func newServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	tel := cfg.Telemetry
 	s := &Server{

@@ -97,9 +97,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bits.Len64(uint64(v))].Add(1)
 }
 
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Nanoseconds()) }
-
 // HistSummary is a point-in-time digest of a Histogram.
 type HistSummary struct {
 	Count int64   `json:"count"`
