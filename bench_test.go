@@ -305,11 +305,6 @@ func BenchmarkAblation_SuffixLongestFirst(b *testing.B) {
 	theoremTUnderOptions(b, prover.Options{LongestSuffixFirst: true})
 }
 
-func BenchmarkAblation_MinimizeOn(b *testing.B) { theoremTUnderOptions(b, prover.Options{}) }
-func BenchmarkAblation_MinimizeOff(b *testing.B) {
-	theoremTUnderOptions(b, prover.Options{DisableMinimize: true})
-}
-
 // BenchmarkAblation_BarrierSweep regenerates the Figure 7 full row at three
 // barrier costs (the model's one calibrated parameter).
 func BenchmarkAblation_BarrierSweep(b *testing.B) {

@@ -165,19 +165,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}, stdout, stderr)
 	}
 
+	mode, a := "between", *from
+	switch {
+	case *loop != "":
+		mode, a = "loop", *loop
+	case *from == "" || *to == "":
+		return fatalf("provide -from/-to or -loop")
+	case *crossIter:
+		mode = "cross"
+	}
 	var queries []core.Query
 	if err := phases.Run("build-queries", func(*telemetry.Set) error {
 		var err error
-		switch {
-		case *loop != "":
-			queries, err = res.LoopCarriedQueries(*loop)
-		case *from != "" && *to != "" && *crossIter:
-			queries, err = res.LoopCarriedBetween(*from, *to)
-		case *from != "" && *to != "":
-			queries, err = res.QueriesBetween(*from, *to)
-		default:
-			err = fmt.Errorf("provide -from/-to or -loop")
-		}
+		queries, err = res.QueriesFor(mode, a, *to)
 		return err
 	}); err != nil {
 		return fatalf("%v", err)

@@ -1,13 +1,14 @@
 // Package automata provides the finite-automata machinery behind APT's
 // decidable theorem proving: DFAs compiled straight from path expressions
-// by the position (Glushkov / McNaughton–Yamada) construction, Moore-style
-// partition-refinement minimization, and the language queries the prover
-// needs (emptiness, inclusion, equivalence, disjointness, witnesses),
-// decided over products explored on the fly.
+// by the position (Glushkov / McNaughton–Yamada) construction, and the
+// language queries the prover needs (emptiness, inclusion, equivalence,
+// disjointness, witnesses), decided over products explored on the fly.
 //
 // The paper (§4.1) decides RE1 ⊆ RE2 by checking
 // L(M1) ∩ complement(L(M2)) = ∅ over DFAs M1, M2; this package implements
-// exactly that, over an explicit field alphabet.
+// exactly that, over an explicit field alphabet.  The answer is the same on
+// any DFA for each language, so DFAs are kept as the construction builds
+// them and never minimized.
 package automata
 
 import (

@@ -349,9 +349,3 @@ func (d *DFA) Equivalent(o *DFA) bool {
 	}
 	return ok
 }
-
-// Minimize returns the minimal DFA equivalent to d, via the integer
-// partition refinement in table.go (no per-state string signatures).
-func (d *DFA) Minimize() *DFA {
-	return minimizeTable(d)
-}

@@ -215,20 +215,6 @@ func TestMaxWordLen(t *testing.T) {
 	}
 }
 
-func TestMinimizePreservesLanguage(t *testing.T) {
-	exprs := []string{"a*b|a*b", "(a|b)*abb", "a+a*", "(a.b)*|ε", "a.b.c|a.b.d"}
-	for _, src := range exprs {
-		d := compile(t, src, "a", "b", "c", "d")
-		m := d.Minimize()
-		if !d.Equivalent(m) {
-			t.Errorf("Minimize(%q) changed the language", src)
-		}
-		if m.NumStates() > d.NumStates() {
-			t.Errorf("Minimize(%q) grew: %d -> %d states", src, d.NumStates(), m.NumStates())
-		}
-	}
-}
-
 func TestCompileStateLimit(t *testing.T) {
 	// Force subset construction over the limit with a pathological pattern:
 	// (a|b)* a (a|b)^n needs ~2^n DFA states.

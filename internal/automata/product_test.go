@@ -120,7 +120,7 @@ func TestProductEmptyKeySetPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d.Minimize()
+		return d
 	}
 	da, db := chain("a"), chain("b")
 	// a^200 and b^200 share only the dead state's row and column, so about
@@ -163,7 +163,7 @@ func TestColdDecisionAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dx.NumStates() < 5 || dy.NumStates() < 5 {
-		t.Fatalf("operands minimized to %d and %d states; the guard wants non-trivial products", dx.NumStates(), dy.NumStates())
+		t.Fatalf("operands compiled to %d and %d states; the guard wants non-trivial products", dx.NumStates(), dy.NumStates())
 	}
 	const budget = 2
 	cases := []struct {

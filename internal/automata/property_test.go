@@ -68,28 +68,6 @@ func TestPropertyDesugarPreservesLanguage(t *testing.T) {
 	}
 }
 
-// TestPropertyMinimizeIsMinimal: re-minimizing a minimized DFA does not
-// shrink it, and minimization preserves membership on sampled words.
-func TestPropertyMinimizeIsMinimal(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	fields := []string{"a", "b", "c"}
-	a := NewAlphabet(fields...)
-	for trial := 0; trial < 100; trial++ {
-		e := randExpr(rng, fields, 4)
-		d := MustCompile(e, a)
-		m := d.Minimize()
-		if m2 := m.Minimize(); m2.NumStates() != m.NumStates() {
-			t.Fatalf("Minimize not idempotent on %v: %d -> %d states", e, m.NumStates(), m2.NumStates())
-		}
-		for i := 0; i < 20; i++ {
-			w := randWord(rng, fields, 6)
-			if d.Accepts(w) != m.Accepts(w) {
-				t.Fatalf("minimization changed membership of %v in %v", w, e)
-			}
-		}
-	}
-}
-
 // TestPropertyBooleanOpsAgreeWithMembership: on sampled words, intersection
 // and complement behave pointwise.
 func TestPropertyBooleanOpsAgreeWithMembership(t *testing.T) {

@@ -35,10 +35,9 @@ const DefaultSharedShards = 16
 // bookkeeping on the hit path), and every dropped entry counts as an
 // eviction in telemetry.
 type SharedCache struct {
-	limit      int
-	perShard   int // entry cap per shard; 0 = unbounded
-	noMinimize bool
-	shards     []sharedShard
+	limit    int
+	perShard int // entry cap per shard; 0 = unbounded
+	shards   []sharedShard
 
 	// Registry counters, resolved by SetTelemetry (nil, so no-ops, without
 	// it).  DFA-map and decision-memo evictions book into one counter.
@@ -112,22 +111,16 @@ func (c *SharedCache) SetTelemetry(tel *telemetry.Set) *SharedCache {
 	return c
 }
 
-// SkipMinimize makes the cache keep DFAs as subset construction built them,
-// without minimization (the prover's minimization ablation).  Call it
-// before the first lookup.  Returns the cache for chaining.
-func (c *SharedCache) SkipMinimize() *SharedCache {
-	c.noMinimize = true
-	return c
-}
-
 // shardAt routes a mixed 64-bit key hash to its shard.
 func (c *SharedCache) shardAt(h uint64) *sharedShard {
 	return &c.shards[h%uint64(len(c.shards))]
 }
 
 // DFA returns the compiled DFA for the interned expression n over alphabet
-// a (minimized unless SkipMinimize was called), compiling at most once per
-// key in the steady state.  Callers holding a bare expression intern it at
+// a, as the position construction builds it (CompileLimit), compiling at
+// most once per key in the steady state.  It is not minimized: every
+// decision made on it (inclusion, disjointness, equivalence) is exact on
+// any DFA for the language.  Callers holding a bare expression intern it at
 // their call site (pathexpr.Intern); the cache itself never re-hashes one.
 func (c *SharedCache) DFA(n *pathexpr.Node, a *Alphabet) (*DFA, error) {
 	return c.dfa(n, a, nil)
@@ -162,10 +155,6 @@ func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, ac *Account) (*DFA, err
 		c.limitFails.Add(1)
 		return nil, err
 	}
-	built := d.NumStates()
-	if !c.noMinimize {
-		d = d.Minimize()
-	}
 	c.compiles.Add(1)
 	if ac != nil {
 		ac.Compiles++
@@ -175,8 +164,7 @@ func (c *SharedCache) dfa(n *pathexpr.Node, a *Alphabet, ac *Account) (*DFA, err
 		c.compileTimeNS.Observe(dur.Nanoseconds())
 		tel.Trace().Event("automata.compile", tel.Parent(),
 			telemetry.String("expr", n.String()),
-			telemetry.Int("states", built),
-			telemetry.Int("min_states", d.NumStates()),
+			telemetry.Int("states", d.NumStates()),
 			telemetry.DurUS("dur_us", dur))
 	}
 

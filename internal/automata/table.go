@@ -10,9 +10,8 @@ import (
 
 // This file holds the table-compiled backend: the position construction
 // (Glushkov / McNaughton–Yamada, the "direct RE→DFA" method) from an
-// expression straight to a dense []int32 DFA table, and integer partition
-// refinement for minimization.  Neither path builds an NFA or renders a
-// string.
+// expression straight to a dense []int32 DFA table.  It builds no NFA,
+// renders no string, and does not minimize.
 //
 // A position is an occurrence of an alphabet field in the expression,
 // numbered 1..P left to right; bit 0 marks the start.  Every set is a
@@ -285,92 +284,4 @@ func CompileLimit(e pathexpr.Expr, a *Alphabet, limit int) (*DFA, error) {
 		}
 	}
 	return d, nil
-}
-
-// minimizeTable is Moore-style partition refinement over the dense table.
-// Block IDs are (re)assigned in first-seen state order every round, which
-// keeps the result deterministic and pins the start state's block to 0
-// (state 0 is always seen first).  States with equal signatures —
-// part[s] == part[r] and ∀c part[trans[s*k+c]] == part[trans[r*k+c]] — land
-// in one block; one open-addressed table, cleared each round, finds the
-// candidates by hash, and the signature comparison is exact.
-func minimizeTable(d *DFA) *DFA {
-	k := d.alphabet.Size()
-	n := len(d.accept)
-	if n <= 1 {
-		return d
-	}
-
-	parts := make([]int32, 2*n)
-	part, newPart := parts[:n], parts[n:]
-	blockOf := [2]int32{-1, -1} // [non-accepting, accepting] → initial block
-	count := int32(0)
-	for s := 0; s < n; s++ {
-		idx := 0
-		if d.accept[s] {
-			idx = 1
-		}
-		if blockOf[idx] < 0 {
-			blockOf[idx] = count
-			count++
-		}
-		part[s] = blockOf[idx]
-	}
-
-	sigEqual := func(s, r int) bool {
-		if part[s] != part[r] {
-			return false
-		}
-		for c := 0; c < k; c++ {
-			if part[d.trans[s*k+c]] != part[d.trans[r*k+c]] {
-				return false
-			}
-		}
-		return true
-	}
-	slots := make([]int32, tableSize(n))
-	for {
-		clear(slots)
-		next := int32(0)
-		for s := 0; s < n; s++ {
-			h := pathexpr.Mix64(pathexpr.MixInit, uint64(part[s]))
-			for c := 0; c < k; c++ {
-				h = pathexpr.Mix64(h, uint64(part[d.trans[s*k+c]]))
-			}
-			i := probe(slots, h, func(r int32) bool { return sigEqual(s, int(r)) })
-			if r := slots[i]; r != 0 {
-				newPart[s] = newPart[r-1]
-				continue
-			}
-			slots[i] = int32(s + 1)
-			newPart[s] = next
-			next++
-		}
-		part, newPart = newPart, part
-		if next == count {
-			break
-		}
-		count = next
-	}
-
-	// Blocks are numbered in first-seen order, so a scan in state order
-	// meets each block's first state exactly when it is the next block.
-	m := int(count)
-	out := &DFA{
-		alphabet: d.alphabet,
-		trans:    make([]int32, m*k),
-		accept:   make([]bool, m),
-	}
-	b := int32(0)
-	for s := 0; s < n && int(b) < m; s++ {
-		if part[s] != b {
-			continue
-		}
-		out.accept[b] = d.accept[s]
-		for c := 0; c < k; c++ {
-			out.trans[int(b)*k+c] = part[d.trans[s*k+c]]
-		}
-		b++
-	}
-	return out
 }

@@ -46,7 +46,7 @@ func TestCompileLimitAdversarial(t *testing.T) {
 		t.Fatalf("Compile at the default limit: %v", err)
 	}
 	if d.NumStates() < 16 {
-		t.Errorf("blowup expression minimized to %d states, want ≥ 16", d.NumStates())
+		t.Errorf("blowup expression compiled to %d states, want ≥ 16", d.NumStates())
 	}
 }
 

@@ -114,7 +114,7 @@ func TestInternNodeMetadata(t *testing.T) {
 
 // TestSingletonRules: each structural rule behind Node.Singleton, on trees
 // built without the simplifying constructors (the automata package checks
-// the facts against minimal DFAs on random expressions).
+// the facts against compiled DFAs on random expressions).
 func TestSingletonRules(t *testing.T) {
 	a, b := pathexpr.F("a"), pathexpr.F("b")
 	cat := func(p ...pathexpr.Expr) pathexpr.Expr { return pathexpr.Concat{Parts: p} }

@@ -23,13 +23,10 @@ type Options struct {
 	// LongestSuffixFirst reverses the suffix enumeration order (ablation).
 	// The paper prescribes "ever-increasing suffixes", i.e. shortest first.
 	LongestSuffixFirst bool
-	// DisableMinimize skips DFA minimization in the language cache
-	// (ablation).
-	DisableMinimize bool
 	// DFACache, when non-nil, replaces the prover's private language cache —
 	// the batched query engine passes one cache here so every worker prover
 	// draws from (and feeds) one compilation cache.  The provider owns the
-	// cache's telemetry wiring; DisableMinimize is then ignored.
+	// cache's telemetry wiring.
 	DFACache *automata.SharedCache
 	// Interrupt, when non-nil, is polled periodically during proof search;
 	// returning true aborts the query with Exhausted — which callers map to
@@ -150,9 +147,6 @@ func New(axioms *axiom.Set, opts Options) *Prover {
 	if dfas == nil {
 		// A private cache has one owner, hence one shard.
 		dfas = automata.NewSharedCache(1, 0).SetTelemetry(opts.Telemetry)
-		if opts.DisableMinimize {
-			dfas.SkipMinimize()
-		}
 	}
 	p := &Prover{
 		axioms: axioms,

@@ -81,33 +81,37 @@ func TestDFACompilesChargedToOwnSearch(t *testing.T) {
 	}
 }
 
-// TestDisableMinimize: the minimization ablation still proves Theorem T,
-// and its cache keeps DFAs as subset construction built them — a known
-// non-minimal one stays larger than in a minimizing prover's cache.
-func TestDisableMinimize(t *testing.T) {
-	raw := New(axiom.SparseMatrixCore(), Options{DisableMinimize: true})
-	if pf := raw.Prove(SameSrc, pathexpr.MustParse("ncolE+"), pathexpr.MustParse("nrowE+.ncolE+")); pf.Result != Proved {
-		t.Fatalf("Theorem T without minimization: %v", pf.Result)
+// TestCacheKeepsCompiledTables: a prover's DFA cache holds each DFA exactly
+// as Compile builds it — the same states, transitions and accepting states,
+// with L.N and R.N keeping separate, equivalent states after their first
+// letter — and Theorem T proves over those tables.
+func TestCacheKeepsCompiledTables(t *testing.T) {
+	p := New(axiom.SparseMatrixCore(), Options{})
+	if pf := p.Prove(SameSrc, pathexpr.MustParse("ncolE+"), pathexpr.MustParse("nrowE+.ncolE+")); pf.Result != Proved {
+		t.Fatalf("Theorem T: %v", pf.Result)
 	}
-	minimized := New(axiom.SparseMatrixCore(), Options{})
-	// Subset construction gives L.N and R.N separate, equivalent states
-	// after the first letter.
 	e := pathexpr.Intern(pathexpr.MustParse("L.N|R.N"))
 	alpha := automata.NewAlphabet("L", "R", "N")
-	dRaw, err := raw.dfas.DFA(e, alpha)
+	cached, err := p.dfas.DFA(e, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dMin, err := minimized.dfas.DFA(e, alpha)
-	if err != nil {
-		t.Fatal(err)
+	want := automata.MustCompile(e.Expr(), alpha)
+	if cached.NumStates() != want.NumStates() {
+		t.Fatalf("cache holds %d states, Compile builds %d", cached.NumStates(), want.NumStates())
 	}
-	if dRaw.NumStates() <= dMin.NumStates() {
-		t.Errorf("DisableMinimize cache holds %d states, minimizing cache %d; want more without minimization",
-			dRaw.NumStates(), dMin.NumStates())
+	for s := 0; s < want.NumStates(); s++ {
+		if cached.Accepting(s) != want.Accepting(s) {
+			t.Errorf("state %d: cache accepting %v, Compile %v", s, cached.Accepting(s), want.Accepting(s))
+		}
+		for _, f := range alpha.Symbols() {
+			if got, w := cached.Step(s, f), want.Step(s, f); got != w {
+				t.Errorf("state %d on %s: cache goes to %d, Compile to %d", s, f, got, w)
+			}
+		}
 	}
-	if !dRaw.Equivalent(dMin) {
-		t.Error("unminimized and minimized DFAs accept different languages")
+	if cached.Step(0, "L") == cached.Step(0, "R") {
+		t.Error("L and R lead to one state; the cache minimized the DFA")
 	}
 }
 
