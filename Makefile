@@ -49,9 +49,10 @@ race-pool:
 # drain overlapping a fresh request wave; scrapes of both metrics
 # endpoints racing cold batches over many axiom sets (the registry's gauge
 # functions must run outside its lock); and 8 goroutines resolving the same
-# raw-mode texts through the pool's raw-text table at once.
+# raw-mode texts through the pool's raw-text table at once, and 8 sending
+# the same program-mode request through its program table.
 race-serve:
-	$(GO) test -race -count=3 -run 'TestSoak|TestDrain|TestAdmission|TestScrapeDuringColdBuilds|TestRawTableConcurrent' ./internal/serve ./internal/exec
+	$(GO) test -race -count=3 -run 'TestSoak|TestDrain|TestAdmission|TestScrapeDuringColdBuilds|TestRawTableConcurrent|TestProgramTableConcurrent' ./internal/serve ./internal/exec
 
 # Soak the routing tier's trickiest interleavings under the race detector:
 # hedge accounting (no double-counted completions, losers canceled) and
@@ -92,7 +93,8 @@ serve-smoke:
 # zero allocations for disabled tracing and a nil Set handed down a layer, warm hits and a
 # Retry-After estimate, two for a cold
 # language decision, at most seven to decode the raw-mode golden request,
-# one (the query slice) to resolve its texts through a warm raw-text table —
+# one (the query slice) to resolve its texts through a warm raw-text table,
+# none to resolve a program-mode request through a warm program table —
 # (which -race would skew, hence the separate non-race invocation), the count-once test (one drive moves
 # every registry counter the engine, caches and admission book), and the
 # one-span-model test (a streaming and a retaining trace of one batch,
@@ -104,7 +106,7 @@ obs-check:
 		./internal/telemetry ./internal/serve
 	$(GO) test -run 'TestTraceJSONSchema' ./cmd/aptdep ./cmd/aptlint
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestConcurrentFinishCountsExact' ./internal/telemetry ./internal/admit
-	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestCutsAllocationBudget|TestColdDecisionAllocations|TestCompileAllocations|TestSummaryAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations|TestRetryAfterAllocations|TestRawResolveAllocations' \
+	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestCutsAllocationBudget|TestColdDecisionAllocations|TestCompileAllocations|TestSummaryAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations|TestRetryAfterAllocations|TestRawResolveAllocations|TestProgramResolveAllocations' \
 		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata ./internal/analysis ./internal/wire ./internal/admit ./internal/exec
 	$(GO) test -race -run 'TestDegradedCountersSplitByReason|TestCountOnce|TestOneSpanModel' ./internal/engine
 

@@ -21,3 +21,22 @@ func TestRawResolveAllocations(t *testing.T) {
 		t.Errorf("warm RawQueries allocates %.1f per call, want 1 (the []core.Query)", got)
 	}
 }
+
+// TestProgramResolveAllocations: with a warm table, resolving a
+// program-mode request — encoding its key into a recycled buffer and
+// finding the stored Program — allocates nothing.  Gated out under the
+// race detector, like TestRawResolveAllocations.
+func TestProgramResolveAllocations(t *testing.T) {
+	req := walkRequest(t)
+	p := NewPool(PoolConfig{Workers: 1}, nil)
+	if _, _, err := p.ProgramQueries(req, 4096, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if _, analyzed, err := p.ProgramQueries(req, 4096, nil); err != nil || analyzed != 0 {
+			t.Fatalf("analyzed %d, error %v; want a hit", analyzed, err)
+		}
+	}); got > 0 {
+		t.Errorf("warm ProgramQueries allocates %.1f per call, want 0", got)
+	}
+}

@@ -1,8 +1,11 @@
 // Package exec is the execution tier of the query plane: the process's one
-// engine over one pool-owned DFA cache and proof memo, and the raw-query
-// builder that turns wire queries into core ones (through the pool's
-// bounded table of already-parsed raw texts).  It knows nothing about
-// HTTP or admission — internal/serve composes it under both.
+// engine over one pool-owned DFA cache and proof memo, and the two
+// builders that turn a request's text into core queries — the raw-query
+// builder, through the pool's bounded table of already-parsed raw texts,
+// and the program-mode front end (parse, analysis, query expansion),
+// through its bounded table of already-expanded programs.  It knows
+// nothing about HTTP or admission — internal/serve composes it under
+// both.
 package exec
 
 import (
@@ -33,8 +36,8 @@ type PoolConfig struct {
 }
 
 // Pool owns the process's warm state — one DFA cache and one proof memo,
-// bounded by the config's shard caps, and the raw-text table RawQueries
-// resolves through — and the one engine that answers
+// bounded by the config's shard caps, and the raw-text and program tables
+// RawQueries and ProgramQueries resolve through — and the one engine that answers
 // every batch over them.  Each query carries the axiom set valid across
 // its window (§3.4), and DFAs are keyed by alphabet and proofs by
 // axiom-set identity, so one engine serves every axiom set exactly.
@@ -43,6 +46,7 @@ type Pool struct {
 	memo *core.Memo
 	eng  *engine.Engine
 	raw  *rawTable
+	prog *progTable
 }
 
 // NewPool builds a pool with cold caches.  The read-at-scrape gauges of
@@ -52,6 +56,7 @@ func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 		dfas: automata.NewSharedCache(0, cfg.DFAShardCap).SetTelemetry(tel),
 		memo: core.NewMemo(0, cfg.MemoShardCap, tel),
 		raw:  newRawTable(),
+		prog: newProgTable(),
 	}
 	p.eng = engine.New(engine.Options{
 		Workers:      cfg.Workers,
@@ -66,9 +71,6 @@ func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 	tel.GaugeFunc("serve.memo_entries", func() int64 { return int64(p.memo.Len()) })
 	return p
 }
-
-// DFACache returns the DFA cache the pool's engine borrows.
-func (p *Pool) DFACache() *automata.SharedCache { return p.dfas }
 
 // Memo returns the proof memo the pool's engine borrows.
 func (p *Pool) Memo() *core.Memo { return p.memo }

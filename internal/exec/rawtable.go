@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/axiom"
@@ -77,12 +78,19 @@ func (t *rawTable) set(name, text string) (*rawSet, int, error) {
 	if rs != nil {
 		return rs, 0, nil
 	}
+	store := len(name)+len(text) <= rawTextCap
+	if store {
+		// A stored text is a copy, not a substring of the request body, and
+		// the set is parsed from the copy, so no entry keeps a body alive.
+		name, text = strings.Clone(name), strings.Clone(text)
+		k = rawKey{name, text}
+	}
 	ax, err := axiom.ParseSet(name, text)
 	if err != nil {
 		return nil, 1, err
 	}
 	rs = &rawSet{ax: ax, fields: ax.Fields(), paths: make(map[string]pathexpr.Expr)}
-	if len(name)+len(text) > rawTextCap {
+	if !store {
 		return rs, 1, nil
 	}
 	t.mu.Lock()
@@ -106,8 +114,12 @@ func (rs *rawSet) path(src string) (pathexpr.Expr, int, error) {
 	if ok {
 		return e, 0, nil
 	}
+	store := len(src) <= rawTextCap
+	if store {
+		src = strings.Clone(src) // as for a set's text
+	}
 	e, err := parseRawPath(src, rs.fields)
-	if err != nil || len(src) > rawTextCap {
+	if err != nil || !store {
 		return e, 1, err
 	}
 	rs.mu.Lock()

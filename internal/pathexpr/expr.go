@@ -439,14 +439,14 @@ const (
 	ManyWords
 )
 
-// singleton computes e's size class and its one word when the class is
+// Singleton computes e's size class and its one word when the class is
 // OneWord, by structural recursion.  Each rule is exact: ∅ absorbs a
 // concatenation; a concatenation of one-word parts spells one word, while
 // one part with several words (and none empty) gives several; ∅
 // alternatives add nothing and one-word alternatives with equal words
 // merge; (∅)*, (ε)* and ε+ are ε; ∅+ is ∅; any other closure repeats a
 // non-empty word or a choice, so it has infinitely many words.
-func singleton(e Expr) (Count, []string) {
+func Singleton(e Expr) (Count, []string) {
 	switch v := e.(type) {
 	case nil, Epsilon:
 		return OneWord, []string{}
@@ -457,7 +457,7 @@ func singleton(e Expr) (Count, []string) {
 	case Concat:
 		c, w := OneWord, []string{}
 		for _, p := range v.Parts {
-			switch pc, pw := singleton(p); {
+			switch pc, pw := Singleton(p); {
 			case pc == NoWord:
 				return NoWord, nil
 			case pc == ManyWords:
@@ -470,7 +470,7 @@ func singleton(e Expr) (Count, []string) {
 	case Alt:
 		c, w := NoWord, []string(nil)
 		for _, p := range v.Alts {
-			switch pc, pw := singleton(p); {
+			switch pc, pw := Singleton(p); {
 			case pc == NoWord:
 			case pc == ManyWords || c == OneWord && !slices.Equal(w, pw):
 				return ManyWords, nil
@@ -480,11 +480,11 @@ func singleton(e Expr) (Count, []string) {
 		}
 		return c, w
 	case Star:
-		if c, w := singleton(v.Inner); c == NoWord || c == OneWord && len(w) == 0 {
+		if c, w := Singleton(v.Inner); c == NoWord || c == OneWord && len(w) == 0 {
 			return OneWord, []string{}
 		}
 	case Plus:
-		switch c, w := singleton(v.Inner); {
+		switch c, w := Singleton(v.Inner); {
 		case c == NoWord:
 			return NoWord, nil
 		case c == OneWord && len(w) == 0:

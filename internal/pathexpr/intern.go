@@ -135,7 +135,7 @@ func (n *Node) wordFacts() *wordFacts {
 	if f.single, f.isWord = Word(n.expr); f.isWord {
 		f.count = OneWord
 	} else {
-		f.count, f.single = singleton(n.expr)
+		f.count, f.single = Singleton(n.expr)
 	}
 	n.words.Store(f)
 	return f

@@ -693,16 +693,40 @@ func exprOrEps(comps []pathexpr.Expr) string {
 // prefixesEqual reports whether the prefixes of lengths k and l provably
 // denote the same single vertex: both languages hold exactly one word, and
 // the two words are congruent under the word-equality axioms.  The size
-// classes are exact structural facts cached on the interned prefixes (see
-// pathexpr.Node.Singleton); every field of a goal lies in the search's
-// alphabet, so they agree with the prefixes' automata.
+// classes are exact structural facts decided from the components, so no
+// prefix is built (see prefixWord); every field of a goal lies in the
+// search's alphabet, so they agree with the prefixes' automata.
 func (r *run) prefixesEqual(cx, cy *cuts, k, l int) bool {
-	c1, w1 := cx.prefix(k).Singleton()
-	if c1 != pathexpr.OneWord {
+	w1, ok := prefixWord(cx.comps[:k])
+	if !ok {
 		return false
 	}
-	c2, w2 := cy.prefix(l).Singleton()
-	return c2 == pathexpr.OneWord && r.p.wordsCongruent(w1, w2)
+	w2, ok := prefixWord(cy.comps[:l])
+	return ok && r.p.wordsCongruent(w1, w2)
+}
+
+// prefixWord returns the one word of the concatenation of comps, when its
+// language holds exactly one: a concatenation holds one word iff every
+// component does (and none iff some component holds none), and its word
+// is theirs in order.
+func prefixWord(comps []pathexpr.Expr) ([]string, bool) {
+	for _, c := range comps {
+		if _, ok := c.(pathexpr.Field); !ok {
+			if n, _ := pathexpr.Singleton(c); n != pathexpr.OneWord {
+				return nil, false
+			}
+		}
+	}
+	w := make([]string, 0, len(comps))
+	for _, c := range comps {
+		if f, ok := c.(pathexpr.Field); ok {
+			w = append(w, f.Name)
+		} else {
+			_, cw := pathexpr.Singleton(c)
+			w = append(w, cw...)
+		}
+	}
+	return w, true
 }
 
 // starUnfold handles a trailing Kleene-star component by splitting it into

@@ -317,3 +317,32 @@ func TestWordKey(t *testing.T) {
 		t.Error("wordKey conflates [ab] with [a b]")
 	}
 }
+
+// TestPrefixWordMatchesNode: the one word prefixesEqual reads from a
+// prefix's components is the one its interned node reports, for every
+// prefix of sides mixing fields, closures, alternatives, ε and ∅ — the
+// components as a goal normalizes them and as they stand.
+func TestPrefixWordMatchesNode(t *testing.T) {
+	L, R := pathexpr.F("L"), pathexpr.F("R")
+	sides := [][]pathexpr.Expr{
+		{L, R, pathexpr.F("N")},
+		{L, pathexpr.Alt{Alts: []pathexpr.Expr{L, L}}, R},
+		{L, pathexpr.Star{Inner: pathexpr.Eps}, R, pathexpr.Plus{Inner: pathexpr.Eps}},
+		{L, pathexpr.Star{Inner: pathexpr.Empty{}}, pathexpr.Plus{Inner: L}},
+		{R, pathexpr.Empty{}, pathexpr.Star{Inner: L}},
+		{pathexpr.Star{Inner: L}, pathexpr.Empty{}},
+		{L, pathexpr.Alt{Alts: []pathexpr.Expr{L, R}}, R},
+		pathexpr.Components(pathexpr.MustParse("L.(L|R)*.N+.L.R")),
+	}
+	for _, comps := range sides {
+		for _, side := range [][]pathexpr.Expr{comps, normalize(comps)} {
+			for k := 0; k <= len(side); k++ {
+				want, ww := intern(side[:k]).Singleton()
+				got, ok := prefixWord(side[:k])
+				if ok != (want == pathexpr.OneWord) || ok && !wordsEqual(got, ww) {
+					t.Errorf("prefix %s: word %v (%v), node says %v %v", expr(side[:k]), got, ok, want, ww)
+				}
+			}
+		}
+	}
+}

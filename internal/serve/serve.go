@@ -47,11 +47,9 @@ import (
 	"time"
 
 	"repro/internal/admit"
-	"repro/internal/analysis"
 	"repro/internal/axiom"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/lang"
 	"repro/internal/parallel"
 	"repro/internal/pathexpr"
 	"repro/internal/telemetry"
@@ -328,46 +326,26 @@ func (s *Server) answer(ctx context.Context, req *wire.BatchRequest, set *teleme
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("no queries")
 	}
 	svc0 := time.Now()
+	// The front end resolves through the pool's program table: a request
+	// whose program, fn, assume_invariants and query lines were expanded
+	// before is not parsed or analysed again, and the serve.analyze span's
+	// analyzed attribute says whether this one was.  An analysis reports
+	// into this request's trace, under serve.analyze.
 	asp := set.Trace().StartSpan("serve.analyze", set.Parent())
-	prog, err := lang.Parse(req.Program)
-	if err != nil {
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("program: %v", err)
-	}
-	fn := req.Fn
-	if fn == "" {
-		if len(prog.Funcs) != 1 {
-			return nil, nil, http.StatusBadRequest, fmt.Errorf("program has %d functions; set fn", len(prog.Funcs))
-		}
-		fn = prog.Funcs[0].Name
-	}
-	// The analysis reports into this request's trace, so its span (with
-	// the widening checks it decided and the DFAs they compiled) sits in
-	// the request's tree under serve.analyze, and it borrows the pool's DFA
-	// cache, so those checks are warm after the first request over a loop
-	// shape.
-	res, err := analysis.Analyze(prog, fn, analysis.Options{
-		InferTypeAxioms:      true,
-		AssumeLoopInvariants: req.AssumeInvariants,
-		Telemetry:            set.Under(asp.ID()),
-		DFACache:             s.pool.DFACache(),
-	})
-	if err != nil {
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("analyze: %v", err)
-	}
-	queries, origins, err := res.ExpandQueryLines(req.Queries, func(n int) string {
-		return fmt.Sprintf("queries[%d]", n)
-	})
+	prog, analyzed, err := s.pool.ProgramQueries(req, s.cfg.MaxQueries, set.Under(asp.ID()))
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, err
 	}
+	queries := prog.Queries
 	if len(queries) > s.cfg.MaxQueries {
 		return nil, nil, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("%d expanded queries exceed the per-request limit of %d", len(queries), s.cfg.MaxQueries)
 	}
-	asp.End(telemetry.String("fn", fn), telemetry.Int("queries", len(queries)))
+	asp.End(telemetry.String("fn", prog.Fn), telemetry.Int("queries", len(queries)),
+		telemetry.Int("analyzed", analyzed))
 
-	echo := func(i int) (int, string) { return origins[i], req.Queries[origins[i]] }
-	return s.runBatch(ctx, req, set, res.Axioms, queries, echo, svc0)
+	echo := func(i int) (int, string) { return prog.Origins[i], req.Queries[prog.Origins[i]] }
+	return s.runBatch(ctx, req, set, prog.Axioms, queries, echo, svc0)
 }
 
 // answerRaw runs a raw-mode request: the axiom set arrives as text and the

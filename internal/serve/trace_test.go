@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -424,11 +425,14 @@ func TestDegradedRequestCaptured(t *testing.T) {
 }
 
 // TestAnalysisSpanShowsWarmWidening: the analysis joins the request's span
-// tree under serve.analyze, and because it borrows the pool's DFA cache,
-// the second request over one loop program decides the same widening
-// checks without compiling a DFA.  The program's nested walks leave
-// post-loop checks (L*.R.R* ⊆ R.R*) that only the DFA cache decides; a
-// loop's usual X·δ*·δ ⊆ X·δ* is answered without it.
+// tree under serve.analyze, and because it borrows the pool's DFA cache, a
+// second request over the same loop shape — the program text differs by a
+// trailing newline, so the program table misses — decides the same
+// widening checks without compiling a DFA.  The program's nested walks
+// leave post-loop checks (L*.R.R* ⊆ R.R*) that only the DFA cache decides;
+// a loop's usual X·δ*·δ ⊆ X·δ* is answered without it.  A third request,
+// byte for byte the second, resolves through the program table: no
+// analysis.analyze span, analyzed = 0 on serve.analyze, the same results.
 func TestAnalysisSpanShowsWarmWidening(t *testing.T) {
 	srv := New(Config{Workers: 1, FlightK: 8})
 	ts := httptest.NewServer(srv)
@@ -438,17 +442,24 @@ func TestAnalysisSpanShowsWarmWidening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := wire.BatchRequest{Program: string(src), Fn: "swap", Queries: []string{"loop D"}}
+	cold := wire.BatchRequest{Program: string(src), Fn: "swap", Queries: []string{"loop D"}}
+	warm := cold
+	warm.Program += "\n"
+	reqs := []wire.BatchRequest{cold, warm, warm}
 	traces := []string{
 		"00-0af7651916cd43dd8448eb211c803101-b7ad6b7169203331-01",
 		"00-0af7651916cd43dd8448eb211c803102-b7ad6b7169203331-01",
+		"00-0af7651916cd43dd8448eb211c803103-b7ad6b7169203331-01",
 	}
-	for _, tp := range traces {
-		if resp, _, _ := postBatchTraced(t, ts.URL, tp, req); resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d", resp.StatusCode)
+	var results [][]wire.QueryResult
+	for i, tp := range traces {
+		resp, br, _ := postBatchTraced(t, ts.URL, tp, reqs[i])
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status = %d", i, resp.StatusCode)
 		}
+		results = append(results, br.Results)
 	}
-	attrs := func(traceparent string) map[string]any {
+	spans := func(traceparent string) map[string]telemetry.SpanRecord {
 		tc, _ := telemetry.ParseTraceparent(traceparent)
 		for _, rec := range srv.FlightSnapshot().Slowest {
 			if rec.TraceID != tc.TraceID.String() {
@@ -458,23 +469,40 @@ func TestAnalysisSpanShowsWarmWidening(t *testing.T) {
 			for _, sp := range rec.Spans {
 				byName[sp.Name] = sp
 			}
-			sp, ok := byName["analysis.analyze"]
-			if !ok {
-				t.Fatalf("trace %s has no analysis.analyze span", rec.TraceID)
-			}
-			if parent, ok := byName["serve.analyze"]; !ok || sp.Parent != parent.ID {
-				t.Errorf("analysis.analyze parent = %q, want the serve.analyze span %q", sp.Parent, parent.ID)
-			}
-			return sp.Attrs
+			return byName
 		}
 		t.Fatalf("no flight record for %s", traceparent)
 		return nil
 	}
-	cold, warm := attrs(traces[0]), attrs(traces[1])
-	if cold["widen_checks"] == int64(0) || cold["widen_checks"] != warm["widen_checks"] {
-		t.Errorf("widen_checks cold=%v warm=%v, want equal and nonzero", cold["widen_checks"], warm["widen_checks"])
+	analyzed := func(traceparent string) map[string]any {
+		byName := spans(traceparent)
+		sp, ok := byName["analysis.analyze"]
+		if !ok {
+			t.Fatalf("trace %s has no analysis.analyze span", traceparent)
+		}
+		if parent, ok := byName["serve.analyze"]; !ok || sp.Parent != parent.ID {
+			t.Errorf("analysis.analyze parent = %q, want the serve.analyze span %q", sp.Parent, parent.ID)
+		} else if parent.Attrs["analyzed"] != int64(1) {
+			t.Errorf("serve.analyze analyzed = %v on a miss, want 1", parent.Attrs["analyzed"])
+		}
+		return sp.Attrs
 	}
-	if cold["dfa_compiles"] == int64(0) || warm["dfa_compiles"] != int64(0) {
-		t.Errorf("dfa_compiles cold=%v warm=%v, want nonzero then 0", cold["dfa_compiles"], warm["dfa_compiles"])
+	c, w := analyzed(traces[0]), analyzed(traces[1])
+	if c["widen_checks"] == int64(0) || c["widen_checks"] != w["widen_checks"] {
+		t.Errorf("widen_checks cold=%v warm=%v, want equal and nonzero", c["widen_checks"], w["widen_checks"])
+	}
+	if c["dfa_compiles"] == int64(0) || w["dfa_compiles"] != int64(0) {
+		t.Errorf("dfa_compiles cold=%v warm=%v, want nonzero then 0", c["dfa_compiles"], w["dfa_compiles"])
+	}
+
+	hit := spans(traces[2])
+	if _, ok := hit["analysis.analyze"]; ok {
+		t.Error("a repeated request has an analysis.analyze span, want none")
+	}
+	if sp, ok := hit["serve.analyze"]; !ok || sp.Attrs["analyzed"] != int64(0) {
+		t.Errorf("repeated request: serve.analyze analyzed = %v (span present %v), want 0", sp.Attrs["analyzed"], ok)
+	}
+	if !reflect.DeepEqual(results[2], results[1]) || !reflect.DeepEqual(results[1], results[0]) {
+		t.Errorf("results differ:\ncold %+v\nwarm %+v\nhit  %+v", results[0], results[1], results[2])
 	}
 }
