@@ -48,9 +48,9 @@ race-pool:
 # clients, mixed deadlines, several axiom sets over capped caches, then a
 # drain overlapping a fresh request wave; scrapes of both metrics
 # endpoints racing cold batches over many axiom sets (the registry's gauge
-# functions must run outside its lock); and 8 goroutines resolving the same
-# raw-mode texts through the pool's raw-text table at once, and 8 sending
-# the same program-mode request through its program table.
+# functions must run outside its lock); and 8 goroutines sending the same
+# program-mode request, then the same raw-mode requests alongside a
+# program-mode one, through the pool's request table at once.
 race-serve:
 	$(GO) test -race -count=3 -run 'TestSoak|TestDrain|TestAdmission|TestScrapeDuringColdBuilds|TestRawTableConcurrent|TestProgramTableConcurrent' ./internal/serve ./internal/exec
 
@@ -93,8 +93,8 @@ serve-smoke:
 # zero allocations for disabled tracing and a nil Set handed down a layer, warm hits and a
 # Retry-After estimate, two for a cold
 # language decision, at most seven to decode the raw-mode golden request,
-# one (the query slice) to resolve its texts through a warm raw-text table,
-# none to resolve a program-mode request through a warm program table —
+# none to resolve a raw-mode or a program-mode request through a warm
+# request table —
 # (which -race would skew, hence the separate non-race invocation), the count-once test (one drive moves
 # every registry counter the engine, caches and admission book), and the
 # one-span-model test (a streaming and a retaining trace of one batch,

@@ -111,9 +111,6 @@ func New(opts Options) *Engine {
 // Workers returns the engine's pool width.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
-// Memo exposes the proof memo the engine uses, borrowed or private.
-func (e *Engine) Memo() *core.Memo { return e.memo }
-
 // DFACache exposes the DFA cache the engine uses, borrowed or private.
 func (e *Engine) DFACache() *automata.SharedCache { return e.dfas }
 

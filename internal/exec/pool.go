@@ -1,11 +1,10 @@
 // Package exec is the execution tier of the query plane: the process's one
-// engine over one pool-owned DFA cache and proof memo, and the two
-// builders that turn a request's text into core queries — the raw-query
-// builder, through the pool's bounded table of already-parsed raw texts,
-// and the program-mode front end (parse, analysis, query expansion),
-// through its bounded table of already-expanded programs.  It knows
-// nothing about HTTP or admission — internal/serve composes it under
-// both.
+// engine over one pool-owned DFA cache and proof memo, and the pool's
+// bounded request table, which turns a request's text into core queries —
+// a raw-mode request's through the raw-query builder, a program-mode
+// request's through the front end (parse, analysis, query expansion) — and
+// keeps what it built.  It knows nothing about HTTP or admission —
+// internal/serve composes it under both.
 package exec
 
 import (
@@ -36,27 +35,25 @@ type PoolConfig struct {
 }
 
 // Pool owns the process's warm state — one DFA cache and one proof memo,
-// bounded by the config's shard caps, and the raw-text and program tables
-// RawQueries and ProgramQueries resolve through — and the one engine that answers
-// every batch over them.  Each query carries the axiom set valid across
-// its window (§3.4), and DFAs are keyed by alphabet and proofs by
-// axiom-set identity, so one engine serves every axiom set exactly.
+// bounded by the config's shard caps, and the request table Queries
+// resolves through — and the one engine that answers every batch over
+// them.  Each query carries the axiom set valid across its window (§3.4),
+// and DFAs are keyed by alphabet and proofs by axiom-set identity, so one
+// engine serves every axiom set exactly.
 type Pool struct {
-	dfas *automata.SharedCache
-	memo *core.Memo
-	eng  *engine.Engine
-	raw  *rawTable
-	prog *progTable
+	dfas  *automata.SharedCache
+	memo  *core.Memo
+	eng   *engine.Engine
+	table *reqTable
 }
 
 // NewPool builds a pool with cold caches.  The read-at-scrape gauges of
 // its cache sizes report under tel's serve.* names.
 func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 	p := &Pool{
-		dfas: automata.NewSharedCache(0, cfg.DFAShardCap).SetTelemetry(tel),
-		memo: core.NewMemo(0, cfg.MemoShardCap, tel),
-		raw:  newRawTable(),
-		prog: newProgTable(),
+		dfas:  automata.NewSharedCache(0, cfg.DFAShardCap).SetTelemetry(tel),
+		memo:  core.NewMemo(0, cfg.MemoShardCap, tel),
+		table: newReqTable(),
 	}
 	p.eng = engine.New(engine.Options{
 		Workers:      cfg.Workers,
@@ -71,9 +68,6 @@ func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 	tel.GaugeFunc("serve.memo_entries", func() int64 { return int64(p.memo.Len()) })
 	return p
 }
-
-// Memo returns the proof memo the pool's engine borrows.
-func (p *Pool) Memo() *core.Memo { return p.memo }
 
 // Batch answers the queries on the pool's engine, each under its own axiom
 // set, with perQuery bounding each proof search and set placing the batch

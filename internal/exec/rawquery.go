@@ -10,37 +10,19 @@ import (
 )
 
 // BuildRawQueries turns wire raw queries into core ones against the given
-// axiom set, parsing every path afresh.  Paths parse over the set's field
+// axiom set, parsing every path.  Paths parse over the set's field
 // alphabet so single-letter field names concatenate the same way they do in
 // axiom text; an empty path means ε (the access is through the handle
-// itself).  The pool's RawQueries builds the same queries through its text
-// table.
+// itself).  The pool's Queries builds a raw request's queries with it.
 func BuildRawQueries(ax *axiom.Set, raws []wire.RawQuery) ([]core.Query, error) {
 	fields := ax.Fields()
-	return buildRaw(ax, raws, func(src string) (pathexpr.Expr, error) {
-		return parseRawPath(src, fields)
-	})
-}
-
-// parseRawPath parses one raw path text over a set's field alphabet.
-func parseRawPath(src string, fields []string) (pathexpr.Expr, error) {
-	if src == "" {
-		src = "eps"
-	}
-	return pathexpr.ParseAlphabet(src, fields)
-}
-
-// buildRaw is the one per-query build loop: path resolves each path text
-// (parsing it, or finding it already parsed), and the rest of each query is
-// copied from the wire.
-func buildRaw(ax *axiom.Set, raws []wire.RawQuery, path func(string) (pathexpr.Expr, error)) ([]core.Query, error) {
 	out := make([]core.Query, len(raws))
 	for i, rq := range raws {
-		sp, err := path(rq.SPath)
+		sp, err := parseRawPath(rq.SPath, fields)
 		if err != nil {
 			return nil, fmt.Errorf("raw[%d].s_path: %w", i, err)
 		}
-		tp, err := path(rq.TPath)
+		tp, err := parseRawPath(rq.TPath, fields)
 		if err != nil {
 			return nil, fmt.Errorf("raw[%d].t_path: %w", i, err)
 		}
@@ -66,6 +48,14 @@ func buildRaw(ax *axiom.Set, raws []wire.RawQuery, path func(string) (pathexpr.E
 		}
 	}
 	return out, nil
+}
+
+// parseRawPath parses one raw path text over a set's field alphabet.
+func parseRawPath(src string, fields []string) (pathexpr.Expr, error) {
+	if src == "" {
+		src = "eps"
+	}
+	return pathexpr.ParseAlphabet(src, fields)
 }
 
 // parseRelation maps the wire relation to core.HandleRelation, defaulting

@@ -104,12 +104,7 @@ func (p *Pool) ForEachChunk(n int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
-	w := p.workers
-	if w > n {
-		w = n
-	}
-	chunk := (n + w - 1) / w
-	slots := (n + chunk - 1) / chunk
+	chunk, slots := p.split(n)
 	var ends []time.Time
 	if metered {
 		p.forks.Add(1)
@@ -161,76 +156,34 @@ func (p *Pool) ForEachChunk(n int, fn func(lo, hi int)) {
 	}
 }
 
+// split returns the length of the chunks ForEachChunk partitions [0, n)
+// into, one per worker, and their count.
+func (p *Pool) split(n int) (chunk, slots int) {
+	w := min(p.workers, n)
+	chunk = (n + w - 1) / w
+	return chunk, (n + chunk - 1) / chunk
+}
+
 // Reduce runs one accumulator per worker over [0, n) and combines the
 // partial results sequentially with merge.  init produces a fresh
-// accumulator; step folds index i into it.  Panic and join semantics match
-// ForEach.
+// accumulator; step folds index i into it.  The accumulators run on
+// ForEachChunk's chunks, so panic and join semantics match ForEach.
 func Reduce[T any](p *Pool, n int, init func() T, step func(acc T, i int) T, merge func(a, b T) T) T {
 	if n <= 0 {
 		return init()
 	}
-	w := p.workers
-	if w > n {
-		w = n
-	}
-	parts := make([]T, w)
-	chunk := (n + w - 1) / w
-	metered := p.busyNS != nil
-	var ends []time.Time
-	if metered {
-		slots := (n + chunk - 1) / chunk
-		p.forks.Add(1)
-		p.chunks.Add(int64(slots))
-		ends = make([]time.Time, slots)
-	}
-	var (
-		panicOnce sync.Once
-		pan       *WorkerPanic
-		wg        sync.WaitGroup
-	)
-	slot := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	chunk, slots := p.split(n)
+	parts := make([]T, slots)
+	p.ForEachChunk(n, func(lo, hi int) {
+		acc := init()
+		for i := lo; i < hi; i++ {
+			acc = step(acc, i)
 		}
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			start := time.Now()
-			defer func() {
-				if metered {
-					now := time.Now()
-					ends[slot] = now
-					p.busyNS.Observe(now.Sub(start).Nanoseconds())
-				}
-				if r := recover(); r != nil {
-					panicOnce.Do(func() {
-						pan = &WorkerPanic{Value: r, Stack: debug.Stack()}
-					})
-				}
-			}()
-			acc := init()
-			for i := lo; i < hi; i++ {
-				acc = step(acc, i)
-			}
-			parts[slot] = acc
-		}(slot, lo, hi)
-		slot++
-	}
-	wg.Wait()
-	if metered {
-		join := time.Now()
-		for _, end := range ends[:slot] {
-			p.barrierNS.Observe(join.Sub(end).Nanoseconds())
-		}
-	}
-	if pan != nil {
-		panic(pan)
-	}
+		parts[lo/chunk] = acc
+	})
 	out := parts[0]
-	for i := 1; i < slot; i++ {
-		out = merge(out, parts[i])
+	for _, part := range parts[1:] {
+		out = merge(out, part)
 	}
 	return out
 }

@@ -14,13 +14,13 @@
 //   - internal/admit — the two-channel slots/queue/429 admission machinery
 //     and the drain lifecycle;
 //   - internal/exec — the process's one engine and the DFA cache and proof
-//     memo it borrows, and the raw-query builder.
+//     memo it borrows, and the request table that builds a request's
+//     queries, raw or program mode, and keeps them.
 //
-// What remains here is the composition itself: HTTP endpoint wiring, the
-// program-mode analysis pipeline, and tracing/flight-recorder/access-log
-// plumbing.  The cluster router (internal/route) is the
-// other composition of the same tiers — admission in front of forwarding
-// instead of execution.
+// What remains here is the composition itself: HTTP endpoint wiring,
+// request checks, and tracing/flight-recorder/access-log plumbing.  The
+// cluster router (internal/route) is the other composition of the same
+// tiers — admission in front of forwarding instead of execution.
 //
 // Robustness is the other half of the design:
 //
@@ -326,13 +326,13 @@ func (s *Server) answer(ctx context.Context, req *wire.BatchRequest, set *teleme
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("no queries")
 	}
 	svc0 := time.Now()
-	// The front end resolves through the pool's program table: a request
+	// The front end resolves through the pool's request table: a request
 	// whose program, fn, assume_invariants and query lines were expanded
 	// before is not parsed or analysed again, and the serve.analyze span's
 	// analyzed attribute says whether this one was.  An analysis reports
 	// into this request's trace, under serve.analyze.
 	asp := set.Trace().StartSpan("serve.analyze", set.Parent())
-	prog, analyzed, err := s.pool.ProgramQueries(req, s.cfg.MaxQueries, set.Under(asp.ID()))
+	prog, analyzed, err := s.pool.Queries(req, s.cfg.MaxQueries, set.Under(asp.ID()))
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, err
 	}
@@ -352,9 +352,9 @@ func (s *Server) answer(ctx context.Context, req *wire.BatchRequest, set *teleme
 // queries fully specified, so analysis is skipped entirely.  This is the
 // path routed cluster traffic takes when the client already holds analysis
 // results (and the differential suite's way of replaying engine workloads
-// through HTTP byte-identically).  The texts resolve through the pool's
-// raw-text table, so a set or path sent before is not parsed again; the
-// serve.rawparse span's parsed attribute counts the texts that were.
+// through HTTP byte-identically).  The request resolves through the
+// pool's request table, so one sent before whole is not parsed again; the
+// serve.rawparse span's parsed attribute says whether this one was.
 func (s *Server) answerRaw(ctx context.Context, req *wire.BatchRequest, set *telemetry.Set) (*wire.BatchResponse, *flightMeta, int, error) {
 	if len(req.Queries) > 0 || req.Program != "" {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("raw queries exclude program/queries fields")
@@ -365,19 +365,15 @@ func (s *Server) answerRaw(ctx context.Context, req *wire.BatchRequest, set *tel
 	}
 	svc0 := time.Now()
 	asp := set.Trace().StartSpan("serve.rawparse", set.Parent())
-	name := req.AxiomSetName
-	if name == "" {
-		name = "raw"
-	}
-	ax, queries, parsed, err := s.pool.RawQueries(name, req.AxiomSet, req.Raw)
+	prog, parsed, err := s.pool.Queries(req, s.cfg.MaxQueries, set.Under(asp.ID()))
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, err
 	}
-	asp.End(telemetry.String("axiom_set", name), telemetry.Int("queries", len(queries)),
+	asp.End(telemetry.String("axiom_set", prog.Axioms.StructName), telemetry.Int("queries", len(prog.Queries)),
 		telemetry.Int("parsed", parsed))
 
 	echo := func(i int) (int, string) { return i, exec.RenderRawQuery(req.Raw[i]) }
-	return s.runBatch(ctx, req, set, ax, queries, echo, svc0)
+	return s.runBatch(ctx, req, set, prog.Axioms, prog.Queries, echo, svc0)
 }
 
 // runBatch is the shared tail of both request modes: run the batch on the
