@@ -94,7 +94,9 @@ serve-smoke:
 # Retry-After estimate, two for a cold
 # language decision, at most seven to decode the raw-mode golden request,
 # none to resolve a raw-mode or a program-mode request through a warm
-# request table —
+# request table, none to append a response into a reused buffer, and at
+# most the counts measured at the change that made them to serve a warm
+# program-mode and a warm raw-mode request —
 # (which -race would skew, hence the separate non-race invocation), the count-once test (one drive moves
 # every registry counter the engine, caches and admission book), and the
 # one-span-model test (a streaming and a retaining trace of one batch,
@@ -106,16 +108,19 @@ obs-check:
 		./internal/telemetry ./internal/serve
 	$(GO) test -run 'TestTraceJSONSchema' ./cmd/aptdep ./cmd/aptlint
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestConcurrentFinishCountsExact' ./internal/telemetry ./internal/admit
-	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestCutsAllocationBudget|TestColdDecisionAllocations|TestCompileAllocations|TestSummaryAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations|TestRetryAfterAllocations|TestRawResolveAllocations|TestProgramResolveAllocations' \
-		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata ./internal/analysis ./internal/wire ./internal/admit ./internal/exec
+	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestCutsAllocationBudget|TestColdDecisionAllocations|TestCompileAllocations|TestSummaryAllocations|TestFrontEndAllocations|TestDecodeRequestAllocations|TestRetryAfterAllocations|TestRawResolveAllocations|TestProgramResolveAllocations|TestWriteResponseAllocations|TestWarmRequestAllocations' \
+		./internal/telemetry ./internal/engine ./internal/prover ./internal/automata ./internal/analysis ./internal/wire ./internal/admit ./internal/exec ./internal/serve
 	$(GO) test -race -run 'TestDegradedCountersSplitByReason|TestCountOnce|TestOneSpanModel' ./internal/engine
 
-# Differential fuzzing of the /v1/batch decoder: every input decodes through
+# Differential fuzzing of the /v1/batch codec: every input decodes through
 # internal/wire's decoder and through encoding/json into method-less copies
-# of the types, and both must fail or both yield equal values.
+# of the types, and both must fail or both yield equal values; every
+# generated response encodes through AppendResponse to encoding/json's
+# bytes (HTML escaping off), trailing newline included.
 wire-fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 20s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 20s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeResponse$$' -fuzztime 20s ./internal/wire
 
 # Fixed-seed differential fuzzing smoke: generate scenario programs over all
 # five structure families, check every No verdict against the concrete and

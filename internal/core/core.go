@@ -309,9 +309,9 @@ func (t *Tester) depTest(q Query) Outcome {
 	if t.memo == nil && !t.memoSet {
 		t.memo = NewMemo(1, 0, t.opts.Telemetry)
 	}
-	prove := func(form prover.Form, x, y pathexpr.Expr) *prover.Proof {
+	prove := func(form prover.Form, x, y *pathexpr.Node) *prover.Proof {
 		if t.memo == nil {
-			return prv.Prove(form, x, y)
+			return prv.ProveNodes(form, x, y)
 		}
 		return t.memo.Prove(prv, axID, form, x, y)
 	}
@@ -386,10 +386,14 @@ func (t *Tester) depTest(q Query) Outcome {
 		rel = SameHandle
 	}
 
+	// The two paths are interned once, for the aliasing check and every
+	// proof form alike.
+	sp, tp := pathexpr.Intern(q.S.Path), pathexpr.Intern(q.T.Path)
+
 	// Definite dependence: same handle, and the paths provably denote the
 	// same single vertex (identical singleton paths, or words congruent
 	// under the equality axioms).
-	if rel == SameHandle && prv.DefinitelyAliased(q.S.Path, q.T.Path) {
+	if rel == SameHandle && prv.DefinitelyAliased(sp, tp) {
 		out.Result = Yes
 		out.Reason = "access paths denote the same vertex"
 		return out
@@ -397,7 +401,7 @@ func (t *Tester) depTest(q Query) Outcome {
 
 	switch rel {
 	case SameHandle:
-		proof := prove(prover.SameSrc, q.S.Path, q.T.Path)
+		proof := prove(prover.SameSrc, sp, tp)
 		out.Proof = proof
 		if proof.Result == prover.Proved && verified(proof) {
 			out.Result = No
@@ -405,7 +409,7 @@ func (t *Tester) depTest(q Query) Outcome {
 			return out
 		}
 	case DistinctHandles:
-		proof := prove(prover.DiffSrc, q.S.Path, q.T.Path)
+		proof := prove(prover.DiffSrc, sp, tp)
 		out.Proof = proof
 		if proof.Result == prover.Proved && verified(proof) {
 			out.Result = No
@@ -413,8 +417,8 @@ func (t *Tester) depTest(q Query) Outcome {
 			return out
 		}
 	case UnknownHandles:
-		same := prove(prover.SameSrc, q.S.Path, q.T.Path)
-		diff := prove(prover.DiffSrc, q.S.Path, q.T.Path)
+		same := prove(prover.SameSrc, sp, tp)
+		diff := prove(prover.DiffSrc, sp, tp)
 		out.Proof, out.AuxProof = same, diff
 		if same.Result == prover.Proved && diff.Result == prover.Proved && verified(same, diff) {
 			out.Result = No
@@ -444,7 +448,7 @@ func (t *Tester) depTest(q Query) Outcome {
 func (t *Tester) refuteGuard(
 	s guard.Set,
 	prv *prover.Prover,
-	prove func(form prover.Form, x, y pathexpr.Expr) *prover.Proof,
+	prove func(form prover.Form, x, y *pathexpr.Node) *prover.Proof,
 	verified func(...*prover.Proof) bool,
 ) (guard.Ref, string, *prover.Proof, bool) {
 	for _, r := range s {
@@ -452,14 +456,15 @@ func (t *Tester) refuteGuard(
 		if eq == nil {
 			continue
 		}
+		xn, yn := pathexpr.Intern(eq.XPath), pathexpr.Intern(eq.YPath)
 		if !r.Neg {
-			pf := prove(prover.SameSrc, eq.XPath, eq.YPath)
+			pf := prove(prover.SameSrc, xn, yn)
 			if pf.Result == prover.Proved && verified(pf) {
 				why := fmt.Sprintf("%s and %s provably denote distinct vertices (%s.%s <> %s.%s)",
 					eq.X, eq.Y, eq.Handle, eq.XPath, eq.Handle, eq.YPath)
 				return r, why, pf, true
 			}
-		} else if prv.DefinitelyAliased(eq.XPath, eq.YPath) {
+		} else if prv.DefinitelyAliased(xn, yn) {
 			why := fmt.Sprintf("%s and %s provably denote the same vertex (%s.%s = %s.%s)",
 				eq.X, eq.Y, eq.Handle, eq.XPath, eq.Handle, eq.YPath)
 			return r, why, nil, true

@@ -32,15 +32,13 @@ type GoalKey struct {
 
 // CanonicalGoalKey returns the canonical identity of the goal ⟨form, x, y⟩.
 func CanonicalGoalKey(form prover.Form, x, y pathexpr.Expr) GoalKey {
-	k, _, _ := orient(form, x, y)
+	k, _, _ := orient(form, pathexpr.Intern(x), pathexpr.Intern(y))
 	return k
 }
 
-// orient returns the goal's key and its interned operands in canonical
-// orientation — the nodes the prover searches from, so the operands are
-// interned once per memo lookup.
-func orient(form prover.Form, x, y pathexpr.Expr) (key GoalKey, xn, yn *pathexpr.Node) {
-	xn, yn = pathexpr.Intern(x), pathexpr.Intern(y)
+// orient returns the goal's key and its operands in canonical orientation
+// — the nodes the prover searches from.
+func orient(form prover.Form, xn, yn *pathexpr.Node) (GoalKey, *pathexpr.Node, *pathexpr.Node) {
 	a, b := xn.Simplified(), yn.Simplified()
 	if b.String() < a.String() {
 		return GoalKey{Form: form, A: b.ID(), B: a.ID()}, yn, xn
@@ -131,11 +129,11 @@ func (m *Memo) shardFor(key memoKey) *memoShard {
 	return &m.shards[h%uint64(len(m.shards))]
 }
 
-// Prove returns the memoized proof of the goal ⟨form, x, y⟩ under the
-// axiom set identified by axiomID (see axiom.Set.ID), or proves it with
-// prv — a prover over that set — in canonical orientation and shares the
-// result.
-func (m *Memo) Prove(prv *prover.Prover, axiomID uint64, form prover.Form, x, y pathexpr.Expr) *prover.Proof {
+// Prove returns the memoized proof of the goal ⟨form, x, y⟩ over interned
+// operands under the axiom set identified by axiomID (see axiom.Set.ID),
+// or proves it with prv — a prover over that set — in canonical
+// orientation and shares the result.
+func (m *Memo) Prove(prv *prover.Prover, axiomID uint64, form prover.Form, x, y *pathexpr.Node) *prover.Proof {
 	goal, xn, yn := orient(form, x, y)
 	key := memoKey{ax: axiomID, goal: goal}
 	sh := m.shardFor(key)

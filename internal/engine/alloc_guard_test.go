@@ -58,9 +58,9 @@ func TestWarmHitAllocationBudget(t *testing.T) {
 	m := core.NewMemo(0, 0, nil)
 	axioms := WorkloadWindows()[0]
 	prv := prover.New(axioms, prover.Options{})
-	m.Prove(prv, axioms.ID(), prover.SameSrc, x, y)
+	m.Prove(prv, axioms.ID(), prover.SameSrc, pathexpr.Intern(x), pathexpr.Intern(y))
 	if got := testing.AllocsPerRun(200, func() {
-		m.Prove(prv, axioms.ID(), prover.SameSrc, x, y)
+		m.Prove(prv, axioms.ID(), prover.SameSrc, pathexpr.Intern(x), pathexpr.Intern(y))
 	}); got > 0 {
 		t.Errorf("warm proof-memo hit allocates %.1f per call, want 0", got)
 	}

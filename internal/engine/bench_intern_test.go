@@ -61,11 +61,11 @@ func BenchmarkProofMemoHit(b *testing.B) {
 	m := core.NewMemo(0, 0, nil)
 	axioms := WorkloadWindows()[0]
 	prv, ax := prover.New(axioms, prover.Options{}), axioms.ID()
-	m.Prove(prv, ax, prover.SameSrc, x, y)
+	m.Prove(prv, ax, prover.SameSrc, pathexpr.Intern(x), pathexpr.Intern(y))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Prove(prv, ax, prover.SameSrc, x, y)
+		m.Prove(prv, ax, prover.SameSrc, pathexpr.Intern(x), pathexpr.Intern(y))
 	}
 }
 

@@ -50,7 +50,7 @@ func TestMemoWaiterDoesNotInheritExhausted(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if p := m.Prove(worker, axioms.ID(), prover.SameSrc, x, y); p.Result != prover.Exhausted {
+		if p := m.Prove(worker, axioms.ID(), prover.SameSrc, pathexpr.Intern(x), pathexpr.Intern(y)); p.Result != prover.Exhausted {
 			t.Errorf("worker got %v, want its own Exhausted artifact back", p.Result)
 		}
 	}()
@@ -60,7 +60,7 @@ func TestMemoWaiterDoesNotInheritExhausted(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		waiterProof = m.Prove(prover.New(axioms, prover.Options{}), axioms.ID(), prover.SameSrc, x, y)
+		waiterProof = m.Prove(prover.New(axioms, prover.Options{}), axioms.ID(), prover.SameSrc, pathexpr.Intern(x), pathexpr.Intern(y))
 	}()
 
 	// Whether the waiter has reached the entry yet or not, releasing the
@@ -130,13 +130,13 @@ func TestMemoShardCapBoundsEntries(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		pinnedProof = m.Prove(parked, ax, prover.SameSrc, px, py)
+		pinnedProof = m.Prove(parked, ax, prover.SameSrc, pathexpr.Intern(px), pathexpr.Intern(py))
 	}()
 	<-pinnedIn
 
 	for i := 0; i < 10*cap; i++ {
 		x := pathexpr.MustParse(fmt.Sprintf("L.R%s", strings.Repeat(".N", i)))
-		m.Prove(plain, ax, prover.SameSrc, x, pathexpr.MustParse("R"))
+		m.Prove(plain, ax, prover.SameSrc, pathexpr.Intern(x), pathexpr.Intern(pathexpr.MustParse("R")))
 	}
 	if n := m.Len(); n > cap+1 { // the flood's survivors plus the pinned in-flight entry
 		t.Errorf("Len() = %d after flooding a %d-cap shard, want bounded", n, cap)
@@ -153,7 +153,7 @@ func TestMemoShardCapBoundsEntries(t *testing.T) {
 		return true
 	}})
 	done := make(chan *prover.Proof, 1)
-	go func() { done <- m.Prove(duplicate, ax, prover.SameSrc, px, py) }()
+	go func() { done <- m.Prove(duplicate, ax, prover.SameSrc, pathexpr.Intern(px), pathexpr.Intern(py)) }()
 	close(release)
 	wg.Wait()
 	if p := <-done; p != pinnedProof {
@@ -167,7 +167,7 @@ func TestMemoShardCapBoundsEntries(t *testing.T) {
 	u, ucount := newCountedMemo(1, 0)
 	for i := 0; i < 10*cap; i++ {
 		x := pathexpr.MustParse(fmt.Sprintf("L%s", strings.Repeat(".N", i)))
-		u.Prove(plain, ax, prover.SameSrc, x, pathexpr.MustParse("R"))
+		u.Prove(plain, ax, prover.SameSrc, pathexpr.Intern(x), pathexpr.Intern(pathexpr.MustParse("R")))
 	}
 	if ev, n := ucount("evictions"), u.Len(); ev != 0 || n != 10*cap {
 		t.Errorf("uncapped memo: %d evictions, %d entries, want every entry retained", ev, n)

@@ -3,7 +3,7 @@
 // bounded request table, which turns a request's text into core queries —
 // a raw-mode request's through the raw-query builder, a program-mode
 // request's through the front end (parse, analysis, query expansion) — and
-// keeps what it built.  It knows nothing about HTTP or admission —
+// their response rows, and keeps what it built.  It knows nothing about HTTP or admission —
 // internal/serve composes it under both.
 package exec
 

@@ -77,8 +77,8 @@ func parseRelation(rq wire.RawQuery) (core.HandleRelation, error) {
 	return 0, fmt.Errorf("relation %q: want \"same\", \"distinct\", \"unknown\", or empty", rq.Relation)
 }
 
-// RenderRawQuery renders one raw query the way QueryResult.Query echoes it.
-func RenderRawQuery(rq wire.RawQuery) string {
+// renderRawQuery renders one raw query the way QueryResult.Query echoes it.
+func renderRawQuery(rq wire.RawQuery) string {
 	rel := rq.Relation
 	if rel == "" {
 		if rq.SHandle == rq.THandle {

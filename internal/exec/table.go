@@ -15,27 +15,38 @@ import (
 
 // Bounds of the pool's request table, set from a memory budget: at most
 // tableEntryCap × tableKeyCap = 4 MiB of keys and tableQueryCap built
-// queries, 7 MiB of query records and their origins (DESIGN §7c).  A full
-// table is emptied wholesale before the next insert; a request whose key
-// would be longer than tableKeyCap is built on every send and never
-// stored.
+// queries, 12 MiB of query records and response rows at tableQueryBytes
+// each (DESIGN §7c).  A full table is emptied wholesale before the next
+// insert; a request whose key would be longer than tableKeyCap is built on
+// every send and never stored.
 const (
 	tableEntryCap = 256      // requests held
 	tableKeyCap   = 16 << 10 // longest key stored, in bytes
 	tableQueryCap = 32 << 10 // built queries held across all entries
 )
 
+// tableQueryBytes is one built query's share of the budget: its
+// core.Query record (216 B on 64-bit), its row's wire.QueryResult header
+// (104 B), and 64 B for the texts the row holds beyond the key — the two
+// rendered accesses and a raw query's echo (a program-mode row echoes its
+// line from the key).  Those texts measure 34 B a row on
+// testdata/determinism/walk.{c,q} and 57 B on the raw wire golden; they
+// grow with the paths they render.
+const tableQueryBytes = 216 + 104 + 64
+
 // Program is what a request builds: for a program-mode request, the
 // function analysed, the axiom set it declares, and the query lines
-// expanded to queries, each with the index of the line it came from; for
-// a raw-mode request, the parsed axiom set and its queries, with no Fn and
-// no Origins.  A Program the pool returns may be shared with other
-// requests and must not be modified.
+// expanded to queries; for a raw-mode request, the parsed axiom set and
+// its queries, with no Fn.  Rows[i] is the response row of Queries[i]
+// without its verdict: the index of the line or raw query it came from,
+// that line or the raw query's rendering, and the two accesses rendered.
+// A Program the pool returns may be shared with other requests and must
+// not be modified; a response copies its rows.
 type Program struct {
 	Fn      string
 	Axioms  *axiom.Set
 	Queries []core.Query
-	Origins []int
+	Rows    []wire.QueryResult
 }
 
 // reqTable maps a whole request's query-building inputs — for program
@@ -233,7 +244,11 @@ func (p *Pool) build(req *wire.BatchRequest, tel *telemetry.Set) (*Program, erro
 	if err != nil {
 		return nil, err
 	}
-	return &Program{Axioms: ax, Queries: queries}, nil
+	rows := make([]wire.QueryResult, len(queries))
+	for i, rq := range req.Raw {
+		rows[i] = row(i, renderRawQuery(rq), queries[i])
+	}
+	return &Program{Axioms: ax, Queries: queries, Rows: rows}, nil
 }
 
 // analyze runs the front end over a program-mode request.
@@ -266,5 +281,14 @@ func (p *Pool) analyze(req *wire.BatchRequest, tel *telemetry.Set) (*Program, er
 	if err != nil {
 		return nil, err
 	}
-	return &Program{Fn: fn, Axioms: res.Axioms, Queries: queries, Origins: origins}, nil
+	rows := make([]wire.QueryResult, len(queries))
+	for i, line := range origins {
+		rows[i] = row(line, req.Queries[line], queries[i])
+	}
+	return &Program{Fn: fn, Axioms: res.Axioms, Queries: queries, Rows: rows}, nil
+}
+
+// row is q's response row without its verdict.
+func row(line int, query string, q core.Query) wire.QueryResult {
+	return wire.QueryResult{Line: line, Query: query, S: q.S.String(), T: q.T.String()}
 }

@@ -70,7 +70,11 @@ func freshProgram(t testing.TB, req *wire.BatchRequest) *Program {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &Program{Axioms: ax, Queries: queries}
+		rows := make([]wire.QueryResult, len(queries))
+		for i, q := range queries {
+			rows[i] = wire.QueryResult{Line: i, Query: renderRawQuery(req.Raw[i]), S: q.S.String(), T: q.T.String()}
+		}
+		return &Program{Axioms: ax, Queries: queries, Rows: rows}
 	}
 	prog, err := lang.Parse(req.Program)
 	if err != nil {
@@ -88,7 +92,11 @@ func freshProgram(t testing.TB, req *wire.BatchRequest) *Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Program{Fn: fn, Axioms: res.Axioms, Queries: queries, Origins: origins}
+	rows := make([]wire.QueryResult, len(queries))
+	for i, q := range queries {
+		rows[i] = wire.QueryResult{Line: origins[i], Query: req.Queries[origins[i]], S: q.S.String(), T: q.T.String()}
+	}
+	return &Program{Fn: fn, Axioms: res.Axioms, Queries: queries, Rows: rows}
 }
 
 // renderQuery is everything a query asks, as text.
@@ -97,22 +105,23 @@ func renderQuery(q core.Query) string {
 		q.SGuards, q.TGuards, q.Axioms.StructName, q.Axioms.Key())
 }
 
-// sameProgram fails unless got asks what want asks, in the same order and
-// from the same lines.
+// sameProgram fails unless got asks what want asks, in the same order,
+// with the same response rows: each from the same line, echoing the same
+// query and rendering the same accesses.
 func sameProgram(t testing.TB, what string, got, want *Program) {
 	t.Helper()
 	if got.Fn != want.Fn || got.Axioms.StructName != want.Axioms.StructName || got.Axioms.Key() != want.Axioms.Key() ||
-		len(got.Queries) != len(want.Queries) || len(got.Origins) != len(want.Origins) {
-		t.Fatalf("%s: fn %s, axioms %s %q, %d queries from %d lines; want %s, %s %q, %d from %d", what,
-			got.Fn, got.Axioms.StructName, got.Axioms.Key(), len(got.Queries), len(got.Origins),
-			want.Fn, want.Axioms.StructName, want.Axioms.Key(), len(want.Queries), len(want.Origins))
+		len(got.Queries) != len(want.Queries) || len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%s: fn %s, axioms %s %q, %d queries with %d rows; want %s, %s %q, %d with %d", what,
+			got.Fn, got.Axioms.StructName, got.Axioms.Key(), len(got.Queries), len(got.Rows),
+			want.Fn, want.Axioms.StructName, want.Axioms.Key(), len(want.Queries), len(want.Rows))
 	}
 	for i := range got.Queries {
 		if g, w := renderQuery(got.Queries[i]), renderQuery(want.Queries[i]); g != w {
 			t.Errorf("%s: query %d = %s, want %s", what, i, g, w)
 		}
-		if i < len(got.Origins) && got.Origins[i] != want.Origins[i] {
-			t.Errorf("%s: query %d from line %d, want %d", what, i, got.Origins[i], want.Origins[i])
+		if got.Rows[i] != want.Rows[i] {
+			t.Errorf("%s: row %d = %+v, want %+v", what, i, got.Rows[i], want.Rows[i])
 		}
 	}
 }
@@ -505,7 +514,8 @@ func decodedBody(t *testing.T, body string) (req *wire.BatchRequest, bodyLo, bod
 }
 
 // TestTablesHoldNoBodyBytes: the strings the table keeps — its keys, a
-// Program's fn, its axiom set's name and the names its queries carry —
+// Program's fn, its axiom set's name, the names its queries carry and the
+// query lines its rows echo —
 // are copies, never substrings of a decoded request body, so no entry
 // keeps a body alive.
 func TestTablesHoldNoBodyBytes(t *testing.T) {
@@ -528,6 +538,9 @@ func TestTablesHoldNoBodyBytes(t *testing.T) {
 			inBody("key", k)
 			inBody("resolved fn", prog.Fn)
 			inBody("axiom set's struct name", prog.Axioms.StructName)
+			for _, r := range prog.Rows {
+				inBody("row's query", r.Query)
+			}
 			for _, q := range prog.Queries {
 				for _, a := range []core.Access{q.S, q.T} {
 					inBody("handle", a.Handle)
@@ -589,5 +602,28 @@ func BenchmarkProgramQueries(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestTableQueryBudget: the per-query bytes the table's budget states
+// cover a query record and a row header, and the rendered texts of the
+// requests it names.
+func TestTableQueryBudget(t *testing.T) {
+	headers := unsafe.Sizeof(core.Query{}) + unsafe.Sizeof(wire.QueryResult{})
+	if tableQueryBytes < headers {
+		t.Fatalf("tableQueryBytes = %d, below a query record and a row header, %d B", tableQueryBytes, headers)
+	}
+	for _, req := range []*wire.BatchRequest{walkRequest(t), rawRequest(t)} {
+		prog := freshProgram(t, req)
+		text := 0
+		for _, r := range prog.Rows {
+			text += len(r.S) + len(r.T)
+			if len(req.Raw) > 0 {
+				text += len(r.Query)
+			}
+		}
+		if per := uintptr(text / len(prog.Rows)); headers+per > tableQueryBytes {
+			t.Errorf("%s: %d B of rendered text a row; the budget leaves %d", prog.Axioms.StructName, per, tableQueryBytes-headers)
+		}
 	}
 }

@@ -143,7 +143,7 @@ func TestExhaustiveRing3(t *testing.T) {
 	for i := 0; i <= 7; i++ {
 		for j := 0; j <= 7; j++ {
 			aliased := (i % 3) == (j % 3)
-			if got := p.DefinitelyAliased(word(i), word(j)); got != aliased {
+			if got := p.DefinitelyAliased(pathexpr.Intern(word(i)), pathexpr.Intern(word(j))); got != aliased {
 				t.Errorf("next^%d ≡ next^%d: DefinitelyAliased=%v, want %v", i, j, got, aliased)
 			}
 			proved := p.Prove(SameSrc, word(i), word(j)).Result == Proved

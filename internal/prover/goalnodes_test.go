@@ -102,7 +102,7 @@ func TestDefinitelyAliasedMatchesSimplify(t *testing.T) {
 		p := prover.New(ax, prover.Options{})
 		for _, x := range paths {
 			for _, y := range paths {
-				got, want := p.DefinitelyAliased(x, y), simplified(p, x, y)
+				got, want := p.DefinitelyAliased(pathexpr.Intern(x), pathexpr.Intern(y)), simplified(p, x, y)
 				if got != want {
 					t.Errorf("%s: DefinitelyAliased(%v, %v) = %v, Simplify-based answer %v", ax.StructName, x, y, got, want)
 				}

@@ -309,12 +309,12 @@ func (p *Prover) ProveNodes(form Form, x, y *pathexpr.Node) *Proof {
 // DefinitelyAliased reports whether the two access paths provably denote the
 // same vertex from a common handle: both are single words and are congruent
 // under the equality axioms (identical words are trivially congruent).
-// deptest uses this for its Yes answer.  The simplified forms and their
-// words are read from the interner, which computes each once per distinct
-// path.
-func (p *Prover) DefinitelyAliased(x, y pathexpr.Expr) bool {
-	w1, ok1 := pathexpr.Intern(x).Simplified().Word()
-	w2, ok2 := pathexpr.Intern(y).Simplified().Word()
+// deptest uses this for its Yes answer, over the interned paths it hands
+// the proof forms too.  The simplified forms and their words are read from
+// the interned nodes, which compute each once per distinct path.
+func (p *Prover) DefinitelyAliased(x, y *pathexpr.Node) bool {
+	w1, ok1 := x.Simplified().Word()
+	w2, ok2 := y.Simplified().Word()
 	if !ok1 || !ok2 {
 		return false
 	}

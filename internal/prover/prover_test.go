@@ -158,20 +158,20 @@ func TestRingEquality(t *testing.T) {
 	p := New(axiom.RingOf("next", 3), Options{})
 	mustProve(t, p, "next", "next.next")
 	mustFail(t, p, "next", "next.next.next.next")
-	if !p.DefinitelyAliased(pathexpr.MustParse("next"), pathexpr.MustParse("next.next.next.next")) {
+	if !p.DefinitelyAliased(pathexpr.Intern(pathexpr.MustParse("next")), pathexpr.Intern(pathexpr.MustParse("next.next.next.next"))) {
 		t.Error("next ≡ next⁴ in a 3-ring should be a definite alias")
 	}
-	if p.DefinitelyAliased(pathexpr.MustParse("next"), pathexpr.MustParse("next.next")) {
+	if p.DefinitelyAliased(pathexpr.Intern(pathexpr.MustParse("next")), pathexpr.Intern(pathexpr.MustParse("next.next"))) {
 		t.Error("next and next² are distinct in a 3-ring")
 	}
 }
 
 func TestDefinitelyAliased(t *testing.T) {
 	p := New(axiom.LeafLinkedBinaryTree(), Options{})
-	if !p.DefinitelyAliased(pathexpr.MustParse("L.L.N"), pathexpr.MustParse("L.L.N")) {
+	if !p.DefinitelyAliased(pathexpr.Intern(pathexpr.MustParse("L.L.N")), pathexpr.Intern(pathexpr.MustParse("L.L.N"))) {
 		t.Error("identical words must be definitely aliased")
 	}
-	if p.DefinitelyAliased(pathexpr.MustParse("L*"), pathexpr.MustParse("L*")) {
+	if p.DefinitelyAliased(pathexpr.Intern(pathexpr.MustParse("L*")), pathexpr.Intern(pathexpr.MustParse("L*"))) {
 		t.Error("non-word paths are never definitely aliased")
 	}
 }

@@ -172,7 +172,7 @@ func TestDefinitelyAliasedIsSound(t *testing.T) {
 			w2[k] = "next"
 		}
 		x, y := pathexpr.FromWord(w1), pathexpr.FromWord(w2)
-		if !p.DefinitelyAliased(x, y) {
+		if !p.DefinitelyAliased(pathexpr.Intern(x), pathexpr.Intern(y)) {
 			continue
 		}
 		for v := 0; v < g.NumVertices(); v++ {

@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"repro/internal/admit"
-	"repro/internal/axiom"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/parallel"
@@ -304,7 +303,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wire.WriteJSONError(w, code, err.Error())
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, resp)
+	wire.WriteResponse(w, http.StatusOK, resp)
 }
 
 // answer runs one decoded batch request; it returns the flight-recorder
@@ -343,9 +342,7 @@ func (s *Server) answer(ctx context.Context, req *wire.BatchRequest, set *teleme
 	}
 	asp.End(telemetry.String("fn", prog.Fn), telemetry.Int("queries", len(queries)),
 		telemetry.Int("analyzed", analyzed))
-
-	echo := func(i int) (int, string) { return prog.Origins[i], req.Queries[prog.Origins[i]] }
-	return s.runBatch(ctx, req, set, prog.Axioms, queries, echo, svc0)
+	return s.runBatch(ctx, req, set, prog, svc0)
 }
 
 // answerRaw runs a raw-mode request: the axiom set arrives as text and the
@@ -371,17 +368,14 @@ func (s *Server) answerRaw(ctx context.Context, req *wire.BatchRequest, set *tel
 	}
 	asp.End(telemetry.String("axiom_set", prog.Axioms.StructName), telemetry.Int("queries", len(prog.Queries)),
 		telemetry.Int("parsed", parsed))
-
-	echo := func(i int) (int, string) { return i, exec.RenderRawQuery(req.Raw[i]) }
-	return s.runBatch(ctx, req, set, prog.Axioms, prog.Queries, echo, svc0)
+	return s.runBatch(ctx, req, set, prog, svc0)
 }
 
-// runBatch is the shared tail of both request modes: run the batch on the
-// pool's engine under the request deadline, and assemble the response and
-// flight metadata.  echo maps a result index to the line/echo pair the
-// response reports.
+// runBatch is the shared tail of both request modes: run the program's
+// queries on the pool's engine under the request deadline, and assemble
+// the response from the program's rows and the flight metadata.
 func (s *Server) runBatch(ctx context.Context, req *wire.BatchRequest, set *telemetry.Set,
-	ax *axiom.Set, queries []core.Query, echo func(int) (int, string), svc0 time.Time) (*wire.BatchResponse, *flightMeta, int, error) {
+	prog *exec.Program, svc0 time.Time) (*wire.BatchResponse, *flightMeta, int, error) {
 
 	deadline := wire.ClampMS(req.DeadlineMS, s.cfg.MaxDeadline)
 	perQuery := s.cfg.QueryTimeout
@@ -393,8 +387,9 @@ func (s *Server) runBatch(ctx context.Context, req *wire.BatchRequest, set *tele
 	rt := set.Trace()
 	bsp := rt.StartSpan("serve.batch", set.Parent())
 
+	ax := prog.Axioms
 	start := time.Now()
-	outs := s.pool.Batch(bctx, queries, perQuery, set.Under(bsp.ID()))
+	outs := s.pool.Batch(bctx, prog.Queries, perQuery, set.Under(bsp.ID()))
 	elapsed := time.Since(start)
 	bsp.End(
 		telemetry.String("axiom_set", ax.StructName),
@@ -403,17 +398,9 @@ func (s *Server) runBatch(ctx context.Context, req *wire.BatchRequest, set *tele
 
 	resp := &wire.BatchResponse{Results: make([]wire.QueryResult, len(outs))}
 	for i, out := range outs {
-		q := queries[i]
-		line, src := echo(i)
-		resp.Results[i] = wire.QueryResult{
-			Line:   line,
-			Query:  src,
-			S:      q.S.String(),
-			T:      q.T.String(),
-			Result: out.Result.String(),
-			Kind:   out.Kind.String(),
-			Reason: out.Reason,
-		}
+		r := &resp.Results[i]
+		*r = prog.Rows[i]
+		r.Result, r.Kind, r.Reason = out.Result.String(), out.Kind.String(), out.Reason
 		if out.Result != core.No {
 			resp.Dependent = true
 		}

@@ -1,7 +1,8 @@
 // Package wire is the transport-neutral layer of the query plane: the JSON
-// request/response vocabulary of POST /v1/batch, its one decoder
-// (DecodeRequest, DecodeResponse), plus the small helpers both sides of the
-// wire share (body reading, JSON writers, millisecond clamping).
+// request/response vocabulary of POST /v1/batch, its one codec
+// (DecodeRequest and DecodeResponse; AppendResponse and WriteResponse for
+// the 200 answer), plus the small helpers both sides of the wire share
+// (body reading, JSON writers, millisecond clamping).
 // Everything that talks the protocol — the serving execution stack
 // (internal/serve), the cluster router (internal/route), the repository
 // benchmark's client, and the scenario farm's cross-checker — depends on
@@ -175,9 +176,12 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// WriteJSON writes v as a compact JSON body with the given status.  HTML
-// escaping is off: every access rendering carries "->", which the escaper
-// would spell as the six bytes \u003e.  Pipe through jq to read it.
+// WriteJSON writes v as a compact JSON body with the given status, by
+// reflection: the error bodies and the metrics and flight-recorder
+// snapshots.  A BatchResponse goes out through WriteResponse, which writes
+// the same bytes.  HTML escaping is off: every access rendering carries
+// "->", which the escaper would spell as the six bytes \u003e.  Pipe
+// through jq to read it.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
